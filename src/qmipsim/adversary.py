@@ -4,8 +4,14 @@ Soundness claims quantify over all prover strategies, which no finite run
 can cover. What a desk-scale tool can do is sweep structured families that
 contain every strategy worth trying at these sizes: constant replies, full
 reply sequences, echoes, and mask-track probes. The search caches the
-round-1 residual (provers first act in round 2), so a sweep costs one
-partial run per combination.
+round-1 residual (provers first act in round 2). At cutoff 2, when every
+strategy answers each local (comm, tape) state of that residual with a
+single move, each strategy is applied once per local state and every
+combination is scored from those moves plus verifier rows and per-slot guard
+verdicts. Sweeps at cutoff 3 or more, combinations with a strategy that
+branches (rotations) or merges two local states, and any combination that
+faults are replayed round by round, which costs one partial run per
+combination and raises the run's own error.
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -21,9 +27,11 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .amplitudes import PRUNE_TOL, StateVector, apply_sparse_operator
+from .amplitudes import CONSERVATION_TOL, PRUNE_TOL, StateVector, apply_sparse_operator
 from .engine import (
+    ROUND_TOL,
     Configuration,
+    _mass,
     input_tape,
     run_round,
     verifier_operator,
@@ -187,6 +195,185 @@ class SearchResult:
     table: list[tuple[tuple[str, ...], float, float]] | None = None
 
 
+def _replay(p: ProtocolSpec, tape, residual1: StateVector, combo, T: int, quantum: bool, acc1: float, rej1: float):
+    """Rounds 2..T of one combination, replayed configuration by configuration."""
+    trial = ProtocolSpec(p.name, p.verifier, _strategic_provers(p, combo, T), p.a, p.b, T)
+    state: StateVector = dict(residual1)
+    total_acc, total_rej = acc1, rej1
+    for j in range(2, T + 1):
+        if _mass(state, quantum) <= PRUNE_TOL:
+            break
+        a_j, r_j, state = run_round(trial, tape, state, j, quantum)
+        total_acc += a_j
+        total_rej += r_j
+    return total_acc, total_rej, state
+
+
+class _LastRound:
+    """Round 2 of a cutoff-2 sweep, scored from precomputed prover moves.
+
+    A prover writes only its own cell and tape, so when each strategy answers
+    every local (comm, tape) state with a single move, a combination's round-2
+    state follows from what each strategy does to the distinct local states of
+    the shared round-1 residual. Those moves are computed once per strategy;
+    a combination then only looks up verifier rows (guard rows from per-slot
+    verdicts), accumulates target amplitudes and measures, with the same mass
+    checks as `run_round`. New tapes are interned per slot, so targets are
+    keyed by small integers instead of tape tuples.
+
+    `score` returns None on anything `run_round` would fault on; the caller
+    then replays that combination, which raises the error itself.
+    """
+
+    def __init__(self, p: ProtocolSpec, tape, residual: StateVector, quantum: bool):
+        v = p.verifier
+        self.quantum = quantum
+        self.rows = v.rows
+        self.accept = v.accept
+        self.reject = v.reject
+        self.guard = v.fallback
+        self.before = _mass(residual, quantum)
+        self.n = n = len(tape)
+        self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
+        self.tape_ids: list[dict[tuple, int]] = [{} for _ in range(p.k)]
+        self.verdicts: list[dict[str, bool]] = [{} for _ in range(p.k)]
+        guard_targets: dict[tuple[str, str], str | None] = {}
+        self.sources = []
+        for config, amp in residual.items():
+            sigma = tape[config.head % n]
+            local = tuple(
+                states.setdefault((config.comm[i], config.tapes[i]), len(states))
+                for i, states in enumerate(self.local_states)
+            )
+            key = (config.state, sigma)
+            if key not in guard_targets:
+                guard_targets[key] = self.guard.target(*key) if self.guard is not None else None
+            self.sources.append((
+                config.state, sigma, config.head, (config.head + 1) % n, amp, local, guard_targets[key],
+            ))
+
+    def moves(self, slot: int, strategy):
+        """Per local state of `slot`: ((reply,), tape id, weight or None for 1, guard verdict).
+
+        None when the strategy branches, merges two local states, or fails on
+        one; every combination with it is then replayed.
+        """
+        out = []
+        seen = set()
+        verdicts = self.verdicts[slot]
+        tape_ids = self.tape_ids[slot]
+        for comm, tape in self.local_states[slot]:
+            # the replay raises whatever this raises, so any failure just opts out
+            try:
+                if self.quantum:
+                    column = strategy.apply_quantum(1, comm, tape)
+                    if len(column) != 1:
+                        return None
+                    (reply, new_tape), w = column[0]
+                else:
+                    (reply, new_tape), w = strategy.apply_classical(1, comm, tape), 1
+                if reply not in verdicts:
+                    verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
+            except Exception:
+                return None
+            if (reply, new_tape) in seen:
+                return None
+            seen.add((reply, new_tape))
+            tid = tape_ids.setdefault(new_tape, len(tape_ids))
+            out.append(((reply,), tid, None if w == 1 else w, verdicts[reply]))
+        return out
+
+    def prefix(self, moves_per_slot):
+        """The sources after every prover but the last has moved, as `score` takes them.
+
+        A source whose amplitude falls below PRUNE_TOL is dropped, as the
+        prover stage's prune would.
+        """
+        out = []
+        for q, sigma, head, head_next, amp, local, name in self.sources:
+            comm = ()
+            tapes = ()
+            rejected = False
+            for slot, moves in enumerate(moves_per_slot):
+                cell, tid, w, rej = moves[local[slot]]
+                if w is not None:
+                    amp = amp * w
+                    if abs(amp) < PRUNE_TOL:
+                        break
+                comm += cell
+                tapes += (tid,)
+                rejected = rejected or rej
+            else:
+                out.append((q, sigma, head, head_next, amp, comm, tapes, rejected, local[-1], name))
+        return out
+
+    def score(self, sources, moves):
+        """(p_acc, p_rej, residual) of round 2 once the last prover plays `moves`."""
+        rows = self.rows
+        n = self.n
+        out: dict[tuple, complex] = {}
+        get = out.get
+        for q, sigma, head, head_next, amp, comm, tapes, rejected, last, name in sources:
+            cell, tid, w, rej = moves[last]
+            if w is not None:
+                amp = amp * w
+                if abs(amp) < PRUNE_TOL:
+                    continue
+            comm = comm + cell
+            row = rows.get((q, sigma, comm))
+            if row is None:
+                if name is None or not (rejected or rej):
+                    return None
+                key = (name, head_next, comm, tapes, tid)
+                out[key] = get(key, 0j) + amp
+                continue
+            for q2, d, sent, weight in row:
+                key = (q2, (head + d) % n, sent, tapes, tid)
+                out[key] = get(key, 0j) + amp * weight
+        quantum = self.quantum
+        accept = self.accept
+        reject = self.reject
+        after = p_acc = p_rej = 0.0
+        residual: dict[tuple, complex] = {}
+        for key, amp in out.items():
+            if abs(amp) < PRUNE_TOL:
+                continue
+            weight = (amp * amp.conjugate()).real if quantum else amp.real
+            after += weight
+            if key[0] in accept:
+                p_acc += weight
+            elif key[0] in reject:
+                p_rej += weight
+            else:
+                residual[key] = amp
+        if abs(after - self.before) > ROUND_TOL:
+            return None
+        if abs((p_acc + p_rej + _mass(residual, quantum)) - after) > CONSERVATION_TOL:
+            return None
+        return p_acc, p_rej, residual
+
+
+def _fused_sweep(p: ProtocolSpec, tape, residual1: StateVector, families, quantum: bool, acc1: float, rej1: float):
+    """(combination, (total p_acc, total p_rej, residual)) in `itertools.product` order, cutoff 2."""
+    last_round = _LastRound(p, tape, residual1, quantum)
+    moves = [[last_round.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
+    *heads, tail = families
+    *head_moves, tail_moves = moves
+    for picks in itertools.product(*(range(len(fam.strategies)) for fam in heads)):
+        chosen = [m[i] for m, i in zip(head_moves, picks)]
+        sources = None if None in chosen else last_round.prefix(chosen)
+        prefix = tuple(fam.strategies[i] for fam, i in zip(heads, picks))
+        for strategy, last in zip(tail.strategies, tail_moves):
+            combo = prefix + (strategy,)
+            scored = None
+            if sources is not None and last is not None:
+                scored = last_round.score(sources, last)
+            if scored is None:
+                yield combo, _replay(p, tape, residual1, combo, 2, quantum, acc1, rej1)
+            else:
+                yield combo, (acc1 + scored[0], rej1 + scored[1], scored[2])
+
+
 def search(
     p: ProtocolSpec,
     x: str,
@@ -200,10 +387,15 @@ def search(
 
     Deterministic order, first strict optimum kept, so results are
     reproducible run to run. Round 1 happens before any prover acts and is
-    computed once for the whole sweep.
+    computed once for the whole sweep. At cutoff 2, combinations of
+    single-move strategies are scored from precomputed moves; everything
+    else is replayed round by round.
     """
     if objective not in ("max-accept", "min-reject"):
         raise ValidationError(f"unknown objective {objective!r}")
+    T = cutoff if cutoff is not None else p.cutoff
+    if T < 1:
+        raise ValidationError("cutoff must be at least 1")
     if families is None:
         families = default_families(p, cutoff)
     if len(families) != p.k:
@@ -219,7 +411,6 @@ def search(
         sizes = "x".join(str(len(f.strategies)) for f in families)
         raise FamilyTooLarge(f"{sizes} = {total} combinations exceeds the limit of {cap}")
 
-    T = cutoff if cutoff is not None else p.cutoff
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
     # round 1 precedes any prover move, so it is shared by every combination;
@@ -232,20 +423,18 @@ def search(
     }
     acc1, rej1, residual1 = run_round(p, tape, state0, 1, quantum)
 
+    if T == 2 and _mass(residual1, quantum) > PRUNE_TOL:
+        scores = _fused_sweep(p, tape, residual1, families, quantum, acc1, rej1)
+    else:
+        scores = (
+            (combo, _replay(p, tape, residual1, combo, T, quantum, acc1, rej1))
+            for combo in itertools.product(*(fam.strategies for fam in families))
+        )
+
     best = None
     table: list[tuple[tuple[str, ...], float, float]] | None = [] if keep_table else None
     evaluated = 0
-    for combo in itertools.product(*(fam.strategies for fam in families)):
-        provers = _strategic_provers(p, combo, T)
-        trial = ProtocolSpec(p.name, p.verifier, provers, p.a, p.b, T)
-        state: StateVector = dict(residual1)
-        total_acc, total_rej = acc1, rej1
-        for j in range(2, T + 1):
-            if sum((a * a.conjugate()).real if quantum else a.real for a in state.values()) <= PRUNE_TOL:
-                break
-            a_j, r_j, state = run_round(trial, tape, state, j, quantum)
-            total_acc += a_j
-            total_rej += r_j
+    for combo, (total_acc, total_rej, state) in scores:
         evaluated += 1
         labels = tuple(s.label if hasattr(s, "label") else s.kind for s in combo)
         if table is not None:
@@ -257,8 +446,7 @@ def search(
             or (objective == "min-reject" and value < best[0] - TIE_TOL)
         )
         if better:
-            leftover = sum((a * a.conjugate()).real if quantum else a.real for a in state.values())
-            best = (value, labels, total_acc, total_rej, leftover)
+            best = (value, labels, total_acc, total_rej, _mass(state, quantum))
     assert best is not None
     return SearchResult(
         objective=objective,
@@ -435,6 +623,8 @@ def derandomize_provers(
     if len(strategies) != p.k:
         raise ValidationError(f"need {p.k} strategies, got {len(strategies)}")
     T = cutoff if cutoff is not None else p.cutoff
+    if T < 1:
+        raise ValidationError("cutoff must be at least 1")
     cap = limit if limit is not None else family_limit()
 
     fixed: list[dict] = [{} for _ in range(p.k)]

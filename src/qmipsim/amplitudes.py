@@ -16,7 +16,6 @@ from .errors import MissingTransition
 StateVector = dict[Hashable, complex]
 
 PRUNE_TOL = 1e-15
-NORM_TOL = 1e-9
 CONSERVATION_TOL = 1e-12
 
 

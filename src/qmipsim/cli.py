@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import adversary as adv
 from . import corpus as corpus_mod
@@ -182,6 +183,7 @@ def cmd_reduce(args) -> int:
 def cmd_adversary(args) -> int:
     p = _load_checked(args.file)
     _require_well_formed(p)
+    started = time.perf_counter()
     result = adv.search(
         p,
         args.input,
@@ -189,6 +191,8 @@ def cmd_adversary(args) -> int:
         cutoff=args.cutoff,
         limit=args.limit,
     )
+    elapsed = time.perf_counter() - started
+    rate = result.evaluated / elapsed if elapsed > 0 else float("inf")
     if args.machine:
         print(f"name={p.name}")
         print(f"input={args.input}")
@@ -199,12 +203,15 @@ def cmd_adversary(args) -> int:
         print(f"best_p_acc={result.best_p_accept:.9f}")
         print(f"best_p_rej={result.best_p_reject:.9f}")
         print(f"best_leftover={result.best_leftover:.9f}")
+        print(f"elapsed_s={elapsed:.6f}")
+        print(f"combos_per_s={rate:.1f}")
     else:
         print(f"searched {result.evaluated} strategy combinations ({result.objective})")
         for i, label in enumerate(result.best_labels, start=1):
             print(f"  prover {i}: {label}")
         print(f"best combination: p_acc={result.best_p_accept:.9f}"
               f" p_rej={result.best_p_reject:.9f} leftover={result.best_leftover:.9f}")
+        print(f"throughput: elapsed_s={elapsed:.6f} combos_per_s={rate:.1f}")
     print(f"best={result.best_value:.9f}")
     return 0
 

@@ -44,11 +44,6 @@ def track(upper: str, lower: str) -> str:
     return f"[{upper}/{lower}]"
 
 
-def track_multi(uppers: Sequence[str], lowers: Sequence[str]) -> str:
-    """Track symbol whose sides are dot-joined component tuples."""
-    return track(".".join(uppers), ".".join(lowers))
-
-
 def parse_track(symbol: str) -> tuple[str, str] | None:
     """Split a track symbol at its top-level slash; None if not track-shaped."""
     if symbol == BLANK:
@@ -355,42 +350,55 @@ def guard_state(prefix: str, q: str, sigma: str) -> str:
     return f"{prefix}[{q}|{sigma}]"
 
 
+class _GuardRule:
+    """What both guards share. A reception matches when any one slot's symbol
+    is rejected (`rejects`, per guard kind), and (q, sigma) goes to the reject
+    state named by `guard_state` when the verifier declares it."""
+
+    def matches(self, comm: tuple[str, ...]) -> bool:
+        return any(self.rejects(slot, sym) for slot, sym in enumerate(comm[:len(self.slot_bases)]))
+
+    def target(self, q: str, sigma: str) -> str | None:
+        """The reject state `emit` moves (q, sigma) to; None where it has none."""
+        name = guard_state(self.prefix, q, sigma)
+        return name if name in self.known_states else None
+
+
 @dataclass(frozen=True)
-class TrackGuard:
+class TrackGuard(_GuardRule):
     """Rejects any reception that is not [sigma/#] with sigma in the slot's base set."""
     slot_bases: tuple[tuple[str, ...], ...]
     known_states: frozenset[str]
     prefix: str = "rejt"
     kind: str = "track-guard"
 
-    def matches(self, comm: tuple[str, ...]) -> bool:
-        for base, sym in zip(self.slot_bases, comm):
-            parsed = parse_track(sym)
-            if parsed is None or parsed[1] != BLANK or parsed[0] not in base:
-                return True
-        return False
+    def rejects(self, slot: int, symbol: str) -> bool:
+        """Whether `symbol` received on `slot` (0-based) sends the whole reception here."""
+        parsed = parse_track(symbol)
+        return parsed is None or parsed[1] != BLANK or parsed[0] not in self.slot_bases[slot]
 
     def emit(self, q: str, sigma: str, comm: tuple[str, ...]):
-        name = guard_state(self.prefix, q, sigma)
-        if name not in self.known_states:
+        name = self.target(q, sigma)
+        if name is None:
             raise MissingTransition(f"guard has no reject state for ({q!r}, {sigma!r})")
         return ((name, 1, comm, 1.0 + 0j),)
 
 
 @dataclass(frozen=True)
-class ForeignGuard:
+class ForeignGuard(_GuardRule):
     """Rejects any reception with a symbol outside its slot's original alphabet."""
     slot_bases: tuple[tuple[str, ...], ...]
     known_states: frozenset[str]
     prefix: str = "rejf"
     kind: str = "foreign-guard"
 
-    def matches(self, comm: tuple[str, ...]) -> bool:
-        return any(sym not in base for base, sym in zip(self.slot_bases, comm))
+    def rejects(self, slot: int, symbol: str) -> bool:
+        """Whether `symbol` received on `slot` (0-based) sends the whole reception here."""
+        return symbol not in self.slot_bases[slot]
 
     def emit(self, q: str, sigma: str, comm: tuple[str, ...]):
-        name = guard_state(self.prefix, q, sigma)
-        if name not in self.known_states:
+        name = self.target(q, sigma)
+        if name is None:
             raise MissingTransition(f"guard has no reject state for ({q!r}, {sigma!r})")
         return ((name, 1, comm, 1.0 + 0j),)
 

@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 
-from qmipsim import corpus
+from qmipsim import adversary, corpus, engine, transforms
 from qmipsim.adversary import (
     DEFAULT_FAMILY_LIMIT,
     SEQUENCE_CAP,
@@ -15,11 +19,12 @@ from qmipsim.adversary import (
     soundness_gap,
     track_probe_family,
 )
-from qmipsim.engine import run_classical
-from qmipsim.errors import FamilyTooLarge, Unbounded, ValidationError
+from qmipsim.engine import run_classical, simulate
+from qmipsim.errors import FamilyTooLarge, MissingTransition, RunFault, Unbounded, ValidationError
 from qmipsim.specs import (
     BLANK,
     DerandomizedStrategy,
+    ForeignGuard,
     ProtocolSpec,
     ProverSpec,
     constant_reply,
@@ -160,6 +165,10 @@ def test_search_rejects_bad_arguments():
     )
     with pytest.raises(ValidationError):
         search(p, "0", families=swapped)
+    with pytest.raises(ValidationError, match="cutoff must be at least 1"):
+        search(p, "0", cutoff=0)
+    with pytest.raises(ValidationError, match="cutoff must be at least 1"):
+        soundness_gap(p, "0", cutoff=0)
 
 
 def test_search_family_limit():
@@ -190,6 +199,186 @@ def test_search_reduced_protocol_with_handpicked_probes():
     result = search(p, "0", families=fams)
     assert result.evaluated == 16
     assert result.best_value <= 0.5 + 1e-9
+
+
+# ---------------------------------------------------------------- sweep vs simulate
+#
+# Each table entry must equal an ordinary simulation of the protocol with that
+# combination's strategies plugged in, whichever way `search` scored it. The
+# `replayed_rounds` fixture records which rounds `search` replays through
+# `run_round`: round 1 once, then round 2 only for combinations it could not
+# score from precomputed moves.
+
+
+@pytest.fixture
+def replayed_rounds(monkeypatch):
+    rounds = []
+
+    def counting(p, tape, state, round_index, quantum):
+        rounds.append(round_index)
+        return engine.run_round(p, tape, state, round_index, quantum)
+
+    monkeypatch.setattr(adversary, "run_round", counting)
+    return rounds
+
+
+def _trial(p, combo):
+    space = max(1, p.cutoff)
+    provers = tuple(
+        ProverSpec(
+            index=i + 1,
+            comm_alphabet=p.verifier.comm_alphabets[i],
+            tape_alphabet=p.verifier.comm_alphabets[i],
+            space=space,
+            strategy=strategy,
+        )
+        for i, strategy in enumerate(combo)
+    )
+    return ProtocolSpec(p.name, p.verifier, provers, p.a, p.b, p.cutoff)
+
+
+def _assert_matches_simulate(p, x, families, objective="max-accept"):
+    result = search(p, x, families=families, objective=objective, keep_table=True)
+    combos = list(itertools.product(*(fam.strategies for fam in families)))
+    assert result.evaluated == len(combos) == len(result.table)
+    best = None
+    for combo, (labels, acc, rej) in zip(combos, result.table):
+        run = simulate(_trial(p, combo), x)
+        assert labels == tuple(s.label for s in combo)
+        assert acc == pytest.approx(run.p_accept, abs=1e-12), labels
+        assert rej == pytest.approx(run.p_reject, abs=1e-12), labels
+        value = run.p_accept if objective == "max-accept" else run.p_reject
+        if (
+            best is None
+            or (objective == "max-accept" and value > best[0] + 1e-12)
+            or (objective == "min-reject" and value < best[0] - 1e-12)
+        ):
+            best = (value, labels, run.leftover)
+    assert result.best_labels == best[1]
+    assert result.best_leftover == pytest.approx(best[2], abs=1e-12)
+    return result
+
+
+def _track_probe_sample(p, seed):
+    """16 probes per prover: 14 seeded non-constant probes and the two constants
+    that pass the guard. Almost every constant is rejected outright, so a plain
+    sample would compare nothing but guard rows."""
+    rng = random.Random(seed)
+    families = []
+    for f in default_families(p):
+        probes = [s for s in f.strategies if not s.label.startswith("const:")]
+        passing = [s for s in f.strategies if s.label in ("const:#", f"const:{track('g', BLANK)}")]
+        families.append(StrategyFamily(f.prover_index, f.label, tuple(rng.sample(probes, 14)) + tuple(passing)))
+    return tuple(families)
+
+
+@pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
+def test_track_probe_sweep_matches_simulate(objective, replayed_rounds):
+    p = corpus.build("no_comm_reduce")
+    families = _track_probe_sample(p, 2024)
+    assert [len(f.strategies) for f in families] == [16, 16]
+    result = _assert_matches_simulate(p, "0", families, objective)
+    assert len({(acc, rej) for _, acc, rej in result.table}) >= 3
+    assert replayed_rounds == [1]
+
+
+def test_classical_sweep_matches_simulate(replayed_rounds):
+    p = corpus.build("no_comm")
+    for x in ("0", "00"):
+        result = _assert_matches_simulate(p, x, default_families(p))
+        assert result.evaluated == 6
+    assert replayed_rounds == [1, 1]
+
+
+def test_three_prover_sweep_matches_simulate(replayed_rounds):
+    p = corpus.build("no_comm_lift")
+    result = _assert_matches_simulate(p, "0", default_families(p))
+    assert result.evaluated == 66
+    assert replayed_rounds == [1]
+
+
+def test_foreign_guard_sweep_matches_simulate(replayed_rounds):
+    # the unified lift: three provers on one 16-symbol channel alphabet, with
+    # a foreign guard rejecting each slot's symbols outside its own alphabet
+    p = transforms.unify_alphabets(corpus.build("no_comm_lift"))
+    assert isinstance(p.verifier.fallback, ForeignGuard)
+    families = tuple(
+        StrategyFamily(f.prover_index, f.label, f.strategies[:3] + f.strategies[-3:])
+        for f in default_families(p)
+    )
+    result = _assert_matches_simulate(p, "0", families)
+    assert result.evaluated == 216
+    assert len({(acc, rej) for _, acc, rej in result.table}) >= 2
+    assert replayed_rounds == [1]
+
+
+def test_mass_drift_raises_the_round_fault(replayed_rounds):
+    class Forgetful:
+        """Replies with the blank and leaves its tape alone, merging receptions."""
+        label = "forgetful"
+
+        def apply_quantum(self, step, comm, tape):
+            return [((BLANK, tape), 1.0 + 0j)]
+
+    p = corpus.build("no_comm_reduce")
+    # prover 2's echo keeps the merged receptions apart: replayed, still exact
+    families = (
+        StrategyFamily(1, "picks", (constant_reply(BLANK), Forgetful())),
+        StrategyFamily(2, "picks", (echo_reply(),)),
+    )
+    _assert_matches_simulate(p, "0", families)
+    assert replayed_rounds == [1, 2]
+    families = tuple(StrategyFamily(i + 1, "forgetful", (Forgetful(),)) for i in range(p.k))
+    with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
+        search(p, "0", families=families)
+    assert replayed_rounds == [1, 2, 1, 2]
+
+
+def test_longer_sweeps_replay_every_combination(replayed_rounds):
+    p = corpus.build("no_comm_lift")
+    result = _assert_matches_simulate(dataclasses.replace(p, cutoff=3), "0", default_families(p, 3))
+    assert replayed_rounds.count(2) == result.evaluated
+
+
+def test_branching_strategies_mixed_into_a_family_match_simulate(replayed_rounds):
+    p = corpus.build("no_comm_reduce")
+    alphabet = p.verifier.comm_alphabets[0]
+    g = track("g", BLANK)
+    mixed = (
+        constant_reply(g),
+        rotation_reply(BLANK, g, +1),
+        echo_reply(),
+        rotation_reply(g, track("g", "g"), -1),
+    )
+    families = (
+        StrategyFamily(1, "mixed", mixed),
+        StrategyFamily(2, "picks", (constant_reply(BLANK), constant_reply(alphabet[-1]), echo_reply())),
+    )
+    for objective in ("max-accept", "min-reject"):
+        _assert_matches_simulate(p, "0", families, objective)
+    # only the 2 x 3 combinations with a rotation are replayed, per objective
+    assert replayed_rounds == [1] + [2] * 6 + [1] + [2] * 6
+
+
+def test_failing_strategy_raises_its_own_error():
+    p = corpus.build("no_comm_reduce")
+    families = (
+        StrategyFamily(1, "picks", (constant_reply(BLANK), DerandomizedStrategy(choices={}))),
+        StrategyFamily(2, "picks", (echo_reply(),)),
+    )
+    with pytest.raises(MissingTransition):
+        search(p, "0", families=families)
+
+
+@pytest.mark.parametrize("keep_guard", [True, False])
+def test_missing_verifier_row_raises_its_own_error(keep_guard):
+    # without explicit rows, receptions the guard passes have no row at all
+    p = corpus.build("no_comm_reduce")
+    fallback = p.verifier.fallback if keep_guard else None
+    bare = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, rows={}, fallback=fallback))
+    families = tuple(StrategyFamily(i + 1, "blank", (constant_reply(BLANK),)) for i in range(p.k))
+    with pytest.raises(MissingTransition, match="verifier has no row"):
+        search(bare, "0", families=families)
 
 
 # ---------------------------------------------------------------- derandomization
@@ -237,6 +426,10 @@ def test_derandomize_rejects_quantum_verifier_and_bad_arity():
         )
     with pytest.raises(ValidationError):
         derandomize_provers(corpus.build("no_comm"), "0", (constant_reply(BLANK),))
+    with pytest.raises(ValidationError, match="cutoff must be at least 1"):
+        derandomize_provers(
+            corpus.build("no_comm"), "0", (constant_reply(BLANK), constant_reply(BLANK)), cutoff=0
+        )
 
 
 def test_derandomize_refuses_tape_entangling_strategies():

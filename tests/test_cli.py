@@ -167,6 +167,13 @@ def test_adversary_search(lift_file, capsys):
     assert pairs["evaluated"] == "66"
     assert pairs["best"] == "0.500000000"
     assert pairs["prover1"] == "seq:#"
+    assert "elapsed_s" in pairs
+    assert float(pairs["combos_per_s"]) > 0
+
+
+def test_adversary_rejects_zero_cutoff(lift_file, capsys):
+    assert main(["adversary", lift_file, "0", "--cutoff", "0"]) == 3
+    assert "cutoff must be at least 1" in capsys.readouterr().err
 
 
 def test_adversary_limit(lift_file, capsys):

@@ -276,6 +276,22 @@ def test_track_guard_matches_bad_lower_and_foreign_upper():
         v.lookup("q0", LEFT_END, (track("g", BLANK),))
 
 
+def test_guard_verdicts_are_per_slot_and_decide_matches():
+    track_guard = TrackGuard(slot_bases=(("#", "g"), ("#",)), known_states=frozenset({"rejt[q0|¢]"}))
+    assert not track_guard.rejects(0, track("g", BLANK))
+    assert track_guard.rejects(1, track("g", BLANK))
+    assert track_guard.rejects(0, track("g", "g")) and track_guard.rejects(0, "g")
+    assert not track_guard.matches((track("g", BLANK), BLANK))
+    assert track_guard.matches((track("g", BLANK), track("g", BLANK)))
+    foreign = ForeignGuard(slot_bases=(("#", "g"), ("#",)), known_states=frozenset())
+    assert [foreign.rejects(slot, "g") for slot in (0, 1)] == [False, True]
+    assert foreign.matches(("#", "g")) and not foreign.matches(("g", "#"))
+    # target names the state emit moves to, or None where emit would fault
+    assert track_guard.target("q0", LEFT_END) == "rejt[q0|¢]"
+    assert track_guard.target("q1", LEFT_END) is None
+    assert foreign.target("q0", LEFT_END) is None
+
+
 # ---------------------------------------------------------------- validation
 
 
