@@ -9,7 +9,6 @@ from .amplitudes import (
     StateVector,
     apply_sparse_operator,
     inner_product,
-    measure_halting,
     norm_sq,
     prune,
 )
@@ -88,7 +87,6 @@ from .specs import (
     make_track_alphabet,
     parse_track,
     track,
-    track_pair_strings,
     validate_protocol,
     xor_symbols,
 )

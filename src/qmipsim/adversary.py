@@ -32,11 +32,10 @@ from .engine import (
     ROUND_TOL,
     Configuration,
     _mass,
+    _verify_and_measure,
     input_tape,
     run_round,
-    verifier_operator,
 )
-from .engine import _measure as _measure_state
 from .errors import FamilyTooLarge, Unbounded, ValidationError
 from .specs import (
     BLANK,
@@ -551,8 +550,7 @@ def _decohered_run(
                 if pause == (j - 1, i):
                     return total_acc, total_rej, state
                 state = apply_sparse_operator(_decohere_prover(prover, j - 1), state)
-        state = apply_sparse_operator(verifier_operator(v, tape), state)
-        acc, rej, state = _measure_state(state, v, quantum=False)
+        _, acc, rej, state = _verify_and_measure(state, v, tape, quantum=False)
         total_acc += acc
         total_rej += rej
         if sum(a.real for a in state.values()) <= PRUNE_TOL:

@@ -60,28 +60,3 @@ def apply_sparse_operator(op: SparseOperator | dict[Any, Any], state: StateVecto
             value = out.get(target, 0j) + amp * weight
             out[target] = value
     return prune(out)
-
-
-def measure_halting(
-    state: StateVector,
-    accepting: Callable[[Hashable], bool],
-    rejecting: Callable[[Hashable], bool],
-) -> tuple[float, float, StateVector]:
-    """Project onto accept / reject / non-halting subspaces.
-
-    Returns (p_acc, p_rej, residual). The predicates must be disjoint. The
-    residual keeps the non-halting amplitudes unchanged (not renormalized),
-    so p_acc + p_rej + norm_sq(residual) equals the incoming mass.
-    """
-    p_acc = 0.0
-    p_rej = 0.0
-    residual: StateVector = {}
-    for config, amp in state.items():
-        mass = (amp * amp.conjugate()).real
-        if accepting(config):
-            p_acc += mass
-        elif rejecting(config):
-            p_rej += mass
-        else:
-            residual[config] = amp
-    return p_acc, p_rej, residual

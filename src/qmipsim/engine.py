@@ -7,9 +7,10 @@ around rather than falling off.
 
 Each round has three stages: provers transform their cell and private tape
 (from round 2 on), the verifier consumes its cells and moves its head, and a
-projective measurement splits off the accepting and rejecting mass. The
-residual stays unnormalized; whatever mass is still unresolved at the cutoff
-is reported as leftover.
+projective measurement splits off the accepting and rejecting mass; the last
+two run as one pass grouped by prover tapes. The residual stays
+unnormalized; whatever mass is still unresolved at the cutoff is reported as
+leftover.
 """
 from __future__ import annotations
 
@@ -130,19 +131,47 @@ def _mass(state: StateVector, quantum: bool) -> float:
     return sum(w.real for w in state.values())
 
 
-def _measure(state: StateVector, verifier: VerifierSpec, quantum: bool):
-    p_acc = 0.0
-    p_rej = 0.0
-    residual: StateVector = {}
+def _verify_and_measure(
+    state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...], quantum: bool
+) -> tuple[float, float, float, StateVector]:
+    """Verifier stage and measurement in one pass.
+
+    Returns (mass after the stage, accept mass, reject mass, residual). The
+    verifier never writes a prover tape, so only configurations with equal
+    tapes interfere: targets are summed per tape group and pruned like
+    apply_sparse_operator prunes, and halting targets are measured without
+    being stored. Columns come from verifier_operator, once per
+    (state, head, comm).
+    """
+    op = verifier_operator(verifier, tape)
+    accept, reject = verifier.accept, verifier.reject
+    columns: dict = {}
+    groups: dict = {}
     for config, amp in state.items():
-        weight = (amp * amp.conjugate()).real if quantum else amp.real
-        if config.state in verifier.accept:
-            p_acc += weight
-        elif config.state in verifier.reject:
-            p_rej += weight
-        else:
-            residual[config] = amp
-    return p_acc, p_rej, residual
+        groups.setdefault(config.tapes, []).append((config, amp))
+    after = p_acc = p_rej = 0.0
+    residual: StateVector = {}
+    for tapes, members in groups.items():
+        local: dict = {}
+        for config, amp in members:
+            key = config[:3]
+            column = columns.get(key)
+            if column is None:
+                column = columns[key] = [((t.state, t.head, t.comm), w) for t, w in op(config)]
+            for target, w in column:
+                local[target] = local.get(target, 0j) + amp * w
+        for (q2, head, sent), a in local.items():
+            if abs(a) < PRUNE_TOL:
+                continue
+            weight = a.real * a.real + a.imag * a.imag if quantum else a.real
+            after += weight
+            if q2 in accept:
+                p_acc += weight
+            elif q2 in reject:
+                p_rej += weight
+            else:
+                residual[Configuration(q2, head, sent, tapes)] = a
+    return after, p_acc, p_rej, residual
 
 
 def run_round(
@@ -157,14 +186,12 @@ def run_round(
     if round_index >= 2:
         for prover in p.provers:
             state = apply_sparse_operator(prover_operator(prover, round_index - 1, quantum), state)
-    state = apply_sparse_operator(verifier_operator(p.verifier, tape), state)
-    after = _mass(state, quantum)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, quantum)
     if abs(after - before) > ROUND_TOL:
         raise RunFault(
             f"round {round_index} is not mass-preserving: {before:.12g} -> {after:.12g}; "
             "run the well-formedness check"
         )
-    p_acc, p_rej, residual = _measure(state, p.verifier, quantum)
     if abs((p_acc + p_rej + _mass(residual, quantum)) - after) > CONSERVATION_TOL:
         raise RunFault(f"measurement at round {round_index} lost probability mass")
     return p_acc, p_rej, residual

@@ -66,14 +66,6 @@ def make_track_alphabet(upper: Sequence[str], lower: Sequence[str]) -> tuple[str
     return tuple(track(u, l) for u in upper for l in lower)
 
 
-def track_pair_strings(xs: Sequence[str], ys: Sequence[str]) -> tuple[str, ...]:
-    """Pair two symbol strings position-wise, padding the shorter with blanks."""
-    width = max(len(xs), len(ys))
-    xs = list(xs) + [BLANK] * (width - len(xs))
-    ys = list(ys) + [BLANK] * (width - len(ys))
-    return tuple(track(u, l) for u, l in zip(xs, ys))
-
-
 def fixed_width_binary_encoding(alphabet: Sequence[str]) -> dict[str, str]:
     """Injective fixed-width bit codes; the blank gets the all-zero string.
 

@@ -5,7 +5,6 @@ import pytest
 from qmipsim.amplitudes import (
     apply_sparse_operator,
     inner_product,
-    measure_halting,
     norm_sq,
     prune,
 )
@@ -56,23 +55,3 @@ def test_apply_sparse_operator_callable_and_missing():
         return [(config + "!", 1.0 + 0j)]
 
     assert apply_sparse_operator(fn, {"a": 1.0 + 0j}) == {"a!": 1.0 + 0j}
-
-
-def test_measure_halting_splits_mass():
-    state = {("acc", 0): complex(H), ("rej", 1): complex(0, H)}
-    p_acc, p_rej, residual = measure_halting(
-        state, lambda c: c[0] == "acc", lambda c: c[0] == "rej"
-    )
-    assert p_acc == pytest.approx(0.5)
-    assert p_rej == pytest.approx(0.5)
-    assert residual == {}
-
-
-def test_measure_halting_residual_stays_unnormalized():
-    state = {("acc", 0): 0.5 + 0j, ("mid", 1): 0.5 + 0j}
-    p_acc, p_rej, residual = measure_halting(
-        state, lambda c: c[0] == "acc", lambda c: c[0] == "rej"
-    )
-    assert p_acc == pytest.approx(0.25)
-    assert p_rej == 0.0
-    assert residual == {("mid", 1): 0.5 + 0j}
