@@ -31,6 +31,7 @@ from .amplitudes import CONSERVATION_TOL, PRUNE_TOL, StateVector, apply_sparse_o
 from .engine import (
     ROUND_TOL,
     Configuration,
+    _check_round,
     _mass,
     _verify_and_measure,
     input_tape,
@@ -544,16 +545,19 @@ def _decohered_run(
     tapes = tuple((BLANK,) * pr.space for pr in provers)
     state: StateVector = {Configuration(v.initial, 0, comm, tapes): 1.0 + 0j}
     total_acc = total_rej = 0.0
+    before = _mass(state, quantum=False)
     for j in range(1, cutoff + 1):
         if j >= 2:
             for i, prover in enumerate(provers):
                 if pause == (j - 1, i):
                     return total_acc, total_rej, state
                 state = apply_sparse_operator(_decohere_prover(prover, j - 1), state)
-        _, acc, rej, state = _verify_and_measure(state, v, tape, quantum=False)
+        after, acc, rej, state = _verify_and_measure(state, v, tape, quantum=False)
+        _check_round(j, before, after, acc, rej, state, quantum=False)
         total_acc += acc
         total_rej += rej
-        if sum(a.real for a in state.values()) <= PRUNE_TOL:
+        before = _mass(state, quantum=False)
+        if before <= PRUNE_TOL:
             state = {}
             break
     return total_acc, total_rej, state

@@ -84,8 +84,7 @@ def input_tape(x: str, verifier: VerifierSpec) -> tuple[str, ...]:
 
 
 def initial_state(p: ProtocolSpec, x: str) -> StateVector:
-    tape_len = len(input_tape(x, p.verifier))
-    del tape_len
+    input_tape(x, p.verifier)
     comm = (BLANK,) * p.k
     tapes = tuple((BLANK,) * prover.space for prover in p.provers)
     return {Configuration(p.verifier.initial, 0, comm, tapes): 1.0 + 0j}
@@ -174,6 +173,25 @@ def _verify_and_measure(
     return after, p_acc, p_rej, residual
 
 
+def _check_round(
+    round_index: int,
+    before: float,
+    after: float,
+    p_acc: float,
+    p_rej: float,
+    residual: StateVector,
+    quantum: bool,
+) -> None:
+    """Raise RunFault unless the round kept its mass and the measurement lost none."""
+    if abs(after - before) > ROUND_TOL:
+        raise RunFault(
+            f"round {round_index} is not mass-preserving: {before:.12g} -> {after:.12g}; "
+            "run the well-formedness check"
+        )
+    if abs((p_acc + p_rej + _mass(residual, quantum)) - after) > CONSERVATION_TOL:
+        raise RunFault(f"measurement at round {round_index} lost probability mass")
+
+
 def run_round(
     p: ProtocolSpec,
     tape: tuple[str, ...],
@@ -187,13 +205,7 @@ def run_round(
         for prover in p.provers:
             state = apply_sparse_operator(prover_operator(prover, round_index - 1, quantum), state)
     after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, quantum)
-    if abs(after - before) > ROUND_TOL:
-        raise RunFault(
-            f"round {round_index} is not mass-preserving: {before:.12g} -> {after:.12g}; "
-            "run the well-formedness check"
-        )
-    if abs((p_acc + p_rej + _mass(residual, quantum)) - after) > CONSERVATION_TOL:
-        raise RunFault(f"measurement at round {round_index} lost probability mass")
+    _check_round(round_index, before, after, p_acc, p_rej, residual, quantum)
     return p_acc, p_rej, residual
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 
 from .errors import SpecFileError
@@ -56,7 +57,25 @@ _FRAC_RE = re.compile(r"^[+-]?\d+/\d+$")
 _SQRT_RE = re.compile(r"^([+-]?)1/sqrt(\d+)$")
 
 
+# Protocols repeat a handful of weights (1, 1/2, 1/sqrt2, ...) thousands of
+# times, so both directions remember what they computed per distinct value.
+# The caches are bounded and keep results only: a bad token or an
+# unserializable weight raises again on every call.
+_WEIGHT_CACHE_SIZE = 4096
+_parsed_weights: dict[str, complex] = {}
+
+
 def parse_weight(token: str, where: str = "") -> complex:
+    value = _parsed_weights.get(token)
+    if value is None:
+        value = _parse_weight_token(token, where)
+        if len(_parsed_weights) >= _WEIGHT_CACHE_SIZE:
+            _parsed_weights.clear()
+        _parsed_weights[token] = value
+    return value
+
+
+def _parse_weight_token(token: str, where: str) -> complex:
     if _INT_RE.match(token):
         return complex(int(token))
     if _FRAC_RE.match(token):
@@ -78,7 +97,12 @@ def parse_weight(token: str, where: str = "") -> complex:
 
 
 def serialize_weight(w: complex) -> str:
-    w = complex(w)
+    return _weight_token(complex(w))
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _weight_token(w: complex) -> str:
+    """The shortest token that parses back to exactly w (+0.0 and -0.0 give "0")."""
     if w.imag != 0.0:
         raise SpecFileError(f"cannot serialize complex weight {w!r}")
     value = w.real
@@ -87,7 +111,9 @@ def serialize_weight(w: complex) -> str:
         token = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
         if parse_weight(token) == w:
             return token
-    if value != 0.0:
+    # 1/sqrtn for 1 <= n <= 65536 lies in [2**-8, 1]; squaring far tinier
+    # values underflows, and 1/value**2 would divide by zero or overflow
+    if 2 ** -9 <= abs(value) <= 2:
         n = round(1.0 / (value * value))
         if 1 <= n <= 65536:
             token = ("-" if value < 0 else "") + f"1/sqrt{n}"
@@ -141,28 +167,29 @@ class _Section:
     def __init__(self, label: str, entries: list[tuple[int, str, str]]):
         self.label = label
         self.entries = entries
-        self.used: set[int] = set()
+        self.by_key: dict[str, list[tuple[int, str]]] = {}
+        for lineno, key, value in entries:
+            self.by_key.setdefault(key, []).append((lineno, value))
+        self.used: set[str] = set()
 
     def one(self, key: str, required: bool = True) -> str | None:
-        hits = [(lineno, v) for lineno, k, v in self.entries if k == key]
+        hits = self.by_key.get(key, ())
         if len(hits) > 1:
             raise SpecFileError(f"line {hits[1][0]}: duplicate key {key!r} in {self.label}")
         if not hits:
             if required:
                 raise SpecFileError(f"{self.label} is missing key {key!r}")
             return None
-        self.used.add(hits[0][0])
+        self.used.add(key)
         return hits[0][1]
 
     def many(self, key: str) -> list[tuple[int, str]]:
-        hits = [(lineno, v) for lineno, k, v in self.entries if k == key]
-        for lineno, _ in hits:
-            self.used.add(lineno)
-        return hits
+        self.used.add(key)
+        return self.by_key.get(key, [])
 
     def check_no_strays(self) -> None:
         for lineno, key, _ in self.entries:
-            if lineno not in self.used:
+            if key not in self.used:
                 raise SpecFileError(f"line {lineno}: unknown key {key!r} in {self.label}")
 
 
@@ -176,23 +203,28 @@ def _parse_int(value: str, where: str) -> int:
     return int(value)
 
 
+_MOVES = {"+1": 1, "-1": -1, "0": 0}
+
+
 def _parse_rule(lineno: int, value: str, k: int):
-    parts = value.split(" -> ")
-    if len(parts) != 2:
+    head, arrow, body = value.partition(" -> ")
+    if not arrow or " -> " in body:
         raise SpecFileError(f"line {lineno}: rule needs exactly one ' -> '")
-    left = parts[0].split()
+    left = head.split()
     if len(left) != 2 + k:
         raise SpecFileError(f"line {lineno}: rule head needs state, symbol, and {k} received symbols")
     key = (left[0], left[1], tuple(left[2:]))
+    where = f"line {lineno}: "
     branches = []
-    for chunk in parts[1].split(" , "):
+    for chunk in body.split(" , "):
         toks = chunk.split()
         if len(toks) != 3 + k:
             raise SpecFileError(f"line {lineno}: branch needs weight, state, move, and {k} sent symbols")
-        w = parse_weight(toks[0], f"line {lineno}: ")
-        if toks[2] not in ("+1", "-1", "0"):
+        w = parse_weight(toks[0], where)
+        d = _MOVES.get(toks[2])
+        if d is None:
             raise SpecFileError(f"line {lineno}: bad head move {toks[2]!r}")
-        branches.append((toks[1], int(toks[2]), tuple(toks[3:]), w))
+        branches.append((toks[1], d, tuple(toks[3:]), w))
     return key, tuple(branches)
 
 

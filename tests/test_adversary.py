@@ -23,10 +23,13 @@ from qmipsim.engine import run_classical, simulate
 from qmipsim.errors import FamilyTooLarge, MissingTransition, RunFault, Unbounded, ValidationError
 from qmipsim.specs import (
     BLANK,
+    LEFT_END,
     DerandomizedStrategy,
+    EraserStrategy,
     ForeignGuard,
     ProtocolSpec,
     ProverSpec,
+    VerifierSpec,
     constant_reply,
     echo_reply,
     rotation_reply,
@@ -430,6 +433,28 @@ def test_derandomize_rejects_quantum_verifier_and_bad_arity():
         derandomize_provers(
             corpus.build("no_comm"), "0", (constant_reply(BLANK), constant_reply(BLANK)), cutoff=0
         )
+
+
+def test_derandomize_checks_the_round_mass():
+    verifier = VerifierSpec(
+        mode="1pfa",
+        states=("q0", "acc", "rej"),
+        initial="q0",
+        accept=frozenset({"acc"}),
+        reject=frozenset({"rej"}),
+        input_alphabet=("0",),
+        comm_alphabets=((BLANK,),),
+        rows={("q0", LEFT_END, (BLANK,)): (("acc", 1, (BLANK,), 0.5), ("rej", 1, (BLANK,), 0.9))},
+        fallback=None,
+    )
+    prover = ProverSpec(
+        index=1, comm_alphabet=(BLANK,), tape_alphabet=(BLANK,), space=0, strategy=EraserStrategy()
+    )
+    p = ProtocolSpec(name="heavy", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=2)
+    with pytest.raises(RunFault, match="round 1 is not mass-preserving: 1 -> 1.4"):
+        run_classical(p, "0")
+    with pytest.raises(RunFault, match="round 1 is not mass-preserving: 1 -> 1.4"):
+        derandomize_provers(p, "0", [EraserStrategy()])
 
 
 def test_derandomize_refuses_tape_entangling_strategies():

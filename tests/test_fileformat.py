@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qmipsim import corpus
+from qmipsim import corpus, transforms
 from qmipsim.errors import SpecFileError
 from qmipsim.fileformat import (
     FORMAT_HEADER,
@@ -70,9 +72,40 @@ def test_serialize_weight_round_trips_exactly():
         assert parse_weight(token) == complex(value), token
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_serialize_weight_round_trips_every_finite_float(value):
+    token = serialize_weight(value)
+    assert parse_weight(token) == complex(value)
+    assert serialize_weight(value) is token
+    assert serialize_weight(complex(value)) is token
+
+
+def test_serialize_weight_tiny_magnitudes_fall_back_to_decimals():
+    for value in (1e-160, -1e-200, 5e-324):
+        assert serialize_weight(value) == repr(value)
+
+
+def test_signed_zeros_serialize_alike():
+    assert serialize_weight(0.0) == serialize_weight(-0.0) == "0"
+
+
 def test_serialize_weight_rejects_complex_phases():
     with pytest.raises(SpecFileError):
         serialize_weight(0.5j)
+
+
+@pytest.mark.parametrize("value", [0.5j, math.nan, math.inf, -math.inf])
+def test_serialize_weight_failures_repeat(value):
+    for _ in range(2):
+        with pytest.raises((SpecFileError, ValueError, OverflowError)):
+            serialize_weight(value)
+
+
+def test_bad_weight_tokens_fail_on_every_call():
+    assert parse_weight("1/2") == 0.5
+    for where in ("line 3: ", "line 9: "):
+        with pytest.raises(SpecFileError, match=f"^{where}bad weight token 'half'$"):
+            parse_weight("half", where)
 
 
 # ---------------------------------------------------------------- round-trips
@@ -84,6 +117,17 @@ def test_corpus_round_trip(name):
     text = serialize_protocol(p)
     assert text.startswith(FORMAT_HEADER + "\n")
     assert parse_protocol(text) == p
+
+
+@pytest.mark.parametrize("base", [corpus.no_communication, corpus.parity_relay])
+def test_transform_chain_round_trips(base):
+    lifted = transforms.lift_2ip_to_3qip(base()).protocol
+    unified = transforms.unify_alphabets(lifted)
+    reduced = transforms.reduce_3qip_to_2qip(unified).protocol
+    for p in (lifted, unified, reduced):
+        text = serialize_protocol(p)
+        assert parse_protocol(text) == p
+        assert serialize_protocol(parse_protocol(text)) == text
 
 
 def test_round_trip_survives_comments_and_blank_lines():
@@ -186,6 +230,13 @@ def test_parse_rejects_stray_header_keys():
     assert "zzz" in str(err.value)
 
 
+def test_stray_key_error_names_the_first_unknown_line():
+    text = _base_text().replace("initial = ", "zzz = 1\nyyy = 2\nzzz = 3\ninitial = ", 1)
+    first = _line_of(text, "zzz = ")
+    with pytest.raises(SpecFileError, match=f"^line {first}: unknown key 'zzz' in \\[verifier\\]$"):
+        parse_protocol(text)
+
+
 def test_parse_rejects_unknown_sections():
     text = _base_text() + "\n[oracle]\nanswer = 42\n"
     with pytest.raises(SpecFileError) as err:
@@ -215,6 +266,33 @@ def test_parse_rejects_bad_weight_in_rule():
     text = _base_text().replace("1/2", "half")
     with pytest.raises(SpecFileError):
         parse_protocol(text)
+
+
+def test_bad_weight_names_its_line_after_good_tokens_are_cached():
+    text = _base_text()
+    parse_protocol(text)
+    lines = text.splitlines()
+    n = next(i for i, line in enumerate(lines, start=1) if line.startswith("rule = ") and " 1/2 " in line)
+    lines[n - 1] = lines[n - 1].replace("1/2", "1/0", 1)
+    with pytest.raises(SpecFileError, match=f"^line {n}: zero denominator in weight '1/0'$"):
+        parse_protocol("\n".join(lines))
+    lines[n - 1] = lines[n - 1].replace("1/0", "half", 1)
+    with pytest.raises(SpecFileError, match=f"^line {n}: bad weight token 'half'$"):
+        parse_protocol("\n".join(lines))
+
+
+def _line_of(text, prefix):
+    return next(i for i, line in enumerate(text.splitlines(), start=1) if line.startswith(prefix))
+
+
+@pytest.mark.parametrize("key", ["name", "cutoff", "initial", "comm-1"])
+def test_duplicate_keys_name_the_second_occurrence(key):
+    text = _base_text()
+    first = _line_of(text, f"{key} = ")
+    line = text.splitlines()[first - 1]
+    doubled = text.replace(line + "\n", line + "\n; a comment\n" + line + "\n", 1)
+    with pytest.raises(SpecFileError, match=f"^line {first + 2}: duplicate key '{key}' in "):
+        parse_protocol(doubled)
 
 
 def test_parse_rejects_missing_prover_sections():
