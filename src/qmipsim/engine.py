@@ -7,14 +7,18 @@ around rather than falling off.
 
 Each round has three stages: provers transform their cell and private tape
 (from round 2 on), the verifier consumes its cells and moves its head, and a
-projective measurement splits off the accepting and rejecting mass; the last
-two run as one pass grouped by prover tapes. The residual stays
-unnormalized; whatever mass is still unresolved at the cutoff is reported as
-leftover.
+projective measurement splits off the accepting and rejecting mass. The
+provers move together, as one operator pruned once; the verifier stage and
+the measurement run as one pass grouped by prover tapes. The residual stays
+unnormalized; whatever mass is still unresolved at the cutoff is reported
+as leftover.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Callable, NamedTuple
 
 from .amplitudes import (
@@ -90,20 +94,32 @@ def initial_state(p: ProtocolSpec, x: str) -> StateVector:
     return {Configuration(p.verifier.initial, 0, comm, tapes): 1.0 + 0j}
 
 
-def prover_operator(prover: ProverSpec, step: int, quantum: bool) -> Callable:
-    slot = prover.index - 1
+def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -> Callable:
+    """The moves of `provers` at `step` as one sparse operator.
+
+    Provers write disjoint slots, so the product of their moves per source
+    equals applying them one after another; slots of other provers keep
+    their cell and tape. Applied to a state, the composition is pruned once,
+    after the last prover.
+    """
+    by_slot = {prover.index - 1: prover.strategy for prover in provers}
 
     def op(config: Configuration):
-        if quantum:
-            moves = prover.strategy.apply_quantum(step, config.comm[slot], config.tapes[slot])
-        else:
-            reply, new_tape = prover.strategy.apply_classical(step, config.comm[slot], config.tapes[slot])
-            moves = [((reply, new_tape), 1.0 + 0j)]
+        q, head, comm, tapes = config
+        per_slot = []
+        for slot, (cell, tape) in enumerate(zip(comm, tapes)):
+            strategy = by_slot.get(slot)
+            if strategy is None:
+                per_slot.append((((cell, tape), 1.0),))
+            elif quantum:
+                per_slot.append(strategy.apply_quantum(step, cell, tape))
+            else:
+                per_slot.append(((strategy.apply_classical(step, cell, tape), 1.0),))
         out = []
-        for (reply, new_tape), amp in moves:
-            comm = config.comm[:slot] + (reply,) + config.comm[slot + 1:]
-            tapes = config.tapes[:slot] + (new_tape,) + config.tapes[slot + 1:]
-            out.append((Configuration(config.state, config.head, comm, tapes), amp))
+        for combo in product(*per_slot):
+            moves, weights = zip(*combo)
+            cells, new_tapes = zip(*moves)
+            out.append((Configuration(q, head, cells, new_tapes), prod(weights)))
         return out
 
     return op
@@ -111,6 +127,9 @@ def prover_operator(prover: ProverSpec, step: int, quantum: bool) -> Callable:
 
 def verifier_operator(verifier: VerifierSpec, tape: tuple[str, ...]) -> Callable:
     n = len(tape)
+    # +1 and -1 reach the same cell only on the two-cell tape of ""; that
+    # breaks interference, so only quantum verifiers must not do it
+    check_moves = n == 2 and verifier.is_quantum()
 
     def op(config: Configuration):
         sigma = tape[config.head % n]
@@ -119,6 +138,14 @@ def verifier_operator(verifier: VerifierSpec, tape: tuple[str, ...]) -> Callable
         for (q2, d, sent, w) in branches:
             head = (config.head + d) % n
             out.append((Configuration(q2, head, sent, config.tapes), complex(w)))
+        if check_moves:
+            moves: dict = {}
+            for (_, d, _, _), (target, _) in zip(branches, out):
+                if moves.setdefault(target, d) != d:
+                    raise RunFault(
+                        f"branches of {config} with head moves {moves[target]:+d} and {d:+d} "
+                        f"both land on {target} of the two-cell tape"
+                    )
         return out
 
     return op
@@ -130,6 +157,40 @@ def _mass(state: StateVector, quantum: bool) -> float:
     return sum(w.real for w in state.values())
 
 
+class _Column(NamedTuple):
+    """One verifier column without tapes, and what the closed form needs.
+
+    Weights are |w|^2, or w.real when classical.
+    """
+    targets: list  # [((state, head, comm), w)], duplicate targets summed
+    smallest: float  # smallest |w|
+    total: float
+    accept: float
+    reject: float
+    live: list  # the non-halting targets
+
+
+def _column(branches, quantum: bool, accept, reject) -> _Column:
+    summed: dict = {}
+    for t, w in branches:
+        target = (t.state, t.head, t.comm)
+        summed[target] = summed.get(target, 0j) + w
+    targets = list(summed.items())
+    total = acc = rej = 0.0
+    live = []
+    for target, w in targets:
+        weight = w.real * w.real + w.imag * w.imag if quantum else w.real
+        total += weight
+        if target[0] in accept:
+            acc += weight
+        elif target[0] in reject:
+            rej += weight
+        else:
+            live.append((target, w))
+    smallest = min((abs(w) for _, w in targets), default=0.0)
+    return _Column(targets, smallest, total, acc, rej, live)
+
+
 def _verify_and_measure(
     state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...], quantum: bool
 ) -> tuple[float, float, float, StateVector]:
@@ -137,27 +198,41 @@ def _verify_and_measure(
 
     Returns (mass after the stage, accept mass, reject mass, residual). The
     verifier never writes a prover tape, so only configurations with equal
-    tapes interfere: targets are summed per tape group and pruned like
-    apply_sparse_operator prunes, and halting targets are measured without
-    being stored. Columns come from verifier_operator, once per
-    (state, head, comm).
+    tapes interfere. A configuration alone on its tapes cannot interfere:
+    when every target of its column survives the prune (|amp| times the
+    column's smallest |w| is at least PRUNE_TOL), its masses are |amp|^2
+    (amp.real when classical) times the column's totals and only its
+    non-halting targets are stored. Every other configuration is summed per
+    tape group in a local dict and pruned like apply_sparse_operator prunes;
+    halting targets are measured without being stored. Columns come from
+    verifier_operator, once per (state, head, comm).
     """
     op = verifier_operator(verifier, tape)
     accept, reject = verifier.accept, verifier.reject
     columns: dict = {}
-    groups: dict = {}
-    for config, amp in state.items():
-        groups.setdefault(config.tapes, []).append((config, amp))
+    sharing = Counter([config.tapes for config in state])
+    shared: dict = {}
     after = p_acc = p_rej = 0.0
     residual: StateVector = {}
-    for tapes, members in groups.items():
+    for config, amp in state.items():
+        key = config[:3]
+        column = columns.get(key)
+        if column is None:
+            column = columns[key] = _column(op(config), quantum, accept, reject)
+        tapes = config.tapes
+        if sharing[tapes] > 1 or abs(amp) * column.smallest < PRUNE_TOL:
+            shared.setdefault(tapes, []).append((column, amp))
+            continue
+        scale = amp.real * amp.real + amp.imag * amp.imag if quantum else amp.real
+        after += scale * column.total
+        p_acc += scale * column.accept
+        p_rej += scale * column.reject
+        for (q2, head, sent), w in column.live:
+            residual[Configuration(q2, head, sent, tapes)] = amp * w
+    for tapes, members in shared.items():
         local: dict = {}
-        for config, amp in members:
-            key = config[:3]
-            column = columns.get(key)
-            if column is None:
-                column = columns[key] = [((t.state, t.head, t.comm), w) for t, w in op(config)]
-            for target, w in column:
+        for column, amp in members:
+            for target, w in column.targets:
                 local[target] = local.get(target, 0j) + amp * w
         for (q2, head, sent), a in local.items():
             if abs(a) < PRUNE_TOL:
@@ -202,8 +277,7 @@ def run_round(
     """One full round; returns (accept mass, reject mass, unnormalized residual)."""
     before = _mass(state, quantum)
     if round_index >= 2:
-        for prover in p.provers:
-            state = apply_sparse_operator(prover_operator(prover, round_index - 1, quantum), state)
+        state = apply_sparse_operator(prover_operator(p.provers, round_index - 1, quantum), state)
     after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, quantum)
     _check_round(round_index, before, after, p_acc, p_rej, residual, quantum)
     return p_acc, p_rej, residual

@@ -10,6 +10,7 @@ to the plain blank so that track alphabets literally contain `#`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -44,8 +45,13 @@ def track(upper: str, lower: str) -> str:
     return f"[{upper}/{lower}]"
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_track(symbol: str) -> tuple[str, str] | None:
-    """Split a track symbol at its top-level slash; None if not track-shaped."""
+    """Split a track symbol at its top-level slash; None if not track-shaped.
+
+    Memoized: strategies parse the same few symbols once per source, and the
+    cached halves let tape cells share their string objects.
+    """
     if symbol == BLANK:
         return (BLANK, BLANK)
     if len(symbol) < 3 or symbol[0] != "[" or symbol[-1] != "]":

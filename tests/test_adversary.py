@@ -293,6 +293,13 @@ def test_classical_sweep_matches_simulate(replayed_rounds):
     assert replayed_rounds == [1, 1]
 
 
+def test_classical_sweep_on_the_empty_input_stays_fused(replayed_rounds):
+    # only quantum head moves can collide on the two-cell tape of ""
+    p = corpus.build("no_comm")
+    _assert_matches_simulate(p, "", default_families(p))
+    assert replayed_rounds == [1]
+
+
 def test_three_prover_sweep_matches_simulate(replayed_rounds):
     p = corpus.build("no_comm_lift")
     result = _assert_matches_simulate(p, "0", default_families(p))
@@ -361,6 +368,33 @@ def test_branching_strategies_mixed_into_a_family_match_simulate(replayed_rounds
         _assert_matches_simulate(p, "0", families, objective)
     # only the 2 x 3 combinations with a rotation are replayed, per objective
     assert replayed_rounds == [1] + [2] * 6 + [1] + [2] * 6
+
+
+def test_sweeps_on_the_two_cell_tape_replay_and_raise_the_collision(replayed_rounds):
+    # on "" the moves +1 and -1 of q1's row land on one cell; scored from
+    # precomputed moves, const:a would report p_accept 1 instead of faulting
+    h = 2 ** -0.5
+    comm = (BLANK, "a")
+    verifier = VerifierSpec(
+        mode="2qfa",
+        states=("q0", "q1", "acc", "rej"),
+        initial="q0",
+        accept=frozenset({"acc"}),
+        reject=frozenset({"rej"}),
+        input_alphabet=("0",),
+        comm_alphabets=(comm,),
+        rows={
+            ("q0", LEFT_END, (BLANK,)): (("q1", 0, (BLANK,), 1.0),),
+            ("q1", LEFT_END, ("a",)): (("acc", 1, (BLANK,), h), ("acc", -1, (BLANK,), 1j * h)),
+            ("q1", LEFT_END, (BLANK,)): (("rej", 0, (BLANK,), 1.0),),
+        },
+        fallback=None,
+    )
+    p = ProtocolSpec("collide", verifier, (transforms.make_eraser(1, comm, space=2, cutoff=2),), 1.0, 1.0, 2)
+    families = (StrategyFamily(1, "picks", (constant_reply(BLANK), constant_reply("a"))),)
+    with pytest.raises(RunFault, match=r"moves \+1 and -1 both land on"):
+        search(p, "", families=families)
+    assert replayed_rounds == [1, 2, 2]
 
 
 def test_failing_strategy_raises_its_own_error():

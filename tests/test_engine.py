@@ -3,9 +3,11 @@ import math
 from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmipsim import corpus
-from qmipsim.amplitudes import CONSERVATION_TOL, apply_sparse_operator
+from qmipsim.amplitudes import CONSERVATION_TOL, PRUNE_TOL, apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
     _verify_and_measure,
@@ -24,8 +26,10 @@ from qmipsim.specs import (
     LEFT_END,
     RIGHT_END,
     ClassicalTableStrategy,
+    LoggedReplyStrategy,
     ProtocolSpec,
     ProverSpec,
+    UnitaryTableStrategy,
     VerifierSpec,
     rotation_reply,
 )
@@ -321,6 +325,129 @@ def test_collision_in_one_tape_group_is_a_run_fault():
         run(_with_eraser(verifier), "0")
 
 
+def test_moves_that_collide_on_the_two_cell_tape_are_a_run_fault():
+    # on the tape of "" the moves +1 and -1 both reach cell 1; the two
+    # branches would add as amplitudes and report p_accept 1
+    verifier = _two_way(
+        {("q0", LEFT_END, (BLANK,)): (("acc", 1, (BLANK,), H), ("acc", -1, (BLANK,), 1j * H))},
+        ("q0",),
+    )
+    with pytest.raises(RunFault, match=r"state='q0'.*moves \+1 and -1 both land on .*state='acc'"):
+        run(_with_eraser(verifier), "")
+    # on a longer tape the two moves reach different cells
+    assert run(_with_eraser(verifier), "0").p_accept == pytest.approx(1.0, abs=1e-12)
+
+
+def test_classical_moves_on_the_two_cell_tape_add_their_probabilities():
+    # a probabilistic head has no interference to lose: on the tape of ""
+    # the +1 and -1 branches reach one cell and their probabilities add
+    verifier = dataclasses.replace(
+        _two_way(
+            {("q0", LEFT_END, (BLANK,)): (("acc", 1, (BLANK,), 0.3), ("acc", -1, (BLANK,), 0.3),
+                                          ("rej", 0, (BLANK,), 0.4))},
+            ("q0",),
+        ),
+        mode="2pfa",
+    )
+    result = simulate(_with_eraser(verifier), "")
+    assert result.p_accept == pytest.approx(0.6, abs=1e-12)
+    assert result.p_reject == pytest.approx(0.4, abs=1e-12)
+
+
+def test_a_key_error_in_a_prover_move_is_a_missing_transition():
+    # a reply function that only knows some symbols fails like a table without the row
+    verifier = _two_way(
+        {
+            ("q0", LEFT_END, (BLANK,)): (("q1", 1, (BLANK,), 1.0),),
+            ("q1", "0", (BLANK,)): (("acc", 0, (BLANK,), 1.0),),
+        },
+        ("q0", "q1"),
+    )
+    picky = LoggedReplyStrategy("picky", lambda step, recv: {"a": [(BLANK, 1.0 + 0j)]}[recv])
+    prover = ProverSpec(index=1, comm_alphabet=(BLANK,), tape_alphabet=(BLANK,), space=3, strategy=picky)
+    p = ProtocolSpec(name="picky", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=3)
+    with pytest.raises(MissingTransition, match="state='q1'"):
+        run(p, "0")
+
+
+def test_no_comm_on_the_empty_input_is_still_a_fair_coin():
+    result = simulate(corpus.build("no_comm"), "")
+    assert result.p_accept == pytest.approx(0.5, abs=1e-12)
+    assert result.p_reject == pytest.approx(0.5, abs=1e-12)
+
+
+def test_tiny_single_member_prunes_like_the_staged_reference():
+    # one member per tape group; at 1e-13 the 1e-3 branch falls below
+    # PRUNE_TOL while the other survives, so the closed form must step aside
+    verifier = _two_way(
+        {
+            ("qm", LEFT_END, (BLANK,)): (("m1", 0, (BLANK,), 0.6), ("m2", 1, (BLANK,), 1e-3),
+                                         ("acc", 1, (BLANK,), 0.8)),
+        },
+        ("qm", "m1", "m2"),
+    )
+    p = _with_eraser(verifier)
+    tape = (LEFT_END, "0", RIGHT_END)
+    state = {
+        Configuration("qm", 0, (BLANK,), (("x",),)): 1e-13 + 0j,
+        Configuration("qm", 0, (BLANK,), (("y",),)): 0.5j,
+    }
+    assert 1e-13 * 1e-3 < PRUNE_TOL
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape, True)
+    want_acc, want_rej, want = _reference_round(p, tape, state, 1, True)
+    assert set(residual) == set(want)
+    assert Configuration("m2", 1, (BLANK,), (("x",),)) not in residual
+    assert Configuration("m2", 1, (BLANK,), (("y",),)) in residual
+    assert all(residual[c] == a for c, a in want.items())
+    assert p_acc == pytest.approx(want_acc, abs=1e-12)
+    assert p_rej == want_rej == 0.0
+
+
+_STATES = ("q0", "q1", "q2")
+_CELLS = (BLANK, "a")
+_WEIGHTS = (1, -1, H, -H, 1j * H, 0.3, 0.6j)
+_AMPLITUDES = st.builds(
+    lambda size, phase: size * phase,
+    st.sampled_from((1.0, 0.5, 1e-3, 2e-15, 1e-16)),
+    st.sampled_from((1, -1, 1j, -1j, complex(H, H))),
+)
+_BRANCH = st.tuples(
+    st.sampled_from(_STATES + ("acc", "rej")),
+    st.sampled_from((-1, 0, 1)),
+    st.sampled_from(_CELLS).map(lambda c: (c,)),
+    st.sampled_from(_WEIGHTS),
+)
+_ROWS = st.fixed_dictionaries({
+    (q, sigma, (c,)): st.lists(_BRANCH, min_size=1, max_size=3).map(tuple)
+    for q in _STATES for sigma in (LEFT_END, "0", RIGHT_END) for c in _CELLS
+})
+_SOURCES = st.dictionaries(
+    st.builds(
+        lambda q, head, c, t: Configuration(q, head, (c,), ((t,),)),
+        st.sampled_from(_STATES), st.integers(0, 2), st.sampled_from(_CELLS), st.sampled_from("xyz"),
+    ),
+    _AMPLITUDES,
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(rows=_ROWS, state=_SOURCES)
+def test_pass_matches_the_staged_reference_on_random_2qfa_states(rows, state):
+    # random columns (duplicate targets and cancellations included) over up
+    # to three tape groups of any size; nothing here is unitary, the pass
+    # only has to agree with the staged verifier stage and split
+    verifier = _two_way(rows, _STATES, comm=_CELLS)
+    tape = (LEFT_END, "0", RIGHT_END)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape, True)
+    want_acc, want_rej, want = _reference_round(_with_eraser(verifier), tape, state, 1, True)
+    assert p_acc == pytest.approx(want_acc, abs=1e-12)
+    assert p_rej == pytest.approx(want_rej, abs=1e-12)
+    for c in set(residual) | set(want):
+        assert abs(residual.get(c, 0j) - want.get(c, 0j)) <= 1e-12
+    assert after == pytest.approx(p_acc + p_rej + sum(abs(a) ** 2 for a in residual.values()), abs=1e-12)
+
+
 @lru_cache(maxsize=None)
 def _reduced_parity_relay():
     lifted = lift_2ip_to_3qip(corpus.parity_relay()).protocol
@@ -331,7 +458,7 @@ def _reference_round(p, tape, state, round_index, quantum):
     """A round as separate stages: sparse applies, then an accept/reject split."""
     if round_index >= 2:
         for prover in p.provers:
-            state = apply_sparse_operator(prover_operator(prover, round_index - 1, quantum), state)
+            state = apply_sparse_operator(prover_operator((prover,), round_index - 1, quantum), state)
     state = apply_sparse_operator(verifier_operator(p.verifier, tape), state)
     weight = (lambda a: abs(a) ** 2) if quantum else (lambda a: a.real)
     v = p.verifier
@@ -341,13 +468,79 @@ def _reference_round(p, tape, state, round_index, quantum):
     return p_acc, p_rej, residual
 
 
+def _two_rotating_provers():
+    """Both provers answer (|a> + |b>)/sqrt 2; the verifier interferes their replies."""
+    comm = (BLANK, "a", "b")
+    none = (BLANK, BLANK)
+    verifier = VerifierSpec(
+        mode="2qfa",
+        states=("q0", "q1", "mid", "late", "acc", "rej"),
+        initial="q0",
+        accept=frozenset({"acc"}),
+        reject=frozenset({"rej"}),
+        input_alphabet=("0",),
+        comm_alphabets=(comm, comm),
+        rows={
+            ("q0", LEFT_END, none): (("q1", 1, none, 1.0),),
+            ("q1", "0", ("a", "a")): (("acc", 0, none, H), ("mid", 0, none, H)),
+            ("q1", "0", ("a", "b")): (("acc", 0, none, H), ("mid", 0, none, -H)),
+            ("q1", "0", ("b", "a")): (("late", 0, none, 1.0),),
+            ("q1", "0", ("b", "b")): (("rej", 0, none, 1.0),),
+            **{("late", "0", (x, y)): (("acc", 0, (x, y), 1.0),) for x in ("a", "b") for y in ("a", "b")},
+        },
+        fallback=None,
+    )
+    provers = tuple(
+        ProverSpec(index=i, comm_alphabet=comm, tape_alphabet=comm, space=3, strategy=rotation_reply("a", "b"))
+        for i in (1, 2)
+    )
+    return ProtocolSpec(name="two_rotations", verifier=verifier, provers=provers, a=1.0, b=1.0, cutoff=3)
+
+
+def _hadamard_prover():
+    """The verifier sends (|a> + |b>)/sqrt 2; a Hadamard prover turns it into |a>."""
+    comm = (BLANK, "a", "b")
+    verifier = _two_way(
+        {
+            ("q0", LEFT_END, (BLANK,)): (("q1", 1, ("a",), H), ("q1", 1, ("b",), H)),
+            ("q1", "0", ("a",)): (("acc", 0, (BLANK,), 1.0),),
+            ("q1", "0", ("b",)): (("rej", 0, (BLANK,), 1.0),),
+        },
+        ("q0", "q1"),
+        comm=comm,
+    )
+    hadamard = UnitaryTableStrategy(work=0, steps={None: {
+        ("a", ()): [(("a", ()), H), (("b", ()), H)],
+        ("b", ()): [(("a", ()), H), (("b", ()), -H)],
+    }})
+    prover = ProverSpec(index=1, comm_alphabet=comm, tape_alphabet=comm, space=0, strategy=hadamard)
+    return ProtocolSpec(name="hadamard_prover", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=2)
+
+
+_BUILT = {
+    "parity_relay_reduced": _reduced_parity_relay,
+    "two_rotations": _two_rotating_provers,
+    "hadamard_prover": _hadamard_prover,
+}
+
+
+def test_extra_reference_protocols_give_their_expected_values():
+    two = simulate(_two_rotating_provers(), "0")
+    assert (two.p_accept, two.p_reject) == (pytest.approx(0.75, abs=1e-12), pytest.approx(0.25, abs=1e-12))
+    assert [r.configurations for r in two.rounds] == [1, 1, 0]
+    hadamard = simulate(_hadamard_prover(), "0")
+    assert hadamard.p_accept == pytest.approx(1.0, abs=1e-12)
+    assert hadamard.p_reject == pytest.approx(0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "name, x",
     [(name, x) for name in sorted(corpus.REGISTRY) for x in corpus.test_inputs(name)]
-    + [("parity_relay_reduced", "1"), ("parity_relay_reduced", "11")],
+    + [("parity_relay_reduced", "1"), ("parity_relay_reduced", "11"), ("two_rotations", "0"),
+       ("hadamard_prover", "0")],
 )
 def test_fused_round_matches_staged_reference(name, x):
-    p = _reduced_parity_relay() if name == "parity_relay_reduced" else corpus.build(name)
+    p = _BUILT[name]() if name in _BUILT else corpus.build(name)
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
     state = initial_state(p, x)

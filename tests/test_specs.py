@@ -70,6 +70,18 @@ def test_parse_track_rejects_garbage():
         assert parse_track(bad) is None
 
 
+def test_parse_track_repeats_its_answer():
+    # memoized: later calls, also with an equal but separately built string,
+    # give the first call's answer, garbage included
+    symbols = ["[a/b]", "[a/[b/c]]", BLANK, "[/]", "noslash", "[a/b", "a/b]", "", "[ab]"]
+    first = [parse_track(sym) for sym in symbols]
+    assert first[:4] == [("a", "b"), ("a", "[b/c]"), (BLANK, BLANK), ("", "")]
+    assert first[4:] == [None] * 5
+    for _ in range(2):
+        assert [parse_track(sym) for sym in symbols] == first
+        assert [parse_track("".join(list(sym))) for sym in symbols] == first
+
+
 def test_make_track_alphabet_order_and_blank():
     alpha = make_track_alphabet(("#", "a"), ("#", "x"))
     assert alpha == ("#", "[#/x]", "[a/#]", "[a/x]")
