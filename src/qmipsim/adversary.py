@@ -554,7 +554,7 @@ def _decohered_run(
                     return total_acc, total_rej, state
                 state = apply_sparse_operator(_decohere_prover(prover, j - 1), state)
         after, acc, rej, state = _verify_and_measure(state, v, tape, quantum=False)
-        _check_round(j, before, after, acc, rej, state, quantum=False)
+        _check_round(j, before, after, acc, rej, _mass(state, quantum=False))
         total_acc += acc
         total_rej += rej
         before = _mass(state, quantum=False)

@@ -12,6 +12,17 @@ provers move together, as one operator pruned once; the verifier stage and
 the measurement run as one pass grouped by prover tapes. The residual stays
 unnormalized; whatever mass is still unresolved at the cutoff is reported
 as leftover.
+
+Strategies declare the tape cells each move reads or writes
+(`specs.declared_cells`); a cell no later move touches is dead. The part of
+the state with one content of the dead cells, a history, never interferes
+with another again, and histories whose states agree outside dead cells
+evolve identically. So after a round in which a cell dies, `_run` keeps
+them once, as a class with an integer multiplicity: it calls `run_round`
+once per class and weights each class's masses by its multiplicity.
+`RoundStat.configurations` is the sum of multiplicity times residual size,
+exactly the pure state's count. A run where no cell dies is one class of
+multiplicity 1.
 """
 from __future__ import annotations
 
@@ -36,6 +47,7 @@ from .specs import (
     ProtocolSpec,
     ProverSpec,
     VerifierSpec,
+    declared_cells,
 )
 
 ROUND_TOL = 1e-9
@@ -254,8 +266,7 @@ def _check_round(
     after: float,
     p_acc: float,
     p_rej: float,
-    residual: StateVector,
-    quantum: bool,
+    residual_mass: float,
 ) -> None:
     """Raise RunFault unless the round kept its mass and the measurement lost none."""
     if abs(after - before) > ROUND_TOL:
@@ -263,7 +274,7 @@ def _check_round(
             f"round {round_index} is not mass-preserving: {before:.12g} -> {after:.12g}; "
             "run the well-formedness check"
         )
-    if abs((p_acc + p_rej + _mass(residual, quantum)) - after) > CONSERVATION_TOL:
+    if abs((p_acc + p_rej + residual_mass) - after) > CONSERVATION_TOL:
         raise RunFault(f"measurement at round {round_index} lost probability mass")
 
 
@@ -279,8 +290,94 @@ def run_round(
     if round_index >= 2:
         state = apply_sparse_operator(prover_operator(p.provers, round_index - 1, quantum), state)
     after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, quantum)
-    _check_round(round_index, before, after, p_acc, p_rej, residual, quantum)
+    _check_round(round_index, before, after, p_acc, p_rej, _mass(residual, quantum))
     return p_acc, p_rej, residual
+
+
+def _touched(prover: ProverSpec, step: int) -> frozenset[int]:
+    """The tape cells the prover's move at `step` reads or writes; all of them unless declared."""
+    declared = declared_cells(prover.strategy, step)
+    if declared is None:
+        return frozenset(range(prover.space))
+    return frozenset(i for i in declared if 0 <= i < prover.space)
+
+
+class _Fold(NamedTuple):
+    """What the fold after one round needs, per prover tape."""
+    dead: tuple[tuple[int, ...], ...]  # cells touched so far and never again
+    carried: tuple[tuple[int, ...], ...]  # cells touched so far and again later
+
+
+def _fold_after(p: ProtocolSpec, j: int, cutoff: int, touched: dict) -> _Fold | None:
+    """The fold after round j; None when no tape cell dies in round j.
+
+    The provers move at step j-1 in round j. A cell is dead after round j
+    when some move has touched it and no move up to the cutoff touches it
+    again. Cells no move has touched yet hold the blank in every history, so
+    only `carried` cells can tell two histories apart outside dead cells.
+    `touched` memoizes each step's cells for the run.
+    """
+    def at(step: int) -> list[frozenset[int]]:
+        if step not in touched:
+            touched[step] = [_touched(prover, step) for prover in p.provers]
+        return touched[step]
+
+    if not 2 <= j < cutoff:
+        return None
+    # most cells a move touches are touched again at the next step, so scan forward lazily
+    dying = [set(cells) for cells in at(j - 1)]
+    for step in range(j, cutoff):
+        if not any(dying):
+            return None
+        for cells, now in zip(dying, at(step)):
+            cells -= now
+    if not any(dying):
+        return None
+    later = [frozenset().union(*cells) for cells in zip(*(at(s) for s in range(j, cutoff)))]
+    earlier = [frozenset().union(*cells) for cells in zip(*(at(s) for s in range(1, j)))]
+    return _Fold(
+        tuple(tuple(sorted(a - b)) for a, b in zip(earlier, later)),
+        tuple(tuple(sorted(a & b)) for a, b in zip(earlier, later)),
+    )
+
+
+def _pick(tapes: tuple[tuple[str, ...], ...], cells: tuple[tuple[int, ...], ...]) -> tuple:
+    """The symbols in `cells` of each tape."""
+    return tuple(tuple(tape[i] for i in picked) for tape, picked in zip(tapes, cells))
+
+
+def _fold(classes: list[tuple[StateVector, int]], fold: _Fold) -> list[tuple[StateVector, int]]:
+    """Split each class into histories by its dead cells and merge equal histories.
+
+    A history is the part of a class with one content of the dead cells. No
+    later move reads or writes them, so histories never interfere again, and
+    two whose states agree outside dead cells evolve identically. Those merge
+    into one class whose multiplicity is the sum of theirs; the first keeps
+    its configurations, real dead cells included, as the representative.
+    """
+    merged: dict = {}
+    for state, multiplicity in classes:
+        histories: dict = {}
+        split: dict = {}  # tapes -> (dead content, carried content)
+        for config, amp in state.items():
+            tapes = config.tapes
+            parts = split.get(tapes)
+            if parts is None:
+                parts = split[tapes] = (_pick(tapes, fold.dead), _pick(tapes, fold.carried))
+            dead, carried = parts
+            history = histories.get(dead)
+            if history is None:
+                history = histories[dead] = ({}, [])
+            history[0][config] = amp
+            history[1].append((config.state, config.head, config.comm, carried, amp))
+        for members, outside in histories.values():
+            key = frozenset(outside)
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [members, multiplicity]
+            else:
+                entry[1] += multiplicity
+    return [(members, multiplicity) for members, multiplicity in merged.values()]
 
 
 def _run(p: ProtocolSpec, x: str, cutoff: int | None, quantum: bool) -> RunResult:
@@ -289,24 +386,40 @@ def _run(p: ProtocolSpec, x: str, cutoff: int | None, quantum: bool) -> RunResul
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
     tape = input_tape(x, p.verifier)
-    state = initial_state(p, x)
+    touched: dict = {}
+    classes = [(initial_state(p, x), 1)]
     rounds: list[RoundStat] = []
     total_acc = 0.0
     total_rej = 0.0
+    before = 1.0
     halted = None
     executed = 0
     for j in range(1, cutoff + 1):
-        p_acc, p_rej, state = run_round(p, tape, state, j, quantum)
+        p_acc = p_rej = residual_mass = 0.0
+        configurations = 0
+        survivors = []
+        for state, multiplicity in classes:
+            acc, rej, residual = run_round(p, tape, state, j, quantum)
+            p_acc += multiplicity * acc
+            p_rej += multiplicity * rej
+            residual_mass += multiplicity * _mass(residual, quantum)
+            configurations += multiplicity * len(residual)
+            if residual:
+                survivors.append((residual, multiplicity))
+        # run_round checked each class; the weighted round mass must hold too, so
+        # a drift spread thinly over many classes still faults
+        _check_round(j, before, p_acc + p_rej + residual_mass, p_acc, p_rej, residual_mass)
         executed = j
         total_acc += p_acc
         total_rej += p_rej
-        residual_mass = _mass(state, quantum)
-        rounds.append(RoundStat(j, p_acc, p_rej, residual_mass, len(state)))
+        rounds.append(RoundStat(j, p_acc, p_rej, residual_mass, configurations))
         if residual_mass <= PRUNE_TOL:
             halted = j
-            state = {}
+            residual_mass = 0.0
             break
-    leftover = _mass(state, quantum)
+        before = residual_mass
+        fold = _fold_after(p, j, cutoff, touched)
+        classes = survivors if fold is None else _fold(survivors, fold)
     steps = executed * (p.k + 1) - p.k if executed else 0
     return RunResult(
         protocol=p.name,
@@ -315,7 +428,7 @@ def _run(p: ProtocolSpec, x: str, cutoff: int | None, quantum: bool) -> RunResul
         rounds=rounds,
         p_accept=total_acc,
         p_reject=total_rej,
-        leftover=leftover,
+        leftover=residual_mass,
         steps_counted=steps,
         halted_round=halted,
     )

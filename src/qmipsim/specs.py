@@ -123,9 +123,31 @@ def default_space_bound(cutoff: int, comm_alphabets: Iterable[Sequence[str]]) ->
 # raise MissingTransition. Strategies that log history do it at the
 # step-indexed cell, so the write target is fresh on every reachable state
 # and injectivity comes for free.
+#
+# Every built-in but `DerandomizedStrategy` also declares `cells(step)`: the
+# tape cells its move at that step reads or writes. The move never reads
+# another cell and leaves every other cell as it was; the engine relies on
+# this to fold histories that differ only in cells no later step touches.
+# `None`, or no `cells` method at all, means the whole tape.
 
 Tape = tuple[str, ...]
 QuantumMove = list[tuple[tuple[str, Tape], complex]]
+
+
+def declared_cells(strategy: object, step: int) -> tuple[int, ...] | None:
+    """The cells `strategy` declares for its move at `step`; None for the whole tape."""
+    cells = getattr(strategy, "cells", None)
+    return None if cells is None else cells(step)
+
+
+def _single_move(moves: QuantumMove, message: str, amplitude: bool = False) -> tuple[str, Tape]:
+    """The one move of a deterministic column; ValidationError(message) otherwise.
+
+    With `amplitude`, the move's amplitude must also be 1.
+    """
+    if len(moves) != 1 or (amplitude and abs(moves[0][1] - 1) > 1e-12):
+        raise ValidationError(message)
+    return moves[0][0]
 
 
 def _write_cell(tape: Tape, idx: int, symbol: str, who: str) -> Tape:
@@ -155,8 +177,10 @@ class EraserStrategy:
         return [((reply, new_tape), 1.0 + 0j)]
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        ((reply, new_tape), _), = self.apply_quantum(step, comm, tape)
-        return reply, new_tape
+        return _single_move(self.apply_quantum(step, comm, tape), "eraser has no classical form")
+
+    def cells(self, step: int) -> tuple[int, ...]:
+        return (step - 1,)
 
 
 @dataclass(frozen=True)
@@ -196,6 +220,9 @@ class ClassicalTableStrategy:
         reply, new_tape = self.apply_classical(step, comm, tape)
         return [((reply, new_tape), 1.0 + 0j)]
 
+    def cells(self, step: int) -> tuple[int, ...]:
+        return tuple(range(self.work))
+
 
 @dataclass(frozen=True)
 class ReversibleWrapStrategy:
@@ -215,8 +242,10 @@ class ReversibleWrapStrategy:
         return [((reply, logged), 1.0 + 0j)]
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        ((reply, new_tape), _), = self.apply_quantum(step, comm, tape)
-        return reply, new_tape
+        return _single_move(self.apply_quantum(step, comm, tape), "reversible wrap has no classical form")
+
+    def cells(self, step: int) -> tuple[int, ...]:
+        return self.inner.cells(step) + (self.hist_offset + step - 1,)
 
 
 @dataclass(frozen=True)
@@ -241,11 +270,14 @@ class TrackWrapStrategy:
         return out
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        moves = self.apply_quantum(step, comm, tape)
-        if len(moves) != 1:
-            raise ValidationError("track wrap over a branching strategy has no classical form")
-        (reply, new_tape), _ = moves[0]
-        return reply, new_tape
+        return _single_move(
+            self.apply_quantum(step, comm, tape), "track wrap over a branching strategy has no classical form"
+        )
+
+    def cells(self, step: int) -> tuple[int, ...] | None:
+        """The inner strategy's cells plus this step's stash cell; None if the inner declares none."""
+        inner = declared_cells(self.inner, step)
+        return None if inner is None else tuple(inner) + (self.mask_offset + step - 1,)
 
 
 @dataclass(frozen=True)
@@ -269,11 +301,14 @@ class UnitaryTableStrategy:
         return [((reply, work + tape[self.work:]), amp) for (reply, work), amp in table[key]]
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        moves = self.apply_quantum(step, comm, tape)
-        if len(moves) != 1 or abs(moves[0][1] - 1) > 1e-12:
-            raise ValidationError("unitary table is not deterministic; no classical form")
-        (reply, new_tape), _ = moves[0]
-        return reply, new_tape
+        return _single_move(
+            self.apply_quantum(step, comm, tape),
+            "unitary table is not deterministic; no classical form",
+            amplitude=True,
+        )
+
+    def cells(self, step: int) -> tuple[int, ...]:
+        return tuple(range(self.work))
 
 
 @dataclass(frozen=True)
@@ -292,10 +327,10 @@ class LoggedReplyStrategy:
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
         moves = self.apply_quantum(step, comm, tape)
-        if len(moves) != 1:
-            raise ValidationError(f"strategy {self.label} branches; no classical form")
-        (reply, new_tape), _ = moves[0]
-        return reply, new_tape
+        return _single_move(moves, f"strategy {self.label} branches; no classical form")
+
+    def cells(self, step: int) -> tuple[int, ...]:
+        return (step - 1,)
 
 
 def constant_reply(symbol: str) -> LoggedReplyStrategy:

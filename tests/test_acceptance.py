@@ -233,3 +233,27 @@ def test_c8_extra_tape_space_changes_nothing():
         ):
             problems.append(f"{name}({x!r}) changed under wider tapes")
     _verdict("C8", "statistics are independent of extra blank tape", problems)
+
+
+def test_c9_reduced_relay_matches_the_base_run_on_every_input_below_its_cutoff():
+    problems = []
+    base = corpus.build("parity_relay")
+    reduced = reduce_3qip_to_2qip(unify_alphabets(lift_2ip_to_3qip(base).protocol)).protocol
+    inputs = ["1" * n for n in range(base.cutoff)]
+    started = time.monotonic()
+    for x in inputs:
+        want, got = run_classical(base, x), run(reduced, x)
+        for field in ("p_accept", "p_reject", "leftover"):
+            if abs(getattr(got, field) - getattr(want, field)) > EXACT:
+                problems.append(f"({x!r}) {field} {getattr(got, field)!r} vs {getattr(want, field)!r}")
+    elapsed = time.monotonic() - started
+    # the pure state would hold 16^j configurations in round j
+    deepest = [stat.configurations for stat in run(reduced, inputs[-1]).rounds]
+    if deepest != [16 ** j for j in range(1, base.cutoff + 1)]:
+        problems.append(f"({inputs[-1]!r}) configurations per round {deepest}")
+    _verdict(
+        "C9",
+        "reduced relay matches the base run on every input below its cutoff",
+        problems,
+        f"{len(inputs)} inputs in {elapsed:.2f}s, {deepest[-1]} configurations in round {base.cutoff}",
+    )

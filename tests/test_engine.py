@@ -3,10 +3,11 @@ import math
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmipsim import corpus
+from qmipsim.adversary import default_families
 from qmipsim.amplitudes import CONSERVATION_TOL, PRUNE_TOL, apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
@@ -20,7 +21,7 @@ from qmipsim.engine import (
     simulate,
     verifier_operator,
 )
-from qmipsim.errors import InvalidInput, MissingTransition, RunFault, ValidationError
+from qmipsim.errors import InvalidInput, MissingTransition, QmipError, RunFault, ValidationError
 from qmipsim.specs import (
     BLANK,
     LEFT_END,
@@ -449,9 +450,13 @@ def test_pass_matches_the_staged_reference_on_random_2qfa_states(rows, state):
 
 
 @lru_cache(maxsize=None)
+def _lifted_parity_relay():
+    return lift_2ip_to_3qip(corpus.parity_relay()).protocol
+
+
+@lru_cache(maxsize=None)
 def _reduced_parity_relay():
-    lifted = lift_2ip_to_3qip(corpus.parity_relay()).protocol
-    return reduce_3qip_to_2qip(unify_alphabets(lifted)).protocol
+    return reduce_3qip_to_2qip(unify_alphabets(_lifted_parity_relay())).protocol
 
 
 def _reference_round(p, tape, state, round_index, quantum):
@@ -518,10 +523,15 @@ def _hadamard_prover():
 
 
 _BUILT = {
+    "parity_relay_lift": _lifted_parity_relay,
     "parity_relay_reduced": _reduced_parity_relay,
     "two_rotations": _two_rotating_provers,
     "hadamard_prover": _hadamard_prover,
 }
+
+
+def _protocol(name):
+    return _BUILT[name]() if name in _BUILT else corpus.build(name)
 
 
 def test_extra_reference_protocols_give_their_expected_values():
@@ -540,7 +550,7 @@ def test_extra_reference_protocols_give_their_expected_values():
        ("hadamard_prover", "0")],
 )
 def test_fused_round_matches_staged_reference(name, x):
-    p = _BUILT[name]() if name in _BUILT else corpus.build(name)
+    p = _protocol(name)
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
     state = initial_state(p, x)
@@ -552,3 +562,119 @@ def test_fused_round_matches_staged_reference(name, x):
         assert set(state) == set(want)
         assert all(abs(state[c] - a) <= 1e-12 for c, a in want.items())
         assert stat.configurations == len(want)
+
+
+# ---------------------------------------------------------------- history classes
+
+
+class _Hidden:
+    """A strategy with its cells hidden, so the engine keeps its whole tape live."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def apply_quantum(self, step, comm, tape):
+        return self.inner.apply_quantum(step, comm, tape)
+
+    def apply_classical(self, step, comm, tape):
+        return self.inner.apply_classical(step, comm, tape)
+
+
+def _hiding_cells(p):
+    provers = tuple(dataclasses.replace(pr, strategy=_Hidden(pr.strategy)) for pr in p.provers)
+    return dataclasses.replace(p, provers=provers)
+
+
+def _outcome(p, x):
+    try:
+        return simulate(p, x)
+    except QmipError as exc:
+        return type(exc)
+
+
+def _assert_agree(p, x):
+    """The folded run and the whole-tape run of p agree, faults included."""
+    folded, whole = _outcome(p, x), _outcome(_hiding_cells(p), x)
+    if isinstance(folded, type) or isinstance(whole, type):
+        assert folded == whole
+        return
+    for field in ("p_accept", "p_reject", "leftover"):
+        assert abs(getattr(folded, field) - getattr(whole, field)) <= 1e-12, field
+    assert [r.configurations for r in folded.rounds] == [r.configurations for r in whole.rounds]
+    assert folded.halted_round == whole.halted_round
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [(name, x) for name in sorted(corpus.REGISTRY) for x in corpus.test_inputs(name)]
+    + [("parity_relay_reduced", x) for x in ("", "1", "11")] + [("two_rotations", "0")],
+)
+def test_history_classes_agree_with_the_whole_tape_run(name, x):
+    _assert_agree(_protocol(name), x)
+
+
+_SWEPT = {
+    "no_comm_lift": ("", "0", "00"),
+    "no_comm_reduce": ("", "0", "00"),
+    "parity_relay": ("", "1", "11", "111"),
+    # the relay's lift and reduction run long enough for dead cells to fold
+    "parity_relay_lift": ("1", "11", "111"),
+    "parity_relay_reduced": ("1", "11", "111"),
+}
+
+
+@lru_cache(maxsize=None)
+def _default_strategies(name, cutoff):
+    return tuple(fam.strategies for fam in default_families(_protocol(name), cutoff))
+
+
+def _rotation(alphabet):
+    """A member of `rotation_family` over `alphabet`, drawn by its two symbols and sign."""
+    if len(alphabet) < 2:
+        return st.nothing()
+    pair = st.lists(st.sampled_from(range(len(alphabet))), min_size=2, max_size=2, unique=True).map(sorted)
+    return st.builds(lambda ij, sign: rotation_reply(alphabet[ij[0]], alphabet[ij[1]], sign), pair,
+                     st.sampled_from((1, -1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_SWEPT)), cutoff=st.integers(2, 4), data=st.data())
+def test_sweep_combinations_agree_with_the_whole_tape_run(name, cutoff, data):
+    # each prover plays a default-family member, a rotation, or its honest
+    # strategy; honest provers keep runs of the relay alive long enough to fold
+    p = _protocol(name)
+    families = _default_strategies(name, cutoff)
+    provers = tuple(
+        dataclasses.replace(
+            prover,
+            strategy=data.draw(st.one_of(st.sampled_from(family + (prover.strategy,)), _rotation(alphabet))),
+            space=max(prover.space, cutoff),
+        )
+        for prover, family, alphabet in zip(p.provers, families, p.verifier.comm_alphabets)
+    )
+    trial = dataclasses.replace(p, provers=provers, cutoff=cutoff)
+    _assert_agree(trial, data.draw(st.sampled_from(_SWEPT[name])))
+
+
+def test_a_drift_spread_over_merged_histories_is_still_a_run_fault():
+    # four logged messages merge into one class of multiplicity 4; the
+    # prover's second move then inflates every history by 2e-9 in mass,
+    # which is 5e-10 per class but 2e-9 over the run, above ROUND_TOL
+    symbols = ("a", "b", "c", "d")
+    verifier = _two_way(
+        {
+            ("q0", LEFT_END, (BLANK,)): tuple(("q1", 1, (s,), 0.5) for s in symbols),
+            ("q1", "0", (BLANK,)): (("q2", 1, (BLANK,), 1.0),),
+            ("q2", RIGHT_END, (BLANK,)): (("acc", 1, (BLANK,), 1.0),),
+        },
+        ("q0", "q1", "q2"),
+        comm=(BLANK,) + symbols,
+    )
+    gain = math.sqrt(1 + 2e-9)
+    inflating = LoggedReplyStrategy("inflate", lambda step, recv: [(BLANK, 1.0 if step == 1 else gain)])
+    prover = ProverSpec(index=1, comm_alphabet=(BLANK,) + symbols, tape_alphabet=(BLANK,) + symbols,
+                        space=2, strategy=inflating)
+    p = ProtocolSpec(name="drift", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=3)
+    for protocol in (p, _hiding_cells(p)):
+        with pytest.raises(RunFault, match="round 3 is not mass-preserving"):
+            simulate(protocol, "0")

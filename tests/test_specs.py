@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmipsim.adversary import _Forced
 from qmipsim.errors import (
     AlphabetMismatch,
     MissingTransition,
     NotReversible,
+    QmipError,
     SpaceExceeded,
     ValidationError,
 )
@@ -14,6 +19,7 @@ from qmipsim.specs import (
     LEFT_END,
     RIGHT_END,
     ClassicalTableStrategy,
+    DerandomizedStrategy,
     EraserStrategy,
     ForeignGuard,
     LoggedReplyStrategy,
@@ -28,6 +34,7 @@ from qmipsim.specs import (
     check_restrictive,
     check_well_formed,
     constant_reply,
+    declared_cells,
     default_space_bound,
     echo_reply,
     fair_coin_violations,
@@ -235,6 +242,98 @@ def test_logged_reply_labels_are_stable():
     assert constant_reply("g").label == "const:g"
     assert echo_reply().label == "echo"
     assert rotation_reply("a", "b").label == "rot:a+b"
+
+
+_RELAY = ClassicalTableStrategy(
+    work=1,
+    rows={
+        (BLANK, (BLANK,)): (BLANK, (BLANK,)),
+        ("1", (BLANK,)): ("1", ("1",)),
+        ("1", ("1",)): (BLANK, (BLANK,)),
+    },
+)
+_HADAMARD_ON_WORK = UnitaryTableStrategy(work=1, steps={None: {
+    ("a", (BLANK,)): [(("a", (BLANK,)), H), (("b", ("1",)), H)],
+    ("a", ("1",)): [(("a", (BLANK,)), H), (("b", ("1",)), -H)],
+}})
+_PLAIN = (BLANK, "1", "a", "b")
+_RELAYED = (BLANK, "1")
+_TRACKS = make_track_alphabet(_RELAYED, (BLANK, "1", "a"))
+# (strategy, channel symbols it has moves for), for every built-in strategy
+# class that declares cells
+_DECLARING = (
+    (EraserStrategy(), _PLAIN),
+    (_RELAY, _RELAYED),
+    (ClassicalTableStrategy(work=0, rows={(BLANK, ()): (BLANK, ())}), (BLANK,)),
+    (ReversibleWrapStrategy(inner=_RELAY, hist_offset=1), _RELAYED),
+    (ReversibleWrapStrategy(inner=_RELAY, hist_offset=3), _RELAYED),
+    (TrackWrapStrategy(inner=ReversibleWrapStrategy(inner=_RELAY, hist_offset=1), mask_offset=4), _TRACKS),
+    (TrackWrapStrategy(inner=rotation_reply(BLANK, "1"), mask_offset=3), _TRACKS),
+    (TrackWrapStrategy(inner=_RELAY, mask_offset=1), _TRACKS),
+    (_HADAMARD_ON_WORK, ("a",)),
+    (rotation_reply("a", "b", -1), _PLAIN),
+    (echo_reply(), _PLAIN),
+    (constant_reply("1"), _PLAIN),
+)
+# declared cells are mostly blank, so history cells are often free and the
+# move is defined; undeclared cells get anything
+_DECLARED_SYMBOLS = st.sampled_from((BLANK, BLANK, "1"))
+_NOISE = st.sampled_from((BLANK, "1", "a", "b", "zz"))
+
+
+def _move(strategy, step, comm, tape, quantum):
+    """The strategy's column, or the type of what it raised."""
+    try:
+        if quantum:
+            return strategy.apply_quantum(step, comm, tape)
+        return [(strategy.apply_classical(step, comm, tape), 1.0 + 0j)]
+    except QmipError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200)
+@given(
+    pick=st.integers(0, 11),
+    kept=st.lists(_DECLARED_SYMBOLS, min_size=9, max_size=9),
+    noise=st.lists(_NOISE, min_size=9, max_size=9),
+    other_noise=st.lists(_NOISE, min_size=9, max_size=9),
+)
+def test_moves_never_read_or_write_undeclared_cells(pick, kept, noise, other_noise):
+    # the contract that lets the engine fold dead cells: put anything in the
+    # cells a move does not declare and nothing it returns may change
+    for strategy, channel in _DECLARING:
+        comm = channel[pick % len(channel)]
+        for step, space, quantum in itertools.product(range(1, 5), (9, 4), (True, False)):
+            declared = {i for i in strategy.cells(step) if i < space}
+            undeclared = [i for i in range(space) if i not in declared]
+            tape = tuple(kept[i] if i in declared else noise[i] for i in range(space))
+            perturbed = tuple(kept[i] if i in declared else other_noise[i] for i in range(space))
+            plain = _move(strategy, step, comm, tape, quantum)
+            noisy = _move(strategy, step, comm, perturbed, quantum)
+            where = (strategy, step, comm, tape, perturbed, quantum)
+            if isinstance(plain, type) or isinstance(noisy, type):
+                assert plain == noisy, where
+                continue
+            assert len(plain) == len(noisy), where
+            for ((reply, new), amp), ((noisy_reply, noisy_new), noisy_amp) in zip(plain, noisy):
+                assert (reply, amp) == (noisy_reply, noisy_amp), where
+                assert len(new) == len(noisy_new) == space, where
+                assert all(new[i] == noisy_new[i] for i in declared), where
+                assert all(new[i] == tape[i] and noisy_new[i] == perturbed[i] for i in undeclared), where
+
+
+def test_strategies_without_declared_cells_cover_the_whole_tape():
+    class Opaque:
+        def apply_quantum(self, step, comm, tape):
+            return [((comm, tape), 1.0 + 0j)]
+
+    assert declared_cells(DerandomizedStrategy(choices={}), 1) is None
+    assert declared_cells(_Forced(echo_reply(), {}), 1) is None
+    assert declared_cells(Opaque(), 1) is None
+    assert declared_cells(TrackWrapStrategy(inner=Opaque(), mask_offset=2), 1) is None
+    assert declared_cells(TrackWrapStrategy(inner=DerandomizedStrategy(choices={}), mask_offset=2), 1) is None
+    assert declared_cells(TrackWrapStrategy(inner=echo_reply(), mask_offset=2), 3) == (2, 4)
+    assert declared_cells(ReversibleWrapStrategy(inner=_RELAY, hist_offset=1), 2) == (0, 2)
 
 
 def test_guard_state_naming():
