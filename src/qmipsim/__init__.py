@@ -8,7 +8,6 @@ verifier kinds, and stress-tests soundness with structured adversary sweeps.
 from .amplitudes import (
     StateVector,
     apply_sparse_operator,
-    inner_product,
     norm_sq,
     prune,
 )

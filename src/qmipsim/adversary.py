@@ -16,10 +16,12 @@ combination and raises the run's own error.
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
 most as often. The verifier reads each communication cell every round, so
-the cell is effectively measured and the run decoheres into a tree of
-classical branches; picking, per reachable (step, received symbol, tape),
-the reply with the smallest aggregate rejection mass can only help the
-provers at each replacement, which gives the dominance guarantee.
+the cell is effectively measured: each prover's move becomes probabilistic
+branches with Born weights (`_Forced`), and the run goes through the
+engine's round driver like any classical run. Picking, per reachable (step,
+received symbol, tape), the reply with the smallest aggregate rejection mass
+can only help the provers at each replacement, which gives the dominance
+guarantee.
 """
 from __future__ import annotations
 
@@ -27,16 +29,8 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .amplitudes import CONSERVATION_TOL, PRUNE_TOL, StateVector, apply_sparse_operator
-from .engine import (
-    ROUND_TOL,
-    Configuration,
-    _check_round,
-    _mass,
-    _verify_and_measure,
-    input_tape,
-    run_round,
-)
+from .amplitudes import StateVector
+from .engine import Configuration, _mass, _rounds, _run, input_tape, run_classical, run_round
 from .errors import FamilyTooLarge, Unbounded, ValidationError
 from .specs import (
     BLANK,
@@ -53,9 +47,17 @@ from .specs import (
     track,
     xor_symbols,
 )
+from .tolerances import (
+    AMPLITUDE_TOL,
+    BOUND_TOL,
+    CONSERVATION_TOL,
+    PINNED_MASS_TOL,
+    PRUNE_TOL,
+    ROUND_TOL,
+    TIE_TOL,
+)
 
 DEFAULT_FAMILY_LIMIT = 10 ** 6
-TIE_TOL = 1e-12
 
 
 def family_limit() -> int:
@@ -169,9 +171,10 @@ def default_families(p: ProtocolSpec, cutoff: int | None = None) -> tuple[Strate
     return tuple(out)
 
 
-def _strategic_provers(p: ProtocolSpec, strategies, cutoff: int) -> tuple[ProverSpec, ...]:
+def _trial(p: ProtocolSpec, strategies, cutoff: int) -> ProtocolSpec:
+    """p's verifier against one strategy per prover, with a logging cell per step."""
     space = max(1, cutoff)
-    return tuple(
+    provers = tuple(
         ProverSpec(
             index=i + 1,
             comm_alphabet=p.verifier.comm_alphabets[i],
@@ -181,6 +184,7 @@ def _strategic_provers(p: ProtocolSpec, strategies, cutoff: int) -> tuple[Prover
         )
         for i, strat in enumerate(strategies)
     )
+    return ProtocolSpec(p.name, p.verifier, provers, p.a, p.b, cutoff)
 
 
 @dataclass
@@ -197,7 +201,7 @@ class SearchResult:
 
 def _replay(p: ProtocolSpec, tape, residual1: StateVector, combo, T: int, quantum: bool, acc1: float, rej1: float):
     """Rounds 2..T of one combination, replayed configuration by configuration."""
-    trial = ProtocolSpec(p.name, p.verifier, _strategic_provers(p, combo, T), p.a, p.b, T)
+    trial = _trial(p, combo, T)
     state: StateVector = dict(residual1)
     total_acc, total_rej = acc1, rej1
     for j in range(2, T + 1):
@@ -486,90 +490,23 @@ def soundness_gap(
         empirical_b=result.best_value,
         worst_labels=result.best_labels,
         evaluated=result.evaluated,
-        meets_claim=result.best_value >= p.b - 1e-9,
+        meets_claim=result.best_value >= p.b - BOUND_TOL,
     )
 
 
 # ---------------------------------------------------------------------------
-# decohered runs: quantum provers against a probabilistic verifier
-
-def _decohere_prover(prover: ProverSpec, step: int):
-    """Prover move with the communication cell measured right after.
-
-    Replies become probabilistic branches with Born weights. The conditional
-    tape state per reply must be a single basis tape, which holds for every
-    strategy here (tape updates only log the received symbol); anything
-    entangling its tape with the reply has no deterministic shadow.
-    """
-    slot = prover.index - 1
-
-    def op(config: Configuration):
-        moves = prover.strategy.apply_quantum(step, config.comm[slot], config.tapes[slot])
-        groups: dict[str, dict[tuple, complex]] = {}
-        for (reply, new_tape), amp in moves:
-            groups.setdefault(reply, {})
-            groups[reply][new_tape] = groups[reply].get(new_tape, 0j) + complex(amp)
-        out = []
-        for reply, tapes in sorted(groups.items()):
-            live = {t: a for t, a in tapes.items() if abs(a) > 1e-12}
-            if not live:
-                continue
-            if len(live) > 1:
-                raise Unbounded(
-                    f"prover {prover.index} entangles its tape with the reply at step {step}"
-                )
-            (new_tape, amp), = live.items()
-            mass = (amp * amp.conjugate()).real
-            comm = config.comm[:slot] + (reply,) + config.comm[slot + 1:]
-            tapes_out = config.tapes[:slot] + (new_tape,) + config.tapes[slot + 1:]
-            out.append((Configuration(config.state, config.head, comm, tapes_out), mass))
-        return out
-
-    return op
-
-
-def _decohered_run(
-    p: ProtocolSpec,
-    x: str,
-    provers: tuple[ProverSpec, ...],
-    cutoff: int,
-    pause: tuple[int, int] | None = None,
-):
-    """Tree run of a classical protocol under quantum provers.
-
-    Weights are probabilities throughout. With pause=(step, i) the run stops
-    right before prover i (0-based) acts at that step and returns the state.
-    """
-    v = p.verifier
-    tape = input_tape(x, v)
-    comm = (BLANK,) * len(provers)
-    tapes = tuple((BLANK,) * pr.space for pr in provers)
-    state: StateVector = {Configuration(v.initial, 0, comm, tapes): 1.0 + 0j}
-    total_acc = total_rej = 0.0
-    before = _mass(state, quantum=False)
-    for j in range(1, cutoff + 1):
-        if j >= 2:
-            for i, prover in enumerate(provers):
-                if pause == (j - 1, i):
-                    return total_acc, total_rej, state
-                state = apply_sparse_operator(_decohere_prover(prover, j - 1), state)
-        after, acc, rej, state = _verify_and_measure(state, v, tape, quantum=False)
-        _check_round(j, before, after, acc, rej, _mass(state, quantum=False))
-        total_acc += acc
-        total_rej += rej
-        before = _mass(state, quantum=False)
-        if before <= PRUNE_TOL:
-            state = {}
-            break
-    return total_acc, total_rej, state
-
+# derandomization: quantum provers against a probabilistic verifier
 
 class _Forced:
-    """A strategy with some (step, received, tape) replies pinned down.
+    """A strategy measured right after it moves, with some replies pinned down.
 
-    Pinned points answer deterministically with the base strategy's tape
-    update for that reply; everywhere else the base acts unchanged. The
-    pinning dict is shared and read live, so choices accumulate in place.
+    `apply_quantum` returns the Born-measured moves, sorted by reply, as
+    probabilistic branches. The tape state per reply must be a single basis
+    tape, which holds for every strategy here (tape updates only log the
+    received symbol); a strategy that entangles its tape with the reply has
+    no deterministic shadow. At a pinned (step, received, tape) only the
+    pinned reply's moves remain, renormalised. The pinning dict is shared and
+    read live, so choices accumulate in place.
     """
     kind = "forced"
 
@@ -581,15 +518,26 @@ class _Forced:
 
     def apply_quantum(self, step, comm, tape):
         moves = self.base.apply_quantum(step, comm, tape)
-        reply = self.fixed.get((step, comm, tape))
-        if reply is None:
-            return moves
-        group = [(target, amp) for target, amp in moves if target[0] == reply]
-        mass = sum((a * a.conjugate()).real for _, a in group)
-        if mass <= 1e-24:
-            raise Unbounded(f"forced reply {reply!r} has no amplitude at step {step}")
-        scale = mass ** -0.5
-        return [(target, amp * scale) for target, amp in group]
+        pinned = self.fixed.get((step, comm, tape))
+        if pinned is not None:
+            moves = [(target, amp) for target, amp in moves if target[0] == pinned]
+            mass = sum((a * a.conjugate()).real for _, a in moves)
+            if mass <= PINNED_MASS_TOL:
+                raise Unbounded(f"forced reply {pinned!r} has no amplitude at step {step}")
+            scale = mass ** -0.5
+            moves = [(target, amp * scale) for target, amp in moves]
+        groups: dict[str, dict[tuple, complex]] = {}
+        for (reply, new_tape), amp in moves:
+            tapes = groups.setdefault(reply, {})
+            tapes[new_tape] = tapes.get(new_tape, 0j) + complex(amp)
+        out = []
+        for reply, tapes in sorted(groups.items()):
+            live = [(t, a) for t, a in tapes.items() if abs(a) > AMPLITUDE_TOL]
+            if len(live) > 1:
+                raise Unbounded(f"strategy {self.label} entangles its tape with the reply at step {step}")
+            for new_tape, amp in live:
+                out.append(((reply, new_tape), (amp * amp.conjugate()).real))
+        return out
 
 
 @dataclass
@@ -602,7 +550,7 @@ class DerandomizeReport:
 
     @property
     def dominated(self) -> bool:
-        return self.derandomized_p_reject <= self.quantum_p_reject + 1e-9
+        return self.derandomized_p_reject <= self.quantum_p_reject + BOUND_TOL
 
 
 def derandomize_provers(
@@ -632,22 +580,21 @@ def derandomize_provers(
 
     fixed: list[dict] = [{} for _ in range(p.k)]
     wrapped = [_Forced(s, fixed[i]) for i, s in enumerate(strategies)]
-    provers = _strategic_provers(p, wrapped, T)
+    trial = _trial(p, wrapped, T)
+    quantum_run = _run(trial, x, T, quantum=False, measured=True)
 
-    q_acc, q_rej, _ = _decohered_run(p, x, provers, T)
-
+    # provers write only their own slots, so prover i's local states at a step
+    # are those of the residual after round `step`; one walk, advanced a round
+    # per step, reads them with every choice of earlier steps already pinned
     decisions = 0
-    for step in range(1, T):
+    for stat, classes in itertools.islice(_rounds(trial, x, T, quantum=False, measured=True), T - 1):
+        step = stat.index
         for i in range(p.k):
-            paused = _decohered_run(p, x, provers, T, pause=(step, i))
-            state = paused[2]
-            seen: dict[tuple, None] = {}
-            for config in state:
-                seen.setdefault((config.comm[i], config.tapes[i]), None)
+            seen = dict.fromkeys((c.comm[i], c.tapes[i]) for state, _, _ in classes for c in state)
             for sigma, y in seen:
                 key = (step, sigma, y)
                 moves = strategies[i].apply_quantum(step, sigma, y)
-                candidates = sorted({reply for (reply, _), amp in moves if abs(amp) > 1e-12})
+                candidates = sorted({reply for (reply, _), amp in moves if abs(amp) > AMPLITUDE_TOL})
                 decisions += 1
                 if decisions > cap:
                     raise Unbounded(f"more than {cap} derandomization decisions")
@@ -657,19 +604,18 @@ def derandomize_provers(
                 best: tuple[float, str] | None = None
                 for tau in candidates:
                     fixed[i][key] = tau
-                    _, rej, _ = _decohered_run(p, x, provers, T)
+                    rej = _run(trial, x, T, quantum=False, measured=True).p_reject
                     if best is None or rej < best[0] - TIE_TOL:
                         best = (rej, tau)
                 fixed[i][key] = best[1]
 
     out = tuple(DerandomizedStrategy(choices=dict(fixed[i])) for i in range(p.k))
-    det_provers = _strategic_provers(p, out, T)
-    d_acc, d_rej, _ = _decohered_run(p, x, det_provers, T)
+    det_run = run_classical(_trial(p, out, T), x, T)
     report = DerandomizeReport(
-        quantum_p_accept=q_acc,
-        quantum_p_reject=q_rej,
-        derandomized_p_accept=d_acc,
-        derandomized_p_reject=d_rej,
+        quantum_p_accept=quantum_run.p_accept,
+        quantum_p_reject=quantum_run.p_reject,
+        derandomized_p_accept=det_run.p_accept,
+        derandomized_p_reject=det_run.p_reject,
         decisions=decisions,
     )
     return out, report

@@ -12,11 +12,9 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable, Iterable
 
 from .errors import MissingTransition
+from .tolerances import CONSERVATION_TOL, PRUNE_TOL  # noqa: F401  (old import path of CONSERVATION_TOL)
 
 StateVector = dict[Hashable, complex]
-
-PRUNE_TOL = 1e-15
-CONSERVATION_TOL = 1e-12
 
 
 def norm_sq(state: StateVector) -> float:
@@ -27,13 +25,6 @@ def norm_sq(state: StateVector) -> float:
 def prune(state: StateVector) -> StateVector:
     """Drop entries with magnitude below PRUNE_TOL."""
     return {c: a for c, a in state.items() if abs(a) >= PRUNE_TOL}
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if len(b) < len(a):
-        return complex(sum(a[c].conjugate() * amp for c, amp in b.items() if c in a))
-    return complex(sum(amp.conjugate() * b[c] for c, amp in a.items() if c in b))
 
 
 SparseOperator = Callable[[Hashable], Iterable[tuple[Hashable, complex]]]

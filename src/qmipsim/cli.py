@@ -21,6 +21,7 @@ from .engine import RunResult, simulate
 from .errors import RunFault, SpecFileError, ValidationError
 from .fileformat import load_protocol, save_protocol
 from .specs import ProtocolSpec, check_well_formed, validate_protocol
+from .tolerances import BOUND_TOL
 from .transforms import lift_2ip_to_3qip, reduce_3qip_to_2qip, unify_alphabets
 
 
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file_b")
     sp.add_argument("input")
     sp.add_argument("--cutoff", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=BOUND_TOL)
     sp.add_argument("--machine", action="store_true", help="key=value output")
     sp.set_defaults(func=cmd_compare)
 

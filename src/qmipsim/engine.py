@@ -23,6 +23,10 @@ once per class and weights each class's masses by its multiplicity.
 `RoundStat.configurations` is the sum of multiplicity times residual size,
 exactly the pure state's count. A run where no cell dies is one class of
 multiplicity 1.
+
+`_rounds` is the one round driver: a generator that yields each round as it
+is run, which `_run` consumes whole and derandomization (`adversary`) steps
+through one round at a time.
 """
 from __future__ import annotations
 
@@ -30,15 +34,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .amplitudes import (
-    CONSERVATION_TOL,
-    PRUNE_TOL,
-    StateVector,
-    apply_sparse_operator,
-    norm_sq,
-)
+from .amplitudes import StateVector, apply_sparse_operator, norm_sq
 from .errors import InvalidInput, RunFault, ValidationError
 from .specs import (
     BLANK,
@@ -49,8 +47,7 @@ from .specs import (
     VerifierSpec,
     declared_cells,
 )
-
-ROUND_TOL = 1e-9
+from .tolerances import CONSERVATION_TOL, PRUNE_TOL, ROUND_TOL
 
 
 class Configuration(NamedTuple):
@@ -284,11 +281,20 @@ def run_round(
     state: StateVector,
     round_index: int,
     quantum: bool,
+    *,
+    before: float | None = None,
+    measured: bool = False,
 ) -> tuple[float, float, StateVector]:
-    """One full round; returns (accept mass, reject mass, unnormalized residual)."""
-    before = _mass(state, quantum)
+    """One full round; returns (accept mass, reject mass, unnormalized residual).
+
+    `before` is the state's mass when the caller already holds it. With
+    `measured`, a classical verifier's provers move by `apply_quantum`, whose
+    weights are then probabilities (derandomization's measured provers).
+    """
+    if before is None:
+        before = _mass(state, quantum)
     if round_index >= 2:
-        state = apply_sparse_operator(prover_operator(p.provers, round_index - 1, quantum), state)
+        state = apply_sparse_operator(prover_operator(p.provers, round_index - 1, quantum or measured), state)
     after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, quantum)
     _check_round(round_index, before, after, p_acc, p_rej, _mass(residual, quantum))
     return p_acc, p_rej, residual
@@ -341,12 +347,19 @@ def _fold_after(p: ProtocolSpec, j: int, cutoff: int, touched: dict) -> _Fold | 
     )
 
 
+class _Class(NamedTuple):
+    """Histories kept once: a representative state, its multiplicity, and its mass if known."""
+    state: StateVector
+    multiplicity: int
+    mass: float | None
+
+
 def _pick(tapes: tuple[tuple[str, ...], ...], cells: tuple[tuple[int, ...], ...]) -> tuple:
     """The symbols in `cells` of each tape."""
     return tuple(tuple(tape[i] for i in picked) for tape, picked in zip(tapes, cells))
 
 
-def _fold(classes: list[tuple[StateVector, int]], fold: _Fold) -> list[tuple[StateVector, int]]:
+def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
     """Split each class into histories by its dead cells and merge equal histories.
 
     A history is the part of a class with one content of the dead cells. No
@@ -356,7 +369,7 @@ def _fold(classes: list[tuple[StateVector, int]], fold: _Fold) -> list[tuple[Sta
     its configurations, real dead cells included, as the representative.
     """
     merged: dict = {}
-    for state, multiplicity in classes:
+    for state, multiplicity, _ in classes:
         histories: dict = {}
         split: dict = {}  # tapes -> (dead content, carried content)
         for config, amp in state.items():
@@ -377,59 +390,63 @@ def _fold(classes: list[tuple[StateVector, int]], fold: _Fold) -> list[tuple[Sta
                 merged[key] = [members, multiplicity]
             else:
                 entry[1] += multiplicity
-    return [(members, multiplicity) for members, multiplicity in merged.values()]
+    return [_Class(members, multiplicity, None) for members, multiplicity in merged.values()]
 
 
-def _run(p: ProtocolSpec, x: str, cutoff: int | None, quantum: bool) -> RunResult:
-    if cutoff is None:
-        cutoff = p.cutoff
-    if cutoff < 1:
-        raise ValidationError("cutoff must be at least 1")
+def _rounds(
+    p: ProtocolSpec, x: str, cutoff: int, quantum: bool, measured: bool = False
+) -> Iterator[tuple[RoundStat, list[_Class]]]:
+    """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
+
+    The last round yielded is the cutoff's or the first whose residual mass is
+    at most PRUNE_TOL. Round j+1 is built only when the caller asks for it,
+    from the provers' strategies as they are then. `measured` is run_round's.
+    """
     tape = input_tape(x, p.verifier)
     touched: dict = {}
-    classes = [(initial_state(p, x), 1)]
-    rounds: list[RoundStat] = []
-    total_acc = 0.0
-    total_rej = 0.0
+    classes = [_Class(initial_state(p, x), 1, 1.0)]
     before = 1.0
-    halted = None
-    executed = 0
     for j in range(1, cutoff + 1):
         p_acc = p_rej = residual_mass = 0.0
         configurations = 0
         survivors = []
-        for state, multiplicity in classes:
-            acc, rej, residual = run_round(p, tape, state, j, quantum)
+        for state, multiplicity, mass in classes:
+            acc, rej, residual = run_round(p, tape, state, j, quantum, before=mass, measured=measured)
+            left = _mass(residual, quantum)
             p_acc += multiplicity * acc
             p_rej += multiplicity * rej
-            residual_mass += multiplicity * _mass(residual, quantum)
+            residual_mass += multiplicity * left
             configurations += multiplicity * len(residual)
             if residual:
-                survivors.append((residual, multiplicity))
+                survivors.append(_Class(residual, multiplicity, left))
         # run_round checked each class; the weighted round mass must hold too, so
         # a drift spread thinly over many classes still faults
         _check_round(j, before, p_acc + p_rej + residual_mass, p_acc, p_rej, residual_mass)
-        executed = j
-        total_acc += p_acc
-        total_rej += p_rej
-        rounds.append(RoundStat(j, p_acc, p_rej, residual_mass, configurations))
+        yield RoundStat(j, p_acc, p_rej, residual_mass, configurations), survivors
         if residual_mass <= PRUNE_TOL:
-            halted = j
-            residual_mass = 0.0
-            break
+            return
         before = residual_mass
         fold = _fold_after(p, j, cutoff, touched)
         classes = survivors if fold is None else _fold(survivors, fold)
-    steps = executed * (p.k + 1) - p.k if executed else 0
+
+
+def _run(p: ProtocolSpec, x: str, cutoff: int | None, quantum: bool, measured: bool = False) -> RunResult:
+    if cutoff is None:
+        cutoff = p.cutoff
+    if cutoff < 1:
+        raise ValidationError("cutoff must be at least 1")
+    rounds = [stat for stat, _ in _rounds(p, x, cutoff, quantum, measured)]
+    last = rounds[-1]
+    halted = last.index if last.residual_mass <= PRUNE_TOL else None
     return RunResult(
         protocol=p.name,
         input=x,
         mode=p.verifier.mode,
         rounds=rounds,
-        p_accept=total_acc,
-        p_reject=total_rej,
-        leftover=residual_mass,
-        steps_counted=steps,
+        p_accept=sum(stat.p_accept for stat in rounds),
+        p_reject=sum(stat.p_reject for stat in rounds),
+        leftover=0.0 if halted else last.residual_mass,
+        steps_counted=len(rounds) * (p.k + 1) - p.k,
         halted_round=halted,
     )
 

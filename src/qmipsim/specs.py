@@ -21,6 +21,7 @@ from .errors import (
     SpaceExceeded,
     ValidationError,
 )
+from .tolerances import AMPLITUDE_TOL, CLASSICAL_ROW_TOL, ORTHO_TOL
 
 BLANK = "#"
 LEFT_END = "¢"   # cent sign, marks tape cell 0
@@ -30,9 +31,6 @@ QUANTUM_MODES = ("1qfa", "2qfa")
 CLASSICAL_MODES = ("1pfa", "2pfa")
 ONE_WAY_MODES = ("1qfa", "1pfa")
 ALL_MODES = QUANTUM_MODES + CLASSICAL_MODES
-
-ORTHO_TOL = 1e-9
-CLASSICAL_ROW_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,7 @@ def _single_move(moves: QuantumMove, message: str, amplitude: bool = False) -> t
 
     With `amplitude`, the move's amplitude must also be 1.
     """
-    if len(moves) != 1 or (amplitude and abs(moves[0][1] - 1) > 1e-12):
+    if len(moves) != 1 or (amplitude and abs(moves[0][1] - 1) > AMPLITUDE_TOL):
         raise ValidationError(message)
     return moves[0][0]
 
@@ -187,13 +185,22 @@ class EraserStrategy:
 class ClassicalTableStrategy:
     """Deterministic function table over (received symbol, work cells).
 
-    `rows` maps (recv, work tuple) to (reply, new work tuple); cells past
-    `work` are never touched. Quantum application requires the table to be
-    injective (then it acts as a permutation on its domain).
+    `rows` maps (recv, work tuple) to (reply, new work tuple), both work
+    tuples `work` cells long; cells past `work` are never touched. Quantum
+    application requires the table to be injective (then it acts as a
+    permutation on its domain).
     """
     work: int
     rows: Mapping[tuple[str, Tape], tuple[str, Tape]]
     kind: str = "classical-table"
+
+    def __post_init__(self):
+        for (recv, cells), (reply, new_cells) in self.rows.items():
+            if len(cells) != self.work or len(new_cells) != self.work:
+                raise ValidationError(
+                    f"prover table row {(recv, cells)} -> {(reply, new_cells)} "
+                    f"needs work tuples of {self.work} cells"
+                )
 
     def is_injective(self) -> bool:
         return len(set(self.rows.values())) == len(self.rows)

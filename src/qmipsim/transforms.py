@@ -50,6 +50,7 @@ from .specs import (
     track,
     xor_symbols,
 )
+from .tolerances import AMPLITUDE_TOL, ORTHO_TOL, PRUNE_TOL, RANK_TOL
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -158,7 +159,7 @@ def _merge_targets(branches: list[Branch]) -> tuple[Branch, ...]:
         if t not in acc:
             order.append(t)
         acc[t] = acc.get(t, 0j) + complex(w)
-    return tuple((q2, d, sent, w) for (q2, d, sent), w in ((t, acc[t]) for t in order) if abs(w) > 1e-15)
+    return tuple((q2, d, sent, w) for (q2, d, sent), w in ((t, acc[t]) for t in order) if abs(w) > PRUNE_TOL)
 
 
 def lift_2ip_to_3qip(p: ProtocolSpec, auto_wrap: bool = True) -> LiftOutput:
@@ -429,7 +430,7 @@ def complete_unitary(
     input_basis: list,
     output_basis: list,
     prefer: dict | None = None,
-    tol: float = 1e-9,
+    tol: float = ORTHO_TOL,
 ) -> dict:
     """Extend a partial isometry to a full unitary over the given bases.
 
@@ -489,7 +490,7 @@ def complete_unitary(
             for v in chosen:
                 cand = cand - np.vdot(v, cand) * v
             nrm = np.linalg.norm(cand)
-            if nrm > max(tol, 1e-7):
+            if nrm > max(tol, RANK_TOL):
                 picked = cand / nrm
                 break
         if picked is None:
@@ -502,7 +503,7 @@ def complete_unitary(
         column = {
             output_basis[row]: complex(matrix[row, col])
             for row in range(n)
-            if abs(matrix[row, col]) > 1e-12
+            if abs(matrix[row, col]) > AMPLITUDE_TOL
         }
         result[elem] = column
     return result

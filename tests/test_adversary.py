@@ -7,6 +7,7 @@ import pytest
 from qmipsim import adversary, corpus, engine, transforms
 from qmipsim.adversary import (
     DEFAULT_FAMILY_LIMIT,
+    DerandomizeReport,
     SEQUENCE_CAP,
     StrategyFamily,
     constant_family,
@@ -19,7 +20,8 @@ from qmipsim.adversary import (
     soundness_gap,
     track_probe_family,
 )
-from qmipsim.engine import run_classical, simulate
+from qmipsim.amplitudes import PRUNE_TOL, apply_sparse_operator
+from qmipsim.engine import Configuration, _verify_and_measure, input_tape, run_classical, simulate
 from qmipsim.errors import FamilyTooLarge, MissingTransition, RunFault, Unbounded, ValidationError
 from qmipsim.specs import (
     BLANK,
@@ -512,3 +514,100 @@ def test_derandomize_decision_cap():
     strategies = (rotation_reply(BLANK, "1"), constant_reply(BLANK))
     with pytest.raises(Unbounded):
         derandomize_provers(p, "1", strategies, limit=2)
+
+
+# The old derandomization loop, kept as a staged reference: a tree run with one
+# measured operator per prover, rerun up to a (step, prover) pause before every
+# decision. Its verifier pass is the engine's, so agreement is exact.
+
+
+def _reference_tree(p, x, strategies, pins, pause=None):
+    """(p_acc, p_rej), or with pause=(step, i) the state right before prover i moves at step."""
+
+    def measured(i, step):
+        def op(config):
+            moves = strategies[i].apply_quantum(step, config.comm[i], config.tapes[i])
+            pinned = pins[i].get((step, config.comm[i], config.tapes[i]))
+            if pinned is not None:
+                moves = [(t, a) for t, a in moves if t[0] == pinned]
+                scale = sum((a * a.conjugate()).real for _, a in moves) ** -0.5
+                moves = [(t, a * scale) for t, a in moves]
+            out = []
+            for (reply, new_tape), amp in sorted(moves, key=lambda m: m[0][0]):
+                if abs(amp) > 1e-12:
+                    comm = config.comm[:i] + (reply,) + config.comm[i + 1:]
+                    tapes = config.tapes[:i] + (new_tape,) + config.tapes[i + 1:]
+                    out.append((Configuration(config.state, config.head, comm, tapes), (amp * amp.conjugate()).real))
+            return out
+        return op
+
+    tape = input_tape(x, p.verifier)
+    state = {Configuration(p.verifier.initial, 0, (BLANK,) * p.k, ((BLANK,) * p.cutoff,) * p.k): 1.0 + 0j}
+    total_acc = total_rej = 0.0
+    for j in range(1, p.cutoff + 1):
+        for i in range(p.k if j >= 2 else 0):
+            if pause == (j - 1, i):
+                return state
+            state = apply_sparse_operator(measured(i, j - 1), state)
+        _, acc, rej, state = _verify_and_measure(state, p.verifier, tape, quantum=False)
+        total_acc += acc
+        total_rej += rej
+        if sum(a.real for a in state.values()) <= PRUNE_TOL:
+            break
+    return {} if pause else (total_acc, total_rej)
+
+
+def _reference_derandomize(p, x, strategies):
+    pins = [{} for _ in strategies]
+    q_acc, q_rej = _reference_tree(p, x, strategies, pins)
+    decisions = 0
+    for step in range(1, p.cutoff):
+        for i, strategy in enumerate(strategies):
+            paused = _reference_tree(p, x, strategies, pins, pause=(step, i))
+            for sigma, y in dict.fromkeys((c.comm[i], c.tapes[i]) for c in paused):
+                key = (step, sigma, y)
+                moves = strategy.apply_quantum(step, sigma, y)
+                decisions += 1
+                best = None
+                for tau in sorted({reply for (reply, _), amp in moves if abs(amp) > 1e-12}):
+                    pins[i][key] = tau
+                    rej = _reference_tree(p, x, strategies, pins)[1]
+                    if best is None or rej < best[0] - 1e-12:
+                        best = (rej, tau)
+                pins[i][key] = best[1]
+    det = tuple(DerandomizedStrategy(choices=dict(choices)) for choices in pins)
+    d_acc, d_rej = _reference_tree(p, x, det, [{} for _ in det])
+    return [s.choices for s in det], DerandomizeReport(q_acc, q_rej, d_acc, d_rej, decisions)
+
+
+def _echo_relay():
+    """The verifier sends prover 1's last reply back to it, so a pinned reply changes what is reachable."""
+    cells = (BLANK, "a", "b")
+    rows = {("e", LEFT_END, (BLANK, BLANK)): (("e", 1, (BLANK, BLANK), 1.0),)}
+    for c in cells:
+        rows[("e", "0", (c, BLANK))] = (("e", 1, (c, BLANK), 1.0),)
+        rows[("e", "$", (c, BLANK))] = (("acc" if c == "a" else "rej", 1, (BLANK, BLANK), 1.0),)
+    verifier = VerifierSpec(
+        mode="1pfa", states=("e", "acc", "rej"), initial="e", accept=frozenset({"acc"}),
+        reject=frozenset({"rej"}), input_alphabet=("0",), comm_alphabets=(cells, (BLANK,)), rows=rows,
+    )
+    provers = tuple(
+        ProverSpec(index=i + 1, comm_alphabet=alphabet, tape_alphabet=alphabet, space=5, strategy=echo_reply())
+        for i, alphabet in enumerate(verifier.comm_alphabets)
+    )
+    return ProtocolSpec("echo_relay", verifier, provers, 1.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("name", ["no_comm", "parity_relay", "echo_relay"])
+@pytest.mark.parametrize("length", range(4))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_derandomize_matches_the_staged_reference(name, length, sign):
+    p = _echo_relay() if name == "echo_relay" else corpus.build(name)
+    symbol = p.verifier.input_alphabet[0]
+    first = p.verifier.comm_alphabets[0]
+    for constant in p.verifier.comm_alphabets[1]:
+        strategies = (rotation_reply(first[0], first[1], sign), constant_reply(constant))
+        det, report = derandomize_provers(p, symbol * length, strategies)
+        choices, want = _reference_derandomize(p, symbol * length, strategies)
+        assert [s.choices for s in det] == choices
+        assert report == want

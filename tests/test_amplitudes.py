@@ -4,7 +4,6 @@ import pytest
 
 from qmipsim.amplitudes import (
     apply_sparse_operator,
-    inner_product,
     norm_sq,
     prune,
 )
@@ -22,15 +21,6 @@ def test_norm_sq():
 def test_prune_drops_tiny_amplitudes():
     state = {"a": 1.0 + 0j, "b": 1e-16 + 0j, "c": 0j}
     assert set(prune(state)) == {"a"}
-
-
-def test_inner_product_conjugates_first_argument():
-    a = {"x": complex(0, 1)}
-    b = {"x": 1.0 + 0j}
-    assert inner_product(a, b) == complex(0, -1)
-    assert inner_product(b, a) == complex(0, 1)
-    # disjoint supports are orthogonal
-    assert inner_product({"x": 1.0}, {"y": 1.0}) == 0j
 
 
 def test_apply_sparse_operator_interference():
@@ -55,3 +45,13 @@ def test_apply_sparse_operator_callable_and_missing():
         return [(config + "!", 1.0 + 0j)]
 
     assert apply_sparse_operator(fn, {"a": 1.0 + 0j}) == {"a!": 1.0 + 0j}
+
+
+def test_tolerances_keep_their_values_and_old_import_paths():
+    from qmipsim import adversary, amplitudes, engine, specs, tolerances
+
+    assert amplitudes.PRUNE_TOL == tolerances.PRUNE_TOL == 1e-15
+    assert amplitudes.CONSERVATION_TOL == tolerances.CONSERVATION_TOL == 1e-12
+    assert engine.ROUND_TOL == tolerances.ROUND_TOL == 1e-9
+    assert adversary.TIE_TOL == tolerances.TIE_TOL == 1e-12
+    assert specs.ORTHO_TOL == specs.CLASSICAL_ROW_TOL == 1e-9

@@ -162,6 +162,14 @@ def test_classical_table_preserves_cells_past_work():
     assert (reply, tape) == ("a", ("m", "keep"))
 
 
+def test_classical_table_rejects_rows_of_the_wrong_work_length():
+    # such a row would shift every later cell: ("#", "x") became ("#", "#", "x")
+    with pytest.raises(ValidationError, match="work tuples of 1 cells"):
+        ClassicalTableStrategy(work=1, rows={("#", ("#",)): ("#", ("#", "#"))}).apply_classical(1, "#", ("#", "x"))
+    with pytest.raises(ValidationError):
+        ClassicalTableStrategy(work=1, rows={("#", ()): ("#", ("#",))})
+
+
 def test_classical_table_injectivity_flags():
     injective = ClassicalTableStrategy(work=0, rows={("#", ()): ("a", ()), ("b", ()): ("b", ())})
     assert injective.is_injective()
