@@ -8,10 +8,12 @@ round-1 residual (provers first act in round 2). At cutoff 2, when every
 strategy answers each local (comm, tape) state of that residual with a
 single move, each strategy is applied once per local state and every
 combination is scored from those moves plus verifier rows and per-slot guard
-verdicts. Sweeps at cutoff 3 or more, combinations with a strategy that
-branches (rotations) or merges two local states, and any combination that
-faults are replayed round by round, which costs one partial run per
-combination and raises the run's own error.
+verdicts. Sources that share every slot's local state are scored together as
+one interference group, and a group that the guard sends wholly to a halting
+state adds a triple measured once per sweep. Sweeps at cutoff 3 or more,
+combinations with a strategy that branches (rotations) or merges two local
+states, and any combination that faults are replayed round by round, which
+costs one partial run per combination and raises the run's own error.
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -75,6 +77,15 @@ class StrategyFamily:
     prover_index: int
     label: str
     strategies: tuple
+
+
+def _label(strategy) -> str:
+    """A strategy's name in reports: its `label`, else its `kind`, else its type's name."""
+    for attr in ("label", "kind"):
+        name = getattr(strategy, attr, None)
+        if name is not None:
+            return name
+    return type(strategy).__name__
 
 
 def _sequence_strategy(seq: tuple[str, ...]) -> LoggedReplyStrategy:
@@ -214,7 +225,7 @@ def _replay(p: ProtocolSpec, tape, residual1: StateVector, combo, T: int, quantu
 
 
 class _LastRound:
-    """Round 2 of a cutoff-2 sweep, scored from precomputed prover moves.
+    """Round 2 of a cutoff-2 sweep, scored per interference group from precomputed prover moves.
 
     A prover writes only its own cell and tape, so when each strategy answers
     every local (comm, tape) state with a single move, a combination's round-2
@@ -224,6 +235,17 @@ class _LastRound:
     verdicts), accumulates target amplitudes and measures, with the same mass
     checks as `run_round`. New tapes are interned per slot, so targets are
     keyed by small integers instead of tape tuples.
+
+    Sources that share their local tuple (one local-state id per slot) form an
+    interference group: they receive the same moves. `moves` refuses a
+    strategy that sends two local states to one (reply, new tape), so the
+    guard targets of different groups, which echo the reception and keep the
+    tapes, never meet. When no explicit row of the residual's (state, input
+    symbol) pairs targets a guard-minted state, a guard target meets no row
+    target either. A group whose members all fall to the guard and halt
+    there then adds the same (mass, p_acc, p_rej) to every combination that
+    routes it there, so that triple is measured once per sweep. Any other
+    group is scored source by source.
 
     `score` returns None on anything `run_round` would fault on; the caller
     then replays that combination, which raises the error itself.
@@ -242,7 +264,7 @@ class _LastRound:
         self.tape_ids: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         self.verdicts: list[dict[str, bool]] = [{} for _ in range(p.k)]
         guard_targets: dict[tuple[str, str], str | None] = {}
-        self.sources = []
+        members: dict[tuple, list] = {}
         for config, amp in residual.items():
             sigma = tape[config.head % n]
             local = tuple(
@@ -252,9 +274,46 @@ class _LastRound:
             key = (config.state, sigma)
             if key not in guard_targets:
                 guard_targets[key] = self.guard.target(*key) if self.guard is not None else None
-            self.sources.append((
-                config.state, sigma, config.head, (config.head + 1) % n, amp, local, guard_targets[key],
-            ))
+            members.setdefault(local, []).append(
+                (config.state, sigma, config.head, (config.head + 1) % n, amp, guard_targets[key])
+            )
+        row_comms: dict[tuple[str, str], set] = {key: set() for key in guard_targets}
+        minted = set(guard_targets.values()) - {None}
+        apart = True
+        for (q, sigma, comm), row in self.rows.items():
+            comms = row_comms.get((q, sigma))
+            if comms is not None:
+                comms.add(comm)
+                apart = apart and not any(branch[0] in minted for branch in row)
+        halting = self.accept | self.reject
+        self.groups = []
+        for local, group in members.items():
+            halted = None
+            # per reception prefix, the last prover's cells that complete an explicit row
+            blocked: dict[tuple, set] = {}
+            if apart and {name for *_, name in group} <= halting:
+                halted = self._halted(group)
+                for q, sigma, *_ in group:
+                    for comm in row_comms[q, sigma]:
+                        blocked.setdefault(comm[:-1], set()).add(comm[-1:])
+            self.groups.append((local, tuple(group), blocked, halted))
+
+    def _halted(self, group):
+        """(mass, p_acc, p_rej) of a group whose members all move to their guard targets."""
+        out: dict[tuple, complex] = {}
+        for _, _, _, head_next, amp, name in group:
+            out[name, head_next] = out.get((name, head_next), 0j) + amp
+        after = p_acc = p_rej = 0.0
+        for (name, _), amp in out.items():
+            if abs(amp) < PRUNE_TOL:
+                continue
+            weight = (amp * amp.conjugate()).real if self.quantum else amp.real
+            after += weight
+            if name in self.accept:
+                p_acc += weight
+            else:
+                p_rej += weight
+        return after, p_acc, p_rej
 
     def moves(self, slot: int, strategy):
         """Per local state of `slot`: ((reply,), tape id, weight or None for 1, guard verdict).
@@ -288,56 +347,74 @@ class _LastRound:
         return out
 
     def prefix(self, moves_per_slot):
-        """The sources after every prover but the last has moved, as `score` takes them.
+        """The groups after every prover but the last has moved, as `score` takes them.
 
         A source whose amplitude falls below PRUNE_TOL is dropped, as the
-        prover stage's prune would.
+        prover stage's prune would; a weighted group loses its halted triple.
         """
         out = []
-        for q, sigma, head, head_next, amp, local, name in self.sources:
+        for local, group, blocked, halted in self.groups:
             comm = ()
             tapes = ()
             rejected = False
+            weights = []
             for slot, moves in enumerate(moves_per_slot):
                 cell, tid, w, rej = moves[local[slot]]
-                if w is not None:
-                    amp = amp * w
-                    if abs(amp) < PRUNE_TOL:
-                        break
                 comm += cell
                 tapes += (tid,)
                 rejected = rejected or rej
-            else:
-                out.append((q, sigma, head, head_next, amp, comm, tapes, rejected, local[-1], name))
+                if w is not None:
+                    weights.append(w)
+            if weights:
+                group = tuple(self._weighted(group, weights))
+                halted = None
+            out.append((local[-1], group, comm, tapes, rejected, blocked.get(comm, ()), halted))
         return out
 
-    def score(self, sources, moves):
+    @staticmethod
+    def _weighted(group, weights):
+        for q, sigma, head, head_next, amp, name in group:
+            for w in weights:
+                amp = amp * w
+                if abs(amp) < PRUNE_TOL:
+                    break
+            else:
+                yield q, sigma, head, head_next, amp, name
+
+    def score(self, groups, moves):
         """(p_acc, p_rej, residual) of round 2 once the last prover plays `moves`."""
         rows = self.rows
         n = self.n
+        after = p_acc = p_rej = 0.0
         out: dict[tuple, complex] = {}
         get = out.get
-        for q, sigma, head, head_next, amp, comm, tapes, rejected, last, name in sources:
+        for last, group, comm, tapes, rejected, blocked, halted in groups:
             cell, tid, w, rej = moves[last]
-            if w is not None:
-                amp = amp * w
-                if abs(amp) < PRUNE_TOL:
-                    continue
-            comm = comm + cell
-            row = rows.get((q, sigma, comm))
-            if row is None:
-                if name is None or not (rejected or rej):
-                    return None
-                key = (name, head_next, comm, tapes, tid)
-                out[key] = get(key, 0j) + amp
+            rejected = rejected or rej
+            if halted is not None and w is None and rejected and cell not in blocked:
+                after += halted[0]
+                p_acc += halted[1]
+                p_rej += halted[2]
                 continue
-            for q2, d, sent, weight in row:
-                key = (q2, (head + d) % n, sent, tapes, tid)
-                out[key] = get(key, 0j) + amp * weight
+            comm = comm + cell
+            for q, sigma, head, head_next, amp, name in group:
+                if w is not None:
+                    amp = amp * w
+                    if abs(amp) < PRUNE_TOL:
+                        continue
+                row = rows.get((q, sigma, comm))
+                if row is None:
+                    if name is None or not rejected:
+                        return None
+                    key = (name, head_next, comm, tapes, tid)
+                    out[key] = get(key, 0j) + amp
+                    continue
+                for q2, d, sent, weight in row:
+                    key = (q2, (head + d) % n, sent, tapes, tid)
+                    out[key] = get(key, 0j) + amp * weight
         quantum = self.quantum
         accept = self.accept
         reject = self.reject
-        after = p_acc = p_rej = 0.0
         residual: dict[tuple, complex] = {}
         for key, amp in out.items():
             if abs(amp) < PRUNE_TOL:
@@ -357,25 +434,29 @@ class _LastRound:
         return p_acc, p_rej, residual
 
 
-def _fused_sweep(p: ProtocolSpec, tape, residual1: StateVector, families, quantum: bool, acc1: float, rej1: float):
-    """(combination, (total p_acc, total p_rej, residual)) in `itertools.product` order, cutoff 2."""
+def _fused_sweep(
+    p: ProtocolSpec, tape, residual1: StateVector, families, labels, quantum: bool, acc1: float, rej1: float,
+):
+    """(labels, (total p_acc, total p_rej, residual)) in `itertools.product` order, cutoff 2."""
     last_round = _LastRound(p, tape, residual1, quantum)
     moves = [[last_round.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
     *heads, tail = families
     *head_moves, tail_moves = moves
+    *head_labels, tail_labels = labels
     for picks in itertools.product(*(range(len(fam.strategies)) for fam in heads)):
         chosen = [m[i] for m, i in zip(head_moves, picks)]
-        sources = None if None in chosen else last_round.prefix(chosen)
+        groups = None if None in chosen else last_round.prefix(chosen)
         prefix = tuple(fam.strategies[i] for fam, i in zip(heads, picks))
-        for strategy, last in zip(tail.strategies, tail_moves):
-            combo = prefix + (strategy,)
+        prefix_labels = tuple(names[i] for names, i in zip(head_labels, picks))
+        for strategy, last, label in zip(tail.strategies, tail_moves, tail_labels):
+            names = prefix_labels + (label,)
             scored = None
-            if sources is not None and last is not None:
-                scored = last_round.score(sources, last)
+            if groups is not None and last is not None:
+                scored = last_round.score(groups, last)
             if scored is None:
-                yield combo, _replay(p, tape, residual1, combo, 2, quantum, acc1, rej1)
+                yield names, _replay(p, tape, residual1, prefix + (strategy,), 2, quantum, acc1, rej1)
             else:
-                yield combo, (acc1 + scored[0], rej1 + scored[1], scored[2])
+                yield names, (acc1 + scored[0], rej1 + scored[1], scored[2])
 
 
 def search(
@@ -427,23 +508,25 @@ def search(
     }
     acc1, rej1, residual1 = run_round(p, tape, state0, 1, quantum)
 
+    labels = [[_label(s) for s in fam.strategies] for fam in families]
     # on the two-cell tape of "" the replay checks that quantum head moves never collide
     if T == 2 and not (quantum and len(tape) == 2) and _mass(residual1, quantum) > PRUNE_TOL:
-        scores = _fused_sweep(p, tape, residual1, families, quantum, acc1, rej1)
+        scores = _fused_sweep(p, tape, residual1, families, labels, quantum, acc1, rej1)
     else:
         scores = (
-            (combo, _replay(p, tape, residual1, combo, T, quantum, acc1, rej1))
-            for combo in itertools.product(*(fam.strategies for fam in families))
+            (names, _replay(p, tape, residual1, combo, T, quantum, acc1, rej1))
+            for names, combo in zip(
+                itertools.product(*labels), itertools.product(*(fam.strategies for fam in families))
+            )
         )
 
     best = None
     table: list[tuple[tuple[str, ...], float, float]] | None = [] if keep_table else None
     evaluated = 0
-    for combo, (total_acc, total_rej, state) in scores:
+    for names, (total_acc, total_rej, state) in scores:
         evaluated += 1
-        labels = tuple(s.label if hasattr(s, "label") else s.kind for s in combo)
         if table is not None:
-            table.append((labels, total_acc, total_rej))
+            table.append((names, total_acc, total_rej))
         value = total_acc if objective == "max-accept" else total_rej
         better = (
             best is None
@@ -451,7 +534,7 @@ def search(
             or (objective == "min-reject" and value < best[0] - TIE_TOL)
         )
         if better:
-            best = (value, labels, total_acc, total_rej, _mass(state, quantum))
+            best = (value, names, total_acc, total_rej, _mass(state, quantum))
     assert best is not None
     return SearchResult(
         objective=objective,
@@ -513,8 +596,7 @@ class _Forced:
     def __init__(self, base, fixed: dict):
         self.base = base
         self.fixed = fixed
-        name = getattr(base, "label", None) or getattr(base, "kind", "strategy")
-        self.label = name + "+forced"
+        self.label = _label(base) + "+forced"
 
     def apply_quantum(self, step, comm, tape):
         moves = self.base.apply_quantum(step, comm, tape)

@@ -1,10 +1,14 @@
+import cmath
 import dataclasses
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmipsim import adversary, corpus, engine, transforms
+from qmipsim import adversary, corpus, engine, specs, transforms
 from qmipsim.adversary import (
     DEFAULT_FAMILY_LIMIT,
     DerandomizeReport,
@@ -21,7 +25,15 @@ from qmipsim.adversary import (
     track_probe_family,
 )
 from qmipsim.amplitudes import PRUNE_TOL, apply_sparse_operator
-from qmipsim.engine import Configuration, _verify_and_measure, input_tape, run_classical, simulate
+from qmipsim.engine import (
+    Configuration,
+    _mass,
+    _verify_and_measure,
+    input_tape,
+    run_classical,
+    run_round,
+    simulate,
+)
 from qmipsim.errors import FamilyTooLarge, MissingTransition, RunFault, Unbounded, ValidationError
 from qmipsim.specs import (
     BLANK,
@@ -29,6 +41,7 @@ from qmipsim.specs import (
     DerandomizedStrategy,
     EraserStrategy,
     ForeignGuard,
+    LoggedReplyStrategy,
     ProtocolSpec,
     ProverSpec,
     VerifierSpec,
@@ -418,6 +431,188 @@ def test_missing_verifier_row_raises_its_own_error(keep_guard):
     families = tuple(StrategyFamily(i + 1, "blank", (constant_reply(BLANK),)) for i in range(p.k))
     with pytest.raises(MissingTransition, match="verifier has no row"):
         search(bare, "0", families=families)
+
+
+# ---------------------------------------------------------------- interference groups
+#
+# Round-1 sources that share every slot's local state form an interference
+# group. A group whose members all fall to the guard and halt there adds one
+# precomputed triple per combination; every other group is scored source by
+# source. These sweeps sit on each edge of that shortcut.
+
+_BASE = (BLANK, "u", "v", "p")
+
+
+def _guarded(first, rows, accept, reject, minted):
+    """A one-prover 2qfa that sends `first` from q0 in round 1 and rejects
+    foreign symbols through a ForeignGuard that knows the `minted` states."""
+    states = dict.fromkeys(["q0", *(q for q, *_ in first), *sorted(accept | reject | minted)])
+    verifier = VerifierSpec(
+        mode="2qfa",
+        states=tuple(states),
+        initial="q0",
+        accept=frozenset(accept),
+        reject=frozenset(reject),
+        input_alphabet=("0",),
+        comm_alphabets=(_BASE + ("y", "z"),),
+        rows={("q0", LEFT_END, (BLANK,)): first, **rows},
+        fallback=ForeignGuard(slot_bases=(_BASE,), known_states=frozenset(minted)),
+    )
+    comm = verifier.comm_alphabets[0]
+    return ProtocolSpec("guarded", verifier, (transforms.make_eraser(1, comm, space=2, cutoff=2),), 1.0, 1.0, 2)
+
+
+def test_group_split_between_a_row_and_the_guard_is_scored_per_source(replayed_rounds):
+    # qa and qb both receive u, so const:z sends both to the guard-matching
+    # reception (z,); qa has an explicit row for it and accepts, qb has none
+    h = 2 ** -0.5
+    ra, rb = specs.guard_state("rejf", "qa", LEFT_END), specs.guard_state("rejf", "qb", LEFT_END)
+    p = _guarded(
+        first=(("qa", 0, ("u",), h), ("qb", 0, ("u",), h)),
+        rows={("qa", LEFT_END, ("z",)): (("acc", 1, (BLANK,), 1.0),)},
+        accept={"acc"},
+        reject={ra, rb},
+        minted={ra, rb},
+    )
+    families = (StrategyFamily(1, "picks", (constant_reply("z"), constant_reply("y"))),)
+    result = _assert_matches_simulate(p, "0", families)
+    assert [entry[1:] for entry in result.table] == [pytest.approx((0.5, 0.5)), pytest.approx((0.0, 1.0))]
+    assert replayed_rounds == [1]
+
+
+class _Relabel:
+    """Replies p to u and z to v and leaves its tape alone: two local states,
+    two replies, one new tape."""
+    label = "relabel"
+
+    def apply_quantum(self, step, comm, tape):
+        return [(({"u": "p", "v": "z"}[comm], tape), 1.0 + 0j)]
+
+
+def test_a_row_into_a_guard_minted_state_turns_the_shortcut_off(replayed_rounds):
+    # qb's group falls to the guard and lands on rejf[qb|¢] at head 1 with
+    # reception (z,); qa's row sends part of its amplitude to that very
+    # configuration, and its other branch interferes with qd's on acc
+    r, h = 3 ** -0.5, 2 ** -0.5
+    rb = specs.guard_state("rejf", "qb", LEFT_END)
+    p = _guarded(
+        first=(("qa", 0, ("u",), r), ("qd", 0, ("u",), r), ("qb", 0, ("v",), r)),
+        rows={
+            ("qa", LEFT_END, ("p",)): ((rb, 1, ("z",), h), ("acc", 0, (BLANK,), -h)),
+            ("qd", LEFT_END, ("p",)): (("acc", 0, (BLANK,), 1.0),),
+        },
+        accept={"acc"},
+        reject={rb},
+        minted={rb},
+    )
+    result = _assert_matches_simulate(p, "0", (StrategyFamily(1, "picks", (_Relabel(),)),))
+    assert result.table[0][1:] == pytest.approx(((1 - h) ** 2 / 3, (1 + h) ** 2 / 3))
+    assert replayed_rounds == [1]
+
+
+def test_a_guard_target_that_does_not_halt_stays_in_the_residual(replayed_rounds):
+    ra = specs.guard_state("rejf", "qa", LEFT_END)
+    p = _guarded(
+        first=(("qa", 0, ("u",), 1.0),),
+        rows={},
+        accept={"acc"},
+        reject=set(),
+        minted={ra},
+    )
+    families = (StrategyFamily(1, "picks", (constant_reply("z"), constant_reply("y"))),)
+    result = _assert_matches_simulate(p, "0", families)
+    assert [entry[1:] for entry in result.table] == [(0.0, 0.0), (0.0, 0.0)]
+    assert result.best_leftover == pytest.approx(1.0)
+    assert replayed_rounds == [1]
+
+
+def _phased(label, reply, angle):
+    return LoggedReplyStrategy(label, lambda step, recv: [(reply(recv), cmath.exp(1j * angle))])
+
+
+def test_single_move_strategies_with_a_phase_match_simulate(replayed_rounds):
+    p = corpus.build("no_comm_reduce")
+    g = track("g", BLANK)
+    families = tuple(
+        StrategyFamily(i + 1, "phased", (
+            _phased("phase:g", lambda recv: g, 0.7 * (i + 1)),
+            _phased("phase:echo", lambda recv: recv, -1.1),
+            _phased("phase:#", lambda recv: BLANK, 2.3),
+            constant_reply(g),
+            constant_reply(track("g", "g")),
+        ))
+        for i in range(p.k)
+    )
+    result = _assert_matches_simulate(p, "0", families)
+    assert len({(round(acc, 9), round(rej, 9)) for _, acc, rej in result.table}) >= 3
+    assert replayed_rounds == [1]
+
+
+def test_strategies_without_label_or_kind_are_named_by_type():
+    class Plain:
+        """Replies with the blank and logs what it received, like const:#."""
+
+        def apply_quantum(self, step, comm, tape):
+            return constant_reply(BLANK).apply_quantum(step, comm, tape)
+
+        def apply_classical(self, step, comm, tape):
+            return constant_reply(BLANK).apply_classical(step, comm, tape)
+
+    class Kinded(Plain):
+        kind = "kinded"
+
+    p = corpus.build("no_comm_reduce")
+    families = (StrategyFamily(1, "plain", (Plain(),)), StrategyFamily(2, "kinded", (Kinded(),)))
+    result = search(p, "0", families=families, keep_table=True)
+    run = simulate(_trial(p, (Plain(), Kinded())), "0")
+    assert result.best_labels == ("Plain", "kinded")
+    assert result.table == [(("Plain", "kinded"), pytest.approx(run.p_accept, abs=1e-12),
+                             pytest.approx(run.p_reject, abs=1e-12))]
+    assert adversary._Forced(Plain(), {}).label == "Plain+forced"
+    assert adversary._Forced(constant_reply(BLANK), {}).label == "const:#+forced"
+
+
+@functools.cache
+def _reduced_parity_relay():
+    lifted = transforms.lift_2ip_to_3qip(corpus.parity_relay()).protocol
+    return transforms.reduce_3qip_to_2qip(transforms.unify_alphabets(lifted)).protocol
+
+
+_PROBED = {
+    "no_comm_reduce": (lambda: corpus.build("no_comm_reduce"), "0"),
+    "parity_relay_reduced": (_reduced_parity_relay, "1"),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_PROBED)),
+    objective=st.sampled_from(("max-accept", "min-reject")),
+    data=st.data(),
+)
+def test_track_probe_sub_sweeps_match_the_replay(name, objective, data):
+    build, x = _PROBED[name]
+    p = dataclasses.replace(build(), cutoff=2)
+    families = []
+    for f in default_families(p):
+        picks = data.draw(st.lists(st.sampled_from(range(len(f.strategies))), min_size=1, max_size=16, unique=True))
+        families.append(StrategyFamily(f.prover_index, f.label, tuple(f.strategies[j] for j in picks)))
+    families = tuple(families)
+    result = search(p, x, families=families, objective=objective, keep_table=True)
+    tape = input_tape(x, p.verifier)
+    quantum = p.verifier.is_quantum()
+    state0 = {Configuration(p.verifier.initial, 0, (BLANK,) * p.k, ((BLANK, BLANK),) * p.k): 1.0 + 0j}
+    acc1, rej1, residual1 = run_round(p, tape, state0, 1, quantum)
+    combos = list(itertools.product(*(f.strategies for f in families)))
+    assert len(result.table) == len(combos)
+    leftover = {}
+    for combo, (labels, acc, rej) in zip(combos, result.table):
+        want_acc, want_rej, state = adversary._replay(p, tape, residual1, combo, 2, quantum, acc1, rej1)
+        assert labels == tuple(s.label for s in combo)
+        assert acc == pytest.approx(want_acc, abs=1e-12), labels
+        assert rej == pytest.approx(want_rej, abs=1e-12), labels
+        leftover[labels] = _mass(state, quantum)
+    assert result.best_leftover == pytest.approx(leftover[result.best_labels], abs=1e-12)
 
 
 # ---------------------------------------------------------------- derandomization
