@@ -12,8 +12,9 @@ verdicts. Sources that share every slot's local state are scored together as
 one interference group, and a group that the guard sends wholly to a halting
 state adds a triple measured once per sweep. Sweeps at cutoff 3 or more,
 combinations with a strategy that branches (rotations) or merges two local
-states, and any combination that faults are replayed round by round, which
-costs one partial run per combination and raises the run's own error.
+states, and any combination that faults are replayed: the engine's round
+driver resumes each from the shared round 1, which costs one partial run per
+combination and raises the run's own error.
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -23,7 +24,8 @@ branches with Born weights (`_Forced`), and the run goes through the
 engine's round driver like any classical run. Picking, per reachable (step,
 received symbol, tape), the reply with the smallest aggregate rejection mass
 can only help the provers at each replacement, which gives the dominance
-guarantee.
+guarantee. Each candidate reply is scored by resuming the driver from the
+walk's current round.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import os
 from dataclasses import dataclass
 
 from .amplitudes import StateVector
-from .engine import Configuration, _mass, _rounds, _run, input_tape, run_classical, run_round
+from .engine import _mass, _rounds, _run, input_tape, run_classical
 from .errors import FamilyTooLarge, Unbounded, ValidationError
 from .specs import (
     BLANK,
@@ -210,18 +212,10 @@ class SearchResult:
     table: list[tuple[tuple[str, ...], float, float]] | None = None
 
 
-def _replay(p: ProtocolSpec, tape, residual1: StateVector, combo, T: int, quantum: bool, acc1: float, rej1: float):
-    """Rounds 2..T of one combination, replayed configuration by configuration."""
-    trial = _trial(p, combo, T)
-    state: StateVector = dict(residual1)
-    total_acc, total_rej = acc1, rej1
-    for j in range(2, T + 1):
-        if _mass(state, quantum) <= PRUNE_TOL:
-            break
-        a_j, r_j, state = run_round(trial, tape, state, j, quantum)
-        total_acc += a_j
-        total_rej += r_j
-    return total_acc, total_rej, state
+def _replay(p: ProtocolSpec, x: str, first, combo, T: int, quantum: bool):
+    """(p_acc, p_rej, leftover) of one combination, its rounds 2..T resumed from the shared round 1."""
+    stats = [first[0]] + [stat for stat, _ in _rounds(_trial(p, combo, T), x, T, quantum, after=first)]
+    return sum(s.p_accept for s in stats), sum(s.p_reject for s in stats), stats[-1].residual_mass
 
 
 class _LastRound:
@@ -382,7 +376,7 @@ class _LastRound:
                 yield q, sigma, head, head_next, amp, name
 
     def score(self, groups, moves):
-        """(p_acc, p_rej, residual) of round 2 once the last prover plays `moves`."""
+        """(p_acc, p_rej, leftover) of round 2 once the last prover plays `moves`."""
         rows = self.rows
         n = self.n
         after = p_acc = p_rej = 0.0
@@ -429,16 +423,16 @@ class _LastRound:
                 residual[key] = amp
         if abs(after - self.before) > ROUND_TOL:
             return None
-        if abs((p_acc + p_rej + _mass(residual, quantum)) - after) > CONSERVATION_TOL:
+        leftover = _mass(residual, quantum)
+        if abs((p_acc + p_rej + leftover) - after) > CONSERVATION_TOL:
             return None
-        return p_acc, p_rej, residual
+        return p_acc, p_rej, leftover
 
 
-def _fused_sweep(
-    p: ProtocolSpec, tape, residual1: StateVector, families, labels, quantum: bool, acc1: float, rej1: float,
-):
-    """(labels, (total p_acc, total p_rej, residual)) in `itertools.product` order, cutoff 2."""
-    last_round = _LastRound(p, tape, residual1, quantum)
+def _fused_sweep(p: ProtocolSpec, x: str, first, families, labels, quantum: bool):
+    """(labels, (total p_acc, total p_rej, leftover)) in `itertools.product` order, cutoff 2."""
+    stat1, (residual1,) = first
+    last_round = _LastRound(p, input_tape(x, p.verifier), residual1.state, quantum)
     moves = [[last_round.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
     *heads, tail = families
     *head_moves, tail_moves = moves
@@ -454,9 +448,9 @@ def _fused_sweep(
             if groups is not None and last is not None:
                 scored = last_round.score(groups, last)
             if scored is None:
-                yield names, _replay(p, tape, residual1, prefix + (strategy,), 2, quantum, acc1, rej1)
+                yield names, _replay(p, x, first, prefix + (strategy,), 2, quantum)
             else:
-                yield names, (acc1 + scored[0], rej1 + scored[1], scored[2])
+                yield names, (stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2])
 
 
 def search(
@@ -488,6 +482,8 @@ def search(
     for i, fam in enumerate(families):
         if fam.prover_index != i + 1:
             raise ValidationError(f"family {i} is labeled for prover {fam.prover_index}")
+        if not fam.strategies:
+            raise ValidationError(f"family {fam.label!r} for prover {fam.prover_index} has no strategies")
     cap = limit if limit is not None else family_limit()
     total = 1
     for fam in families:
@@ -497,24 +493,17 @@ def search(
         raise FamilyTooLarge(f"{sizes} = {total} combinations exceeds the limit of {cap}")
 
     quantum = p.verifier.is_quantum()
-    tape = input_tape(x, p.verifier)
     # round 1 precedes any prover move, so it is shared by every combination;
     # the tapes must already have the sweep strategies' logging cells
-    space = max(1, T)
-    state0: StateVector = {
-        Configuration(
-            p.verifier.initial, 0, (BLANK,) * p.k, tuple((BLANK,) * space for _ in range(p.k))
-        ): 1.0 + 0j
-    }
-    acc1, rej1, residual1 = run_round(p, tape, state0, 1, quantum)
+    first = next(_rounds(_trial(p, (None,) * p.k, T), x, 1, quantum))
 
     labels = [[_label(s) for s in fam.strategies] for fam in families]
     # on the two-cell tape of "" the replay checks that quantum head moves never collide
-    if T == 2 and not (quantum and len(tape) == 2) and _mass(residual1, quantum) > PRUNE_TOL:
-        scores = _fused_sweep(p, tape, residual1, families, labels, quantum, acc1, rej1)
+    if T == 2 and not (quantum and x == "") and first[0].residual_mass > PRUNE_TOL:
+        scores = _fused_sweep(p, x, first, families, labels, quantum)
     else:
         scores = (
-            (names, _replay(p, tape, residual1, combo, T, quantum, acc1, rej1))
+            (names, _replay(p, x, first, combo, T, quantum))
             for names, combo in zip(
                 itertools.product(*labels), itertools.product(*(fam.strategies for fam in families))
             )
@@ -523,7 +512,7 @@ def search(
     best = None
     table: list[tuple[tuple[str, ...], float, float]] | None = [] if keep_table else None
     evaluated = 0
-    for names, (total_acc, total_rej, state) in scores:
+    for names, (total_acc, total_rej, leftover) in scores:
         evaluated += 1
         if table is not None:
             table.append((names, total_acc, total_rej))
@@ -534,8 +523,7 @@ def search(
             or (objective == "min-reject" and value < best[0] - TIE_TOL)
         )
         if better:
-            best = (value, names, total_acc, total_rej, _mass(state, quantum))
-    assert best is not None
+            best = (value, names, total_acc, total_rej, leftover)
     return SearchResult(
         objective=objective,
         best_value=best[0],
@@ -667,10 +655,13 @@ def derandomize_provers(
 
     # provers write only their own slots, so prover i's local states at a step
     # are those of the residual after round `step`; one walk, advanced a round
-    # per step, reads them with every choice of earlier steps already pinned
+    # per step, reads them with every choice of earlier steps already pinned and
+    # scores each candidate from there, after the rejection summed so far
     decisions = 0
+    prefix = 0.0
     for stat, classes in itertools.islice(_rounds(trial, x, T, quantum=False, measured=True), T - 1):
         step = stat.index
+        prefix += stat.p_reject
         for i in range(p.k):
             seen = dict.fromkeys((c.comm[i], c.tapes[i]) for state, _, _ in classes for c in state)
             for sigma, y in seen:
@@ -686,7 +677,8 @@ def derandomize_provers(
                 best: tuple[float, str] | None = None
                 for tau in candidates:
                     fixed[i][key] = tau
-                    rej = _run(trial, x, T, quantum=False, measured=True).p_reject
+                    rest = _rounds(trial, x, T, quantum=False, measured=True, after=(stat, classes))
+                    rej = sum((later.p_reject for later, _ in rest), prefix)
                     if best is None or rej < best[0] - TIE_TOL:
                         best = (rej, tau)
                 fixed[i][key] = best[1]

@@ -17,7 +17,7 @@ Strategies declare the tape cells each move reads or writes
 (`specs.declared_cells`); a cell no later move touches is dead. The part of
 the state with one content of the dead cells, a history, never interferes
 with another again, and histories whose states agree outside dead cells
-evolve identically. So after a round in which a cell dies, `_run` keeps
+evolve identically. So after a round in which a cell dies, the driver keeps
 them once, as a class with an integer multiplicity: it calls `run_round`
 once per class and weights each class's masses by its multiplicity.
 `RoundStat.configurations` is the sum of multiplicity times residual size,
@@ -26,7 +26,9 @@ multiplicity 1.
 
 `_rounds` is the one round driver: a generator that yields each round as it
 is run, which `_run` consumes whole and derandomization (`adversary`) steps
-through one round at a time.
+through one round at a time. It resumes from any pair it yielded (`after`):
+sweep replays resume from the shared round 1, and derandomization scores
+each candidate reply from the walk's current round.
 """
 from __future__ import annotations
 
@@ -394,19 +396,28 @@ def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
 
 
 def _rounds(
-    p: ProtocolSpec, x: str, cutoff: int, quantum: bool, measured: bool = False
+    p: ProtocolSpec, x: str, cutoff: int, quantum: bool, measured: bool = False,
+    after: tuple[RoundStat, list[_Class]] | None = None,
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
     The last round yielded is the cutoff's or the first whose residual mass is
     at most PRUNE_TOL. Round j+1 is built only when the caller asks for it,
     from the provers' strategies as they are then. `measured` is run_round's.
+    `after` resumes from a pair the run yielded, round 0 (the initial state)
+    by default; the rounds that follow are the uninterrupted run's.
     """
     tape = input_tape(x, p.verifier)
     touched: dict = {}
-    classes = [_Class(initial_state(p, x), 1, 1.0)]
-    before = 1.0
-    for j in range(1, cutoff + 1):
+    if after is None:
+        after = RoundStat(0, 0.0, 0.0, 1.0, 1), [_Class(initial_state(p, x), 1, 1.0)]
+    stat, survivors = after
+    before = stat.residual_mass
+    for j in range(stat.index + 1, cutoff + 1):
+        if before <= PRUNE_TOL:
+            return
+        fold = _fold_after(p, j - 1, cutoff, touched)
+        classes = survivors if fold is None else _fold(survivors, fold)
         p_acc = p_rej = residual_mass = 0.0
         configurations = 0
         survivors = []
@@ -423,11 +434,7 @@ def _rounds(
         # a drift spread thinly over many classes still faults
         _check_round(j, before, p_acc + p_rej + residual_mass, p_acc, p_rej, residual_mass)
         yield RoundStat(j, p_acc, p_rej, residual_mass, configurations), survivors
-        if residual_mass <= PRUNE_TOL:
-            return
         before = residual_mass
-        fold = _fold_after(p, j, cutoff, touched)
-        classes = survivors if fold is None else _fold(survivors, fold)
 
 
 def _run(p: ProtocolSpec, x: str, cutoff: int | None, quantum: bool, measured: bool = False) -> RunResult:

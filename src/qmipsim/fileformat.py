@@ -389,14 +389,13 @@ def parse_protocol(text: str) -> ProtocolSpec:
         for i in range(1, k + 1):
             base = verifier_sec.one(f"guard-base-{i}")
             bases.append(_tokens(base))
-        prefix = {"track-guard": "rejt", "foreign-guard": "rejf"}.get(fb)
-        if prefix is None:
+        cls = {g.kind: g for g in (TrackGuard, ForeignGuard)}.get(fb)
+        if cls is None:
             raise SpecFileError(f"unknown fallback {fb!r}")
-        minted = {guard_state(prefix, q, sigma) for (q, sigma, _) in rows}
+        minted = {guard_state(cls.prefix, q, sigma) for (q, sigma, _) in rows}
         missing = minted - set(states)
         if missing:
             raise SpecFileError(f"fallback states not declared: {sorted(missing)}")
-        cls = TrackGuard if fb == "track-guard" else ForeignGuard
         fallback = cls(slot_bases=tuple(bases), known_states=frozenset(minted))
     verifier_sec.check_no_strays()
 
@@ -511,8 +510,7 @@ def serialize_protocol(p: ProtocolSpec) -> str:
             chunks.append(f"{serialize_weight(w)} {q2} {move} " + " ".join(sent))
         out.append(f"rule = {q} {sigma} " + " ".join(comm) + " -> " + " , ".join(chunks))
     if v.fallback is not None:
-        kind = {"rejt": "track-guard", "rejf": "foreign-guard"}[v.fallback.prefix]
-        out.append(f"fallback = {kind}")
+        out.append(f"fallback = {v.fallback.kind}")
         for i, base in enumerate(v.fallback.slot_bases, start=1):
             out.append(f"guard-base-{i} = " + " ".join(base))
     for prover in p.provers:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -164,7 +164,7 @@ class EraserStrategy:
     reply is # and the received symbol lands on the tape, one cell per step,
     so distinct message histories stay orthogonal forever.
     """
-    kind: str = "eraser"
+    kind: ClassVar[str] = "eraser"
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         idx = step - 1
@@ -192,7 +192,7 @@ class ClassicalTableStrategy:
     """
     work: int
     rows: Mapping[tuple[str, Tape], tuple[str, Tape]]
-    kind: str = "classical-table"
+    kind: ClassVar[str] = "classical-table"
 
     def __post_init__(self):
         for (recv, cells), (reply, new_cells) in self.rows.items():
@@ -240,7 +240,7 @@ class ReversibleWrapStrategy:
     """
     inner: ClassicalTableStrategy
     hist_offset: int
-    kind: str = "reversible-table"
+    kind: ClassVar[str] = "reversible-table"
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         reply, new_work = self.inner._lookup(comm, tape)
@@ -262,7 +262,7 @@ class TrackWrapStrategy:
     reply [inner reply/#]."""
     inner: object
     mask_offset: int
-    kind: str = "track-wrap"
+    kind: ClassVar[str] = "track-wrap"
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         parsed = parse_track(comm)
@@ -296,7 +296,7 @@ class UnitaryTableStrategy:
     """
     work: int
     steps: Mapping[int | None, Mapping[tuple[str, Tape], QuantumMove]]
-    kind: str = "unitary-table"
+    kind: ClassVar[str] = "unitary-table"
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         table = self.steps.get(step, self.steps.get(None))
@@ -326,7 +326,7 @@ class LoggedReplyStrategy:
     adversary families (constants, echoes, mask probes, rotations)."""
     label: str
     fn: Callable[[int, str], list[tuple[str, complex]]] = field(compare=False)
-    kind: str = "logged-reply"
+    kind: ClassVar[str] = "logged-reply"
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         logged = _write_cell(tape, step - 1, comm, f"strategy {self.label}")
@@ -363,7 +363,7 @@ class DerandomizedStrategy:
     """Deterministic replies chosen per (step, received symbol, tape), with the
     same step-indexed logging as the quantum strategies it was distilled from."""
     choices: Mapping[tuple[int, str, Tape], str]
-    kind: str = "derandomized"
+    kind: ClassVar[str] = "derandomized"
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
         key = (step, comm, tape)
@@ -409,8 +409,8 @@ class TrackGuard(_GuardRule):
     """Rejects any reception that is not [sigma/#] with sigma in the slot's base set."""
     slot_bases: tuple[tuple[str, ...], ...]
     known_states: frozenset[str]
-    prefix: str = "rejt"
-    kind: str = "track-guard"
+    prefix: ClassVar[str] = "rejt"
+    kind: ClassVar[str] = "track-guard"
 
     def rejects(self, slot: int, symbol: str) -> bool:
         """Whether `symbol` received on `slot` (0-based) sends the whole reception here."""
@@ -429,8 +429,8 @@ class ForeignGuard(_GuardRule):
     """Rejects any reception with a symbol outside its slot's original alphabet."""
     slot_bases: tuple[tuple[str, ...], ...]
     known_states: frozenset[str]
-    prefix: str = "rejf"
-    kind: str = "foreign-guard"
+    prefix: ClassVar[str] = "rejf"
+    kind: ClassVar[str] = "foreign-guard"
 
     def rejects(self, slot: int, symbol: str) -> bool:
         """Whether `symbol` received on `slot` (0-based) sends the whole reception here."""

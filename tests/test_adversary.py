@@ -223,20 +223,36 @@ def test_search_reduced_protocol_with_handpicked_probes():
 #
 # Each table entry must equal an ordinary simulation of the protocol with that
 # combination's strategies plugged in, whichever way `search` scored it. The
-# `replayed_rounds` fixture records which rounds `search` replays through
-# `run_round`: round 1 once, then round 2 only for combinations it could not
+# `replayed_rounds` fixture records which rounds `search` runs through the
+# engine's round driver, one entry per `run_round` call the driver makes for
+# `adversary`: round 1 once, then round 2 only for combinations it could not
 # score from precomputed moves.
 
 
 @pytest.fixture
 def replayed_rounds(monkeypatch):
     rounds = []
+    driving = []
 
-    def counting(p, tape, state, round_index, quantum):
-        rounds.append(round_index)
-        return engine.run_round(p, tape, state, round_index, quantum)
+    def counting(p, tape, state, round_index, quantum, **kwargs):
+        if driving:
+            rounds.append(round_index)
+        return run_round(p, tape, state, round_index, quantum, **kwargs)
 
-    monkeypatch.setattr(adversary, "run_round", counting)
+    def driver(*args, **kwargs):
+        steps = engine._rounds(*args, **kwargs)
+        while True:
+            driving.append(True)
+            try:
+                item = next(steps, None)
+            finally:
+                driving.pop()
+            if item is None:
+                return
+            yield item
+
+    monkeypatch.setattr(engine, "run_round", counting)
+    monkeypatch.setattr(adversary, "_rounds", driver)
     return rounds
 
 
@@ -410,6 +426,13 @@ def test_sweeps_on_the_two_cell_tape_replay_and_raise_the_collision(replayed_rou
     with pytest.raises(RunFault, match=r"moves \+1 and -1 both land on"):
         search(p, "", families=families)
     assert replayed_rounds == [1, 2, 2]
+
+
+def test_an_empty_family_is_a_validation_error_before_round_1(monkeypatch):
+    p = corpus.build("no_comm")
+    monkeypatch.setattr(adversary, "_rounds", None)
+    with pytest.raises(ValidationError, match="family 'e' for prover 1 has no strategies"):
+        search(p, "0", families=(StrategyFamily(1, "e", ()), StrategyFamily(2, "picks", (echo_reply(),))))
 
 
 def test_failing_strategy_raises_its_own_error():
@@ -603,15 +626,16 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, data):
     quantum = p.verifier.is_quantum()
     state0 = {Configuration(p.verifier.initial, 0, (BLANK,) * p.k, ((BLANK, BLANK),) * p.k): 1.0 + 0j}
     acc1, rej1, residual1 = run_round(p, tape, state0, 1, quantum)
+    mass1 = _mass(residual1, quantum)
+    first = (engine.RoundStat(1, acc1, rej1, mass1, len(residual1)), [engine._Class(residual1, 1, mass1)])
     combos = list(itertools.product(*(f.strategies for f in families)))
     assert len(result.table) == len(combos)
     leftover = {}
     for combo, (labels, acc, rej) in zip(combos, result.table):
-        want_acc, want_rej, state = adversary._replay(p, tape, residual1, combo, 2, quantum, acc1, rej1)
+        want_acc, want_rej, leftover[labels] = adversary._replay(p, x, first, combo, 2, quantum)
         assert labels == tuple(s.label for s in combo)
         assert acc == pytest.approx(want_acc, abs=1e-12), labels
         assert rej == pytest.approx(want_rej, abs=1e-12), labels
-        leftover[labels] = _mass(state, quantum)
     assert result.best_leftover == pytest.approx(leftover[result.best_labels], abs=1e-12)
 
 

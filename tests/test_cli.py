@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_validate_machine(no_comm_file, capsys):
 
 
 def test_validate_flags_ill_formed(tmp_path, no_comm_file, capsys):
-    text = open(no_comm_file).read().replace("1/2", "3/7")
+    text = Path(no_comm_file).read_text().replace("1/2", "3/7")
     bad = tmp_path / "bad.qmip"
     bad.write_text(text)
     assert main(["validate", str(bad)]) == 3
@@ -96,7 +97,7 @@ def test_garbage_file_is_exit_2(tmp_path, capsys):
 
 def test_missing_row_is_exit_4(tmp_path, no_comm_file, capsys):
     # strip one reachable rule so the run hits a hole mid-flight
-    text = open(no_comm_file).read()
+    text = Path(no_comm_file).read_text()
     lines = [l for l in text.splitlines() if not l.startswith("rule = c0 0")]
     path = tmp_path / "holes.qmip"
     path.write_text("\n".join(lines) + "\n")

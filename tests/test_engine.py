@@ -11,6 +11,7 @@ from qmipsim.adversary import default_families
 from qmipsim.amplitudes import CONSERVATION_TOL, PRUNE_TOL, apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
+    _rounds,
     _verify_and_measure,
     initial_state,
     input_tape,
@@ -611,6 +612,21 @@ def _assert_agree(p, x):
 )
 def test_history_classes_agree_with_the_whole_tape_run(name, x):
     _assert_agree(_protocol(name), x)
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [(name, x) for name in sorted(corpus.REGISTRY) for x in corpus.test_inputs(name)]
+    + [("parity_relay_reduced", "111")],
+)
+def test_resuming_the_driver_yields_the_rest_of_the_run(name, x):
+    p = _protocol(name)
+    quantum = p.verifier.is_quantum()
+    whole = list(_rounds(p, x, p.cutoff, quantum))
+    if name == "parity_relay_reduced":
+        assert any(c.multiplicity > 1 for _, classes in whole for c in classes)
+    for j, pair in enumerate(whole):
+        assert list(_rounds(p, x, p.cutoff, quantum, after=pair)) == whole[j + 1:], j + 1
 
 
 _SWEPT = {
