@@ -30,12 +30,10 @@ walk's current round.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
-from .amplitudes import StateVector
-from .engine import _mass, _rounds, _run, input_tape, run_classical
-from .errors import FamilyTooLarge, Unbounded, ValidationError
+from .engine import _Class, _check_round, _mass, _measure, _rounds, _run, input_tape, run_classical
+from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
 from .specs import (
     BLANK,
     DerandomizedStrategy,
@@ -51,27 +49,9 @@ from .specs import (
     track,
     xor_symbols,
 )
-from .tolerances import (
-    AMPLITUDE_TOL,
-    BOUND_TOL,
-    CONSERVATION_TOL,
-    PINNED_MASS_TOL,
-    PRUNE_TOL,
-    ROUND_TOL,
-    TIE_TOL,
-)
+from .tolerances import AMPLITUDE_TOL, BOUND_TOL, PINNED_MASS_TOL, PRUNE_TOL, TIE_TOL
 
 DEFAULT_FAMILY_LIMIT = 10 ** 6
-
-
-def family_limit() -> int:
-    raw = os.environ.get("QMIP_FAMILY_LIMIT")
-    if raw is None:
-        return DEFAULT_FAMILY_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"QMIP_FAMILY_LIMIT={raw!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -226,9 +206,9 @@ class _LastRound:
     state follows from what each strategy does to the distinct local states of
     the shared round-1 residual. Those moves are computed once per strategy;
     a combination then only looks up verifier rows (guard rows from per-slot
-    verdicts), accumulates target amplitudes and measures, with the same mass
-    checks as `run_round`. New tapes are interned per slot, so targets are
-    keyed by small integers instead of tape tuples.
+    verdicts), accumulates target amplitudes and measures them with the
+    engine's `_measure` and `_check_round`. New tapes are interned per slot,
+    so targets are keyed by small integers instead of tape tuples.
 
     Sources that share their local tuple (one local-state id per slot) form an
     interference group: they receive the same moves. `moves` refuses a
@@ -241,18 +221,19 @@ class _LastRound:
     routes it there, so that triple is measured once per sweep. Any other
     group is scored source by source.
 
-    `score` returns None on anything `run_round` would fault on; the caller
-    then replays that combination, which raises the error itself.
+    `first` is the driver's round-1 class, mass included. `score` returns
+    None on anything `run_round` would fault on; the caller then replays that
+    combination, which raises the error itself.
     """
 
-    def __init__(self, p: ProtocolSpec, tape, residual: StateVector, quantum: bool):
+    def __init__(self, p: ProtocolSpec, tape, first: _Class, quantum: bool):
         v = p.verifier
         self.quantum = quantum
         self.rows = v.rows
         self.accept = v.accept
         self.reject = v.reject
         self.guard = v.fallback
-        self.before = _mass(residual, quantum)
+        residual, _, self.before = first
         self.n = n = len(tape)
         self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         self.tape_ids: list[dict[tuple, int]] = [{} for _ in range(p.k)]
@@ -297,17 +278,7 @@ class _LastRound:
         out: dict[tuple, complex] = {}
         for _, _, _, head_next, amp, name in group:
             out[name, head_next] = out.get((name, head_next), 0j) + amp
-        after = p_acc = p_rej = 0.0
-        for (name, _), amp in out.items():
-            if abs(amp) < PRUNE_TOL:
-                continue
-            weight = (amp * amp.conjugate()).real if self.quantum else amp.real
-            after += weight
-            if name in self.accept:
-                p_acc += weight
-            else:
-                p_rej += weight
-        return after, p_acc, p_rej
+        return _measure(out.items(), self.quantum, self.accept, self.reject)[:3]
 
     def moves(self, slot: int, strategy):
         """Per local state of `slot`: ((reply,), tape id, weight or None for 1, guard verdict).
@@ -406,33 +377,22 @@ class _LastRound:
                 for q2, d, sent, weight in row:
                     key = (q2, (head + d) % n, sent, tapes, tid)
                     out[key] = get(key, 0j) + amp * weight
-        quantum = self.quantum
-        accept = self.accept
-        reject = self.reject
-        residual: dict[tuple, complex] = {}
-        for key, amp in out.items():
-            if abs(amp) < PRUNE_TOL:
-                continue
-            weight = (amp * amp.conjugate()).real if quantum else amp.real
-            after += weight
-            if key[0] in accept:
-                p_acc += weight
-            elif key[0] in reject:
-                p_rej += weight
-            else:
-                residual[key] = amp
-        if abs(after - self.before) > ROUND_TOL:
-            return None
-        leftover = _mass(residual, quantum)
-        if abs((p_acc + p_rej + leftover) - after) > CONSERVATION_TOL:
+        kept, acc, rej, residual = _measure(out.items(), self.quantum, self.accept, self.reject)
+        after += kept
+        p_acc += acc
+        p_rej += rej
+        leftover = _mass(residual, self.quantum)
+        try:
+            _check_round(2, self.before, after, p_acc, p_rej, leftover)
+        except RunFault:
             return None
         return p_acc, p_rej, leftover
 
 
 def _fused_sweep(p: ProtocolSpec, x: str, first, families, labels, quantum: bool):
     """(labels, (total p_acc, total p_rej, leftover)) in `itertools.product` order, cutoff 2."""
-    stat1, (residual1,) = first
-    last_round = _LastRound(p, input_tape(x, p.verifier), residual1.state, quantum)
+    stat1, (class1,) = first
+    last_round = _LastRound(p, input_tape(x, p.verifier), class1, quantum)
     moves = [[last_round.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
     *heads, tail = families
     *head_moves, tail_moves = moves
@@ -484,7 +444,7 @@ def search(
             raise ValidationError(f"family {i} is labeled for prover {fam.prover_index}")
         if not fam.strategies:
             raise ValidationError(f"family {fam.label!r} for prover {fam.prover_index} has no strategies")
-    cap = limit if limit is not None else family_limit()
+    cap = limit if limit is not None else DEFAULT_FAMILY_LIMIT
     total = 1
     for fam in families:
         total *= len(fam.strategies)
@@ -646,7 +606,7 @@ def derandomize_provers(
     T = cutoff if cutoff is not None else p.cutoff
     if T < 1:
         raise ValidationError("cutoff must be at least 1")
-    cap = limit if limit is not None else family_limit()
+    cap = limit if limit is not None else DEFAULT_FAMILY_LIMIT
 
     fixed: list[dict] = [{} for _ in range(p.k)]
     wrapped = [_Forced(s, fixed[i]) for i, s in enumerate(strategies)]

@@ -18,7 +18,7 @@ import time
 from . import adversary as adv
 from . import corpus as corpus_mod
 from .engine import RunResult, simulate
-from .errors import RunFault, SpecFileError, ValidationError
+from .errors import AlphabetMismatch, RunFault, SpecFileError, ValidationError
 from .fileformat import load_protocol, save_protocol
 from .specs import ProtocolSpec, check_well_formed, validate_protocol
 from .tolerances import BOUND_TOL
@@ -146,13 +146,13 @@ def cmd_lift(args) -> int:
 
 def cmd_reduce(args) -> int:
     p = _load_checked(args.file)
-    gammas = {tuple(g) for g in p.verifier.comm_alphabets}
-    size = len(next(iter(gammas)))
     unified = False
-    if len(gammas) != 1 or size & (size - 1):
+    try:
+        out = reduce_3qip_to_2qip(p)
+    except AlphabetMismatch:
         p = unify_alphabets(p)
         unified = True
-    out = reduce_3qip_to_2qip(p)
+        out = reduce_3qip_to_2qip(p)
     save_protocol(args.output, out.protocol)
     if args.provenance:
         doc = {

@@ -171,14 +171,37 @@ def _mass(state: StateVector, quantum: bool) -> float:
 class _Column(NamedTuple):
     """One verifier column without tapes, and what the closed form needs.
 
-    Weights are |w|^2, or w.real when classical.
+    The totals and live targets are the column's `_measure`.
     """
     targets: list  # [((state, head, comm), w)], duplicate targets summed
     smallest: float  # smallest |w|
     total: float
     accept: float
     reject: float
-    live: list  # the non-halting targets
+    live: dict  # the non-halting targets
+
+
+def _measure(targets, quantum: bool, accept, reject) -> tuple[float, float, float, dict]:
+    """The projective measurement of summed targets [(key, amp)], keyed by state first.
+
+    Drops amplitudes below PRUNE_TOL and sends each surviving weight (|amp|^2,
+    or amp.real when classical) to accept or reject by the key's state, or
+    keeps the target live. Returns (kept mass, accept mass, reject mass, live).
+    """
+    kept = p_acc = p_rej = 0.0
+    live = {}
+    for key, a in targets:
+        if abs(a) < PRUNE_TOL:
+            continue
+        weight = a.real * a.real + a.imag * a.imag if quantum else a.real
+        kept += weight
+        if key[0] in accept:
+            p_acc += weight
+        elif key[0] in reject:
+            p_rej += weight
+        else:
+            live[key] = a
+    return kept, p_acc, p_rej, live
 
 
 def _column(branches, quantum: bool, accept, reject) -> _Column:
@@ -187,19 +210,8 @@ def _column(branches, quantum: bool, accept, reject) -> _Column:
         target = (t.state, t.head, t.comm)
         summed[target] = summed.get(target, 0j) + w
     targets = list(summed.items())
-    total = acc = rej = 0.0
-    live = []
-    for target, w in targets:
-        weight = w.real * w.real + w.imag * w.imag if quantum else w.real
-        total += weight
-        if target[0] in accept:
-            acc += weight
-        elif target[0] in reject:
-            rej += weight
-        else:
-            live.append((target, w))
     smallest = min((abs(w) for _, w in targets), default=0.0)
-    return _Column(targets, smallest, total, acc, rej, live)
+    return _Column(targets, smallest, *_measure(targets, quantum, accept, reject))
 
 
 def _verify_and_measure(
@@ -214,8 +226,8 @@ def _verify_and_measure(
     column's smallest |w| is at least PRUNE_TOL), its masses are |amp|^2
     (amp.real when classical) times the column's totals and only its
     non-halting targets are stored. Every other configuration is summed per
-    tape group in a local dict and pruned like apply_sparse_operator prunes;
-    halting targets are measured without being stored. Columns come from
+    tape group in a local dict, which `_measure` prunes and measures; only
+    its live targets become configurations. Columns come from
     verifier_operator, once per (state, head, comm).
     """
     op = verifier_operator(verifier, tape)
@@ -238,24 +250,19 @@ def _verify_and_measure(
         after += scale * column.total
         p_acc += scale * column.accept
         p_rej += scale * column.reject
-        for (q2, head, sent), w in column.live:
+        for (q2, head, sent), w in column.live.items():
             residual[Configuration(q2, head, sent, tapes)] = amp * w
     for tapes, members in shared.items():
         local: dict = {}
         for column, amp in members:
             for target, w in column.targets:
                 local[target] = local.get(target, 0j) + amp * w
-        for (q2, head, sent), a in local.items():
-            if abs(a) < PRUNE_TOL:
-                continue
-            weight = a.real * a.real + a.imag * a.imag if quantum else a.real
-            after += weight
-            if q2 in accept:
-                p_acc += weight
-            elif q2 in reject:
-                p_rej += weight
-            else:
-                residual[Configuration(q2, head, sent, tapes)] = a
+        kept, acc, rej, live = _measure(local.items(), quantum, accept, reject)
+        after += kept
+        p_acc += acc
+        p_rej += rej
+        for (q2, head, sent), a in live.items():
+            residual[Configuration(q2, head, sent, tapes)] = a
     return after, p_acc, p_rej, residual
 
 

@@ -342,6 +342,8 @@ def parse_protocol(text: str) -> ProtocolSpec:
     name = top.one("name")
     mode = top.one("mode")
     k = _parse_int(top.one("provers"), "header")
+    if k < 0:
+        raise SpecFileError(f"header: provers must be at least 0, got {k}")
     a = parse_weight(top.one("a"), "threshold a: ").real
     b = parse_weight(top.one("b"), "threshold b: ").real
     cutoff = _parse_int(top.one("cutoff"), "header")

@@ -127,11 +127,9 @@ def make_eraser(
     )
 
 
-def _quantum_ready(prover: ProverSpec, cutoff: int, auto_wrap: bool) -> ProverSpec:
+def _quantum_ready(prover: ProverSpec, cutoff: int) -> ProverSpec:
     strat = prover.strategy
     if isinstance(strat, ClassicalTableStrategy) and not strat.is_injective():
-        if not auto_wrap:
-            raise NotReversible(f"prover {prover.index} table is not injective")
         return make_reversible_prover(prover, cutoff)
     return prover
 
@@ -153,16 +151,13 @@ def _log_symbol(key: RowKey, branches: tuple[Branch, ...]) -> str:
 
 def _merge_targets(branches: list[Branch]) -> tuple[Branch, ...]:
     acc: dict[tuple, complex] = {}
-    order: list[tuple] = []
     for (q2, d, sent, w) in branches:
         t = (q2, d, sent)
-        if t not in acc:
-            order.append(t)
         acc[t] = acc.get(t, 0j) + complex(w)
-    return tuple((q2, d, sent, w) for (q2, d, sent), w in ((t, acc[t]) for t in order) if abs(w) > PRUNE_TOL)
+    return tuple((q2, d, sent, w) for (q2, d, sent), w in acc.items() if abs(w) > PRUNE_TOL)
 
 
-def lift_2ip_to_3qip(p: ProtocolSpec, auto_wrap: bool = True) -> LiftOutput:
+def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
     """Turn a fair-coin classical 2-prover protocol into a quantum 3-prover one.
 
     Each coin flip becomes an equal superposition of the two branches, and a
@@ -183,7 +178,7 @@ def lift_2ip_to_3qip(p: ProtocolSpec, auto_wrap: bool = True) -> LiftOutput:
     if bad:
         raise NotFairCoin(bad[0])
 
-    provers = tuple(_quantum_ready(pr, p.cutoff, auto_wrap) for pr in p.provers)
+    provers = tuple(_quantum_ready(pr, p.cutoff) for pr in p.provers)
 
     log_symbols: dict[RowKey, str] = {}
     for key, branches in v.rows.items():
@@ -373,14 +368,11 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
             continue
         new_key = (q, sigma, (track(comm[0], BLANK), track(comm[1], BLANK)))
         acc: dict[tuple, complex] = {}
-        order: list[tuple] = []
         for (q2, d, sent, w) in branches:
             for r in gamma:
                 target = (q2, d, (track(sent[0], r), track(sent[1], xor_symbols(encoding, r, sent[2]))))
-                if target not in acc:
-                    order.append(target)
                 acc[target] = acc.get(target, 0j) + complex(w) * root
-        rows[new_key] = tuple((q2, d, sent, acc[(q2, d, sent)]) for (q2, d, sent) in order)
+        rows[new_key] = tuple((q2, d, sent, w) for (q2, d, sent), w in acc.items())
         provenance[new_key] = key
         name = guard_state("rejt", q, sigma)
         if name not in fresh:

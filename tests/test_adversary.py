@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from qmipsim import adversary, corpus, engine, specs, transforms
 from qmipsim.adversary import (
-    DEFAULT_FAMILY_LIMIT,
     DerandomizeReport,
     SEQUENCE_CAP,
     StrategyFamily,
     constant_family,
     default_families,
     derandomize_provers,
-    family_limit,
     reply_sequence_family,
     rotation_family,
     search,
@@ -53,13 +51,6 @@ from qmipsim.specs import (
 
 
 # ---------------------------------------------------------------- families
-
-
-def test_family_limit_reads_environment(monkeypatch):
-    monkeypatch.delenv("QMIP_FAMILY_LIMIT", raising=False)
-    assert family_limit() == DEFAULT_FAMILY_LIMIT
-    monkeypatch.setenv("QMIP_FAMILY_LIMIT", "123")
-    assert family_limit() == 123
 
 
 def test_reply_sequence_family_enumerates_all_sequences():
@@ -194,12 +185,6 @@ def test_search_family_limit():
     with pytest.raises(FamilyTooLarge):
         search(p, "0", limit=65)
     assert search(p, "0", limit=66).evaluated == 66
-
-
-def test_search_family_limit_from_environment(monkeypatch):
-    monkeypatch.setenv("QMIP_FAMILY_LIMIT", "10")
-    with pytest.raises(FamilyTooLarge):
-        search(corpus.build("no_comm_lift"), "0")
 
 
 def test_search_reduced_protocol_with_handpicked_probes():
@@ -373,6 +358,24 @@ def test_mass_drift_raises_the_round_fault(replayed_rounds):
     with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
         search(p, "0", families=families)
     assert replayed_rounds == [1, 2, 1, 2]
+
+
+def test_a_non_unitary_row_in_round_2_raises_the_round_fault(replayed_rounds):
+    # one explicit row reached in round 2 gains mass; the fused scorer's mass
+    # checks hand that combination to the replay, which raises simulate's fault
+    p = corpus.build("no_comm_reduce")
+    key = ("c0", "0", (BLANK, BLANK))
+    rows = dict(p.verifier.rows)
+    rows[key] = tuple((q2, d, sent, 1.2 * w) for q2, d, sent, w in rows[key])
+    p = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, rows=rows))
+    passing = (constant_reply(BLANK), constant_reply(track("g", BLANK)))
+    families = tuple(StrategyFamily(i + 1, "passing", passing) for i in range(p.k))
+    with pytest.raises(RunFault, match="round 2 is not mass-preserving") as expected:
+        simulate(_trial(p, (passing[0], passing[0])), "0")
+    with pytest.raises(RunFault) as raised:
+        search(p, "0", families=families)
+    assert str(raised.value) == str(expected.value)
+    assert replayed_rounds == [1, 2]
 
 
 def test_longer_sweeps_replay_every_combination(replayed_rounds):

@@ -162,6 +162,17 @@ def test_reduce_auto_unifies(lift_file, tmp_path, capsys):
     assert len(prov["dropped"]) == 81
 
 
+def test_reduce_without_channels_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "silent.qmip"
+    path.write_text(
+        "qmip 1\nname = silent\nmode = 1qfa\nprovers = 0\na = 1\nb = 1\ncutoff = 1\n\n"
+        "[verifier]\nstates = q0 acc rej\ninitial = q0\naccept = acc\nreject = rej\ninput = 0\n"
+        "rule = q0 ¢ -> 1 acc +1\n"
+    )
+    assert main(["reduce", str(path), "-o", str(tmp_path / "out.qmip")]) == 3
+    assert "reduction expects exactly 3 provers, got 0" in capsys.readouterr().err
+
+
 def test_adversary_search(lift_file, capsys):
     assert main(["adversary", lift_file, "0", "--machine"]) == 0
     pairs = _machine(capsys)

