@@ -4,17 +4,18 @@ Soundness claims quantify over all prover strategies, which no finite run
 can cover. What a desk-scale tool can do is sweep structured families that
 contain every strategy worth trying at these sizes: constant replies, full
 reply sequences, echoes, and mask-track probes. The search caches the
-round-1 residual (provers first act in round 2). At cutoff 2, when every
-strategy answers each local (comm, tape) state of that residual with a
-single move, each strategy is applied once per local state and every
-combination is scored from those moves plus verifier rows and per-slot guard
-verdicts. Sources that share every slot's local state are scored together as
-one interference group, and a group that the guard sends wholly to a halting
-state adds a triple measured once per sweep. Sweeps at cutoff 3 or more,
-combinations with a strategy that branches (rotations) or merges two local
-states, and any combination that faults are replayed: the engine's round
-driver resumes each from the shared round 1, which costs one partial run per
-combination and raises the run's own error.
+round-1 residual (provers first act in round 2) and walks every combination
+in one loop. When every strategy answers each local (comm, tape) state of
+that residual with a single move, each strategy is applied once per local
+state and round 2 of every combination, at any cutoff, is scored from those
+moves plus verifier rows and per-slot guard verdicts. Sources that share
+every slot's local state are scored together as one interference group, and
+a group that the guard sends wholly to a halting state adds a triple
+measured once per sweep. A combination is replayed when its round 2 cannot
+be scored (a strategy branches, as rotations do, or merges two local
+states, or something faults) or when it keeps more than PRUNE_TOL with
+rounds left: the engine's round driver, which stops at that same test,
+resumes it from the shared round 1 and raises the run's own error.
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -198,8 +199,8 @@ def _replay(p: ProtocolSpec, x: str, first, combo, T: int, quantum: bool):
     return sum(s.p_accept for s in stats), sum(s.p_reject for s in stats), stats[-1].residual_mass
 
 
-class _LastRound:
-    """Round 2 of a cutoff-2 sweep, scored per interference group from precomputed prover moves.
+class _Round2:
+    """Round 2 of a sweep, scored per interference group from precomputed prover moves.
 
     A prover writes only its own cell and tape, so when each strategy answers
     every local (comm, tape) state with a single move, a combination's round-2
@@ -389,28 +390,36 @@ class _LastRound:
         return p_acc, p_rej, leftover
 
 
-def _fused_sweep(p: ProtocolSpec, x: str, first, families, labels, quantum: bool):
-    """(labels, (total p_acc, total p_rej, leftover)) in `itertools.product` order, cutoff 2."""
-    stat1, (class1,) = first
-    last_round = _LastRound(p, input_tape(x, p.verifier), class1, quantum)
-    moves = [[last_round.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
-    *heads, tail = families
-    *head_moves, tail_moves = moves
-    *head_labels, tail_labels = labels
-    for picks in itertools.product(*(range(len(fam.strategies)) for fam in heads)):
-        chosen = [m[i] for m, i in zip(head_moves, picks)]
-        groups = None if None in chosen else last_round.prefix(chosen)
-        prefix = tuple(fam.strategies[i] for fam, i in zip(heads, picks))
-        prefix_labels = tuple(names[i] for names, i in zip(head_labels, picks))
-        for strategy, last, label in zip(tail.strategies, tail_moves, tail_labels):
-            names = prefix_labels + (label,)
-            scored = None
-            if groups is not None and last is not None:
-                scored = last_round.score(groups, last)
-            if scored is None:
-                yield names, _replay(p, x, first, prefix + (strategy,), 2, quantum)
-            else:
-                yield names, (stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2])
+def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bool):
+    """(labels, (total p_acc, total p_rej, leftover)) of every combination, in `itertools.product` order.
+
+    Every combination is replayed when there is no round 2 to score: at
+    cutoff 1, after a round 1 that leaves at most PRUNE_TOL, without provers,
+    and for a quantum verifier on the two-cell tape of "", where the replay
+    checks that head moves never collide.
+    """
+    stat1, classes = first
+    round2 = None
+    if families and T >= 2 and stat1.residual_mass > PRUNE_TOL and not (quantum and x == ""):
+        round2 = _Round2(p, input_tape(x, p.verifier), classes[0], quantum)
+        moves = [[round2.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
+    picks = itertools.product(*(range(len(fam.strategies)) for fam in families))
+    for names, chosen in zip(itertools.product(*labels), picks):
+        scored = None
+        if round2 is not None:
+            last = chosen[-1]
+            # the last pick runs fastest, so it is 0 exactly when the earlier picks change
+            if last == 0:
+                prefix = [m[i] for m, i in zip(moves, chosen[:-1])]
+                groups = None if None in prefix else round2.prefix(prefix)
+            tail = moves[-1][last]
+            if groups is not None and tail is not None:
+                scored = round2.score(groups, tail)
+        if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
+            combo = tuple(fam.strategies[i] for fam, i in zip(families, chosen))
+            yield names, _replay(p, x, first, combo, T, quantum)
+        else:
+            yield names, (stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2])
 
 
 def search(
@@ -426,9 +435,10 @@ def search(
 
     Deterministic order, first strict optimum kept, so results are
     reproducible run to run. Round 1 happens before any prover acts and is
-    computed once for the whole sweep. At cutoff 2, combinations of
-    single-move strategies are scored from precomputed moves; everything
-    else is replayed round by round.
+    computed once for the whole sweep. At every cutoff from 2 on, round 2 of
+    each combination of single-move strategies is scored from precomputed
+    moves; the rest, and combinations that keep mass past round 2 with
+    rounds left, are replayed round by round.
     """
     if objective not in ("max-accept", "min-reject"):
         raise ValidationError(f"unknown objective {objective!r}")
@@ -458,21 +468,11 @@ def search(
     first = next(_rounds(_trial(p, (None,) * p.k, T), x, 1, quantum))
 
     labels = [[_label(s) for s in fam.strategies] for fam in families]
-    # on the two-cell tape of "" the replay checks that quantum head moves never collide
-    if T == 2 and not (quantum and x == "") and first[0].residual_mass > PRUNE_TOL:
-        scores = _fused_sweep(p, x, first, families, labels, quantum)
-    else:
-        scores = (
-            (names, _replay(p, x, first, combo, T, quantum))
-            for names, combo in zip(
-                itertools.product(*labels), itertools.product(*(fam.strategies for fam in families))
-            )
-        )
 
     best = None
     table: list[tuple[tuple[str, ...], float, float]] | None = [] if keep_table else None
     evaluated = 0
-    for names, (total_acc, total_rej, leftover) in scores:
+    for names, (total_acc, total_rej, leftover) in _sweep(p, x, first, families, labels, T, quantum):
         evaluated += 1
         if table is not None:
             table.append((names, total_acc, total_rej))

@@ -117,6 +117,8 @@ def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -
 
     def op(config: Configuration):
         q, head, comm, tapes = config
+        if not comm:
+            return [(config, 1.0)]
         per_slot = []
         for slot, (cell, tape) in enumerate(zip(comm, tapes)):
             strategy = by_slot.get(slot)

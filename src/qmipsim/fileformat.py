@@ -47,7 +47,7 @@ from .specs import (
     TrackWrapStrategy,
     UnitaryTableStrategy,
     VerifierSpec,
-    guard_state,
+    guard_states,
 )
 
 FORMAT_HEADER = "qmip 1"
@@ -394,11 +394,11 @@ def parse_protocol(text: str) -> ProtocolSpec:
         cls = {g.kind: g for g in (TrackGuard, ForeignGuard)}.get(fb)
         if cls is None:
             raise SpecFileError(f"unknown fallback {fb!r}")
-        minted = {guard_state(cls.prefix, q, sigma) for (q, sigma, _) in rows}
+        minted = frozenset(guard_states(cls.prefix, rows))
         missing = minted - set(states)
         if missing:
             raise SpecFileError(f"fallback states not declared: {sorted(missing)}")
-        fallback = cls(slot_bases=tuple(bases), known_states=frozenset(minted))
+        fallback = cls(slot_bases=tuple(bases), known_states=minted)
     verifier_sec.check_no_strays()
 
     verifier = VerifierSpec(

@@ -390,6 +390,11 @@ def guard_state(prefix: str, q: str, sigma: str) -> str:
     return f"{prefix}[{q}|{sigma}]"
 
 
+def guard_states(prefix: str, keys: Iterable[RowKey]) -> tuple[str, ...]:
+    """The reject states minted per (state, input symbol) of the row keys, in first-seen order."""
+    return tuple(dict.fromkeys(guard_state(prefix, q, sigma) for q, sigma, _ in keys))
+
+
 class _GuardRule:
     """What both guards share. A reception matches when any one slot's symbol
     is rejected (`rejects`, per guard kind), and (q, sigma) goes to the reject

@@ -15,7 +15,7 @@ and serialize like hand-written ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,11 +41,11 @@ from .specs import (
     RowKey,
     TrackGuard,
     TrackWrapStrategy,
-    VerifierSpec,
     check_restrictive,
     fair_coin_violations,
     fixed_width_binary_encoding,
     guard_state,
+    guard_states,
     make_track_alphabet,
     track,
     xor_symbols,
@@ -90,13 +90,11 @@ def make_reversible_prover(prover: ProverSpec, cutoff: int) -> ProverSpec:
         raise NotReversible(
             f"prover {prover.index} table merges distinct work tapes under one received symbol"
         )
-    wrapped = ReversibleWrapStrategy(inner=strat, hist_offset=strat.work)
-    return ProverSpec(
-        index=prover.index,
-        comm_alphabet=prover.comm_alphabet,
+    return replace(
+        prover,
         tape_alphabet=tuple(dict.fromkeys(tuple(prover.tape_alphabet) + tuple(prover.comm_alphabet))),
         space=strat.work + cutoff,
-        strategy=wrapped,
+        strategy=ReversibleWrapStrategy(inner=strat, hist_offset=strat.work),
     )
 
 
@@ -187,7 +185,6 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
 
     rows: dict[RowKey, tuple[Branch, ...]] = {}
     provenance: dict[RowKey, RowKey | str] = {}
-    fresh: list[str] = []
     for key, branches in v.rows.items():
         q, sigma, comm = key
         log = log_symbols[key]
@@ -204,8 +201,6 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
         provenance[new_key] = key
 
         rej = guard_state("rej", q, sigma)
-        if rej not in fresh:
-            fresh.append(rej)
         for xi in eraser_alphabet:
             if xi == BLANK:
                 continue
@@ -215,26 +210,18 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
             rows[echo_key] = ((rej, 1, comm + (xi,), 1.0 + 0j),)
             provenance[echo_key] = "record-channel-reject"
 
-    new_verifier = VerifierSpec(
+    fresh = guard_states("rej", v.rows)
+    verifier = replace(
+        v,
         mode="1qfa" if v.mode == "1pfa" else "2qfa",
-        states=v.states + tuple(fresh),
-        initial=v.initial,
-        accept=v.accept,
+        states=v.states + fresh,
         reject=v.reject | frozenset(fresh),
-        input_alphabet=v.input_alphabet,
         comm_alphabets=v.comm_alphabets + (eraser_alphabet,),
         rows=rows,
         fallback=None,
     )
     eraser = make_eraser(3, eraser_alphabet, space=p.cutoff, cutoff=p.cutoff)
-    out = ProtocolSpec(
-        name=p.name + "-lift",
-        verifier=new_verifier,
-        provers=provers + (eraser,),
-        a=p.a,
-        b=p.b,
-        cutoff=p.cutoff,
-    )
+    out = replace(p, name=p.name + "-lift", verifier=verifier, provers=provers + (eraser,))
     return LiftOutput(out, provenance, log_symbols)
 
 
@@ -272,44 +259,19 @@ def unify_alphabets(p: ProtocolSpec) -> ProtocolSpec:
     merged += _pad_symbols(merged, target)
     merged_t = tuple(merged)
 
-    fresh = []
-    for (q, sigma, _comm) in v.rows:
-        name = guard_state("rejf", q, sigma)
-        if name not in fresh:
-            fresh.append(name)
-    guard = ForeignGuard(
-        slot_bases=v.comm_alphabets,
-        known_states=frozenset(fresh),
-    )
-    new_verifier = VerifierSpec(
-        mode=v.mode,
-        states=v.states + tuple(fresh),
-        initial=v.initial,
-        accept=v.accept,
+    fresh = guard_states("rejf", v.rows)
+    verifier = replace(
+        v,
+        states=v.states + fresh,
         reject=v.reject | frozenset(fresh),
-        input_alphabet=v.input_alphabet,
         comm_alphabets=tuple(merged_t for _ in v.comm_alphabets),
-        rows=v.rows,
-        fallback=guard,
+        fallback=ForeignGuard(slot_bases=v.comm_alphabets, known_states=frozenset(fresh)),
     )
     provers = tuple(
-        ProverSpec(
-            index=pr.index,
-            comm_alphabet=merged_t,
-            tape_alphabet=tuple(dict.fromkeys(tuple(pr.tape_alphabet) + merged_t)),
-            space=pr.space,
-            strategy=pr.strategy,
-        )
+        replace(pr, comm_alphabet=merged_t, tape_alphabet=tuple(dict.fromkeys(tuple(pr.tape_alphabet) + merged_t)))
         for pr in p.provers
     )
-    return ProtocolSpec(
-        name=p.name + "-unified",
-        verifier=new_verifier,
-        provers=provers,
-        a=p.a,
-        b=p.b,
-        cutoff=p.cutoff,
-    )
+    return replace(p, name=p.name + "-unified", verifier=verifier, provers=provers)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +322,6 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
     rows: dict[RowKey, tuple[Branch, ...]] = {}
     provenance: dict[RowKey, RowKey] = {}
     dropped: list[RowKey] = []
-    fresh: list[str] = []
     for key, branches in v.rows.items():
         q, sigma, comm = key
         if comm[2] != BLANK:
@@ -374,28 +335,19 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
                 acc[target] = acc.get(target, 0j) + complex(w) * root
         rows[new_key] = tuple((q2, d, sent, w) for (q2, d, sent), w in acc.items())
         provenance[new_key] = key
-        name = guard_state("rejt", q, sigma)
-        if name not in fresh:
-            fresh.append(name)
 
-    guard = TrackGuard(
-        slot_bases=upper_bases,
-        known_states=frozenset(fresh),
-    )
-    new_verifier = VerifierSpec(
-        mode=v.mode,
-        states=v.states + tuple(fresh),
-        initial=v.initial,
-        accept=v.accept,
+    fresh = guard_states("rejt", rows)
+    verifier = replace(
+        v,
+        states=v.states + fresh,
         reject=v.reject | frozenset(fresh),
-        input_alphabet=v.input_alphabet,
         comm_alphabets=(track_alphabet, track_alphabet),
         rows=rows,
-        fallback=guard,
+        fallback=TrackGuard(slot_bases=upper_bases, known_states=frozenset(fresh)),
     )
     provers = tuple(
-        ProverSpec(
-            index=pr.index,
+        replace(
+            pr,
             comm_alphabet=track_alphabet,
             tape_alphabet=tuple(dict.fromkeys(tuple(pr.tape_alphabet) + tuple(gamma))),
             space=pr.space + p.cutoff,
@@ -403,15 +355,8 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
         )
         for pr in p.provers[:2]
     )
-    out = ProtocolSpec(
-        name=(p.name[:-len("-unified")] if p.name.endswith("-unified") else p.name) + "-reduce",
-        verifier=new_verifier,
-        provers=provers,
-        a=p.a,
-        b=p.b,
-        cutoff=p.cutoff,
-    )
-    return ReduceOutput(out, provenance, dropped)
+    name = (p.name[:-len("-unified")] if p.name.endswith("-unified") else p.name) + "-reduce"
+    return ReduceOutput(replace(p, name=name, verifier=verifier, provers=provers), provenance, dropped)
 
 
 # ---------------------------------------------------------------------------

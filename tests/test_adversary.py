@@ -210,8 +210,9 @@ def test_search_reduced_protocol_with_handpicked_probes():
 # combination's strategies plugged in, whichever way `search` scored it. The
 # `replayed_rounds` fixture records which rounds `search` runs through the
 # engine's round driver, one entry per `run_round` call the driver makes for
-# `adversary`: round 1 once, then round 2 only for combinations it could not
-# score from precomputed moves.
+# `adversary`: round 1 once, then rounds 2 on only for combinations whose
+# round 2 it could not score from precomputed moves or that keep mass past
+# round 2 with rounds left.
 
 
 @pytest.fixture
@@ -378,10 +379,41 @@ def test_a_non_unitary_row_in_round_2_raises_the_round_fault(replayed_rounds):
     assert replayed_rounds == [1, 2]
 
 
-def test_longer_sweeps_replay_every_combination(replayed_rounds):
+def test_longer_sweeps_replay_only_round_2_survivors(replayed_rounds):
+    # every combination of the lift halts in round 2, so none is replayed
     p = corpus.build("no_comm_lift")
     result = _assert_matches_simulate(dataclasses.replace(p, cutoff=3), "0", default_families(p, 3))
-    assert replayed_rounds.count(2) == result.evaluated
+    assert result.evaluated == 1010
+    assert replayed_rounds == [1]
+
+
+def test_deep_sweeps_replay_exactly_the_round_2_survivors(replayed_rounds, monkeypatch):
+    # on the reduced relay a few combinations keep their mass past round 2:
+    # those alone run rounds 2 and 3 through the driver
+    p = dataclasses.replace(_reduced_parity_relay(), cutoff=3)
+    picks = {"const:#", f"const:{track('1', BLANK)}", "echo", "shift:1", "upper:#", "upper:1"}
+    families = tuple(
+        StrategyFamily(f.prover_index, f.label, tuple(s for s in f.strategies if s.label in picks))
+        for f in default_families(p)
+    )
+    assert [len(f.strategies) for f in families] == [6, 6]
+    replayed = []
+    replay = adversary._replay
+
+    def spy(p, x, first, combo, T, quantum):
+        replayed.append(tuple(s.label for s in combo))
+        return replay(p, x, first, combo, T, quantum)
+
+    monkeypatch.setattr(adversary, "_replay", spy)
+    result = _assert_matches_simulate(p, "1", families)
+    survivors = [
+        labels
+        for (labels, _, _), combo in zip(result.table, itertools.product(*(f.strategies for f in families)))
+        if simulate(_trial(p, combo), "1", cutoff=2).leftover > PRUNE_TOL
+    ]
+    assert 0 < len(survivors) < result.evaluated
+    assert replayed == survivors
+    assert replayed_rounds == [1] + [2, 3] * len(survivors)
 
 
 def test_branching_strategies_mixed_into_a_family_match_simulate(replayed_rounds):
@@ -614,11 +646,12 @@ _PROBED = {
 @given(
     name=st.sampled_from(sorted(_PROBED)),
     objective=st.sampled_from(("max-accept", "min-reject")),
+    cutoff=st.sampled_from((2, 3)),
     data=st.data(),
 )
-def test_track_probe_sub_sweeps_match_the_replay(name, objective, data):
+def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
     build, x = _PROBED[name]
-    p = dataclasses.replace(build(), cutoff=2)
+    p = dataclasses.replace(build(), cutoff=cutoff)
     families = []
     for f in default_families(p):
         picks = data.draw(st.lists(st.sampled_from(range(len(f.strategies))), min_size=1, max_size=16, unique=True))
@@ -627,7 +660,7 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, data):
     result = search(p, x, families=families, objective=objective, keep_table=True)
     tape = input_tape(x, p.verifier)
     quantum = p.verifier.is_quantum()
-    state0 = {Configuration(p.verifier.initial, 0, (BLANK,) * p.k, ((BLANK, BLANK),) * p.k): 1.0 + 0j}
+    state0 = {Configuration(p.verifier.initial, 0, (BLANK,) * p.k, ((BLANK,) * cutoff,) * p.k): 1.0 + 0j}
     acc1, rej1, residual1 = run_round(p, tape, state0, 1, quantum)
     mass1 = _mass(residual1, quantum)
     first = (engine.RoundStat(1, acc1, rej1, mass1, len(residual1)), [engine._Class(residual1, 1, mass1)])
@@ -635,7 +668,7 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, data):
     assert len(result.table) == len(combos)
     leftover = {}
     for combo, (labels, acc, rej) in zip(combos, result.table):
-        want_acc, want_rej, leftover[labels] = adversary._replay(p, x, first, combo, 2, quantum)
+        want_acc, want_rej, leftover[labels] = adversary._replay(p, x, first, combo, cutoff, quantum)
         assert labels == tuple(s.label for s in combo)
         assert acc == pytest.approx(want_acc, abs=1e-12), labels
         assert rej == pytest.approx(want_rej, abs=1e-12), labels

@@ -183,6 +183,39 @@ def test_adversary_search(lift_file, capsys):
     assert float(pairs["combos_per_s"]) > 0
 
 
+PROVERLESS = """qmip 1
+name = proverless
+mode = 1pfa
+provers = 0
+a = 1/2
+b = 1/2
+cutoff = 2
+
+[verifier]
+states = q0 q1 acc rej
+initial = q0
+accept = acc
+reject = rej
+input = 0
+rule = q0 ¢ -> 1 q1 +1
+rule = q1 0 -> 1/2 acc +1 , 1/2 rej +1
+rule = q1 $ -> 1 rej +1
+"""
+
+
+def test_a_protocol_without_provers_runs_and_sweeps(tmp_path, capsys):
+    path = tmp_path / "proverless.qmip"
+    path.write_text(PROVERLESS)
+    assert main(["validate", str(path), "--machine"]) == 0
+    assert _machine(capsys)["ok"] == "true"
+    assert main(["run", str(path), "0", "--machine"]) == 0
+    pairs = _machine(capsys)
+    assert (pairs["p_acc"], pairs["p_rej"], pairs["halted"]) == ("0.500000000", "0.500000000", "2")
+    assert main(["adversary", str(path), "0", "--machine"]) == 0
+    pairs = _machine(capsys)
+    assert (pairs["evaluated"], pairs["best_p_acc"]) == ("1", "0.500000000")
+
+
 def test_adversary_rejects_zero_cutoff(lift_file, capsys):
     assert main(["adversary", lift_file, "0", "--cutoff", "0"]) == 3
     assert "cutoff must be at least 1" in capsys.readouterr().err

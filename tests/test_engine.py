@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmipsim import corpus
-from qmipsim.adversary import default_families
+from qmipsim.adversary import default_families, search
 from qmipsim.amplitudes import CONSERVATION_TOL, PRUNE_TOL, apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
+    _check_round,
     _rounds,
     _verify_and_measure,
     initial_state,
@@ -193,6 +194,40 @@ def test_mass_drift_is_a_run_fault():
     )
     with pytest.raises(RunFault):
         run(p, "0")
+
+
+def test_a_measurement_that_loses_mass_is_a_run_fault():
+    with pytest.raises(RunFault, match="measurement at round 2 lost probability mass"):
+        _check_round(2, 1.0, 1.0, 0.5, 0.5 - 1e-10, 0.0)
+    # rounding drift well inside CONSERVATION_TOL passes
+    _check_round(2, 1.0, 1.0, 0.5, 0.5 - 1e-13, 0.0)
+
+
+def test_a_protocol_without_provers_runs_and_sweeps_past_round_1():
+    # round 2 has no prover to move; the verifier flips its coin on the 0
+    verifier = VerifierSpec(
+        mode="1pfa",
+        states=("q0", "q1", "acc", "rej"),
+        initial="q0",
+        accept=frozenset({"acc"}),
+        reject=frozenset({"rej"}),
+        input_alphabet=("0",),
+        comm_alphabets=(),
+        rows={
+            ("q0", LEFT_END, ()): (("q1", 1, (), 1.0),),
+            ("q1", "0", ()): (("acc", 1, (), 0.5), ("rej", 1, (), 0.5)),
+            ("q1", RIGHT_END, ()): (("rej", 1, (), 1.0),),
+        },
+        fallback=None,
+    )
+    p = ProtocolSpec(name="proverless", verifier=verifier, provers=(), a=0.5, b=0.5, cutoff=3)
+    result = run_classical(p, "0")
+    assert (result.p_accept, result.p_reject, result.halted_round) == (0.5, 0.5, 2)
+    assert result.steps_counted == 2
+    swept = search(p, "0", keep_table=True)
+    assert swept.evaluated == 1
+    assert swept.best_labels == ()
+    assert swept.table == [((), 0.5, 0.5)]
 
 
 # -- the fused verifier stage and measurement ---------------------------------
