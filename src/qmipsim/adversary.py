@@ -11,8 +11,10 @@ state and round 2 of every combination, at any cutoff, is scored from those
 moves plus verifier rows and per-slot guard verdicts. Sources that share
 every slot's local state are scored together as one interference group, and
 a group that the guard sends wholly to a halting state adds a triple
-measured once per sweep. A combination is replayed when its round 2 cannot
-be scored (a strategy branches, as rotations do, or merges two local
+measured once per sweep. Last-prover strategies whose moves differ only
+where that triple is taken fall in one class, and each class is scored once
+per choice of the other provers. A combination is replayed when its round 2
+cannot be scored (a strategy branches, as rotations do, or merges two local
 states, or something faults) or when it keeps more than PRUNE_TOL with
 rounds left: the engine's round driver, which stops at that same test,
 resumes it from the shared round 1 and raises the run's own error.
@@ -220,7 +222,10 @@ class _Round2:
     target either. A group whose members all fall to the guard and halt
     there then adds the same (mass, p_acc, p_rej) to every combination that
     routes it there, so that triple is measured once per sweep. Any other
-    group is scored source by source.
+    group is scored source by source. Since that shortcut reads neither the
+    reply nor the new tape, `signature` keys the last slot's moves so that
+    equal keys score alike: the sweep scores one strategy per key and
+    prefix.
 
     `first` is the driver's round-1 class, mass included. `score` returns
     None on anything `run_round` would fault on; the caller then replays that
@@ -273,6 +278,13 @@ class _Round2:
                     for comm in row_comms[q, sigma]:
                         blocked.setdefault(comm[:-1], set()).add(comm[-1:])
             self.groups.append((local, tuple(group), blocked, halted))
+        # per last-slot local id: whether every group there halts to the guard,
+        # and the last cells that any of them completes an explicit row with
+        self.halts: dict[int, bool] = {}
+        self.blocked: dict[int, set] = {}
+        for local, _, blocked, halted in self.groups:
+            self.halts[local[-1]] = self.halts.get(local[-1], True) and halted is not None
+            self.blocked.setdefault(local[-1], set()).update(*blocked.values())
 
     def _halted(self, group):
         """(mass, p_acc, p_rej) of a group whose members all move to their guard targets."""
@@ -311,6 +323,24 @@ class _Round2:
             tid = tape_ids.setdefault(new_tape, len(tape_ids))
             out.append(((reply,), tid, None if w == 1 else w, verdicts[reply]))
         return out
+
+    def signature(self, moves):
+        """The last slot's `moves` as a class key: after any unweighted prefix, equal keys score alike.
+
+        A guard-rejected move without a phase, at a local id whose groups all
+        halt through the guard and with a cell that completes no explicit row
+        for them, always takes `score`'s halted shortcut, which reads neither
+        the cell nor the tape; all such moves share one token (None). Equal
+        keys run the same float operations, so their scores are equal bit
+        for bit.
+        """
+        if moves is None:
+            return None
+        key = []
+        for local, (cell, tid, w, rej) in enumerate(moves):
+            shared = w is None and rej and self.halts[local] and cell not in self.blocked[local]
+            key.append(None if shared else (cell, tid, w, rej))
+        return tuple(key)
 
     def prefix(self, moves_per_slot):
         """The groups after every prover but the last has moved, as `score` takes them.
@@ -393,6 +423,9 @@ class _Round2:
 def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bool):
     """(labels, (total p_acc, total p_rej, leftover)) of every combination, in `itertools.product` order.
 
+    Within one prefix of earlier picks, last-prover strategies with equal
+    `_Round2.signature` keys share one score, unless a prefix move carries
+    a phase.
     Every combination is replayed when there is no round 2 to score: at
     cutoff 1, after a round 1 that leaves at most PRUNE_TOL, without provers,
     and for a quantum verifier on the two-cell tape of "", where the replay
@@ -403,6 +436,7 @@ def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bo
     if families and T >= 2 and stat1.residual_mass > PRUNE_TOL and not (quantum and x == ""):
         round2 = _Round2(p, input_tape(x, p.verifier), classes[0], quantum)
         moves = [[round2.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
+        keys = [round2.signature(m) for m in moves[-1]]
     picks = itertools.product(*(range(len(fam.strategies)) for fam in families))
     for names, chosen in zip(itertools.product(*labels), picks):
         scored = None
@@ -412,9 +446,15 @@ def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bo
             if last == 0:
                 prefix = [m[i] for m, i in zip(moves, chosen[:-1])]
                 groups = None if None in prefix else round2.prefix(prefix)
+                # a weighted prefix drops the halted triples that the keys assume
+                weighted = groups is not None and any(w is not None for m in prefix for _, _, w, _ in m)
+                scores = {}
             tail = moves[-1][last]
             if groups is not None and tail is not None:
-                scored = round2.score(groups, tail)
+                key = last if weighted else keys[last]
+                if key not in scores:
+                    scores[key] = round2.score(groups, tail)
+                scored = scores[key]
         if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
             combo = tuple(fam.strategies[i] for fam, i in zip(families, chosen))
             yield names, _replay(p, x, first, combo, T, quantum)

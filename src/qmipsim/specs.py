@@ -148,11 +148,12 @@ def _single_move(moves: QuantumMove, message: str, amplitude: bool = False) -> t
     return moves[0][0]
 
 
-def _write_cell(tape: Tape, idx: int, symbol: str, who: str) -> Tape:
+def _write_cell(tape: Tape, idx: int, symbol: str, *who: str) -> Tape:
+    """`tape` with `symbol` in blank cell `idx`; a fault names the writer by `who` joined with spaces."""
     if idx >= len(tape):
-        raise SpaceExceeded(f"{who}: tape has {len(tape)} cells, step needs cell {idx}")
+        raise SpaceExceeded(f"{' '.join(who)}: tape has {len(tape)} cells, step needs cell {idx}")
     if tape[idx] != BLANK:
-        raise MissingTransition(f"{who}: history cell {idx} already holds {tape[idx]!r}")
+        raise MissingTransition(f"{' '.join(who)}: history cell {idx} already holds {tape[idx]!r}")
     return tape[:idx] + (symbol,) + tape[idx + 1:]
 
 
@@ -329,7 +330,7 @@ class LoggedReplyStrategy:
     kind: ClassVar[str] = "logged-reply"
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
-        logged = _write_cell(tape, step - 1, comm, f"strategy {self.label}")
+        logged = _write_cell(tape, step - 1, comm, "strategy", self.label)
         return [((reply, logged), amp) for reply, amp in self.fn(step, comm)]
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:

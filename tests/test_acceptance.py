@@ -5,6 +5,7 @@ pytest -s; the -v test report carries the same verdict). Tolerances are part
 of the claims: exact-math comparisons use 1e-12, orthogonality and sweep
 bounds use 1e-9.
 """
+import collections
 import dataclasses
 import pathlib
 import time
@@ -155,10 +156,14 @@ def test_c5_reduce_preserves_statistics_and_survives_track_probes():
         if abs(c.p_accept - q.p_accept) > EXACT:
             problems.append(f"({x!r}): {c.p_accept} vs {q.p_accept}")
     started = time.monotonic()
-    result = search(reduced, "0", families=default_families(reduced))
+    result = search(reduced, "0", families=default_families(reduced), keep_table=True)
     elapsed = time.monotonic() - started
     if result.best_value > 0.5 + BOUND:
         problems.append(f"best accept {result.best_value!r} beats 1/2")
+    outcomes = collections.Counter((round(acc, 12), round(rej, 12)) for _, acc, rej in result.table)
+    expected = {(0.0, 1.0): 82_871, (1 / 32, 31 / 32): 71, (0.5, 0.5): 2}
+    if outcomes != expected:
+        problems.append(f"outcomes {dict(outcomes)} are not {expected}")
     if elapsed > SWEEP_BUDGET_S:
         problems.append(f"sweep took {elapsed:.1f}s > {SWEEP_BUDGET_S:.0f}s")
     _verdict(

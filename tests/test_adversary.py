@@ -242,6 +242,20 @@ def replayed_rounds(monkeypatch):
     return rounds
 
 
+@pytest.fixture
+def score_calls(monkeypatch):
+    """The last slot's moves of every `_Round2.score` call a sweep makes."""
+    calls = []
+    score = adversary._Round2.score
+
+    def counting(self, groups, moves):
+        calls.append(moves)
+        return score(self, groups, moves)
+
+    monkeypatch.setattr(adversary._Round2, "score", counting)
+    return calls
+
+
 def _trial(p, combo):
     space = max(1, p.cutoff)
     provers = tuple(
@@ -292,6 +306,15 @@ def _track_probe_sample(p, seed):
     return tuple(families)
 
 
+def _rejected_unnamed_constants(p):
+    """The last prover's default constants that the guard rejects and no explicit row names."""
+    slot = p.k - 1
+    named = {comm[slot] for _, _, comm in p.verifier.rows}
+    constants = (s for s in default_families(p)[slot].strategies if s.label.startswith("const:"))
+    replies = ((s, s.fn(1, BLANK)[0][0]) for s in constants)
+    return tuple(s for s, reply in replies if reply not in named and p.verifier.fallback.rejects(slot, reply))
+
+
 @pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
 def test_track_probe_sweep_matches_simulate(objective, replayed_rounds):
     p = corpus.build("no_comm_reduce")
@@ -299,6 +322,20 @@ def test_track_probe_sweep_matches_simulate(objective, replayed_rounds):
     assert [len(f.strategies) for f in families] == [16, 16]
     result = _assert_matches_simulate(p, "0", families, objective)
     assert len({(acc, rej) for _, acc, rej in result.table}) >= 3
+    assert replayed_rounds == [1]
+
+
+def test_rejected_replies_that_no_row_names_are_scored_once_per_prefix(replayed_rounds, score_calls):
+    # every such reply sends each group to its halted triple, so within one
+    # prefix they all score alike and `score` runs once for the class
+    p = corpus.build("no_comm_reduce")
+    picks = {"const:#", f"const:{track('g', BLANK)}", "echo", "shift:g", "upper:#", "upper:g"}
+    first = tuple(s for s in default_families(p)[0].strategies if s.label in picks)
+    tail = _rejected_unnamed_constants(p)[:8]
+    assert (len(first), len(tail)) == (6, 8)
+    families = (StrategyFamily(1, "picks", first), StrategyFamily(2, "rejected", tail))
+    _assert_matches_simulate(p, "0", families)
+    assert len(score_calls) == len(first)
     assert replayed_rounds == [1]
 
 
@@ -512,7 +549,7 @@ def _guarded(first, rows, accept, reject, minted):
         accept=frozenset(accept),
         reject=frozenset(reject),
         input_alphabet=("0",),
-        comm_alphabets=(_BASE + ("y", "z"),),
+        comm_alphabets=(_BASE + ("w", "y", "z"),),
         rows={("q0", LEFT_END, (BLANK,)): first, **rows},
         fallback=ForeignGuard(slot_bases=(_BASE,), known_states=frozenset(minted)),
     )
@@ -520,21 +557,37 @@ def _guarded(first, rows, accept, reject, minted):
     return ProtocolSpec("guarded", verifier, (transforms.make_eraser(1, comm, space=2, cutoff=2),), 1.0, 1.0, 2)
 
 
-def test_group_split_between_a_row_and_the_guard_is_scored_per_source(replayed_rounds):
-    # qa and qb both receive u, so const:z sends both to the guard-matching
-    # reception (z,); qa has an explicit row for it and accepts, qb has none
+def _split_group():
+    """qa and qb both receive u, so a foreign reply z sends both to the
+    guard-matching reception (z,); qa has an explicit row for it and accepts,
+    qb has none."""
     h = 2 ** -0.5
     ra, rb = specs.guard_state("rejf", "qa", LEFT_END), specs.guard_state("rejf", "qb", LEFT_END)
-    p = _guarded(
+    return _guarded(
         first=(("qa", 0, ("u",), h), ("qb", 0, ("u",), h)),
         rows={("qa", LEFT_END, ("z",)): (("acc", 1, (BLANK,), 1.0),)},
         accept={"acc"},
         reject={ra, rb},
         minted={ra, rb},
     )
+
+
+def test_group_split_between_a_row_and_the_guard_is_scored_per_source(replayed_rounds):
     families = (StrategyFamily(1, "picks", (constant_reply("z"), constant_reply("y"))),)
-    result = _assert_matches_simulate(p, "0", families)
+    result = _assert_matches_simulate(_split_group(), "0", families)
     assert [entry[1:] for entry in result.table] == [pytest.approx((0.5, 0.5)), pytest.approx((0.0, 1.0))]
+    assert replayed_rounds == [1]
+
+
+def test_a_row_named_rejected_cell_keeps_its_own_score(replayed_rounds, score_calls):
+    # y and w halt through the guard alike and share one score; z, which the
+    # guard rejects too, completes qa's row and is scored on its own
+    families = (StrategyFamily(1, "picks", (constant_reply("y"), constant_reply("z"), constant_reply("w"))),)
+    result = _assert_matches_simulate(_split_group(), "0", families)
+    assert [entry[1:] for entry in result.table] == [
+        pytest.approx((0.0, 1.0)), pytest.approx((0.5, 0.5)), pytest.approx((0.0, 1.0)),
+    ]
+    assert [moves[0][0] for moves in score_calls] == [("y",), ("z",)]
     assert replayed_rounds == [1]
 
 
@@ -606,6 +659,22 @@ def test_single_move_strategies_with_a_phase_match_simulate(replayed_rounds):
     assert replayed_rounds == [1]
 
 
+def test_a_weighted_prefix_scores_every_tail(replayed_rounds, score_calls):
+    # a phase drops the prefix's halted triples, which the class key assumes
+    p = corpus.build("no_comm_reduce")
+    first = (
+        constant_reply(BLANK),
+        _phased("phase:#", lambda recv: BLANK, 2.3),
+        echo_reply(),
+        _phased("phase:echo", lambda recv: recv, -1.1),
+    )
+    tail = _rejected_unnamed_constants(p)[:4]
+    families = (StrategyFamily(1, "phased", first), StrategyFamily(2, "rejected", tail))
+    _assert_matches_simulate(p, "0", families)
+    assert len(score_calls) == 1 + len(tail) + 1 + len(tail)
+    assert replayed_rounds == [1]
+
+
 def test_strategies_without_label_or_kind_are_named_by_type():
     class Plain:
         """Replies with the blank and logs what it received, like const:#."""
@@ -636,9 +705,12 @@ def _reduced_parity_relay():
     return transforms.reduce_3qip_to_2qip(transforms.unify_alphabets(lifted)).protocol
 
 
+# per protocol: builder, input, and labels every draw includes; on the reduced
+# relay the pairs of these survive round 2, and the random draws almost never
+# hold such a pair
 _PROBED = {
-    "no_comm_reduce": (lambda: corpus.build("no_comm_reduce"), "0"),
-    "parity_relay_reduced": (_reduced_parity_relay, "1"),
+    "no_comm_reduce": (lambda: corpus.build("no_comm_reduce"), "0", ()),
+    "parity_relay_reduced": (_reduced_parity_relay, "1", ("const:#", f"const:{track('1', BLANK)}")),
 }
 
 
@@ -650,11 +722,12 @@ _PROBED = {
     data=st.data(),
 )
 def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
-    build, x = _PROBED[name]
+    build, x, survivors = _PROBED[name]
     p = dataclasses.replace(build(), cutoff=cutoff)
     families = []
     for f in default_families(p):
         picks = data.draw(st.lists(st.sampled_from(range(len(f.strategies))), min_size=1, max_size=16, unique=True))
+        picks += [j for j, s in enumerate(f.strategies) if s.label in survivors and j not in picks]
         families.append(StrategyFamily(f.prover_index, f.label, tuple(f.strategies[j] for j in picks)))
     families = tuple(families)
     result = search(p, x, families=families, objective=objective, keep_table=True)

@@ -246,6 +246,14 @@ def test_logged_reply_builders():
     assert tapes == {(BLANK, "a")}
 
 
+def test_logged_reply_faults_name_the_strategy():
+    const = constant_reply("g")
+    with pytest.raises(SpaceExceeded, match=r"^strategy const:g: tape has 1 cells, step needs cell 1$"):
+        const.apply_quantum(2, "a", (BLANK,))
+    with pytest.raises(MissingTransition, match=r"^strategy const:g: history cell 0 already holds 'a'$"):
+        const.apply_classical(1, "b", ("a",))
+
+
 def test_logged_reply_labels_are_stable():
     assert constant_reply("g").label == "const:g"
     assert echo_reply().label == "echo"
