@@ -6,18 +6,19 @@ contain every strategy worth trying at these sizes: constant replies, full
 reply sequences, echoes, and mask-track probes. The search caches the
 round-1 residual (provers first act in round 2) and walks every combination
 in one loop. When every strategy answers each local (comm, tape) state of
-that residual with a single move, each strategy is applied once per local
-state and round 2 of every combination, at any cutoff, is scored from those
-moves plus verifier rows and per-slot guard verdicts. Sources that share
-every slot's local state are scored together as one interference group, and
-a group that the guard sends wholly to a halting state adds a triple
-measured once per sweep. Last-prover strategies whose moves differ only
-where that triple is taken fall in one class, and each class is scored once
-per choice of the other provers. A combination is replayed when its round 2
-cannot be scored (a strategy branches, as rotations do, or merges two local
-states, or something faults) or when it keeps more than PRUNE_TOL with
-rounds left: the engine's round driver, which stops at that same test,
-resumes it from the shared round 1 and raises the run's own error.
+that residual with a single move of weight exactly 1, each strategy is
+applied once per local state and round 2 of every combination, at any
+cutoff, is scored from those moves plus verifier rows and per-slot guard
+verdicts. Sources that share every slot's local state are scored together
+as one interference group, and a group that the guard sends wholly to a
+halting state adds a triple measured once per sweep. Last-prover strategies
+whose moves differ only where that triple is taken fall in one class, and
+each class is scored once per choice of the other provers. A combination is
+replayed when its round 2 cannot be scored (a strategy branches, as
+rotations do, puts a phase on its move, merges two local states, or
+something faults) or when it keeps more than PRUNE_TOL with rounds left:
+the engine's round driver, which stops at that same test, resumes it from
+the shared round 1 and raises the run's own error.
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -205,10 +206,11 @@ class _Round2:
     """Round 2 of a sweep, scored per interference group from precomputed prover moves.
 
     A prover writes only its own cell and tape, so when each strategy answers
-    every local (comm, tape) state with a single move, a combination's round-2
-    state follows from what each strategy does to the distinct local states of
-    the shared round-1 residual. Those moves are computed once per strategy;
-    a combination then only looks up verifier rows (guard rows from per-slot
+    every local (comm, tape) state with a single move of weight 1, a
+    combination's round-2 state follows from what each strategy does to the
+    distinct local states of the shared round-1 residual: amplitudes pass the
+    prover stage unchanged. Those moves are computed once per strategy; a
+    combination then only looks up verifier rows (guard rows from per-slot
     verdicts), accumulates target amplitudes and measures them with the
     engine's `_measure` and `_check_round`. New tapes are interned per slot,
     so targets are keyed by small integers instead of tape tuples.
@@ -224,8 +226,8 @@ class _Round2:
     routes it there, so that triple is measured once per sweep. Any other
     group is scored source by source. Since that shortcut reads neither the
     reply nor the new tape, `signature` keys the last slot's moves so that
-    equal keys score alike: the sweep scores one strategy per key and
-    prefix.
+    equal keys score alike after any prefix: the sweep scores one strategy
+    per key and prefix.
 
     `first` is the driver's round-1 class, mass included. `score` returns
     None on anything `run_round` would fault on; the caller then replays that
@@ -294,10 +296,11 @@ class _Round2:
         return _measure(out.items(), self.quantum, self.accept, self.reject)[:3]
 
     def moves(self, slot: int, strategy):
-        """Per local state of `slot`: ((reply,), tape id, weight or None for 1, guard verdict).
+        """Per local state of `slot`: ((reply,), tape id, guard verdict).
 
-        None when the strategy branches, merges two local states, or fails on
-        one; every combination with it is then replayed.
+        None when the strategy branches, gives its one move a weight other
+        than exactly 1 (a phase), merges two local states, or fails on one;
+        every combination with it is then replayed.
         """
         out = []
         seen = set()
@@ -308,11 +311,11 @@ class _Round2:
             try:
                 if self.quantum:
                     column = strategy.apply_quantum(1, comm, tape)
-                    if len(column) != 1:
+                    if len(column) != 1 or column[0][1] != 1:
                         return None
-                    (reply, new_tape), w = column[0]
+                    reply, new_tape = column[0][0]
                 else:
-                    (reply, new_tape), w = strategy.apply_classical(1, comm, tape), 1
+                    reply, new_tape = strategy.apply_classical(1, comm, tape)
                 if reply not in verdicts:
                     verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
             except Exception:
@@ -321,61 +324,40 @@ class _Round2:
                 return None
             seen.add((reply, new_tape))
             tid = tape_ids.setdefault(new_tape, len(tape_ids))
-            out.append(((reply,), tid, None if w == 1 else w, verdicts[reply]))
+            out.append(((reply,), tid, verdicts[reply]))
         return out
 
     def signature(self, moves):
-        """The last slot's `moves` as a class key: after any unweighted prefix, equal keys score alike.
+        """The last slot's `moves` as a class key: after any prefix, equal keys score alike.
 
-        A guard-rejected move without a phase, at a local id whose groups all
-        halt through the guard and with a cell that completes no explicit row
-        for them, always takes `score`'s halted shortcut, which reads neither
-        the cell nor the tape; all such moves share one token (None). Equal
-        keys run the same float operations, so their scores are equal bit
-        for bit.
+        A guard-rejected move at a local id whose groups all halt through the
+        guard, with a cell that completes no explicit row for them, always
+        takes `score`'s halted shortcut, which reads neither the cell nor the
+        tape; all such moves share one token (None). Equal keys run the same
+        float operations, so their scores are equal bit for bit.
         """
         if moves is None:
             return None
         key = []
-        for local, (cell, tid, w, rej) in enumerate(moves):
-            shared = w is None and rej and self.halts[local] and cell not in self.blocked[local]
-            key.append(None if shared else (cell, tid, w, rej))
+        for local, (cell, tid, rej) in enumerate(moves):
+            shared = rej and self.halts[local] and cell not in self.blocked[local]
+            key.append(None if shared else (cell, tid, rej))
         return tuple(key)
 
     def prefix(self, moves_per_slot):
-        """The groups after every prover but the last has moved, as `score` takes them.
-
-        A source whose amplitude falls below PRUNE_TOL is dropped, as the
-        prover stage's prune would; a weighted group loses its halted triple.
-        """
+        """The groups after every prover but the last has moved, as `score` takes them."""
         out = []
         for local, group, blocked, halted in self.groups:
             comm = ()
             tapes = ()
             rejected = False
-            weights = []
             for slot, moves in enumerate(moves_per_slot):
-                cell, tid, w, rej = moves[local[slot]]
+                cell, tid, rej = moves[local[slot]]
                 comm += cell
                 tapes += (tid,)
                 rejected = rejected or rej
-                if w is not None:
-                    weights.append(w)
-            if weights:
-                group = tuple(self._weighted(group, weights))
-                halted = None
             out.append((local[-1], group, comm, tapes, rejected, blocked.get(comm, ()), halted))
         return out
-
-    @staticmethod
-    def _weighted(group, weights):
-        for q, sigma, head, head_next, amp, name in group:
-            for w in weights:
-                amp = amp * w
-                if abs(amp) < PRUNE_TOL:
-                    break
-            else:
-                yield q, sigma, head, head_next, amp, name
 
     def score(self, groups, moves):
         """(p_acc, p_rej, leftover) of round 2 once the last prover plays `moves`."""
@@ -385,19 +367,15 @@ class _Round2:
         out: dict[tuple, complex] = {}
         get = out.get
         for last, group, comm, tapes, rejected, blocked, halted in groups:
-            cell, tid, w, rej = moves[last]
+            cell, tid, rej = moves[last]
             rejected = rejected or rej
-            if halted is not None and w is None and rejected and cell not in blocked:
+            if halted is not None and rejected and cell not in blocked:
                 after += halted[0]
                 p_acc += halted[1]
                 p_rej += halted[2]
                 continue
             comm = comm + cell
             for q, sigma, head, head_next, amp, name in group:
-                if w is not None:
-                    amp = amp * w
-                    if abs(amp) < PRUNE_TOL:
-                        continue
                 row = rows.get((q, sigma, comm))
                 if row is None:
                     if name is None or not rejected:
@@ -424,8 +402,7 @@ def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bo
     """(labels, (total p_acc, total p_rej, leftover)) of every combination, in `itertools.product` order.
 
     Within one prefix of earlier picks, last-prover strategies with equal
-    `_Round2.signature` keys share one score, unless a prefix move carries
-    a phase.
+    `_Round2.signature` keys share one score.
     Every combination is replayed when there is no round 2 to score: at
     cutoff 1, after a round 1 that leaves at most PRUNE_TOL, without provers,
     and for a quantum verifier on the two-cell tape of "", where the replay
@@ -446,12 +423,10 @@ def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bo
             if last == 0:
                 prefix = [m[i] for m, i in zip(moves, chosen[:-1])]
                 groups = None if None in prefix else round2.prefix(prefix)
-                # a weighted prefix drops the halted triples that the keys assume
-                weighted = groups is not None and any(w is not None for m in prefix for _, _, w, _ in m)
                 scores = {}
             tail = moves[-1][last]
             if groups is not None and tail is not None:
-                key = last if weighted else keys[last]
+                key = keys[last]
                 if key not in scores:
                     scores[key] = round2.score(groups, tail)
                 scored = scores[key]

@@ -246,7 +246,7 @@ def cmd_corpus(args) -> int:
     try:
         written = corpus_mod.emit(args.directory, names)
     except KeyError as exc:
-        raise ValidationError(str(exc))
+        raise ValidationError(exc.args[0])
     for path in written:
         print(path)
     return 0

@@ -122,12 +122,30 @@ def _weight_token(w: complex) -> str:
     return repr(value)
 
 
+_SYNTAX = frozenset({"|", "->", ","})
+
+
 def _check_token(token: str, what: str) -> str:
     if not token or token.split() != [token]:
         raise SpecFileError(f"{what} {token!r} contains whitespace or is empty")
-    if token in ("|", "->", ","):
+    if token in _SYNTAX:
         raise SpecFileError(f"{what} {token!r} collides with file syntax")
     return token
+
+
+def _symbols(symbols, what: str = "symbol") -> str:
+    """The symbols as one space-separated field that reads back as exactly these symbols."""
+    field = " ".join(symbols)
+    # split() yields no empty or spaced token, so this equality holds only for clean tokens
+    if field.split() != list(symbols) or not _SYNTAX.isdisjoint(symbols):
+        for s in symbols:
+            _check_token(s, what)
+    return field
+
+
+def _side(symbol: str, cells) -> str:
+    """'symbol' or 'symbol | cells', as strategy lines write a reply or reception."""
+    return _check_token(symbol, "symbol") + (" | " + _symbols(cells) if cells else "")
 
 
 # ---------------------------------------------------------------------------
@@ -456,31 +474,22 @@ def _strategy_lines(strategy, space: int) -> list[str]:
         lines.append("strategy = table")
         lines.append(f"work = {strategy.work}")
         for (recv, cells), (reply, new_cells) in strategy.rows.items():
-            left = _check_token(recv, "symbol") + (" | " + " ".join(cells) if cells else "")
-            right = _check_token(reply, "symbol") + (" | " + " ".join(new_cells) if new_cells else "")
-            lines.append(f"row = {left} -> {right}")
+            lines.append(f"row = {_side(recv, cells)} -> {_side(reply, new_cells)}")
     elif isinstance(strategy, UnitaryTableStrategy):
         lines.append("strategy = unitary")
         lines.append(f"work = {strategy.work}")
         for step, table in strategy.steps.items():
             step_tok = "*" if step is None else str(step)
             for (recv, cells), moves in table.items():
-                left = f"{step_tok} {_check_token(recv, 'symbol')}"
-                if cells:
-                    left += " | " + " ".join(cells)
-                chunks = []
-                for (reply, new_cells), amp in moves:
-                    chunk = f"{serialize_weight(amp)} {_check_token(reply, 'symbol')}"
-                    if new_cells:
-                        chunk += " | " + " ".join(new_cells)
-                    chunks.append(chunk)
-                lines.append(f"urow = {left} -> " + " , ".join(chunks))
+                chunks = (f"{serialize_weight(amp)} {_side(*target)}" for target, amp in moves)
+                lines.append(f"urow = {step_tok} {_side(recv, cells)} -> " + " , ".join(chunks))
     elif isinstance(strategy, DerandomizedStrategy):
         lines.append("strategy = choices")
         for (step, recv, tape), reply in strategy.choices.items():
             if len(tape) != space:
                 raise SpecFileError("choice tape length disagrees with prover space")
-            lines.append(f"choice = {step} {_check_token(recv, 'symbol')} | {' '.join(tape)} -> {reply}")
+            head = f"{step} {_check_token(recv, 'symbol')} | {_symbols(tape)}"
+            lines.append(f"choice = {head} -> {_check_token(reply, 'symbol')}")
     else:
         raise SpecFileError(f"strategy kind {getattr(strategy, 'kind', type(strategy).__name__)!r} "
                             "has no file form")
@@ -490,21 +499,23 @@ def _strategy_lines(strategy, space: int) -> list[str]:
 
 
 def serialize_protocol(p: ProtocolSpec) -> str:
+    """The file text of p, refusing any symbol, state or name that would not read back as itself.
+
+    Rules, the initial state and the halting sets draw only on the declared
+    states and communication alphabets (`validate_protocol`), so checking
+    the declarations covers them.
+    """
     v = p.verifier
     out = [FORMAT_HEADER, f"name = {_check_token(p.name, 'name')}", f"mode = {v.mode}",
            f"provers = {p.k}", f"a = {serialize_weight(p.a)}", f"b = {serialize_weight(p.b)}",
            f"cutoff = {p.cutoff}", "", "[verifier]"]
-    for s in v.states:
-        _check_token(s, "state")
-    out.append("states = " + " ".join(v.states))
+    out.append("states = " + _symbols(v.states, "state"))
     out.append(f"initial = {v.initial}")
     out.append("accept = " + " ".join(sorted(v.accept)))
     out.append("reject = " + " ".join(sorted(v.reject)))
-    out.append("input = " + " ".join(v.input_alphabet))
+    out.append("input = " + _symbols(v.input_alphabet))
     for i, alphabet in enumerate(v.comm_alphabets, start=1):
-        for s in alphabet:
-            _check_token(s, "symbol")
-        out.append(f"comm-{i} = " + " ".join(alphabet))
+        out.append(f"comm-{i} = " + _symbols(alphabet))
     for (q, sigma, comm), branches in v.rows.items():
         chunks = []
         for (q2, d, sent, w) in branches:
@@ -514,12 +525,12 @@ def serialize_protocol(p: ProtocolSpec) -> str:
     if v.fallback is not None:
         out.append(f"fallback = {v.fallback.kind}")
         for i, base in enumerate(v.fallback.slot_bases, start=1):
-            out.append(f"guard-base-{i} = " + " ".join(base))
+            out.append(f"guard-base-{i} = " + _symbols(base))
     for prover in p.provers:
         out.append("")
         out.append(f"[prover {prover.index}]")
-        out.append("comm = " + " ".join(prover.comm_alphabet))
-        out.append("tape = " + " ".join(prover.tape_alphabet))
+        out.append("comm = " + _symbols(prover.comm_alphabet))
+        out.append("tape = " + _symbols(prover.tape_alphabet))
         out.append(f"space = {prover.space}")
         out.extend(_strategy_lines(prover.strategy, prover.space))
     return "\n".join(out) + "\n"

@@ -256,6 +256,20 @@ def score_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def replayed_combos(monkeypatch):
+    """The labels of every combination a sweep hands to `_replay`, in order."""
+    replayed = []
+    replay = adversary._replay
+
+    def spy(p, x, first, combo, T, quantum):
+        replayed.append(tuple(s.label for s in combo))
+        return replay(p, x, first, combo, T, quantum)
+
+    monkeypatch.setattr(adversary, "_replay", spy)
+    return replayed
+
+
 def _trial(p, combo):
     space = max(1, p.cutoff)
     provers = tuple(
@@ -424,7 +438,7 @@ def test_longer_sweeps_replay_only_round_2_survivors(replayed_rounds):
     assert replayed_rounds == [1]
 
 
-def test_deep_sweeps_replay_exactly_the_round_2_survivors(replayed_rounds, monkeypatch):
+def test_deep_sweeps_replay_exactly_the_round_2_survivors(replayed_rounds, replayed_combos):
     # on the reduced relay a few combinations keep their mass past round 2:
     # those alone run rounds 2 and 3 through the driver
     p = dataclasses.replace(_reduced_parity_relay(), cutoff=3)
@@ -434,14 +448,6 @@ def test_deep_sweeps_replay_exactly_the_round_2_survivors(replayed_rounds, monke
         for f in default_families(p)
     )
     assert [len(f.strategies) for f in families] == [6, 6]
-    replayed = []
-    replay = adversary._replay
-
-    def spy(p, x, first, combo, T, quantum):
-        replayed.append(tuple(s.label for s in combo))
-        return replay(p, x, first, combo, T, quantum)
-
-    monkeypatch.setattr(adversary, "_replay", spy)
     result = _assert_matches_simulate(p, "1", families)
     survivors = [
         labels
@@ -449,7 +455,7 @@ def test_deep_sweeps_replay_exactly_the_round_2_survivors(replayed_rounds, monke
         if simulate(_trial(p, combo), "1", cutoff=2).leftover > PRUNE_TOL
     ]
     assert 0 < len(survivors) < result.evaluated
-    assert replayed == survivors
+    assert replayed_combos == survivors
     assert replayed_rounds == [1] + [2, 3] * len(survivors)
 
 
@@ -641,7 +647,8 @@ def _phased(label, reply, angle):
     return LoggedReplyStrategy(label, lambda step, recv: [(reply(recv), cmath.exp(1j * angle))])
 
 
-def test_single_move_strategies_with_a_phase_match_simulate(replayed_rounds):
+def test_single_move_strategies_with_a_phase_match_simulate(replayed_rounds, replayed_combos):
+    # a phased move is never scored: every combination with one is replayed
     p = corpus.build("no_comm_reduce")
     g = track("g", BLANK)
     families = tuple(
@@ -656,11 +663,16 @@ def test_single_move_strategies_with_a_phase_match_simulate(replayed_rounds):
     )
     result = _assert_matches_simulate(p, "0", families)
     assert len({(round(acc, 9), round(rej, 9)) for _, acc, rej in result.table}) >= 3
-    assert replayed_rounds == [1]
+    phased = [labels for labels, _, _ in result.table if any(l.startswith("phase:") for l in labels)]
+    assert len(phased) == 5 * 5 - 2 * 2
+    assert replayed_combos == phased
+    assert replayed_rounds == [1] + [2] * len(phased)
 
 
-def test_a_weighted_prefix_scores_every_tail(replayed_rounds, score_calls):
-    # a phase drops the prefix's halted triples, which the class key assumes
+def test_phased_prefixes_are_replayed_and_unphased_ones_score_each_class_once(
+    replayed_rounds, replayed_combos, score_calls
+):
+    # the rejected constants form one class, so each unphased prefix scores it once
     p = corpus.build("no_comm_reduce")
     first = (
         constant_reply(BLANK),
@@ -671,8 +683,9 @@ def test_a_weighted_prefix_scores_every_tail(replayed_rounds, score_calls):
     tail = _rejected_unnamed_constants(p)[:4]
     families = (StrategyFamily(1, "phased", first), StrategyFamily(2, "rejected", tail))
     _assert_matches_simulate(p, "0", families)
-    assert len(score_calls) == 1 + len(tail) + 1 + len(tail)
-    assert replayed_rounds == [1]
+    assert replayed_combos == [(s.label, t.label) for s in first if s.label.startswith("phase:") for t in tail]
+    assert len(score_calls) == 2
+    assert replayed_rounds == [1] + [2] * len(replayed_combos)
 
 
 def test_strategies_without_label_or_kind_are_named_by_type():

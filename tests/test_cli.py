@@ -255,6 +255,8 @@ def test_corpus_only_filter(tmp_path, capsys):
     assert main(["corpus", str(tmp_path), "--only", "no_comm", "--only", "parity_relay"]) == 0
     written = capsys.readouterr().out.strip().splitlines()
     assert len(written) == 2
+    assert main(["corpus", str(tmp_path), "--only", "zzz"]) == 3
+    assert capsys.readouterr().err == "error: unknown corpus protocol 'zzz'\n"
 
 
 def test_corpus_unknown_name(tmp_path, capsys):

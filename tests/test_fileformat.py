@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,6 +17,7 @@ from qmipsim.fileformat import (
     serialize_weight,
 )
 from qmipsim.specs import (
+    ClassicalTableStrategy,
     DerandomizedStrategy,
     LoggedReplyStrategy,
     ProverSpec,
@@ -154,8 +156,6 @@ def test_unitary_strategy_round_trips():
         space=p.provers[0].space,
         strategy=UnitaryTableStrategy(work=0, steps=steps),
     )
-    import dataclasses
-
     custom = dataclasses.replace(p, provers=(prover,))
     assert parse_protocol(serialize_protocol(custom)) == custom
 
@@ -173,8 +173,6 @@ def test_choices_strategy_round_trips():
         space=2,
         strategy=DerandomizedStrategy(choices=choices),
     )
-    import dataclasses
-
     custom = dataclasses.replace(p, provers=(prover,) + p.provers[1:])
     again = parse_protocol(serialize_protocol(custom))
     assert again.provers[0].strategy == prover.strategy
@@ -193,8 +191,6 @@ def test_load_missing_file():
 
 
 def test_strategies_without_file_form_are_refused():
-    import dataclasses
-
     p = corpus.build("no_comm")
     ad_hoc = ProverSpec(
         index=1,
@@ -206,6 +202,49 @@ def test_strategies_without_file_form_are_refused():
     custom = dataclasses.replace(p, provers=(ad_hoc,) + p.provers[1:])
     with pytest.raises(SpecFileError):
         serialize_protocol(custom)
+
+
+def _with_tape_symbol(p, sym):
+    prover = dataclasses.replace(p.provers[0], tape_alphabet=p.provers[0].tape_alphabet + (sym,))
+    return dataclasses.replace(p, provers=(prover,) + p.provers[1:])
+
+
+def _with_input_symbol(p, sym):
+    return dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, input_alphabet=("1", sym)))
+
+
+def _with_guard_base_symbol(p, sym):
+    guard = p.verifier.fallback
+    bases = (guard.slot_bases[0] + (sym,),) + guard.slot_bases[1:]
+    verifier = dataclasses.replace(p.verifier, fallback=dataclasses.replace(guard, slot_bases=bases))
+    return dataclasses.replace(p, verifier=verifier)
+
+
+@pytest.mark.parametrize("name, declare", [
+    ("parity_relay", _with_tape_symbol),
+    ("parity_relay", _with_input_symbol),
+    ("no_comm_reduce", _with_guard_base_symbol),
+])
+def test_declared_symbols_that_would_not_read_back_are_refused(name, declare):
+    # written unchecked, "a b" came back as two symbols and the round trip changed the protocol
+    with pytest.raises(SpecFileError, match="^symbol 'a b' contains whitespace"):
+        serialize_protocol(declare(corpus.build(name), "a b"))
+
+
+@pytest.mark.parametrize("bad", ["a b", "|", ""])
+def test_strategy_cells_and_choice_replies_are_checked(bad):
+    p = corpus.build("no_comm")
+    strategies = (
+        ClassicalTableStrategy(work=1, rows={("#", ("#",)): ("#", (bad,))}),
+        UnitaryTableStrategy(work=1, steps={None: {("#", (bad,)): [(("#", ("#",)), 1 + 0j)]}}),
+        DerandomizedStrategy(choices={(1, "#", ("#", bad)): "#"}),
+        DerandomizedStrategy(choices={(1, "#", ("#", "#")): bad}),
+    )
+    for strategy in strategies:
+        prover = dataclasses.replace(p.provers[0], space=2, strategy=strategy)
+        custom = dataclasses.replace(p, provers=(prover,) + p.provers[1:])
+        with pytest.raises(SpecFileError, match=f"^symbol {bad!r} "):
+            serialize_protocol(custom)
 
 
 # ---------------------------------------------------------------- strictness
