@@ -80,7 +80,6 @@ from .specs import (
     check_prover_columns,
     check_restrictive,
     check_well_formed,
-    default_space_bound,
     fair_coin_violations,
     fixed_width_binary_encoding,
     make_track_alphabet,

@@ -24,12 +24,12 @@ Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
 most as often. The verifier reads each communication cell every round, so
 the cell is effectively measured: each prover's move becomes probabilistic
-branches with Born weights (`_Forced`), and the run goes through the
-engine's round driver like any classical run. Picking, per reachable (step,
-received symbol, tape), the reply with the smallest aggregate rejection mass
-can only help the provers at each replacement, which gives the dominance
-guarantee. Each candidate reply is scored by resuming the driver from the
-walk's current round.
+branches with Born weights (`_Forced`, declared `measured`), and the run
+goes through the engine's round driver like any classical run. Picking, per
+reachable (step, received symbol, tape), the reply with the smallest
+aggregate rejection mass can only help the provers at each replacement,
+which gives the dominance guarantee. Each candidate reply is scored by
+resuming the driver from the walk's current round.
 """
 from __future__ import annotations
 
@@ -196,9 +196,9 @@ class SearchResult:
     table: list[tuple[tuple[str, ...], float, float]] | None = None
 
 
-def _replay(p: ProtocolSpec, x: str, first, combo, T: int, quantum: bool):
+def _replay(p: ProtocolSpec, x: str, first, combo, T: int):
     """(p_acc, p_rej, leftover) of one combination, its rounds 2..T resumed from the shared round 1."""
-    stats = [first[0]] + [stat for stat, _ in _rounds(_trial(p, combo, T), x, T, quantum, after=first)]
+    stats = [first[0]] + [stat for stat, _ in _rounds(_trial(p, combo, T), x, after=first)]
     return sum(s.p_accept for s in stats), sum(s.p_reject for s in stats), stats[-1].residual_mass
 
 
@@ -234,9 +234,9 @@ class _Round2:
     combination, which raises the error itself.
     """
 
-    def __init__(self, p: ProtocolSpec, tape, first: _Class, quantum: bool):
+    def __init__(self, p: ProtocolSpec, tape, first: _Class):
         v = p.verifier
-        self.quantum = quantum
+        self.quantum = v.is_quantum()
         self.rows = v.rows
         self.accept = v.accept
         self.reject = v.reject
@@ -398,7 +398,7 @@ class _Round2:
         return p_acc, p_rej, leftover
 
 
-def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bool):
+def _sweep(p: ProtocolSpec, x: str, first, families, T: int):
     """(labels, (total p_acc, total p_rej, leftover)) of every combination, in `itertools.product` order.
 
     Within one prefix of earlier picks, last-prover strategies with equal
@@ -410,10 +410,11 @@ def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bo
     """
     stat1, classes = first
     round2 = None
-    if families and T >= 2 and stat1.residual_mass > PRUNE_TOL and not (quantum and x == ""):
-        round2 = _Round2(p, input_tape(x, p.verifier), classes[0], quantum)
+    if families and T >= 2 and stat1.residual_mass > PRUNE_TOL and not (x == "" and p.verifier.is_quantum()):
+        round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
         moves = [[round2.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
         keys = [round2.signature(m) for m in moves[-1]]
+    labels = [[_label(s) for s in fam.strategies] for fam in families]
     picks = itertools.product(*(range(len(fam.strategies)) for fam in families))
     for names, chosen in zip(itertools.product(*labels), picks):
         scored = None
@@ -432,7 +433,7 @@ def _sweep(p: ProtocolSpec, x: str, first, families, labels, T: int, quantum: bo
                 scored = scores[key]
         if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
             combo = tuple(fam.strategies[i] for fam, i in zip(families, chosen))
-            yield names, _replay(p, x, first, combo, T, quantum)
+            yield names, _replay(p, x, first, combo, T)
         else:
             yield names, (stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2])
 
@@ -477,17 +478,14 @@ def search(
         sizes = "x".join(str(len(f.strategies)) for f in families)
         raise FamilyTooLarge(f"{sizes} = {total} combinations exceeds the limit of {cap}")
 
-    quantum = p.verifier.is_quantum()
     # round 1 precedes any prover move, so it is shared by every combination;
     # the tapes must already have the sweep strategies' logging cells
-    first = next(_rounds(_trial(p, (None,) * p.k, T), x, 1, quantum))
-
-    labels = [[_label(s) for s in fam.strategies] for fam in families]
+    first = next(_rounds(_trial(p, (None,) * p.k, T), x))
 
     best = None
     table: list[tuple[tuple[str, ...], float, float]] | None = [] if keep_table else None
     evaluated = 0
-    for names, (total_acc, total_rej, leftover) in _sweep(p, x, first, families, labels, T, quantum):
+    for names, (total_acc, total_rej, leftover) in _sweep(p, x, first, families, T):
         evaluated += 1
         if table is not None:
             table.append((names, total_acc, total_rej))
@@ -547,14 +545,15 @@ class _Forced:
     """A strategy measured right after it moves, with some replies pinned down.
 
     `apply_quantum` returns the Born-measured moves, sorted by reply, as
-    probabilistic branches. The tape state per reply must be a single basis
-    tape, which holds for every strategy here (tape updates only log the
-    received symbol); a strategy that entangles its tape with the reply has
-    no deterministic shadow. At a pinned (step, received, tape) only the
-    pinned reply's moves remain, renormalised. The pinning dict is shared and
-    read live, so choices accumulate in place.
+    probabilistic branches, so the strategy is `measured`. The tape state per
+    reply must be a single basis tape, which holds for every strategy here
+    (tape updates only log the received symbol); a strategy that entangles
+    its tape with the reply has no deterministic shadow. At a pinned (step,
+    received, tape) only the pinned reply's moves remain, renormalised. The
+    pinning dict is shared and read live, so choices accumulate in place.
     """
     kind = "forced"
+    measured = True
 
     def __init__(self, base, fixed: dict):
         self.base = base
@@ -619,14 +618,12 @@ def derandomize_provers(
     if len(strategies) != p.k:
         raise ValidationError(f"need {p.k} strategies, got {len(strategies)}")
     T = cutoff if cutoff is not None else p.cutoff
-    if T < 1:
-        raise ValidationError("cutoff must be at least 1")
     cap = limit if limit is not None else DEFAULT_FAMILY_LIMIT
 
     fixed: list[dict] = [{} for _ in range(p.k)]
     wrapped = [_Forced(s, fixed[i]) for i, s in enumerate(strategies)]
     trial = _trial(p, wrapped, T)
-    quantum_run = _run(trial, x, T, quantum=False, measured=True)
+    quantum_run = _run(trial, x, None)
 
     # provers write only their own slots, so prover i's local states at a step
     # are those of the residual after round `step`; one walk, advanced a round
@@ -634,7 +631,7 @@ def derandomize_provers(
     # scores each candidate from there, after the rejection summed so far
     decisions = 0
     prefix = 0.0
-    for stat, classes in itertools.islice(_rounds(trial, x, T, quantum=False, measured=True), T - 1):
+    for stat, classes in itertools.islice(_rounds(trial, x), T - 1):
         step = stat.index
         prefix += stat.p_reject
         for i in range(p.k):
@@ -652,14 +649,14 @@ def derandomize_provers(
                 best: tuple[float, str] | None = None
                 for tau in candidates:
                     fixed[i][key] = tau
-                    rest = _rounds(trial, x, T, quantum=False, measured=True, after=(stat, classes))
+                    rest = _rounds(trial, x, after=(stat, classes))
                     rej = sum((later.p_reject for later, _ in rest), prefix)
                     if best is None or rej < best[0] - TIE_TOL:
                         best = (rej, tau)
                 fixed[i][key] = best[1]
 
     out = tuple(DerandomizedStrategy(choices=dict(fixed[i])) for i in range(p.k))
-    det_run = run_classical(_trial(p, out, T), x, T)
+    det_run = run_classical(_trial(p, out, T), x)
     report = DerandomizeReport(
         quantum_p_accept=quantum_run.p_accept,
         quantum_p_reject=quantum_run.p_reject,

@@ -228,11 +228,11 @@ def test_inputs(name: str) -> tuple[str, ...]:
 
 
 def emit(directory: str, names: list[str] | None = None) -> list[str]:
-    """Write corpus protocols as .qmip files; returns the paths written."""
+    """Write corpus protocols as .qmip files, all built before the first write; returns the paths."""
+    names = sorted(REGISTRY) if names is None else names
+    protocols = [build(name) for name in names]
     os.makedirs(directory, exist_ok=True)
-    written = []
-    for name in names if names is not None else sorted(REGISTRY):
-        path = os.path.join(directory, f"{name}.qmip")
-        save_protocol(path, build(name))
-        written.append(path)
+    written = [os.path.join(directory, f"{name}.qmip") for name in names]
+    for path, p in zip(written, protocols):
+        save_protocol(path, p)
     return written

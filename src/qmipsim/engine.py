@@ -26,14 +26,15 @@ multiplicity 1.
 
 `_rounds` is the one round driver: a generator that yields each round as it
 is run, which `_run` consumes whole and derandomization (`adversary`) steps
-through one round at a time. It resumes from any pair it yielded (`after`):
-sweep replays resume from the shared round 1, and derandomization scores
-each candidate reply from the walk's current round.
+through one round at a time. Its run is the protocol's: the verifier's mode
+sets how rounds are measured and the cutoff where they stop. It resumes from
+any pair it yielded (`after`): sweep replays resume from the shared round 1,
+and derandomization scores each candidate reply from the walk's current round.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 from typing import Callable, Iterator, NamedTuple
@@ -109,11 +110,12 @@ def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -
     """The moves of `provers` at `step` as one sparse operator.
 
     Provers write disjoint slots, so the product of their moves per source
-    equals applying them one after another; slots of other provers keep
-    their cell and tape. Applied to a state, the composition is pruned once,
-    after the last prover.
+    equals applying them one after another; other slots keep their cell and
+    tape. The composition is pruned once, after the last prover. A slot moves
+    by `apply_quantum` when `quantum` is set or its strategy is `measured`.
     """
-    by_slot = {prover.index - 1: prover.strategy for prover in provers}
+    by_slot = {pr.index - 1: (pr.strategy, quantum or getattr(pr.strategy, "measured", False))
+               for pr in provers}
 
     def op(config: Configuration):
         q, head, comm, tapes = config
@@ -121,10 +123,10 @@ def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -
             return [(config, 1.0)]
         per_slot = []
         for slot, (cell, tape) in enumerate(zip(comm, tapes)):
-            strategy = by_slot.get(slot)
+            strategy, moves_quantum = by_slot.get(slot, (None, False))
             if strategy is None:
                 per_slot.append((((cell, tape), 1.0),))
-            elif quantum:
+            elif moves_quantum:
                 per_slot.append(strategy.apply_quantum(step, cell, tape))
             else:
                 per_slot.append(((strategy.apply_classical(step, cell, tape), 1.0),))
@@ -217,7 +219,7 @@ def _column(branches, quantum: bool, accept, reject) -> _Column:
 
 
 def _verify_and_measure(
-    state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...], quantum: bool
+    state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...]
 ) -> tuple[float, float, float, StateVector]:
     """Verifier stage and measurement in one pass.
 
@@ -232,6 +234,7 @@ def _verify_and_measure(
     its live targets become configurations. Columns come from
     verifier_operator, once per (state, head, comm).
     """
+    quantum = verifier.is_quantum()
     op = verifier_operator(verifier, tape)
     accept, reject = verifier.accept, verifier.reject
     columns: dict = {}
@@ -291,22 +294,20 @@ def run_round(
     tape: tuple[str, ...],
     state: StateVector,
     round_index: int,
-    quantum: bool,
     *,
     before: float | None = None,
-    measured: bool = False,
 ) -> tuple[float, float, StateVector]:
     """One full round; returns (accept mass, reject mass, unnormalized residual).
 
-    `before` is the state's mass when the caller already holds it. With
-    `measured`, a classical verifier's provers move by `apply_quantum`, whose
-    weights are then probabilities (derandomization's measured provers).
+    The verifier's mode says whether masses are squared amplitudes or plain
+    weights. `before` is the state's mass when the caller already holds it.
     """
+    quantum = p.verifier.is_quantum()
     if before is None:
         before = _mass(state, quantum)
     if round_index >= 2:
-        state = apply_sparse_operator(prover_operator(p.provers, round_index - 1, quantum or measured), state)
-    after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, quantum)
+        state = apply_sparse_operator(prover_operator(p.provers, round_index - 1, quantum), state)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape)
     _check_round(round_index, before, after, p_acc, p_rej, _mass(residual, quantum))
     return p_acc, p_rej, residual
 
@@ -325,11 +326,11 @@ class _Fold(NamedTuple):
     carried: tuple[tuple[int, ...], ...]  # cells touched so far and again later
 
 
-def _fold_after(p: ProtocolSpec, j: int, cutoff: int, touched: dict) -> _Fold | None:
+def _fold_after(p: ProtocolSpec, j: int, touched: dict) -> _Fold | None:
     """The fold after round j; None when no tape cell dies in round j.
 
     The provers move at step j-1 in round j. A cell is dead after round j
-    when some move has touched it and no move up to the cutoff touches it
+    when some move has touched it and no move up to p's cutoff touches it
     again. Cells no move has touched yet hold the blank in every history, so
     only `carried` cells can tell two histories apart outside dead cells.
     `touched` memoizes each step's cells for the run.
@@ -339,18 +340,18 @@ def _fold_after(p: ProtocolSpec, j: int, cutoff: int, touched: dict) -> _Fold | 
             touched[step] = [_touched(prover, step) for prover in p.provers]
         return touched[step]
 
-    if not 2 <= j < cutoff:
+    if not 2 <= j < p.cutoff:
         return None
     # most cells a move touches are touched again at the next step, so scan forward lazily
     dying = [set(cells) for cells in at(j - 1)]
-    for step in range(j, cutoff):
+    for step in range(j, p.cutoff):
         if not any(dying):
             return None
         for cells, now in zip(dying, at(step)):
             cells -= now
     if not any(dying):
         return None
-    later = [frozenset().union(*cells) for cells in zip(*(at(s) for s in range(j, cutoff)))]
+    later = [frozenset().union(*cells) for cells in zip(*(at(s) for s in range(j, p.cutoff)))]
     earlier = [frozenset().union(*cells) for cells in zip(*(at(s) for s in range(1, j)))]
     return _Fold(
         tuple(tuple(sorted(a - b)) for a, b in zip(earlier, later)),
@@ -405,33 +406,33 @@ def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
 
 
 def _rounds(
-    p: ProtocolSpec, x: str, cutoff: int, quantum: bool, measured: bool = False,
-    after: tuple[RoundStat, list[_Class]] | None = None,
+    p: ProtocolSpec, x: str, after: tuple[RoundStat, list[_Class]] | None = None,
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
-    The last round yielded is the cutoff's or the first whose residual mass is
-    at most PRUNE_TOL. Round j+1 is built only when the caller asks for it,
-    from the provers' strategies as they are then. `measured` is run_round's.
-    `after` resumes from a pair the run yielded, round 0 (the initial state)
-    by default; the rounds that follow are the uninterrupted run's.
+    The last round yielded is `p.cutoff`'s or the first whose residual mass
+    is at most PRUNE_TOL. Round j+1 is built only when the caller asks for
+    it, from the provers' strategies as they are then. `after` resumes from
+    a pair the run yielded, round 0 (the initial state) by default; the
+    rounds that follow are the uninterrupted run's.
     """
+    quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
     touched: dict = {}
     if after is None:
         after = RoundStat(0, 0.0, 0.0, 1.0, 1), [_Class(initial_state(p, x), 1, 1.0)]
     stat, survivors = after
     before = stat.residual_mass
-    for j in range(stat.index + 1, cutoff + 1):
+    for j in range(stat.index + 1, p.cutoff + 1):
         if before <= PRUNE_TOL:
             return
-        fold = _fold_after(p, j - 1, cutoff, touched)
+        fold = _fold_after(p, j - 1, touched)
         classes = survivors if fold is None else _fold(survivors, fold)
         p_acc = p_rej = residual_mass = 0.0
         configurations = 0
         survivors = []
         for state, multiplicity, mass in classes:
-            acc, rej, residual = run_round(p, tape, state, j, quantum, before=mass, measured=measured)
+            acc, rej, residual = run_round(p, tape, state, j, before=mass)
             left = _mass(residual, quantum)
             p_acc += multiplicity * acc
             p_rej += multiplicity * rej
@@ -446,12 +447,12 @@ def _rounds(
         before = residual_mass
 
 
-def _run(p: ProtocolSpec, x: str, cutoff: int | None, quantum: bool, measured: bool = False) -> RunResult:
-    if cutoff is None:
-        cutoff = p.cutoff
-    if cutoff < 1:
+def _run(p: ProtocolSpec, x: str, cutoff: int | None) -> RunResult:
+    if cutoff is not None:
+        p = replace(p, cutoff=cutoff)
+    if p.cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
-    rounds = [stat for stat, _ in _rounds(p, x, cutoff, quantum, measured)]
+    rounds = [stat for stat, _ in _rounds(p, x)]
     last = rounds[-1]
     halted = last.index if last.residual_mass <= PRUNE_TOL else None
     return RunResult(
@@ -471,18 +472,16 @@ def run(p: ProtocolSpec, x: str, cutoff: int | None = None) -> RunResult:
     """Simulate a quantum-verifier protocol on x up to the round cutoff."""
     if not p.verifier.is_quantum():
         raise ValidationError(f"mode {p.verifier.mode!r} is classical; use run_classical")
-    return _run(p, x, cutoff, quantum=True)
+    return _run(p, x, cutoff)
 
 
 def run_classical(p: ProtocolSpec, x: str, cutoff: int | None = None) -> RunResult:
     """Simulate a probabilistic-verifier protocol; weights are probabilities, never squared."""
     if p.verifier.is_quantum():
         raise ValidationError(f"mode {p.verifier.mode!r} is quantum; use run")
-    return _run(p, x, cutoff, quantum=False)
+    return _run(p, x, cutoff)
 
 
 def simulate(p: ProtocolSpec, x: str, cutoff: int | None = None) -> RunResult:
-    """Dispatch to run or run_classical based on the verifier's mode."""
-    if p.verifier.is_quantum():
-        return run(p, x, cutoff)
-    return run_classical(p, x, cutoff)
+    """Simulate p on x up to the round cutoff; its verifier's mode picks amplitudes or probabilities."""
+    return _run(p, x, cutoff)

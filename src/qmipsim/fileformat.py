@@ -33,9 +33,12 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
+from operator import itemgetter
 
 from .errors import SpecFileError
 from .specs import (
+    LEFT_END,
+    RIGHT_END,
     ClassicalTableStrategy,
     DerandomizedStrategy,
     EraserStrategy,
@@ -498,24 +501,39 @@ def _strategy_lines(strategy, space: int) -> list[str]:
     return lines
 
 
-def serialize_protocol(p: ProtocolSpec) -> str:
-    """The file text of p, refusing any symbol, state or name that would not read back as itself.
+def _rules_declared(v: VerifierSpec, rows) -> bool:
+    """Whether `rows` reads and writes only v's states and symbols, one per channel, and moves by -1, 0 or +1.
 
-    Rules, the initial state and the halting sets draw only on the declared
-    states and communication alphabets (`validate_protocol`), so checking
-    the declarations covers them.
+    Every write runs this, so each test is one C loop over all rows at once.
     """
+    branches = [branch for row in rows.values() for branch in row]
+    cells = [*map(itemgetter(2), rows), *map(itemgetter(2), branches)]
+    states = set(v.states)
+    return (states.issuperset(map(itemgetter(0), rows)) and states.issuperset(map(itemgetter(0), branches))
+            and {*v.input_alphabet, LEFT_END, RIGHT_END}.issuperset(map(itemgetter(1), rows))
+            and {-1, 0, 1}.issuperset(map(itemgetter(1), branches)) and set(map(len, cells)) <= {v.k}
+            and all(map(set.issuperset, map(set, v.comm_alphabets), zip(*cells))))
+
+
+def serialize_protocol(p: ProtocolSpec) -> str:
+    """The file text of p, refusing any symbol, state or name that would not read back as itself."""
     v = p.verifier
     out = [FORMAT_HEADER, f"name = {_check_token(p.name, 'name')}", f"mode = {v.mode}",
            f"provers = {p.k}", f"a = {serialize_weight(p.a)}", f"b = {serialize_weight(p.b)}",
            f"cutoff = {p.cutoff}", "", "[verifier]"]
     out.append("states = " + _symbols(v.states, "state"))
+    named = {v.initial, *v.accept, *v.reject}
+    if not named.issubset(v.states):
+        raise SpecFileError(f"initial or halting states {sorted(named - set(v.states))} are not declared")
     out.append(f"initial = {v.initial}")
     out.append("accept = " + " ".join(sorted(v.accept)))
     out.append("reject = " + " ".join(sorted(v.reject)))
     out.append("input = " + _symbols(v.input_alphabet))
     for i, alphabet in enumerate(v.comm_alphabets, start=1):
         out.append(f"comm-{i} = " + _symbols(alphabet))
+    if not _rules_declared(v, v.rows):
+        bad = next(key for key, row in v.rows.items() if not _rules_declared(v, {key: row}))
+        raise SpecFileError(f"rule {bad!r} names an undeclared state or symbol, or a bad head move")
     for (q, sigma, comm), branches in v.rows.items():
         chunks = []
         for (q2, d, sent, w) in branches:

@@ -105,12 +105,6 @@ def xor_symbols(encoding: Mapping[str, str], a: str, b: str) -> str:
     )
 
 
-def default_space_bound(cutoff: int, comm_alphabets: Iterable[Sequence[str]]) -> int:
-    """Private tape cells sufficient for any strategy here: 2*T*ceil(log2(max |comm alphabet|))."""
-    widest = max((len(g) for g in comm_alphabets), default=2)
-    return 2 * cutoff * max(1, math.ceil(math.log2(max(widest, 2))))
-
-
 # ---------------------------------------------------------------------------
 # prover strategies
 #
@@ -711,12 +705,7 @@ def fair_coin_violations(v: VerifierSpec) -> list[str]:
     return out
 
 
-def check_prover_columns(
-    prover: ProverSpec,
-    step: int,
-    tapes: Iterable[Tape],
-    tol: float = ORTHO_TOL,
-) -> WellFormedReport:
+def check_prover_columns(prover: ProverSpec, step: int, tapes: Iterable[Tape]) -> WellFormedReport:
     """Enumerate a strategy's columns over given tapes and check orthonormality.
 
     Basis states outside the strategy's defined domain (MissingTransition)
@@ -737,9 +726,9 @@ def check_prover_columns(
     violations = []
     for key, vec in vectors.items():
         norm = sum((w * w.conjugate()).real for w in vec.values())
-        if abs(norm - 1.0) > tol:
+        if abs(norm - 1.0) > ORTHO_TOL:
             violations.append(f"column {key} has squared norm {norm:.12g}")
     for (ka, kb), ip in sparse_gram(vectors).items():
-        if abs(ip) > tol:
+        if abs(ip) > ORTHO_TOL:
             violations.append(f"columns {ka} and {kb} have inner product {abs(ip):.12g}")
     return WellFormedReport(not violations, violations)

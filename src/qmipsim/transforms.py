@@ -363,11 +363,7 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
 # unitary completion
 
 def complete_unitary(
-    partial: dict,
-    input_basis: list,
-    output_basis: list,
-    prefer: dict | None = None,
-    tol: float = ORTHO_TOL,
+    partial: dict, input_basis: list, output_basis: list, prefer: dict | None = None
 ) -> dict:
     """Extend a partial isometry to a full unitary over the given bases.
 
@@ -401,11 +397,11 @@ def complete_unitary(
             have.append(col)
     for i, ci in enumerate(have):
         norm = np.linalg.norm(matrix[:, ci])
-        if abs(norm - 1.0) > tol:
+        if abs(norm - 1.0) > ORTHO_TOL:
             raise NotOrthonormal(f"column for {input_basis[ci]!r} has norm {norm:.12g}")
         for cj in have[i + 1:]:
             ip = np.vdot(matrix[:, ci], matrix[:, cj])
-            if abs(ip) > tol:
+            if abs(ip) > ORTHO_TOL:
                 raise NotOrthonormal(
                     f"columns for {input_basis[ci]!r} and {input_basis[cj]!r} are not orthogonal"
                 )
@@ -427,7 +423,7 @@ def complete_unitary(
             for v in chosen:
                 cand = cand - np.vdot(v, cand) * v
             nrm = np.linalg.norm(cand)
-            if nrm > max(tol, RANK_TOL):
+            if nrm > max(ORTHO_TOL, RANK_TOL):
                 picked = cand / nrm
                 break
         if picked is None:

@@ -7,6 +7,7 @@ bounds use 1e-9.
 """
 import collections
 import dataclasses
+import math
 import pathlib
 import time
 
@@ -19,7 +20,6 @@ from qmipsim.specs import (
     check_restrictive,
     check_well_formed,
     constant_reply,
-    default_space_bound,
     rotation_reply,
     sparse_gram,
     validate_protocol,
@@ -215,7 +215,9 @@ def test_c8_extra_tape_space_changes_nothing():
     problems = []
     for name, x in (("no_comm_reduce", "0"), ("no_comm_lift", "0"), ("parity_relay", "11")):
         p = corpus.build(name)
-        bound = default_space_bound(p.cutoff, p.verifier.comm_alphabets)
+        # 2 T ceil(log2 |widest channel alphabet|) cells: room for any strategy here
+        widest = max(len(alphabet) for alphabet in p.verifier.comm_alphabets)
+        bound = 2 * p.cutoff * max(1, math.ceil(math.log2(widest)))
         roomy = dataclasses.replace(
             p,
             provers=tuple(

@@ -220,10 +220,10 @@ def replayed_rounds(monkeypatch):
     rounds = []
     driving = []
 
-    def counting(p, tape, state, round_index, quantum, **kwargs):
+    def counting(p, tape, state, round_index, **kwargs):
         if driving:
             rounds.append(round_index)
-        return run_round(p, tape, state, round_index, quantum, **kwargs)
+        return run_round(p, tape, state, round_index, **kwargs)
 
     def driver(*args, **kwargs):
         steps = engine._rounds(*args, **kwargs)
@@ -262,9 +262,9 @@ def replayed_combos(monkeypatch):
     replayed = []
     replay = adversary._replay
 
-    def spy(p, x, first, combo, T, quantum):
+    def spy(p, x, first, combo, T):
         replayed.append(tuple(s.label for s in combo))
-        return replay(p, x, first, combo, T, quantum)
+        return replay(p, x, first, combo, T)
 
     monkeypatch.setattr(adversary, "_replay", spy)
     return replayed
@@ -747,14 +747,14 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
     tape = input_tape(x, p.verifier)
     quantum = p.verifier.is_quantum()
     state0 = {Configuration(p.verifier.initial, 0, (BLANK,) * p.k, ((BLANK,) * cutoff,) * p.k): 1.0 + 0j}
-    acc1, rej1, residual1 = run_round(p, tape, state0, 1, quantum)
+    acc1, rej1, residual1 = run_round(p, tape, state0, 1)
     mass1 = _mass(residual1, quantum)
     first = (engine.RoundStat(1, acc1, rej1, mass1, len(residual1)), [engine._Class(residual1, 1, mass1)])
     combos = list(itertools.product(*(f.strategies for f in families)))
     assert len(result.table) == len(combos)
     leftover = {}
     for combo, (labels, acc, rej) in zip(combos, result.table):
-        want_acc, want_rej, leftover[labels] = adversary._replay(p, x, first, combo, cutoff, quantum)
+        want_acc, want_rej, leftover[labels] = adversary._replay(p, x, first, combo, cutoff)
         assert labels == tuple(s.label for s in combo)
         assert acc == pytest.approx(want_acc, abs=1e-12), labels
         assert rej == pytest.approx(want_rej, abs=1e-12), labels
@@ -890,7 +890,7 @@ def _reference_tree(p, x, strategies, pins, pause=None):
             if pause == (j - 1, i):
                 return state
             state = apply_sparse_operator(measured(i, j - 1), state)
-        _, acc, rej, state = _verify_and_measure(state, p.verifier, tape, quantum=False)
+        _, acc, rej, state = _verify_and_measure(state, p.verifier, tape)
         total_acc += acc
         total_rej += rej
         if sum(a.real for a in state.values()) <= PRUNE_TOL:

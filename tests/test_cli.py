@@ -257,6 +257,11 @@ def test_corpus_only_filter(tmp_path, capsys):
     assert len(written) == 2
     assert main(["corpus", str(tmp_path), "--only", "zzz"]) == 3
     assert capsys.readouterr().err == "error: unknown corpus protocol 'zzz'\n"
+    # a known name before the unknown one is not written either
+    fresh = tmp_path / "fresh"
+    assert main(["corpus", str(fresh), "--only", "no_comm", "--only", "zzz"]) == 3
+    assert capsys.readouterr().err == "error: unknown corpus protocol 'zzz'\n"
+    assert not list(tmp_path.glob("fresh/*.qmip"))
 
 
 def test_corpus_unknown_name(tmp_path, capsys):

@@ -158,6 +158,37 @@ def test_run_refuses_wrong_engine_for_mode():
         run_classical(corpus.build("coinflip_quantum"), "0")
 
 
+def _relay_with_prover_1(strategy):
+    p = corpus.build("parity_relay")
+    prover = dataclasses.replace(p.provers[0], space=p.cutoff, strategy=strategy)
+    return dataclasses.replace(p, provers=(prover,) + p.provers[1:])
+
+
+def test_a_classical_run_refuses_a_branching_strategy():
+    # a classical verifier moves its provers by apply_classical, which has no
+    # form for a superposition; falling back to apply_quantum would weigh the
+    # branches by amplitude
+    with pytest.raises(ValidationError, match="branches; no classical form"):
+        simulate(_relay_with_prover_1(rotation_reply(BLANK, "1")), "1")
+
+
+class _MeasuredCoin:
+    """Replies "1" with probability 0.3 and BLANK otherwise, its weights already probabilities."""
+    measured = True
+
+    def apply_quantum(self, step, comm, tape):
+        return [(("1", tape), 0.3), ((BLANK, tape), 0.7)]
+
+
+def test_a_measured_strategy_moves_by_apply_quantum_in_a_classical_run():
+    # on "1" the relay accepts exactly when prover 1's second reply is "1";
+    # the first reply, whatever it is, leads to the same configuration
+    result = run_classical(_relay_with_prover_1(_MeasuredCoin()), "1")
+    assert result.p_accept == pytest.approx(0.3, abs=1e-12)
+    assert result.p_reject == pytest.approx(0.7, abs=1e-12)
+    assert result.halted_round == 3
+
+
 def test_missing_row_surfaces_as_missing_transition():
     verifier = VerifierSpec(
         mode="1pfa",
@@ -265,7 +296,7 @@ def test_verify_and_measure_splits_mass():
         ("qa", "qb"),
     )
     state = {_at("qa"): complex(H), _at("qb"): complex(0, H)}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END), True)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END))
     assert after == pytest.approx(1.0)
     assert p_acc == pytest.approx(0.5)
     assert p_rej == pytest.approx(0.5)
@@ -281,7 +312,7 @@ def test_verify_and_measure_residual_stays_unnormalized():
         ("qa", "qm", "mid"),
     )
     state = {_at("qa"): 0.5 + 0j, _at("qm"): 0.5 + 0j}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END), True)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END))
     assert after == pytest.approx(0.5)
     assert p_acc == pytest.approx(0.25)
     assert p_rej == 0.0
@@ -299,7 +330,7 @@ def test_verify_and_measure_reads_each_head_and_prunes_cancellations():
         ("qm", "mid"),
     )
     state = {_at("qm", 0): 0.6 + 0j, _at("qm", 1): 0.8 + 0j}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, "0", RIGHT_END), True)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, "0", RIGHT_END))
     assert p_acc == pytest.approx(0.64)
     assert after == pytest.approx(0.64)
     assert residual == {}
@@ -430,7 +461,7 @@ def test_tiny_single_member_prunes_like_the_staged_reference():
         Configuration("qm", 0, (BLANK,), (("y",),)): 0.5j,
     }
     assert 1e-13 * 1e-3 < PRUNE_TOL
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape, True)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape)
     want_acc, want_rej, want = _reference_round(p, tape, state, 1, True)
     assert set(residual) == set(want)
     assert Configuration("m2", 1, (BLANK,), (("x",),)) not in residual
@@ -476,7 +507,7 @@ def test_pass_matches_the_staged_reference_on_random_2qfa_states(rows, state):
     # only has to agree with the staged verifier stage and split
     verifier = _two_way(rows, _STATES, comm=_CELLS)
     tape = (LEFT_END, "0", RIGHT_END)
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape, True)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape)
     want_acc, want_rej, want = _reference_round(_with_eraser(verifier), tape, state, 1, True)
     assert p_acc == pytest.approx(want_acc, abs=1e-12)
     assert p_rej == pytest.approx(want_rej, abs=1e-12)
@@ -592,7 +623,7 @@ def test_fused_round_matches_staged_reference(name, x):
     state = initial_state(p, x)
     for stat in simulate(p, x).rounds:
         want_acc, want_rej, want = _reference_round(p, tape, state, stat.index, quantum)
-        p_acc, p_rej, state = run_round(p, tape, state, stat.index, quantum)
+        p_acc, p_rej, state = run_round(p, tape, state, stat.index)
         assert p_acc == pytest.approx(want_acc, abs=1e-12)
         assert p_rej == pytest.approx(want_rej, abs=1e-12)
         assert set(state) == set(want)
@@ -656,12 +687,11 @@ def test_history_classes_agree_with_the_whole_tape_run(name, x):
 )
 def test_resuming_the_driver_yields_the_rest_of_the_run(name, x):
     p = _protocol(name)
-    quantum = p.verifier.is_quantum()
-    whole = list(_rounds(p, x, p.cutoff, quantum))
+    whole = list(_rounds(p, x))
     if name == "parity_relay_reduced":
         assert any(c.multiplicity > 1 for _, classes in whole for c in classes)
     for j, pair in enumerate(whole):
-        assert list(_rounds(p, x, p.cutoff, quantum, after=pair)) == whole[j + 1:], j + 1
+        assert list(_rounds(p, x, after=pair)) == whole[j + 1:], j + 1
 
 
 _SWEPT = {

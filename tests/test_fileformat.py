@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -245,6 +246,40 @@ def test_strategy_cells_and_choice_replies_are_checked(bad):
         custom = dataclasses.replace(p, provers=(prover,) + p.provers[1:])
         with pytest.raises(SpecFileError, match=f"^symbol {bad!r} "):
             serialize_protocol(custom)
+
+
+@pytest.mark.parametrize("change, undeclared", [
+    # written unchecked, the accept set came back as {a, b, acc}
+    (lambda v: dataclasses.replace(v, accept=v.accept | {"a b"}), "a b"),
+    (lambda v: dataclasses.replace(v, reject=v.reject | {"q9"}), "q9"),
+    (lambda v: dataclasses.replace(v, initial="q9"), "q9"),
+], ids=["accept", "reject", "initial"])
+def test_halting_sets_and_initial_state_are_checked(change, undeclared):
+    p = corpus.build("no_comm")
+    with pytest.raises(SpecFileError, match=re.escape(f"initial or halting states {[undeclared]} are not declared")):
+        serialize_protocol(dataclasses.replace(p, verifier=change(p.verifier)))
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda key, branch: (("q9",) + key[1:], branch),
+    lambda key, branch: ((key[0], "#") + key[2:], branch),
+    lambda key, branch: (key[:2] + (("#", "zz"),), branch),
+    lambda key, branch: (key[:2] + (("#",),), branch),
+    # written unchecked, the file failed to load: "branch needs weight, state, move, and 2 sent symbols"
+    lambda key, branch: (key, ("a b",) + branch[1:]),
+    lambda key, branch: (key, branch[:2] + (("#", "zz"),) + branch[3:]),
+    lambda key, branch: (key, branch[:2] + (("#",),) + branch[3:]),
+    # written unchecked, a move of 2 read back as 0
+    lambda key, branch: (key, branch[:1] + (2,) + branch[2:]),
+], ids=["source", "input", "received", "received-arity", "target", "sent", "sent-arity", "move"])
+def test_rule_states_symbols_and_moves_are_checked(rewrite):
+    p = corpus.build("no_comm")
+    (key, branches), *rest = p.verifier.rows.items()
+    bad_key, bad_branch = rewrite(key, branches[0])
+    rows = {bad_key: (bad_branch,) + branches[1:], **dict(rest)}
+    verifier = dataclasses.replace(p.verifier, rows=rows)
+    with pytest.raises(SpecFileError, match=f"^rule {re.escape(repr(bad_key))} names an undeclared state or symbol, "):
+        serialize_protocol(dataclasses.replace(p, verifier=verifier))
 
 
 # ---------------------------------------------------------------- strictness

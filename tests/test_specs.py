@@ -35,7 +35,6 @@ from qmipsim.specs import (
     check_well_formed,
     constant_reply,
     declared_cells,
-    default_space_bound,
     echo_reply,
     fair_coin_violations,
     fixed_width_binary_encoding,
@@ -117,11 +116,6 @@ def test_xor_symbols_needs_power_of_two():
     enc = fixed_width_binary_encoding(("#", "a", "b"))
     with pytest.raises(AlphabetMismatch):
         xor_symbols(enc, "a", "b")
-
-
-def test_default_space_bound():
-    assert default_space_bound(2, [("#", "a")]) == 4
-    assert default_space_bound(2, [tuple(f"s{i}" for i in range(256))]) == 32
 
 
 # ---------------------------------------------------------------- strategies
