@@ -80,6 +80,7 @@ def _print_run(result: RunResult, machine: bool, trace: bool) -> None:
                     f" round.{st.index}.reject={st.p_reject:.9f}"
                     f" round.{st.index}.residual={st.residual_mass:.9f}"
                     f" round.{st.index}.configs={st.configurations}"
+                    f" round.{st.index}.stored={st.stored}"
                 )
         print(f"p_rej={result.p_reject:.9f}")
         print(f"leftover={result.leftover:.9f}")
@@ -90,7 +91,7 @@ def _print_run(result: RunResult, machine: bool, trace: bool) -> None:
                 print(
                     f"round {st.index}: accept {st.p_accept:.9f}"
                     f" reject {st.p_reject:.9f} residual {st.residual_mass:.9f}"
-                    f" ({st.configurations} configurations)"
+                    f" ({st.configurations} configurations, {st.stored} stored)"
                 )
         if result.halted_round is not None:
             print(f"halted at round {result.halted_round}; steps counted: {result.steps_counted}")

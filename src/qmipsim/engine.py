@@ -17,11 +17,13 @@ Strategies declare the tape cells each move reads or writes
 (`specs.declared_cells`); a cell no later move touches is dead. The part of
 the state with one content of the dead cells, a history, never interferes
 with another again, and histories whose states agree outside dead cells
-evolve identically. So after a round in which a cell dies, the driver keeps
-them once, as a class with an integer multiplicity: it calls `run_round`
-once per class and weights each class's masses by its multiplicity.
+evolve identically. So as soon as a cell dies, right after the prover stage
+of the round in which it dies, the driver keeps them once, as a class with
+an integer multiplicity: the verifier pass and its measurement then run
+once per class, and each class's masses are weighted by its multiplicity.
 `RoundStat.configurations` is the sum of multiplicity times residual size,
-exactly the pure state's count. A run where no cell dies is one class of
+exactly the pure state's count; `RoundStat.stored` is the sum of residual
+sizes, what the driver holds. A run where no cell dies is one class of
 multiplicity 1.
 
 `_rounds` is the one round driver: a generator that yields each round as it
@@ -62,11 +64,14 @@ class Configuration(NamedTuple):
 
 @dataclass
 class RoundStat:
+    """One round's masses and sizes: `configurations` counts the pure state's
+    configurations after the round, `stored` those the driver keeps for them."""
     index: int
     p_accept: float
     p_reject: float
     residual_mass: float
     configurations: int
+    stored: int
 
 
 @dataclass
@@ -289,6 +294,13 @@ def _check_round(
         raise RunFault(f"measurement at round {round_index} lost probability mass")
 
 
+def _prover_stage(p: ProtocolSpec, state: StateVector, round_index: int) -> StateVector:
+    """The provers' moves of round `round_index` applied to `state`; round 1 has none."""
+    if round_index < 2:
+        return state
+    return apply_sparse_operator(prover_operator(p.provers, round_index - 1, p.verifier.is_quantum()), state)
+
+
 def run_round(
     p: ProtocolSpec,
     tape: tuple[str, ...],
@@ -297,16 +309,16 @@ def run_round(
     *,
     before: float | None = None,
 ) -> tuple[float, float, StateVector]:
-    """One full round; returns (accept mass, reject mass, unnormalized residual).
+    """One full round of one state, unfolded; returns (accept mass, reject mass, residual).
 
     The verifier's mode says whether masses are squared amplitudes or plain
     weights. `before` is the state's mass when the caller already holds it.
+    The round driver runs the same two stages with the fold between them.
     """
     quantum = p.verifier.is_quantum()
     if before is None:
         before = _mass(state, quantum)
-    if round_index >= 2:
-        state = apply_sparse_operator(prover_operator(p.provers, round_index - 1, quantum), state)
+    state = _prover_stage(p, state, round_index)
     after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape)
     _check_round(round_index, before, after, p_acc, p_rej, _mass(residual, quantum))
     return p_acc, p_rej, residual
@@ -327,13 +339,14 @@ class _Fold(NamedTuple):
 
 
 def _fold_after(p: ProtocolSpec, j: int, touched: dict) -> _Fold | None:
-    """The fold after round j; None when no tape cell dies in round j.
+    """The fold after the prover stage of round j; None when no tape cell dies in round j.
 
-    The provers move at step j-1 in round j. A cell is dead after round j
+    The provers move at step j-1 in round j. A cell is dead from that move on
     when some move has touched it and no move up to p's cutoff touches it
-    again. Cells no move has touched yet hold the blank in every history, so
-    only `carried` cells can tell two histories apart outside dead cells.
-    `touched` memoizes each step's cells for the run.
+    again, so the driver folds before round j's verifier pass. Cells no move
+    has touched yet hold the blank in every history, so only `carried` cells
+    can tell two histories apart outside dead cells. `touched` memoizes each
+    step's cells for the run.
     """
     def at(step: int) -> list[frozenset[int]]:
         if step not in touched:
@@ -410,40 +423,52 @@ def _rounds(
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
-    The last round yielded is `p.cutoff`'s or the first whose residual mass
-    is at most PRUNE_TOL. Round j+1 is built only when the caller asks for
-    it, from the provers' strategies as they are then. `after` resumes from
-    a pair the run yielded, round 0 (the initial state) by default; the
-    rounds that follow are the uninterrupted run's.
+    Each round runs the prover stage per class, folds the cells that died in
+    it (`_fold_after`), then runs the verifier pass and its measurement per
+    folded class. The last round yielded is `p.cutoff`'s or the first whose
+    residual mass is at most PRUNE_TOL. Round j+1 is built only when the
+    caller asks for it, from the provers' strategies as they are then.
+    `after` resumes from a pair the run yielded, round 0 (the initial state)
+    by default; the rounds that follow are the uninterrupted run's.
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
     touched: dict = {}
     if after is None:
-        after = RoundStat(0, 0.0, 0.0, 1.0, 1), [_Class(initial_state(p, x), 1, 1.0)]
+        after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
     stat, survivors = after
     before = stat.residual_mass
     for j in range(stat.index + 1, p.cutoff + 1):
         if before <= PRUNE_TOL:
             return
-        fold = _fold_after(p, j - 1, touched)
-        classes = survivors if fold is None else _fold(survivors, fold)
+        # a class keeps its mass from before the prover stage: an unfolded class
+        # checks both stages against it in its verifier pass, a fold checks each first
+        classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
+        fold = _fold_after(p, j, touched)
+        if fold is not None:
+            for moved, _, mass in classes:
+                moved_mass = _mass(moved, quantum)
+                _check_round(j, mass, moved_mass, 0.0, 0.0, moved_mass)
+            classes = _fold(classes, fold)
         p_acc = p_rej = residual_mass = 0.0
-        configurations = 0
+        configurations = stored = 0
         survivors = []
         for state, multiplicity, mass in classes:
-            acc, rej, residual = run_round(p, tape, state, j, before=mass)
+            mass = _mass(state, quantum) if mass is None else mass
+            after_mass, acc, rej, residual = _verify_and_measure(state, p.verifier, tape)
             left = _mass(residual, quantum)
+            _check_round(j, mass, after_mass, acc, rej, left)
             p_acc += multiplicity * acc
             p_rej += multiplicity * rej
             residual_mass += multiplicity * left
             configurations += multiplicity * len(residual)
+            stored += len(residual)
             if residual:
                 survivors.append(_Class(residual, multiplicity, left))
-        # run_round checked each class; the weighted round mass must hold too, so
-        # a drift spread thinly over many classes still faults
+        # each class was checked; the weighted round mass must hold too, so a
+        # drift spread thinly over many classes still faults
         _check_round(j, before, p_acc + p_rej + residual_mass, p_acc, p_rej, residual_mass)
-        yield RoundStat(j, p_acc, p_rej, residual_mass, configurations), survivors
+        yield RoundStat(j, p_acc, p_rej, residual_mass, configurations, stored), survivors
         before = residual_mass
 
 

@@ -209,35 +209,31 @@ def test_search_reduced_protocol_with_handpicked_probes():
 # Each table entry must equal an ordinary simulation of the protocol with that
 # combination's strategies plugged in, whichever way `search` scored it. The
 # `replayed_rounds` fixture records which rounds `search` runs through the
-# engine's round driver, one entry per `run_round` call the driver makes for
-# `adversary`: round 1 once, then rounds 2 on only for combinations whose
-# round 2 it could not score from precomputed moves or that keep mass past
-# round 2 with rounds left.
+# engine's round driver, one entry per round the driver runs for `adversary`,
+# a round that faults included: round 1 once, then rounds 2 on only for
+# combinations whose round 2 it could not score from precomputed moves or
+# that keep mass past round 2 with rounds left.
 
 
 @pytest.fixture
 def replayed_rounds(monkeypatch):
     rounds = []
-    driving = []
 
-    def counting(p, tape, state, round_index, **kwargs):
-        if driving:
-            rounds.append(round_index)
-        return run_round(p, tape, state, round_index, **kwargs)
-
-    def driver(*args, **kwargs):
-        steps = engine._rounds(*args, **kwargs)
+    def driver(p, x, after=None):
+        steps = engine._rounds(p, x, after)
+        index = 0 if after is None else after[0].index
         while True:
-            driving.append(True)
+            index += 1
             try:
                 item = next(steps, None)
-            finally:
-                driving.pop()
+            except Exception:
+                rounds.append(index)
+                raise
             if item is None:
                 return
+            rounds.append(item[0].index)
             yield item
 
-    monkeypatch.setattr(engine, "run_round", counting)
     monkeypatch.setattr(adversary, "_rounds", driver)
     return rounds
 
@@ -749,7 +745,8 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
     state0 = {Configuration(p.verifier.initial, 0, (BLANK,) * p.k, ((BLANK,) * cutoff,) * p.k): 1.0 + 0j}
     acc1, rej1, residual1 = run_round(p, tape, state0, 1)
     mass1 = _mass(residual1, quantum)
-    first = (engine.RoundStat(1, acc1, rej1, mass1, len(residual1)), [engine._Class(residual1, 1, mass1)])
+    first = (engine.RoundStat(1, acc1, rej1, mass1, len(residual1), len(residual1)),
+             [engine._Class(residual1, 1, mass1)])
     combos = list(itertools.product(*(f.strategies for f in families)))
     assert len(result.table) == len(combos)
     leftover = {}

@@ -66,6 +66,20 @@ def test_run_trace_shows_rounds(no_comm_file, capsys):
     assert "halted at round 2" in out
 
 
+def test_run_trace_shows_stored_configurations(tmp_path, capsys):
+    # the reduced relay's pure state grows 16-fold a round; its folded
+    # classes keep 16 configurations
+    relay, lifted, reduced = (str(tmp_path / name) for name in ("relay.qmip", "lifted.qmip", "reduced.qmip"))
+    save_protocol(relay, corpus.build("parity_relay"))
+    assert main(["lift", relay, "-o", lifted]) == 0
+    assert main(["reduce", lifted, "-o", reduced]) == 0
+    capsys.readouterr()
+    assert main(["run", reduced, "111", "--trace", "--machine"]) == 0
+    assert "round.4.configs=65536 round.4.stored=16" in capsys.readouterr().out
+    assert main(["run", reduced, "111", "--trace"]) == 0
+    assert "(65536 configurations, 16 stored)" in capsys.readouterr().out
+
+
 def test_run_machine_output(lift_file, capsys):
     assert main(["run", lift_file, "0", "--machine"]) == 0
     pairs = _machine(capsys)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmipsim import corpus
+from qmipsim import corpus, engine
 from qmipsim.adversary import default_families, search
 from qmipsim.amplitudes import CONSERVATION_TOL, PRUNE_TOL, apply_sparse_operator
 from qmipsim.engine import (
@@ -668,13 +668,14 @@ def _assert_agree(p, x):
     for field in ("p_accept", "p_reject", "leftover"):
         assert abs(getattr(folded, field) - getattr(whole, field)) <= 1e-12, field
     assert [r.configurations for r in folded.rounds] == [r.configurations for r in whole.rounds]
+    assert [r.stored for r in whole.rounds] == [r.configurations for r in whole.rounds]
     assert folded.halted_round == whole.halted_round
 
 
 @pytest.mark.parametrize(
     "name, x",
     [(name, x) for name in sorted(corpus.REGISTRY) for x in corpus.test_inputs(name)]
-    + [("parity_relay_reduced", x) for x in ("", "1", "11")] + [("two_rotations", "0")],
+    + [("parity_relay_reduced", x) for x in ("", "1", "11", "111")] + [("two_rotations", "0")],
 )
 def test_history_classes_agree_with_the_whole_tape_run(name, x):
     _assert_agree(_protocol(name), x)
@@ -692,6 +693,40 @@ def test_resuming_the_driver_yields_the_rest_of_the_run(name, x):
         assert any(c.multiplicity > 1 for _, classes in whole for c in classes)
     for j, pair in enumerate(whole):
         assert list(_rounds(p, x, after=pair)) == whole[j + 1:], j + 1
+
+
+def test_the_driver_stores_one_folded_class_per_round(monkeypatch):
+    # the reduced relay stashes a mask in a fresh cell every round; the
+    # fold right after the prover stage merges 16 histories, so the
+    # verifier pass sees one configuration and 16 targets per round
+    seen = []
+    verify = engine._verify_and_measure
+
+    def spy(state, verifier, tape):
+        out = verify(state, verifier, tape)
+        seen.append((len(state), len(out[3])))
+        return out
+
+    monkeypatch.setattr(engine, "_verify_and_measure", spy)
+    rounds = simulate(_reduced_parity_relay(), "111").rounds
+    assert [r.configurations for r in rounds] == [16, 256, 4096, 65536, 0]
+    assert [r.stored for r in rounds] == [16, 16, 16, 16, 0]
+    assert seen == [(1, 16)] * 4 + [(1, 0)]
+
+
+def test_the_driver_sums_each_state_once(monkeypatch):
+    summed = []
+    mass = engine._mass
+
+    def spy(state, quantum):
+        summed.append(state)  # holds each dict, so no id is reused
+        return mass(state, quantum)
+
+    monkeypatch.setattr(engine, "_mass", spy)
+    result = simulate(_reduced_parity_relay(), "111")
+    assert result.p_accept == pytest.approx(1.0, abs=1e-12)
+    assert summed
+    assert len({id(state) for state in summed}) == len(summed)
 
 
 _SWEPT = {
