@@ -309,13 +309,10 @@ class _Round2:
         for comm, tape in self.local_states[slot]:
             # the replay raises whatever this raises, so any failure just opts out
             try:
-                if self.quantum:
-                    column = strategy.apply_quantum(1, comm, tape)
-                    if len(column) != 1 or column[0][1] != 1:
-                        return None
-                    reply, new_tape = column[0][0]
-                else:
-                    reply, new_tape = strategy.apply_classical(1, comm, tape)
+                column = strategy.apply_quantum(1, comm, tape)
+                if len(column) != 1 or column[0][1] != 1:
+                    return None
+                reply, new_tape = column[0][0]
                 if reply not in verdicts:
                     verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
             except Exception:
@@ -598,11 +595,7 @@ class DerandomizeReport:
 
 
 def derandomize_provers(
-    p: ProtocolSpec,
-    x: str,
-    strategies,
-    cutoff: int | None = None,
-    limit: int | None = None,
+    p: ProtocolSpec, x: str, strategies, limit: int | None = None
 ) -> tuple[tuple[DerandomizedStrategy, ...], DerandomizeReport]:
     """Deterministic provers that reject no more often than the quantum ones.
 
@@ -617,12 +610,11 @@ def derandomize_provers(
         raise ValidationError("derandomization targets a probabilistic verifier")
     if len(strategies) != p.k:
         raise ValidationError(f"need {p.k} strategies, got {len(strategies)}")
-    T = cutoff if cutoff is not None else p.cutoff
     cap = limit if limit is not None else DEFAULT_FAMILY_LIMIT
 
     fixed: list[dict] = [{} for _ in range(p.k)]
     wrapped = [_Forced(s, fixed[i]) for i, s in enumerate(strategies)]
-    trial = _trial(p, wrapped, T)
+    trial = _trial(p, wrapped, p.cutoff)
     quantum_run = _run(trial, x, None)
 
     # provers write only their own slots, so prover i's local states at a step
@@ -631,7 +623,7 @@ def derandomize_provers(
     # scores each candidate from there, after the rejection summed so far
     decisions = 0
     prefix = 0.0
-    for stat, classes in itertools.islice(_rounds(trial, x), T - 1):
+    for stat, classes in itertools.islice(_rounds(trial, x), p.cutoff - 1):
         step = stat.index
         prefix += stat.p_reject
         for i in range(p.k):
@@ -656,7 +648,7 @@ def derandomize_provers(
                 fixed[i][key] = best[1]
 
     out = tuple(DerandomizedStrategy(choices=dict(fixed[i])) for i in range(p.k))
-    det_run = run_classical(_trial(p, out, T), x)
+    det_run = run_classical(_trial(p, out, p.cutoff), x)
     report = DerandomizeReport(
         quantum_p_accept=quantum_run.p_accept,
         quantum_p_reject=quantum_run.p_reject,

@@ -42,9 +42,15 @@ def _rowkey_str(key) -> str:
     return f"{q} {sigma} | " + " ".join(comm)
 
 
+def _write_provenance(path: str, source: ProtocolSpec, out: ProtocolSpec, **maps) -> None:
+    """The provenance JSON of a transform from `source` to `out`, with its row maps."""
+    doc = {"source": source.name, "protocol": out.name, **maps}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, ensure_ascii=False)
+
+
 def cmd_validate(args) -> int:
-    p = load_protocol(args.file)
-    validate_protocol(p)
+    p = _load_checked(args.file)
     report = check_well_formed(p.verifier)
     if args.machine:
         print(f"name={p.name}")
@@ -82,8 +88,6 @@ def _print_run(result: RunResult, machine: bool, trace: bool) -> None:
                     f" round.{st.index}.configs={st.configurations}"
                     f" round.{st.index}.stored={st.stored}"
                 )
-        print(f"p_rej={result.p_reject:.9f}")
-        print(f"leftover={result.leftover:.9f}")
     else:
         print(f"protocol {result.protocol} on input {result.input!r} (mode {result.mode})")
         if trace:
@@ -97,8 +101,8 @@ def _print_run(result: RunResult, machine: bool, trace: bool) -> None:
             print(f"halted at round {result.halted_round}; steps counted: {result.steps_counted}")
         else:
             print(f"cutoff reached after {len(result.rounds)} rounds; steps counted: {result.steps_counted}")
-        print(f"p_rej={result.p_reject:.9f}")
-        print(f"leftover={result.leftover:.9f}")
+    print(f"p_rej={result.p_reject:.9f}")
+    print(f"leftover={result.leftover:.9f}")
     print(f"p_acc={result.p_accept:.9f}")
 
 
@@ -120,15 +124,12 @@ def cmd_lift(args) -> int:
         if out.protocol.provers[i].strategy is not p.provers[i].strategy
     ]
     if args.provenance:
-        doc = {
-            "source": p.name,
-            "protocol": out.protocol.name,
-            "rows": {_rowkey_str(k): (v if isinstance(v, str) else _rowkey_str(v))
-                     for k, v in out.row_provenance.items()},
-            "log_symbols": {_rowkey_str(k): v for k, v in out.log_symbols.items()},
-        }
-        with open(args.provenance, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, ensure_ascii=False)
+        _write_provenance(
+            args.provenance, p, out.protocol,
+            rows={_rowkey_str(k): (v if isinstance(v, str) else _rowkey_str(v))
+                  for k, v in out.row_provenance.items()},
+            log_symbols={_rowkey_str(k): v for k, v in out.log_symbols.items()},
+        )
     if args.machine:
         print(f"name={out.protocol.name}")
         print(f"rows={len(out.protocol.verifier.rows)}")
@@ -156,14 +157,11 @@ def cmd_reduce(args) -> int:
         out = reduce_3qip_to_2qip(p)
     save_protocol(args.output, out.protocol)
     if args.provenance:
-        doc = {
-            "source": p.name,
-            "protocol": out.protocol.name,
-            "rows": {_rowkey_str(k): _rowkey_str(v) for k, v in out.row_provenance.items()},
-            "dropped": [_rowkey_str(k) for k in out.dropped_rows],
-        }
-        with open(args.provenance, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, ensure_ascii=False)
+        _write_provenance(
+            args.provenance, p, out.protocol,
+            rows={_rowkey_str(k): _rowkey_str(v) for k, v in out.row_provenance.items()},
+            dropped=[_rowkey_str(k) for k in out.dropped_rows],
+        )
     alphabet = len(out.protocol.verifier.comm_alphabets[0])
     if args.machine:
         print(f"name={out.protocol.name}")

@@ -36,10 +36,8 @@ def _mute_prover(index: int, comm: tuple[str, ...]) -> ProverSpec:
     return ProverSpec(index=index, comm_alphabet=comm, tape_alphabet=(BLANK,), space=0, strategy=table)
 
 
-@lru_cache(maxsize=None)
-def always_accept(mode: str = "1pfa") -> ProtocolSpec:
-    """Accepts immediately at the left endmarker; sanity baseline."""
-    weight = 1.0 + 0j
+def _one_row(name: str, mode: str, branches: tuple, threshold: float) -> ProtocolSpec:
+    """A one-prover machine whose one row, at the left endmarker, halts through `branches`."""
     verifier = VerifierSpec(
         mode=mode,
         states=("q0", "acc", "rej"),
@@ -48,45 +46,29 @@ def always_accept(mode: str = "1pfa") -> ProtocolSpec:
         reject=frozenset({"rej"}),
         input_alphabet=("0",),
         comm_alphabets=((BLANK,),),
-        rows={("q0", "¢", (BLANK,)): (("acc", 1, (BLANK,), weight),)},
+        rows={("q0", "¢", (BLANK,)): branches},
     )
     return ProtocolSpec(
-        name=f"always_accept_{'classical' if mode.endswith('pfa') else 'quantum'}",
+        name=f"{name}_{'classical' if mode.endswith('pfa') else 'quantum'}",
         verifier=verifier,
         provers=(_mute_prover(1, (BLANK,)),),
-        a=1.0,
-        b=1.0,
+        a=threshold,
+        b=threshold,
         cutoff=1,
     )
+
+
+@lru_cache(maxsize=None)
+def always_accept(mode: str = "1pfa") -> ProtocolSpec:
+    """Accepts immediately at the left endmarker; sanity baseline."""
+    return _one_row("always_accept", mode, (("acc", 1, (BLANK,), 1.0 + 0j),), 1.0)
 
 
 @lru_cache(maxsize=None)
 def coinflip(mode: str = "1pfa") -> ProtocolSpec:
     """Fair coin at the left endmarker; accept and reject 1/2 each."""
     w = complex(SQRT_HALF) if mode.endswith("qfa") else complex(0.5)
-    verifier = VerifierSpec(
-        mode=mode,
-        states=("q0", "acc", "rej"),
-        initial="q0",
-        accept=frozenset({"acc"}),
-        reject=frozenset({"rej"}),
-        input_alphabet=("0",),
-        comm_alphabets=((BLANK,),),
-        rows={
-            ("q0", "¢", (BLANK,)): (
-                ("acc", 1, (BLANK,), w),
-                ("rej", 1, (BLANK,), w),
-            )
-        },
-    )
-    return ProtocolSpec(
-        name=f"coinflip_{'classical' if mode.endswith('pfa') else 'quantum'}",
-        verifier=verifier,
-        provers=(_mute_prover(1, (BLANK,)),),
-        a=0.5,
-        b=0.5,
-        cutoff=1,
-    )
+    return _one_row("coinflip", mode, (("acc", 1, (BLANK,), w), ("rej", 1, (BLANK,), w)), 0.5)
 
 
 @lru_cache(maxsize=None)
@@ -122,17 +104,10 @@ def no_communication() -> ProtocolSpec:
         comm_alphabets=((BLANK, "g"), (BLANK,)),
         rows=rows,
     )
-    prover1 = ProverSpec(
-        index=1,
-        comm_alphabet=(BLANK, "g"),
-        tape_alphabet=(BLANK,),
-        space=0,
-        strategy=ClassicalTableStrategy(work=0, rows={(BLANK, ()): (BLANK, ())}),
-    )
     return ProtocolSpec(
         name="no_comm",
         verifier=verifier,
-        provers=(prover1, _mute_prover(2, (BLANK,))),
+        provers=(_mute_prover(1, (BLANK, "g")), _mute_prover(2, (BLANK,))),
         a=0.5,
         b=0.5,
         cutoff=2,

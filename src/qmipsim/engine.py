@@ -284,13 +284,16 @@ def _check_round(
     p_rej: float,
     residual_mass: float,
 ) -> None:
-    """Raise RunFault unless the round kept its mass and the measurement lost none."""
-    if abs(after - before) > ROUND_TOL:
+    """Raise RunFault unless the round kept its mass and the measurement lost none.
+
+    Each test is written as `not ... <= tol`, so a NaN mass fails it.
+    """
+    if not abs(after - before) <= ROUND_TOL:
         raise RunFault(
             f"round {round_index} is not mass-preserving: {before:.12g} -> {after:.12g}; "
             "run the well-formedness check"
         )
-    if abs((p_acc + p_rej + residual_mass) - after) > CONSERVATION_TOL:
+    if not abs((p_acc + p_rej + residual_mass) - after) <= CONSERVATION_TOL:
         raise RunFault(f"measurement at round {round_index} lost probability mass")
 
 
@@ -302,22 +305,15 @@ def _prover_stage(p: ProtocolSpec, state: StateVector, round_index: int) -> Stat
 
 
 def run_round(
-    p: ProtocolSpec,
-    tape: tuple[str, ...],
-    state: StateVector,
-    round_index: int,
-    *,
-    before: float | None = None,
+    p: ProtocolSpec, tape: tuple[str, ...], state: StateVector, round_index: int
 ) -> tuple[float, float, StateVector]:
     """One full round of one state, unfolded; returns (accept mass, reject mass, residual).
 
     The verifier's mode says whether masses are squared amplitudes or plain
-    weights. `before` is the state's mass when the caller already holds it.
-    The round driver runs the same two stages with the fold between them.
+    weights. The round driver runs the same two stages with the fold between them.
     """
     quantum = p.verifier.is_quantum()
-    if before is None:
-        before = _mass(state, quantum)
+    before = _mass(state, quantum)
     state = _prover_stage(p, state, round_index)
     after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape)
     _check_round(round_index, before, after, p_acc, p_rej, _mass(residual, quantum))

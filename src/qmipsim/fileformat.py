@@ -32,13 +32,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
-from operator import itemgetter
+from math import inf, isfinite, sqrt
 
 from .errors import SpecFileError
 from .specs import (
-    LEFT_END,
-    RIGHT_END,
     ClassicalTableStrategy,
     DerandomizedStrategy,
     EraserStrategy,
@@ -51,6 +48,7 @@ from .specs import (
     UnitaryTableStrategy,
     VerifierSpec,
     guard_states,
+    row_fault,
 )
 
 FORMAT_HEADER = "qmip 1"
@@ -79,24 +77,29 @@ def parse_weight(token: str, where: str = "") -> complex:
 
 
 def _parse_weight_token(token: str, where: str) -> complex:
-    if _INT_RE.match(token):
-        return complex(int(token))
-    if _FRAC_RE.match(token):
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise SpecFileError(f"{where}zero denominator in weight {token!r}")
-        return complex(int(num) / int(den))
-    m = _SQRT_RE.match(token)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        n = int(m.group(2))
-        if n == 0:
-            raise SpecFileError(f"{where}zero under the root in weight {token!r}")
-        return complex(sign / sqrt(n))
+    """The token's value; a SpecFileError unless it is a finite number that fits a float."""
     try:
-        return complex(float(token))
+        if _INT_RE.match(token):
+            value = float(int(token))
+        elif _FRAC_RE.match(token):
+            num, den = map(int, token.split("/"))
+            if den == 0:
+                raise SpecFileError(f"{where}zero denominator in weight {token!r}")
+            value = num / den
+        elif m := _SQRT_RE.match(token):
+            n = int(m.group(2))
+            if n == 0:
+                raise SpecFileError(f"{where}zero under the root in weight {token!r}")
+            value = (-1.0 if m.group(1) == "-" else 1.0) / sqrt(n)
+        else:
+            value = float(token)
+    except OverflowError:
+        value = inf
     except ValueError:
-        raise SpecFileError(f"{where}bad weight token {token!r}")
+        raise SpecFileError(f"{where}bad weight token {token!r}") from None
+    if not isfinite(value):
+        raise SpecFileError(f"{where}weight {token!r} is not a finite number")
+    return complex(value)
 
 
 def serialize_weight(w: complex) -> str:
@@ -227,10 +230,16 @@ def _parse_int(value: str, where: str) -> int:
 _MOVES = {"+1": 1, "-1": -1, "0": 0}
 
 
-def _parse_rule(lineno: int, value: str, k: int):
+def _split_arrow(lineno: int, value: str, what: str) -> tuple[str, str]:
+    """The two sides of a `what` line around its one ' -> '."""
     head, arrow, body = value.partition(" -> ")
     if not arrow or " -> " in body:
-        raise SpecFileError(f"line {lineno}: rule needs exactly one ' -> '")
+        raise SpecFileError(f"line {lineno}: {what} needs exactly one ' -> '")
+    return head, body
+
+
+def _parse_rule(lineno: int, value: str, k: int):
+    head, body = _split_arrow(lineno, value, "rule")
     left = head.split()
     if len(left) != 2 + k:
         raise SpecFileError(f"line {lineno}: rule head needs state, symbol, and {k} received symbols")
@@ -264,6 +273,14 @@ def _split_side(lineno: int, side: str, what: str) -> tuple[str, tuple[str, ...]
     return head[0], tuple(chunks[1].split())
 
 
+def _split_stepped(lineno: int, side: str, what: str) -> tuple[str, str, tuple[str, ...]]:
+    """'step symbol' or 'step symbol | cells', as urow and choice heads write a reception."""
+    parts = side.split(None, 1)
+    if len(parts) != 2:
+        raise SpecFileError(f"line {lineno}: {what} needs step and symbol")
+    return (parts[0], *_split_side(lineno, parts[1], what))
+
+
 def _parse_strategy(sec: _Section, space: int):
     kind = sec.one("strategy")
     if kind == "eraser":
@@ -272,11 +289,9 @@ def _parse_strategy(sec: _Section, space: int):
         work = _parse_int(sec.one("work"), sec.label)
         rows = {}
         for lineno, value in sec.many("row"):
-            parts = value.split(" -> ")
-            if len(parts) != 2:
-                raise SpecFileError(f"line {lineno}: row needs exactly one ' -> '")
-            recv, cells = _split_side(lineno, parts[0], "row source")
-            reply, new_cells = _split_side(lineno, parts[1], "row target")
+            source, target = _split_arrow(lineno, value, "row")
+            recv, cells = _split_side(lineno, source, "row source")
+            reply, new_cells = _split_side(lineno, target, "row target")
             if len(cells) != work or len(new_cells) != work:
                 raise SpecFileError(f"line {lineno}: row work cells must have length {work}")
             key = (recv, cells)
@@ -288,20 +303,13 @@ def _parse_strategy(sec: _Section, space: int):
         work = _parse_int(sec.one("work"), sec.label)
         steps: dict[int | None, dict] = {}
         for lineno, value in sec.many("urow"):
-            parts = value.split(" -> ")
-            if len(parts) != 2:
-                raise SpecFileError(f"line {lineno}: urow needs exactly one ' -> '")
-            head = parts[0].split(" | ")
-            head_toks = head[0].split()
-            if len(head_toks) != 2:
-                raise SpecFileError(f"line {lineno}: urow head needs step and symbol")
-            step = None if head_toks[0] == "*" else _parse_int(head_toks[0], f"line {lineno}")
-            recv = head_toks[1]
-            cells = tuple(head[1].split()) if len(head) == 2 else ()
+            head, body = _split_arrow(lineno, value, "urow")
+            step_tok, recv, cells = _split_stepped(lineno, head, "urow head")
+            step = None if step_tok == "*" else _parse_int(step_tok, f"line {lineno}")
             if len(cells) != work:
                 raise SpecFileError(f"line {lineno}: urow work cells must have length {work}")
             moves = []
-            for chunk in parts[1].split(" , "):
+            for chunk in body.split(" , "):
                 amp_tok, _, rest = chunk.strip().partition(" ")
                 amp = parse_weight(amp_tok, f"line {lineno}: ")
                 reply, new_cells = _split_side(lineno, rest, "urow target")
@@ -316,23 +324,17 @@ def _parse_strategy(sec: _Section, space: int):
     elif kind == "choices":
         choices = {}
         for lineno, value in sec.many("choice"):
-            parts = value.split(" -> ")
-            if len(parts) != 2:
-                raise SpecFileError(f"line {lineno}: choice needs exactly one ' -> '")
-            head = parts[0].split(" | ")
-            if len(head) != 2:
+            head, reply = _split_arrow(lineno, value, "choice")
+            if " | " not in head:
                 raise SpecFileError(f"line {lineno}: choice head needs 'step symbol | tape'")
-            head_toks = head[0].split()
-            if len(head_toks) != 2:
-                raise SpecFileError(f"line {lineno}: choice head needs step and symbol")
-            step = _parse_int(head_toks[0], f"line {lineno}")
-            tape = tuple(head[1].split())
+            step_tok, recv, tape = _split_stepped(lineno, head, "choice head")
+            step = _parse_int(step_tok, f"line {lineno}")
             if len(tape) != space:
                 raise SpecFileError(f"line {lineno}: choice tape must have length {space}")
-            reply = parts[1].strip()
+            reply = reply.strip()
             if len(reply.split()) != 1:
                 raise SpecFileError(f"line {lineno}: choice target must be one symbol")
-            key = (step, head_toks[1], tape)
+            key = (step, recv, tape)
             if key in choices:
                 raise SpecFileError(f"line {lineno}: duplicate choice for {key}")
             choices[key] = reply
@@ -501,20 +503,6 @@ def _strategy_lines(strategy, space: int) -> list[str]:
     return lines
 
 
-def _rules_declared(v: VerifierSpec, rows) -> bool:
-    """Whether `rows` reads and writes only v's states and symbols, one per channel, and moves by -1, 0 or +1.
-
-    Every write runs this, so each test is one C loop over all rows at once.
-    """
-    branches = [branch for row in rows.values() for branch in row]
-    cells = [*map(itemgetter(2), rows), *map(itemgetter(2), branches)]
-    states = set(v.states)
-    return (states.issuperset(map(itemgetter(0), rows)) and states.issuperset(map(itemgetter(0), branches))
-            and {*v.input_alphabet, LEFT_END, RIGHT_END}.issuperset(map(itemgetter(1), rows))
-            and {-1, 0, 1}.issuperset(map(itemgetter(1), branches)) and set(map(len, cells)) <= {v.k}
-            and all(map(set.issuperset, map(set, v.comm_alphabets), zip(*cells))))
-
-
 def serialize_protocol(p: ProtocolSpec) -> str:
     """The file text of p, refusing any symbol, state or name that would not read back as itself."""
     v = p.verifier
@@ -531,9 +519,9 @@ def serialize_protocol(p: ProtocolSpec) -> str:
     out.append("input = " + _symbols(v.input_alphabet))
     for i, alphabet in enumerate(v.comm_alphabets, start=1):
         out.append(f"comm-{i} = " + _symbols(alphabet))
-    if not _rules_declared(v, v.rows):
-        bad = next(key for key, row in v.rows.items() if not _rules_declared(v, {key: row}))
-        raise SpecFileError(f"rule {bad!r} names an undeclared state or symbol, or a bad head move")
+    bad = row_fault(v)
+    if bad is not None:
+        raise SpecFileError(f"rule {bad[0]!r} names an undeclared state or symbol, or a bad head move: {bad[1]}")
     for (q, sigma, comm), branches in v.rows.items():
         chunks = []
         for (q2, d, sent, w) in branches:

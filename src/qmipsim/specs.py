@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, ClassVar, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -137,7 +138,7 @@ def _single_move(moves: QuantumMove, message: str, amplitude: bool = False) -> t
 
     With `amplitude`, the move's amplitude must also be 1.
     """
-    if len(moves) != 1 or (amplitude and abs(moves[0][1] - 1) > AMPLITUDE_TOL):
+    if len(moves) != 1 or (amplitude and not abs(moves[0][1] - 1) <= AMPLITUDE_TOL):
         raise ValidationError(message)
     return moves[0][0]
 
@@ -550,34 +551,53 @@ def validate_protocol(p: ProtocolSpec) -> None:
         raise ValidationError("thresholds must lie in (0, 1]")
     if p.cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
-    _validate_rows(v)
+    bad = row_fault(v)
+    if bad is not None:
+        raise ValidationError(bad[1])
+    if v.mode in ONE_WAY_MODES and any(d != 1 for row in v.rows.values() for _, d, _, _ in row):
+        raise ValidationError("one-way verifier must always move right")
 
 
-def _validate_rows(v: VerifierSpec) -> None:
-    state_set = set(v.states)
-    full_input = set(v.input_alphabet) | {LEFT_END, RIGHT_END}
-    for (q, sigma, comm), branches in v.rows.items():
-        if q not in state_set:
-            raise ValidationError(f"row source state {q!r} not declared")
-        if sigma not in full_input:
-            raise ValidationError(f"row input symbol {sigma!r} not declared")
-        if len(comm) != v.k:
-            raise ValidationError("row received tuple has wrong arity")
-        for i, sym in enumerate(comm):
-            if sym not in v.comm_alphabets[i]:
-                raise ValidationError(f"row receives {sym!r} outside communication alphabet {i + 1}")
-        for (q2, d, out, w) in branches:
-            if q2 not in state_set:
-                raise ValidationError(f"row target state {q2!r} not declared")
-            if d not in (-1, 0, 1):
-                raise ValidationError(f"head move {d} invalid")
-            if v.mode in ONE_WAY_MODES and d != 1:
-                raise ValidationError("one-way verifier must always move right")
-            if len(out) != v.k:
-                raise ValidationError("row sent tuple has wrong arity")
-            for i, sym in enumerate(out):
-                if sym not in v.comm_alphabets[i]:
-                    raise ValidationError(f"row sends {sym!r} outside communication alphabet {i + 1}")
+def row_fault(v: VerifierSpec) -> tuple[RowKey, str] | None:
+    """The first row that names an undeclared state or symbol, has a tuple of the
+    wrong arity or moves other than -1, 0 or +1, with its fault; None if none does.
+
+    Every validation and every write runs this, so the test is a few set
+    operations over all rows at once; the rows are walked only to name a fault.
+    The one-way rule is `validate_protocol`'s alone: a file may hold any mode.
+    """
+    rows = v.rows
+    branches = [branch for row in rows.values() for branch in row]
+    cells = [*map(itemgetter(2), rows), *map(itemgetter(2), branches)]
+    states = set(v.states)
+    full_input = {*v.input_alphabet, LEFT_END, RIGHT_END}
+    if (states.issuperset(map(itemgetter(0), rows)) and states.issuperset(map(itemgetter(0), branches))
+            and full_input.issuperset(map(itemgetter(1), rows))
+            and {-1, 0, 1}.issuperset(map(itemgetter(1), branches)) and set(map(len, cells)) <= {v.k}
+            and all(map(set.issuperset, map(set, v.comm_alphabets), zip(*cells)))):
+        return None
+
+    def cell_fault(cell: tuple[str, ...], noun: str, verb: str) -> str | None:
+        if len(cell) != v.k:
+            return f"row {noun} tuple has wrong arity"
+        return next((f"row {verb} {sym!r} outside communication alphabet {i + 1}"
+                     for i, sym in enumerate(cell) if sym not in v.comm_alphabets[i]), None)
+
+    def faults(key: RowKey, row: tuple[Branch, ...]) -> Iterator[str | None]:
+        q, sigma, comm = key
+        yield f"row source state {q!r} not declared" if q not in states else None
+        yield f"row input symbol {sigma!r} not declared" if sigma not in full_input else None
+        yield cell_fault(comm, "received", "receives")
+        for q2, d, out, _ in row:
+            yield f"row target state {q2!r} not declared" if q2 not in states else None
+            yield f"head move {d} invalid" if d not in (-1, 0, 1) else None
+            yield cell_fault(out, "sent", "sends")
+
+    for key, row in rows.items():
+        fault = next(filter(None, faults(key, row)), None)
+        if fault is not None:
+            return key, fault
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +612,19 @@ class WellFormedReport:
         return self.ok
 
 
+def sum_targets(weighted: Iterable[tuple[Hashable, complex]]) -> dict[Hashable, complex]:
+    """The weights of (target, weight) pairs summed per target, in first-seen order."""
+    out: dict[Hashable, complex] = {}
+    for target, w in weighted:
+        out[target] = out.get(target, 0j) + w
+    return out
+
+
 def _row_vectors(v: VerifierSpec) -> dict[str, dict[RowKey, dict[tuple, complex]]]:
     """Rows grouped by input symbol, each as a sparse target vector."""
     groups: dict[str, dict[RowKey, dict[tuple, complex]]] = {}
     for key, branches in v.rows.items():
-        vec: dict[tuple, complex] = {}
-        for (q2, d, out, w) in branches:
-            target = (q2, d, out)
-            vec[target] = vec.get(target, 0j) + complex(w)
-        groups.setdefault(key[1], {})[key] = vec
+        groups.setdefault(key[1], {})[key] = sum_targets(((q2, d, out), w) for q2, d, out, w in branches)
     return groups
 
 
@@ -627,6 +651,19 @@ def sparse_gram(vectors: Mapping[RowKey, dict[tuple, complex]]) -> dict[tuple[Ro
     return gram
 
 
+def _orthonormal_violations(vectors: Mapping[RowKey, dict[tuple, complex]], noun: str) -> list[str]:
+    """Each vector not of unit norm and each pair not orthogonal, named as `noun`s."""
+    out = []
+    for key, vec in vectors.items():
+        norm = sum((w * w.conjugate()).real for w in vec.values())
+        if not abs(norm - 1.0) <= ORTHO_TOL:
+            out.append(f"{noun} {key} has squared norm {norm:.12g}")
+    for (ka, kb), ip in sparse_gram(vectors).items():
+        if not abs(ip) <= ORTHO_TOL:
+            out.append(f"{noun}s {ka} and {kb} have inner product {abs(ip):.12g}")
+    return out
+
+
 def check_well_formed(v: VerifierSpec) -> WellFormedReport:
     """Column orthonormality (quantum) or row stochasticity (classical).
 
@@ -637,23 +674,17 @@ def check_well_formed(v: VerifierSpec) -> WellFormedReport:
     """
     violations: list[str] = []
     if v.is_quantum():
-        for sigma, vectors in _row_vectors(v).items():
-            for key, vec in vectors.items():
-                norm = sum((w * w.conjugate()).real for w in vec.values())
-                if abs(norm - 1.0) > ORTHO_TOL:
-                    violations.append(f"row {key} has squared norm {norm:.12g}")
-            for (ka, kb), ip in sparse_gram(vectors).items():
-                if abs(ip) > ORTHO_TOL:
-                    violations.append(f"rows {ka} and {kb} have inner product {abs(ip):.12g}")
+        for vectors in _row_vectors(v).values():
+            violations += _orthonormal_violations(vectors, "row")
     else:
         for key, branches in v.rows.items():
             total = 0.0
             for (_, _, _, w) in branches:
                 wc = complex(w)
-                if abs(wc.imag) > CLASSICAL_ROW_TOL or wc.real < -CLASSICAL_ROW_TOL:
+                if not (abs(wc.imag) <= CLASSICAL_ROW_TOL and wc.real >= -CLASSICAL_ROW_TOL):
                     violations.append(f"row {key} has non-probabilistic weight {w}")
                 total += wc.real
-            if abs(total - 1.0) > CLASSICAL_ROW_TOL:
+            if not abs(total - 1.0) <= CLASSICAL_ROW_TOL:
                 violations.append(f"row {key} weights sum to {total:.12g}")
     if v.fallback is not None:
         guard_targets = v.fallback.known_states
@@ -676,7 +707,7 @@ def restrictive_violations(v: VerifierSpec) -> list[str]:
             out.append(f"row {key} has {len(branches)} branches")
             continue
         mass = sum(abs(complex(w)) ** 2 for (_, _, _, w) in branches)
-        if abs(mass - 1.0) > ORTHO_TOL:
+        if not abs(mass - 1.0) <= ORTHO_TOL:
             out.append(f"row {key} branch mass is {mass:.12g}")
     return out
 
@@ -719,16 +750,6 @@ def check_prover_columns(prover: ProverSpec, step: int, tapes: Iterable[Tape]) -
                 moves = prover.strategy.apply_quantum(step, comm, tape)
             except MissingTransition:
                 continue
-            vec: dict[tuple, complex] = {}
-            for (reply, new_tape), amp in moves:
-                vec[(reply, new_tape)] = vec.get((reply, new_tape), 0j) + complex(amp)
-            vectors[(comm, tape)] = vec  # type: ignore[index]
-    violations = []
-    for key, vec in vectors.items():
-        norm = sum((w * w.conjugate()).real for w in vec.values())
-        if abs(norm - 1.0) > ORTHO_TOL:
-            violations.append(f"column {key} has squared norm {norm:.12g}")
-    for (ka, kb), ip in sparse_gram(vectors).items():
-        if abs(ip) > ORTHO_TOL:
-            violations.append(f"columns {ka} and {kb} have inner product {abs(ip):.12g}")
+            vectors[(comm, tape)] = sum_targets(moves)  # type: ignore[index]
+    violations = _orthonormal_violations(vectors, "column")
     return WellFormedReport(not violations, violations)

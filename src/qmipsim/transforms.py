@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import (
     AlphabetMismatch,
     NoEraser,
@@ -47,6 +45,7 @@ from .specs import (
     guard_state,
     guard_states,
     make_track_alphabet,
+    sum_targets,
     track,
     xor_symbols,
 )
@@ -98,38 +97,21 @@ def make_reversible_prover(prover: ProverSpec, cutoff: int) -> ProverSpec:
     )
 
 
-def make_eraser(
-    index: int,
-    comm_alphabet: tuple[str, ...],
-    space: int,
-    cutoff: int,
-    tape_alphabet: tuple[str, ...] | None = None,
-) -> ProverSpec:
-    """An eraser prover over the given channel alphabet.
+def make_eraser(index: int, comm_alphabet: tuple[str, ...], space: int, cutoff: int) -> ProverSpec:
+    """An eraser prover over the given channel alphabet, which is also its tape alphabet.
 
     It swaps the communication cell with tape cell j-1 at step j, so it
-    needs one tape cell per step and a tape alphabet covering the channel.
+    needs one tape cell per step.
     """
-    if tape_alphabet is None:
-        tape_alphabet = comm_alphabet
-    if not set(comm_alphabet) <= set(tape_alphabet):
-        raise AlphabetMismatch("eraser tape alphabet must cover its channel alphabet")
     if space < cutoff:
         raise SpaceExceeded(f"eraser needs {cutoff} tape cells for cutoff {cutoff}, got {space}")
     return ProverSpec(
         index=index,
         comm_alphabet=tuple(comm_alphabet),
-        tape_alphabet=tuple(tape_alphabet),
+        tape_alphabet=tuple(comm_alphabet),
         space=space,
         strategy=EraserStrategy(),
     )
-
-
-def _quantum_ready(prover: ProverSpec, cutoff: int) -> ProverSpec:
-    strat = prover.strategy
-    if isinstance(strat, ClassicalTableStrategy) and not strat.is_injective():
-        return make_reversible_prover(prover, cutoff)
-    return prover
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +129,9 @@ def _log_symbol(key: RowKey, branches: tuple[Branch, ...]) -> str:
     return track(".".join(upper_parts), ".".join(lower_parts))
 
 
-def _merge_targets(branches: list[Branch]) -> tuple[Branch, ...]:
-    acc: dict[tuple, complex] = {}
-    for (q2, d, sent, w) in branches:
-        t = (q2, d, sent)
-        acc[t] = acc.get(t, 0j) + complex(w)
-    return tuple((q2, d, sent, w) for (q2, d, sent), w in acc.items() if abs(w) > PRUNE_TOL)
+def _merge_targets(branches: tuple[Branch, ...]) -> tuple[Branch, ...]:
+    summed = sum_targets(((q2, d, sent), w) for q2, d, sent, w in branches)
+    return tuple((q2, d, sent, w) for (q2, d, sent), w in summed.items() if abs(w) > PRUNE_TOL)
 
 
 def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
@@ -176,7 +155,10 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
     if bad:
         raise NotFairCoin(bad[0])
 
-    provers = tuple(_quantum_ready(pr, p.cutoff) for pr in p.provers)
+    provers = tuple(
+        make_reversible_prover(pr, p.cutoff) if isinstance(pr.strategy, ClassicalTableStrategy) else pr
+        for pr in p.provers
+    )
 
     log_symbols: dict[RowKey, str] = {}
     for key, branches in v.rows.items():
@@ -188,7 +170,7 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
     for key, branches in v.rows.items():
         q, sigma, comm = key
         log = log_symbols[key]
-        merged = _merge_targets(list(branches))
+        merged = _merge_targets(branches)
         if len(merged) == 1:
             (q2, d, sent, _), = merged
             lifted = ((q2, d, sent + (log,), 1.0 + 0j),)
@@ -328,12 +310,12 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
             dropped.append(key)
             continue
         new_key = (q, sigma, (track(comm[0], BLANK), track(comm[1], BLANK)))
-        acc: dict[tuple, complex] = {}
-        for (q2, d, sent, w) in branches:
-            for r in gamma:
-                target = (q2, d, (track(sent[0], r), track(sent[1], xor_symbols(encoding, r, sent[2]))))
-                acc[target] = acc.get(target, 0j) + complex(w) * root
-        rows[new_key] = tuple((q2, d, sent, w) for (q2, d, sent), w in acc.items())
+        summed = sum_targets(
+            ((q2, d, (track(sent[0], r), track(sent[1], xor_symbols(encoding, r, sent[2])))), complex(w) * root)
+            for q2, d, sent, w in branches
+            for r in gamma
+        )
+        rows[new_key] = tuple((q2, d, sent, w) for (q2, d, sent), w in summed.items())
         provenance[new_key] = key
 
     fresh = guard_states("rejt", rows)
@@ -374,6 +356,9 @@ def complete_unitary(
     standard basis vectors, so an empty partial over matching bases comes
     back as the identity. Returns a full column map in the same format.
     """
+    # the package's only use of numpy; importing it here keeps it off every command's start-up
+    import numpy as np
+
     if len(input_basis) != len(output_basis):
         raise ValidationError("unitary completion needs bases of equal size")
     n = len(input_basis)

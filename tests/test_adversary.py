@@ -805,7 +805,7 @@ def test_derandomize_rejects_quantum_verifier_and_bad_arity():
         derandomize_provers(corpus.build("no_comm"), "0", (constant_reply(BLANK),))
     with pytest.raises(ValidationError, match="cutoff must be at least 1"):
         derandomize_provers(
-            corpus.build("no_comm"), "0", (constant_reply(BLANK), constant_reply(BLANK)), cutoff=0
+            dataclasses.replace(corpus.build("no_comm"), cutoff=0), "0", (constant_reply(BLANK), constant_reply(BLANK))
         )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,8 @@ import pytest
 from qmipsim import corpus
 from qmipsim.cli import main
 from qmipsim.fileformat import load_protocol, save_protocol
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -107,6 +112,30 @@ def test_garbage_file_is_exit_2(tmp_path, capsys):
     path.write_text("this is not a protocol\n")
     assert main(["validate", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, weight", [("coinflip_classical", "1/2"), ("no_comm_lift", "1/sqrt2")],
+                         ids=["coinflip_classical", "no_comm_lift"])
+@pytest.mark.parametrize("token", ["nan", "inf", "1e999", "9" * 400, "9" * 400 + "/7", "1/sqrt" + "9" * 400],
+                         ids=["nan", "inf", "1e999", "int", "fraction", "root"])
+@pytest.mark.parametrize("command", [["validate"], ["run", "0"]], ids=["validate", "run"])
+def test_a_weight_that_is_not_a_finite_number_is_exit_2(tmp_path, capsys, name, weight, token, command):
+    source = tmp_path / f"{name}.qmip"
+    save_protocol(str(source), corpus.build(name))
+    text = source.read_text()
+    assert f" {weight} " in text
+    path = tmp_path / "bad.qmip"
+    path.write_text(text.replace(f" {weight} ", f" {token} ", 1))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert "is not a finite number" in capsys.readouterr().err
+
+
+def test_importing_the_package_leaves_numpy_out():
+    """Only `complete_unitary` needs numpy, so no command pays for importing it."""
+    code = "import sys, qmipsim, qmipsim.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_missing_row_is_exit_4(tmp_path, no_comm_file, capsys):

@@ -794,3 +794,14 @@ def test_a_drift_spread_over_merged_histories_is_still_a_run_fault():
     for protocol in (p, _hiding_cells(p)):
         with pytest.raises(RunFault, match="round 3 is not mass-preserving"):
             simulate(protocol, "0")
+
+
+@pytest.mark.parametrize("name", ["coinflip_quantum", "coinflip_classical", "no_comm", "no_comm_lift"])
+def test_a_nan_weight_faults_the_run(name):
+    """A NaN amplitude or probability fails the mass checks instead of reaching the result."""
+    p = corpus.build(name)
+    (key, branches), *rest = p.verifier.rows.items()
+    row = ((*branches[0][:3], complex(math.nan)),) + branches[1:]
+    bad = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, rows={key: row, **dict(rest)}))
+    with pytest.raises(RunFault, match="^round 1 is not mass-preserving"):
+        simulate(bad, "0")

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmipsim import corpus, transforms
-from qmipsim.errors import SpecFileError
+from qmipsim.errors import SpecFileError, ValidationError
 from qmipsim.fileformat import (
     FORMAT_HEADER,
     load_protocol,
@@ -23,6 +23,7 @@ from qmipsim.specs import (
     LoggedReplyStrategy,
     ProverSpec,
     UnitaryTableStrategy,
+    validate_protocol,
 )
 
 H = 1 / math.sqrt(2)
@@ -104,6 +105,18 @@ def test_serialize_weight_failures_repeat(value):
             serialize_weight(value)
 
 
+@pytest.mark.parametrize("token", [
+    "nan", "inf", "-inf", "1e999", "9" * 400, "-" + "9" * 400, "9" * 400 + "/7", "1/sqrt" + "9" * 400,
+], ids=["nan", "inf", "-inf", "1e999", "int", "-int", "fraction", "root"])
+def test_weights_that_are_not_finite_numbers_name_their_line(token):
+    text = _base_text()
+    lines = text.splitlines()
+    n = next(i for i, line in enumerate(lines, start=1) if line.startswith("rule = ") and " 1/2 " in line)
+    lines[n - 1] = lines[n - 1].replace("1/2", token, 1)
+    with pytest.raises(SpecFileError, match=f"^line {n}: weight {re.escape(repr(token))} is not a finite number$"):
+        parse_protocol("\n".join(lines))
+
+
 def test_bad_weight_tokens_fail_on_every_call():
     assert parse_weight("1/2") == 0.5
     for where in ("line 3: ", "line 9: "):
@@ -159,6 +172,18 @@ def test_unitary_strategy_round_trips():
     )
     custom = dataclasses.replace(p, provers=(prover,))
     assert parse_protocol(serialize_protocol(custom)) == custom
+
+
+def test_urow_head_takes_at_most_one_bar():
+    p = corpus.build("coinflip_quantum")
+    prover = dataclasses.replace(
+        p.provers[0], strategy=UnitaryTableStrategy(work=0, steps={None: {("#", ()): [(("#", ()), 1 + 0j)]}})
+    )
+    text = serialize_protocol(dataclasses.replace(p, provers=(prover,)))
+    n = _line_of(text, "urow = * # -> ")
+    lax = text.replace("urow = * # -> ", "urow = * # | x | y -> ", 1)
+    with pytest.raises(SpecFileError, match=f"^line {n}: urow head has too many '\\|'$"):
+        parse_protocol(lax)
 
 
 def test_choices_strategy_round_trips():
@@ -260,26 +285,30 @@ def test_halting_sets_and_initial_state_are_checked(change, undeclared):
         serialize_protocol(dataclasses.replace(p, verifier=change(p.verifier)))
 
 
-@pytest.mark.parametrize("rewrite", [
-    lambda key, branch: (("q9",) + key[1:], branch),
-    lambda key, branch: ((key[0], "#") + key[2:], branch),
-    lambda key, branch: (key[:2] + (("#", "zz"),), branch),
-    lambda key, branch: (key[:2] + (("#",),), branch),
+@pytest.mark.parametrize("rewrite, fault", [
+    (lambda key, branch: (("q9",) + key[1:], branch), "row source state 'q9' not declared"),
+    (lambda key, branch: ((key[0], "#") + key[2:], branch), "row input symbol '#' not declared"),
+    (lambda key, branch: (key[:2] + (("#", "zz"),), branch), "row receives 'zz' outside communication alphabet 2"),
+    (lambda key, branch: (key[:2] + (("#",),), branch), "row received tuple has wrong arity"),
     # written unchecked, the file failed to load: "branch needs weight, state, move, and 2 sent symbols"
-    lambda key, branch: (key, ("a b",) + branch[1:]),
-    lambda key, branch: (key, branch[:2] + (("#", "zz"),) + branch[3:]),
-    lambda key, branch: (key, branch[:2] + (("#",),) + branch[3:]),
+    (lambda key, branch: (key, ("a b",) + branch[1:]), "row target state 'a b' not declared"),
+    (lambda key, branch: (key, branch[:2] + (("#", "zz"),) + branch[3:]),
+     "row sends 'zz' outside communication alphabet 2"),
+    (lambda key, branch: (key, branch[:2] + (("#",),) + branch[3:]), "row sent tuple has wrong arity"),
     # written unchecked, a move of 2 read back as 0
-    lambda key, branch: (key, branch[:1] + (2,) + branch[2:]),
+    (lambda key, branch: (key, branch[:1] + (2,) + branch[2:]), "head move 2 invalid"),
 ], ids=["source", "input", "received", "received-arity", "target", "sent", "sent-arity", "move"])
-def test_rule_states_symbols_and_moves_are_checked(rewrite):
+def test_rule_states_symbols_and_moves_are_checked(rewrite, fault):
+    """Writing and validation refuse the same rows, validation with the row's own fault."""
     p = corpus.build("no_comm")
     (key, branches), *rest = p.verifier.rows.items()
     bad_key, bad_branch = rewrite(key, branches[0])
     rows = {bad_key: (bad_branch,) + branches[1:], **dict(rest)}
-    verifier = dataclasses.replace(p.verifier, rows=rows)
+    bad = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, rows=rows))
     with pytest.raises(SpecFileError, match=f"^rule {re.escape(repr(bad_key))} names an undeclared state or symbol, "):
-        serialize_protocol(dataclasses.replace(p, verifier=verifier))
+        serialize_protocol(bad)
+    with pytest.raises(ValidationError, match=f"^{re.escape(fault)}$"):
+        validate_protocol(bad)
 
 
 # ---------------------------------------------------------------- strictness

@@ -41,6 +41,7 @@ from qmipsim.specs import (
     guard_state,
     make_track_alphabet,
     parse_track,
+    restrictive_violations,
     rotation_reply,
     track,
     validate_protocol,
@@ -575,6 +576,15 @@ def test_fair_coin_violations():
         ("q0", LEFT_END, ("#",)): (("acc", 1, ("#",), 0.3), ("rej", 1, ("#",), 0.7)),
     }
     assert fair_coin_violations(_tiny_protocol(rows=biased).verifier)
+
+
+@pytest.mark.parametrize("mode, weight", [("1qfa", H), ("1pfa", 0.5)])
+def test_a_nan_weight_is_never_well_formed(mode, weight):
+    row = (("acc", 1, ("#",), complex(math.nan)), ("rej", 1, ("#",), complex(weight)))
+    verifier = _tiny_protocol(rows={("q0", LEFT_END, ("#",)): row}, mode=mode).verifier
+    assert not check_well_formed(verifier)
+    normal_form = restrictive_violations if mode == "1qfa" else fair_coin_violations
+    assert normal_form(verifier)
 
 
 def test_check_prover_columns_accepts_unitary_strategies():

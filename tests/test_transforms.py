@@ -108,8 +108,6 @@ def test_make_eraser_checks():
     assert e.tape_alphabet == ("#", "m")
     with pytest.raises(SpaceExceeded):
         make_eraser(3, ("#", "m"), space=3, cutoff=4)
-    with pytest.raises(AlphabetMismatch):
-        make_eraser(3, ("#", "m"), space=4, cutoff=4, tape_alphabet=("#",))
 
 
 # ---------------------------------------------------------------- lift
