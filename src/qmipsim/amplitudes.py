@@ -23,8 +23,8 @@ def norm_sq(state: StateVector) -> float:
 
 
 def prune(state: StateVector) -> StateVector:
-    """Drop entries with magnitude below PRUNE_TOL."""
-    return {c: a for c, a in state.items() if abs(a) >= PRUNE_TOL}
+    """Drop entries with magnitude below PRUNE_TOL; a NaN is never below it, so it stays."""
+    return {c: a for c, a in state.items() if not abs(a) < PRUNE_TOL}
 
 
 SparseOperator = Callable[[Hashable], Iterable[tuple[Hashable, complex]]]

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import accumulate, product
 from math import prod
+from operator import itemgetter, or_
 from typing import Callable, Iterator, NamedTuple
 
 from .amplitudes import StateVector, apply_sparse_operator, norm_sq
@@ -145,28 +146,30 @@ def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -
     return op
 
 
+def _check_head_moves(config: Configuration, branches, n: int) -> None:
+    """RunFault if `config`'s head moves +1 and -1 reach one target, as on the two-cell tape of "".
+
+    That breaks interference, so only quantum verifiers must not do it."""
+    moves: dict = {}
+    for q2, d, sent, _ in branches:
+        target = (q2, (config.head + d) % n, sent)
+        if moves.setdefault(target, d) != d:
+            raise RunFault(
+                f"branches of {config} with head moves {moves[target]:+d} and {d:+d} "
+                f"both land on {Configuration(*target, config.tapes)} of the two-cell tape"
+            )
+
+
 def verifier_operator(verifier: VerifierSpec, tape: tuple[str, ...]) -> Callable:
     n = len(tape)
-    # +1 and -1 reach the same cell only on the two-cell tape of ""; that
-    # breaks interference, so only quantum verifiers must not do it
     check_moves = n == 2 and verifier.is_quantum()
 
     def op(config: Configuration):
-        sigma = tape[config.head % n]
-        branches = verifier.lookup(config.state, sigma, config.comm)
-        out = []
-        for (q2, d, sent, w) in branches:
-            head = (config.head + d) % n
-            out.append((Configuration(q2, head, sent, config.tapes), complex(w)))
+        q, head, comm, tapes = config
+        branches = verifier.lookup(q, tape[head % n], comm)
         if check_moves:
-            moves: dict = {}
-            for (_, d, _, _), (target, _) in zip(branches, out):
-                if moves.setdefault(target, d) != d:
-                    raise RunFault(
-                        f"branches of {config} with head moves {moves[target]:+d} and {d:+d} "
-                        f"both land on {target} of the two-cell tape"
-                    )
-        return out
+            _check_head_moves(config, branches, n)
+        return [(Configuration(q2, (head + d) % n, sent, tapes), complex(w)) for q2, d, sent, w in branches]
 
     return op
 
@@ -213,14 +216,20 @@ def _measure(targets, quantum: bool, accept, reject) -> tuple[float, float, floa
     return kept, p_acc, p_rej, live
 
 
-def _column(branches, quantum: bool, accept, reject) -> _Column:
+def _column(verifier: VerifierSpec, tape: tuple[str, ...], config: Configuration, quantum: bool) -> _Column:
+    """The verifier's column at `config`, built straight from its lookup rows."""
+    q, head, comm, _ = config
+    n = len(tape)
+    branches = verifier.lookup(q, tape[head % n], comm)
+    if n == 2 and quantum:
+        _check_head_moves(config, branches, n)
     summed: dict = {}
-    for t, w in branches:
-        target = (t.state, t.head, t.comm)
-        summed[target] = summed.get(target, 0j) + w
+    for q2, d, sent, w in branches:
+        target = (q2, (head + d) % n, sent)
+        summed[target] = summed.get(target, 0j) + complex(w)
     targets = list(summed.items())
     smallest = min((abs(w) for _, w in targets), default=0.0)
-    return _Column(targets, smallest, *_measure(targets, quantum, accept, reject))
+    return _Column(targets, smallest, *_measure(targets, quantum, verifier.accept, verifier.reject))
 
 
 def _verify_and_measure(
@@ -236,11 +245,10 @@ def _verify_and_measure(
     (amp.real when classical) times the column's totals and only its
     non-halting targets are stored. Every other configuration is summed per
     tape group in a local dict, which `_measure` prunes and measures; only
-    its live targets become configurations. Columns come from
-    verifier_operator, once per (state, head, comm).
+    its live targets become configurations. Columns are built from the
+    verifier's rows, once per (state, head, comm).
     """
     quantum = verifier.is_quantum()
-    op = verifier_operator(verifier, tape)
     accept, reject = verifier.accept, verifier.reject
     columns: dict = {}
     sharing = Counter([config.tapes for config in state])
@@ -251,7 +259,7 @@ def _verify_and_measure(
         key = config[:3]
         column = columns.get(key)
         if column is None:
-            column = columns[key] = _column(op(config), quantum, accept, reject)
+            column = columns[key] = _column(verifier, tape, config, quantum)
         tapes = config.tapes
         if sharing[tapes] > 1 or abs(amp) * column.smallest < PRUNE_TOL:
             shared.setdefault(tapes, []).append((column, amp))
@@ -322,10 +330,9 @@ def run_round(
 
 def _touched(prover: ProverSpec, step: int) -> frozenset[int]:
     """The tape cells the prover's move at `step` reads or writes; all of them unless declared."""
+    tape = range(prover.space)
     declared = declared_cells(prover.strategy, step)
-    if declared is None:
-        return frozenset(range(prover.space))
-    return frozenset(i for i in declared if 0 <= i < prover.space)
+    return frozenset(tape if declared is None else filter(tape.__contains__, declared))
 
 
 class _Fold(NamedTuple):
@@ -334,38 +341,29 @@ class _Fold(NamedTuple):
     carried: tuple[tuple[int, ...], ...]  # cells touched so far and again later
 
 
-def _fold_after(p: ProtocolSpec, j: int, touched: dict) -> _Fold | None:
-    """The fold after the prover stage of round j; None when no tape cell dies in round j.
+def _fold_schedule(p: ProtocolSpec) -> Callable[[int], _Fold | None]:
+    """The fold after the prover stage of round j, as a function of j; None when no cell dies.
 
     The provers move at step j-1 in round j. A cell is dead from that move on
     when some move has touched it and no move up to p's cutoff touches it
-    again, so the driver folds before round j's verifier pass. Cells no move
-    has touched yet hold the blank in every history, so only `carried` cells
-    can tell two histories apart outside dead cells. `touched` memoizes each
-    step's cells for the run.
+    again, so the driver folds before round j's verifier pass (never in the
+    last round). Cells no move has touched yet hold the blank in every
+    history, so only `carried` cells can tell two histories apart outside
+    dead cells. Each step's cells and their prefix and suffix unions per tape
+    are computed once, so a round's fold costs a few set operations.
     """
-    def at(step: int) -> list[frozenset[int]]:
-        if step not in touched:
-            touched[step] = [_touched(prover, step) for prover in p.provers]
-        return touched[step]
+    # per_tape[i][s - 1]: the cells prover i touches at step s
+    per_tape = list(zip(*([_touched(pr, step) for pr in p.provers] for step in range(1, p.cutoff))))
+    earlier = [list(accumulate(cells, or_)) for cells in per_tape]
+    later = [list(accumulate(reversed(cells), or_))[::-1] for cells in per_tape]
 
-    if not 2 <= j < p.cutoff:
-        return None
-    # most cells a move touches are touched again at the next step, so scan forward lazily
-    dying = [set(cells) for cells in at(j - 1)]
-    for step in range(j, p.cutoff):
-        if not any(dying):
+    def fold_after(j: int) -> _Fold | None:
+        if not 2 <= j < p.cutoff or not any(cells[j - 2] - rest[j - 1] for cells, rest in zip(per_tape, later)):
             return None
-        for cells, now in zip(dying, at(step)):
-            cells -= now
-    if not any(dying):
-        return None
-    later = [frozenset().union(*cells) for cells in zip(*(at(s) for s in range(j, p.cutoff)))]
-    earlier = [frozenset().union(*cells) for cells in zip(*(at(s) for s in range(1, j)))]
-    return _Fold(
-        tuple(tuple(sorted(a - b)) for a, b in zip(earlier, later)),
-        tuple(tuple(sorted(a & b)) for a, b in zip(earlier, later)),
-    )
+        spans = [(before[j - 2], rest[j - 1]) for before, rest in zip(earlier, later)]
+        return _Fold(tuple(tuple(sorted(a - b)) for a, b in spans), tuple(tuple(sorted(a & b)) for a, b in spans))
+
+    return fold_after
 
 
 class _Class(NamedTuple):
@@ -375,11 +373,6 @@ class _Class(NamedTuple):
     mass: float | None
 
 
-def _pick(tapes: tuple[tuple[str, ...], ...], cells: tuple[tuple[int, ...], ...]) -> tuple:
-    """The symbols in `cells` of each tape."""
-    return tuple(tuple(tape[i] for i in picked) for tape, picked in zip(tapes, cells))
-
-
 def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
     """Split each class into histories by its dead cells and merge equal histories.
 
@@ -387,31 +380,33 @@ def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
     later move reads or writes them, so histories never interfere again, and
     two whose states agree outside dead cells evolve identically. Those merge
     into one class whose multiplicity is the sum of theirs; the first keeps
-    its configurations, real dead cells included, as the representative.
+    its configurations, real dead cells included, as the representative. A
+    class that is one history keeps its own dict and mass.
     """
+    # one getter per tape, called as get(getter, tape); `itemgetter(slice(0))` reads no cell
+    get = itemgetter.__call__
+    dead_of = [itemgetter(*cells) if cells else itemgetter(slice(0)) for cells in fold.dead]
+    carried_of = [itemgetter(*cells) if cells else itemgetter(slice(0)) for cells in fold.carried]
     merged: dict = {}
-    for state, multiplicity, _ in classes:
+    for state, multiplicity, mass in classes:
         histories: dict = {}
-        split: dict = {}  # tapes -> (dead content, carried content)
         for config, amp in state.items():
-            tapes = config.tapes
-            parts = split.get(tapes)
-            if parts is None:
-                parts = split[tapes] = (_pick(tapes, fold.dead), _pick(tapes, fold.carried))
-            dead, carried = parts
+            q, head, comm, tapes = config
+            dead = tuple(map(get, dead_of, tapes))
             history = histories.get(dead)
             if history is None:
                 history = histories[dead] = ({}, [])
             history[0][config] = amp
-            history[1].append((config.state, config.head, config.comm, carried, amp))
+            history[1].append((q, head, comm, tuple(map(get, carried_of, tapes)), amp))
+        whole = len(histories) == 1
         for members, outside in histories.values():
             key = frozenset(outside)
             entry = merged.get(key)
             if entry is None:
-                merged[key] = [members, multiplicity]
+                merged[key] = [state, multiplicity, mass] if whole else [members, multiplicity, None]
             else:
                 entry[1] += multiplicity
-    return [_Class(members, multiplicity, None) for members, multiplicity in merged.values()]
+    return [_Class(*entry) for entry in merged.values()]
 
 
 def _rounds(
@@ -420,16 +415,17 @@ def _rounds(
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
     Each round runs the prover stage per class, folds the cells that died in
-    it (`_fold_after`), then runs the verifier pass and its measurement per
-    folded class. The last round yielded is `p.cutoff`'s or the first whose
-    residual mass is at most PRUNE_TOL. Round j+1 is built only when the
-    caller asks for it, from the provers' strategies as they are then.
-    `after` resumes from a pair the run yielded, round 0 (the initial state)
-    by default; the rounds that follow are the uninterrupted run's.
+    it (`_fold_schedule`, computed once per call), then runs the verifier pass
+    and its measurement per folded class. The last round yielded is
+    `p.cutoff`'s or the first whose residual mass is at most PRUNE_TOL. Round
+    j+1 is built only when the caller asks for it, from the provers'
+    strategies as they are then. `after` resumes from a pair the run yielded,
+    round 0 (the initial state) by default; the rounds that follow are the
+    uninterrupted run's.
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
-    touched: dict = {}
+    fold_after = _fold_schedule(p)
     if after is None:
         after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
     stat, survivors = after
@@ -438,13 +434,15 @@ def _rounds(
         if before <= PRUNE_TOL:
             return
         # a class keeps its mass from before the prover stage: an unfolded class
-        # checks both stages against it in its verifier pass, a fold checks each first
+        # checks both stages against it in its verifier pass; a fold checks the
+        # prover stage first, and the classes it keeps whole keep the moved mass
         classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
-        fold = _fold_after(p, j, touched)
+        fold = fold_after(j)
         if fold is not None:
-            for moved, _, mass in classes:
+            for i, (moved, multiplicity, mass) in enumerate(classes):
                 moved_mass = _mass(moved, quantum)
                 _check_round(j, mass, moved_mass, 0.0, 0.0, moved_mass)
+                classes[i] = _Class(moved, multiplicity, moved_mass)
             classes = _fold(classes, fold)
         p_acc = p_rej = residual_mass = 0.0
         configurations = stored = 0

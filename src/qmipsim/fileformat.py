@@ -112,6 +112,8 @@ def _weight_token(w: complex) -> str:
     if w.imag != 0.0:
         raise SpecFileError(f"cannot serialize complex weight {w!r}")
     value = w.real
+    if not isfinite(value):
+        raise SpecFileError(f"cannot serialize weight {value!r}: not a finite number")
     frac = Fraction(value).limit_denominator(64)
     if float(frac) == value:
         token = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"

@@ -729,6 +729,93 @@ def test_the_driver_sums_each_state_once(monkeypatch):
     assert len({id(state) for state in summed}) == len(summed)
 
 
+def test_a_fold_that_merges_nothing_keeps_its_classes(monkeypatch):
+    # every fold of the lifted relay takes one class of one configuration:
+    # the class keeps its dict and the mass the fold check summed
+    folds = []
+    fold = engine._fold
+
+    def spy(classes, cells):
+        out = fold(classes, cells)
+        folds.append((classes, out))
+        return out
+
+    summed = []
+    mass = engine._mass
+
+    def count(state, quantum):
+        summed.append(state)
+        return mass(state, quantum)
+
+    monkeypatch.setattr(engine, "_fold", spy)
+    monkeypatch.setattr(engine, "_mass", count)
+    result = simulate(_lifted_parity_relay(), "111")
+    assert [(r.configurations, r.stored) for r in result.rounds] == [(1, 1)] * 4 + [(0, 0)]
+    assert len(summed) == 9
+    assert folds
+    for before, after in folds:
+        assert len(after) == len(before)
+        for kept, c in zip(after, before):
+            assert kept.state is c.state
+            assert c.mass is not None and kept.mass == c.mass
+
+
+class _Cells:
+    """A strategy that only declares its cells: `schedule[step - 1]`, None for the whole tape."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def cells(self, step):
+        return self.schedule[step - 1]
+
+
+def _brute_fold(p, j):
+    """The fold after round j's prover stage, straight from its definition."""
+    def touched(prover, step):
+        cells = getattr(prover.strategy, "cells", None)
+        declared = None if cells is None else cells(step)
+        everything = set(range(prover.space))
+        return everything if declared is None else everything & set(declared)
+
+    def union(prover, steps):
+        return set().union(*(touched(prover, step) for step in steps))
+
+    if not 2 <= j < p.cutoff:
+        return None
+    before = [union(pr, range(1, j)) for pr in p.provers]
+    rest = [union(pr, range(j, p.cutoff)) for pr in p.provers]
+    if not any(touched(pr, j - 1) - later for pr, later in zip(p.provers, rest)):
+        return None
+    return engine._Fold(
+        tuple(tuple(sorted(a - b)) for a, b in zip(before, rest)),
+        tuple(tuple(sorted(a & b)) for a, b in zip(before, rest)),
+    )
+
+
+@st.composite
+def _scheduled_provers(draw):
+    cutoff = draw(st.integers(2, 10))
+    provers = []
+    for index in range(1, draw(st.integers(1, 3)) + 1):
+        space = draw(st.integers(0, 5))
+        # cells may reach past the tape, and a step may declare the whole tape
+        step_cells = st.one_of(st.none(), st.lists(st.integers(0, space + 2), max_size=4).map(tuple))
+        strategy = draw(st.one_of(st.just(object()), st.lists(step_cells, min_size=cutoff, max_size=cutoff).map(_Cells)))
+        provers.append(ProverSpec(index=index, comm_alphabet=(BLANK,), tape_alphabet=(BLANK,), space=space,
+                                  strategy=strategy))
+    verifier = corpus.build("no_comm").verifier
+    return ProtocolSpec(name="scheduled", verifier=verifier, provers=tuple(provers), a=1.0, b=1.0, cutoff=cutoff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_scheduled_provers())
+def test_the_fold_schedule_matches_its_definition(p):
+    fold_after = engine._fold_schedule(p)
+    for j in range(p.cutoff + 2):
+        assert fold_after(j) == _brute_fold(p, j), j
+
+
 _SWEPT = {
     "no_comm_lift": ("", "0", "00"),
     "no_comm_reduce": ("", "0", "00"),
@@ -804,4 +891,15 @@ def test_a_nan_weight_faults_the_run(name):
     row = ((*branches[0][:3], complex(math.nan)),) + branches[1:]
     bad = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, rows={key: row, **dict(rest)}))
     with pytest.raises(RunFault, match="^round 1 is not mass-preserving"):
+        simulate(bad, "0")
+
+
+def test_a_nan_amplitude_from_a_prover_move_reaches_the_round_fault():
+    # the prover stage's prune keeps a NaN, so the check names it instead of lost mass
+    p = corpus.build("no_comm_lift")
+    mute = p.provers[1]
+    table = {(s, ()): [((s, ()), complex(math.nan))] for s in mute.comm_alphabet}
+    nan = dataclasses.replace(mute, strategy=UnitaryTableStrategy(work=0, steps={None: table}))
+    bad = dataclasses.replace(p, provers=(p.provers[0], nan) + p.provers[2:])
+    with pytest.raises(RunFault, match=r"^round 2 is not mass-preserving: 1 -> nan;"):
         simulate(bad, "0")

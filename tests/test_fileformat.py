@@ -105,6 +105,23 @@ def test_serialize_weight_failures_repeat(value):
             serialize_weight(value)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_weight_that_is_not_a_finite_number_is_not_written(value):
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(SpecFileError, match=f"^cannot serialize weight {re.escape(repr(value))}: not a finite number$"):
+            serialize_weight(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_protocol_with_a_weight_that_is_not_a_finite_number_is_not_written(value):
+    p = corpus.build("coinflip_classical")
+    (key, branches), *rest = p.verifier.rows.items()
+    row = ((*branches[0][:3], value),) + branches[1:]
+    bad = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, rows={key: row, **dict(rest)}))
+    with pytest.raises(SpecFileError, match=f"^cannot serialize weight {re.escape(repr(value))}: not a finite number$"):
+        serialize_protocol(bad)
+
+
 @pytest.mark.parametrize("token", [
     "nan", "inf", "-inf", "1e999", "9" * 400, "-" + "9" * 400, "9" * 400 + "/7", "1/sqrt" + "9" * 400,
 ], ids=["nan", "inf", "-inf", "1e999", "int", "-int", "fraction", "root"])
