@@ -31,8 +31,6 @@ from .engine import (
     RunResult,
     initial_state,
     input_tape,
-    run,
-    run_classical,
     run_round,
     simulate,
 )

@@ -1,24 +1,26 @@
 """Adversarial strategy search and prover derandomization.
 
-Soundness claims quantify over all prover strategies, which no finite run
-can cover. What a desk-scale tool can do is sweep structured families that
+Soundness claims quantify over all prover strategies, which no finite run can
+cover. What a desk-scale tool can do is sweep structured families that
 contain every strategy worth trying at these sizes: constant replies, full
-reply sequences, echoes, and mask-track probes. The search caches the
-round-1 residual (provers first act in round 2) and walks every combination
-in one loop. When every strategy answers each local (comm, tape) state of
-that residual with a single move of weight exactly 1, each strategy is
-applied once per local state and round 2 of every combination, at any
-cutoff, is scored from those moves plus verifier rows and per-slot guard
-verdicts. Sources that share every slot's local state are scored together
-as one interference group, and a group that the guard sends wholly to a
-halting state adds a triple measured once per sweep. Last-prover strategies
-whose moves differ only where that triple is taken fall in one class, and
-each class is scored once per choice of the other provers. A combination is
-replayed when its round 2 cannot be scored (a strategy branches, as
-rotations do, puts a phase on its move, merges two local states, or
-something faults) or when it keeps more than PRUNE_TOL with rounds left:
-the engine's round driver, which stops at that same test, resumes it from
-the shared round 1 and raises the run's own error.
+reply sequences, echoes, and mask-track probes. The search caches the round-1
+residual (provers first act in round 2) and walks every combination in one
+loop. When every strategy answers each local (comm, tape) state of that
+residual with a single move of weight exactly 1, each strategy is applied
+once per local state and round 2 of every combination, at any cutoff and on
+any input, is scored from those moves plus the engine's verifier columns
+(`engine._column`, guard rows and the two-cell head-move check included) and
+per-slot guard verdicts. Sources that share every slot's local state are
+scored together as one interference group, and a group that the guard sends
+wholly to a halting state adds a triple measured once per sweep. Last-prover
+strategies whose moves differ only where that triple is taken fall in one
+class, and each class is scored once per choice of the other provers. A
+combination is replayed when its round 2 cannot be scored (a strategy
+branches, as rotations do, puts a phase on its move, merges two local states,
+or something faults, such as a verifier column whose head moves collide on
+the two-cell tape of "") or when it keeps more than PRUNE_TOL with rounds
+left: the engine's round driver, which stops at that same test, resumes it
+from the shared round 1 and raises the run's own error.
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .engine import _Class, _check_round, _mass, _measure, _rounds, _run, input_tape, run_classical
+from .engine import Configuration, _Class, _check_round, _column, _mass, _measure, _rounds, input_tape, simulate
 from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
 from .specs import (
     BLANK,
@@ -210,10 +212,12 @@ class _Round2:
     combination's round-2 state follows from what each strategy does to the
     distinct local states of the shared round-1 residual: amplitudes pass the
     prover stage unchanged. Those moves are computed once per strategy; a
-    combination then only looks up verifier rows (guard rows from per-slot
-    verdicts), accumulates target amplitudes and measures them with the
-    engine's `_measure` and `_check_round`. New tapes are interned per slot,
-    so targets are keyed by small integers instead of tape tuples.
+    combination then only reads the verifier's columns, accumulates target
+    amplitudes and measures them with the engine's `_measure` and
+    `_check_round`. Each column is the engine's own (`_column`: explicit row
+    or guard row, and the two-cell head-move check), built once per sweep
+    and (state, head, reception). New tapes are interned per slot, so
+    targets are keyed by small integers instead of tape tuples.
 
     Sources that share their local tuple (one local-state id per slot) form an
     interference group: they receive the same moves. `moves` refuses a
@@ -230,19 +234,20 @@ class _Round2:
     per key and prefix.
 
     `first` is the driver's round-1 class, mass included. `score` returns
-    None on anything `run_round` would fault on; the caller then replays that
+    None on anything the round driver would fault on (a missing row, a
+    head-move collision, a mass check); the caller then replays that
     combination, which raises the error itself.
     """
 
     def __init__(self, p: ProtocolSpec, tape, first: _Class):
-        v = p.verifier
+        self.verifier = v = p.verifier
+        self.tape = tape
         self.quantum = v.is_quantum()
-        self.rows = v.rows
         self.accept = v.accept
         self.reject = v.reject
         self.guard = v.fallback
         residual, _, self.before = first
-        self.n = n = len(tape)
+        n = len(tape)
         self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         self.tape_ids: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         self.verdicts: list[dict[str, bool]] = [{} for _ in range(p.k)]
@@ -263,7 +268,7 @@ class _Round2:
         row_comms: dict[tuple[str, str], set] = {key: set() for key in guard_targets}
         minted = set(guard_targets.values()) - {None}
         apart = True
-        for (q, sigma, comm), row in self.rows.items():
+        for (q, sigma, comm), row in v.rows.items():
             comms = row_comms.get((q, sigma))
             if comms is not None:
                 comms.add(comm)
@@ -287,6 +292,9 @@ class _Round2:
         for local, _, blocked, halted in self.groups:
             self.halts[local[-1]] = self.halts.get(local[-1], True) and halted is not None
             self.blocked.setdefault(local[-1], set()).update(*blocked.values())
+        # per (state, head, reception): the engine's column targets
+        # [((state', head', sent), w)], or None where the run faults there
+        self.columns: dict[tuple, list | None] = {}
 
     def _halted(self, group):
         """(mass, p_acc, p_rej) of a group whose members all move to their guard targets."""
@@ -356,33 +364,36 @@ class _Round2:
             out.append((local[-1], group, comm, tapes, rejected, blocked.get(comm, ()), halted))
         return out
 
+    def column(self, q: str, head: int, comm: tuple):
+        """The targets of the engine's verifier column at (q, head, comm); None on its RunFault."""
+        try:
+            return _column(self.verifier, self.tape, Configuration(q, head, comm, ()), self.quantum).targets
+        except RunFault:
+            return None
+
     def score(self, groups, moves):
         """(p_acc, p_rej, leftover) of round 2 once the last prover plays `moves`."""
-        rows = self.rows
-        n = self.n
+        columns = self.columns
         after = p_acc = p_rej = 0.0
         out: dict[tuple, complex] = {}
         get = out.get
         for last, group, comm, tapes, rejected, blocked, halted in groups:
             cell, tid, rej = moves[last]
-            rejected = rejected or rej
-            if halted is not None and rejected and cell not in blocked:
+            if halted is not None and (rejected or rej) and cell not in blocked:
                 after += halted[0]
                 p_acc += halted[1]
                 p_rej += halted[2]
                 continue
             comm = comm + cell
-            for q, sigma, head, head_next, amp, name in group:
-                row = rows.get((q, sigma, comm))
-                if row is None:
-                    if name is None or not rejected:
-                        return None
-                    key = (name, head_next, comm, tapes, tid)
-                    out[key] = get(key, 0j) + amp
-                    continue
-                for q2, d, sent, weight in row:
-                    key = (q2, (head + d) % n, sent, tapes, tid)
-                    out[key] = get(key, 0j) + amp * weight
+            for q, _, head, _, amp, _ in group:
+                targets = columns.get((q, head, comm), False)
+                if targets is False:
+                    targets = columns[q, head, comm] = self.column(q, head, comm)
+                if targets is None:
+                    return None
+                for (q2, head2, sent), w in targets:
+                    key = (q2, head2, sent, tapes, tid)
+                    out[key] = get(key, 0j) + amp * w
         kept, acc, rej, residual = _measure(out.items(), self.quantum, self.accept, self.reject)
         after += kept
         p_acc += acc
@@ -399,15 +410,13 @@ def _sweep(p: ProtocolSpec, x: str, first, families, T: int):
     """(labels, (total p_acc, total p_rej, leftover)) of every combination, in `itertools.product` order.
 
     Within one prefix of earlier picks, last-prover strategies with equal
-    `_Round2.signature` keys share one score.
-    Every combination is replayed when there is no round 2 to score: at
-    cutoff 1, after a round 1 that leaves at most PRUNE_TOL, without provers,
-    and for a quantum verifier on the two-cell tape of "", where the replay
-    checks that head moves never collide.
+    `_Round2.signature` keys share one score. Every combination is replayed
+    when there is no round 2 to score: at cutoff 1, after a round 1 that
+    leaves at most PRUNE_TOL, and without provers.
     """
     stat1, classes = first
     round2 = None
-    if families and T >= 2 and stat1.residual_mass > PRUNE_TOL and not (x == "" and p.verifier.is_quantum()):
+    if families and T >= 2 and stat1.residual_mass > PRUNE_TOL:
         round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
         moves = [[round2.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
         keys = [round2.signature(m) for m in moves[-1]]
@@ -615,7 +624,7 @@ def derandomize_provers(
     fixed: list[dict] = [{} for _ in range(p.k)]
     wrapped = [_Forced(s, fixed[i]) for i, s in enumerate(strategies)]
     trial = _trial(p, wrapped, p.cutoff)
-    quantum_run = _run(trial, x, None)
+    quantum_run = simulate(trial, x)
 
     # provers write only their own slots, so prover i's local states at a step
     # are those of the residual after round `step`; one walk, advanced a round
@@ -648,7 +657,7 @@ def derandomize_provers(
                 fixed[i][key] = best[1]
 
     out = tuple(DerandomizedStrategy(choices=dict(fixed[i])) for i in range(p.k))
-    det_run = run_classical(_trial(p, out, p.cutoff), x)
+    det_run = simulate(_trial(p, out, p.cutoff), x)
     report = DerandomizeReport(
         quantum_p_accept=quantum_run.p_accept,
         quantum_p_reject=quantum_run.p_reject,

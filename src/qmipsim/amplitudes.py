@@ -19,7 +19,7 @@ StateVector = dict[Hashable, complex]
 
 def norm_sq(state: StateVector) -> float:
     """Squared 2-norm, i.e. the total probability mass the state carries."""
-    return sum((a * a.conjugate()).real for a in state.values())
+    return sum(((a * a.conjugate()).real for a in state.values()), 0.0)
 
 
 def prune(state: StateVector) -> StateVector:

@@ -26,8 +26,8 @@ exactly the pure state's count; `RoundStat.stored` is the sum of residual
 sizes, what the driver holds. A run where no cell dies is one class of
 multiplicity 1.
 
-`_rounds` is the one round driver: a generator that yields each round as it
-is run, which `_run` consumes whole and derandomization (`adversary`) steps
+`_rounds` is the one round driver: a generator that yields each round as it is
+run, which `simulate` consumes whole and derandomization (`adversary`) steps
 through one round at a time. Its run is the protocol's: the verifier's mode
 sets how rounds are measured and the cutoff where they stop. It resumes from
 any pair it yielded (`after`): sweep replays resume from the shared round 1,
@@ -177,7 +177,7 @@ def verifier_operator(verifier: VerifierSpec, tape: tuple[str, ...]) -> Callable
 def _mass(state: StateVector, quantum: bool) -> float:
     if quantum:
         return norm_sq(state)
-    return sum(w.real for w in state.values())
+    return sum((w.real for w in state.values()), 0.0)
 
 
 class _Column(NamedTuple):
@@ -415,17 +415,18 @@ def _rounds(
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
     Each round runs the prover stage per class, folds the cells that died in
-    it (`_fold_schedule`, computed once per call), then runs the verifier pass
-    and its measurement per folded class. The last round yielded is
-    `p.cutoff`'s or the first whose residual mass is at most PRUNE_TOL. Round
-    j+1 is built only when the caller asks for it, from the provers'
-    strategies as they are then. `after` resumes from a pair the run yielded,
-    round 0 (the initial state) by default; the rounds that follow are the
-    uninterrupted run's.
+    it (`_fold_schedule`, computed once per call, at the first round that can
+    fold: a caller that takes only round 1, or a cutoff-2 run, never builds
+    it), then runs the verifier pass and its measurement per folded class.
+    The last round yielded is `p.cutoff`'s or the first whose residual mass
+    is at most PRUNE_TOL. Round j+1 is built only when the caller asks for
+    it, from the provers' strategies as they are then. `after` resumes from
+    a pair the run yielded, round 0 (the initial state) by default; the
+    rounds that follow are the uninterrupted run's.
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
-    fold_after = _fold_schedule(p)
+    fold_after = None
     if after is None:
         after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
     stat, survivors = after
@@ -437,7 +438,10 @@ def _rounds(
         # checks both stages against it in its verifier pass; a fold checks the
         # prover stage first, and the classes it keeps whole keep the moved mass
         classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
-        fold = fold_after(j)
+        fold = None
+        if 2 <= j < p.cutoff:
+            fold_after = fold_after or _fold_schedule(p)
+            fold = fold_after(j)
         if fold is not None:
             for i, (moved, multiplicity, mass) in enumerate(classes):
                 moved_mass = _mass(moved, quantum)
@@ -466,7 +470,8 @@ def _rounds(
         before = residual_mass
 
 
-def _run(p: ProtocolSpec, x: str, cutoff: int | None) -> RunResult:
+def simulate(p: ProtocolSpec, x: str, cutoff: int | None = None) -> RunResult:
+    """Simulate p on x up to the round cutoff; its verifier's mode picks amplitudes or probabilities."""
     if cutoff is not None:
         p = replace(p, cutoff=cutoff)
     if p.cutoff < 1:
@@ -485,22 +490,3 @@ def _run(p: ProtocolSpec, x: str, cutoff: int | None) -> RunResult:
         steps_counted=len(rounds) * (p.k + 1) - p.k,
         halted_round=halted,
     )
-
-
-def run(p: ProtocolSpec, x: str, cutoff: int | None = None) -> RunResult:
-    """Simulate a quantum-verifier protocol on x up to the round cutoff."""
-    if not p.verifier.is_quantum():
-        raise ValidationError(f"mode {p.verifier.mode!r} is classical; use run_classical")
-    return _run(p, x, cutoff)
-
-
-def run_classical(p: ProtocolSpec, x: str, cutoff: int | None = None) -> RunResult:
-    """Simulate a probabilistic-verifier protocol; weights are probabilities, never squared."""
-    if p.verifier.is_quantum():
-        raise ValidationError(f"mode {p.verifier.mode!r} is quantum; use run")
-    return _run(p, x, cutoff)
-
-
-def simulate(p: ProtocolSpec, x: str, cutoff: int | None = None) -> RunResult:
-    """Simulate p on x up to the round cutoff; its verifier's mode picks amplitudes or probabilities."""
-    return _run(p, x, cutoff)

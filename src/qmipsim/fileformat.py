@@ -61,22 +61,20 @@ _SQRT_RE = re.compile(r"^([+-]?)1/sqrt(\d+)$")
 # Protocols repeat a handful of weights (1, 1/2, 1/sqrt2, ...) thousands of
 # times, so both directions remember what they computed per distinct value.
 # The caches are bounded and keep results only: a bad token or an
-# unserializable weight raises again on every call.
+# unserializable weight raises again on every call. The cached parser's
+# errors carry no location; `parse_weight` prefixes its caller's `where`.
 _WEIGHT_CACHE_SIZE = 4096
-_parsed_weights: dict[str, complex] = {}
 
 
 def parse_weight(token: str, where: str = "") -> complex:
-    value = _parsed_weights.get(token)
-    if value is None:
-        value = _parse_weight_token(token, where)
-        if len(_parsed_weights) >= _WEIGHT_CACHE_SIZE:
-            _parsed_weights.clear()
-        _parsed_weights[token] = value
-    return value
+    try:
+        return _weight_value(token)
+    except SpecFileError as e:
+        raise SpecFileError(f"{where}{e}") from None
 
 
-def _parse_weight_token(token: str, where: str) -> complex:
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _weight_value(token: str) -> complex:
     """The token's value; a SpecFileError unless it is a finite number that fits a float."""
     try:
         if _INT_RE.match(token):
@@ -84,21 +82,21 @@ def _parse_weight_token(token: str, where: str) -> complex:
         elif _FRAC_RE.match(token):
             num, den = map(int, token.split("/"))
             if den == 0:
-                raise SpecFileError(f"{where}zero denominator in weight {token!r}")
+                raise SpecFileError(f"zero denominator in weight {token!r}")
             value = num / den
         elif m := _SQRT_RE.match(token):
             n = int(m.group(2))
             if n == 0:
-                raise SpecFileError(f"{where}zero under the root in weight {token!r}")
+                raise SpecFileError(f"zero under the root in weight {token!r}")
             value = (-1.0 if m.group(1) == "-" else 1.0) / sqrt(n)
         else:
             value = float(token)
     except OverflowError:
         value = inf
     except ValueError:
-        raise SpecFileError(f"{where}bad weight token {token!r}") from None
+        raise SpecFileError(f"bad weight token {token!r}") from None
     if not isfinite(value):
-        raise SpecFileError(f"{where}weight {token!r} is not a finite number")
+        raise SpecFileError(f"weight {token!r} is not a finite number")
     return complex(value)
 
 

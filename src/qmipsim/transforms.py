@@ -24,7 +24,6 @@ from .errors import (
     NotOrthonormal,
     NotRestrictive,
     NotReversible,
-    SpaceExceeded,
     ValidationError,
 )
 from .specs import (
@@ -97,19 +96,17 @@ def make_reversible_prover(prover: ProverSpec, cutoff: int) -> ProverSpec:
     )
 
 
-def make_eraser(index: int, comm_alphabet: tuple[str, ...], space: int, cutoff: int) -> ProverSpec:
+def make_eraser(index: int, comm_alphabet: tuple[str, ...], cutoff: int) -> ProverSpec:
     """An eraser prover over the given channel alphabet, which is also its tape alphabet.
 
     It swaps the communication cell with tape cell j-1 at step j, so it
-    needs one tape cell per step.
+    gets one tape cell per step: `cutoff` of them.
     """
-    if space < cutoff:
-        raise SpaceExceeded(f"eraser needs {cutoff} tape cells for cutoff {cutoff}, got {space}")
     return ProverSpec(
         index=index,
         comm_alphabet=tuple(comm_alphabet),
         tape_alphabet=tuple(comm_alphabet),
-        space=space,
+        space=cutoff,
         strategy=EraserStrategy(),
     )
 
@@ -202,7 +199,7 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
         rows=rows,
         fallback=None,
     )
-    eraser = make_eraser(3, eraser_alphabet, space=p.cutoff, cutoff=p.cutoff)
+    eraser = make_eraser(3, eraser_alphabet, cutoff=p.cutoff)
     out = replace(p, name=p.name + "-lift", verifier=verifier, provers=provers + (eraser,))
     return LiftOutput(out, provenance, log_symbols)
 

@@ -13,7 +13,7 @@ import time
 
 from qmipsim import corpus
 from qmipsim.adversary import default_families, derandomize_provers, search
-from qmipsim.engine import run, run_classical, simulate
+from qmipsim.engine import simulate
 from qmipsim.fileformat import load_protocol, parse_protocol, serialize_protocol
 from qmipsim.specs import (
     ProverSpec,
@@ -81,8 +81,8 @@ def test_c2_lift_is_well_formed_and_preserves_statistics():
         if not check_restrictive(lifted.verifier):
             problems.append(f"{base_name}: rows exceed two branches")
         for x in inputs:
-            c = run_classical(classical, x)
-            q = run(lifted, x)
+            c = simulate(classical, x)
+            q = simulate(lifted, x)
             if abs(c.p_accept - q.p_accept) > EXACT or abs(c.p_reject - q.p_reject) > EXACT:
                 problems.append(f"{base_name}({x!r}): {c.p_accept} vs {q.p_accept}")
     _verdict("C2", "lift well-formed, restrictive, statistics preserved", problems)
@@ -151,8 +151,8 @@ def test_c5_reduce_preserves_statistics_and_survives_track_probes():
     classical = corpus.build("no_comm")
     reduced = corpus.build("no_comm_reduce")
     for x in ("0", "00"):
-        c = run_classical(classical, x)
-        q = run(reduced, x)
+        c = simulate(classical, x)
+        q = simulate(reduced, x)
         if abs(c.p_accept - q.p_accept) > EXACT:
             problems.append(f"({x!r}): {c.p_accept} vs {q.p_accept}")
     started = time.monotonic()
@@ -249,13 +249,13 @@ def test_c9_reduced_relay_matches_the_base_run_on_every_input_below_its_cutoff()
     inputs = ["1" * n for n in range(base.cutoff)]
     started = time.monotonic()
     for x in inputs:
-        want, got = run_classical(base, x), run(reduced, x)
+        want, got = simulate(base, x), simulate(reduced, x)
         for field in ("p_accept", "p_reject", "leftover"):
             if abs(getattr(got, field) - getattr(want, field)) > EXACT:
                 problems.append(f"({x!r}) {field} {getattr(got, field)!r} vs {getattr(want, field)!r}")
     elapsed = time.monotonic() - started
     # the pure state would hold 16^j configurations in round j
-    deepest = [stat.configurations for stat in run(reduced, inputs[-1]).rounds]
+    deepest = [stat.configurations for stat in simulate(reduced, inputs[-1]).rounds]
     if deepest != [16 ** j for j in range(1, base.cutoff + 1)]:
         problems.append(f"({inputs[-1]!r}) configurations per round {deepest}")
     _verdict(

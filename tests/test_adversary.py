@@ -28,7 +28,6 @@ from qmipsim.engine import (
     _mass,
     _verify_and_measure,
     input_tape,
-    run_classical,
     run_round,
     simulate,
 )
@@ -476,8 +475,9 @@ def test_branching_strategies_mixed_into_a_family_match_simulate(replayed_rounds
 
 
 def test_sweeps_on_the_two_cell_tape_replay_and_raise_the_collision(replayed_rounds):
-    # on "" the moves +1 and -1 of q1's row land on one cell; scored from
-    # precomputed moves, const:a would report p_accept 1 instead of faulting
+    # on "" the moves +1 and -1 of q1's row land on one cell; the scorer reads
+    # the engine's column, which faults there, so const:a is replayed and
+    # raises, while const:# meets a plain row and is scored
     h = 2 ** -0.5
     comm = (BLANK, "a")
     verifier = VerifierSpec(
@@ -495,11 +495,48 @@ def test_sweeps_on_the_two_cell_tape_replay_and_raise_the_collision(replayed_rou
         },
         fallback=None,
     )
-    p = ProtocolSpec("collide", verifier, (transforms.make_eraser(1, comm, space=2, cutoff=2),), 1.0, 1.0, 2)
+    p = ProtocolSpec("collide", verifier, (transforms.make_eraser(1, comm, cutoff=2),), 1.0, 1.0, 2)
     families = (StrategyFamily(1, "picks", (constant_reply(BLANK), constant_reply("a"))),)
     with pytest.raises(RunFault, match=r"moves \+1 and -1 both land on"):
         search(p, "", families=families)
-    assert replayed_rounds == [1, 2, 2]
+    assert replayed_rounds == [1, 2]
+
+
+# no_comm_reduce: the track probes that reach explicit rows; no_comm_lift: a
+# seeded draw of up to 6 default strategies per prover
+_EMPTY_INPUT_FAMILIES = {
+    "no_comm_reduce": lambda p, seed: _track_probe_sample(p, seed),
+    "no_comm_lift": lambda p, seed: tuple(
+        StrategyFamily(f.prover_index, f.label, tuple(random.Random(f"{seed}/{f.prover_index}").sample(
+            f.strategies, min(6, len(f.strategies)))))
+        for f in default_families(p)
+    ),
+}
+
+
+@pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
+@pytest.mark.parametrize("seed", [7, 2024])
+@pytest.mark.parametrize("name", sorted(_EMPTY_INPUT_FAMILIES))
+def test_quantum_sweeps_on_the_empty_input_are_scored(name, seed, objective, replayed_rounds):
+    # the two-cell tape of "" goes through the engine's column like any other
+    # tape: with no row whose head moves collide there, nothing is replayed
+    p = corpus.build(name)
+    result = _assert_matches_simulate(p, "", _EMPTY_INPUT_FAMILIES[name](p, seed), objective)
+    assert len({(acc, rej) for _, acc, rej in result.table}) >= 2
+    assert replayed_rounds == [1]
+
+
+def test_the_best_leftover_is_a_float_whether_scored_or_replayed(replayed_combos):
+    p = corpus.build("no_comm_lift")
+    scored = search(p, "0")
+    assert replayed_combos == []
+    assert type(scored.best_leftover) is float
+    rotations = (rotation_family(1, p.verifier.comm_alphabets[0]),) + tuple(
+        StrategyFamily(f.prover_index, f.label, f.strategies[:1]) for f in default_families(p)[1:]
+    )
+    replayed = search(p, "0", families=rotations)
+    assert replayed.best_labels in replayed_combos
+    assert type(replayed.best_leftover) is float
 
 
 def test_an_empty_family_is_a_validation_error_before_round_1(monkeypatch):
@@ -556,7 +593,7 @@ def _guarded(first, rows, accept, reject, minted):
         fallback=ForeignGuard(slot_bases=(_BASE,), known_states=frozenset(minted)),
     )
     comm = verifier.comm_alphabets[0]
-    return ProtocolSpec("guarded", verifier, (transforms.make_eraser(1, comm, space=2, cutoff=2),), 1.0, 1.0, 2)
+    return ProtocolSpec("guarded", verifier, (transforms.make_eraser(1, comm, cutoff=2),), 1.0, 1.0, 2)
 
 
 def _split_group():
@@ -783,7 +820,7 @@ def test_derandomize_strictly_improves_on_rotating_prover():
         for i in range(p.k)
     )
     fixed = ProtocolSpec(p.name, p.verifier, provers, p.a, p.b, p.cutoff)
-    result = run_classical(fixed, "1")
+    result = simulate(fixed, "1")
     assert result.p_reject == pytest.approx(report.derandomized_p_reject, abs=1e-9)
 
 
@@ -826,7 +863,7 @@ def test_derandomize_checks_the_round_mass():
     )
     p = ProtocolSpec(name="heavy", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=2)
     with pytest.raises(RunFault, match="round 1 is not mass-preserving: 1 -> 1.4"):
-        run_classical(p, "0")
+        simulate(p, "0")
     with pytest.raises(RunFault, match="round 1 is not mass-preserving: 1 -> 1.4"):
         derandomize_provers(p, "0", [EraserStrategy()])
 

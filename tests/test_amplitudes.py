@@ -13,7 +13,7 @@ H = 1 / math.sqrt(2)
 
 
 def test_norm_sq():
-    assert norm_sq({}) == 0.0
+    assert norm_sq({}) == 0.0 and type(norm_sq({})) is float
     assert norm_sq({"a": 1.0}) == pytest.approx(1.0)
     assert norm_sq({"a": complex(H), "b": complex(0, H)}) == pytest.approx(1.0)
 

@@ -17,8 +17,6 @@ from qmipsim.engine import (
     initial_state,
     input_tape,
     prover_operator,
-    run,
-    run_classical,
     run_round,
     simulate,
     verifier_operator,
@@ -146,16 +144,9 @@ def test_head_wraps_around_both_endmarkers():
     p = ProtocolSpec(
         name="wrap", verifier=verifier, provers=(_mute_prover(),), a=1.0, b=1.0, cutoff=4
     )
-    result = run_classical(p, "")
+    result = simulate(p, "")
     assert result.p_accept == pytest.approx(1.0)
     assert result.halted_round == 3
-
-
-def test_run_refuses_wrong_engine_for_mode():
-    with pytest.raises(ValidationError):
-        run(corpus.build("no_comm"), "0")
-    with pytest.raises(ValidationError):
-        run_classical(corpus.build("coinflip_quantum"), "0")
 
 
 def _relay_with_prover_1(strategy):
@@ -183,7 +174,7 @@ class _MeasuredCoin:
 def test_a_measured_strategy_moves_by_apply_quantum_in_a_classical_run():
     # on "1" the relay accepts exactly when prover 1's second reply is "1";
     # the first reply, whatever it is, leads to the same configuration
-    result = run_classical(_relay_with_prover_1(_MeasuredCoin()), "1")
+    result = simulate(_relay_with_prover_1(_MeasuredCoin()), "1")
     assert result.p_accept == pytest.approx(0.3, abs=1e-12)
     assert result.p_reject == pytest.approx(0.7, abs=1e-12)
     assert result.halted_round == 3
@@ -205,7 +196,7 @@ def test_missing_row_surfaces_as_missing_transition():
         name="gap", verifier=verifier, provers=(_mute_prover(),), a=1.0, b=1.0, cutoff=3
     )
     with pytest.raises(MissingTransition):
-        run_classical(p, "0")
+        simulate(p, "0")
 
 
 def test_mass_drift_is_a_run_fault():
@@ -224,7 +215,7 @@ def test_mass_drift_is_a_run_fault():
         name="lossy", verifier=verifier, provers=(_mute_prover(),), a=1.0, b=1.0, cutoff=2
     )
     with pytest.raises(RunFault):
-        run(p, "0")
+        simulate(p, "0")
 
 
 def test_a_measurement_that_loses_mass_is_a_run_fault():
@@ -252,7 +243,7 @@ def test_a_protocol_without_provers_runs_and_sweeps_past_round_1():
         fallback=None,
     )
     p = ProtocolSpec(name="proverless", verifier=verifier, provers=(), a=0.5, b=0.5, cutoff=3)
-    result = run_classical(p, "0")
+    result = simulate(p, "0")
     assert (result.p_accept, result.p_reject, result.halted_round) == (0.5, 0.5, 2)
     assert result.steps_counted == 2
     swept = search(p, "0", keep_table=True)
@@ -279,7 +270,7 @@ def _two_way(rows, states, comm=(BLANK,)):
 
 
 def _with_eraser(verifier, cutoff=3):
-    prover = make_eraser(1, verifier.comm_alphabets[0], space=cutoff, cutoff=cutoff)
+    prover = make_eraser(1, verifier.comm_alphabets[0], cutoff=cutoff)
     return ProtocolSpec(name="fused", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=cutoff)
 
 
@@ -347,7 +338,7 @@ def test_halting_targets_interfere_inside_one_tape_group():
         },
         ("q0", "qa", "qb"),
     )
-    result = run(_with_eraser(verifier), "0")
+    result = simulate(_with_eraser(verifier), "0")
     assert result.p_accept == pytest.approx(1.0, abs=1e-12)
     assert result.p_reject == pytest.approx(0.0, abs=1e-12)
     assert result.halted_round == 2
@@ -373,7 +364,7 @@ def test_no_interference_across_tape_groups():
     prover = ProverSpec(index=1, comm_alphabet=comm, tape_alphabet=comm, space=2,
                         strategy=rotation_reply("a", "b"))
     p = ProtocolSpec(name="rotations", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=3)
-    result = run(p, "0")
+    result = simulate(p, "0")
     assert result.p_accept == pytest.approx(0.5, abs=1e-12)
     assert result.p_reject == pytest.approx(0.5, abs=1e-12)
     assert result.halted_round == 3
@@ -390,7 +381,7 @@ def test_collision_in_one_tape_group_is_a_run_fault():
         ("q0", "qa", "qb", "p"),
     )
     with pytest.raises(RunFault, match="round 2"):
-        run(_with_eraser(verifier), "0")
+        simulate(_with_eraser(verifier), "0")
 
 
 def test_moves_that_collide_on_the_two_cell_tape_are_a_run_fault():
@@ -401,9 +392,9 @@ def test_moves_that_collide_on_the_two_cell_tape_are_a_run_fault():
         ("q0",),
     )
     with pytest.raises(RunFault, match=r"state='q0'.*moves \+1 and -1 both land on .*state='acc'"):
-        run(_with_eraser(verifier), "")
+        simulate(_with_eraser(verifier), "")
     # on a longer tape the two moves reach different cells
-    assert run(_with_eraser(verifier), "0").p_accept == pytest.approx(1.0, abs=1e-12)
+    assert simulate(_with_eraser(verifier), "0").p_accept == pytest.approx(1.0, abs=1e-12)
 
 
 def test_classical_moves_on_the_two_cell_tape_add_their_probabilities():
@@ -435,7 +426,7 @@ def test_a_key_error_in_a_prover_move_is_a_missing_transition():
     prover = ProverSpec(index=1, comm_alphabet=(BLANK,), tape_alphabet=(BLANK,), space=3, strategy=picky)
     p = ProtocolSpec(name="picky", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=3)
     with pytest.raises(MissingTransition, match="state='q1'"):
-        run(p, "0")
+        simulate(p, "0")
 
 
 def test_no_comm_on_the_empty_input_is_still_a_fair_coin():
@@ -814,6 +805,21 @@ def test_the_fold_schedule_matches_its_definition(p):
     fold_after = engine._fold_schedule(p)
     for j in range(p.cutoff + 2):
         assert fold_after(j) == _brute_fold(p, j), j
+
+
+def test_the_fold_schedule_is_built_only_at_a_round_that_can_fold(monkeypatch):
+    # round 1 never folds, nor does the last round, so neither a sweep's
+    # shared round 1 nor a cutoff-2 run builds the schedule
+    built = []
+    schedule = engine._fold_schedule
+    monkeypatch.setattr(engine, "_fold_schedule", lambda p: built.append(p.cutoff) or schedule(p))
+    relay = corpus.build("parity_relay")
+    search(relay, "1", cutoff=2)
+    search(corpus.build("no_comm_lift"), "0")
+    next(_rounds(relay, "1"))
+    assert built == []
+    simulate(relay, "11")
+    assert built == [relay.cutoff]
 
 
 _SWEPT = {

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmipsim import corpus
-from qmipsim.engine import run, run_classical, simulate
+from qmipsim.engine import simulate
 from qmipsim.errors import (
     AlphabetMismatch,
     NoEraser,
@@ -13,7 +13,6 @@ from qmipsim.errors import (
     NotOrthonormal,
     NotRestrictive,
     NotReversible,
-    SpaceExceeded,
     ValidationError,
 )
 from qmipsim.specs import (
@@ -103,11 +102,9 @@ def test_make_reversible_rejects_non_table_strategies():
 
 
 def test_make_eraser_checks():
-    e = make_eraser(3, ("#", "m"), space=4, cutoff=4)
+    e = make_eraser(3, ("#", "m"), cutoff=4)
     assert isinstance(e.strategy, EraserStrategy)
     assert e.tape_alphabet == ("#", "m")
-    with pytest.raises(SpaceExceeded):
-        make_eraser(3, ("#", "m"), space=3, cutoff=4)
 
 
 # ---------------------------------------------------------------- lift
@@ -160,8 +157,8 @@ def test_lift_preserves_acceptance_statistics():
     classical = corpus.build("no_comm")
     lifted = lift_2ip_to_3qip(classical).protocol
     for x in ("0", "00"):
-        c = run_classical(classical, x)
-        q = run(lifted, x)
+        c = simulate(classical, x)
+        q = simulate(lifted, x)
         assert abs(c.p_accept - q.p_accept) <= 1e-12
         assert abs(c.p_reject - q.p_reject) <= 1e-12
 
@@ -260,7 +257,7 @@ def test_lift_rejects_tampered_record_channel():
         strategy=constant_reply(log),
     )
     tampered = dataclasses.replace(lifted, provers=lifted.provers[:2] + (liar,))
-    result = run(tampered, "0")
+    result = simulate(tampered, "0")
     assert result.p_reject == pytest.approx(1.0, abs=1e-12)
     assert result.halted_round == 2
 
@@ -284,8 +281,8 @@ def test_unify_pads_to_power_of_two():
 def test_unify_preserves_statistics():
     lifted = lift_2ip_to_3qip(corpus.build("no_comm")).protocol
     unified = unify_alphabets(lifted)
-    a = run(lifted, "0")
-    b = run(unified, "0")
+    a = simulate(lifted, "0")
+    b = simulate(unified, "0")
     assert abs(a.p_accept - b.p_accept) <= 1e-12
     assert a.halted_round == b.halted_round
 
@@ -306,7 +303,7 @@ def test_unify_guard_rejects_padding_symbols():
         strategy=constant_reply("~0"),
     )
     tampered = dataclasses.replace(unified, provers=(liar,) + unified.provers[1:])
-    result = run(tampered, "0")
+    result = simulate(tampered, "0")
     assert result.p_reject == pytest.approx(1.0, abs=1e-12)
 
 
@@ -387,8 +384,8 @@ def test_reduce_preserves_statistics():
     classical = corpus.build("no_comm")
     reduced = reduce_3qip_to_2qip(_unified()).protocol
     for x in ("0", "00"):
-        c = run_classical(classical, x)
-        q = run(reduced, x)
+        c = simulate(classical, x)
+        q = simulate(reduced, x)
         assert abs(c.p_accept - q.p_accept) <= 1e-12
 
 
@@ -402,7 +399,7 @@ def test_reduce_guard_rejects_leftover_masks():
         strategy=constant_reply(track("g", "g")),
     )
     tampered = dataclasses.replace(reduced, provers=(liar,) + reduced.provers[1:])
-    result = run(tampered, "0")
+    result = simulate(tampered, "0")
     assert result.p_reject == pytest.approx(1.0, abs=1e-12)
 
 
@@ -506,9 +503,9 @@ def test_parity_chain_preserves_statistics_end_to_end():
     lifted = lift_2ip_to_3qip(classical).protocol
     reduced = reduce_3qip_to_2qip(unify_alphabets(lifted)).protocol
     for x in ("", "1", "11"):
-        c = run_classical(classical, x)
+        c = simulate(classical, x)
         for stage in (lifted, reduced):
-            q = run(stage, x)
+            q = simulate(stage, x)
             assert abs(c.p_accept - q.p_accept) <= 1e-12
             assert abs(c.p_reject - q.p_reject) <= 1e-12
 
