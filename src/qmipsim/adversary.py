@@ -14,7 +14,11 @@ per-slot guard verdicts. Sources that share every slot's local state are
 scored together as one interference group, and a group that the guard sends
 wholly to a halting state adds a triple measured once per sweep. Last-prover
 strategies whose moves differ only where that triple is taken fall in one
-class, and each class is scored once per choice of the other provers. A
+class, numbered once per sweep, and each class is scored once per choice of
+the other provers. Every built-in strategy is a plain `LoggedReplyStrategy`,
+whose move is its reply `fn(step, received)` plus the reception logged by
+`specs.log_reception`, the same tape whatever the reply: a slot's logged
+tapes are written once, and such a strategy is asked only for its replies. A
 combination is replayed when its round 2 cannot be scored (a strategy
 branches, as rotations do, puts a phase on its move, merges two local states,
 or something faults, such as a verifier column whose head moves collide on
@@ -49,6 +53,7 @@ from .specs import (
     constant_reply,
     echo_reply,
     fixed_width_binary_encoding,
+    log_reception,
     make_track_alphabet,
     parse_track,
     rotation_reply,
@@ -212,6 +217,8 @@ class _Round2:
     combination's round-2 state follows from what each strategy does to the
     distinct local states of the shared round-1 residual: amplitudes pass the
     prover stage unchanged. Those moves are computed once per strategy; a
+    plain `LoggedReplyStrategy` is asked only for its replies, since every
+    such strategy writes the slot's `logged` tapes, built once. A
     combination then only reads the verifier's columns, accumulates target
     amplitudes and measures them with the engine's `_measure` and
     `_check_round`. Each column is the engine's own (`_column`: explicit row
@@ -230,8 +237,8 @@ class _Round2:
     routes it there, so that triple is measured once per sweep. Any other
     group is scored source by source. Since that shortcut reads neither the
     reply nor the new tape, `signature` keys the last slot's moves so that
-    equal keys score alike after any prefix: the sweep scores one strategy
-    per key and prefix.
+    equal keys score alike after any prefix: the sweep numbers the keys once
+    and scores one strategy per key and prefix.
 
     `first` is the driver's round-1 class, mass included. `score` returns
     None on anything the round driver would fault on (a missing row, a
@@ -251,6 +258,7 @@ class _Round2:
         self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         self.tape_ids: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         self.verdicts: list[dict[str, bool]] = [{} for _ in range(p.k)]
+        self.logs: dict[int, list[int] | None] = {}
         guard_targets: dict[tuple[str, str], str | None] = {}
         members: dict[tuple, list] = {}
         for config, amp in residual.items():
@@ -303,34 +311,60 @@ class _Round2:
             out[name, head_next] = out.get((name, head_next), 0j) + amp
         return _measure(out.items(), self.quantum, self.accept, self.reject)[:3]
 
+    def logged(self, slot: int):
+        """Per local state of `slot`, the id of its tape after `log_reception` at step 1.
+
+        Every `LoggedReplyStrategy` writes exactly that tape, so the slot's
+        logs are written and interned once. None when a write faults.
+        """
+        if slot not in self.logs:
+            tape_ids = self.tape_ids[slot]
+            try:
+                tapes = [log_reception(tape, 1, comm) for comm, tape in self.local_states[slot]]
+            except RunFault:
+                tapes = None
+            self.logs[slot] = None if tapes is None else [tape_ids.setdefault(t, len(tape_ids)) for t in tapes]
+        return self.logs[slot]
+
     def moves(self, slot: int, strategy):
         """Per local state of `slot`: ((reply,), tape id, guard verdict).
 
+        A plain `LoggedReplyStrategy` (its exact type: a subclass may move
+        otherwise) is asked only for its reply, `fn(1, comm)`, and takes the
+        slot's `logged` tape ids; any other strategy, or a logged one where
+        a log write faults, is applied whole.
         None when the strategy branches, gives its one move a weight other
         than exactly 1 (a phase), merges two local states, or fails on one;
         every combination with it is then replayed.
         """
-        out = []
-        seen = set()
         verdicts = self.verdicts[slot]
         tape_ids = self.tape_ids[slot]
-        for comm, tape in self.local_states[slot]:
-            # the replay raises whatever this raises, so any failure just opts out
-            try:
-                column = strategy.apply_quantum(1, comm, tape)
-                if len(column) != 1 or column[0][1] != 1:
-                    return None
-                reply, new_tape = column[0][0]
+        logged = self.logged(slot) if type(strategy) is LoggedReplyStrategy else None
+        out = []
+        # the replay raises whatever this raises, so any failure just opts out
+        try:
+            if logged is not None:
+                fn = strategy.fn
+                for (comm, _), tid in zip(self.local_states[slot], logged):
+                    (reply, amp), = fn(1, comm)
+                    if amp != 1:
+                        return None
+                    out.append((reply, tid))
+            else:
+                for comm, tape in self.local_states[slot]:
+                    column = strategy.apply_quantum(1, comm, tape)
+                    if len(column) != 1 or column[0][1] != 1:
+                        return None
+                    reply, new_tape = column[0][0]
+                    out.append((reply, tape_ids.setdefault(new_tape, len(tape_ids))))
+            for reply, _ in out:
                 if reply not in verdicts:
                     verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
-            except Exception:
-                return None
-            if (reply, new_tape) in seen:
-                return None
-            seen.add((reply, new_tape))
-            tid = tape_ids.setdefault(new_tape, len(tape_ids))
-            out.append(((reply,), tid, verdicts[reply]))
-        return out
+        except Exception:
+            return None
+        if len(set(out)) < len(out):
+            return None
+        return [((reply,), tid, verdicts[reply]) for reply, tid in out]
 
     def signature(self, moves):
         """The last slot's `moves` as a class key: after any prefix, equal keys score alike.
@@ -410,7 +444,8 @@ def _sweep(p: ProtocolSpec, x: str, first, families, T: int):
     """(labels, (total p_acc, total p_rej, leftover)) of every combination, in `itertools.product` order.
 
     Within one prefix of earlier picks, last-prover strategies with equal
-    `_Round2.signature` keys share one score. Every combination is replayed
+    `_Round2.signature` keys share one score, kept in a list indexed by the
+    key's number, assigned once per sweep. Every combination is replayed
     when there is no round 2 to score: at cutoff 1, after a round 1 that
     leaves at most PRUNE_TOL, and without provers.
     """
@@ -419,7 +454,9 @@ def _sweep(p: ProtocolSpec, x: str, first, families, T: int):
     if families and T >= 2 and stat1.residual_mass > PRUNE_TOL:
         round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
         moves = [[round2.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
-        keys = [round2.signature(m) for m in moves[-1]]
+        # each last strategy's signature class as a small int, so a prefix's scores are a list
+        ids: dict[tuple | None, int] = {}
+        keys = [ids.setdefault(round2.signature(m), len(ids)) for m in moves[-1]]
     labels = [[_label(s) for s in fam.strategies] for fam in families]
     picks = itertools.product(*(range(len(fam.strategies)) for fam in families))
     for names, chosen in zip(itertools.product(*labels), picks):
@@ -430,13 +467,13 @@ def _sweep(p: ProtocolSpec, x: str, first, families, T: int):
             if last == 0:
                 prefix = [m[i] for m, i in zip(moves, chosen[:-1])]
                 groups = None if None in prefix else round2.prefix(prefix)
-                scores = {}
+                scores = [False] * len(ids)
             tail = moves[-1][last]
             if groups is not None and tail is not None:
                 key = keys[last]
-                if key not in scores:
-                    scores[key] = round2.score(groups, tail)
                 scored = scores[key]
+                if scored is False:
+                    scored = scores[key] = round2.score(groups, tail)
         if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
             combo = tuple(fam.strategies[i] for fam, i in zip(families, chosen))
             yield names, _replay(p, x, first, combo, T)

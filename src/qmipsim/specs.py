@@ -152,6 +152,16 @@ def _write_cell(tape: Tape, idx: int, symbol: str, *who: str) -> Tape:
     return tape[:idx] + (symbol,) + tape[idx + 1:]
 
 
+def log_reception(tape: Tape, step: int, comm: str, *who: str) -> Tape:
+    """`tape` with the symbol received at `step` logged in its step-indexed cell, `step - 1`.
+
+    The logging rule of `LoggedReplyStrategy` and `DerandomizedStrategy`. The
+    adversary sweep calls it too, once per local state for all logged
+    strategies, since the log does not depend on the reply.
+    """
+    return _write_cell(tape, step - 1, comm, *who)
+
+
 @dataclass(frozen=True)
 class EraserStrategy:
     """Builtin eraser: swap the communication cell with the step-indexed tape cell.
@@ -325,7 +335,7 @@ class LoggedReplyStrategy:
     kind: ClassVar[str] = "logged-reply"
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
-        logged = _write_cell(tape, step - 1, comm, "strategy", self.label)
+        logged = log_reception(tape, step, comm, "strategy", self.label)
         return [((reply, logged), amp) for reply, amp in self.fn(step, comm)]
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
@@ -365,7 +375,7 @@ class DerandomizedStrategy:
         key = (step, comm, tape)
         if key not in self.choices:
             raise MissingTransition(f"derandomized strategy has no choice for {key}")
-        logged = _write_cell(tape, step - 1, comm, "derandomized strategy")
+        logged = log_reception(tape, step, comm, "derandomized strategy")
         return self.choices[key], logged
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -793,6 +794,130 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
         assert acc == pytest.approx(want_acc, abs=1e-12), labels
         assert rej == pytest.approx(want_rej, abs=1e-12), labels
     assert result.best_leftover == pytest.approx(leftover[result.best_labels], abs=1e-12)
+
+
+# ---------------------------------------------------------------- logged replies
+#
+# Every plain LoggedReplyStrategy logs the reception in the same cell, so
+# `_Round2` writes each slot's logs once and asks such a strategy only for
+# `fn(1, comm)`. Any other strategy, subclasses included, is applied whole.
+
+
+def _round1(p, x):
+    """The sweep's shared round-1 class: (residual, index, mass)."""
+    return next(engine._rounds(adversary._trial(p, (None,) * p.k, p.cutoff), x))[1][0]
+
+
+def _round2(p, x):
+    return adversary._Round2(p, input_tape(x, p.verifier), _round1(p, x))
+
+
+def _applied_moves(round2, slot, strategy):
+    """`_Round2.moves` rebuilt from `apply_quantum` on each local state, new tapes spelled out."""
+    out = []
+    for comm, tape in round2.local_states[slot]:
+        try:
+            column = strategy.apply_quantum(1, comm, tape)
+        except Exception:
+            return None
+        if len(column) != 1 or column[0][1] != 1:
+            return None
+        (reply, new_tape), _ = column[0]
+        out.append(((reply,), new_tape, round2.guard is not None and round2.guard.rejects(slot, reply)))
+    return None if len({(cell, tape) for cell, tape, _ in out}) < len(out) else out
+
+
+@pytest.mark.parametrize("name", sorted(_PROBED))
+def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
+    build, x, _ = _PROBED[name]
+    p = build()
+    round2 = _round2(p, x)
+    applied = []
+    apply_quantum = LoggedReplyStrategy.apply_quantum
+
+    def spy(self, step, comm, tape):
+        applied.append(self.label)
+        return apply_quantum(self, step, comm, tape)
+
+    monkeypatch.setattr(LoggedReplyStrategy, "apply_quantum", spy)
+    families = default_families(p)
+    moves = [[round2.moves(slot, s) for s in f.strategies] for slot, f in enumerate(families)]
+    assert applied == []
+    for slot, f in enumerate(families):
+        tapes = {tid: tape for tape, tid in round2.tape_ids[slot].items()}
+        assert sum(m is not None for m in moves[slot]) >= len(f.strategies) // 2
+        for strategy, got in zip(f.strategies, moves[slot]):
+            spelled = None if got is None else [(cell, tapes[tid], rej) for cell, tid, rej in got]
+            assert spelled == _applied_moves(round2, slot, strategy), strategy.label
+
+
+def test_a_log_write_that_faults_opts_logged_strategies_out():
+    p = corpus.build("no_comm_reduce")
+    residual, index, mass = _round1(p, "0")
+    # every tape already holds a symbol in cell 0, where step 1 logs
+    written = {
+        c._replace(tapes=tuple(("g",) + t[1:] for t in c.tapes)): amp for c, amp in residual.items()
+    }
+    round2 = adversary._Round2(p, input_tape("0", p.verifier), engine._Class(written, index, mass))
+    assert round2.logged(0) is None
+    assert round2.moves(0, constant_reply(BLANK)) is None
+
+
+class _Hedged(LoggedReplyStrategy):
+    """Its `fn` reply and # in equal superposition, a move `fn` alone does not show."""
+
+    def apply_quantum(self, step, comm, tape):
+        ((reply, logged), amp), = super().apply_quantum(step, comm, tape)
+        h = 2 ** -0.5
+        return [((reply, logged), amp * h), ((BLANK, logged), -amp * h)]
+
+
+@pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
+def test_a_logged_subclass_that_overrides_its_move_is_replayed(objective, replayed_combos):
+    p = corpus.build("no_comm_reduce")
+    g = track("g", BLANK)
+    hedged = _Hedged("hedged:g", lambda step, recv: [(g, 1.0 + 0j)])
+    families = (
+        StrategyFamily(1, "picks", (constant_reply(g), hedged)),
+        StrategyFamily(2, "picks", (constant_reply(BLANK), constant_reply(g), echo_reply())),
+    )
+    result = _assert_matches_simulate(p, "0", families, objective)
+    assert replayed_combos == [("hedged:g", "const:#"), ("hedged:g", f"const:{g}"), ("hedged:g", "echo")]
+    plain, branched = result.table[:3], result.table[3:]
+    assert [(acc, rej) for _, acc, rej in plain] != [(acc, rej) for _, acc, rej in branched]
+
+
+def test_a_logged_strategy_that_branches_is_replayed_even_with_weight_1_moves(replayed_combos):
+    # two moves of weight 1 each double the mass: only the replay sees both
+    p = corpus.build("no_comm_reduce")
+    g = track("g", BLANK)
+    doubled = LoggedReplyStrategy("doubled", lambda step, recv: [(g, 1.0 + 0j), (BLANK, 1.0 + 0j)])
+    families = (
+        StrategyFamily(1, "picks", (constant_reply(g), doubled)),
+        StrategyFamily(2, "picks", (echo_reply(),)),
+    )
+    with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
+        search(p, "0", families=families)
+    assert replayed_combos == [("doubled", "echo")]
+
+
+def test_a_logged_strategy_that_fails_on_one_reception_is_replayed_and_raises(replayed_combos):
+    p = corpus.build("no_comm_reduce")
+    comms = [comm for comm, _ in _round2(p, "0").local_states[0]]
+    assert len(comms) > 1
+
+    def picky(step, recv):
+        if recv == comms[-1]:
+            raise MissingTransition(f"picky: no reply to {recv!r}")
+        return [(BLANK, 1.0 + 0j)]
+
+    families = (
+        StrategyFamily(1, "picks", (constant_reply(BLANK), LoggedReplyStrategy("picky", picky))),
+        StrategyFamily(2, "picks", (echo_reply(),)),
+    )
+    with pytest.raises(MissingTransition, match=re.escape(f"picky: no reply to {comms[-1]!r}")):
+        search(p, "0", families=families)
+    assert replayed_combos == [("picky", "echo")]
 
 
 # ---------------------------------------------------------------- derandomization

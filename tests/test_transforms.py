@@ -21,7 +21,6 @@ from qmipsim.specs import (
     ClassicalTableStrategy,
     EraserStrategy,
     ForeignGuard,
-    LoggedReplyStrategy,
     ProtocolSpec,
     ProverSpec,
     ReversibleWrapStrategy,
