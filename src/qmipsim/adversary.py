@@ -440,47 +440,6 @@ class _Round2:
         return p_acc, p_rej, leftover
 
 
-def _sweep(p: ProtocolSpec, x: str, first, families, T: int):
-    """(labels, (total p_acc, total p_rej, leftover)) of every combination, in `itertools.product` order.
-
-    Within one prefix of earlier picks, last-prover strategies with equal
-    `_Round2.signature` keys share one score, kept in a list indexed by the
-    key's number, assigned once per sweep. Every combination is replayed
-    when there is no round 2 to score: at cutoff 1, after a round 1 that
-    leaves at most PRUNE_TOL, and without provers.
-    """
-    stat1, classes = first
-    round2 = None
-    if families and T >= 2 and stat1.residual_mass > PRUNE_TOL:
-        round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
-        moves = [[round2.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
-        # each last strategy's signature class as a small int, so a prefix's scores are a list
-        ids: dict[tuple | None, int] = {}
-        keys = [ids.setdefault(round2.signature(m), len(ids)) for m in moves[-1]]
-    labels = [[_label(s) for s in fam.strategies] for fam in families]
-    picks = itertools.product(*(range(len(fam.strategies)) for fam in families))
-    for names, chosen in zip(itertools.product(*labels), picks):
-        scored = None
-        if round2 is not None:
-            last = chosen[-1]
-            # the last pick runs fastest, so it is 0 exactly when the earlier picks change
-            if last == 0:
-                prefix = [m[i] for m, i in zip(moves, chosen[:-1])]
-                groups = None if None in prefix else round2.prefix(prefix)
-                scores = [False] * len(ids)
-            tail = moves[-1][last]
-            if groups is not None and tail is not None:
-                key = keys[last]
-                scored = scores[key]
-                if scored is False:
-                    scored = scores[key] = round2.score(groups, tail)
-        if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
-            combo = tuple(fam.strategies[i] for fam, i in zip(families, chosen))
-            yield names, _replay(p, x, first, combo, T)
-        else:
-            yield names, (stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2])
-
-
 def search(
     p: ProtocolSpec,
     x: str,
@@ -492,12 +451,14 @@ def search(
 ) -> SearchResult:
     """Sweep one strategy per prover over the given families.
 
-    Deterministic order, first strict optimum kept, so results are
-    reproducible run to run. Round 1 happens before any prover acts and is
-    computed once for the whole sweep. At every cutoff from 2 on, round 2 of
-    each combination of single-move strategies is scored from precomputed
-    moves; the rest, and combinations that keep mass past round 2 with
-    rounds left, are replayed round by round.
+    Combinations run in `itertools.product` order and the first strict
+    optimum is kept. Round 1 precedes any prover move and is computed once.
+    At every cutoff from 2 on, round 2 of each combination of single-move
+    strategies is scored from precomputed moves, and within one prefix of
+    earlier picks, last strategies with equal `_Round2.signature` keys share
+    one score. The rest, and combinations that keep more than PRUNE_TOL with
+    rounds left, are replayed; so is every combination at cutoff 1, after a
+    round 1 that leaves at most PRUNE_TOL, and without provers.
     """
     if objective not in ("max-accept", "min-reject"):
         raise ValidationError(f"unknown objective {objective!r}")
@@ -521,24 +482,45 @@ def search(
         sizes = "x".join(str(len(f.strategies)) for f in families)
         raise FamilyTooLarge(f"{sizes} = {total} combinations exceeds the limit of {cap}")
 
-    # round 1 precedes any prover move, so it is shared by every combination;
-    # the tapes must already have the sweep strategies' logging cells
-    first = next(_rounds(_trial(p, (None,) * p.k, T), x))
+    # shared by every combination; the tapes must already have the sweep strategies' logging cells
+    stat1, classes = first = next(_rounds(_trial(p, (None,) * p.k, T), x))
+    round2 = None
+    if families and T >= 2 and stat1.residual_mass > PRUNE_TOL:
+        round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
+        moves = [[round2.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
+        # each last strategy's signature class as a small int, so a prefix's scores are a list
+        ids: dict[tuple | None, int] = {}
+        keys = [ids.setdefault(round2.signature(m), len(ids)) for m in moves[-1]]
 
+    maximize = objective == "max-accept"
     best = None
     table: list[tuple[tuple[str, ...], float, float]] | None = [] if keep_table else None
-    evaluated = 0
-    for names, (total_acc, total_rej, leftover) in _sweep(p, x, first, families, T):
-        evaluated += 1
+    labels = [[_label(s) for s in fam.strategies] for fam in families]
+    picks = itertools.product(*(range(len(fam.strategies)) for fam in families))
+    for names, chosen in zip(itertools.product(*labels), picks):
+        scored = None
+        if round2 is not None:
+            last = chosen[-1]
+            # the last pick runs fastest, so it is 0 exactly when the earlier picks change
+            if last == 0:
+                prefix = [m[i] for m, i in zip(moves, chosen[:-1])]
+                groups = None if None in prefix else round2.prefix(prefix)
+                scores = [False] * len(ids)
+            tail = moves[-1][last]
+            if groups is not None and tail is not None:
+                key = keys[last]
+                scored = scores[key]
+                if scored is False:
+                    scored = scores[key] = round2.score(groups, tail)
+        if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
+            combo = tuple(fam.strategies[i] for fam, i in zip(families, chosen))
+            total_acc, total_rej, leftover = _replay(p, x, first, combo, T)
+        else:
+            total_acc, total_rej, leftover = stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2]
         if table is not None:
             table.append((names, total_acc, total_rej))
-        value = total_acc if objective == "max-accept" else total_rej
-        better = (
-            best is None
-            or (objective == "max-accept" and value > best[0] + TIE_TOL)
-            or (objective == "min-reject" and value < best[0] - TIE_TOL)
-        )
-        if better:
+        value = total_acc if maximize else total_rej
+        if best is None or (value > best[0] + TIE_TOL if maximize else value < best[0] - TIE_TOL):
             best = (value, names, total_acc, total_rej, leftover)
     return SearchResult(
         objective=objective,
@@ -547,7 +529,7 @@ def search(
         best_p_accept=best[2],
         best_p_reject=best[3],
         best_leftover=best[4],
-        evaluated=evaluated,
+        evaluated=total,
         table=table,
     )
 

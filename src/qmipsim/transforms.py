@@ -238,7 +238,7 @@ def unify_alphabets(p: ProtocolSpec) -> ProtocolSpec:
     merged += _pad_symbols(merged, target)
     merged_t = tuple(merged)
 
-    fresh = guard_states("rejf", v.rows)
+    fresh = guard_states(ForeignGuard.prefix, v.rows)
     verifier = replace(
         v,
         states=v.states + fresh,
@@ -315,7 +315,7 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
         rows[new_key] = tuple((q2, d, sent, w) for (q2, d, sent), w in summed.items())
         provenance[new_key] = key
 
-    fresh = guard_states("rejt", rows)
+    fresh = guard_states(TrackGuard.prefix, rows)
     verifier = replace(
         v,
         states=v.states + fresh,

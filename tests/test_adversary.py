@@ -357,6 +357,19 @@ def test_classical_sweep_matches_simulate(replayed_rounds):
     assert replayed_rounds == [1, 1]
 
 
+def test_a_cutoff_1_sweep_replays_every_combination(replayed_combos):
+    # provers first move in round 2, so at cutoff 1 there is no round 2 to score
+    p = corpus.build("no_comm")
+    result = search(p, "0", cutoff=1, keep_table=True)
+    combos = list(itertools.product(*(fam.strategies for fam in default_families(p, 1))))
+    assert result.evaluated == len(result.table) == len(replayed_combos) == 6
+    for combo, (labels, acc, rej) in zip(combos, result.table):
+        run = simulate(_trial(p, combo), "0", cutoff=1)
+        assert labels == tuple(s.label for s in combo)
+        assert (acc, rej) == (run.p_accept, run.p_reject), labels
+    assert result.best_leftover == 1.0
+
+
 def test_classical_sweep_on_the_empty_input_stays_fused(replayed_rounds):
     # only quantum head moves can collide on the two-cell tape of ""
     p = corpus.build("no_comm")

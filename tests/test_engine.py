@@ -225,7 +225,7 @@ def test_a_measurement_that_loses_mass_is_a_run_fault():
     _check_round(2, 1.0, 1.0, 0.5, 0.5 - 1e-13, 0.0)
 
 
-def test_a_protocol_without_provers_runs_and_sweeps_past_round_1():
+def _proverless():
     # round 2 has no prover to move; the verifier flips its coin on the 0
     verifier = VerifierSpec(
         mode="1pfa",
@@ -242,7 +242,11 @@ def test_a_protocol_without_provers_runs_and_sweeps_past_round_1():
         },
         fallback=None,
     )
-    p = ProtocolSpec(name="proverless", verifier=verifier, provers=(), a=0.5, b=0.5, cutoff=3)
+    return ProtocolSpec(name="proverless", verifier=verifier, provers=(), a=0.5, b=0.5, cutoff=3)
+
+
+def test_a_protocol_without_provers_runs_and_sweeps_past_round_1():
+    p = _proverless()
     result = simulate(p, "0")
     assert (result.p_accept, result.p_reject, result.halted_round) == (0.5, 0.5, 2)
     assert result.steps_counted == 2
@@ -250,6 +254,26 @@ def test_a_protocol_without_provers_runs_and_sweeps_past_round_1():
     assert swept.evaluated == 1
     assert swept.best_labels == ()
     assert swept.table == [((), 0.5, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "build, x, cutoff, objective",
+    [
+        (lambda: corpus.build("no_comm_reduce"), "0", None, "max-accept"),
+        (lambda: corpus.build("no_comm_reduce"), "0", None, "min-reject"),
+        (lambda: _reduced_parity_relay(), "1", 3, "max-accept"),
+        (lambda: corpus.build("no_comm"), "", None, "max-accept"),
+        (_proverless, "0", None, "max-accept"),
+    ],
+    ids=["c5-max-accept", "c5-min-reject", "reduced-relay-1-cutoff-3", "no-comm-empty", "proverless"],
+)
+def test_keep_table_changes_only_the_table(build, x, cutoff, objective):
+    p = build()
+    kept = search(p, x, objective=objective, cutoff=cutoff, keep_table=True)
+    bare = search(p, x, objective=objective, cutoff=cutoff, keep_table=False)
+    assert kept.table is not None and len(kept.table) == kept.evaluated
+    assert bare.table is None
+    assert bare == dataclasses.replace(kept, table=None)
 
 
 # -- the fused verifier stage and measurement ---------------------------------
