@@ -62,7 +62,8 @@ _SQRT_RE = re.compile(r"^([+-]?)1/sqrt(\d+)$")
 # times, so both directions remember what they computed per distinct value.
 # The caches are bounded and keep results only: a bad token or an
 # unserializable weight raises again on every call. The cached parser's
-# errors carry no location; `parse_weight` prefixes its caller's `where`.
+# errors carry no location; `parse_weight` prefixes its caller's `where`, and
+# `_parse_rule`, which runs per rule line, builds its prefix only on error.
 _WEIGHT_CACHE_SIZE = 4096
 
 
@@ -161,29 +162,29 @@ class _Lines:
     """Sectioned key/value lines with positions, strictly validated later."""
 
     def __init__(self, text: str):
-        self.header_seen = False
+        header_seen = False
         self.top: list[tuple[int, str, str]] = []
         self.sections: list[tuple[int, str, list[tuple[int, str, str]]]] = []
         current = self.top
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith(";"):
+            if not line or line[0] == ";":
                 continue
-            if not self.header_seen:
+            if not header_seen:
                 if line != FORMAT_HEADER:
                     raise SpecFileError(f"line {lineno}: expected {FORMAT_HEADER!r}, got {line!r}")
-                self.header_seen = True
+                header_seen = True
                 continue
-            if line.startswith("[") and line.endswith("]"):
+            if line[0] == "[" and line[-1] == "]":
                 name = line[1:-1].strip()
                 current = []
                 self.sections.append((lineno, name, current))
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            if not eq:
                 raise SpecFileError(f"line {lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
             current.append((lineno, key.strip(), value.strip()))
-        if not self.header_seen:
+        if not header_seen:
             raise SpecFileError(f"empty file; expected {FORMAT_HEADER!r}")
 
 
@@ -221,6 +222,19 @@ def _tokens(value: str) -> tuple[str, ...]:
     return tuple(value.split())
 
 
+class _PerCall(dict):
+    """`fn`'s result per argument for one parse or write (transformed protocols repeat
+    one long alphabet field on up to six lines); a call that raises stores nothing."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _parse_int(value: str, where: str) -> int:
     if not _INT_RE.match(value):
         raise SpecFileError(f"{where}: expected an integer, got {value!r}")
@@ -228,6 +242,7 @@ def _parse_int(value: str, where: str) -> int:
 
 
 _MOVES = {"+1": 1, "-1": -1, "0": 0}
+_MOVE_TOKENS = {d: token for token, d in _MOVES.items()}
 
 
 def _split_arrow(lineno: int, value: str, what: str) -> tuple[str, str]:
@@ -239,18 +254,22 @@ def _split_arrow(lineno: int, value: str, what: str) -> tuple[str, str]:
 
 
 def _parse_rule(lineno: int, value: str, k: int):
-    head, body = _split_arrow(lineno, value, "rule")
+    head, arrow, body = value.partition(" -> ")
+    if not arrow or " -> " in body:
+        raise SpecFileError(f"line {lineno}: rule needs exactly one ' -> '")
     left = head.split()
     if len(left) != 2 + k:
         raise SpecFileError(f"line {lineno}: rule head needs state, symbol, and {k} received symbols")
     key = (left[0], left[1], tuple(left[2:]))
-    where = f"line {lineno}: "
     branches = []
     for chunk in body.split(" , "):
         toks = chunk.split()
         if len(toks) != 3 + k:
             raise SpecFileError(f"line {lineno}: branch needs weight, state, move, and {k} sent symbols")
-        w = parse_weight(toks[0], where)
+        try:
+            w = _weight_value(toks[0])
+        except SpecFileError as e:
+            raise SpecFileError(f"line {lineno}: {e}") from None
         d = _MOVES.get(toks[2])
         if d is None:
             raise SpecFileError(f"line {lineno}: bad head move {toks[2]!r}")
@@ -361,6 +380,7 @@ def _parse_strategy(sec: _Section, space: int):
 
 def parse_protocol(text: str) -> ProtocolSpec:
     lines = _Lines(text)
+    tokens = _PerCall(_tokens)
     top = _Section("header", lines.top)
     name = top.one("name")
     mode = top.one("mode")
@@ -392,14 +412,14 @@ def parse_protocol(text: str) -> ProtocolSpec:
     if sorted(prover_secs) != list(range(1, k + 1)):
         raise SpecFileError(f"expected prover sections 1..{k}, got {sorted(prover_secs)}")
 
-    states = _tokens(verifier_sec.one("states"))
+    states = tokens[verifier_sec.one("states")]
     initial = verifier_sec.one("initial")
-    accept = frozenset(_tokens(verifier_sec.one("accept") or ""))
-    reject = frozenset(_tokens(verifier_sec.one("reject") or ""))
-    input_alphabet = _tokens(verifier_sec.one("input", required=False) or "")
+    accept = frozenset(tokens[verifier_sec.one("accept") or ""])
+    reject = frozenset(tokens[verifier_sec.one("reject") or ""])
+    input_alphabet = tokens[verifier_sec.one("input", required=False) or ""]
     comm_alphabets = []
     for i in range(1, k + 1):
-        comm_alphabets.append(_tokens(verifier_sec.one(f"comm-{i}")))
+        comm_alphabets.append(tokens[verifier_sec.one(f"comm-{i}")])
     rows = {}
     for lineno, value in verifier_sec.many("rule"):
         key, branches = _parse_rule(lineno, value, k)
@@ -413,7 +433,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
         bases = []
         for i in range(1, k + 1):
             base = verifier_sec.one(f"guard-base-{i}")
-            bases.append(_tokens(base))
+            bases.append(tokens[base])
         cls = {g.kind: g for g in (TrackGuard, ForeignGuard)}.get(fb)
         if cls is None:
             raise SpecFileError(f"unknown fallback {fb!r}")
@@ -439,8 +459,8 @@ def parse_protocol(text: str) -> ProtocolSpec:
     provers = []
     for i in range(1, k + 1):
         sec = prover_secs[i]
-        comm = _tokens(sec.one("comm"))
-        tape = _tokens(sec.one("tape"))
+        comm = tokens[sec.one("comm")]
+        tape = tokens[sec.one("tape")]
         space = _parse_int(sec.one("space"), sec.label)
         strategy = _parse_strategy(sec, space)
         sec.check_no_strays()
@@ -506,37 +526,37 @@ def _strategy_lines(strategy, space: int) -> list[str]:
 def serialize_protocol(p: ProtocolSpec) -> str:
     """The file text of p, refusing any symbol, state or name that would not read back as itself."""
     v = p.verifier
+    fields = _PerCall(lambda key: _symbols(*key))
     out = [FORMAT_HEADER, f"name = {_check_token(p.name, 'name')}", f"mode = {v.mode}",
            f"provers = {p.k}", f"a = {serialize_weight(p.a)}", f"b = {serialize_weight(p.b)}",
            f"cutoff = {p.cutoff}", "", "[verifier]"]
-    out.append("states = " + _symbols(v.states, "state"))
+    out.append("states = " + fields[v.states, "state"])
     named = {v.initial, *v.accept, *v.reject}
     if not named.issubset(v.states):
         raise SpecFileError(f"initial or halting states {sorted(named - set(v.states))} are not declared")
     out.append(f"initial = {v.initial}")
     out.append("accept = " + " ".join(sorted(v.accept)))
     out.append("reject = " + " ".join(sorted(v.reject)))
-    out.append("input = " + _symbols(v.input_alphabet))
+    out.append("input = " + fields[v.input_alphabet, "symbol"])
     for i, alphabet in enumerate(v.comm_alphabets, start=1):
-        out.append(f"comm-{i} = " + _symbols(alphabet))
+        out.append(f"comm-{i} = " + fields[alphabet, "symbol"])
     bad = row_fault(v)
     if bad is not None:
         raise SpecFileError(f"rule {bad[0]!r} names an undeclared state or symbol, or a bad head move: {bad[1]}")
     for (q, sigma, comm), branches in v.rows.items():
         chunks = []
         for (q2, d, sent, w) in branches:
-            move = "+1" if d == 1 else ("-1" if d == -1 else "0")
-            chunks.append(f"{serialize_weight(w)} {q2} {move} " + " ".join(sent))
+            chunks.append(f"{_weight_token(w)} {q2} {_MOVE_TOKENS[d]} " + " ".join(sent))
         out.append(f"rule = {q} {sigma} " + " ".join(comm) + " -> " + " , ".join(chunks))
     if v.fallback is not None:
         out.append(f"fallback = {v.fallback.kind}")
         for i, base in enumerate(v.fallback.slot_bases, start=1):
-            out.append(f"guard-base-{i} = " + _symbols(base))
+            out.append(f"guard-base-{i} = " + fields[base, "symbol"])
     for prover in p.provers:
         out.append("")
         out.append(f"[prover {prover.index}]")
-        out.append("comm = " + _symbols(prover.comm_alphabet))
-        out.append("tape = " + _symbols(prover.tape_alphabet))
+        out.append("comm = " + fields[prover.comm_alphabet, "symbol"])
+        out.append("tape = " + fields[prover.tape_alphabet, "symbol"])
         out.append(f"space = {prover.space}")
         out.extend(_strategy_lines(prover.strategy, prover.space))
     return "\n".join(out) + "\n"

@@ -631,10 +631,12 @@ def sum_targets(weighted: Iterable[tuple[Hashable, complex]]) -> dict[Hashable, 
 
 
 def _row_vectors(v: VerifierSpec) -> dict[str, dict[RowKey, dict[tuple, complex]]]:
-    """Rows grouped by input symbol, each as a sparse target vector."""
+    """Rows grouped by input symbol, each as a sparse target vector (a one-branch row is its own)."""
     groups: dict[str, dict[RowKey, dict[tuple, complex]]] = {}
     for key, branches in v.rows.items():
-        groups.setdefault(key[1], {})[key] = sum_targets(((q2, d, out), w) for q2, d, out, w in branches)
+        vec = ({branches[0][:3]: branches[0][3]} if len(branches) == 1
+               else sum_targets(((q2, d, out), w) for q2, d, out, w in branches))
+        groups.setdefault(key[1], {})[key] = vec
     return groups
 
 
@@ -665,7 +667,9 @@ def _orthonormal_violations(vectors: Mapping[RowKey, dict[tuple, complex]], noun
     """Each vector not of unit norm and each pair not orthogonal, named as `noun`s."""
     out = []
     for key, vec in vectors.items():
-        norm = sum((w * w.conjugate()).real for w in vec.values())
+        norm = 0.0
+        for w in vec.values():
+            norm += (w * w.conjugate()).real
         if not abs(norm - 1.0) <= ORTHO_TOL:
             out.append(f"{noun} {key} has squared norm {norm:.12g}")
     for (ka, kb), ip in sparse_gram(vectors).items():

@@ -46,7 +46,6 @@ from .specs import (
     make_track_alphabet,
     sum_targets,
     track,
-    xor_symbols,
 )
 from .tolerances import AMPLITUDE_TOL, ORTHO_TOL, PRUNE_TOL, RANK_TOL
 
@@ -294,7 +293,12 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
     else:
         raise ValidationError("cannot reduce a protocol that already has a track guard")
 
+    # the encoding numbers symbols by position, so r XOR record is the symbol
+    # at position[r] ^ position[record]; the size is a power of two, so every
+    # XOR lands in the alphabet (what `xor_symbols` computes on the bit codes)
     encoding = fixed_width_binary_encoding(gamma)
+    by_code = sorted(encoding, key=encoding.__getitem__)
+    position = {sym: i for i, sym in enumerate(by_code)}
     root = complex(1 / math.sqrt(len(gamma)))
     track_alphabet = make_track_alphabet(gamma, gamma)
 
@@ -308,7 +312,8 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
             continue
         new_key = (q, sigma, (track(comm[0], BLANK), track(comm[1], BLANK)))
         summed = sum_targets(
-            ((q2, d, (track(sent[0], r), track(sent[1], xor_symbols(encoding, r, sent[2])))), complex(w) * root)
+            ((q2, d, (track(sent[0], r), track(sent[1], by_code[position[r] ^ position[sent[2]]]))),
+             complex(w) * root)
             for q2, d, sent, w in branches
             for r in gamma
         )

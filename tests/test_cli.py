@@ -9,6 +9,7 @@ import pytest
 from qmipsim import corpus
 from qmipsim.cli import main
 from qmipsim.fileformat import load_protocol, save_protocol
+from qmipsim.specs import LEFT_END, ProtocolSpec, TrackGuard, VerifierSpec, check_well_formed, guard_state, guard_states
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -56,6 +57,38 @@ def test_validate_flags_ill_formed(tmp_path, no_comm_file, capsys):
     assert main(["validate", str(bad)]) == 3
     out = capsys.readouterr().out
     assert "well-formed: no" in out
+
+
+def test_validate_lists_violations_in_checker_order(tmp_path, capsys):
+    # `run` and `adversary` report the first violation alone, so the order is
+    # part of the output: groups by input symbol in first-seen order, norms
+    # before pairs within a group, guard targets last
+    rows = {
+        ("q0", "0", ()): (("q0", 1, (), 0.5 + 0j),),
+        ("q0", LEFT_END, ()): (("q1", 1, (), 1.0 + 0j),),
+        ("q1", LEFT_END, ()): (("q1", 1, (), 1.0 + 0j),),
+        ("q1", "0", ()): ((guard_state(TrackGuard.prefix, "q1", "0"), 1, (), 1.0 + 0j),),
+    }
+    minted = guard_states(TrackGuard.prefix, rows)
+    verifier = VerifierSpec(
+        mode="2qfa", states=("q0", "q1", "acc", "rej", *minted), initial="q0",
+        accept=frozenset({"acc"}), reject=frozenset({"rej", *minted}), input_alphabet=("0",),
+        comm_alphabets=(), rows=rows, fallback=TrackGuard(slot_bases=(), known_states=frozenset(minted)),
+    )
+    expected = [
+        "row ('q0', '0', ()) has squared norm 0.25",
+        "rows ('q0', '¢', ()) and ('q1', '¢', ()) have inner product 1",
+        "row ('q1', '0', ()) targets guard state 'rejt[q1|0]'",
+    ]
+    assert check_well_formed(verifier).violations == expected
+
+    path = tmp_path / "faulty.qmip"
+    save_protocol(str(path), ProtocolSpec(name="faulty", verifier=verifier, provers=(), a=1.0, b=1.0, cutoff=1))
+    assert main(["validate", str(path), "--machine"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("violation=")] == [f"violation={v}" for v in expected]
+    assert main(["run", str(path), "0"]) == 3
+    assert capsys.readouterr().err == f"error: {expected[0]}\n"
 
 
 def test_run_human_output_ends_with_p_acc(no_comm_file, capsys):

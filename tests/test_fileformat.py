@@ -163,6 +163,17 @@ def test_transform_chain_round_trips(base):
         assert serialize_protocol(parse_protocol(text)) == text
 
 
+def test_a_channel_alphabet_one_symbol_off_parses_as_its_own():
+    # the reader splits each distinct alphabet field once; a near-copy is distinct
+    p = corpus.build("no_comm_reduce")
+    text = serialize_protocol(p)
+    shared = p.verifier.comm_alphabets[0]
+    changed = shared[:-1] + ("[~x/~x]",)
+    back = parse_protocol(text.replace("comm-2 = " + " ".join(shared), "comm-2 = " + " ".join(changed), 1))
+    assert back.verifier.comm_alphabets == (shared, changed)
+    assert [prover.comm_alphabet for prover in back.provers] == [shared, shared]
+
+
 def test_round_trip_survives_comments_and_blank_lines():
     p = corpus.build("coinflip_classical")
     text = serialize_protocol(p)
@@ -263,10 +274,19 @@ def _with_guard_base_symbol(p, sym):
     return dataclasses.replace(p, verifier=verifier)
 
 
+def _with_shared_comm_symbol(p, sym):
+    # every channel keeps sharing one alphabet, which the writer checks once
+    shared = p.verifier.comm_alphabets[0] + (sym,)
+    verifier = dataclasses.replace(p.verifier, comm_alphabets=(shared,) * p.k)
+    provers = tuple(dataclasses.replace(prover, comm_alphabet=shared) for prover in p.provers)
+    return dataclasses.replace(p, verifier=verifier, provers=provers)
+
+
 @pytest.mark.parametrize("name, declare", [
     ("parity_relay", _with_tape_symbol),
     ("parity_relay", _with_input_symbol),
     ("no_comm_reduce", _with_guard_base_symbol),
+    ("no_comm_reduce", _with_shared_comm_symbol),
 ])
 def test_declared_symbols_that_would_not_read_back_are_refused(name, declare):
     # written unchecked, "a b" came back as two symbols and the round trip changed the protocol

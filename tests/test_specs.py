@@ -47,6 +47,7 @@ from qmipsim.specs import (
     validate_protocol,
     xor_symbols,
 )
+from qmipsim.tolerances import ORTHO_TOL
 
 H = 1 / math.sqrt(2)
 
@@ -585,6 +586,47 @@ def test_a_nan_weight_is_never_well_formed(mode, weight):
     assert not check_well_formed(verifier)
     normal_form = restrictive_violations if mode == "1qfa" else fair_coin_violations
     assert normal_form(verifier)
+
+
+_GRAM_TARGETS = tuple((q, d, ()) for q in ("a", "b", "c") for d in (-1, 1))
+# unit rows as often as free ones, so that whole groups pass as well as fail
+_GRAM_ROW = st.one_of(
+    st.tuples(st.sampled_from(_GRAM_TARGETS), st.sampled_from((1.0, -1.0))).map(lambda branch: [branch]),
+    st.lists(st.tuples(st.sampled_from(_GRAM_TARGETS), st.sampled_from((1.0, -1.0, 0.5, -0.5, H, -H))),
+             min_size=1, max_size=3),
+)
+
+
+def _two_way_without_provers(rows):
+    sources = tuple(dict.fromkeys(q for q, _, _ in rows))
+    return VerifierSpec(mode="2qfa", states=sources + ("a", "b", "c"), initial=sources[0], accept=frozenset(),
+                        reject=frozenset(), input_alphabet=("0",), comm_alphabets=(), rows=rows)
+
+
+@settings(max_examples=200)
+@given(groups=st.fixed_dictionaries({sigma: st.lists(_GRAM_ROW, min_size=2, max_size=6) for sigma in (LEFT_END, "0")}))
+def test_the_orthonormality_kernel_agrees_with_the_dense_gram_matrix(groups):
+    # targets come from a pool of six, so rows repeat a target (summed) and
+    # share targets with each other; the sparse kernel must flag exactly the
+    # entries where the dense Gram matrix of a group is off the identity
+    import numpy as np
+
+    column = {target: i for i, target in enumerate(_GRAM_TARGETS)}
+    rows = {}
+    total = 0
+    for sigma, group in groups.items():
+        dense = np.zeros((len(group), len(column)), dtype=complex)
+        for i, row in enumerate(group):
+            rows[(f"q{i}", sigma, ())] = tuple((q2, d, out, complex(w)) for (q2, d, out), w in row)
+            for target, w in row:
+                dense[i, column[target]] += w
+        off = np.abs(dense.conj() @ dense.T - np.eye(len(group))) > ORTHO_TOL
+        want = int(np.diag(off).sum() + np.triu(off, 1).sum())
+        report = check_well_formed(_two_way_without_provers({k: r for k, r in rows.items() if k[1] == sigma}))
+        assert report.ok == (want == 0)
+        assert len(report.violations) == want
+        total += want
+    assert len(check_well_formed(_two_way_without_provers(rows)).violations) == total
 
 
 def test_check_prover_columns_accepts_unitary_strategies():

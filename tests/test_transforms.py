@@ -30,10 +30,12 @@ from qmipsim.specs import (
     check_restrictive,
     check_well_formed,
     constant_reply,
+    fixed_width_binary_encoding,
     parse_track,
     sparse_gram,
     track,
     validate_protocol,
+    xor_symbols,
 )
 from qmipsim.transforms import (
     complete_unitary,
@@ -345,6 +347,23 @@ def test_reduce_masks_expand_each_branch_per_mask():
             assert abs(abs(w) - abs(root * old_branches[0][3])) <= 1e-12
             for sym in sent:
                 assert parse_track(sym) is not None or sym == BLANK
+
+
+@pytest.mark.parametrize("name", ["no_comm", "parity_relay"])
+def test_reduce_masks_pad_the_record_with_xor(name):
+    # slot 1's lower track carries the mask r, slot 2's carries r XOR the
+    # record the lift sent to the eraser, on the fixed-width codes
+    lift = lift_2ip_to_3qip(corpus.build(name))
+    unified = unify_alphabets(lift.protocol)
+    out = reduce_3qip_to_2qip(unified)
+    encoding = fixed_width_binary_encoding(unified.verifier.comm_alphabets[0])
+    for new_key, old_key in out.row_provenance.items():
+        records = {sent[2] for _, _, sent, _ in unified.verifier.rows[old_key]}
+        assert records == {lift.log_symbols[lift.row_provenance[old_key]]}
+        record, = records
+        for _, _, sent, _ in out.protocol.verifier.rows[new_key]:
+            (_, mask), (_, padded) = parse_track(sent[0]), parse_track(sent[1])
+            assert padded == xor_symbols(encoding, mask, record)
 
 
 def test_reduce_preserves_row_gram():
