@@ -4,24 +4,24 @@ Soundness claims quantify over all prover strategies, which no finite run can
 cover. What a desk-scale tool can do is sweep structured families that
 contain every strategy worth trying at these sizes: constant replies, full
 reply sequences, echoes, and mask-track probes. The search caches the round-1
-residual (provers first act in round 2) and walks every combination in one
-loop. When every strategy answers each local (comm, tape) state of that
-residual with a single move of weight exactly 1, each strategy is applied
-once per local state and round 2 of every combination, at any cutoff and on
-any input, is scored from those moves plus the engine's verifier columns
-(`engine._column`, guard rows and the two-cell head-move check included) and
-per-slot guard verdicts. Sources that share every slot's local state are
-scored together as one interference group, and a group that the guard sends
-wholly to a halting state adds a triple measured once per sweep. Last-prover
-strategies whose moves differ only where that triple is taken fall in one
-class, numbered once per sweep, and each class is scored once per choice of
-the other provers. Every built-in strategy is a plain `LoggedReplyStrategy`,
-whose move is its reply `fn(step, received)` plus the reception logged by
-`specs.log_reception`, the same tape whatever the reply: a slot's logged
-tapes are written once, and such a strategy is asked only for its replies. A
-combination is replayed when its round 2 cannot be scored (a strategy
-branches, as rotations do, puts a phase on its move, merges two local states,
-or something faults, such as a verifier column whose head moves collide on
+residual (provers first act in round 2). When every strategy answers each
+local (comm, tape) state of that residual with a single move of weight
+exactly 1, each strategy is applied once per local state and round 2, at
+any cutoff and on any input, is scored from those moves plus the engine's
+verifier columns (`engine._column`, guard rows and the two-cell head-move
+check included) and per-slot guard verdicts. Sources that share every
+slot's local state are scored together as one interference group, and a
+group that the guard sends wholly to a halting state adds a triple measured
+once per sweep. Each prover's strategies whose moves differ only where that
+triple is taken fall in one class, and each class tuple (one class per
+prover) is scored once, for all of its combinations. Every built-in
+strategy is a plain `LoggedReplyStrategy`, whose move is its reply
+`fn(step, received)` plus the reception logged by `specs.log_reception`,
+the same tape whatever the reply: a slot's logged tapes are written once,
+and such a strategy is asked only for its replies. A combination is
+replayed when its round 2 cannot be scored (a strategy branches, as
+rotations do, puts a phase on its move, merges two local states, or
+something faults, such as a verifier column whose head moves collide on
 the two-cell tape of "") or when it keeps more than PRUNE_TOL with rounds
 left: the engine's round driver, which stops at that same test, resumes it
 from the shared round 1 and raises the run's own error.
@@ -139,6 +139,11 @@ def track_probe_family(index: int, track_alphabet: tuple[str, ...]) -> StrategyF
     """
     base = _track_base(track_alphabet)
     encoding = fixed_width_binary_encoding(base)
+    # the encoding numbers symbols by position, so lower XOR s is the symbol
+    # at position[lower] ^ position[s]; a position past the base is an unused
+    # code, which `xor_symbols` reports
+    by_code = sorted(encoding, key=encoding.__getitem__)
+    position = {sym: i for i, sym in enumerate(by_code)}
     strategies = [constant_reply(sym) for sym in track_alphabet]
     strategies.append(echo_reply())
     for s in base:
@@ -146,7 +151,9 @@ def track_probe_family(index: int, track_alphabet: tuple[str, ...]) -> StrategyF
             continue
         def shift(step, recv, s=s):
             upper, lower = parse_track(recv)
-            return [(track(upper, xor_symbols(encoding, lower, s)), 1.0 + 0j)]
+            code = position[lower] ^ position[s]
+            shifted = by_code[code] if code < len(by_code) else xor_symbols(encoding, lower, s)
+            return [(track(upper, shifted), 1.0 + 0j)]
         strategies.append(LoggedReplyStrategy(f"shift:{s}", shift))
     for c in base:
         def substitute(step, recv, c=c):
@@ -236,9 +243,9 @@ class _Round2:
     there then adds the same (mass, p_acc, p_rej) to every combination that
     routes it there, so that triple is measured once per sweep. Any other
     group is scored source by source. Since that shortcut reads neither the
-    reply nor the new tape, `signature` keys the last slot's moves so that
-    equal keys score alike after any prefix: the sweep numbers the keys once
-    and scores one strategy per key and prefix.
+    reply nor the new tape, `signature` keys each slot's moves so that equal
+    keys score alike whatever the other slots play: the sweep numbers the
+    keys once per slot and scores one combination per class tuple.
 
     `first` is the driver's round-1 class, mass included. `score` returns
     None on anything the round driver would fault on (a missing row, a
@@ -283,23 +290,25 @@ class _Round2:
                 apart = apart and not any(branch[0] in minted for branch in row)
         halting = self.accept | self.reject
         self.groups = []
+        # per slot and local id: the cells at that slot of the explicit rows
+        # of every group there, or None when one of those groups does not halt
+        self.named: list[dict[int, set | None]] = [{} for _ in range(p.k)]
         for local, group in members.items():
             halted = None
             # per reception prefix, the last prover's cells that complete an explicit row
             blocked: dict[tuple, set] = {}
+            comms = ()
             if apart and {name for *_, name in group} <= halting:
                 halted = self._halted(group)
-                for q, sigma, *_ in group:
-                    for comm in row_comms[q, sigma]:
-                        blocked.setdefault(comm[:-1], set()).add(comm[-1:])
+                comms = {comm for q, sigma, *_ in group for comm in row_comms[q, sigma]}
+                for comm in comms:
+                    blocked.setdefault(comm[:-1], set()).add(comm[-1:])
+            for slot, named in enumerate(self.named):
+                if halted is None:
+                    named[local[slot]] = None
+                elif named.setdefault(local[slot], set()) is not None:
+                    named[local[slot]].update(comm[slot:slot + 1] for comm in comms)
             self.groups.append((local, tuple(group), blocked, halted))
-        # per last-slot local id: whether every group there halts to the guard,
-        # and the last cells that any of them completes an explicit row with
-        self.halts: dict[int, bool] = {}
-        self.blocked: dict[int, set] = {}
-        for local, _, blocked, halted in self.groups:
-            self.halts[local[-1]] = self.halts.get(local[-1], True) and halted is not None
-            self.blocked.setdefault(local[-1], set()).update(*blocked.values())
         # per (state, head, reception): the engine's column targets
         # [((state', head', sent), w)], or None where the run faults there
         self.columns: dict[tuple, list | None] = {}
@@ -315,7 +324,9 @@ class _Round2:
         """Per local state of `slot`, the id of its tape after `log_reception` at step 1.
 
         Every `LoggedReplyStrategy` writes exactly that tape, so the slot's
-        logs are written and interned once. None when a write faults.
+        logs are written and interned once. They are distinct, so no logged
+        strategy merges two local states, whatever it replies. None when a
+        write faults or two logs coincide.
         """
         if slot not in self.logs:
             tape_ids = self.tape_ids[slot]
@@ -323,7 +334,8 @@ class _Round2:
                 tapes = [log_reception(tape, 1, comm) for comm, tape in self.local_states[slot]]
             except RunFault:
                 tapes = None
-            self.logs[slot] = None if tapes is None else [tape_ids.setdefault(t, len(tape_ids)) for t in tapes]
+            distinct = tapes is not None and len(set(tapes)) == len(tapes)
+            self.logs[slot] = [tape_ids.setdefault(t, len(tape_ids)) for t in tapes] if distinct else None
         return self.logs[slot]
 
     def moves(self, slot: int, strategy):
@@ -331,8 +343,9 @@ class _Round2:
 
         A plain `LoggedReplyStrategy` (its exact type: a subclass may move
         otherwise) is asked only for its reply, `fn(1, comm)`, and takes the
-        slot's `logged` tape ids; any other strategy, or a logged one where
-        a log write faults, is applied whole.
+        slot's `logged` tape ids, which `logged` has found distinct; any
+        other strategy, or a logged one where the logs are None, is applied
+        whole.
         None when the strategy branches, gives its one move a weight other
         than exactly 1 (a phase), merges two local states, or fails on one;
         every combination with it is then replayed.
@@ -357,31 +370,33 @@ class _Round2:
                         return None
                     reply, new_tape = column[0][0]
                     out.append((reply, tape_ids.setdefault(new_tape, len(tape_ids))))
+                if len(set(out)) < len(out):
+                    return None
             for reply, _ in out:
                 if reply not in verdicts:
                     verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
         except Exception:
             return None
-        if len(set(out)) < len(out):
-            return None
         return [((reply,), tid, verdicts[reply]) for reply, tid in out]
 
-    def signature(self, moves):
-        """The last slot's `moves` as a class key: after any prefix, equal keys score alike.
+    def signature(self, slot: int, moves):
+        """`slot`'s `moves` as a class key: whatever the other slots play, equal keys score alike.
 
-        A guard-rejected move at a local id whose groups all halt through the
-        guard, with a cell that completes no explicit row for them, always
-        takes `score`'s halted shortcut, which reads neither the cell nor the
-        tape; all such moves share one token (None). Equal keys run the same
+        A move gets the shared token (None) when the guard rejects it, every
+        group at its local id halts through the guard, and no explicit row
+        of those groups names its cell at `slot`. Every such group then takes
+        `score`'s halted shortcut, which reads neither the cell nor the tape:
+        at the last slot the cell completes no row after any prefix, and at
+        an earlier one it leaves `blocked` empty. Equal keys run the same
         float operations, so their scores are equal bit for bit.
         """
         if moves is None:
             return None
-        key = []
-        for local, (cell, tid, rej) in enumerate(moves):
-            shared = rej and self.halts[local] and cell not in self.blocked[local]
-            key.append(None if shared else (cell, tid, rej))
-        return tuple(key)
+        named = self.named[slot]
+        return tuple([
+            None if move[2] and named[local] is not None and move[0] not in named[local] else move
+            for local, move in enumerate(moves)
+        ])
 
     def prefix(self, moves_per_slot):
         """The groups after every prover but the last has moved, as `score` takes them."""
@@ -451,14 +466,18 @@ def search(
 ) -> SearchResult:
     """Sweep one strategy per prover over the given families.
 
-    Combinations run in `itertools.product` order and the first strict
-    optimum is kept. Round 1 precedes any prover move and is computed once.
-    At every cutoff from 2 on, round 2 of each combination of single-move
-    strategies is scored from precomputed moves, and within one prefix of
-    earlier picks, last strategies with equal `_Round2.signature` keys share
-    one score. The rest, and combinations that keep more than PRUNE_TOL with
-    rounds left, are replayed; so is every combination at cutoff 1, after a
-    round 1 that leaves at most PRUNE_TOL, and without provers.
+    The first strict optimum in `itertools.product` order is kept. Round 1
+    precedes any prover move and is computed once. At every cutoff from 2
+    on, each prover's single-move strategies are classed by
+    `_Round2.signature`, and round 2 is scored once per class tuple, from
+    precomputed moves and one `prefix` per tuple of the earlier classes. A
+    tuple's other combinations score bit for bit alike, so the optimum is
+    sought among the first combination of each scored tuple and the
+    replayed ones, in product order. Every combination of a class tuple
+    that cannot be scored, or that keeps more than PRUNE_TOL with rounds
+    left, is replayed, in product order; so is every combination at cutoff
+    1, after a round 1 that leaves at most PRUNE_TOL, and without provers.
+    `keep_table` expands the class results into one row per combination.
     """
     if objective not in ("max-accept", "min-reject"):
         raise ValidationError(f"unknown objective {objective!r}")
@@ -487,45 +506,78 @@ def search(
     round2 = None
     if families and T >= 2 and stat1.residual_mass > PRUNE_TOL:
         round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
-        moves = [[round2.moves(i, s) for s in fam.strategies] for i, fam in enumerate(families)]
-        # each last strategy's signature class as a small int, so a prefix's scores are a list
+    # per slot: each strategy's signature class as a small int, each class's
+    # members in family order, and its first member's moves (None: replayed)
+    keys: list[list[int]] = []
+    members: list[list[list[int]]] = []
+    reps: list[list] = []
+    for slot, fam in enumerate(families):
+        moves = [None if round2 is None else round2.moves(slot, s) for s in fam.strategies]
         ids: dict[tuple | None, int] = {}
-        keys = [ids.setdefault(round2.signature(m), len(ids)) for m in moves[-1]]
+        keys.append([ids.setdefault(round2 and round2.signature(slot, m), len(ids)) for m in moves])
+        members.append([[] for _ in ids])
+        for j, key in enumerate(keys[-1]):
+            members[-1][key].append(j)
+        reps.append([moves[m[0]] for m in members[-1]])
 
-    maximize = objective == "max-accept"
-    best = None
-    table: list[tuple[tuple[str, ...], float, float]] | None = [] if keep_table else None
-    labels = [[_label(s) for s in fam.strategies] for fam in families]
-    picks = itertools.product(*(range(len(fam.strategies)) for fam in families))
-    for names, chosen in zip(itertools.product(*labels), picks):
+    # per scored class tuple (one class per slot): (p_acc, p_rej, leftover)
+    scores: dict[tuple, tuple] = {}
+    replayed = []
+    for ct in itertools.product(*(range(len(r)) for r in reps)):
         scored = None
         if round2 is not None:
-            last = chosen[-1]
-            # the last pick runs fastest, so it is 0 exactly when the earlier picks change
-            if last == 0:
-                prefix = [m[i] for m, i in zip(moves, chosen[:-1])]
+            # the last class runs fastest, so it is 0 exactly when the earlier classes change
+            if ct[-1] == 0:
+                prefix = [r[c] for r, c in zip(reps, ct[:-1])]
                 groups = None if None in prefix else round2.prefix(prefix)
-                scores = [False] * len(ids)
-            tail = moves[-1][last]
+            tail = reps[-1][ct[-1]]
             if groups is not None and tail is not None:
-                key = keys[last]
-                scored = scores[key]
-                if scored is False:
-                    scored = scores[key] = round2.score(groups, tail)
+                scored = round2.score(groups, tail)
         if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
-            combo = tuple(fam.strategies[i] for fam, i in zip(families, chosen))
-            total_acc, total_rej, leftover = _replay(p, x, first, combo, T)
+            replayed.append(ct)
         else:
-            total_acc, total_rej, leftover = stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2]
-        if table is not None:
-            table.append((names, total_acc, total_rej))
+            scores[ct] = (stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2])
+    # every combination of a replayed class tuple, replayed in product order
+    outcomes = {}
+    replays = (itertools.product(*(m[c] for m, c in zip(members, ct))) for ct in replayed)
+    for chosen in sorted(itertools.chain.from_iterable(replays)):
+        combo = tuple(fam.strategies[j] for fam, j in zip(families, chosen))
+        outcomes[chosen] = _replay(p, x, first, combo, T)
+
+    # the later members of a scored class tuple score as its first one, after
+    # which the best value only gets better: none of them can be a strict optimum
+    visit = {tuple(m[c][0] for m, c in zip(members, ct)): result for ct, result in scores.items()}
+    visit.update(outcomes)
+    maximize = objective == "max-accept"
+    best = None
+    for chosen in sorted(visit):
+        total_acc, total_rej, leftover = visit[chosen]
         value = total_acc if maximize else total_rej
         if best is None or (value > best[0] + TIE_TOL if maximize else value < best[0] - TIE_TOL):
-            best = (value, names, total_acc, total_rej, leftover)
+            best = (value, chosen, total_acc, total_rej, leftover)
+
+    labels = [[_label(s) for s in fam.strategies] for fam in families]
+    table: list[tuple[tuple[str, ...], float, float]] | None = None
+    if keep_table:
+        def picks(slots: slice):
+            """(labels, strategy indices, class ids) of every pick for `slots`, in product order."""
+            columns = (labels[slots], [range(len(k)) for k in keys[slots]], keys[slots])
+            return zip(*(itertools.product(*column) for column in columns))
+
+        # one comprehension per pick of every prover but the last; without
+        # provers, the one combination is an empty head and an empty tail
+        split = max(0, p.k - 1)
+        tails = list(picks(slice(split, None)))
+        table = []
+        for names, chosen, ct in picks(slice(split)):
+            table += [
+                (names + tail_names, *(scores.get(ct + tail_ct) or outcomes[chosen + tail_chosen])[:2])
+                for tail_names, tail_chosen, tail_ct in tails
+            ]
     return SearchResult(
         objective=objective,
         best_value=best[0],
-        best_labels=best[1],
+        best_labels=tuple(labels[slot][j] for slot, j in enumerate(best[1])),
         best_p_accept=best[2],
         best_p_reject=best[3],
         best_leftover=best[4],

@@ -32,7 +32,7 @@ from qmipsim.engine import (
     run_round,
     simulate,
 )
-from qmipsim.errors import FamilyTooLarge, MissingTransition, RunFault, Unbounded, ValidationError
+from qmipsim.errors import AlphabetMismatch, FamilyTooLarge, MissingTransition, RunFault, Unbounded, ValidationError
 from qmipsim.specs import (
     BLANK,
     LEFT_END,
@@ -59,6 +59,33 @@ def test_reply_sequence_family_enumerates_all_sequences():
     assert len(fam.strategies) == 5
     labels = [s.label for s in fam.strategies]
     assert "seq:#,#" in labels and "seq:g,g" in labels and "echo" in labels
+
+
+def test_track_probe_shifts_equal_xor_symbols():
+    alphabet = corpus.build("no_comm_reduce").verifier.comm_alphabets[0]
+    encoding = specs.fixed_width_binary_encoding(adversary._track_base(alphabet))
+    shifts = [s for s in track_probe_family(1, alphabet).strategies if s.label.startswith("shift:")]
+    assert len(shifts) == 15
+    for shift in shifts:
+        s = shift.label[len("shift:"):]
+        for recv in alphabet:
+            upper, lower = specs.parse_track(recv)
+            assert shift.fn(1, recv) == [(track(upper, specs.xor_symbols(encoding, lower, s)), 1.0 + 0j)]
+
+
+def test_track_probe_shifts_off_a_power_of_two_base_raise_the_xor_error():
+    base = (BLANK, "a", "b")
+    alphabet = specs.make_track_alphabet(base, base)
+    encoding = specs.fixed_width_binary_encoding(base)
+    shift = next(s for s in track_probe_family(1, alphabet).strategies if s.label == "shift:a")
+    assert shift.fn(1, track("b", "a")) == [(track("b", BLANK), 1.0 + 0j)]
+    with pytest.raises(AlphabetMismatch) as expected:
+        specs.xor_symbols(encoding, "b", "a")
+    with pytest.raises(AlphabetMismatch) as raised:
+        shift.fn(1, track("a", "b"))
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(KeyError):
+        shift.fn(1, track("a", "c"))
 
 
 def test_constant_and_rotation_families():
@@ -335,9 +362,10 @@ def test_track_probe_sweep_matches_simulate(objective, replayed_rounds):
     assert replayed_rounds == [1]
 
 
-def test_rejected_replies_that_no_row_names_are_scored_once_per_prefix(replayed_rounds, score_calls):
-    # every such reply sends each group to its halted triple, so within one
-    # prefix they all score alike and `score` runs once for the class
+def test_rejected_replies_that_no_row_names_are_scored_once_per_class_tuple(replayed_rounds, score_calls):
+    # every such reply sends each group to its halted triple, so they form one
+    # class; echo and upper:# move alike on every local state of round 1, so
+    # the six first picks are five classes and `score` runs once for each
     p = corpus.build("no_comm_reduce")
     picks = {"const:#", f"const:{track('g', BLANK)}", "echo", "shift:g", "upper:#", "upper:g"}
     first = tuple(s for s in default_families(p)[0].strategies if s.label in picks)
@@ -345,7 +373,7 @@ def test_rejected_replies_that_no_row_names_are_scored_once_per_prefix(replayed_
     assert (len(first), len(tail)) == (6, 8)
     families = (StrategyFamily(1, "picks", first), StrategyFamily(2, "rejected", tail))
     _assert_matches_simulate(p, "0", families)
-    assert len(score_calls) == len(first)
+    assert len(score_calls) == len(first) - 1
     assert replayed_rounds == [1]
 
 
@@ -591,10 +619,11 @@ def test_missing_verifier_row_raises_its_own_error(keep_guard):
 _BASE = (BLANK, "u", "v", "p")
 
 
-def _guarded(first, rows, accept, reject, minted):
-    """A one-prover 2qfa that sends `first` from q0 in round 1 and rejects
+def _guarded(first, rows, accept, reject, minted, k=1):
+    """A k-prover 2qfa that sends `first` from q0 in round 1 and rejects
     foreign symbols through a ForeignGuard that knows the `minted` states."""
     states = dict.fromkeys(["q0", *(q for q, *_ in first), *sorted(accept | reject | minted)])
+    comm = _BASE + ("w", "y", "z")
     verifier = VerifierSpec(
         mode="2qfa",
         states=tuple(states),
@@ -602,12 +631,12 @@ def _guarded(first, rows, accept, reject, minted):
         accept=frozenset(accept),
         reject=frozenset(reject),
         input_alphabet=("0",),
-        comm_alphabets=(_BASE + ("w", "y", "z"),),
-        rows={("q0", LEFT_END, (BLANK,)): first, **rows},
-        fallback=ForeignGuard(slot_bases=(_BASE,), known_states=frozenset(minted)),
+        comm_alphabets=(comm,) * k,
+        rows={("q0", LEFT_END, (BLANK,) * k): first, **rows},
+        fallback=ForeignGuard(slot_bases=(_BASE,) * k, known_states=frozenset(minted)),
     )
-    comm = verifier.comm_alphabets[0]
-    return ProtocolSpec("guarded", verifier, (transforms.make_eraser(1, comm, cutoff=2),), 1.0, 1.0, 2)
+    provers = tuple(transforms.make_eraser(i + 1, comm, cutoff=2) for i in range(k))
+    return ProtocolSpec("guarded", verifier, provers, 1.0, 1.0, 2)
 
 
 def _split_group():
@@ -641,6 +670,39 @@ def test_a_row_named_rejected_cell_keeps_its_own_score(replayed_rounds, score_ca
         pytest.approx((0.0, 1.0)), pytest.approx((0.5, 0.5)), pytest.approx((0.0, 1.0)),
     ]
     assert [moves[0][0] for moves in score_calls] == [("y",), ("z",)]
+    assert replayed_rounds == [1]
+
+
+def _split_pair():
+    """`_split_group` with a second prover: qa and qb both receive (u, u), and
+    only qa has an explicit row for (z, #), so z is named at the first slot."""
+    h = 2 ** -0.5
+    ra, rb = specs.guard_state("rejf", "qa", LEFT_END), specs.guard_state("rejf", "qb", LEFT_END)
+    return _guarded(
+        first=(("qa", 0, ("u", "u"), h), ("qb", 0, ("u", "u"), h)),
+        rows={("qa", LEFT_END, ("z", BLANK)): (("acc", 1, (BLANK, BLANK), 1.0),)},
+        accept={"acc"},
+        reject={ra, rb},
+        minted={ra, rb},
+        k=2,
+    )
+
+
+def test_a_row_named_rejected_cell_keeps_its_own_score_in_the_first_slot(replayed_rounds, score_calls):
+    # the first-slot mirror of the test above: y and w halt through the guard
+    # alike and share a class in both slots; z, which the guard rejects too,
+    # completes qa's row after # and keeps its own class
+    families = (
+        StrategyFamily(1, "picks", (constant_reply("y"), constant_reply("z"), constant_reply("w"))),
+        StrategyFamily(2, "picks", (constant_reply(BLANK), constant_reply("y"), constant_reply("w"))),
+    )
+    result = _assert_matches_simulate(_split_pair(), "0", families)
+    rejected = pytest.approx((0.0, 1.0))
+    assert [entry[1:] for entry in result.table] == [rejected] * 3 + [
+        pytest.approx((0.5, 0.5)), rejected, rejected,
+    ] + [rejected] * 3
+    # the class tuples ({y, w} or {z}) x (# or {y, w}), each scored once
+    assert [moves[0][0] for moves in score_calls] == [("#",), ("y",), ("#",), ("y",)]
     assert replayed_rounds == [1]
 
 
@@ -716,10 +778,11 @@ def test_single_move_strategies_with_a_phase_match_simulate(replayed_rounds, rep
     assert replayed_rounds == [1] + [2] * len(phased)
 
 
-def test_phased_prefixes_are_replayed_and_unphased_ones_score_each_class_once(
+def test_phased_prefixes_are_replayed_and_unphased_ones_score_each_class_tuple_once(
     replayed_rounds, replayed_combos, score_calls
 ):
-    # the rejected constants form one class, so each unphased prefix scores it once
+    # the rejected constants form one class, and const:# and echo one class
+    # each, so the two unphased class tuples are scored once each
     p = corpus.build("no_comm_reduce")
     first = (
         constant_reply(BLANK),
@@ -733,6 +796,40 @@ def test_phased_prefixes_are_replayed_and_unphased_ones_score_each_class_once(
     assert replayed_combos == [(s.label, t.label) for s in first if s.label.startswith("phase:") for t in tail]
     assert len(score_calls) == 2
     assert replayed_rounds == [1] + [2] * len(replayed_combos)
+
+
+@pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
+def test_replays_and_first_members_are_met_in_product_order(objective, replayed_combos):
+    # phase:# is const:# up to a global phase, so the two tie, one replayed
+    # and one scored; echo and upper:# move alike and form one class around
+    # the replayed pick. Of the tied pair, the one first in product order wins
+    p = corpus.build("no_comm_reduce")
+    probes = {s.label: s for s in default_families(p)[0].strategies}
+    phased = _phased("phase:#", lambda recv: BLANK, 2.3)
+    tail = (constant_reply(BLANK), constant_reply(track("g", BLANK)), echo_reply())
+    for first, winner in (
+        ((probes["echo"], phased, probes["upper:#"], constant_reply(BLANK)), "phase:#"),
+        ((probes["echo"], constant_reply(BLANK), probes["upper:#"], phased), "const:#"),
+    ):
+        families = (StrategyFamily(1, "picks", first), StrategyFamily(2, "picks", tail))
+        result = _assert_matches_simulate(p, "0", families, objective)
+        assert result.best_labels == (winner, "const:#")
+    assert replayed_combos == [("phase:#", t.label) for t in tail] * 2
+
+
+def test_three_prover_sweeps_score_each_class_tuple_once(replayed_rounds, score_calls):
+    # every prover's strategies are classed: 18,018 combinations of the lift
+    # at cutoff 4 are 2 x 1 x 10 class tuples, all of them scored
+    p = dataclasses.replace(corpus.build("no_comm_lift"), cutoff=4)
+    families = default_families(p)
+    result = _assert_matches_simulate(p, "0", families)
+    assert result.evaluated == 18018
+    round2 = _round2(p, "0")
+    classes = [len({round2.signature(slot, round2.moves(slot, s)) for s in f.strategies})
+               for slot, f in enumerate(families)]
+    assert classes == [2, 1, 10]
+    assert len(score_calls) == 2 * 1 * 10
+    assert replayed_rounds == [1]
 
 
 def test_strategies_without_label_or_kind_are_named_by_type():
