@@ -12,9 +12,10 @@ verifier columns (`engine._column`, guard rows and the two-cell head-move
 check included) and per-slot guard verdicts. Sources that share every
 slot's local state are scored together as one interference group, and a
 group that the guard sends wholly to a halting state adds a triple measured
-once per sweep. Each prover's strategies whose moves differ only where that
-triple is taken fall in one class, and each class tuple (one class per
-prover) is scored once, for all of its combinations. Every built-in
+once per sweep. A strategy's moves are its class key, with one shared
+token for every move that only ever takes that triple; each prover's
+strategies with equal keys fall in one class, and each class tuple (one
+key per prover) is scored once, for all of its combinations. Every built-in
 strategy is a plain `LoggedReplyStrategy`, whose move is its reply
 `fn(step, received)` plus the reception logged by `specs.log_reception`,
 the same tape whatever the reply: a slot's logged tapes are written once,
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 
 from .engine import Configuration, _Class, _check_round, _column, _mass, _measure, _rounds, input_tape, simulate
 from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
@@ -243,9 +245,10 @@ class _Round2:
     there then adds the same (mass, p_acc, p_rej) to every combination that
     routes it there, so that triple is measured once per sweep. Any other
     group is scored source by source. Since that shortcut reads neither the
-    reply nor the new tape, `signature` keys each slot's moves so that equal
-    keys score alike whatever the other slots play: the sweep numbers the
-    keys once per slot and scores one combination per class tuple.
+    reply nor the new tape, `moves` returns a class key in which a move
+    that always takes it is a shared token, so equal keys score alike
+    whatever the other slots play; `score` reads one key per slot, and the
+    sweep scores one combination per tuple of distinct keys.
 
     `first` is the driver's round-1 class, mass included. `score` returns
     None on anything the round driver would fault on (a missing row, a
@@ -295,20 +298,17 @@ class _Round2:
         self.named: list[dict[int, set | None]] = [{} for _ in range(p.k)]
         for local, group in members.items():
             halted = None
-            # per reception prefix, the last prover's cells that complete an explicit row
-            blocked: dict[tuple, set] = {}
-            comms = ()
+            # the receptions that complete an explicit row of a member
+            receptions = frozenset()
             if apart and {name for *_, name in group} <= halting:
                 halted = self._halted(group)
-                comms = {comm for q, sigma, *_ in group for comm in row_comms[q, sigma]}
-                for comm in comms:
-                    blocked.setdefault(comm[:-1], set()).add(comm[-1:])
+                receptions = frozenset(comm for q, sigma, *_ in group for comm in row_comms[q, sigma])
             for slot, named in enumerate(self.named):
                 if halted is None:
                     named[local[slot]] = None
                 elif named.setdefault(local[slot], set()) is not None:
-                    named[local[slot]].update(comm[slot:slot + 1] for comm in comms)
-            self.groups.append((local, tuple(group), blocked, halted))
+                    named[local[slot]].update(comm[slot] for comm in receptions)
+            self.groups.append((local, tuple(group), receptions, halted))
         # per (state, head, reception): the engine's column targets
         # [((state', head', sent), w)], or None where the run faults there
         self.columns: dict[tuple, list | None] = {}
@@ -324,9 +324,11 @@ class _Round2:
         """Per local state of `slot`, the id of its tape after `log_reception` at step 1.
 
         Every `LoggedReplyStrategy` writes exactly that tape, so the slot's
-        logs are written and interned once. They are distinct, so no logged
-        strategy merges two local states, whatever it replies. None when a
-        write faults or two logs coincide.
+        logs are written and interned once. The local states are distinct
+        (comm, tape) pairs and the log writes comm into a cell that must be
+        blank, so the logged tapes are distinct too: no logged strategy
+        merges two local states, whatever it replies. None when a write
+        faults.
         """
         if slot not in self.logs:
             tape_ids = self.tape_ids[slot]
@@ -334,21 +336,25 @@ class _Round2:
                 tapes = [log_reception(tape, 1, comm) for comm, tape in self.local_states[slot]]
             except RunFault:
                 tapes = None
-            distinct = tapes is not None and len(set(tapes)) == len(tapes)
-            self.logs[slot] = [tape_ids.setdefault(t, len(tape_ids)) for t in tapes] if distinct else None
+            self.logs[slot] = None if tapes is None else [tape_ids.setdefault(t, len(tape_ids)) for t in tapes]
         return self.logs[slot]
 
     def moves(self, slot: int, strategy):
-        """Per local state of `slot`: ((reply,), tape id, guard verdict).
+        """`strategy`'s class key at `slot`: per local state, (reply, tape id, guard verdict) or None.
 
         A plain `LoggedReplyStrategy` (its exact type: a subclass may move
         otherwise) is asked only for its reply, `fn(1, comm)`, and takes the
-        slot's `logged` tape ids, which `logged` has found distinct; any
-        other strategy, or a logged one where the logs are None, is applied
-        whole.
-        None when the strategy branches, gives its one move a weight other
-        than exactly 1 (a phase), merges two local states, or fails on one;
-        every combination with it is then replayed.
+        slot's `logged` tape ids; any other strategy, or a logged one where
+        the logs are None, is applied whole.
+        A move becomes the shared token None when the guard rejects it, every
+        group at its local id halts through the guard, and no explicit row of
+        those groups names its reply at `slot`. Every such group then takes
+        `score`'s halted shortcut, which reads neither the reply nor the
+        tape, so equal keys run the same float operations and score alike bit
+        for bit, whatever the other slots play.
+        The whole key is None when the strategy branches, gives its one move
+        a weight other than exactly 1 (a phase), merges two local states, or
+        fails on one; every combination with it is then replayed.
         """
         verdicts = self.verdicts[slot]
         tape_ids = self.tape_ids[slot]
@@ -377,41 +383,12 @@ class _Round2:
                     verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
         except Exception:
             return None
-        return [((reply,), tid, verdicts[reply]) for reply, tid in out]
-
-    def signature(self, slot: int, moves):
-        """`slot`'s `moves` as a class key: whatever the other slots play, equal keys score alike.
-
-        A move gets the shared token (None) when the guard rejects it, every
-        group at its local id halts through the guard, and no explicit row
-        of those groups names its cell at `slot`. Every such group then takes
-        `score`'s halted shortcut, which reads neither the cell nor the tape:
-        at the last slot the cell completes no row after any prefix, and at
-        an earlier one it leaves `blocked` empty. Equal keys run the same
-        float operations, so their scores are equal bit for bit.
-        """
-        if moves is None:
-            return None
         named = self.named[slot]
         return tuple([
-            None if move[2] and named[local] is not None and move[0] not in named[local] else move
-            for local, move in enumerate(moves)
+            None if verdicts[reply] and named[local] is not None and reply not in named[local]
+            else (reply, tid, verdicts[reply])
+            for local, (reply, tid) in enumerate(out)
         ])
-
-    def prefix(self, moves_per_slot):
-        """The groups after every prover but the last has moved, as `score` takes them."""
-        out = []
-        for local, group, blocked, halted in self.groups:
-            comm = ()
-            tapes = ()
-            rejected = False
-            for slot, moves in enumerate(moves_per_slot):
-                cell, tid, rej = moves[local[slot]]
-                comm += cell
-                tapes += (tid,)
-                rejected = rejected or rej
-            out.append((local[-1], group, comm, tapes, rejected, blocked.get(comm, ()), halted))
-        return out
 
     def column(self, q: str, head: int, comm: tuple):
         """The targets of the engine's verifier column at (q, head, comm); None on its RunFault."""
@@ -420,20 +397,24 @@ class _Round2:
         except RunFault:
             return None
 
-    def score(self, groups, moves):
-        """(p_acc, p_rej, leftover) of round 2 once the last prover plays `moves`."""
+    def score(self, picks):
+        """(p_acc, p_rej, leftover) of round 2 when each slot plays its key in `picks`."""
         columns = self.columns
         after = p_acc = p_rej = 0.0
         out: dict[tuple, complex] = {}
         get = out.get
-        for last, group, comm, tapes, rejected, blocked, halted in groups:
-            cell, tid, rej = moves[last]
-            if halted is not None and (rejected or rej) and cell not in blocked:
+        for local, group, receptions, halted in self.groups:
+            entries = tuple(map(getitem, picks, local))
+            # a token is minted only where every group halts through the guard: `halted` is set
+            halts = None in entries
+            if not halts:
+                comm, tapes, verdicts = zip(*entries)
+                halts = halted is not None and True in verdicts and comm not in receptions
+            if halts:
                 after += halted[0]
                 p_acc += halted[1]
                 p_rej += halted[2]
                 continue
-            comm = comm + cell
             for q, _, head, _, amp, _ in group:
                 targets = columns.get((q, head, comm), False)
                 if targets is False:
@@ -441,7 +422,7 @@ class _Round2:
                 if targets is None:
                     return None
                 for (q2, head2, sent), w in targets:
-                    key = (q2, head2, sent, tapes, tid)
+                    key = (q2, head2, sent, tapes)
                     out[key] = get(key, 0j) + amp * w
         kept, acc, rej, residual = _measure(out.items(), self.quantum, self.accept, self.reject)
         after += kept
@@ -468,15 +449,15 @@ def search(
 
     The first strict optimum in `itertools.product` order is kept. Round 1
     precedes any prover move and is computed once. At every cutoff from 2
-    on, each prover's single-move strategies are classed by
-    `_Round2.signature`, and round 2 is scored once per class tuple, from
-    precomputed moves and one `prefix` per tuple of the earlier classes. A
-    tuple's other combinations score bit for bit alike, so the optimum is
-    sought among the first combination of each scored tuple and the
-    replayed ones, in product order. Every combination of a class tuple
-    that cannot be scored, or that keeps more than PRUNE_TOL with rounds
-    left, is replayed, in product order; so is every combination at cutoff
-    1, after a round 1 that leaves at most PRUNE_TOL, and without provers.
+    on, each prover's single-move strategies are classed by their
+    `_Round2.moves` key, and round 2 is scored once per class tuple, from
+    the tuple's keys. A tuple's other combinations score bit for bit alike,
+    so the optimum is sought among the first combination of each scored
+    tuple and the replayed ones, in product order. Every combination of a
+    class tuple that cannot be scored, or that keeps more than PRUNE_TOL
+    with rounds left, is replayed, in product order; so is every
+    combination at cutoff 1, after a round 1 that leaves at most PRUNE_TOL,
+    and without provers.
     `keep_table` expands the class results into one row per combination.
     """
     if objective not in ("max-accept", "min-reject"):
@@ -506,33 +487,25 @@ def search(
     round2 = None
     if families and T >= 2 and stat1.residual_mass > PRUNE_TOL:
         round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
-    # per slot: each strategy's signature class as a small int, each class's
-    # members in family order, and its first member's moves (None: replayed)
+    # per slot: each strategy's class as a small int, each class's members in
+    # family order, and its key (None: replayed)
     keys: list[list[int]] = []
     members: list[list[list[int]]] = []
     reps: list[list] = []
     for slot, fam in enumerate(families):
-        moves = [None if round2 is None else round2.moves(slot, s) for s in fam.strategies]
         ids: dict[tuple | None, int] = {}
-        keys.append([ids.setdefault(round2 and round2.signature(slot, m), len(ids)) for m in moves])
+        keys.append([ids.setdefault(round2 and round2.moves(slot, s), len(ids)) for s in fam.strategies])
         members.append([[] for _ in ids])
         for j, key in enumerate(keys[-1]):
             members[-1][key].append(j)
-        reps.append([moves[m[0]] for m in members[-1]])
+        reps.append(list(ids))
 
     # per scored class tuple (one class per slot): (p_acc, p_rej, leftover)
     scores: dict[tuple, tuple] = {}
     replayed = []
-    for ct in itertools.product(*(range(len(r)) for r in reps)):
-        scored = None
-        if round2 is not None:
-            # the last class runs fastest, so it is 0 exactly when the earlier classes change
-            if ct[-1] == 0:
-                prefix = [r[c] for r, c in zip(reps, ct[:-1])]
-                groups = None if None in prefix else round2.prefix(prefix)
-            tail = reps[-1][ct[-1]]
-            if groups is not None and tail is not None:
-                scored = round2.score(groups, tail)
+    cts = itertools.product(*(range(len(r)) for r in reps))
+    for ct, picks in zip(cts, itertools.product(*reps)):
+        scored = round2.score(picks) if round2 is not None and None not in picks else None
         if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
             replayed.append(ct)
         else:

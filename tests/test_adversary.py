@@ -267,13 +267,13 @@ def replayed_rounds(monkeypatch):
 
 @pytest.fixture
 def score_calls(monkeypatch):
-    """The last slot's moves of every `_Round2.score` call a sweep makes."""
+    """The last slot's class key of every `_Round2.score` call a sweep makes."""
     calls = []
     score = adversary._Round2.score
 
-    def counting(self, groups, moves):
-        calls.append(moves)
-        return score(self, groups, moves)
+    def counting(self, picks):
+        calls.append(picks[-1])
+        return score(self, picks)
 
     monkeypatch.setattr(adversary._Round2, "score", counting)
     return calls
@@ -669,7 +669,7 @@ def test_a_row_named_rejected_cell_keeps_its_own_score(replayed_rounds, score_ca
     assert [entry[1:] for entry in result.table] == [
         pytest.approx((0.0, 1.0)), pytest.approx((0.5, 0.5)), pytest.approx((0.0, 1.0)),
     ]
-    assert [moves[0][0] for moves in score_calls] == [("y",), ("z",)]
+    assert [key[0] and key[0][0] for key in score_calls] == [None, "z"]
     assert replayed_rounds == [1]
 
 
@@ -702,7 +702,7 @@ def test_a_row_named_rejected_cell_keeps_its_own_score_in_the_first_slot(replaye
         pytest.approx((0.5, 0.5)), rejected, rejected,
     ] + [rejected] * 3
     # the class tuples ({y, w} or {z}) x (# or {y, w}), each scored once
-    assert [moves[0][0] for moves in score_calls] == [("#",), ("y",), ("#",), ("y",)]
+    assert [key[0] and key[0][0] for key in score_calls] == ["#", None, "#", None]
     assert replayed_rounds == [1]
 
 
@@ -825,7 +825,7 @@ def test_three_prover_sweeps_score_each_class_tuple_once(replayed_rounds, score_
     result = _assert_matches_simulate(p, "0", families)
     assert result.evaluated == 18018
     round2 = _round2(p, "0")
-    classes = [len({round2.signature(slot, round2.moves(slot, s)) for s in f.strategies})
+    classes = [len({round2.moves(slot, s) for s in f.strategies})
                for slot, f in enumerate(families)]
     assert classes == [2, 1, 10]
     assert len(score_calls) == 2 * 1 * 10
@@ -923,7 +923,8 @@ def _round2(p, x):
 
 
 def _applied_moves(round2, slot, strategy):
-    """`_Round2.moves` rebuilt from `apply_quantum` on each local state, new tapes spelled out."""
+    """`_Round2.moves` before its shared tokens, rebuilt from `apply_quantum` on each local state,
+    new tapes spelled out."""
     out = []
     for comm, tape in round2.local_states[slot]:
         try:
@@ -933,7 +934,7 @@ def _applied_moves(round2, slot, strategy):
         if len(column) != 1 or column[0][1] != 1:
             return None
         (reply, new_tape), _ = column[0]
-        out.append(((reply,), new_tape, round2.guard is not None and round2.guard.rejects(slot, reply)))
+        out.append((reply, new_tape, round2.guard is not None and round2.guard.rejects(slot, reply)))
     return None if len({(cell, tape) for cell, tape, _ in out}) < len(out) else out
 
 
@@ -957,8 +958,36 @@ def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
         tapes = {tid: tape for tape, tid in round2.tape_ids[slot].items()}
         assert sum(m is not None for m in moves[slot]) >= len(f.strategies) // 2
         for strategy, got in zip(f.strategies, moves[slot]):
-            spelled = None if got is None else [(cell, tapes[tid], rej) for cell, tid, rej in got]
-            assert spelled == _applied_moves(round2, slot, strategy), strategy.label
+            want = _applied_moves(round2, slot, strategy)
+            assert (got is None) == (want is None), strategy.label
+            assert len(got or ()) == len(want or ()), strategy.label
+            # a None entry is the shared token: a move the guard rejects at a
+            # local id whose groups all halt and whose rows do not name it
+            for local, (entry, (reply, new_tape, rej)) in enumerate(zip(got or (), want or ())):
+                named = round2.named[slot][local]
+                token = rej and named is not None and reply not in named
+                if entry is None:
+                    assert token, strategy.label
+                else:
+                    cell, tid, verdict = entry
+                    assert (cell, tapes[tid], verdict) == (reply, new_tape, rej), strategy.label
+                    assert not token, strategy.label
+
+
+class _Sub(LoggedReplyStrategy):
+    """A plain logged strategy under another type, so `_Round2.moves` applies it whole."""
+
+
+@pytest.mark.parametrize("name", sorted(_PROBED))
+def test_the_logged_fast_path_and_the_applied_path_give_the_same_key(name):
+    build, x, _ = _PROBED[name]
+    p = build()
+    round2 = _round2(p, x)
+    for slot, f in enumerate(default_families(p)):
+        keys = [round2.moves(slot, s) for s in f.strategies]
+        assert sum(key is not None for key in keys) >= len(keys) // 2
+        for strategy, key in zip(f.strategies, keys):
+            assert round2.moves(slot, _Sub(strategy.label, strategy.fn)) == key, strategy.label
 
 
 def test_a_log_write_that_faults_opts_logged_strategies_out():
