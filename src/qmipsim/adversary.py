@@ -19,13 +19,15 @@ key per prover) is scored once, for all of its combinations. Every built-in
 strategy is a plain `LoggedReplyStrategy`, whose move is its reply
 `fn(step, received)` plus the reception logged by `specs.log_reception`,
 the same tape whatever the reply: a slot's logged tapes are written once,
-and such a strategy is asked only for its replies. A combination is
-replayed when its round 2 cannot be scored (a strategy branches, as
-rotations do, puts a phase on its move, merges two local states, or
-something faults, such as a verifier column whose head moves collide on
-the two-cell tape of "") or when it keeps more than PRUNE_TOL with rounds
-left: the engine's round driver, which stops at that same test, resumes it
-from the shared round 1 and raises the run's own error.
+and such a strategy is asked only for its replies. Constants and reply
+sequences are not even asked: their `fn` is `specs.FixedReplies`, data
+that ignores the reception, so their step-1 reply is read off it. A
+combination is replayed when its round 2 cannot be scored (a strategy
+branches, as rotations do, puts a phase on its move, merges two local
+states, or something faults, such as a verifier column whose head moves
+collide on the two-cell tape of "") or when it keeps more than PRUNE_TOL
+with rounds left: the engine's round driver, which stops at that same
+test, resumes it from the shared round 1 and raises the run's own error.
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -49,6 +51,7 @@ from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
 from .specs import (
     BLANK,
     DerandomizedStrategy,
+    FixedReplies,
     LoggedReplyStrategy,
     ProtocolSpec,
     ProverSpec,
@@ -84,10 +87,7 @@ def _label(strategy) -> str:
 
 
 def _sequence_strategy(seq: tuple[str, ...]) -> LoggedReplyStrategy:
-    return LoggedReplyStrategy(
-        "seq:" + ",".join(seq),
-        lambda step, recv, seq=seq: [(seq[min(step, len(seq)) - 1], 1.0 + 0j)],
-    )
+    return LoggedReplyStrategy("seq:" + ",".join(seq), FixedReplies(seq))
 
 
 def reply_sequence_family(index: int, alphabet: tuple[str, ...], steps: int) -> StrategyFamily:
@@ -227,7 +227,8 @@ class _Round2:
     distinct local states of the shared round-1 residual: amplitudes pass the
     prover stage unchanged. Those moves are computed once per strategy; a
     plain `LoggedReplyStrategy` is asked only for its replies, since every
-    such strategy writes the slot's `logged` tapes, built once. A
+    such strategy writes the slot's `logged` tapes, built once, and one
+    whose replies are `FixedReplies` is read, not called. A
     combination then only reads the verifier's columns, accumulates target
     amplitudes and measures them with the engine's `_measure` and
     `_check_round`. Each column is the engine's own (`_column`: explicit row
@@ -270,19 +271,14 @@ class _Round2:
         self.verdicts: list[dict[str, bool]] = [{} for _ in range(p.k)]
         self.logs: dict[int, list[int] | None] = {}
         guard_targets: dict[tuple[str, str], str | None] = {}
+        # per (comm, tapes), which fixes the local tuple: its members, in residual order
         members: dict[tuple, list] = {}
-        for config, amp in residual.items():
-            sigma = tape[config.head % n]
-            local = tuple(
-                states.setdefault((config.comm[i], config.tapes[i]), len(states))
-                for i, states in enumerate(self.local_states)
-            )
-            key = (config.state, sigma)
-            if key not in guard_targets:
-                guard_targets[key] = self.guard.target(*key) if self.guard is not None else None
-            members.setdefault(local, []).append(
-                (config.state, sigma, config.head, (config.head + 1) % n, amp, guard_targets[key])
-            )
+        for (q, head, comm, tapes), amp in residual.items():
+            sigma = tape[head % n]
+            name = guard_targets.get((q, sigma), False)
+            if name is False:
+                name = guard_targets[q, sigma] = self.guard.target(q, sigma) if self.guard is not None else None
+            members.setdefault((comm, tapes), []).append((q, sigma, head, (head + 1) % n, amp, name))
         row_comms: dict[tuple[str, str], set] = {key: set() for key in guard_targets}
         minted = set(guard_targets.values()) - {None}
         apart = True
@@ -296,18 +292,22 @@ class _Round2:
         # per slot and local id: the cells at that slot of the explicit rows
         # of every group there, or None when one of those groups does not halt
         self.named: list[dict[int, set | None]] = [{} for _ in range(p.k)]
-        for local, group in members.items():
+        for (comm, tapes), group in members.items():
+            # one local-state id per slot, numbered in residual order
+            local = tuple([
+                states.setdefault(state, len(states)) for states, state in zip(self.local_states, zip(comm, tapes))
+            ])
             halted = None
             # the receptions that complete an explicit row of a member
             receptions = frozenset()
-            if apart and {name for *_, name in group} <= halting:
+            if apart and all(name in halting for _, _, _, _, _, name in group):
                 halted = self._halted(group)
-                receptions = frozenset(comm for q, sigma, *_ in group for comm in row_comms[q, sigma])
+                receptions = frozenset(sent for q, sigma, _, _, _, _ in group for sent in row_comms[q, sigma])
             for slot, named in enumerate(self.named):
                 if halted is None:
                     named[local[slot]] = None
                 elif named.setdefault(local[slot], set()) is not None:
-                    named[local[slot]].update(comm[slot] for comm in receptions)
+                    named[local[slot]].update(sent[slot] for sent in receptions)
             self.groups.append((local, tuple(group), receptions, halted))
         # per (state, head, reception): the engine's column targets
         # [((state', head', sent), w)], or None where the run faults there
@@ -344,8 +344,11 @@ class _Round2:
 
         A plain `LoggedReplyStrategy` (its exact type: a subclass may move
         otherwise) is asked only for its reply, `fn(1, comm)`, and takes the
-        slot's `logged` tape ids; any other strategy, or a logged one where
-        the logs are None, is applied whole.
+        slot's `logged` tape ids; when `fn` is exactly `FixedReplies`, its
+        step-1 reply `fn.replies[0]` is every local state's reply, and `fn`
+        is not called. Any other strategy, or a logged one where the logs are
+        None, is applied whole. The key is built in one pass over the local
+        states: reply, tape id, verdict and the shared-token rule.
         A move becomes the shared token None when the guard rejects it, every
         group at its local id halts through the guard, and no explicit row of
         those groups names its reply at `slot`. Every such group then takes
@@ -358,37 +361,39 @@ class _Round2:
         """
         verdicts = self.verdicts[slot]
         tape_ids = self.tape_ids[slot]
+        named = self.named[slot]
         logged = self.logged(slot) if type(strategy) is LoggedReplyStrategy else None
-        out = []
+        fn = strategy.fn if logged is not None else None
+        fixed = type(fn) is FixedReplies
+        key = []
+        seen = set()
         # the replay raises whatever this raises, so any failure just opts out
         try:
-            if logged is not None:
-                fn = strategy.fn
-                for (comm, _), tid in zip(self.local_states[slot], logged):
+            for local, (comm, tape) in enumerate(self.local_states[slot]):
+                if fixed:
+                    reply, tid = fn.replies[0], logged[local]
+                elif fn is not None:
                     (reply, amp), = fn(1, comm)
                     if amp != 1:
                         return None
-                    out.append((reply, tid))
-            else:
-                for comm, tape in self.local_states[slot]:
+                    tid = logged[local]
+                else:
                     column = strategy.apply_quantum(1, comm, tape)
                     if len(column) != 1 or column[0][1] != 1:
                         return None
                     reply, new_tape = column[0][0]
-                    out.append((reply, tape_ids.setdefault(new_tape, len(tape_ids))))
-                if len(set(out)) < len(out):
-                    return None
-            for reply, _ in out:
-                if reply not in verdicts:
-                    verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
+                    tid = tape_ids.setdefault(new_tape, len(tape_ids))
+                    if (reply, tid) in seen:
+                        return None
+                    seen.add((reply, tid))
+                verdict = verdicts.get(reply)
+                if verdict is None:
+                    verdict = verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
+                shared = verdict and named[local] is not None and reply not in named[local]
+                key.append(None if shared else (reply, tid, verdict))
         except Exception:
             return None
-        named = self.named[slot]
-        return tuple([
-            None if verdicts[reply] and named[local] is not None and reply not in named[local]
-            else (reply, tid, verdicts[reply])
-            for local, (reply, tid) in enumerate(out)
-        ])
+        return tuple(key)
 
     def column(self, q: str, head: int, comm: tuple):
         """The targets of the engine's verifier column at (q, head, comm); None on its RunFault."""
@@ -537,6 +542,10 @@ def search(
             columns = (labels[slots], [range(len(k)) for k in keys[slots]], keys[slots])
             return zip(*(itertools.product(*column) for column in columns))
 
+        # (p_acc, p_rej) per scored class tuple and per replayed combination:
+        # two dicts, since a class tuple and a combination can be equal tuples
+        scored_pairs = {ct: result[:2] for ct, result in scores.items()}
+        replayed_pairs = {chosen: result[:2] for chosen, result in outcomes.items()}
         # one comprehension per pick of every prover but the last; without
         # provers, the one combination is an empty head and an empty tail
         split = max(0, p.k - 1)
@@ -544,7 +553,7 @@ def search(
         table = []
         for names, chosen, ct in picks(slice(split)):
             table += [
-                (names + tail_names, *(scores.get(ct + tail_ct) or outcomes[chosen + tail_chosen])[:2])
+                (names + tail_names,) + (scored_pairs.get(ct + tail_ct) or replayed_pairs[chosen + tail_chosen])
                 for tail_names, tail_chosen, tail_ct in tails
             ]
     return SearchResult(

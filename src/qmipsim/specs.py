@@ -346,8 +346,20 @@ class LoggedReplyStrategy:
         return (step - 1,)
 
 
+@dataclass(frozen=True)
+class FixedReplies:
+    """A reply function that ignores the received symbol: `replies[step - 1]`
+    with weight 1, and the last reply past the end. Since it is data, not a
+    closure, the adversary sweep reads `replies[0]` for every reception at
+    step 1 instead of calling it."""
+    replies: tuple[str, ...]
+
+    def __call__(self, step: int, recv: str) -> list[tuple[str, complex]]:
+        return [(self.replies[min(step, len(self.replies)) - 1], 1.0 + 0j)]
+
+
 def constant_reply(symbol: str) -> LoggedReplyStrategy:
-    return LoggedReplyStrategy(f"const:{symbol}", lambda step, recv: [(symbol, 1.0 + 0j)])
+    return LoggedReplyStrategy(f"const:{symbol}", FixedReplies((symbol,)))
 
 
 def echo_reply() -> LoggedReplyStrategy:

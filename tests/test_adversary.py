@@ -61,6 +61,37 @@ def test_reply_sequence_family_enumerates_all_sequences():
     assert "seq:#,#" in labels and "seq:g,g" in labels and "echo" in labels
 
 
+def test_fixed_replies_answer_as_the_reply_closures_did():
+    # the closures that `constant_reply` and `_sequence_strategy` returned
+    # before their replies became `specs.FixedReplies`
+    def old_constant(symbol):
+        return lambda step, recv: [(symbol, 1.0 + 0j)]
+
+    def old_sequence(seq):
+        return lambda step, recv, seq=seq: [(seq[min(step, len(seq)) - 1], 1.0 + 0j)]
+
+    cases = [(constant_reply("g").fn, old_constant("g"), 1)]
+    for seq in ((BLANK,), (BLANK, "1"), ("1", BLANK, BLANK, "0", "1", BLANK, "1")):
+        cases.append((adversary._sequence_strategy(seq).fn, old_sequence(seq), len(seq)))
+    for fn, old, length in cases:
+        assert type(fn) is specs.FixedReplies
+        for step in range(1, length + 3):
+            for recv in (BLANK, "1", track("1", BLANK)):
+                got = fn(step, recv)
+                assert got == old(step, recv)
+                assert [type(amp) for _, amp in got] == [complex]
+    # past the end of the sequence, the last reply
+    assert adversary._sequence_strategy(("a", "b")).fn(3, BLANK) == [("b", 1.0 + 0j)]
+
+
+def test_constants_with_one_symbol_compare_equal():
+    assert constant_reply("g") == constant_reply("g")
+    assert hash(constant_reply("g")) == hash(constant_reply("g"))
+    assert constant_reply("g") != constant_reply("h")
+    # `fn` takes no part in equality, only the label does
+    assert constant_reply("g") == LoggedReplyStrategy("const:g", echo_reply().fn)
+
+
 def test_track_probe_shifts_equal_xor_symbols():
     alphabet = corpus.build("no_comm_reduce").verifier.comm_alphabets[0]
     encoding = specs.fixed_width_binary_encoding(adversary._track_base(alphabet))
@@ -910,7 +941,24 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
 #
 # Every plain LoggedReplyStrategy logs the reception in the same cell, so
 # `_Round2` writes each slot's logs once and asks such a strategy only for
-# `fn(1, comm)`. Any other strategy, subclasses included, is applied whole.
+# `fn(1, comm)`, or reads `fn.replies[0]` when `fn` is `FixedReplies`. Any
+# other strategy, subclasses included, is applied whole.
+
+
+def _picks(index, *symbols):
+    return StrategyFamily(index, "picks", tuple(constant_reply(sym) for sym in symbols))
+
+
+# per case: builder, input, and the families whose keys are checked. The
+# guard cases hold a rejected reply that a halting group's explicit row names
+# (z), so the shared token's `named` clause decides their keys; the relay's
+# sequence family holds 7-reply `FixedReplies`
+_KEYED = {
+    **{name: (build, x, default_families) for name, (build, x, _) in _PROBED.items()},
+    "split_group": (_split_group, "0", lambda p: (_picks(1, "y", "z", "w"),)),
+    "split_pair": (_split_pair, "0", lambda p: (_picks(1, "y", "z", "w"), _picks(2, BLANK, "y", "w"))),
+    "parity_relay_11": (lambda: corpus.build("parity_relay"), "11", default_families),
+}
 
 
 def _round1(p, x):
@@ -938,9 +986,9 @@ def _applied_moves(round2, slot, strategy):
     return None if len({(cell, tape) for cell, tape, _ in out}) < len(out) else out
 
 
-@pytest.mark.parametrize("name", sorted(_PROBED))
+@pytest.mark.parametrize("name", sorted(_KEYED))
 def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
-    build, x, _ = _PROBED[name]
+    build, x, make_families = _KEYED[name]
     p = build()
     round2 = _round2(p, x)
     applied = []
@@ -951,7 +999,7 @@ def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
         return apply_quantum(self, step, comm, tape)
 
     monkeypatch.setattr(LoggedReplyStrategy, "apply_quantum", spy)
-    families = default_families(p)
+    families = make_families(p)
     moves = [[round2.moves(slot, s) for s in f.strategies] for slot, f in enumerate(families)]
     assert applied == []
     for slot, f in enumerate(families):
@@ -978,12 +1026,12 @@ class _Sub(LoggedReplyStrategy):
     """A plain logged strategy under another type, so `_Round2.moves` applies it whole."""
 
 
-@pytest.mark.parametrize("name", sorted(_PROBED))
+@pytest.mark.parametrize("name", sorted(_KEYED))
 def test_the_logged_fast_path_and_the_applied_path_give_the_same_key(name):
-    build, x, _ = _PROBED[name]
+    build, x, make_families = _KEYED[name]
     p = build()
     round2 = _round2(p, x)
-    for slot, f in enumerate(default_families(p)):
+    for slot, f in enumerate(make_families(p)):
         keys = [round2.moves(slot, s) for s in f.strategies]
         assert sum(key is not None for key in keys) >= len(keys) // 2
         for strategy, key in zip(f.strategies, keys):
