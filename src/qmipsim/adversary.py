@@ -7,10 +7,10 @@ reply sequences, echoes, and mask-track probes. The search caches the round-1
 residual (provers first act in round 2). When every strategy answers each
 local (comm, tape) state of that residual with a single move of weight
 exactly 1, each strategy is applied once per local state and round 2, at
-any cutoff and on any input, is scored from those moves plus the engine's
-verifier columns (`engine._column`, guard rows and the two-cell head-move
-check included) and per-slot guard verdicts. Sources that share every
-slot's local state are scored together as one interference group, and a
+any cutoff and on any input, is scored from those moves and per-slot guard
+verdicts by the driver's own verifier pass (`engine._verify_and_measure`,
+guard rows and the two-cell head-move check included). Sources that share
+every slot's local state are scored together as one interference group, and a
 group that the guard sends wholly to a halting state adds a triple measured
 once per sweep. A strategy's moves are its class key, with one shared
 token for every move that only ever takes that triple; each prover's
@@ -46,7 +46,9 @@ import itertools
 from dataclasses import dataclass
 from operator import getitem
 
-from .engine import Configuration, _Class, _check_round, _column, _mass, _measure, _rounds, input_tape, simulate
+from .engine import (
+    Configuration, _Class, _check_round, _mass, _measure, _rounds, _verify_and_measure, input_tape, simulate,
+)
 from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
 from .specs import (
     BLANK,
@@ -229,12 +231,12 @@ class _Round2:
     plain `LoggedReplyStrategy` is asked only for its replies, since every
     such strategy writes the slot's `logged` tapes, built once, and one
     whose replies are `FixedReplies` is read, not called. A
-    combination then only reads the verifier's columns, accumulates target
-    amplitudes and measures them with the engine's `_measure` and
-    `_check_round`. Each column is the engine's own (`_column`: explicit row
-    or guard row, and the two-cell head-move check), built once per sweep
-    and (state, head, reception). New tapes are interned per slot, so
-    targets are keyed by small integers instead of tape tuples.
+    combination's round-2 sources are then one state keyed like the driver's
+    configurations, (state, head, replies, tape ids), run through the
+    driver's verifier pass (`engine._verify_and_measure`: explicit or guard
+    rows, the two-cell head-move check) and `_check_round`, with one column
+    cache per sweep, so each column is built once per (state, head,
+    reception). New tapes are interned per slot, so tapes are small integers.
 
     Sources that share their local tuple (one local-state id per slot) form an
     interference group: they receive the same moves. `moves` refuses a
@@ -245,7 +247,7 @@ class _Round2:
     target either. A group whose members all fall to the guard and halt
     there then adds the same (mass, p_acc, p_rej) to every combination that
     routes it there, so that triple is measured once per sweep. Any other
-    group is scored source by source. Since that shortcut reads neither the
+    group's sources go through the pass. Since that shortcut reads neither the
     reply nor the new tape, `moves` returns a class key in which a move
     that always takes it is a shared token, so equal keys score alike
     whatever the other slots play; `score` reads one key per slot, and the
@@ -309,9 +311,8 @@ class _Round2:
                 elif named.setdefault(local[slot], set()) is not None:
                     named[local[slot]].update(sent[slot] for sent in receptions)
             self.groups.append((local, tuple(group), receptions, halted))
-        # per (state, head, reception): the engine's column targets
-        # [((state', head', sent), w)], or None where the run faults there
-        self.columns: dict[tuple, list | None] = {}
+        # the verifier pass's column cache, one for the whole sweep
+        self.columns: dict = {}
 
     def _halted(self, group):
         """(mass, p_acc, p_rej) of a group whose members all move to their guard targets."""
@@ -395,19 +396,10 @@ class _Round2:
             return None
         return tuple(key)
 
-    def column(self, q: str, head: int, comm: tuple):
-        """The targets of the engine's verifier column at (q, head, comm); None on its RunFault."""
-        try:
-            return _column(self.verifier, self.tape, Configuration(q, head, comm, ()), self.quantum).targets
-        except RunFault:
-            return None
-
     def score(self, picks):
         """(p_acc, p_rej, leftover) of round 2 when each slot plays its key in `picks`."""
-        columns = self.columns
         after = p_acc = p_rej = 0.0
-        out: dict[tuple, complex] = {}
-        get = out.get
+        state = {}
         for local, group, receptions, halted in self.groups:
             entries = tuple(map(getitem, picks, local))
             # a token is minted only where every group halts through the guard: `halted` is set
@@ -421,24 +413,14 @@ class _Round2:
                 p_rej += halted[2]
                 continue
             for q, _, head, _, amp, _ in group:
-                targets = columns.get((q, head, comm), False)
-                if targets is False:
-                    targets = columns[q, head, comm] = self.column(q, head, comm)
-                if targets is None:
-                    return None
-                for (q2, head2, sent), w in targets:
-                    key = (q2, head2, sent, tapes)
-                    out[key] = get(key, 0j) + amp * w
-        kept, acc, rej, residual = _measure(out.items(), self.quantum, self.accept, self.reject)
-        after += kept
-        p_acc += acc
-        p_rej += rej
-        leftover = _mass(residual, self.quantum)
+                state[Configuration(q, head, comm, tapes)] = amp
         try:
-            _check_round(2, self.before, after, p_acc, p_rej, leftover)
+            kept, acc, rej, residual = _verify_and_measure(state, self.verifier, self.tape, self.columns)
+            leftover = _mass(residual, self.quantum)
+            _check_round(2, self.before, after + kept, p_acc + acc, p_rej + rej, leftover)
         except RunFault:
             return None
-        return p_acc, p_rej, leftover
+        return p_acc + acc, p_rej + rej, leftover
 
 
 def search(
@@ -537,25 +519,13 @@ def search(
     labels = [[_label(s) for s in fam.strategies] for fam in families]
     table: list[tuple[tuple[str, ...], float, float]] | None = None
     if keep_table:
-        def picks(slots: slice):
-            """(labels, strategy indices, class ids) of every pick for `slots`, in product order."""
-            columns = (labels[slots], [range(len(k)) for k in keys[slots]], keys[slots])
-            return zip(*(itertools.product(*column) for column in columns))
-
         # (p_acc, p_rej) per scored class tuple and per replayed combination:
         # two dicts, since a class tuple and a combination can be equal tuples
         scored_pairs = {ct: result[:2] for ct, result in scores.items()}
         replayed_pairs = {chosen: result[:2] for chosen, result in outcomes.items()}
-        # one comprehension per pick of every prover but the last; without
-        # provers, the one combination is an empty head and an empty tail
-        split = max(0, p.k - 1)
-        tails = list(picks(slice(split, None)))
-        table = []
-        for names, chosen, ct in picks(slice(split)):
-            table += [
-                (names + tail_names,) + (scored_pairs.get(ct + tail_ct) or replayed_pairs[chosen + tail_chosen])
-                for tail_names, tail_chosen, tail_ct in tails
-            ]
+        # (labels, strategy indices, class ids) of every combination, in product order
+        rows = zip(*(itertools.product(*column) for column in (labels, [range(len(k)) for k in keys], keys)))
+        table = [(names,) + (scored_pairs.get(ct) or replayed_pairs[chosen]) for names, chosen, ct in rows]
     return SearchResult(
         objective=objective,
         best_value=best[0],

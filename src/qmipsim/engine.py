@@ -35,7 +35,6 @@ and derandomization scores each candidate reply from the walk's current round.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate, product
 from math import prod
@@ -233,7 +232,7 @@ def _column(verifier: VerifierSpec, tape: tuple[str, ...], config: Configuration
 
 
 def _verify_and_measure(
-    state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...]
+    state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...], columns: dict
 ) -> tuple[float, float, float, StateVector]:
     """Verifier stage and measurement in one pass.
 
@@ -246,12 +245,15 @@ def _verify_and_measure(
     non-halting targets are stored. Every other configuration is summed per
     tape group in a local dict, which `_measure` prunes and measures; only
     its live targets become configurations. Columns are built from the
-    verifier's rows, once per (state, head, comm).
+    verifier's rows, once per (state, head, comm), into `columns`, a cache
+    the caller owns for this verifier and tape: the round driver passes a
+    fresh one per call, the sweep's round-2 scorer one per sweep.
     """
     quantum = verifier.is_quantum()
     accept, reject = verifier.accept, verifier.reject
-    columns: dict = {}
-    sharing = Counter([config.tapes for config in state])
+    sharing: dict = {}  # per tapes: whether another configuration has them too
+    for config in state:
+        sharing[config.tapes] = config.tapes in sharing
     shared: dict = {}
     after = p_acc = p_rej = 0.0
     residual: StateVector = {}
@@ -261,7 +263,7 @@ def _verify_and_measure(
         if column is None:
             column = columns[key] = _column(verifier, tape, config, quantum)
         tapes = config.tapes
-        if sharing[tapes] > 1 or abs(amp) * column.smallest < PRUNE_TOL:
+        if sharing[tapes] or abs(amp) * column.smallest < PRUNE_TOL:
             shared.setdefault(tapes, []).append((column, amp))
             continue
         scale = amp.real * amp.real + amp.imag * amp.imag if quantum else amp.real
@@ -323,7 +325,7 @@ def run_round(
     quantum = p.verifier.is_quantum()
     before = _mass(state, quantum)
     state = _prover_stage(p, state, round_index)
-    after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, {})
     _check_round(round_index, before, after, p_acc, p_rej, _mass(residual, quantum))
     return p_acc, p_rej, residual
 
@@ -453,7 +455,7 @@ def _rounds(
         survivors = []
         for state, multiplicity, mass in classes:
             mass = _mass(state, quantum) if mass is None else mass
-            after_mass, acc, rej, residual = _verify_and_measure(state, p.verifier, tape)
+            after_mass, acc, rej, residual = _verify_and_measure(state, p.verifier, tape, {})
             left = _mass(residual, quantum)
             _check_round(j, mass, after_mass, acc, rej, left)
             p_acc += multiplicity * acc

@@ -549,6 +549,8 @@ def serialize_protocol(p: ProtocolSpec) -> str:
             chunks.append(f"{_weight_token(w)} {q2} {_MOVE_TOKENS[d]} " + " ".join(sent))
         out.append(f"rule = {q} {sigma} " + " ".join(comm) + " -> " + " , ".join(chunks))
     if v.fallback is not None:
+        if len(v.fallback.slot_bases) != p.k:
+            raise SpecFileError(f"{v.fallback.kind} has {len(v.fallback.slot_bases)} slot bases for {p.k} provers")
         out.append(f"fallback = {v.fallback.kind}")
         for i, base in enumerate(v.fallback.slot_bases, start=1):
             out.append(f"guard-base-{i} = " + fields[base, "symbol"])

@@ -552,6 +552,8 @@ def validate_protocol(p: ProtocolSpec) -> None:
             raise ValidationError(f"input alphabet may not contain {sym!r}")
     if len(p.provers) != v.k:
         raise ValidationError(f"verifier has {v.k} communication cells but {len(p.provers)} provers")
+    if v.fallback is not None and len(v.fallback.slot_bases) != v.k:
+        raise ValidationError(f"{v.fallback.kind} has {len(v.fallback.slot_bases)} slot bases for {v.k} cells")
     for i, prover in enumerate(p.provers):
         if prover.index != i + 1:
             raise ValidationError(f"prover {i + 1} has index {prover.index}")

@@ -1236,7 +1236,7 @@ def _reference_tree(p, x, strategies, pins, pause=None):
             if pause == (j - 1, i):
                 return state
             state = apply_sparse_operator(measured(i, j - 1), state)
-        _, acc, rej, state = _verify_and_measure(state, p.verifier, tape)
+        _, acc, rej, state = _verify_and_measure(state, p.verifier, tape, {})
         total_acc += acc
         total_rej += rej
         if sum(a.real for a in state.values()) <= PRUNE_TOL:

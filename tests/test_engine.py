@@ -311,7 +311,7 @@ def test_verify_and_measure_splits_mass():
         ("qa", "qb"),
     )
     state = {_at("qa"): complex(H), _at("qb"): complex(0, H)}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END))
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END), {})
     assert after == pytest.approx(1.0)
     assert p_acc == pytest.approx(0.5)
     assert p_rej == pytest.approx(0.5)
@@ -327,7 +327,7 @@ def test_verify_and_measure_residual_stays_unnormalized():
         ("qa", "qm", "mid"),
     )
     state = {_at("qa"): 0.5 + 0j, _at("qm"): 0.5 + 0j}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END))
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END), {})
     assert after == pytest.approx(0.5)
     assert p_acc == pytest.approx(0.25)
     assert p_rej == 0.0
@@ -345,7 +345,7 @@ def test_verify_and_measure_reads_each_head_and_prunes_cancellations():
         ("qm", "mid"),
     )
     state = {_at("qm", 0): 0.6 + 0j, _at("qm", 1): 0.8 + 0j}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, "0", RIGHT_END))
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, "0", RIGHT_END), {})
     assert p_acc == pytest.approx(0.64)
     assert after == pytest.approx(0.64)
     assert residual == {}
@@ -476,7 +476,7 @@ def test_tiny_single_member_prunes_like_the_staged_reference():
         Configuration("qm", 0, (BLANK,), (("y",),)): 0.5j,
     }
     assert 1e-13 * 1e-3 < PRUNE_TOL
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape)
+    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape, {})
     want_acc, want_rej, want = _reference_round(p, tape, state, 1, True)
     assert set(residual) == set(want)
     assert Configuration("m2", 1, (BLANK,), (("x",),)) not in residual
@@ -515,14 +515,20 @@ _SOURCES = st.dictionaries(
 )
 
 
-@given(rows=_ROWS, state=_SOURCES)
-def test_pass_matches_the_staged_reference_on_random_2qfa_states(rows, state):
+@given(rows=_ROWS, state=_SOURCES, other=_SOURCES)
+def test_pass_matches_the_staged_reference_on_random_2qfa_states(rows, state, other):
     # random columns (duplicate targets and cancellations included) over up
     # to three tape groups of any size; nothing here is unitary, the pass
-    # only has to agree with the staged verifier stage and split
+    # only has to agree with the staged verifier stage and split. The column
+    # cache is first filled by another state's pass, as the sweep's scorer
+    # shares one across calls, and must change nothing, bit for bit
     verifier = _two_way(rows, _STATES, comm=_CELLS)
     tape = (LEFT_END, "0", RIGHT_END)
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape)
+    columns: dict = {}
+    _verify_and_measure(other, verifier, tape, columns)
+    out = _verify_and_measure(state, verifier, tape, columns)
+    assert repr(out) == repr(_verify_and_measure(state, verifier, tape, {}))
+    after, p_acc, p_rej, residual = out
     want_acc, want_rej, want = _reference_round(_with_eraser(verifier), tape, state, 1, True)
     assert p_acc == pytest.approx(want_acc, abs=1e-12)
     assert p_rej == pytest.approx(want_rej, abs=1e-12)
@@ -717,8 +723,8 @@ def test_the_driver_stores_one_folded_class_per_round(monkeypatch):
     seen = []
     verify = engine._verify_and_measure
 
-    def spy(state, verifier, tape):
-        out = verify(state, verifier, tape)
+    def spy(state, verifier, tape, columns):
+        out = verify(state, verifier, tape, columns)
         seen.append((len(state), len(out[3])))
         return out
 

@@ -456,6 +456,18 @@ def test_parse_rejects_lines_outside_key_value_shape():
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_guard_with_the_wrong_number_of_slot_bases_is_not_written(count):
+    # written unchecked, the file failed to load: "missing key 'guard-base-2'"
+    # with one base, "unknown key 'guard-base-3'" with three
+    p = corpus.build("no_comm_reduce")
+    g = p.verifier.fallback
+    guard = dataclasses.replace(g, slot_bases=(g.slot_bases * 2)[:count])
+    bad = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, fallback=guard))
+    with pytest.raises(SpecFileError, match=f"^track-guard has {count} slot bases for 2 provers$"):
+        serialize_protocol(bad)
+
+
 def test_parse_rejects_undeclared_guard_states():
     p = corpus.build("no_comm_reduce")
     text = serialize_protocol(p)

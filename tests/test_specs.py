@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmipsim import corpus
 from qmipsim.adversary import _Forced
 from qmipsim.errors import (
     AlphabetMismatch,
@@ -472,6 +474,18 @@ def test_validate_protocol_rejects_prover_count_mismatch():
     )
     with pytest.raises(ValidationError):
         validate_protocol(broken)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_validate_protocol_rejects_a_guard_with_the_wrong_number_of_slot_bases(count):
+    # with one base, `matches` never read slot 2: the run gave 0.5 on "0"
+    # while a sweep found no row for ('c0', '0', ('#', '[g/#]'))
+    p = corpus.build("no_comm_reduce")
+    g = p.verifier.fallback
+    guard = TrackGuard(slot_bases=(g.slot_bases * 2)[:count], known_states=g.known_states)
+    bad = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, fallback=guard))
+    with pytest.raises(ValidationError, match=f"^track-guard has {count} slot bases for 2 cells$"):
+        validate_protocol(bad)
 
 
 def test_validate_protocol_rejects_noninjective_table_under_quantum_verifier():
