@@ -36,7 +36,7 @@ and derandomization scores each candidate reply from the walk's current round.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from math import prod
 from operator import itemgetter, or_
 from typing import Callable, Iterator, NamedTuple
@@ -118,17 +118,51 @@ def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -
     equals applying them one after another; other slots keep their cell and
     tape. The composition is pruned once, after the last prover. A slot moves
     by `apply_quantum` when `quantum` is set or its strategy is `measured`.
+    While every slot has one move, as every deterministic strategy and every
+    classical run does, the op builds its one target directly, its weight the
+    slots' weights multiplied in slot order; from the first slot with another
+    number of moves on, it takes the product of the slots' moves.
     """
     by_slot = {pr.index - 1: (pr.strategy, quantum or getattr(pr.strategy, "measured", False))
                for pr in provers}
+    absent = (None, False)
+    make = Configuration._make
 
     def op(config: Configuration):
         q, head, comm, tapes = config
         if not comm:
             return [(config, 1.0)]
-        per_slot = []
-        for slot, (cell, tape) in enumerate(zip(comm, tapes)):
-            strategy, moves_quantum = by_slot.get(slot, (None, False))
+        cells = []
+        new_tapes = []
+        weights = []
+        weight = 1.0
+        slot = 0
+        for cell, tape in zip(comm, tapes):
+            strategy, moves_quantum = by_slot.get(slot, absent)
+            if strategy is None:
+                w = 1.0
+            elif moves_quantum:
+                moves = strategy.apply_quantum(step, cell, tape)
+                if len(moves) != 1:
+                    return branched(config, slot, moves, cells, new_tapes, weights)
+                (cell, tape), w = moves[0]
+            else:
+                cell, tape = strategy.apply_classical(step, cell, tape)
+                w = 1.0
+            cells.append(cell)
+            new_tapes.append(tape)
+            weights.append(w)
+            weight *= w
+            slot += 1
+        return [(make((q, head, tuple(cells), tuple(new_tapes))), weight)]
+
+    def branched(config, slot, moves, cells, new_tapes, weights):
+        """The op at `config` once `slot` has `moves`, not one: the product of every slot's moves."""
+        q, head, comm, tapes = config
+        per_slot = [(((cell, tape), w),) for cell, tape, w in zip(cells, new_tapes, weights)]
+        per_slot.append(moves)
+        for slot, (cell, tape) in islice(enumerate(zip(comm, tapes)), slot + 1, None):
+            strategy, moves_quantum = by_slot.get(slot, absent)
             if strategy is None:
                 per_slot.append((((cell, tape), 1.0),))
             elif moves_quantum:
@@ -139,7 +173,7 @@ def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -
         for combo in product(*per_slot):
             moves, weights = zip(*combo)
             cells, new_tapes = zip(*moves)
-            out.append((Configuration(q, head, cells, new_tapes), prod(weights)))
+            out.append((make((q, head, cells, new_tapes)), prod(weights)))
         return out
 
     return op
@@ -271,7 +305,7 @@ def _verify_and_measure(
         p_acc += scale * column.accept
         p_rej += scale * column.reject
         for (q2, head, sent), w in column.live.items():
-            residual[Configuration(q2, head, sent, tapes)] = amp * w
+            residual[Configuration._make((q2, head, sent, tapes))] = amp * w
     for tapes, members in shared.items():
         local: dict = {}
         for column, amp in members:
@@ -282,7 +316,7 @@ def _verify_and_measure(
         p_acc += acc
         p_rej += rej
         for (q2, head, sent), a in live.items():
-            residual[Configuration(q2, head, sent, tapes)] = a
+            residual[Configuration._make((q2, head, sent, tapes))] = a
     return after, p_acc, p_rej, residual
 
 

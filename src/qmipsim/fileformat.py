@@ -367,6 +367,8 @@ def _parse_strategy(sec: _Section, space: int):
             name, _, offset = item.partition(":")
             if not _INT_RE.match(offset or ""):
                 raise SpecFileError(f"{sec.label}: wrap item {item!r} needs name:offset")
+            if offset[0] in "+-":
+                raise SpecFileError(f"{sec.label}: wrap item {item!r} has a signed offset; write the cell index")
             if name == "reversible":
                 if not isinstance(strategy, ClassicalTableStrategy):
                     raise SpecFileError(f"{sec.label}: reversible wrap needs a plain table inside")

@@ -144,8 +144,11 @@ def _single_move(moves: QuantumMove, message: str, amplitude: bool = False) -> t
 
 
 def _write_cell(tape: Tape, idx: int, symbol: str, *who: str) -> Tape:
-    """`tape` with `symbol` in blank cell `idx`; a fault names the writer by `who` joined with spaces."""
-    if idx >= len(tape):
+    """`tape` with `symbol` in blank cell `idx`; a fault names the writer by `who` joined with spaces.
+
+    A negative `idx` is past the tape's left end, not a cell counted from its right end.
+    """
+    if not 0 <= idx < len(tape):
         raise SpaceExceeded(f"{' '.join(who)}: tape has {len(tape)} cells, step needs cell {idx}")
     if tape[idx] != BLANK:
         raise MissingTransition(f"{' '.join(who)}: history cell {idx} already holds {tape[idx]!r}")
@@ -174,7 +177,7 @@ class EraserStrategy:
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         idx = step - 1
-        if idx >= len(tape):
+        if not 0 <= idx < len(tape):
             raise SpaceExceeded(f"eraser: tape has {len(tape)} cells, step {step} needs cell {idx}")
         reply = tape[idx]
         new_tape = tape[:idx] + (comm,) + tape[idx + 1:]
@@ -221,17 +224,17 @@ class ClassicalTableStrategy:
 
     def _lookup(self, comm: str, tape: Tape) -> tuple[str, Tape]:
         key = (comm, tape[:self.work])
-        if key not in self.rows:
+        row = self.rows.get(key)
+        if row is None:
             raise MissingTransition(f"prover table has no row for {key}")
-        return self.rows[key]
+        return row
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
         reply, new_work = self._lookup(comm, tape)
         return reply, new_work + tape[self.work:]
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
-        reply, new_tape = self.apply_classical(step, comm, tape)
-        return [((reply, new_tape), 1.0 + 0j)]
+        return [(self.apply_classical(step, comm, tape), 1.0 + 0j)]
 
     def cells(self, step: int) -> tuple[int, ...]:
         return tuple(range(self.work))
@@ -248,11 +251,18 @@ class ReversibleWrapStrategy:
     hist_offset: int
     kind: ClassVar[str] = "reversible-table"
 
+    def __post_init__(self):
+        if self.hist_offset < 0:
+            raise ValidationError(f"reversible wrap needs a history offset of at least 0, got {self.hist_offset}")
+
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         reply, new_work = self.inner._lookup(comm, tape)
-        merged = new_work + tape[self.inner.work:]
-        logged = _write_cell(merged, self.hist_offset + step - 1, comm, "reversible wrap")
-        return [((reply, logged), 1.0 + 0j)]
+        work = self.inner.work
+        idx = self.hist_offset + step - 1
+        # a found row's work and the tape's first cells are `work` long; past them the log cell is the tape's
+        if work <= idx < len(tape) and tape[idx] == BLANK:
+            return [((reply, new_work + tape[work:idx] + (comm,) + tape[idx + 1:]), 1.0 + 0j)]
+        return [((reply, _write_cell(new_work + tape[work:], idx, comm, "reversible wrap")), 1.0 + 0j)]
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
         return _single_move(self.apply_quantum(step, comm, tape), "reversible wrap has no classical form")
@@ -270,15 +280,26 @@ class TrackWrapStrategy:
     mask_offset: int
     kind: ClassVar[str] = "track-wrap"
 
+    def __post_init__(self):
+        if self.mask_offset < 0:
+            raise ValidationError(f"track wrap needs a mask offset of at least 0, got {self.mask_offset}")
+
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         parsed = parse_track(comm)
         if parsed is None:
             raise MissingTransition(f"track wrap received non-track symbol {comm!r}")
         upper, lower = parsed
+        offset = self.mask_offset
+        idx = offset + step - 1
+        # with the stash cell past the inner cells and blank, every inner move of
+        # `offset` cells is logged by one slice-and-concatenate
+        stash = offset <= idx < len(tape) and tape[idx] == BLANK
         out: QuantumMove = []
-        for (reply, inner_tape), amp in self.inner.apply_quantum(step, upper, tape[:self.mask_offset]):
-            merged = inner_tape + tape[self.mask_offset:]
-            logged = _write_cell(merged, self.mask_offset + step - 1, lower, "track wrap")
+        for (reply, inner_tape), amp in self.inner.apply_quantum(step, upper, tape[:offset]):
+            if stash and len(inner_tape) == offset:
+                logged = inner_tape + tape[offset:idx] + (lower,) + tape[idx + 1:]
+            else:
+                logged = _write_cell(inner_tape + tape[offset:], idx, lower, "track wrap")
             out.append(((track(reply, BLANK), logged), amp))
         return out
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from functools import lru_cache
 
@@ -32,6 +33,8 @@ from qmipsim.specs import (
     ProverSpec,
     UnitaryTableStrategy,
     VerifierSpec,
+    constant_reply,
+    echo_reply,
     rotation_reply,
 )
 from qmipsim.transforms import lift_2ip_to_3qip, make_eraser, reduce_3qip_to_2qip, unify_alphabets
@@ -178,6 +181,78 @@ def test_a_measured_strategy_moves_by_apply_quantum_in_a_classical_run():
     assert result.p_accept == pytest.approx(0.3, abs=1e-12)
     assert result.p_reject == pytest.approx(0.7, abs=1e-12)
     assert result.halted_round == 3
+
+
+def _spelled_out(provers, step, quantum, config):
+    """The prover stage's column at `config`: the cartesian product of every slot's own moves,
+    in slot order, each target's weight the product of its moves' weights."""
+    by_slot = {pr.index - 1: pr.strategy for pr in provers}
+    per_slot = []
+    for slot, (cell, tape) in enumerate(zip(config.comm, config.tapes)):
+        strategy = by_slot.get(slot)
+        if strategy is None:
+            per_slot.append([((cell, tape), 1.0)])
+        elif quantum or getattr(strategy, "measured", False):
+            per_slot.append(strategy.apply_quantum(step, cell, tape))
+        else:
+            per_slot.append([(strategy.apply_classical(step, cell, tape), 1.0)])
+    column = []
+    for combo in itertools.product(*per_slot):
+        cells = tuple(reply for (reply, _), _ in combo)
+        tapes = tuple(tape for (_, tape), _ in combo)
+        column.append((Configuration(config.state, config.head, cells, tapes), math.prod(w for _, w in combo)))
+    return column
+
+
+def _slot(index, strategy):
+    return ProverSpec(index=index, comm_alphabet=(BLANK,), tape_alphabet=(BLANK,), space=2, strategy=strategy)
+
+
+_BLANKS = Configuration("q", 1, ("g", "h"), ((BLANK, BLANK), (BLANK, BLANK)))
+
+
+def _run_sources(p, x):
+    """(step, source) for every configuration that enters a prover stage of p's run on x."""
+    return [(stat.index, config) for stat, classes in _rounds(p, x) if stat.index < p.cutoff
+            for state, _, _ in classes for config in state]
+
+
+@pytest.mark.parametrize("provers, quantum, sources", [
+    # deterministic and branching slots, in both orders; a single move with a phase
+    ((_slot(1, echo_reply()), _slot(2, rotation_reply("a", "b", -1))), True, [(1, _BLANKS)]),
+    ((_slot(1, rotation_reply("a", "b")), _slot(2, constant_reply("c"))), True, [(1, _BLANKS)]),
+    ((_slot(1, LoggedReplyStrategy("phase", lambda step, recv: [("a", -1j)])), _slot(2, echo_reply())),
+     True, [(1, _BLANKS)]),
+    # a slot without a move empties the column, and every later slot still moves
+    ((_slot(1, LoggedReplyStrategy("none", lambda step, recv: [])), _slot(2, rotation_reply("a", "b"))),
+     True, [(1, _BLANKS)]),
+    # an absent slot keeps its cell and tape, before or after a branching slot
+    ((_slot(2, rotation_reply("a", "b")),), True, [(1, _BLANKS)]),
+    ((_slot(1, rotation_reply("a", "b")),), True, [(1, _BLANKS)]),
+    ((_slot(2, constant_reply("c")),), False, [(1, _BLANKS)]),
+    # a measured strategy branches in a classical run, next to a deterministic slot
+    ((_slot(1, _MeasuredCoin()), _slot(2, constant_reply("c"))), False, [(1, _BLANKS)]),
+    ((_slot(1, constant_reply("c")), _slot(2, _MeasuredCoin())), False, [(1, _BLANKS)]),
+], ids=["det-branching", "branching-det", "phase-det", "empty-branching", "absent-branching",
+        "branching-absent", "absent-classical", "measured-det", "det-measured"])
+def test_the_prover_operator_is_the_product_of_each_slots_own_moves(provers, quantum, sources):
+    for step, config in sources:
+        column = prover_operator(provers, step, quantum)(config)
+        assert repr(column) == repr(_spelled_out(provers, step, quantum, config))
+        assert all(type(target) is Configuration for target, _ in column)
+
+
+@pytest.mark.parametrize("name", ["parity_relay", "lifted", "reduced", "no_comm", "no_comm_reduce"])
+def test_the_prover_operator_is_the_product_of_each_slots_own_moves_on_the_corpus_runs(name):
+    # deterministic slots only: tables, history and track wraps, erasers; and classical runs
+    p = {"lifted": _lifted_parity_relay, "reduced": _reduced_parity_relay}.get(name, lambda: corpus.build(name))()
+    quantum = p.verifier.is_quantum()
+    sources = [source for x in ("", "1", "11", "0") if set(x) <= set(p.verifier.input_alphabet)
+               for source in _run_sources(p, x)]
+    assert sources
+    for step, config in sources:
+        column = prover_operator(p.provers, step, quantum)(config)
+        assert repr(column) == repr(_spelled_out(p.provers, step, quantum, config))
 
 
 def test_missing_row_surfaces_as_missing_transition():

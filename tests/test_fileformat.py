@@ -163,6 +163,32 @@ def test_transform_chain_round_trips(base):
         assert serialize_protocol(parse_protocol(text)) == text
 
 
+def _relay_text(stage):
+    lifted = transforms.lift_2ip_to_3qip(corpus.parity_relay()).protocol
+    if stage == "lifted":
+        return serialize_protocol(lifted)
+    return serialize_protocol(transforms.reduce_3qip_to_2qip(transforms.unify_alphabets(lifted)).protocol)
+
+
+@pytest.mark.parametrize(
+    "stage, wrap, signed",
+    [
+        ("lifted", "reversible:1", "reversible:-1"),
+        ("lifted", "reversible:1", "reversible:+1"),
+        ("reduced", "masked:9", "masked:-1"),
+        ("reduced", "masked:0", "masked:-0"),
+    ],
+)
+def test_a_signed_wrap_offset_is_refused(stage, wrap, signed):
+    # reversible:-1 once parsed and validated, and its first logged move wrote
+    # through the tape's last cell into a tape twice as long
+    text = _relay_text(stage)
+    assert f" {wrap}\n" in text
+    section = "prover 2" if wrap == "masked:0" else "prover 1"
+    with pytest.raises(SpecFileError, match=rf"^\[{section}\]: wrap item '{re.escape(signed)}' has a signed offset"):
+        parse_protocol(text.replace(f" {wrap}\n", f" {signed}\n"))
+
+
 def test_a_channel_alphabet_one_symbol_off_parses_as_its_own():
     # the reader splits each distinct alphabet field once; a near-copy is distinct
     p = corpus.build("no_comm_reduce")

@@ -32,6 +32,7 @@ from qmipsim.specs import (
     TrackWrapStrategy,
     UnitaryTableStrategy,
     VerifierSpec,
+    _write_cell,
     check_prover_columns,
     check_restrictive,
     check_well_formed,
@@ -50,6 +51,7 @@ from qmipsim.specs import (
     xor_symbols,
 )
 from qmipsim.tolerances import ORTHO_TOL
+from qmipsim.transforms import lift_2ip_to_3qip
 
 H = 1 / math.sqrt(2)
 
@@ -216,6 +218,117 @@ def test_track_wrap_rejects_non_track_reception():
     wrapped = TrackWrapStrategy(inner=inner, mask_offset=0)
     with pytest.raises(MissingTransition):
         wrapped.apply_quantum(1, "plain", (BLANK,))
+
+
+# ---------------------------------------------------------------- wrapper faults
+
+# one work cell; the table flips it between # and m and replies with the reception
+_FLIP = ClassicalTableStrategy(
+    work=1,
+    rows={(sym, (cell,)): (sym, ("m" if cell == BLANK else BLANK,)) for sym in (BLANK, "g") for cell in (BLANK, "m")},
+)
+
+
+class _Moves:
+    """An inner strategy whose moves are given: `moves(tape)` is its move list for the tape it is passed."""
+
+    def __init__(self, moves):
+        self.moves = moves
+
+    def apply_quantum(self, step, comm, tape):
+        return self.moves(tape)
+
+
+def test_a_track_wrap_faults_on_a_symbol_that_is_not_a_track_symbol():
+    wrapped = TrackWrapStrategy(inner=_FLIP, mask_offset=1)
+    for symbol in ("g", "[g]", "[g/#", "x/y"):
+        with pytest.raises(MissingTransition, match=r"^track wrap received non-track symbol"):
+            wrapped.apply_quantum(1, symbol, (BLANK, BLANK))
+
+
+@pytest.mark.parametrize("tape", [(BLANK, "x", BLANK), (BLANK,)], ids=["full stash", "stash past the tape"])
+def test_an_inner_fault_comes_before_any_stash_check(tape):
+    # the table has no row for the upper symbol "z"; the stash at cell 1 would fault too
+    with pytest.raises(MissingTransition, match=r"^prover table has no row"):
+        TrackWrapStrategy(inner=_FLIP, mask_offset=1).apply_quantum(1, track("z", "r"), tape)
+    with pytest.raises(MissingTransition, match=r"^prover table has no row"):
+        ReversibleWrapStrategy(inner=_FLIP, hist_offset=1).apply_quantum(1, "z", tape)
+
+
+def test_a_full_stash_cell_is_a_missing_transition():
+    tape = (BLANK, BLANK, "x", BLANK)
+    with pytest.raises(MissingTransition, match=r"^track wrap: history cell 2 already holds 'x'$"):
+        TrackWrapStrategy(inner=_FLIP, mask_offset=1).apply_quantum(2, track("g", "r"), tape)
+    with pytest.raises(MissingTransition, match=r"^reversible wrap: history cell 2 already holds 'x'$"):
+        ReversibleWrapStrategy(inner=_FLIP, hist_offset=1).apply_quantum(2, "g", tape)
+
+
+def test_a_stash_past_the_tape_exceeds_its_space():
+    with pytest.raises(SpaceExceeded, match=r"^track wrap: tape has 3 cells, step needs cell 3$"):
+        TrackWrapStrategy(inner=_FLIP, mask_offset=1).apply_quantum(3, track("g", "r"), (BLANK,) * 3)
+    with pytest.raises(SpaceExceeded, match=r"^reversible wrap: tape has 3 cells, step needs cell 3$"):
+        ReversibleWrapStrategy(inner=_FLIP, hist_offset=1).apply_quantum(3, "g", (BLANK,) * 3)
+
+
+def test_the_wrappers_log_past_the_inner_cells_and_keep_every_other_cell():
+    tape = (BLANK, "a", BLANK, "b", BLANK)
+    assert TrackWrapStrategy(inner=_FLIP, mask_offset=1).apply_quantum(2, track("g", "r"), tape) == [
+        ((track("g", BLANK), ("m", "a", "r", "b", BLANK)), 1.0 + 0j)
+    ]
+    assert ReversibleWrapStrategy(inner=_FLIP, hist_offset=2).apply_quantum(3, "g", tape) == [
+        (("g", ("m", "a", BLANK, "b", "g")), 1.0 + 0j)
+    ]
+
+
+def test_a_track_wrap_over_no_inner_move_has_no_move():
+    # no inner move, so no stash check either, though the stash cell is full
+    wrapped = TrackWrapStrategy(inner=_Moves(lambda tape: []), mask_offset=1)
+    assert wrapped.apply_quantum(1, track("g", "r"), (BLANK, "x")) == []
+
+
+def test_a_track_wrap_checks_the_stash_of_every_inner_move():
+    # the first move keeps its one work cell; the second hands back two, the second of
+    # them full, and that cell is where the stash of step 1 lands
+    inner = _Moves(lambda tape: [(("a", tape), 0.6 + 0j), (("b", ("w", "v")), 0.8 + 0j)])
+    wrapped = TrackWrapStrategy(inner=inner, mask_offset=1)
+    with pytest.raises(MissingTransition, match=r"^track wrap: history cell 1 already holds 'v'$"):
+        wrapped.apply_quantum(1, track("g", "r"), (BLANK, BLANK))
+
+
+def test_an_inner_tape_of_another_length_is_logged_as_the_plain_write_logs_it():
+    # the inner moves hand back work of 0, 1 and 2 cells for a mask offset of 1;
+    # each is joined to the cells past the offset and logged at cell offset + step - 1
+    inner = _Moves(lambda tape: [(("a", ()), 0.6 + 0j), (("b", ("w",)), 0.0 + 0.6j), (("c", ("w", BLANK)), 0.52 + 0j)])
+    wrapped = TrackWrapStrategy(inner=inner, mask_offset=1)
+    assert wrapped.apply_quantum(1, track("g", "r"), (BLANK, BLANK, BLANK, "k")) == [
+        ((track("a", BLANK), (BLANK, "r", "k")), 0.6 + 0j),
+        ((track("b", BLANK), ("w", "r", BLANK, "k")), 0.0 + 0.6j),
+        ((track("c", BLANK), ("w", "r", BLANK, BLANK, "k")), 0.52 + 0j),
+    ]
+
+
+# ---------------------------------------------------------------- negative cells
+
+
+def test_a_negative_cell_is_never_written():
+    tape = (BLANK,) * 3
+    with pytest.raises(SpaceExceeded, match=r"^strategy s: tape has 3 cells, step needs cell -1$"):
+        _write_cell(tape, -1, "g", "strategy", "s")
+    with pytest.raises(SpaceExceeded, match=r"^strategy const:#: tape has 3 cells, step needs cell -1$"):
+        constant_reply(BLANK).apply_quantum(0, "g", tape)
+    with pytest.raises(SpaceExceeded, match=r"^eraser: tape has 3 cells, step 0 needs cell -1$"):
+        EraserStrategy().apply_quantum(0, "g", tape)
+
+
+def test_wrappers_refuse_a_negative_offset():
+    with pytest.raises(ValidationError, match="history offset of at least 0, got -1"):
+        ReversibleWrapStrategy(inner=_FLIP, hist_offset=-1)
+    with pytest.raises(ValidationError, match="mask offset of at least 0, got -1"):
+        TrackWrapStrategy(inner=_FLIP, mask_offset=-1)
+    # the lifted relay's history wrap, moved one cell left of its tape
+    wrap = lift_2ip_to_3qip(corpus.parity_relay()).protocol.provers[0].strategy
+    with pytest.raises(ValidationError, match="history offset of at least 0, got -1"):
+        dataclasses.replace(wrap, hist_offset=-1)
 
 
 def test_unitary_table_steps():
