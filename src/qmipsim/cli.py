@@ -126,8 +126,7 @@ def cmd_lift(args) -> int:
     if args.provenance:
         _write_provenance(
             args.provenance, p, out.protocol,
-            rows={_rowkey_str(k): (v if isinstance(v, str) else _rowkey_str(v))
-                  for k, v in out.row_provenance.items()},
+            rows={_rowkey_str(k): _rowkey_str(v) for k, v in out.row_provenance.items()},
             log_symbols={_rowkey_str(k): v for k, v in out.log_symbols.items()},
         )
     if args.machine:

@@ -38,10 +38,10 @@ from .specs import (
     RowKey,
     TrackGuard,
     TrackWrapStrategy,
+    VerifierSpec,
     check_restrictive,
     fair_coin_violations,
     fixed_width_binary_encoding,
-    guard_state,
     guard_states,
     make_track_alphabet,
     sum_targets,
@@ -55,7 +55,7 @@ SQRT_HALF = 1 / math.sqrt(2)
 @dataclass
 class LiftOutput:
     protocol: ProtocolSpec
-    row_provenance: dict[RowKey, RowKey | str]
+    row_provenance: dict[RowKey, RowKey]
     log_symbols: dict[RowKey, str]
 
 
@@ -111,6 +111,25 @@ def make_eraser(index: int, comm_alphabet: tuple[str, ...], cutoff: int) -> Prov
 
 
 # ---------------------------------------------------------------------------
+# foreign guards
+
+def _slot_bases(v: VerifierSpec) -> tuple[tuple[str, ...], ...]:
+    """The legal symbols per slot: a foreign guard's bases, else the channel alphabets."""
+    return v.fallback.slot_bases if isinstance(v.fallback, ForeignGuard) else v.comm_alphabets
+
+
+def _foreign_guarded(v: VerifierSpec, slot_bases, **changes) -> VerifierSpec:
+    """`v` with `changes`, rejecting receptions outside `slot_bases` through a
+    foreign guard into per-(state, symbol) `rejf[q|sigma]` states; the states
+    a foreign guard already on `v` minted are kept, not declared twice."""
+    minted = guard_states(ForeignGuard.prefix, v.rows)
+    known = v.fallback.known_states if isinstance(v.fallback, ForeignGuard) else frozenset()
+    fresh = tuple(s for s in minted if s not in known)
+    guard = ForeignGuard(slot_bases=slot_bases, known_states=known | frozenset(minted))
+    return replace(v, states=v.states + fresh, reject=v.reject | frozenset(fresh), fallback=guard, **changes)
+
+
+# ---------------------------------------------------------------------------
 # lift: fair-coin classical 2-prover -> quantum 3-prover with an eraser
 
 def _log_symbol(key: RowKey, branches: tuple[Branch, ...]) -> str:
@@ -139,8 +158,9 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
     pile up on its tape and distinct probabilistic histories stay orthogonal,
     so the quantum acceptance statistics match the classical ones round for
     round. Receiving anything but blank on the record channel rejects on the
-    spot, echoing the reception into a fresh per-(state, symbol) reject
-    state, which keeps the new rows orthonormal for free.
+    spot: a foreign guard (the source's, if it has one) whose record-slot
+    base is the blank alone echoes the reception into a per-(state, symbol)
+    reject state, which keeps the new rows orthonormal for free.
     """
     v = p.verifier
     if v.is_quantum():
@@ -150,19 +170,19 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
     bad = fair_coin_violations(v)
     if bad:
         raise NotFairCoin(bad[0])
+    if isinstance(v.fallback, TrackGuard):
+        raise ValidationError("cannot lift a protocol with a track guard")
 
     provers = tuple(
         make_reversible_prover(pr, p.cutoff) if isinstance(pr.strategy, ClassicalTableStrategy) else pr
         for pr in p.provers
     )
 
-    log_symbols: dict[RowKey, str] = {}
-    for key, branches in v.rows.items():
-        log_symbols[key] = _log_symbol(key, branches)
+    log_symbols = {key: _log_symbol(key, branches) for key, branches in v.rows.items()}
     eraser_alphabet = (BLANK,) + tuple(dict.fromkeys(log_symbols.values()))
 
     rows: dict[RowKey, tuple[Branch, ...]] = {}
-    provenance: dict[RowKey, RowKey | str] = {}
+    provenance: dict[RowKey, RowKey] = {}
     for key, branches in v.rows.items():
         q, sigma, comm = key
         log = log_symbols[key]
@@ -178,25 +198,12 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
         rows[new_key] = lifted
         provenance[new_key] = key
 
-        rej = guard_state("rej", q, sigma)
-        for xi in eraser_alphabet:
-            if xi == BLANK:
-                continue
-            echo_key = (q, sigma, comm + (xi,))
-            if echo_key in rows:
-                continue
-            rows[echo_key] = ((rej, 1, comm + (xi,), 1.0 + 0j),)
-            provenance[echo_key] = "record-channel-reject"
-
-    fresh = guard_states("rej", v.rows)
-    verifier = replace(
+    verifier = _foreign_guarded(
         v,
+        _slot_bases(v) + ((BLANK,),),
         mode="1qfa" if v.mode == "1pfa" else "2qfa",
-        states=v.states + fresh,
-        reject=v.reject | frozenset(fresh),
         comm_alphabets=v.comm_alphabets + (eraser_alphabet,),
         rows=rows,
-        fallback=None,
     )
     eraser = make_eraser(3, eraser_alphabet, cutoff=p.cutoff)
     out = replace(p, name=p.name + "-lift", verifier=verifier, provers=provers + (eraser,))
@@ -223,28 +230,20 @@ def unify_alphabets(p: ProtocolSpec) -> ProtocolSpec:
     The merged alphabet is the union of the per-channel ones plus filler
     symbols up to the next power of two, which the XOR masking downstream
     needs. Nothing honest ever sends the new symbols; receiving one rejects
-    via a fallback guard into fresh per-(state, symbol) reject states.
+    via a foreign guard (the lift's, if there is one, keeps its slot bases)
+    into per-(state, symbol) reject states.
     """
     v = p.verifier
-    if v.fallback is not None:
-        raise ValidationError("protocol already has a fallback guard")
-    merged = [BLANK]
-    for g in v.comm_alphabets:
-        for sym in g:
-            if sym not in merged:
-                merged.append(sym)
+    if isinstance(v.fallback, TrackGuard):
+        raise ValidationError("cannot unify a protocol with a track guard")
+    merged = list(dict.fromkeys((BLANK,) + tuple(sym for g in v.comm_alphabets for sym in g)))
     target = 1 << max(1, math.ceil(math.log2(max(len(merged), 2))))
     merged += _pad_symbols(merged, target)
     merged_t = tuple(merged)
+    if v.fallback is not None and all(tuple(g) == merged_t for g in v.comm_alphabets):
+        raise ValidationError("protocol is already unified")
 
-    fresh = guard_states(ForeignGuard.prefix, v.rows)
-    verifier = replace(
-        v,
-        states=v.states + fresh,
-        reject=v.reject | frozenset(fresh),
-        comm_alphabets=tuple(merged_t for _ in v.comm_alphabets),
-        fallback=ForeignGuard(slot_bases=v.comm_alphabets, known_states=frozenset(fresh)),
-    )
+    verifier = _foreign_guarded(v, _slot_bases(v), comm_alphabets=tuple(merged_t for _ in v.comm_alphabets))
     provers = tuple(
         replace(pr, comm_alphabet=merged_t, tape_alphabet=tuple(dict.fromkeys(tuple(pr.tape_alphabet) + merged_t)))
         for pr in p.provers
@@ -286,12 +285,9 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
         raise NoEraser("third prover is not an eraser")
     # per-slot legal upper symbols: a unified protocol's guard remembers the
     # pre-padding alphabets, and the track guard must keep enforcing them
-    if isinstance(v.fallback, ForeignGuard):
-        upper_bases = tuple(v.fallback.slot_bases[:2])
-    elif v.fallback is None:
-        upper_bases = (gamma, gamma)
-    else:
+    if isinstance(v.fallback, TrackGuard):
         raise ValidationError("cannot reduce a protocol that already has a track guard")
+    upper_bases = tuple(_slot_bases(v)[:2])
 
     # the encoding numbers symbols by position, so r XOR record is the symbol
     # at position[r] ^ position[record]; the size is a power of two, so every

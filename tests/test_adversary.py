@@ -850,7 +850,8 @@ def test_replays_and_first_members_are_met_in_product_order(objective, replayed_
 
 def test_three_prover_sweeps_score_each_class_tuple_once(replayed_rounds, score_calls):
     # every prover's strategies are classed: 18,018 combinations of the lift
-    # at cutoff 4 are 2 x 1 x 10 class tuples, all of them scored
+    # at cutoff 4 are 2 x 1 x 2 class tuples, all of them scored; the eraser
+    # slot's guard-rejected replies share one token
     p = dataclasses.replace(corpus.build("no_comm_lift"), cutoff=4)
     families = default_families(p)
     result = _assert_matches_simulate(p, "0", families)
@@ -858,8 +859,8 @@ def test_three_prover_sweeps_score_each_class_tuple_once(replayed_rounds, score_
     round2 = _round2(p, "0")
     classes = [len({round2.moves(slot, s) for s in f.strategies})
                for slot, f in enumerate(families)]
-    assert classes == [2, 1, 10]
-    assert len(score_calls) == 2 * 1 * 10
+    assert classes == [2, 1, 2]
+    assert len(score_calls) == 2 * 1 * 2
     assert replayed_rounds == [1]
 
 

@@ -198,12 +198,12 @@ def test_lift_writes_output_and_provenance(no_comm_file, tmp_path, capsys):
     assert code == 0
     pairs = _machine(capsys)
     assert pairs["name"] == "no_comm-lift"
-    assert pairs["rows"] == "90"
+    assert pairs["rows"] == "9"
     assert pairs["record_symbols"] == "9"
     lifted = load_protocol(str(out_path))
     assert lifted == corpus.build("no_comm_lift")
     prov = json.loads(prov_path.read_text())
-    assert len(prov["rows"]) == 90
+    assert len(prov["rows"]) == 9
     assert len(prov["log_symbols"]) == 9
 
 
@@ -230,12 +230,12 @@ def test_reduce_auto_unifies(lift_file, tmp_path, capsys):
     pairs = _machine(capsys)
     assert pairs["unified"] == "true"
     assert pairs["rows"] == "9"
-    assert pairs["dropped"] == "81"
+    assert pairs["dropped"] == "0"
     assert pairs["channel_alphabet"] == "256"
     reduced = load_protocol(str(out_path))
     assert reduced == corpus.build("no_comm_reduce")
     prov = json.loads(prov_path.read_text())
-    assert len(prov["dropped"]) == 81
+    assert len(prov["dropped"]) == 0
 
 
 def test_reduce_without_channels_is_a_validation_error(tmp_path, capsys):

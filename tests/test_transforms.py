@@ -1,13 +1,16 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qmipsim import corpus
+from qmipsim.adversary import search
 from qmipsim.engine import simulate
 from qmipsim.errors import (
     AlphabetMismatch,
+    FamilyTooLarge,
     NoEraser,
     NotFairCoin,
     NotOrthonormal,
@@ -31,6 +34,8 @@ from qmipsim.specs import (
     check_well_formed,
     constant_reply,
     fixed_width_binary_encoding,
+    guard_state,
+    guard_states,
     parse_track,
     sparse_gram,
     track,
@@ -123,8 +128,11 @@ def test_lift_structure_on_no_comm():
     assert len(out.log_symbols) == 9
     assert len(set(out.log_symbols.values())) == 9
     assert len(lifted.verifier.comm_alphabets[2]) == 10
-    # nine lifted rows plus a reject echo per (row, nonblank record symbol)
-    assert len(lifted.verifier.rows) == 90
+    # nine lifted rows; a foreign guard rejects any nonblank record
+    assert len(lifted.verifier.rows) == 9
+    guard = lifted.verifier.fallback
+    assert isinstance(guard, ForeignGuard)
+    assert guard.slot_bases == classical.verifier.comm_alphabets + ((BLANK,),)
     assert check_well_formed(lifted.verifier)
     assert check_restrictive(lifted.verifier)
 
@@ -142,16 +150,14 @@ def test_lift_provenance_covers_every_row():
     out = lift_2ip_to_3qip(corpus.build("no_comm"))
     rows = out.protocol.verifier.rows
     assert set(out.row_provenance) == set(rows)
-    sourced = [k for k, v in out.row_provenance.items() if v != "record-channel-reject"]
-    echoes = [k for k, v in out.row_provenance.items() if v == "record-channel-reject"]
-    assert len(sourced) == 9
-    assert len(echoes) == 81
-    for key in sourced:
+    assert len(rows) == 9
+    for key in rows:
         assert out.row_provenance[key] == (key[0], key[1], key[2][:2])
-    for key in echoes:
-        (branch,) = rows[key]
-        assert branch[0].startswith("rej[")
-        assert branch[2] == key[2]  # the reception is echoed back out
+    # tampering with the record is the guard's, not a row's
+    v = out.protocol.verifier
+    for (q, sigma, comm), record in itertools.product(out.row_provenance.values(), v.comm_alphabets[2][1:]):
+        (branch,) = v.lookup(q, sigma, comm + (record,))
+        assert branch == (f"rejf[{q}|{sigma}]", 1, comm + (record,), 1)  # the reception is echoed back out
 
 
 def test_lift_preserves_acceptance_statistics():
@@ -263,6 +269,100 @@ def test_lift_rejects_tampered_record_channel():
     assert result.halted_round == 2
 
 
+def test_lift_keeps_the_source_foreign_guard():
+    # a unified source rejects ("#", "g") into rejf[c0|0]: prover 2's base is
+    # the blank alone; its lift must reject (#, g, #) the same way
+    source = unify_alphabets(corpus.build("no_comm"))
+    lifted = lift_2ip_to_3qip(source).protocol
+    validate_protocol(lifted)
+    assert check_well_formed(lifted.verifier)
+    guard = lifted.verifier.fallback
+    assert guard.slot_bases == source.verifier.fallback.slot_bases + ((BLANK,),)
+    assert guard.known_states == source.verifier.fallback.known_states
+    assert len(lifted.verifier.states) == len(source.verifier.states)
+    for (q, sigma, _), comm in itertools.product(source.verifier.rows, itertools.product(
+            *source.verifier.comm_alphabets)):
+        if source.verifier.fallback.matches(comm):
+            (want,) = source.verifier.lookup(q, sigma, comm)
+            (got,) = lifted.verifier.lookup(q, sigma, comm + (BLANK,))
+            assert got == (want[0], want[1], comm + (BLANK,), want[3])
+    # with a prover that sends each shared symbol, the lift rejects as its source does
+    for slot, sym, x in itertools.product((0, 1), source.verifier.comm_alphabets[0], ("", "0", "00")):
+        honest = source.provers[slot]
+        liar = dataclasses.replace(
+            honest, tape_alphabet=honest.comm_alphabet, space=source.cutoff, strategy=constant_reply(sym))
+        tampered = dataclasses.replace(
+            source, provers=source.provers[:slot] + (liar,) + source.provers[slot + 1:])
+        c = simulate(tampered, x)
+        q = simulate(lift_2ip_to_3qip(tampered).protocol, x)
+        assert abs(c.p_accept - q.p_accept) <= 1e-12
+        assert abs(c.p_reject - q.p_reject) <= 1e-12
+
+
+def test_lift_refuses_a_track_guard():
+    classical = corpus.build("no_comm")
+    v = classical.verifier
+    guarded = dataclasses.replace(classical, verifier=dataclasses.replace(
+        v, fallback=TrackGuard(slot_bases=v.comm_alphabets, known_states=frozenset())))
+    with pytest.raises(ValidationError, match="track guard"):
+        lift_2ip_to_3qip(guarded)
+
+
+def _echo_row_lift(p: ProtocolSpec) -> ProtocolSpec:
+    """The lift as it was built with explicit rows: after each lifted row, one
+    row per non-blank record symbol echoes the reception into rej[q|sigma],
+    and the verifier has no guard."""
+    lifted = lift_2ip_to_3qip(p).protocol
+    v = lifted.verifier
+    rows = {}
+    for key, row in v.rows.items():
+        q, sigma, comm = key
+        rows[key] = row
+        for record in v.comm_alphabets[2][1:]:
+            echo = comm[:2] + (record,)
+            rows[q, sigma, echo] = ((guard_state("rej", q, sigma), 1, echo, 1.0 + 0j),)
+    fresh = guard_states("rej", p.verifier.rows)
+    return dataclasses.replace(lifted, verifier=dataclasses.replace(
+        v,
+        states=p.verifier.states + fresh,
+        reject=p.verifier.reject | frozenset(fresh),
+        rows=rows,
+        fallback=None,
+    ))
+
+
+def _sweep_or_error(p, x, objective, cutoff):
+    try:
+        return search(p, x, objective=objective, cutoff=cutoff, keep_table=True)
+    except FamilyTooLarge as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name, x", [
+    ("no_comm", ""), ("no_comm", "0"), ("no_comm", "00"),
+    ("parity_relay", ""), ("parity_relay", "1"), ("parity_relay", "11"),
+])
+def test_the_guard_lift_sweeps_and_runs_as_the_echo_rows_did(name, x):
+    classical = corpus.build(name)
+    echo_lift = _echo_row_lift(classical)
+    lift = lift_2ip_to_3qip(classical).protocol
+    assert len(echo_lift.verifier.rows) == 10 * len(lift.verifier.rows)
+    echo_unified, unified = unify_alphabets(echo_lift), unify_alphabets(lift)
+    echo_out, out = reduce_3qip_to_2qip(echo_unified), reduce_3qip_to_2qip(unified)
+    # the reductions differ only in the echo rows' reject states, which no row reaches
+    assert len(echo_out.dropped_rows) == 9 * len(out.protocol.verifier.rows)
+    assert out.dropped_rows == []
+    v = echo_out.protocol.verifier
+    unused = set(guard_states("rej", classical.verifier.rows))
+    assert out.protocol == dataclasses.replace(echo_out.protocol, verifier=dataclasses.replace(
+        v, states=tuple(q for q in v.states if q not in unused), reject=v.reject - unused))
+    for (old, new), cutoff in itertools.product(
+            ((echo_lift, lift), (echo_unified, unified)), (2, 3, 4)):
+        assert simulate(new, x, cutoff) == simulate(old, x, cutoff)
+        for objective in ("max-accept", "min-reject"):
+            assert _sweep_or_error(new, x, objective, cutoff) == _sweep_or_error(old, x, objective, cutoff)
+
+
 # ---------------------------------------------------------------- unify
 
 
@@ -286,6 +386,14 @@ def test_unify_preserves_statistics():
     b = simulate(unified, "0")
     assert abs(a.p_accept - b.p_accept) <= 1e-12
     assert a.halted_round == b.halted_round
+
+
+def test_unify_keeps_the_lift_guard():
+    lifted = lift_2ip_to_3qip(corpus.build("no_comm")).protocol
+    unified = unify_alphabets(lifted)
+    assert unified.verifier.fallback == lifted.verifier.fallback
+    assert unified.verifier.states == lifted.verifier.states
+    assert unified.verifier.reject == lifted.verifier.reject
 
 
 def test_unify_refuses_second_pass():
@@ -322,9 +430,9 @@ def test_reduce_structure():
     assert reduced.k == 2
     assert reduced.name == "no_comm-lift-reduce"
     assert len(reduced.verifier.comm_alphabets[0]) == 256
-    # only blank-record rows survive; the 81 reject echoes are dropped
+    # the lift's rows all carry a blank record, so none is dropped
     assert len(reduced.verifier.rows) == 9
-    assert len(out.dropped_rows) == 81
+    assert out.dropped_rows == []
     assert set(out.row_provenance.values()) | set(out.dropped_rows) == set(
         _unified().verifier.rows
     )
