@@ -270,7 +270,6 @@ class _Round2:
         n = len(tape)
         self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         self.tape_ids: list[dict[tuple, int]] = [{} for _ in range(p.k)]
-        self.verdicts: list[dict[str, bool]] = [{} for _ in range(p.k)]
         self.logs: dict[int, list[int] | None] = {}
         guard_targets: dict[tuple[str, str], str | None] = {}
         # per (comm, tapes), which fixes the local tuple: its members, in residual order
@@ -360,7 +359,7 @@ class _Round2:
         a weight other than exactly 1 (a phase), merges two local states, or
         fails on one; every combination with it is then replayed.
         """
-        verdicts = self.verdicts[slot]
+        rejects = self.guard.rejects if self.guard is not None else None
         tape_ids = self.tape_ids[slot]
         named = self.named[slot]
         logged = self.logged(slot) if type(strategy) is LoggedReplyStrategy else None
@@ -387,9 +386,7 @@ class _Round2:
                     if (reply, tid) in seen:
                         return None
                     seen.add((reply, tid))
-                verdict = verdicts.get(reply)
-                if verdict is None:
-                    verdict = verdicts[reply] = self.guard is not None and self.guard.rejects(slot, reply)
+                verdict = rejects is not None and rejects(slot, reply)
                 shared = verdict and named[local] is not None and reply not in named[local]
                 key.append(None if shared else (reply, tid, verdict))
         except Exception:

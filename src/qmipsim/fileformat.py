@@ -254,9 +254,7 @@ def _split_arrow(lineno: int, value: str, what: str) -> tuple[str, str]:
 
 
 def _parse_rule(lineno: int, value: str, k: int):
-    head, arrow, body = value.partition(" -> ")
-    if not arrow or " -> " in body:
-        raise SpecFileError(f"line {lineno}: rule needs exactly one ' -> '")
+    head, body = _split_arrow(lineno, value, "rule")
     left = head.split()
     if len(left) != 2 + k:
         raise SpecFileError(f"line {lineno}: rule head needs state, symbol, and {k} received symbols")

@@ -44,6 +44,7 @@ from .specs import (
     fixed_width_binary_encoding,
     guard_states,
     make_track_alphabet,
+    parse_track,
     sum_targets,
     track,
 )
@@ -118,15 +119,20 @@ def _slot_bases(v: VerifierSpec) -> tuple[tuple[str, ...], ...]:
     return v.fallback.slot_bases if isinstance(v.fallback, ForeignGuard) else v.comm_alphabets
 
 
-def _foreign_guarded(v: VerifierSpec, slot_bases, **changes) -> VerifierSpec:
+def _guarded(v: VerifierSpec, kind, slot_bases, **changes) -> VerifierSpec:
     """`v` with `changes`, rejecting receptions outside `slot_bases` through a
-    foreign guard into per-(state, symbol) `rejf[q|sigma]` states; the states
-    a foreign guard already on `v` minted are kept, not declared twice."""
-    minted = guard_states(ForeignGuard.prefix, v.rows)
-    known = v.fallback.known_states if isinstance(v.fallback, ForeignGuard) else frozenset()
+    guard of class `kind` into per-(state, symbol) reject states minted from
+    the output rows. A guard of the same kind on `v` keeps its states; one of
+    another kind is replaced, and its states go unless an output row targets them."""
+    rows = changes.get("rows", v.rows)
+    old = v.fallback.known_states if v.fallback is not None else frozenset()
+    known = old if isinstance(v.fallback, kind) else frozenset()
+    dropped = old - known - {branch[0] for row in rows.values() for branch in row}
+    minted = guard_states(kind.prefix, rows)
     fresh = tuple(s for s in minted if s not in known)
-    guard = ForeignGuard(slot_bases=slot_bases, known_states=known | frozenset(minted))
-    return replace(v, states=v.states + fresh, reject=v.reject | frozenset(fresh), fallback=guard, **changes)
+    guard = kind(slot_bases=slot_bases, known_states=known | frozenset(minted))
+    states = tuple(s for s in v.states if s not in dropped) + fresh
+    return replace(v, states=states, reject=(v.reject - dropped) | frozenset(fresh), fallback=guard, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +204,9 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
         rows[new_key] = lifted
         provenance[new_key] = key
 
-    verifier = _foreign_guarded(
+    verifier = _guarded(
         v,
+        ForeignGuard,
         _slot_bases(v) + ((BLANK,),),
         mode="1qfa" if v.mode == "1pfa" else "2qfa",
         comm_alphabets=v.comm_alphabets + (eraser_alphabet,),
@@ -243,7 +250,7 @@ def unify_alphabets(p: ProtocolSpec) -> ProtocolSpec:
     if v.fallback is not None and all(tuple(g) == merged_t for g in v.comm_alphabets):
         raise ValidationError("protocol is already unified")
 
-    verifier = _foreign_guarded(v, _slot_bases(v), comm_alphabets=tuple(merged_t for _ in v.comm_alphabets))
+    verifier = _guarded(v, ForeignGuard, _slot_bases(v), comm_alphabets=tuple(merged_t for _ in v.comm_alphabets))
     provers = tuple(
         replace(pr, comm_alphabet=merged_t, tape_alphabet=tuple(dict.fromkeys(tuple(pr.tape_alphabet) + merged_t)))
         for pr in p.provers
@@ -264,7 +271,8 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
     (each lower track is uniform on its own), yet the verifier's rows stay
     pairwise orthonormal because the XOR ties the two tracks together.
     Provers answer through a track adapter that strips and stores the mask.
-    Lower-track tampering rejects via a fallback guard.
+    Lower-track tampering rejects via a track guard, which takes over the
+    foreign guard's bases and drops its reject states.
     """
     v = p.verifier
     if not v.is_quantum():
@@ -288,6 +296,11 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
     if isinstance(v.fallback, TrackGuard):
         raise ValidationError("cannot reduce a protocol that already has a track guard")
     upper_bases = tuple(_slot_bases(v)[:2])
+    # the track wrap reads [s/r] back through `parse_track`; a symbol that
+    # splits otherwise would reach the provers as some other symbol
+    for sym in gamma:
+        if parse_track(track(sym, BLANK)) != (sym, BLANK):
+            raise ValidationError(f"channel symbol {sym!r} cannot ride on a track symbol")
 
     # the encoding numbers symbols by position, so r XOR record is the symbol
     # at position[r] ^ position[record]; the size is a power of two, so every
@@ -316,15 +329,7 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
         rows[new_key] = tuple((q2, d, sent, w) for (q2, d, sent), w in summed.items())
         provenance[new_key] = key
 
-    fresh = guard_states(TrackGuard.prefix, rows)
-    verifier = replace(
-        v,
-        states=v.states + fresh,
-        reject=v.reject | frozenset(fresh),
-        comm_alphabets=(track_alphabet, track_alphabet),
-        rows=rows,
-        fallback=TrackGuard(slot_bases=upper_bases, known_states=frozenset(fresh)),
-    )
+    verifier = _guarded(v, TrackGuard, upper_bases, comm_alphabets=(track_alphabet, track_alphabet), rows=rows)
     provers = tuple(
         replace(
             pr,

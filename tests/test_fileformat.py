@@ -428,6 +428,14 @@ def test_parse_rejects_malformed_rules_with_line_numbers():
     del rule
 
 
+def test_a_rule_with_two_arrows_names_its_line():
+    text = _base_text()
+    rule = next(line for line in text.splitlines() if line.startswith("rule = "))
+    n = text.splitlines().index(rule) + 1
+    with pytest.raises(SpecFileError, match=f"^line {n}: rule needs exactly one ' -> '$"):
+        parse_protocol(text.replace(rule, rule + " -> acc", 1))
+
+
 def test_parse_rejects_bad_weight_in_rule():
     text = _base_text().replace("1/2", "half")
     with pytest.raises(SpecFileError):

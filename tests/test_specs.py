@@ -530,6 +530,18 @@ def test_guard_verdicts_are_per_slot_and_decide_matches():
     assert foreign.target("q0", LEFT_END) is None
 
 
+def test_guards_accept_their_bases_as_each_kind_writes_them():
+    track_guard = TrackGuard(slot_bases=(("#", "g"),), known_states=frozenset({"rejt[q0|¢]"}))
+    assert track_guard.accepted == (frozenset({BLANK, track("g", BLANK)}),)
+    foreign = ForeignGuard(slot_bases=(("#", "g"),), known_states=frozenset())
+    assert foreign.accepted == (frozenset({BLANK, "g"}),)
+    # [#/#] is no symbol `track` writes, so the track guard rejects it; the
+    # parse-based rule read it as the blank and left it to fault as a missing row
+    v = _mini_verifier(track_guard, comm=make_track_alphabet(("#", "g"), ("#", "g")))
+    assert track_guard.rejects(0, "[#/#]")
+    assert v.lookup("q0", LEFT_END, ("[#/#]",)) == (("rejt[q0|¢]", 1, ("[#/#]",), 1.0 + 0j),)
+
+
 # ---------------------------------------------------------------- validation
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from qmipsim.specs import (
     xor_symbols,
 )
 from qmipsim.transforms import (
+    _guarded,
     complete_unitary,
     lift_2ip_to_3qip,
     make_eraser,
@@ -579,6 +581,128 @@ def test_reduce_rejects_wide_superpositions():
     )
     with pytest.raises(NotRestrictive):
         reduce_3qip_to_2qip(broken)
+
+
+def _reduced(name):
+    return reduce_3qip_to_2qip(unify_alphabets(lift_2ip_to_3qip(corpus.build(name)).protocol)).protocol
+
+
+def _parse_based_rejects(guard, slot, symbol):
+    """The track guard's reject test when it parsed each symbol, kept as the reference."""
+    parsed = parse_track(symbol)
+    return parsed is None or parsed[1] != BLANK or parsed[0] not in guard.slot_bases[slot]
+
+
+@pytest.mark.parametrize("name", ["no_comm", "parity_relay"])
+def test_the_track_guard_rule_agrees_with_the_parse_based_rule_except_on_blank_over_blank(name):
+    v = _reduced(name).verifier
+    guard = v.fallback
+    assert isinstance(guard, TrackGuard)
+    extra = ("[#/#]", "g", "[g/g]", "[x/#]")
+    for slot, alphabet in enumerate(v.comm_alphabets):
+        assert BLANK in guard.slot_bases[slot]
+        for symbol in alphabet + extra:
+            if symbol == "[#/#]":
+                # `track` never writes it; it used to pass the guard and fault as a missing row
+                assert guard.rejects(slot, symbol) and not _parse_based_rejects(guard, slot, symbol)
+            else:
+                assert guard.rejects(slot, symbol) == _parse_based_rejects(guard, slot, symbol), symbol
+
+
+@pytest.mark.parametrize("name", ["no_comm", "parity_relay"])
+def test_reduced_corpus_verifiers_declare_only_plain_and_track_guard_reject_states(name):
+    for v in (_reduced(name).verifier, corpus.build("no_comm_reduce").verifier):
+        assert not [s for s in v.states if s.startswith("rejf[")]
+        assert v.reject == {"rej"} | v.fallback.known_states
+        assert all(s.startswith("rejt[") for s in v.fallback.known_states)
+
+
+def _foreign_guarded_mini():
+    one = 1.0 + 0j
+    return VerifierSpec(
+        mode="1qfa",
+        states=("q0", "acc", "rej", "rejf[q0|¢]", "rejf[q0|$]"),
+        initial="q0",
+        accept=frozenset({"acc"}),
+        reject=frozenset({"rej", "rejf[q0|¢]", "rejf[q0|$]"}),
+        input_alphabet=("0",),
+        comm_alphabets=((BLANK, "g"),),
+        rows={
+            ("q0", LEFT_END, (BLANK,)): (("q0", 1, (BLANK,), one),),
+            ("q0", "$", (BLANK,)): (("acc", 1, (BLANK,), one),),
+        },
+        fallback=ForeignGuard(slot_bases=((BLANK,),), known_states=frozenset({"rejf[q0|¢]", "rejf[q0|$]"})),
+    )
+
+
+def test_guarded_keeps_a_replaced_guard_state_that_a_row_targets():
+    v = _foreign_guarded_mini()
+    one = 1.0 + 0j
+    rows = {
+        ("q0", LEFT_END, (BLANK,)): (("q0", 1, (BLANK,), one),),
+        ("q0", "$", (BLANK,)): (("rejf[q0|$]", 1, (BLANK,), one),),
+    }
+    out = _guarded(v, TrackGuard, ((BLANK,),), rows=rows, comm_alphabets=((BLANK, track("g", BLANK)),))
+    assert out.states == ("q0", "acc", "rej", "rejf[q0|$]", "rejt[q0|¢]", "rejt[q0|$]")
+    assert out.reject == {"rej", "rejf[q0|$]", "rejt[q0|¢]", "rejt[q0|$]"}
+    assert out.fallback == TrackGuard(slot_bases=((BLANK,),), known_states=frozenset({"rejt[q0|¢]", "rejt[q0|$]"}))
+    assert out.rows == rows
+    # a guard of the same kind keeps its states and declares none twice
+    again = _guarded(v, ForeignGuard, ((BLANK, "g"),))
+    assert again.states == v.states and again.reject == v.reject
+    assert again.fallback.known_states == v.fallback.known_states
+    # with no row aimed at them, a replaced guard's states go
+    dropped = _guarded(v, TrackGuard, ((BLANK,),))
+    assert dropped.states == ("q0", "acc", "rej", "rejt[q0|¢]", "rejt[q0|$]")
+
+
+def _renamed_relay_lift(old, new):
+    """The lifted `parity_relay` with channel symbol `old` renamed to `new`
+    everywhere a channel symbol appears: rows, alphabets, guard bases, and
+    the wrapped relay table."""
+    def ren(sym):
+        return new if sym == old else sym
+
+    lifted = lift_2ip_to_3qip(corpus.build("parity_relay")).protocol
+    v = lifted.verifier
+    rows = {
+        (q, sigma, tuple(map(ren, comm))): tuple((q2, d, tuple(map(ren, sent)), w) for q2, d, sent, w in row)
+        for (q, sigma, comm), row in v.rows.items()
+    }
+    verifier = dataclasses.replace(
+        v,
+        rows=rows,
+        comm_alphabets=tuple(tuple(map(ren, a)) for a in v.comm_alphabets),
+        fallback=dataclasses.replace(v.fallback, slot_bases=tuple(tuple(map(ren, b)) for b in v.fallback.slot_bases)),
+    )
+    relay = lifted.provers[0]
+    inner = relay.strategy.inner
+    table = ClassicalTableStrategy(
+        work=inner.work, rows={(ren(c), t): (ren(r), t2) for (c, t), (r, t2) in inner.rows.items()}
+    )
+    relay = dataclasses.replace(
+        relay,
+        comm_alphabet=tuple(map(ren, relay.comm_alphabet)),
+        tape_alphabet=relay.tape_alphabet + (new,),
+        strategy=dataclasses.replace(relay.strategy, inner=table),
+    )
+    return dataclasses.replace(lifted, verifier=verifier, provers=(relay,) + lifted.provers[1:])
+
+
+def test_reduce_refuses_channel_symbols_that_track_symbols_cannot_carry():
+    # [1/x/r] splits as ('1', 'x/r'), so the reduced relay would hear '1' and fault
+    lifted = _renamed_relay_lift("1", "1/x")
+    validate_protocol(lifted)
+    assert check_well_formed(lifted.verifier).ok
+    for x in ("1", "11"):
+        assert simulate(lifted, x).p_accept == pytest.approx(1.0, abs=1e-12)
+    unified = unify_alphabets(lifted)
+    with pytest.raises(ValidationError, match=re.escape("'1/x'")) as err:
+        reduce_3qip_to_2qip(unified)
+    # not AlphabetMismatch, which `qmipsim reduce` reads as "unify first"
+    assert not isinstance(err.value, AlphabetMismatch)
+    # a rename that a track symbol carries still reduces
+    reduce_3qip_to_2qip(unify_alphabets(_renamed_relay_lift("1", "one")))
 
 
 # ---------------------------------------------------------------- completion
