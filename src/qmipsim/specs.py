@@ -710,18 +710,40 @@ def _orthonormal_violations(vectors: Mapping[RowKey, dict[tuple, complex]], noun
     return out
 
 
+def _two_cell_collisions(groups: dict[str, dict[RowKey, dict[tuple, complex]]]) -> list[str]:
+    """The endmarker rows among `_row_vectors` groups that move +1 and -1 to one (state, sent).
+
+    On the two-cell tape of "" both moves reach the same cell, so the two
+    branches meet in one configuration and the run faults there.
+    """
+    out = []
+    for sigma in (LEFT_END, RIGHT_END):
+        for key, vec in groups.get(sigma, {}).items():
+            if len(vec) > 1:
+                out += [
+                    f"row {key} moves to {(q2, sent)} with head moves +1 and -1, "
+                    'which collide on the two-cell tape of ""'
+                    for q2, d, sent in vec if d == 1 and (q2, -1, sent) in vec
+                ]
+    return out
+
+
 def check_well_formed(v: VerifierSpec) -> WellFormedReport:
     """Column orthonormality (quantum) or row stochasticity (classical).
 
     Quantum rows are grouped by input symbol; within each group every row
-    vector must have unit norm and distinct rows must be orthogonal. Guard
+    vector must have unit norm and distinct rows must be orthogonal. A
+    quantum endmarker row must also not send branches with head moves +1 and
+    -1 to one (state, sent), which the engine faults on for input "". Guard
     rows are injective echoes into fresh states by construction, so for them
     the checker only verifies that no explicit row targets a guard state.
     """
     violations: list[str] = []
     if v.is_quantum():
-        for vectors in _row_vectors(v).values():
+        groups = _row_vectors(v)
+        for vectors in groups.values():
             violations += _orthonormal_violations(vectors, "row")
+        violations += _two_cell_collisions(groups)
     else:
         for key, branches in v.rows.items():
             total = 0.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmipsim import corpus, engine
-from qmipsim.adversary import default_families, search
+from qmipsim.adversary import default_families, derandomize_provers, search
 from qmipsim.amplitudes import CONSERVATION_TOL, PRUNE_TOL, apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
@@ -612,6 +612,62 @@ def test_pass_matches_the_staged_reference_on_random_2qfa_states(rows, state, ot
     assert after == pytest.approx(p_acc + p_rej + sum(abs(a) ** 2 for a in residual.values()), abs=1e-12)
 
 
+def _flip_zeros(a):
+    """`a` with the sign of each zero part flipped: equal to `a`, with other bits."""
+    return complex(-a.real if a.real == 0 else a.real, -a.imag if a.imag == 0 else a.imag)
+
+
+@given(rows=_ROWS, state=_SOURCES)
+def test_each_tape_group_keeps_its_own_residual_when_signatures_repeat(rows, state):
+    # tape group x copied onto tapes w, and onto v with its zero parts'
+    # signs flipped: groups of one signature are measured once, and each
+    # still gets the residual that it gets when measured alone, bit for bit
+    verifier = _two_way(rows, _STATES, comm=_CELLS)
+    tape = (LEFT_END, "0", RIGHT_END)
+    group = [(c, a) for c, a in state.items() if c.tapes == (("x",),)]
+    state = {**state, **{c._replace(tapes=(("w",),)): a for c, a in group}}
+    state.update({c._replace(tapes=(("v",),)): _flip_zeros(a) for c, a in group})
+    residual = _verify_and_measure(state, verifier, tape, {})[3]
+    for tapes in {c.tapes for c in state}:
+        alone = _verify_and_measure({c: a for c, a in state.items() if c.tapes == tapes}, verifier, tape, {})[3]
+        assert repr({c: a for c, a in residual.items() if c.tapes == tapes}) == repr(alone)
+
+
+def test_tape_groups_of_one_signature_are_measured_once(monkeypatch):
+    # the reduction's one-time pad puts round 2 of no_comm_reduce on "0" in
+    # 16 tape groups of two configurations over the same two columns, with
+    # the same amplitudes: one signature, summed and measured once
+    p = corpus.build("no_comm_reduce")
+    tape = input_tape("0", p.verifier)
+    residual1 = run_round(p, tape, initial_state(p, "0"), 1)[2]
+    state = engine._prover_stage(p, residual1, 2)
+    groups: dict = {}
+    for config, amp in state.items():
+        groups.setdefault(config.tapes, {})[config] = amp
+    assert len(groups) == 16 and {len(group) for group in groups.values()} == {2}
+    assert len({frozenset(c[:3] for c in group) for group in groups.values()}) == 1
+    columns: dict = {}
+    _verify_and_measure(state, p.verifier, tape, columns)
+    measured = []
+    measure = engine._measure
+    monkeypatch.setattr(engine, "_measure", lambda targets, *rest: measured.append(targets) or measure(targets, *rest))
+    out = _verify_and_measure(state, p.verifier, tape, columns)
+    assert len(measured) == 1
+    # the same, bit for bit, as every group measured on its own, masses added in order
+    after = p_acc = p_rej = 0.0
+    residual: dict = {}
+    for group in groups.values():
+        kept, acc, rej, live = _verify_and_measure(group, p.verifier, tape, {})
+        after += kept
+        p_acc += acc
+        p_rej += rej
+        residual.update(live)
+    assert repr(out) == repr((after, p_acc, p_rej, residual))
+    assert repr(out[1:]) == repr((*run_round(p, tape, residual1, 2)[:2], {}))
+    round2 = simulate(p, "0").rounds[1]
+    assert repr((round2.p_accept, round2.p_reject)) == repr(out[1:3])
+
+
 @lru_cache(maxsize=None)
 def _lifted_parity_relay():
     return lift_2ip_to_3qip(corpus.parity_relay()).protocol
@@ -922,6 +978,9 @@ def test_the_fold_schedule_is_built_only_at_a_round_that_can_fold(monkeypatch):
     search(relay, "1", cutoff=2)
     search(corpus.build("no_comm_lift"), "0")
     next(_rounds(relay, "1"))
+    # derandomization's trials (measured strategies, then reply tables) declare no cells
+    assert relay.cutoff > 3
+    derandomize_provers(relay, "11", (rotation_reply(BLANK, "1"), constant_reply(BLANK)))
     assert built == []
     simulate(relay, "11")
     assert built == [relay.cutoff]

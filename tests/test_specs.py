@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from qmipsim import corpus
 from qmipsim.adversary import _Forced
+from qmipsim.engine import simulate
 from qmipsim.errors import (
     AlphabetMismatch,
     MissingTransition,
     NotReversible,
     QmipError,
+    RunFault,
     SpaceExceeded,
     ValidationError,
 )
@@ -747,7 +749,8 @@ def _two_way_without_provers(rows):
 def test_the_orthonormality_kernel_agrees_with_the_dense_gram_matrix(groups):
     # targets come from a pool of six, so rows repeat a target (summed) and
     # share targets with each other; the sparse kernel must flag exactly the
-    # entries where the dense Gram matrix of a group is off the identity
+    # entries where the dense Gram matrix of a group is off the identity, and
+    # the checker adds the endmarker rows whose +1 and -1 moves collide on ""
     import numpy as np
 
     column = {target: i for i, target in enumerate(_GRAM_TARGETS)}
@@ -761,11 +764,35 @@ def test_the_orthonormality_kernel_agrees_with_the_dense_gram_matrix(groups):
                 dense[i, column[target]] += w
         off = np.abs(dense.conj() @ dense.T - np.eye(len(group))) > ORTHO_TOL
         want = int(np.diag(off).sum() + np.triu(off, 1).sum())
+        if sigma == LEFT_END:
+            # plus one per row and state that the row reaches by moves +1 and -1
+            want += sum({(q, 1, ()), (q, -1, ())} <= {target for target, _ in row} for row in group for q in "abc")
         report = check_well_formed(_two_way_without_provers({k: r for k, r in rows.items() if k[1] == sigma}))
         assert report.ok == (want == 0)
         assert len(report.violations) == want
         total += want
     assert len(check_well_formed(_two_way_without_provers(rows)).violations) == total
+
+
+def test_endmarker_rows_whose_plus_and_minus_moves_meet_are_not_well_formed():
+    # q0 ¢ -> 1/sqrt2 (p, +1), 1/sqrt2 (p, -1) is a unit row, alone under ¢,
+    # but on the two-cell tape of "" both branches reach cell 1
+    def verifier(sigma):
+        return VerifierSpec(mode="2qfa", states=("q0", "p", "acc", "rej"), initial="q0", accept=frozenset({"acc"}),
+                            reject=frozenset({"rej"}), input_alphabet=("0",), comm_alphabets=(),
+                            rows={("q0", sigma, ()): (("p", 1, (), H), ("p", -1, (), H))})
+
+    report = check_well_formed(verifier(LEFT_END))
+    assert not report.ok
+    assert report.violations == [
+        f"row ('q0', '{LEFT_END}', ()) moves to ('p', ()) with head moves +1 and -1, "
+        'which collide on the two-cell tape of ""'
+    ]
+    p = ProtocolSpec(name="collide", verifier=verifier(LEFT_END), provers=(), a=1.0, b=1.0, cutoff=2)
+    with pytest.raises(RunFault, match="two-cell tape"):
+        simulate(p, "")
+    # a row on an input symbol never runs on the two-cell tape
+    assert check_well_formed(verifier("0"))
 
 
 def test_check_prover_columns_accepts_unitary_strategies():
