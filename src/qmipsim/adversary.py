@@ -36,14 +36,16 @@ probabilistic verifier, it distills deterministic provers that reject at
 most as often. The verifier reads each communication cell every round, so
 the cell is effectively measured: each prover's move becomes probabilistic
 branches with Born weights (`_Forced`, declared `measured`), and the run
-goes through the engine's round driver like any classical run. Picking, per
-reachable (step, received symbol, tape), the reply with the smallest
-aggregate rejection mass can only help the provers at each replacement,
-which gives the dominance guarantee. Each candidate reply is scored by
-resuming the driver from the walk's current round. The quantum run, the
-walk, every candidate's resumed rounds and the final deterministic run
-share one column cache, and their strategies declare no cells, so no run
-builds a fold schedule.
+goes through the engine's round driver like any classical run. Each view
+(step, received symbol, tape) is measured once per derandomization, and the
+runs, the candidate replies and the pins all read that table; a pinned view
+moves by the pinned reply's move with weight 1. Picking, per reachable view,
+the candidate with the smallest aggregate rejection mass can only help the
+provers at each replacement, which gives the dominance guarantee. Each
+candidate reply is scored by resuming the driver from the walk's current
+round. The quantum run, the walk, every candidate's resumed rounds and the
+final deterministic run share one column cache, and their strategies
+declare no cells, so no run builds a fold schedule.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ from .specs import (
     track,
     xor_symbols,
 )
-from .tolerances import AMPLITUDE_TOL, BOUND_TOL, PINNED_MASS_TOL, PRUNE_TOL, TIE_TOL
+from .tolerances import AMPLITUDE_TOL, BOUND_TOL, PRUNE_TOL, TIE_TOL
 
 DEFAULT_FAMILY_LIMIT = 10 ** 6
 
@@ -582,12 +584,16 @@ class _Forced:
     """A strategy measured right after it moves, with some replies pinned down.
 
     `apply_quantum` returns the Born-measured moves, sorted by reply, as
-    probabilistic branches, so the strategy is `measured`. The tape state per
-    reply must be a single basis tape, which holds for every strategy here
-    (tape updates only log the received symbol); a strategy that entangles
-    its tape with the reply has no deterministic shadow. At a pinned (step,
-    received, tape) only the pinned reply's moves remain, renormalised. The
-    pinning dict is shared and read live, so choices accumulate in place.
+    probabilistic branches, so the strategy is `measured`. Each view (step,
+    received, tape) is measured once, into `born`, which the run and
+    derandomization's candidates and pins all read: a strategy's moves must
+    depend only on its view. Amplitudes are summed per (reply, tape), so a
+    reply whose amplitudes cancel has no move. The tape per reply must be a
+    single basis tape, which holds for every strategy here (tape updates
+    only log the received symbol); a strategy that entangles its tape with
+    the reply has no deterministic shadow. A pinned view moves by the pinned
+    reply's one move with weight 1. The pinning dict is shared and read
+    live, so choices accumulate in place.
     """
     kind = "forced"
     measured = True
@@ -596,29 +602,28 @@ class _Forced:
         self.base = base
         self.fixed = fixed
         self.label = _label(base) + "+forced"
+        self.born: dict[tuple, list] = {}
 
     def apply_quantum(self, step, comm, tape):
-        moves = self.base.apply_quantum(step, comm, tape)
-        pinned = self.fixed.get((step, comm, tape))
-        if pinned is not None:
-            moves = [(target, amp) for target, amp in moves if target[0] == pinned]
-            mass = sum((a * a.conjugate()).real for _, a in moves)
-            if mass <= PINNED_MASS_TOL:
-                raise Unbounded(f"forced reply {pinned!r} has no amplitude at step {step}")
-            scale = mass ** -0.5
-            moves = [(target, amp * scale) for target, amp in moves]
-        groups: dict[str, dict[tuple, complex]] = {}
-        for (reply, new_tape), amp in moves:
-            tapes = groups.setdefault(reply, {})
-            tapes[new_tape] = tapes.get(new_tape, 0j) + complex(amp)
-        out = []
-        for reply, tapes in sorted(groups.items()):
-            live = [(t, a) for t, a in tapes.items() if abs(a) > AMPLITUDE_TOL]
-            if len(live) > 1:
-                raise Unbounded(f"strategy {self.label} entangles its tape with the reply at step {step}")
-            for new_tape, amp in live:
-                out.append(((reply, new_tape), (amp * amp.conjugate()).real))
-        return out
+        view = (step, comm, tape)
+        moves = self.born.get(view)
+        if moves is None:
+            groups: dict[str, dict[tuple, complex]] = {}
+            for (reply, new_tape), amp in self.base.apply_quantum(step, comm, tape):
+                tapes = groups.setdefault(reply, {})
+                tapes[new_tape] = tapes.get(new_tape, 0j) + complex(amp)
+            moves = []
+            for reply, tapes in sorted(groups.items()):
+                live = [(t, a) for t, a in tapes.items() if abs(a) > AMPLITUDE_TOL]
+                if len(live) > 1:
+                    raise Unbounded(f"strategy {self.label} entangles its tape with the reply at step {step}")
+                for new_tape, amp in live:
+                    moves.append(((reply, new_tape), (amp * amp.conjugate()).real))
+            self.born[view] = moves
+        pinned = self.fixed.get(view)
+        if pinned is None:
+            return moves
+        return [(target, 1.0) for target, _ in moves if target[0] == pinned]
 
 
 @dataclass
@@ -672,8 +677,7 @@ def derandomize_provers(
             seen = dict.fromkeys((c.comm[i], c.tapes[i]) for state, _, _ in classes for c in state)
             for sigma, y in seen:
                 key = (step, sigma, y)
-                moves = strategies[i].apply_quantum(step, sigma, y)
-                candidates = sorted({reply for (reply, _), amp in moves if abs(amp) > AMPLITUDE_TOL})
+                candidates = [reply for (reply, _), _ in wrapped[i].apply_quantum(step, sigma, y)]
                 decisions += 1
                 if decisions > cap:
                     raise Unbounded(f"more than {cap} derandomization decisions")

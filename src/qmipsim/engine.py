@@ -140,8 +140,6 @@ def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -
 
     def op(config: Configuration):
         q, head, comm, tapes = config
-        if not comm:
-            return [(config, 1.0)]
         cells = []
         new_tapes = []
         weights = []
@@ -370,8 +368,8 @@ def _check_round(
 
 
 def _prover_stage(p: ProtocolSpec, state: StateVector, round_index: int) -> StateVector:
-    """The provers' moves of round `round_index` applied to `state`; round 1 has none."""
-    if round_index < 2:
+    """The provers' moves of round `round_index` applied to `state`; none in round 1 or without provers."""
+    if round_index < 2 or not p.provers:
         return state
     return apply_sparse_operator(prover_operator(p.provers, round_index - 1, p.verifier.is_quantum()), state)
 

@@ -222,19 +222,6 @@ def _tokens(value: str) -> tuple[str, ...]:
     return tuple(value.split())
 
 
-class _PerCall(dict):
-    """`fn`'s result per argument for one parse or write (transformed protocols repeat
-    one long alphabet field on up to six lines); a call that raises stores nothing."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _parse_int(value: str, where: str) -> int:
     if not _INT_RE.match(value):
         raise SpecFileError(f"{where}: expected an integer, got {value!r}")
@@ -380,7 +367,8 @@ def _parse_strategy(sec: _Section, space: int):
 
 def parse_protocol(text: str) -> ProtocolSpec:
     lines = _Lines(text)
-    tokens = _PerCall(_tokens)
+    # per parse: transformed protocols repeat one long alphabet field on up to six lines
+    tokens = lru_cache(maxsize=None)(_tokens)
     top = _Section("header", lines.top)
     name = top.one("name")
     mode = top.one("mode")
@@ -412,14 +400,14 @@ def parse_protocol(text: str) -> ProtocolSpec:
     if sorted(prover_secs) != list(range(1, k + 1)):
         raise SpecFileError(f"expected prover sections 1..{k}, got {sorted(prover_secs)}")
 
-    states = tokens[verifier_sec.one("states")]
+    states = tokens(verifier_sec.one("states"))
     initial = verifier_sec.one("initial")
-    accept = frozenset(tokens[verifier_sec.one("accept") or ""])
-    reject = frozenset(tokens[verifier_sec.one("reject") or ""])
-    input_alphabet = tokens[verifier_sec.one("input", required=False) or ""]
+    accept = frozenset(tokens(verifier_sec.one("accept") or ""))
+    reject = frozenset(tokens(verifier_sec.one("reject") or ""))
+    input_alphabet = tokens(verifier_sec.one("input", required=False) or "")
     comm_alphabets = []
     for i in range(1, k + 1):
-        comm_alphabets.append(tokens[verifier_sec.one(f"comm-{i}")])
+        comm_alphabets.append(tokens(verifier_sec.one(f"comm-{i}")))
     rows = {}
     for lineno, value in verifier_sec.many("rule"):
         key, branches = _parse_rule(lineno, value, k)
@@ -433,7 +421,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
         bases = []
         for i in range(1, k + 1):
             base = verifier_sec.one(f"guard-base-{i}")
-            bases.append(tokens[base])
+            bases.append(tokens(base))
         cls = {g.kind: g for g in (TrackGuard, ForeignGuard)}.get(fb)
         if cls is None:
             raise SpecFileError(f"unknown fallback {fb!r}")
@@ -459,8 +447,8 @@ def parse_protocol(text: str) -> ProtocolSpec:
     provers = []
     for i in range(1, k + 1):
         sec = prover_secs[i]
-        comm = tokens[sec.one("comm")]
-        tape = tokens[sec.one("tape")]
+        comm = tokens(sec.one("comm"))
+        tape = tokens(sec.one("tape"))
         space = _parse_int(sec.one("space"), sec.label)
         strategy = _parse_strategy(sec, space)
         sec.check_no_strays()
@@ -526,20 +514,21 @@ def _strategy_lines(strategy, space: int) -> list[str]:
 def serialize_protocol(p: ProtocolSpec) -> str:
     """The file text of p, refusing any symbol, state or name that would not read back as itself."""
     v = p.verifier
-    fields = _PerCall(lambda key: _symbols(*key))
+    # per write: transformed protocols repeat one long alphabet on up to six lines
+    fields = lru_cache(maxsize=None)(_symbols)
     out = [FORMAT_HEADER, f"name = {_check_token(p.name, 'name')}", f"mode = {v.mode}",
            f"provers = {p.k}", f"a = {serialize_weight(p.a)}", f"b = {serialize_weight(p.b)}",
            f"cutoff = {p.cutoff}", "", "[verifier]"]
-    out.append("states = " + fields[v.states, "state"])
+    out.append("states = " + fields(v.states, "state"))
     named = {v.initial, *v.accept, *v.reject}
     if not named.issubset(v.states):
         raise SpecFileError(f"initial or halting states {sorted(named - set(v.states))} are not declared")
     out.append(f"initial = {v.initial}")
     out.append("accept = " + " ".join(sorted(v.accept)))
     out.append("reject = " + " ".join(sorted(v.reject)))
-    out.append("input = " + fields[v.input_alphabet, "symbol"])
+    out.append("input = " + fields(v.input_alphabet, "symbol"))
     for i, alphabet in enumerate(v.comm_alphabets, start=1):
-        out.append(f"comm-{i} = " + fields[alphabet, "symbol"])
+        out.append(f"comm-{i} = " + fields(alphabet, "symbol"))
     bad = row_fault(v)
     if bad is not None:
         raise SpecFileError(f"rule {bad[0]!r} names an undeclared state or symbol, or a bad head move: {bad[1]}")
@@ -553,12 +542,12 @@ def serialize_protocol(p: ProtocolSpec) -> str:
             raise SpecFileError(f"{v.fallback.kind} has {len(v.fallback.slot_bases)} slot bases for {p.k} provers")
         out.append(f"fallback = {v.fallback.kind}")
         for i, base in enumerate(v.fallback.slot_bases, start=1):
-            out.append(f"guard-base-{i} = " + fields[base, "symbol"])
+            out.append(f"guard-base-{i} = " + fields(base, "symbol"))
     for prover in p.provers:
         out.append("")
         out.append(f"[prover {prover.index}]")
-        out.append("comm = " + fields[prover.comm_alphabet, "symbol"])
-        out.append("tape = " + fields[prover.tape_alphabet, "symbol"])
+        out.append("comm = " + fields(prover.comm_alphabet, "symbol"))
+        out.append("tape = " + fields(prover.tape_alphabet, "symbol"))
         out.append(f"space = {prover.space}")
         out.extend(_strategy_lines(prover.strategy, prover.space))
     return "\n".join(out) + "\n"

@@ -9,7 +9,6 @@ PRUNE_TOL = 1e-15  # amplitudes smaller than this are dropped from a state
 AMPLITUDE_TOL = 1e-12  # an amplitude this close to 0 (or to 1) counts as 0 (or 1)
 CONSERVATION_TOL = 1e-12  # mass a measurement may lose to rounding
 TIE_TOL = 1e-12  # two values this close are a tie in sweeps and derandomization
-PINNED_MASS_TOL = 1e-24  # a pinned reply with less mass has no amplitude at all
 ROUND_TOL = 1e-9  # mass a round may gain or lose to rounding
 BOUND_TOL = 1e-9  # slack when a probability is compared with a claimed bound
 ORTHO_TOL = 1e-9  # unit norm and orthogonality of quantum columns

@@ -1233,6 +1233,39 @@ def test_derandomize_decision_cap():
         derandomize_provers(p, "1", strategies, limit=2)
 
 
+def test_a_reply_whose_amplitudes_cancel_is_no_candidate():
+    class Cancelling:
+        label = "cancelling"
+
+        def apply_quantum(self, step, comm, tape):
+            logged = specs.log_reception(tape, step, comm)
+            return [(("g", logged), 0.5 + 0j), (("g", logged), -0.5 + 0j), ((BLANK, logged), 1.0 + 0j)]
+
+    p = corpus.build("no_comm")
+    det, report = derandomize_provers(p, "0", (Cancelling(), constant_reply(BLANK)))
+    assert all(set(s.choices.values()) == {BLANK} for s in det)
+    assert report.dominated
+    result = simulate(adversary._trial(p, det, p.cutoff), "0")
+    assert (result.p_accept, result.p_reject) == (report.derandomized_p_accept, report.derandomized_p_reject)
+
+
+def test_derandomization_measures_each_prover_view_once():
+    class Counted:
+        def __init__(self, base):
+            self.base = base
+            self.views = []
+
+        def apply_quantum(self, step, comm, tape):
+            self.views.append((step, comm, tape))
+            return self.base.apply_quantum(step, comm, tape)
+
+    strategies = (Counted(rotation_reply(BLANK, "1")), Counted(constant_reply(BLANK)))
+    _, report = derandomize_provers(corpus.build("parity_relay"), "1", strategies)
+    assert report.decisions == 4
+    assert [len(s.views) for s in strategies] == [len(set(s.views)) for s in strategies]
+    assert sum(len(s.views) for s in strategies) == 4
+
+
 # The old derandomization loop, kept as a staged reference: a tree run with one
 # measured operator per prover, rerun up to a (step, prover) pause before every
 # decision. Its verifier pass is the engine's, so agreement is exact.

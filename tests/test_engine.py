@@ -331,6 +331,16 @@ def test_a_protocol_without_provers_runs_and_sweeps_past_round_1():
     assert swept.table == [((), 0.5, 0.5)]
 
 
+def test_a_run_without_provers_builds_no_prover_operator(monkeypatch):
+    built = []
+    build = engine.prover_operator
+    monkeypatch.setattr(engine, "prover_operator", lambda *args: built.append(args) or build(*args))
+    assert simulate(_proverless(), "0").halted_round == 2
+    assert built == []
+    simulate(corpus.build("no_comm"), "0")
+    assert built
+
+
 @pytest.mark.parametrize(
     "build, x, cutoff, objective",
     [
