@@ -9,27 +9,23 @@ Each round has three stages: provers transform their cell and private tape
 (from round 2 on), the verifier consumes its cells and moves its head, and a
 projective measurement splits off the accepting and rejecting mass. The
 provers move together, as one operator pruned once; the verifier stage and
-the measurement run as one pass grouped by prover tapes, and tape groups
-with one signature (the same columns with amplitudes of the same bits, in
-order) are summed and measured once: the reduction's one-time pad gives
-round 2 of `no_comm_reduce` on "0" 16 tape groups of one signature. The
-verifier's columns depend on the verifier and the tape alone, so one cache
-of them serves a whole run and, when its caller passes one, every run it
-resumes on that verifier and tape. The residual stays unnormalized;
-whatever mass is still unresolved at the cutoff is reported as leftover.
+the measurement run as one pass grouped by prover tapes, each tape
+signature measured once (`_verify_and_measure`). The residual stays
+unnormalized; mass still unresolved at the cutoff is reported as leftover.
 
 Strategies declare the tape cells each move reads or writes
 (`specs.declared_cells`); a cell no later move touches is dead. The part of
 the state with one content of the dead cells, a history, never interferes
 with another again, and histories whose states agree outside dead cells
-evolve identically. So as soon as a cell dies, right after the prover stage
-of the round in which it dies, the driver keeps them once, as a class with
-an integer multiplicity: the verifier pass and its measurement then run
-once per class, and each class's masses are weighted by its multiplicity.
-`RoundStat.configurations` is the sum of multiplicity times residual size,
-exactly the pure state's count; `RoundStat.stored` is the sum of residual
-sizes, what the driver holds. A run where no cell dies is one class of
-multiplicity 1.
+evolve identically. So the driver keeps them once, as a class with an
+integer multiplicity whose later stages run once and whose masses are
+weighted by it: right after the prover stage of the round in which a cell
+dies, and before it by the lower tracks that a move will `stash` in a dying
+cell (the reduction's one-time-pad masks, 16 per round of the reduced
+`parity_relay`). `RoundStat.configurations` is the sum of multiplicity
+times residual size, exactly the pure state's count; `RoundStat.stored` is
+the sum of residual sizes, what the driver holds. A run where no cell dies
+is one class of multiplicity 1.
 
 `_rounds` is the one round driver: a generator that yields each round as it is
 run, which `simulate` consumes whole and derandomization (`adversary`) steps
@@ -37,10 +33,10 @@ through one round at a time. Its run is the protocol's: the verifier's mode
 sets how rounds are measured and the cutoff where they stop. It resumes from
 any pair it yielded (`after`): sweep replays resume from the shared round 1,
 and derandomization scores each candidate reply from the walk's current round.
-Each of those callers owns one column cache and hands it to every run it
-makes, so a deep sweep of the reduced `parity_relay` on "1" at cutoff 3
-builds 197 columns, not 2,279, and a derandomization of `parity_relay` on
-"1" builds 5, not 19.
+Each of those callers owns one cache of the verifier's columns (they depend
+on the verifier and the tape alone) and hands it to every run it makes, so
+a deep sweep of the reduced `parity_relay` on "1" at cutoff 3 builds 197
+columns, not 2,279, and a derandomization of `parity_relay` on "1" 5, not 19.
 """
 from __future__ import annotations
 
@@ -61,6 +57,7 @@ from .specs import (
     ProverSpec,
     VerifierSpec,
     declared_cells,
+    parse_track,
 )
 from .tolerances import CONSERVATION_TOL, PRUNE_TOL, ROUND_TOL
 
@@ -298,9 +295,8 @@ def _verify_and_measure(
     `no_comm_reduce` on "0" has 16 tape groups of one signature, so on a
     2-vCPU Xeon its pass takes about 50 µs with the columns built, against
     240 µs when every group was measured. Columns are built from the
-    verifier's rows, once per (state, head, comm), into `columns`, a cache
-    the caller owns for this verifier and tape: the round driver keeps one
-    per run and its resumes.
+    verifier's rows, once per (state, head, comm), into `columns`, the
+    caller's cache for this verifier and tape.
     """
     quantum = verifier.is_quantum()
     accept, reject = verifier.accept, verifier.reject
@@ -398,9 +394,10 @@ def _touched(prover: ProverSpec, step: int) -> frozenset[int]:
 
 
 class _Fold(NamedTuple):
-    """What the fold after one round needs, per prover tape."""
+    """What the folds around one round's prover stage need, per prover tape."""
     dead: tuple[tuple[int, ...], ...]  # cells touched so far and never again
     carried: tuple[tuple[int, ...], ...]  # cells touched so far and again later
+    stashed: tuple[int, ...]  # slots whose move stashes its reception's lower track in a dead cell
 
 
 def _fold_schedule(p: ProtocolSpec) -> Callable[[int], _Fold | None]:
@@ -411,19 +408,23 @@ def _fold_schedule(p: ProtocolSpec) -> Callable[[int], _Fold | None]:
     again, so the driver folds before round j's verifier pass (never in the
     last round). Cells no move has touched yet hold the blank in every
     history, so only `carried` cells can tell two histories apart outside
-    dead cells. Each step's cells and their prefix and suffix unions per tape
-    are computed once, so a round's fold costs a few set operations.
+    dead cells. A slot is `stashed` when its strategy's `stash(j - 1)` is one
+    of its dead cells. Each step's cells and their prefix and suffix unions
+    per tape are computed once, so a round's fold costs a few set operations.
     """
     # per_tape[i][s - 1]: the cells prover i touches at step s
     per_tape = list(zip(*([_touched(pr, step) for pr in p.provers] for step in range(1, p.cutoff))))
     earlier = [list(accumulate(cells, or_)) for cells in per_tape]
     later = [list(accumulate(reversed(cells), or_))[::-1] for cells in per_tape]
+    stashes = [(pr.index - 1, getattr(pr.strategy, "stash", None)) for pr in p.provers]
 
     def fold_after(j: int) -> _Fold | None:
         if not 2 <= j < p.cutoff or not any(cells[j - 2] - rest[j - 1] for cells, rest in zip(per_tape, later)):
             return None
-        spans = [(before[j - 2], rest[j - 1]) for before, rest in zip(earlier, later)]
-        return _Fold(tuple(tuple(sorted(a - b)) for a, b in spans), tuple(tuple(sorted(a & b)) for a, b in spans))
+        dead = [before[j - 2] - rest[j - 1] for before, rest in zip(earlier, later)]
+        carried = [before[j - 2] & rest[j - 1] for before, rest in zip(earlier, later)]
+        stashed = tuple(slot for (slot, stash), cells in zip(stashes, dead) if stash and stash(j - 1) in cells)
+        return _Fold(tuple(tuple(sorted(c)) for c in dead), tuple(tuple(sorted(c)) for c in carried), stashed)
 
     return fold_after
 
@@ -435,31 +436,21 @@ class _Class(NamedTuple):
     mass: float | None
 
 
-def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
-    """Split each class into histories by its dead cells and merge equal histories.
-
-    A history is the part of a class with one content of the dead cells. No
-    later move reads or writes them, so histories never interfere again, and
-    two whose states agree outside dead cells evolve identically. Those merge
-    into one class whose multiplicity is the sum of theirs; the first keeps
-    its configurations, real dead cells included, as the representative. A
-    class that is one history keeps its own dict and mass.
-    """
-    # one getter per tape, called as get(getter, tape); `itemgetter(slice(0))` reads no cell
-    get = itemgetter.__call__
-    dead_of = [itemgetter(*cells) if cells else itemgetter(slice(0)) for cells in fold.dead]
-    carried_of = [itemgetter(*cells) if cells else itemgetter(slice(0)) for cells in fold.carried]
+def _merge(classes: list[_Class], split: Callable) -> list[_Class]:
+    """Split each class into histories by `split(config)`, which gives a configuration's
+    history and what of it later rounds can tell apart, and merge histories whose parts are
+    equal, amplitude for amplitude, into one class whose multiplicity is the sum of theirs,
+    the first as its representative; a class of one history keeps its dict and mass."""
     merged: dict = {}
     for state, multiplicity, mass in classes:
         histories: dict = {}
         for config, amp in state.items():
-            q, head, comm, tapes = config
-            dead = tuple(map(get, dead_of, tapes))
-            history = histories.get(dead)
-            if history is None:
-                history = histories[dead] = ({}, [])
-            history[0][config] = amp
-            history[1].append((q, head, comm, tuple(map(get, carried_of, tapes)), amp))
+            history, outside = split(config)
+            members = histories.get(history)
+            if members is None:
+                members = histories[history] = ({}, [])
+            members[0][config] = amp
+            members[1].append((outside, amp))
         whole = len(histories) == 1
         for members, outside in histories.values():
             key = frozenset(outside)
@@ -471,29 +462,59 @@ def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
     return [_Class(*entry) for entry in merged.values()]
 
 
+def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
+    """`_merge` by the dead cells, after the prover stage: no later move reads them, and
+    histories equal in state, head, cells and carried cells evolve alike."""
+    # one getter per tape, called as get(getter, tape); `itemgetter(slice(0))` reads no cell
+    get = itemgetter.__call__
+    dead_of = [itemgetter(*cells) if cells else itemgetter(slice(0)) for cells in fold.dead]
+    carried_of = [itemgetter(*cells) if cells else itemgetter(slice(0)) for cells in fold.carried]
+
+    def split(config: Configuration):
+        q, head, comm, tapes = config
+        return tuple(map(get, dead_of, tapes)), (q, head, comm, tuple(map(get, carried_of, tapes)))
+
+    return _merge(classes, split)
+
+
+def _fold_stashes(classes: list[_Class], fold: _Fold) -> list[_Class]:
+    """`_merge` by the lower tracks that the prover stage will stash in dead cells, before it:
+    nothing else of the move reads them, so histories equal with reception uppers in place of
+    receptions evolve alike. A reception `parse_track` cannot split stays alone, for the move to raise."""
+    def split(config: Configuration):
+        q, head, comm, tapes = config
+        cells = list(comm)
+        lowers = []
+        for slot in fold.stashed:
+            halves = parse_track(cells[slot])
+            if halves is None:
+                return config, object()
+            cells[slot], lower = halves
+            lowers.append(lower)
+        return tuple(lowers), (q, head, tuple(cells), tapes)
+
+    return _merge(classes, split)
+
+
 def _rounds(
     p: ProtocolSpec, x: str, after: tuple[RoundStat, list[_Class]] | None = None, columns: dict | None = None,
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
-    Each round runs the prover stage per class, folds the cells that died in
-    it, then runs the verifier pass and its measurement per folded class.
-    `_fold_schedule` is computed once per call, at the first round that can
-    fold, and only when some prover's strategy declares `cells`: a caller
-    that takes only round 1, a cutoff-2 run, or a run whose strategies
-    declare no cells (derandomization's trials) never builds it. The last
-    round yielded is `p.cutoff`'s or the first whose residual mass is at
-    most PRUNE_TOL. Round j+1 is built only when the caller asks for it,
-    from the provers' strategies as they are then. `after` resumes from a
-    pair the run yielded, round 0 (the initial state) by default; the rounds
-    that follow are the uninterrupted run's.
-
-    Every verifier pass of the run reads one column cache (see
-    `_verify_and_measure`), `columns` when the caller passes one for p's
-    verifier on x, else a new one per call. Columns depend on the verifier
-    and the tape alone, so a caller that resumes many runs of one verifier
-    on one input passes one dict to them all: a sweep's replays share the
-    sweep's, and derandomization's walk and candidate replays share one.
+    Each round that folds merges by stashed lower tracks (`_fold_stashes`),
+    runs the prover stage per class, and folds the cells that died in it
+    (`_fold`); every round then runs the verifier pass and its measurement per
+    class. `_fold_schedule` is computed once per call, at the first round that
+    can fold, and only when some prover's strategy declares `cells`: a caller
+    that takes only round 1, a cutoff-2 run, or a run whose strategies declare
+    no cells (derandomization's trials) never builds it. The last round yielded
+    is `p.cutoff`'s or the first whose residual mass is at most PRUNE_TOL.
+    Round j+1 is built only when the caller asks for it, from the provers'
+    strategies as they are then. `after` resumes from a pair the run yielded,
+    round 0 (the initial state) by default; the rounds that follow are the
+    uninterrupted run's. Every verifier pass of the run reads one column cache,
+    `columns` when the caller passes one for p's verifier on x (see the module
+    docstring), else a new one per call.
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
@@ -508,14 +529,18 @@ def _rounds(
     for j in range(stat.index + 1, p.cutoff + 1):
         if before <= PRUNE_TOL:
             return
-        # a class keeps its mass from before the prover stage: an unfolded class
-        # checks both stages against it in its verifier pass; a fold checks the
-        # prover stage first, and the classes it keeps whole keep the moved mass
-        classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
+        # a class keeps its mass from before the prover stage (the mask merge sums
+        # the classes it splits off): an unfolded class checks both stages against
+        # it in its verifier pass; a fold checks the prover stage first, and the
+        # classes it keeps whole keep the moved mass
         fold = None
         if folds and 2 <= j < p.cutoff:
             fold_after = fold_after or _fold_schedule(p)
             fold = fold_after(j)
+        if fold is not None and fold.stashed:
+            survivors = [c if c.mass is not None else c._replace(mass=_mass(c.state, quantum))
+                         for c in _fold_stashes(survivors, fold)]
+        classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
         if fold is not None:
             for i, (moved, multiplicity, mass) in enumerate(classes):
                 moved_mass = _mass(moved, quantum)

@@ -121,7 +121,8 @@ def xor_symbols(encoding: Mapping[str, str], a: str, b: str) -> str:
 # tape cells its move at that step reads or writes. The move never reads
 # another cell and leaves every other cell as it was; the engine relies on
 # this to fold histories that differ only in cells no later step touches.
-# `None`, or no `cells` method at all, means the whole tape.
+# `None`, or no `cells` method at all, means the whole tape. A `stash(step)`
+# cell receives the reception's lower track, which nothing else of the move reads.
 
 Tape = tuple[str, ...]
 QuantumMove = list[tuple[tuple[str, Tape], complex]]
@@ -290,7 +291,7 @@ class TrackWrapStrategy:
             raise MissingTransition(f"track wrap received non-track symbol {comm!r}")
         upper, lower = parsed
         offset = self.mask_offset
-        idx = offset + step - 1
+        idx = self.stash(step)
         # with the stash cell past the inner cells and blank, every inner move of
         # `offset` cells is logged by one slice-and-concatenate
         stash = offset <= idx < len(tape) and tape[idx] == BLANK
@@ -311,7 +312,10 @@ class TrackWrapStrategy:
     def cells(self, step: int) -> tuple[int, ...] | None:
         """The inner strategy's cells plus this step's stash cell; None if the inner declares none."""
         inner = declared_cells(self.inner, step)
-        return None if inner is None else tuple(inner) + (self.mask_offset + step - 1,)
+        return None if inner is None else tuple(inner) + (self.stash(step),)
+
+    def stash(self, step: int) -> int:
+        return self.mask_offset + step - 1
 
 
 @dataclass(frozen=True)

@@ -846,7 +846,7 @@ def test_history_classes_agree_with_the_whole_tape_run(name, x):
 @pytest.mark.parametrize(
     "name, x",
     [(name, x) for name in sorted(corpus.REGISTRY) for x in corpus.test_inputs(name)]
-    + [("parity_relay_reduced", "111")],
+    + [("parity_relay_reduced", x) for x in ("1", "11", "111")],
 )
 def test_resuming_the_driver_yields_the_rest_of_the_run(name, x):
     p = _protocol(name)
@@ -874,6 +874,39 @@ def test_the_driver_stores_one_folded_class_per_round(monkeypatch):
     assert [r.configurations for r in rounds] == [16, 256, 4096, 65536, 0]
     assert [r.stored for r in rounds] == [16, 16, 16, 16, 0]
     assert seen == [(1, 16)] * 4 + [(1, 0)]
+
+
+def test_the_prover_stage_moves_one_source_per_folded_round(monkeypatch):
+    # each round the reduced relay's 16 configurations differ only in the
+    # masks their receptions carry on the lower track, which both track
+    # wraps stash in cells that die in that move: they merge before it
+    sources = []
+    stage = engine._prover_stage
+
+    def spy(p, state, round_index):
+        if round_index >= 2:
+            sources.append(len(state))
+        return stage(p, state, round_index)
+
+    monkeypatch.setattr(engine, "_prover_stage", spy)
+    rounds = simulate(_reduced_parity_relay(), "111").rounds
+    assert sources == [1, 1, 1, 1]
+    assert [r.configurations for r in rounds] == [16, 256, 4096, 65536, 0]
+    assert [r.stored for r in rounds] == [16, 16, 16, 16, 0]
+
+
+def test_a_reception_that_is_no_track_symbol_faults_the_folded_move():
+    # the corrupted reception cannot be split into its tracks, so it stays
+    # out of the merge and the track wrap rejects it as on the unfolded state
+    p = _reduced_parity_relay()
+    stat, (survivor,) = next(_rounds(p, "1"))
+    assert engine._fold_schedule(p)(2).stashed == (0, 1)
+    state = dict(survivor.state)
+    victim = list(state)[5]
+    state[victim._replace(comm=("zz",) + victim.comm[1:])] = state.pop(victim)
+    with pytest.raises(MissingTransition) as fault:
+        list(_rounds(p, "1", after=(stat, [survivor._replace(state=state, mass=None)])))
+    assert str(fault.value) == "track wrap received non-track symbol 'zz'"
 
 
 def test_the_driver_sums_each_state_once(monkeypatch):
@@ -923,10 +956,15 @@ def test_a_fold_that_merges_nothing_keeps_its_classes(monkeypatch):
 
 
 class _Cells:
-    """A strategy that only declares its cells: `schedule[step - 1]`, None for the whole tape."""
+    """A strategy that only declares its cells: `schedule[step - 1]`, None for the whole tape.
 
-    def __init__(self, schedule):
+    With `stashes`, it also declares its stash cell at each step: `stashes[step - 1]`.
+    """
+
+    def __init__(self, schedule, stashes=None):
         self.schedule = schedule
+        if stashes is not None:
+            self.stash = lambda step: stashes[step - 1]
 
     def cells(self, step):
         return self.schedule[step - 1]
@@ -949,9 +987,12 @@ def _brute_fold(p, j):
     rest = [union(pr, range(j, p.cutoff)) for pr in p.provers]
     if not any(touched(pr, j - 1) - later for pr, later in zip(p.provers, rest)):
         return None
+    dead = [a - b for a, b in zip(before, rest)]
     return engine._Fold(
-        tuple(tuple(sorted(a - b)) for a, b in zip(before, rest)),
+        tuple(tuple(sorted(cells)) for cells in dead),
         tuple(tuple(sorted(a & b)) for a, b in zip(before, rest)),
+        tuple(pr.index - 1 for pr, cells in zip(p.provers, dead)
+              if hasattr(pr.strategy, "stash") and pr.strategy.stash(j - 1) in cells),
     )
 
 
@@ -963,7 +1004,9 @@ def _scheduled_provers(draw):
         space = draw(st.integers(0, 5))
         # cells may reach past the tape, and a step may declare the whole tape
         step_cells = st.one_of(st.none(), st.lists(st.integers(0, space + 2), max_size=4).map(tuple))
-        strategy = draw(st.one_of(st.just(object()), st.lists(step_cells, min_size=cutoff, max_size=cutoff).map(_Cells)))
+        steps = st.lists(step_cells, min_size=cutoff, max_size=cutoff)
+        stashes = st.one_of(st.none(), st.lists(st.integers(0, space + 2), min_size=cutoff, max_size=cutoff))
+        strategy = draw(st.one_of(st.just(object()), st.builds(_Cells, steps, stashes)))
         provers.append(ProverSpec(index=index, comm_alphabet=(BLANK,), tape_alphabet=(BLANK,), space=space,
                                   strategy=strategy))
     verifier = corpus.build("no_comm").verifier
