@@ -9,9 +9,9 @@ Each round has three stages: provers transform their cell and private tape
 (from round 2 on), the verifier consumes its cells and moves its head, and a
 projective measurement splits off the accepting and rejecting mass. The
 provers move together, as one operator pruned once; the verifier stage and
-the measurement run as one pass grouped by prover tapes, each tape
-signature measured once (`_verify_and_measure`). The residual stays
-unnormalized; mass still unresolved at the cutoff is reported as leftover.
+the measurement run as one pass grouped by prover tapes
+(`_verify_and_measure`). The residual stays unnormalized; mass still
+unresolved at the cutoff is reported as leftover.
 
 Strategies declare the tape cells each move reads or writes
 (`specs.declared_cells`); a cell no later move touches is dead. The part of
@@ -20,12 +20,12 @@ with another again, and histories whose states agree outside dead cells
 evolve identically. So the driver keeps them once, as a class with an
 integer multiplicity whose later stages run once and whose masses are
 weighted by it: right after the prover stage of the round in which a cell
-dies, and before it by the lower tracks that a move will `stash` in a dying
-cell (the reduction's one-time-pad masks, 16 per round of the reduced
+dies, and before every prover stage by the lower tracks that a move will
+`stash` (the reduction's one-time-pad masks, 16 per round of the reduced
 `parity_relay`). `RoundStat.configurations` is the sum of multiplicity
 times residual size, exactly the pure state's count; `RoundStat.stored` is
 the sum of residual sizes, what the driver holds. A run where no cell dies
-is one class of multiplicity 1.
+and no move stashes is one class of multiplicity 1.
 
 `_rounds` is the one round driver: a generator that yields each round as it is
 run, which `simulate` consumes whole and derandomization (`adversary`) steps
@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, islice, product
 from math import prod
 from operator import itemgetter, or_
-from struct import Struct
 from typing import Callable, Iterator, NamedTuple
 
 from .amplitudes import StateVector, apply_sparse_operator, norm_sq
@@ -218,10 +217,6 @@ def _mass(state: StateVector, quantum: bool) -> float:
     return sum((w.real for w in state.values()), 0.0)
 
 
-# an amplitude's exact bits, the sign of a zero part included
-_bits = Struct("dd").pack
-
-
 class _Column(NamedTuple):
     """One verifier column without tapes, and what the closed form needs.
 
@@ -287,16 +282,9 @@ def _verify_and_measure(
     (amp.real when classical) times the column's totals and only its
     non-halting targets are stored. Every other configuration is summed per
     tape group, which `_measure` prunes and measures; only its live targets
-    become configurations. Tape groups with one signature, the same columns
-    with amplitudes of the same bits in the same order, sum and measure
-    alike, so each signature is summed and measured once; every group still
-    adds its masses in turn and attaches the live targets to its own tapes.
-    A reduced protocol's one-time pad makes many such groups: round 2 of
-    `no_comm_reduce` on "0" has 16 tape groups of one signature, so on a
-    2-vCPU Xeon its pass takes about 50 µs with the columns built, against
-    240 µs when every group was measured. Columns are built from the
-    verifier's rows, once per (state, head, comm), into `columns`, the
-    caller's cache for this verifier and tape.
+    become configurations. Columns are built from the verifier's rows, once
+    per (state, head, comm), into `columns`, the caller's cache for this
+    verifier and tape.
     """
     quantum = verifier.is_quantum()
     accept, reject = verifier.accept, verifier.reject
@@ -321,19 +309,12 @@ def _verify_and_measure(
         p_rej += scale * column.reject
         for (q2, head, sent), w in column.live.items():
             residual[Configuration._make((q2, head, sent, tapes))] = amp * w
-    # per signature: its (kept, accept, reject, live); the columns outlive this
-    # pass in `columns`, so their ids are unique here
-    measured: dict = {}
     for tapes, members in shared.items():
-        signature = tuple([(id(column), _bits(amp.real, amp.imag)) for column, amp in members])
-        outcome = measured.get(signature)
-        if outcome is None:
-            local: dict = {}
-            for column, amp in members:
-                for target, w in column.targets:
-                    local[target] = local.get(target, 0j) + amp * w
-            outcome = measured[signature] = _measure(local.items(), quantum, accept, reject)
-        kept, acc, rej, live = outcome
+        local: dict = {}
+        for column, amp in members:
+            for target, w in column.targets:
+                local[target] = local.get(target, 0j) + amp * w
+        kept, acc, rej, live = _measure(local.items(), quantum, accept, reject)
         after += kept
         p_acc += acc
         p_rej += rej
@@ -397,7 +378,6 @@ class _Fold(NamedTuple):
     """What the folds around one round's prover stage need, per prover tape."""
     dead: tuple[tuple[int, ...], ...]  # cells touched so far and never again
     carried: tuple[tuple[int, ...], ...]  # cells touched so far and again later
-    stashed: tuple[int, ...]  # slots whose move stashes its reception's lower track in a dead cell
 
 
 def _fold_schedule(p: ProtocolSpec) -> Callable[[int], _Fold | None]:
@@ -408,23 +388,20 @@ def _fold_schedule(p: ProtocolSpec) -> Callable[[int], _Fold | None]:
     again, so the driver folds before round j's verifier pass (never in the
     last round). Cells no move has touched yet hold the blank in every
     history, so only `carried` cells can tell two histories apart outside
-    dead cells. A slot is `stashed` when its strategy's `stash(j - 1)` is one
-    of its dead cells. Each step's cells and their prefix and suffix unions
-    per tape are computed once, so a round's fold costs a few set operations.
+    dead cells. Each step's cells and their prefix and suffix unions per tape
+    are computed once, so a round's fold costs a few set operations.
     """
     # per_tape[i][s - 1]: the cells prover i touches at step s
     per_tape = list(zip(*([_touched(pr, step) for pr in p.provers] for step in range(1, p.cutoff))))
     earlier = [list(accumulate(cells, or_)) for cells in per_tape]
     later = [list(accumulate(reversed(cells), or_))[::-1] for cells in per_tape]
-    stashes = [(pr.index - 1, getattr(pr.strategy, "stash", None)) for pr in p.provers]
 
     def fold_after(j: int) -> _Fold | None:
         if not 2 <= j < p.cutoff or not any(cells[j - 2] - rest[j - 1] for cells, rest in zip(per_tape, later)):
             return None
         dead = [before[j - 2] - rest[j - 1] for before, rest in zip(earlier, later)]
         carried = [before[j - 2] & rest[j - 1] for before, rest in zip(earlier, later)]
-        stashed = tuple(slot for (slot, stash), cells in zip(stashes, dead) if stash and stash(j - 1) in cells)
-        return _Fold(tuple(tuple(sorted(c)) for c in dead), tuple(tuple(sorted(c)) for c in carried), stashed)
+        return _Fold(tuple(tuple(sorted(c)) for c in dead), tuple(tuple(sorted(c)) for c in carried))
 
     return fold_after
 
@@ -477,15 +454,16 @@ def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
     return _merge(classes, split)
 
 
-def _fold_stashes(classes: list[_Class], fold: _Fold) -> list[_Class]:
-    """`_merge` by the lower tracks that the prover stage will stash in dead cells, before it:
-    nothing else of the move reads them, so histories equal with reception uppers in place of
-    receptions evolve alike. A reception `parse_track` cannot split stays alone, for the move to raise."""
+def _fold_stashes(classes: list[_Class], stashed: tuple[int, ...]) -> list[_Class]:
+    """`_merge` by the lower tracks that the prover stage will stash in the `stashed` slots, before
+    it: the stash cell is dead from the move on and nothing else of the move reads them (the
+    `stash` contract), so histories equal with reception uppers in place of receptions evolve
+    alike. A reception `parse_track` cannot split stays alone, for the move to raise."""
     def split(config: Configuration):
         q, head, comm, tapes = config
         cells = list(comm)
         lowers = []
-        for slot in fold.stashed:
+        for slot in stashed:
             halves = parse_track(cells[slot])
             if halves is None:
                 return config, object()
@@ -501,10 +479,12 @@ def _rounds(
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
-    Each round that folds merges by stashed lower tracks (`_fold_stashes`),
-    runs the prover stage per class, and folds the cells that died in it
-    (`_fold`); every round then runs the verifier pass and its measurement per
-    class. `_fold_schedule` is computed once per call, at the first round that
+    From round 2 on, every round merges by the lower tracks that the slots
+    whose strategy declares `stash` will stash (`_fold_stashes`) and runs the
+    prover stage per class; each round that folds then folds the cells that
+    died in it (`_fold`), and every round runs the verifier pass and its
+    measurement per class. The stashing slots are found once per call.
+    `_fold_schedule` is computed once per call, at the first round that
     can fold, and only when some prover's strategy declares `cells`: a caller
     that takes only round 1, a cutoff-2 run, or a run whose strategies declare
     no cells (derandomization's trials) never builds it. The last round yielded
@@ -521,6 +501,7 @@ def _rounds(
     columns = {} if columns is None else columns
     # no declared cells: every move touches its whole tape, and no cell dies
     folds = any(getattr(pr.strategy, "cells", None) is not None for pr in p.provers)
+    stashed = tuple(pr.index - 1 for pr in p.provers if hasattr(pr.strategy, "stash"))
     fold_after = None
     if after is None:
         after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
@@ -537,9 +518,9 @@ def _rounds(
         if folds and 2 <= j < p.cutoff:
             fold_after = fold_after or _fold_schedule(p)
             fold = fold_after(j)
-        if fold is not None and fold.stashed:
+        if stashed and j >= 2:
             survivors = [c if c.mass is not None else c._replace(mass=_mass(c.state, quantum))
-                         for c in _fold_stashes(survivors, fold)]
+                         for c in _fold_stashes(survivors, stashed)]
         classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
         if fold is not None:
             for i, (moved, multiplicity, mass) in enumerate(classes):

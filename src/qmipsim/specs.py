@@ -121,8 +121,12 @@ def xor_symbols(encoding: Mapping[str, str], a: str, b: str) -> str:
 # tape cells its move at that step reads or writes. The move never reads
 # another cell and leaves every other cell as it was; the engine relies on
 # this to fold histories that differ only in cells no later step touches.
-# `None`, or no `cells` method at all, means the whole tape. A `stash(step)`
-# cell receives the reception's lower track, which nothing else of the move reads.
+# `None`, or no `cells` method at all, means the whole tape. A strategy that
+# declares `stash(step)` takes on a contract as well: its move at that step
+# writes the lower track of its reception into that cell, nothing else of the
+# move reads that track, and no later move touches that cell, whatever `cells`
+# declares. The engine relies on this to merge histories that differ only in
+# those tracks before every move.
 
 Tape = tuple[str, ...]
 QuantumMove = list[tuple[tuple[str, Tape], complex]]

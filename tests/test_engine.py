@@ -630,8 +630,8 @@ def _flip_zeros(a):
 @given(rows=_ROWS, state=_SOURCES)
 def test_each_tape_group_keeps_its_own_residual_when_signatures_repeat(rows, state):
     # tape group x copied onto tapes w, and onto v with its zero parts'
-    # signs flipped: groups of one signature are measured once, and each
-    # still gets the residual that it gets when measured alone, bit for bit
+    # signs flipped: each group gets the residual that it gets when
+    # measured alone, bit for bit
     verifier = _two_way(rows, _STATES, comm=_CELLS)
     tape = (LEFT_END, "0", RIGHT_END)
     group = [(c, a) for c, a in state.items() if c.tapes == (("x",),)]
@@ -643,10 +643,10 @@ def test_each_tape_group_keeps_its_own_residual_when_signatures_repeat(rows, sta
         assert repr({c: a for c, a in residual.items() if c.tapes == tapes}) == repr(alone)
 
 
-def test_tape_groups_of_one_signature_are_measured_once(monkeypatch):
-    # the reduction's one-time pad puts round 2 of no_comm_reduce on "0" in
-    # 16 tape groups of two configurations over the same two columns, with
-    # the same amplitudes: one signature, summed and measured once
+def test_the_one_time_pad_tape_groups_measure_as_each_group_alone():
+    # the reduction's one-time pad puts round 2 of no_comm_reduce on "0",
+    # unmerged, in 16 tape groups of two configurations over the same two
+    # columns, with the same amplitudes
     p = corpus.build("no_comm_reduce")
     tape = input_tape("0", p.verifier)
     residual1 = run_round(p, tape, initial_state(p, "0"), 1)[2]
@@ -656,13 +656,7 @@ def test_tape_groups_of_one_signature_are_measured_once(monkeypatch):
         groups.setdefault(config.tapes, {})[config] = amp
     assert len(groups) == 16 and {len(group) for group in groups.values()} == {2}
     assert len({frozenset(c[:3] for c in group) for group in groups.values()}) == 1
-    columns: dict = {}
-    _verify_and_measure(state, p.verifier, tape, columns)
-    measured = []
-    measure = engine._measure
-    monkeypatch.setattr(engine, "_measure", lambda targets, *rest: measured.append(targets) or measure(targets, *rest))
-    out = _verify_and_measure(state, p.verifier, tape, columns)
-    assert len(measured) == 1
+    out = _verify_and_measure(state, p.verifier, tape, {})
     # the same, bit for bit, as every group measured on its own, masses added in order
     after = p_acc = p_rej = 0.0
     residual: dict = {}
@@ -859,8 +853,8 @@ def test_resuming_the_driver_yields_the_rest_of_the_run(name, x):
 
 def test_the_driver_stores_one_folded_class_per_round(monkeypatch):
     # the reduced relay stashes a mask in a fresh cell every round; the
-    # fold right after the prover stage merges 16 histories, so the
-    # verifier pass sees one configuration and 16 targets per round
+    # merge by masks before the prover stage keeps 16 histories as one, so
+    # the verifier pass sees one configuration and 16 targets per round
     seen = []
     verify = engine._verify_and_measure
 
@@ -895,18 +889,64 @@ def test_the_prover_stage_moves_one_source_per_folded_round(monkeypatch):
     assert [r.stored for r in rounds] == [16, 16, 16, 16, 0]
 
 
-def test_a_reception_that_is_no_track_symbol_faults_the_folded_move():
-    # the corrupted reception cannot be split into its tracks, so it stays
-    # out of the merge and the track wrap rejects it as on the unfolded state
-    p = _reduced_parity_relay()
-    stat, (survivor,) = next(_rounds(p, "1"))
-    assert engine._fold_schedule(p)(2).stashed == (0, 1)
+def _fault_of_a_corrupted_reception(p, x):
+    """The fault of p's run on x resumed after round 1 with one reception replaced by 'zz'."""
+    stat, (survivor,) = next(_rounds(p, x))
     state = dict(survivor.state)
     victim = list(state)[5]
     state[victim._replace(comm=("zz",) + victim.comm[1:])] = state.pop(victim)
     with pytest.raises(MissingTransition) as fault:
-        list(_rounds(p, "1", after=(stat, [survivor._replace(state=state, mass=None)])))
-    assert str(fault.value) == "track wrap received non-track symbol 'zz'"
+        list(_rounds(p, x, after=(stat, [survivor._replace(state=state, mass=None)])))
+    return str(fault.value)
+
+
+def test_a_reception_that_is_no_track_symbol_faults_the_folded_move():
+    # the corrupted reception cannot be split into its tracks, so it stays
+    # out of the merge and the track wrap rejects it as on the unfolded state
+    assert _fault_of_a_corrupted_reception(_reduced_parity_relay(), "1") == "track wrap received non-track symbol 'zz'"
+
+
+def test_a_reception_that_is_no_track_symbol_faults_the_last_round():
+    # round 2 is no_comm_reduce's last, where no cell dies: the corrupted
+    # reception stays out of the merge by masks there too, and faults the move
+    p = corpus.build("no_comm_reduce")
+    assert p.cutoff == 2
+    assert _fault_of_a_corrupted_reception(p, "0") == "track wrap received non-track symbol 'zz'"
+
+
+def test_the_mask_merge_runs_in_the_last_round(monkeypatch):
+    # no_comm_reduce moves its provers only in round 2, its last: the 32
+    # configurations of the round-1 residual differ in their masks alone and
+    # merge into 2 before the move, with no fold schedule built
+    sources = []
+    stage = engine._prover_stage
+
+    def spy(p, state, round_index):
+        sources.append(len(state))
+        return stage(p, state, round_index)
+
+    built = []
+    schedule = engine._fold_schedule
+    monkeypatch.setattr(engine, "_prover_stage", spy)
+    monkeypatch.setattr(engine, "_fold_schedule", lambda p: built.append(p.cutoff) or schedule(p))
+    result = simulate(corpus.build("no_comm_reduce"), "0")
+    assert sources == [1, 2]
+    assert repr((result.p_accept, result.p_reject)) == repr((0.49999999999999994, 0.49999999999999994))
+    assert built == []
+
+
+def test_a_track_wrap_over_hidden_cells_still_merges_by_masks():
+    # the stash cell lies past the inner strategy's slice, so the masks merge
+    # before every move though the wrap declares its whole tape and no cell dies
+    p = _reduced_parity_relay()
+    provers = tuple(
+        dataclasses.replace(pr, strategy=dataclasses.replace(pr.strategy, inner=_Hidden(pr.strategy.inner)))
+        for pr in p.provers
+    )
+    assert all(pr.strategy.cells(1) is None for pr in provers)
+    hidden = dataclasses.replace(p, provers=provers)
+    _assert_agree(hidden, "111")
+    assert [r.stored for r in simulate(hidden, "111").rounds] == [16, 16, 16, 16, 0]
 
 
 def test_the_driver_sums_each_state_once(monkeypatch):
@@ -956,15 +996,10 @@ def test_a_fold_that_merges_nothing_keeps_its_classes(monkeypatch):
 
 
 class _Cells:
-    """A strategy that only declares its cells: `schedule[step - 1]`, None for the whole tape.
+    """A strategy that only declares its cells: `schedule[step - 1]`, None for the whole tape."""
 
-    With `stashes`, it also declares its stash cell at each step: `stashes[step - 1]`.
-    """
-
-    def __init__(self, schedule, stashes=None):
+    def __init__(self, schedule):
         self.schedule = schedule
-        if stashes is not None:
-            self.stash = lambda step: stashes[step - 1]
 
     def cells(self, step):
         return self.schedule[step - 1]
@@ -991,8 +1026,6 @@ def _brute_fold(p, j):
     return engine._Fold(
         tuple(tuple(sorted(cells)) for cells in dead),
         tuple(tuple(sorted(a & b)) for a, b in zip(before, rest)),
-        tuple(pr.index - 1 for pr, cells in zip(p.provers, dead)
-              if hasattr(pr.strategy, "stash") and pr.strategy.stash(j - 1) in cells),
     )
 
 
@@ -1005,8 +1038,7 @@ def _scheduled_provers(draw):
         # cells may reach past the tape, and a step may declare the whole tape
         step_cells = st.one_of(st.none(), st.lists(st.integers(0, space + 2), max_size=4).map(tuple))
         steps = st.lists(step_cells, min_size=cutoff, max_size=cutoff)
-        stashes = st.one_of(st.none(), st.lists(st.integers(0, space + 2), min_size=cutoff, max_size=cutoff))
-        strategy = draw(st.one_of(st.just(object()), st.builds(_Cells, steps, stashes)))
+        strategy = draw(st.one_of(st.just(object()), st.builds(_Cells, steps)))
         provers.append(ProverSpec(index=index, comm_alphabet=(BLANK,), tape_alphabet=(BLANK,), space=space,
                                   strategy=strategy))
     verifier = corpus.build("no_comm").verifier
