@@ -15,17 +15,17 @@ unresolved at the cutoff is reported as leftover.
 
 Strategies declare the tape cells each move reads or writes
 (`specs.declared_cells`); a cell no later move touches is dead. The part of
-the state with one content of the dead cells, a history, never interferes
-with another again, and histories whose states agree outside dead cells
-evolve identically. So the driver keeps them once, as a class with an
-integer multiplicity whose later stages run once and whose masses are
-weighted by it: right after the prover stage of the round in which a cell
-dies, and before every prover stage by the lower tracks that a move will
-`stash` (the reduction's one-time-pad masks, 16 per round of the reduced
-`parity_relay`). `RoundStat.configurations` is the sum of multiplicity
-times residual size, exactly the pure state's count; `RoundStat.stored` is
-the sum of residual sizes, what the driver holds. A run where no cell dies
-and no move stashes is one class of multiplicity 1.
+the state with one content of the dead cells, a history, never interferes with
+another again, and histories whose states agree outside dead cells evolve
+identically. So the driver keeps them once, as a class with an integer
+multiplicity whose later stages run once and whose masses are weighted by it:
+before every prover stage by the lower tracks that a move will `stash` (the
+reduction's one-time-pad masks, 16 per round of the reduced `parity_relay`),
+and after the prover stage of a round in which a cell dies if it moved two
+configurations or more. `RoundStat.configurations` is the sum of multiplicity
+times residual size, exactly the pure state's count; `RoundStat.stored` is the
+sum of residual sizes, what the driver holds. A run where no cell dies and no
+move stashes is one class of multiplicity 1.
 
 `_rounds` is the one round driver: a generator that yields each round as it is
 run, which `simulate` consumes whole and derandomization (`adversary`) steps
@@ -423,19 +423,17 @@ def _merge(classes: list[_Class], split: Callable) -> list[_Class]:
         histories: dict = {}
         for config, amp in state.items():
             history, outside = split(config)
-            members = histories.get(history)
-            if members is None:
-                members = histories[history] = ({}, [])
-            members[0][config] = amp
-            members[1].append((outside, amp))
+            histories.setdefault(history, []).append((config, outside, amp))
         whole = len(histories) == 1
-        for members, outside in histories.values():
-            key = frozenset(outside)
+        for members in histories.values():
+            key = frozenset([(outside, amp) for _, outside, amp in members])
             entry = merged.get(key)
-            if entry is None:
-                merged[key] = [state, multiplicity, mass] if whole else [members, multiplicity, None]
-            else:
+            if entry is not None:
                 entry[1] += multiplicity
+            elif whole:
+                merged[key] = [state, multiplicity, mass]
+            else:
+                merged[key] = [{config: amp for config, _, amp in members}, multiplicity, None]
     return [_Class(*entry) for entry in merged.values()]
 
 
@@ -481,19 +479,20 @@ def _rounds(
 
     From round 2 on, every round merges by the lower tracks that the slots
     whose strategy declares `stash` will stash (`_fold_stashes`) and runs the
-    prover stage per class; each round that folds then folds the cells that
-    died in it (`_fold`), and every round runs the verifier pass and its
-    measurement per class. The stashing slots are found once per call.
-    `_fold_schedule` is computed once per call, at the first round that
-    can fold, and only when some prover's strategy declares `cells`: a caller
-    that takes only round 1, a cutoff-2 run, or a run whose strategies declare
-    no cells (derandomization's trials) never builds it. The last round yielded
-    is `p.cutoff`'s or the first whose residual mass is at most PRUNE_TOL.
-    Round j+1 is built only when the caller asks for it, from the provers'
-    strategies as they are then. `after` resumes from a pair the run yielded,
-    round 0 (the initial state) by default; the rounds that follow are the
-    uninterrupted run's. Every verifier pass of the run reads one column cache,
-    `columns` when the caller passes one for p's verifier on x (see the module
+    prover stage per class; a round before the last whose moved classes hold
+    two configurations or more folds the cells that died in it (`_fold`), and
+    every round runs the verifier pass and its measurement per class. The
+    stashing slots are found once per call, `_fold_schedule` at the first round
+    that folds, and only when some prover's strategy declares `cells`: a caller
+    that takes only round 1, a cutoff-2 run, a run whose strategies declare no
+    cells (derandomization's trials) or one of a single configuration per round
+    (the relay's lift and reduction) never builds it. The last round yielded is
+    `p.cutoff`'s or the first whose residual mass is at most PRUNE_TOL. Round
+    j+1 is built only when the caller asks for it, from the provers' strategies
+    as they are then. `after` resumes from a pair the run yielded, round 0 (the
+    initial state) by default; the rounds that follow are the uninterrupted
+    run's. Every verifier pass of the run reads one column cache, `columns`
+    when the caller passes one for p's verifier on x (see the module
     docstring), else a new one per call.
     """
     quantum = p.verifier.is_quantum()
@@ -514,14 +513,14 @@ def _rounds(
         # the classes it splits off): an unfolded class checks both stages against
         # it in its verifier pass; a fold checks the prover stage first, and the
         # classes it keeps whole keep the moved mass
-        fold = None
-        if folds and 2 <= j < p.cutoff:
-            fold_after = fold_after or _fold_schedule(p)
-            fold = fold_after(j)
         if stashed and j >= 2:
             survivors = [c if c.mass is not None else c._replace(mass=_mass(c.state, quantum))
                          for c in _fold_stashes(survivors, stashed)]
         classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
+        fold = None
+        if folds and 2 <= j < p.cutoff and sum(len(c.state) for c in classes) > 1:
+            fold_after = fold_after or _fold_schedule(p)
+            fold = fold_after(j)
         if fold is not None:
             for i, (moved, multiplicity, mass) in enumerate(classes):
                 moved_mass = _mass(moved, quantum)

@@ -604,8 +604,13 @@ def validate_protocol(p: ProtocolSpec) -> None:
     bad = row_fault(v)
     if bad is not None:
         raise ValidationError(bad[1])
-    if v.mode in ONE_WAY_MODES and any(d != 1 for row in v.rows.values() for _, d, _, _ in row):
-        raise ValidationError("one-way verifier must always move right")
+    if v.mode in ONE_WAY_MODES:
+        if any(d != 1 for row in v.rows.values() for _, d, _, _ in row):
+            raise ValidationError("one-way verifier must always move right")
+        # one pass: the head would wrap past the right endmarker into another sweep of the input
+        halting = v.accept | v.reject
+        if any(symbol == RIGHT_END and q2 not in halting for (_, symbol, _), row in v.rows.items() for q2, *_ in row):
+            raise ValidationError(f"one-way verifier must halt at {RIGHT_END!r}")
 
 
 def row_fault(v: VerifierSpec) -> tuple[RowKey, str] | None:

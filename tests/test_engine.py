@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -964,17 +965,27 @@ def test_the_driver_sums_each_state_once(monkeypatch):
     assert len({id(state) for state in summed}) == len(summed)
 
 
-def test_a_fold_that_merges_nothing_keeps_its_classes(monkeypatch):
-    # every fold of the lifted relay takes one class of one configuration:
-    # the class keeps its dict and the mass the fold check summed
-    folds = []
-    fold = engine._fold
+def _spy_on_the_folds(monkeypatch):
+    """Lists of the cutoffs `_fold_schedule` is built for and of the (classes in, classes out) of each `_fold`."""
+    built, folds = [], []
+    schedule, fold = engine._fold_schedule, engine._fold
 
     def spy(classes, cells):
         out = fold(classes, cells)
         folds.append((classes, out))
         return out
 
+    monkeypatch.setattr(engine, "_fold_schedule", lambda p: built.append(p.cutoff) or schedule(p))
+    monkeypatch.setattr(engine, "_fold", spy)
+    return built, folds
+
+
+@pytest.mark.parametrize("build, x", [(_lifted_parity_relay, "111")]
+                         + [(_reduced_parity_relay, x) for x in ("1", "11", "111")])
+def test_a_round_of_one_configuration_builds_no_fold_schedule_and_folds_nothing(monkeypatch, build, x):
+    # cells die in every round of the relay's lift and reduction, but each of
+    # their rounds moves one configuration, which can merge with nothing
+    built, folds = _spy_on_the_folds(monkeypatch)
     summed = []
     mass = engine._mass
 
@@ -982,17 +993,52 @@ def test_a_fold_that_merges_nothing_keeps_its_classes(monkeypatch):
         summed.append(state)
         return mass(state, quantum)
 
-    monkeypatch.setattr(engine, "_fold", spy)
     monkeypatch.setattr(engine, "_mass", count)
-    result = simulate(_lifted_parity_relay(), "111")
-    assert [(r.configurations, r.stored) for r in result.rounds] == [(1, 1)] * 4 + [(0, 0)]
-    assert len(summed) == 9
-    assert folds
-    for before, after in folds:
-        assert len(after) == len(before)
-        for kept, c in zip(after, before):
-            assert kept.state is c.state
-            assert c.mass is not None and kept.mass == c.mass
+    result = simulate(build(), x)
+    assert result.p_accept == pytest.approx(1.0, abs=1e-12)
+    assert result.halted_round == len(x) + 2
+    if build is _lifted_parity_relay:
+        assert [(r.configurations, r.stored) for r in result.rounds] == [(1, 1)] * 4 + [(0, 0)]
+        # one sum per round, of its residual: no fold check sums the moved state
+        assert len(summed) == len(result.rounds)
+    assert built == []
+    assert folds == []
+
+
+def _four_messages(gain=1.0):
+    """The verifier logs one of four messages with its prover, then reads the input; the
+    prover's second move scales each history by `gain`. Its first log cell dies in round 2."""
+    symbols = ("a", "b", "c", "d")
+    verifier = _two_way(
+        {
+            ("q0", LEFT_END, (BLANK,)): tuple(("q1", 1, (s,), 0.5) for s in symbols),
+            ("q1", "0", (BLANK,)): (("q2", 1, (BLANK,), 1.0),),
+            ("q2", RIGHT_END, (BLANK,)): (("acc", 1, (BLANK,), 1.0),),
+        },
+        ("q0", "q1", "q2"),
+        comm=(BLANK,) + symbols,
+    )
+    logged = LoggedReplyStrategy("scale", lambda step, recv: [(BLANK, 1.0 if step == 1 else gain)])
+    prover = ProverSpec(index=1, comm_alphabet=(BLANK,) + symbols, tape_alphabet=(BLANK,) + symbols,
+                        space=2, strategy=logged)
+    return ProtocolSpec(name="four_messages", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=3)
+
+
+def test_a_fold_that_merges_nothing_keeps_its_classes(monkeypatch):
+    # two_rotations folds one class of four configurations in round 2, all
+    # with one content of the dead cells, so one history: the class keeps its
+    # dict and the mass the fold check summed
+    built, folds = _spy_on_the_folds(monkeypatch)
+    result = simulate(_two_rotating_provers(), "0")
+    assert (result.p_accept, result.p_reject) == (pytest.approx(0.75, abs=1e-12), pytest.approx(0.25, abs=1e-12))
+    assert built == [3]
+    ((before, after),) = folds
+    assert [len(c.state) for c in before] == [4]
+    assert len(after) == len(before)
+    for kept, c in zip(after, before):
+        assert kept.state is c.state
+        assert kept.multiplicity == c.multiplicity
+        assert c.mass is not None and kept.mass == c.mass
 
 
 class _Cells:
@@ -1055,10 +1101,9 @@ def test_the_fold_schedule_matches_its_definition(p):
 
 def test_the_fold_schedule_is_built_only_at_a_round_that_can_fold(monkeypatch):
     # round 1 never folds, nor does the last round, so neither a sweep's
-    # shared round 1 nor a cutoff-2 run builds the schedule
-    built = []
-    schedule = engine._fold_schedule
-    monkeypatch.setattr(engine, "_fold_schedule", lambda p: built.append(p.cutoff) or schedule(p))
+    # shared round 1 nor a cutoff-2 run builds the schedule; a round that
+    # moves a single configuration does not fold either
+    built, folds = _spy_on_the_folds(monkeypatch)
     relay = corpus.build("parity_relay")
     search(relay, "1", cutoff=2)
     search(corpus.build("no_comm_lift"), "0")
@@ -1066,9 +1111,91 @@ def test_the_fold_schedule_is_built_only_at_a_round_that_can_fold(monkeypatch):
     # derandomization's trials (measured strategies, then reply tables) declare no cells
     assert relay.cutoff > 3
     derandomize_provers(relay, "11", (rotation_reply(BLANK, "1"), constant_reply(BLANK)))
-    assert built == []
+    # nor does a run that moves one configuration per round
     simulate(relay, "11")
-    assert built == [relay.cutoff]
+    assert built == folds == []
+    # round 2 of this run moves four configurations, and they merge into one
+    # class of multiplicity 4
+    four = _four_messages()
+    result = simulate(four, "0")
+    assert result.p_accept == pytest.approx(1.0, abs=1e-12)
+    assert [(r.configurations, r.stored) for r in result.rounds] == [(4, 4), (4, 1), (0, 0)]
+    assert built == [four.cutoff]
+    ((before, after),) = folds
+    assert [len(c.state) for c in before] == [4]
+    assert [(len(c.state), c.multiplicity) for c in after] == [(1, 4)]
+
+
+def _reference_merge(classes, split):
+    """The merge rule spelled out: each history's state and key built in full. `engine._merge` must match it."""
+    merged: dict = {}
+    for state, multiplicity, mass in classes:
+        histories: dict = {}
+        for config, amp in state.items():
+            history, outside = split(config)
+            members = histories.get(history)
+            if members is None:
+                members = histories[history] = ({}, [])
+            members[0][config] = amp
+            members[1].append((outside, amp))
+        whole = len(histories) == 1
+        for members, outside in histories.values():
+            key = frozenset(outside)
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [state, multiplicity, mass] if whole else [members, multiplicity, None]
+            else:
+                entry[1] += multiplicity
+    return [engine._Class(*entry) for entry in merged.values()]
+
+
+def _splits(fold, stashed):
+    """The splits that `_fold` by `fold` and `_fold_stashes` of the `stashed` slots hand to `_merge`."""
+    splits = []
+    with mock.patch.object(engine, "_merge", lambda classes, split: splits.append(split) or classes):
+        engine._fold([], fold)
+        engine._fold_stashes([], stashed)
+    return splits
+
+
+# two slots, each a cell and a tape of three cells; the alphabets are small,
+# and "zz" is no track symbol, so histories often agree outside their split
+_CELL = st.sampled_from((BLANK, "[a/0]", "[a/1]", "[b/0]", "zz"))
+_TAPE = st.tuples(*[st.sampled_from((BLANK, "0"))] * 3)
+_CONFIGURATION = st.builds(Configuration, st.sampled_from(("q0", "q1")), st.integers(0, 1),
+                           st.tuples(_CELL, _CELL), st.tuples(_TAPE, _TAPE))
+
+
+@st.composite
+def _classes_to_merge(draw):
+    pool = draw(st.lists(_CONFIGURATION, min_size=1, max_size=8, unique=True))
+    state = st.dictionaries(st.sampled_from(pool), st.sampled_from((0.5, -0.5, 0.5j, 1.0)), min_size=1, max_size=6)
+    mass = st.one_of(st.none(), st.floats(0.0, 1.0))
+    return draw(st.lists(st.builds(engine._Class, state, st.integers(1, 3), mass), min_size=1, max_size=4))
+
+
+@st.composite
+def _split_by_both_folds(draw):
+    """The splits of a dead-cell fold and a mask merge drawn for `_CONFIGURATION`'s tapes and slots."""
+    roles = draw(st.lists(st.lists(st.sampled_from("dcn"), min_size=3, max_size=3), min_size=2, max_size=2))
+    fold = engine._Fold(*(tuple(tuple(i for i, r in enumerate(tape) if r == role) for tape in roles)
+                          for role in "dc"))
+    stashed = tuple(draw(st.lists(st.sampled_from((0, 1)), unique=True).map(sorted)))
+    return _splits(fold, stashed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes=_classes_to_merge(), splits=_split_by_both_folds())
+def test_the_merge_matches_its_reference(classes, splits):
+    for split in splits:
+        got, want = engine._merge(classes, split), _reference_merge(classes, split)
+        assert len(got) == len(want)
+        for new, ref in zip(got, want):
+            assert list(new.state.items()) == list(ref.state.items())
+            assert new.multiplicity == ref.multiplicity
+            assert new.mass == ref.mass
+            if any(ref.state is c.state for c in classes):
+                assert new.state is ref.state
 
 
 _SWEPT = {
@@ -1118,21 +1245,7 @@ def test_a_drift_spread_over_merged_histories_is_still_a_run_fault():
     # four logged messages merge into one class of multiplicity 4; the
     # prover's second move then inflates every history by 2e-9 in mass,
     # which is 5e-10 per class but 2e-9 over the run, above ROUND_TOL
-    symbols = ("a", "b", "c", "d")
-    verifier = _two_way(
-        {
-            ("q0", LEFT_END, (BLANK,)): tuple(("q1", 1, (s,), 0.5) for s in symbols),
-            ("q1", "0", (BLANK,)): (("q2", 1, (BLANK,), 1.0),),
-            ("q2", RIGHT_END, (BLANK,)): (("acc", 1, (BLANK,), 1.0),),
-        },
-        ("q0", "q1", "q2"),
-        comm=(BLANK,) + symbols,
-    )
-    gain = math.sqrt(1 + 2e-9)
-    inflating = LoggedReplyStrategy("inflate", lambda step, recv: [(BLANK, 1.0 if step == 1 else gain)])
-    prover = ProverSpec(index=1, comm_alphabet=(BLANK,) + symbols, tape_alphabet=(BLANK,) + symbols,
-                        space=2, strategy=inflating)
-    p = ProtocolSpec(name="drift", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=3)
+    p = _four_messages(gain=math.sqrt(1 + 2e-9))
     for protocol in (p, _hiding_cells(p)):
         with pytest.raises(RunFault, match="round 3 is not mass-preserving"):
             simulate(protocol, "0")

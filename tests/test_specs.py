@@ -53,7 +53,7 @@ from qmipsim.specs import (
     xor_symbols,
 )
 from qmipsim.tolerances import ORTHO_TOL
-from qmipsim.transforms import lift_2ip_to_3qip
+from qmipsim.transforms import lift_2ip_to_3qip, reduce_3qip_to_2qip, unify_alphabets
 
 H = 1 / math.sqrt(2)
 
@@ -592,6 +592,40 @@ def test_validate_protocol_rejects_backward_move_in_one_way_mode():
         validate_protocol(_tiny_protocol(rows=rows))
     # a two-way machine may move left
     validate_protocol(_tiny_protocol(rows=rows, mode="2pfa"))
+
+
+def test_validate_protocol_rejects_a_one_way_verifier_that_wraps_past_the_right_endmarker():
+    # half the mass leaves `$` for a live state and would sweep the input again
+    rows = {
+        ("q0", LEFT_END, ("#",)): (("q0", 1, ("#",), 1.0),),
+        ("q0", "0", ("#",)): (("q0", 1, ("#",), 1.0),),
+        ("q0", RIGHT_END, ("#",)): (("acc", 1, ("#",), 0.5), ("q0", 1, ("#",), 0.5)),
+    }
+    for mode in ("1pfa", "1qfa"):
+        with pytest.raises(ValidationError, match=r"^one-way verifier must halt at '\$'$"):
+            validate_protocol(_tiny_protocol(rows=rows, mode=mode))
+    # a two-way machine keeps the circular tape
+    validate_protocol(_tiny_protocol(rows=rows, mode="2pfa"))
+    # a one-way machine whose `$` row halts is fine
+    halting = {**rows, ("q0", RIGHT_END, ("#",)): (("acc", 1, ("#",), 0.5), ("rej", 1, ("#",), 0.5))}
+    validate_protocol(_tiny_protocol(rows=halting))
+
+
+def _corpus_and_transform_outputs():
+    for name in sorted(corpus.REGISTRY):
+        yield name, corpus.build(name)
+    for name in ("no_comm", "parity_relay"):
+        lifted = lift_2ip_to_3qip(corpus.build(name)).protocol
+        unified = unify_alphabets(lifted)
+        yield from ((f"{name}_lift", lifted), (f"{name}_unify", unified),
+                    (f"{name}_reduce", reduce_3qip_to_2qip(unified).protocol))
+
+
+def test_every_corpus_protocol_and_transform_output_still_validates():
+    checked = dict(_corpus_and_transform_outputs())
+    for p in checked.values():
+        validate_protocol(p)
+    assert {p.verifier.mode for p in checked.values()} >= {"1pfa", "1qfa"}
 
 
 def test_validate_protocol_rejects_prover_count_mismatch():
