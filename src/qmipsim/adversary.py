@@ -45,7 +45,7 @@ provers at each replacement, which gives the dominance guarantee. Each
 candidate reply is scored by resuming the driver from the walk's current
 round. The quantum run, the walk, every candidate's resumed rounds and the
 final deterministic run share one column cache, and their strategies
-declare no cells, so no run builds a fold schedule.
+declare no `stash`, so no run merges histories.
 """
 from __future__ import annotations
 

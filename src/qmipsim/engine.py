@@ -13,19 +13,19 @@ the measurement run as one pass grouped by prover tapes
 (`_verify_and_measure`). The residual stays unnormalized; mass still
 unresolved at the cutoff is reported as leftover.
 
-Strategies declare the tape cells each move reads or writes
-(`specs.declared_cells`); a cell no later move touches is dead. The part of
-the state with one content of the dead cells, a history, never interferes with
-another again, and histories whose states agree outside dead cells evolve
-identically. So the driver keeps them once, as a class with an integer
-multiplicity whose later stages run once and whose masses are weighted by it:
-before every prover stage by the lower tracks that a move will `stash` (the
-reduction's one-time-pad masks, 16 per round of the reduced `parity_relay`),
-and after the prover stage of a round in which a cell dies if it moved two
-configurations or more. `RoundStat.configurations` is the sum of multiplicity
-times residual size, exactly the pure state's count; `RoundStat.stored` is the
-sum of residual sizes, what the driver holds. A run where no cell dies and no
-move stashes is one class of multiplicity 1.
+A strategy that declares `stash(step)` writes the lower track of its
+reception, the reduction's one-time-pad mask, into a cell no later move
+touches, and nothing else of its move reads that track (see `specs`). The
+part of the state with one content of those tracks, a history, never
+interferes with another again, and histories whose states agree with
+reception upper tracks in place of receptions evolve identically. So before
+every prover stage the driver keeps them once, as a class with an integer
+multiplicity whose later stages run once and whose masses are weighted by it
+(16 histories per round of the reduced `parity_relay`).
+`RoundStat.configurations` is the sum of multiplicity times residual size,
+exactly the pure state's count; `RoundStat.stored` is the sum of residual
+sizes, what the driver holds. A run where no move stashes is one class of
+multiplicity 1.
 
 `_rounds` is the one round driver: a generator that yields each round as it is
 run, which `simulate` consumes whole and derandomization (`adversary`) steps
@@ -41,9 +41,8 @@ columns, not 2,279, and a derandomization of `parity_relay` on "1" 5, not 19.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice, product
+from itertools import islice, product
 from math import prod
-from operator import itemgetter, or_
 from typing import Callable, Iterator, NamedTuple
 
 from .amplitudes import StateVector, apply_sparse_operator, norm_sq
@@ -55,7 +54,6 @@ from .specs import (
     ProtocolSpec,
     ProverSpec,
     VerifierSpec,
-    declared_cells,
     parse_track,
 )
 from .tolerances import CONSERVATION_TOL, PRUNE_TOL, ROUND_TOL
@@ -354,10 +352,10 @@ def _prover_stage(p: ProtocolSpec, state: StateVector, round_index: int) -> Stat
 def run_round(
     p: ProtocolSpec, tape: tuple[str, ...], state: StateVector, round_index: int
 ) -> tuple[float, float, StateVector]:
-    """One full round of one state, unfolded; returns (accept mass, reject mass, residual).
+    """One full round of one state, unmerged; returns (accept mass, reject mass, residual).
 
     The verifier's mode says whether masses are squared amplitudes or plain
-    weights. The round driver runs the same two stages with the fold between them.
+    weights. The round driver runs the same two stages per class, after the merge by masks.
     """
     quantum = p.verifier.is_quantum()
     before = _mass(state, quantum)
@@ -367,45 +365,6 @@ def run_round(
     return p_acc, p_rej, residual
 
 
-def _touched(prover: ProverSpec, step: int) -> frozenset[int]:
-    """The tape cells the prover's move at `step` reads or writes; all of them unless declared."""
-    tape = range(prover.space)
-    declared = declared_cells(prover.strategy, step)
-    return frozenset(tape if declared is None else filter(tape.__contains__, declared))
-
-
-class _Fold(NamedTuple):
-    """What the folds around one round's prover stage need, per prover tape."""
-    dead: tuple[tuple[int, ...], ...]  # cells touched so far and never again
-    carried: tuple[tuple[int, ...], ...]  # cells touched so far and again later
-
-
-def _fold_schedule(p: ProtocolSpec) -> Callable[[int], _Fold | None]:
-    """The fold after the prover stage of round j, as a function of j; None when no cell dies.
-
-    The provers move at step j-1 in round j. A cell is dead from that move on
-    when some move has touched it and no move up to p's cutoff touches it
-    again, so the driver folds before round j's verifier pass (never in the
-    last round). Cells no move has touched yet hold the blank in every
-    history, so only `carried` cells can tell two histories apart outside
-    dead cells. Each step's cells and their prefix and suffix unions per tape
-    are computed once, so a round's fold costs a few set operations.
-    """
-    # per_tape[i][s - 1]: the cells prover i touches at step s
-    per_tape = list(zip(*([_touched(pr, step) for pr in p.provers] for step in range(1, p.cutoff))))
-    earlier = [list(accumulate(cells, or_)) for cells in per_tape]
-    later = [list(accumulate(reversed(cells), or_))[::-1] for cells in per_tape]
-
-    def fold_after(j: int) -> _Fold | None:
-        if not 2 <= j < p.cutoff or not any(cells[j - 2] - rest[j - 1] for cells, rest in zip(per_tape, later)):
-            return None
-        dead = [before[j - 2] - rest[j - 1] for before, rest in zip(earlier, later)]
-        carried = [before[j - 2] & rest[j - 1] for before, rest in zip(earlier, later)]
-        return _Fold(tuple(tuple(sorted(c)) for c in dead), tuple(tuple(sorted(c)) for c in carried))
-
-    return fold_after
-
-
 class _Class(NamedTuple):
     """Histories kept once: a representative state, its multiplicity, and its mass if known."""
     state: StateVector
@@ -413,16 +372,34 @@ class _Class(NamedTuple):
     mass: float | None
 
 
-def _merge(classes: list[_Class], split: Callable) -> list[_Class]:
-    """Split each class into histories by `split(config)`, which gives a configuration's
-    history and what of it later rounds can tell apart, and merge histories whose parts are
-    equal, amplitude for amplitude, into one class whose multiplicity is the sum of theirs,
-    the first as its representative; a class of one history keeps its dict and mass."""
+def _fold_stashes(classes: list[_Class], stashed: tuple[int, ...]) -> list[_Class]:
+    """Merge histories by the lower tracks that the prover stage will stash in the `stashed` slots.
+
+    Before the move, each class splits into histories by those tracks. The
+    stash cell is dead from the move on and nothing else of the move reads
+    them (the `stash` contract), so histories whose configurations agree,
+    amplitude for amplitude, with reception upper tracks in place of
+    receptions evolve alike: they merge into one class whose multiplicity is
+    the sum of theirs, the first as its representative. A class of one
+    history keeps its dict and mass. A reception `parse_track` cannot split
+    stays alone, for the move to raise.
+    """
     merged: dict = {}
     for state, multiplicity, mass in classes:
         histories: dict = {}
         for config, amp in state.items():
-            history, outside = split(config)
+            q, head, comm, tapes = config
+            cells = list(comm)
+            lowers = []
+            for slot in stashed:
+                halves = parse_track(cells[slot])
+                if halves is None:
+                    history, outside = config, object()
+                    break
+                cells[slot], lower = halves
+                lowers.append(lower)
+            else:
+                history, outside = tuple(lowers), (q, head, tuple(cells), tapes)
             histories.setdefault(history, []).append((config, outside, amp))
         whole = len(histories) == 1
         for members in histories.values():
@@ -437,71 +414,27 @@ def _merge(classes: list[_Class], split: Callable) -> list[_Class]:
     return [_Class(*entry) for entry in merged.values()]
 
 
-def _fold(classes: list[_Class], fold: _Fold) -> list[_Class]:
-    """`_merge` by the dead cells, after the prover stage: no later move reads them, and
-    histories equal in state, head, cells and carried cells evolve alike."""
-    # one getter per tape, called as get(getter, tape); `itemgetter(slice(0))` reads no cell
-    get = itemgetter.__call__
-    dead_of = [itemgetter(*cells) if cells else itemgetter(slice(0)) for cells in fold.dead]
-    carried_of = [itemgetter(*cells) if cells else itemgetter(slice(0)) for cells in fold.carried]
-
-    def split(config: Configuration):
-        q, head, comm, tapes = config
-        return tuple(map(get, dead_of, tapes)), (q, head, comm, tuple(map(get, carried_of, tapes)))
-
-    return _merge(classes, split)
-
-
-def _fold_stashes(classes: list[_Class], stashed: tuple[int, ...]) -> list[_Class]:
-    """`_merge` by the lower tracks that the prover stage will stash in the `stashed` slots, before
-    it: the stash cell is dead from the move on and nothing else of the move reads them (the
-    `stash` contract), so histories equal with reception uppers in place of receptions evolve
-    alike. A reception `parse_track` cannot split stays alone, for the move to raise."""
-    def split(config: Configuration):
-        q, head, comm, tapes = config
-        cells = list(comm)
-        lowers = []
-        for slot in stashed:
-            halves = parse_track(cells[slot])
-            if halves is None:
-                return config, object()
-            cells[slot], lower = halves
-            lowers.append(lower)
-        return tuple(lowers), (q, head, tuple(cells), tapes)
-
-    return _merge(classes, split)
-
-
 def _rounds(
     p: ProtocolSpec, x: str, after: tuple[RoundStat, list[_Class]] | None = None, columns: dict | None = None,
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
     From round 2 on, every round merges by the lower tracks that the slots
-    whose strategy declares `stash` will stash (`_fold_stashes`) and runs the
-    prover stage per class; a round before the last whose moved classes hold
-    two configurations or more folds the cells that died in it (`_fold`), and
-    every round runs the verifier pass and its measurement per class. The
-    stashing slots are found once per call, `_fold_schedule` at the first round
-    that folds, and only when some prover's strategy declares `cells`: a caller
-    that takes only round 1, a cutoff-2 run, a run whose strategies declare no
-    cells (derandomization's trials) or one of a single configuration per round
-    (the relay's lift and reduction) never builds it. The last round yielded is
+    whose strategy declares `stash` will stash (`_fold_stashes`), found once
+    per call, and runs the prover stage per class; every round runs the
+    verifier pass and its measurement per class. The last round yielded is
     `p.cutoff`'s or the first whose residual mass is at most PRUNE_TOL. Round
-    j+1 is built only when the caller asks for it, from the provers' strategies
-    as they are then. `after` resumes from a pair the run yielded, round 0 (the
-    initial state) by default; the rounds that follow are the uninterrupted
-    run's. Every verifier pass of the run reads one column cache, `columns`
-    when the caller passes one for p's verifier on x (see the module
-    docstring), else a new one per call.
+    j+1 is built only when the caller asks for it, from the provers'
+    strategies as they are then. `after` resumes from a pair the run yielded,
+    round 0 (the initial state) by default; the rounds that follow are the
+    uninterrupted run's. Every verifier pass of the run reads one column
+    cache, `columns` when the caller passes one for p's verifier on x (see
+    the module docstring), else a new one per call.
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
     columns = {} if columns is None else columns
-    # no declared cells: every move touches its whole tape, and no cell dies
-    folds = any(getattr(pr.strategy, "cells", None) is not None for pr in p.provers)
     stashed = tuple(pr.index - 1 for pr in p.provers if hasattr(pr.strategy, "stash"))
-    fold_after = None
     if after is None:
         after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
     stat, survivors = after
@@ -510,23 +443,11 @@ def _rounds(
         if before <= PRUNE_TOL:
             return
         # a class keeps its mass from before the prover stage (the mask merge sums
-        # the classes it splits off): an unfolded class checks both stages against
-        # it in its verifier pass; a fold checks the prover stage first, and the
-        # classes it keeps whole keep the moved mass
+        # the classes it splits off), and its verifier pass checks both stages against it
         if stashed and j >= 2:
             survivors = [c if c.mass is not None else c._replace(mass=_mass(c.state, quantum))
                          for c in _fold_stashes(survivors, stashed)]
         classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
-        fold = None
-        if folds and 2 <= j < p.cutoff and sum(len(c.state) for c in classes) > 1:
-            fold_after = fold_after or _fold_schedule(p)
-            fold = fold_after(j)
-        if fold is not None:
-            for i, (moved, multiplicity, mass) in enumerate(classes):
-                moved_mass = _mass(moved, quantum)
-                _check_round(j, mass, moved_mass, 0.0, 0.0, moved_mass)
-                classes[i] = _Class(moved, multiplicity, moved_mass)
-            classes = _fold(classes, fold)
         p_acc = p_rej = residual_mass = 0.0
         configurations = stored = 0
         survivors = []

@@ -117,25 +117,14 @@ def xor_symbols(encoding: Mapping[str, str], a: str, b: str) -> str:
 # step-indexed cell, so the write target is fresh on every reachable state
 # and injectivity comes for free.
 #
-# Every built-in but `DerandomizedStrategy` also declares `cells(step)`: the
-# tape cells its move at that step reads or writes. The move never reads
-# another cell and leaves every other cell as it was; the engine relies on
-# this to fold histories that differ only in cells no later step touches.
-# `None`, or no `cells` method at all, means the whole tape. A strategy that
-# declares `stash(step)` takes on a contract as well: its move at that step
-# writes the lower track of its reception into that cell, nothing else of the
-# move reads that track, and no later move touches that cell, whatever `cells`
-# declares. The engine relies on this to merge histories that differ only in
-# those tracks before every move.
+# A strategy that declares `stash(step)` takes on a contract: its move at
+# that step writes the lower track of its reception into that cell, nothing
+# else of the move reads that track, and no later move touches that cell.
+# The engine relies on this to merge histories that differ only in those
+# tracks before every move.
 
 Tape = tuple[str, ...]
 QuantumMove = list[tuple[tuple[str, Tape], complex]]
-
-
-def declared_cells(strategy: object, step: int) -> tuple[int, ...] | None:
-    """The cells `strategy` declares for its move at `step`; None for the whole tape."""
-    cells = getattr(strategy, "cells", None)
-    return None if cells is None else cells(step)
 
 
 def _single_move(moves: QuantumMove, message: str, amplitude: bool = False) -> tuple[str, Tape]:
@@ -191,9 +180,6 @@ class EraserStrategy:
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
         return _single_move(self.apply_quantum(step, comm, tape), "eraser has no classical form")
 
-    def cells(self, step: int) -> tuple[int, ...]:
-        return (step - 1,)
-
 
 @dataclass(frozen=True)
 class ClassicalTableStrategy:
@@ -241,9 +227,6 @@ class ClassicalTableStrategy:
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         return [(self.apply_classical(step, comm, tape), 1.0 + 0j)]
 
-    def cells(self, step: int) -> tuple[int, ...]:
-        return tuple(range(self.work))
-
 
 @dataclass(frozen=True)
 class ReversibleWrapStrategy:
@@ -271,9 +254,6 @@ class ReversibleWrapStrategy:
 
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
         return _single_move(self.apply_quantum(step, comm, tape), "reversible wrap has no classical form")
-
-    def cells(self, step: int) -> tuple[int, ...]:
-        return self.inner.cells(step) + (self.hist_offset + step - 1,)
 
 
 @dataclass(frozen=True)
@@ -313,11 +293,6 @@ class TrackWrapStrategy:
             self.apply_quantum(step, comm, tape), "track wrap over a branching strategy has no classical form"
         )
 
-    def cells(self, step: int) -> tuple[int, ...] | None:
-        """The inner strategy's cells plus this step's stash cell; None if the inner declares none."""
-        inner = declared_cells(self.inner, step)
-        return None if inner is None else tuple(inner) + (self.stash(step),)
-
     def stash(self, step: int) -> int:
         return self.mask_offset + step - 1
 
@@ -349,9 +324,6 @@ class UnitaryTableStrategy:
             amplitude=True,
         )
 
-    def cells(self, step: int) -> tuple[int, ...]:
-        return tuple(range(self.work))
-
 
 @dataclass(frozen=True)
 class LoggedReplyStrategy:
@@ -370,9 +342,6 @@ class LoggedReplyStrategy:
     def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
         moves = self.apply_quantum(step, comm, tape)
         return _single_move(moves, f"strategy {self.label} branches; no classical form")
-
-    def cells(self, step: int) -> tuple[int, ...]:
-        return (step - 1,)
 
 
 @dataclass(frozen=True)

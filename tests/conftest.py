@@ -1,4 +1,4 @@
-"""Hypothesis profiles for the test suite.
+"""Hypothesis profiles and shared generators for the test suite.
 
 `ci` replays the same examples on every run and has no deadline, so a
 failing property reproduces locally and a loaded runner cannot make one
@@ -7,5 +7,39 @@ flaky:
     python -m pytest -q --hypothesis-profile=ci
 """
 from hypothesis import settings
+from hypothesis import strategies as st
+
+from qmipsim.specs import LEFT_END, RIGHT_END, ProtocolSpec, VerifierSpec
 
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+
+def _fair_coin_row(draw, targets):
+    """One or two distinct targets of `targets`, each reached by a +1 move at weight 1 or 1/2."""
+    chosen = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True))
+    return tuple((q2, 1, (), 1.0 / len(chosen)) for q2 in chosen)
+
+
+@st.composite
+def one_way_protocols(draw):
+    """Valid one-way protocols: zero-prover `1pfa` verifiers with 2-4 live states and a row for
+    every live state and symbol, each a fair coin that moves +1; `$` rows halt."""
+    live = tuple(f"q{i}" for i in range(draw(st.integers(2, 4))))
+    symbols = draw(st.sampled_from((("0",), ("0", "1"))))
+    everywhere = live + ("acc", "rej")
+    rows = {}
+    for q in live:
+        for sigma in (LEFT_END,) + symbols:
+            rows[(q, sigma, ())] = _fair_coin_row(draw, everywhere)
+        rows[(q, RIGHT_END, ())] = _fair_coin_row(draw, ("acc", "rej"))
+    verifier = VerifierSpec(
+        mode="1pfa",
+        states=everywhere,
+        initial="q0",
+        accept=frozenset({"acc"}),
+        reject=frozenset({"rej"}),
+        input_alphabet=symbols,
+        comm_alphabets=(),
+        rows=rows,
+    )
+    return ProtocolSpec(name="one_way", verifier=verifier, provers=(), a=1.0, b=1.0, cutoff=1)

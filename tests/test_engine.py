@@ -2,14 +2,13 @@ import dataclasses
 import itertools
 import math
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmipsim import corpus, engine
-from qmipsim.adversary import default_families, derandomize_provers, search
+from qmipsim.adversary import default_families, search
 from qmipsim.amplitudes import CONSERVATION_TOL, PRUNE_TOL, apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
@@ -36,8 +35,10 @@ from qmipsim.specs import (
     VerifierSpec,
     constant_reply,
     echo_reply,
+    parse_track,
     rotation_reply,
 )
+from qmipsim.tolerances import ROUND_TOL
 from qmipsim.transforms import lift_2ip_to_3qip, make_eraser, reduce_3qip_to_2qip, unify_alphabets
 
 H = 1 / math.sqrt(2)
@@ -792,7 +793,7 @@ def test_fused_round_matches_staged_reference(name, x):
 
 
 class _Hidden:
-    """A strategy with its cells hidden, so the engine keeps its whole tape live."""
+    """A strategy with its `stash` hidden, so the engine merges nothing by its masks."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -817,7 +818,7 @@ def _outcome(p, x):
 
 
 def _assert_agree(p, x):
-    """The folded run and the whole-tape run of p agree, faults included."""
+    """The run of p merged by masks and the unmerged run (every `stash` hidden) agree, faults included."""
     folded, whole = _outcome(p, x), _outcome(_hiding_cells(p), x)
     if isinstance(folded, type) or isinstance(whole, type):
         assert folded == whole
@@ -918,7 +919,7 @@ def test_a_reception_that_is_no_track_symbol_faults_the_last_round():
 def test_the_mask_merge_runs_in_the_last_round(monkeypatch):
     # no_comm_reduce moves its provers only in round 2, its last: the 32
     # configurations of the round-1 residual differ in their masks alone and
-    # merge into 2 before the move, with no fold schedule built
+    # merge into 2 before the move
     sources = []
     stage = engine._prover_stage
 
@@ -926,25 +927,20 @@ def test_the_mask_merge_runs_in_the_last_round(monkeypatch):
         sources.append(len(state))
         return stage(p, state, round_index)
 
-    built = []
-    schedule = engine._fold_schedule
     monkeypatch.setattr(engine, "_prover_stage", spy)
-    monkeypatch.setattr(engine, "_fold_schedule", lambda p: built.append(p.cutoff) or schedule(p))
     result = simulate(corpus.build("no_comm_reduce"), "0")
     assert sources == [1, 2]
     assert repr((result.p_accept, result.p_reject)) == repr((0.49999999999999994, 0.49999999999999994))
-    assert built == []
 
 
 def test_a_track_wrap_over_hidden_cells_still_merges_by_masks():
     # the stash cell lies past the inner strategy's slice, so the masks merge
-    # before every move though the wrap declares its whole tape and no cell dies
+    # before every move whatever the inner strategy is
     p = _reduced_parity_relay()
     provers = tuple(
         dataclasses.replace(pr, strategy=dataclasses.replace(pr.strategy, inner=_Hidden(pr.strategy.inner)))
         for pr in p.provers
     )
-    assert all(pr.strategy.cells(1) is None for pr in provers)
     hidden = dataclasses.replace(p, provers=provers)
     _assert_agree(hidden, "111")
     assert [r.stored for r in simulate(hidden, "111").rounds] == [16, 16, 16, 16, 0]
@@ -965,27 +961,10 @@ def test_the_driver_sums_each_state_once(monkeypatch):
     assert len({id(state) for state in summed}) == len(summed)
 
 
-def _spy_on_the_folds(monkeypatch):
-    """Lists of the cutoffs `_fold_schedule` is built for and of the (classes in, classes out) of each `_fold`."""
-    built, folds = [], []
-    schedule, fold = engine._fold_schedule, engine._fold
-
-    def spy(classes, cells):
-        out = fold(classes, cells)
-        folds.append((classes, out))
-        return out
-
-    monkeypatch.setattr(engine, "_fold_schedule", lambda p: built.append(p.cutoff) or schedule(p))
-    monkeypatch.setattr(engine, "_fold", spy)
-    return built, folds
-
-
 @pytest.mark.parametrize("build, x", [(_lifted_parity_relay, "111")]
                          + [(_reduced_parity_relay, x) for x in ("1", "11", "111")])
 def test_a_round_of_one_configuration_builds_no_fold_schedule_and_folds_nothing(monkeypatch, build, x):
-    # cells die in every round of the relay's lift and reduction, but each of
-    # their rounds moves one configuration, which can merge with nothing
-    built, folds = _spy_on_the_folds(monkeypatch)
+    # each round of the relay's lift and reduction moves one configuration
     summed = []
     mass = engine._mass
 
@@ -999,135 +978,12 @@ def test_a_round_of_one_configuration_builds_no_fold_schedule_and_folds_nothing(
     assert result.halted_round == len(x) + 2
     if build is _lifted_parity_relay:
         assert [(r.configurations, r.stored) for r in result.rounds] == [(1, 1)] * 4 + [(0, 0)]
-        # one sum per round, of its residual: no fold check sums the moved state
+        # one sum per round, of its residual: no check sums the moved state
         assert len(summed) == len(result.rounds)
-    assert built == []
-    assert folds == []
-
-
-def _four_messages(gain=1.0):
-    """The verifier logs one of four messages with its prover, then reads the input; the
-    prover's second move scales each history by `gain`. Its first log cell dies in round 2."""
-    symbols = ("a", "b", "c", "d")
-    verifier = _two_way(
-        {
-            ("q0", LEFT_END, (BLANK,)): tuple(("q1", 1, (s,), 0.5) for s in symbols),
-            ("q1", "0", (BLANK,)): (("q2", 1, (BLANK,), 1.0),),
-            ("q2", RIGHT_END, (BLANK,)): (("acc", 1, (BLANK,), 1.0),),
-        },
-        ("q0", "q1", "q2"),
-        comm=(BLANK,) + symbols,
-    )
-    logged = LoggedReplyStrategy("scale", lambda step, recv: [(BLANK, 1.0 if step == 1 else gain)])
-    prover = ProverSpec(index=1, comm_alphabet=(BLANK,) + symbols, tape_alphabet=(BLANK,) + symbols,
-                        space=2, strategy=logged)
-    return ProtocolSpec(name="four_messages", verifier=verifier, provers=(prover,), a=1.0, b=1.0, cutoff=3)
-
-
-def test_a_fold_that_merges_nothing_keeps_its_classes(monkeypatch):
-    # two_rotations folds one class of four configurations in round 2, all
-    # with one content of the dead cells, so one history: the class keeps its
-    # dict and the mass the fold check summed
-    built, folds = _spy_on_the_folds(monkeypatch)
-    result = simulate(_two_rotating_provers(), "0")
-    assert (result.p_accept, result.p_reject) == (pytest.approx(0.75, abs=1e-12), pytest.approx(0.25, abs=1e-12))
-    assert built == [3]
-    ((before, after),) = folds
-    assert [len(c.state) for c in before] == [4]
-    assert len(after) == len(before)
-    for kept, c in zip(after, before):
-        assert kept.state is c.state
-        assert kept.multiplicity == c.multiplicity
-        assert c.mass is not None and kept.mass == c.mass
-
-
-class _Cells:
-    """A strategy that only declares its cells: `schedule[step - 1]`, None for the whole tape."""
-
-    def __init__(self, schedule):
-        self.schedule = schedule
-
-    def cells(self, step):
-        return self.schedule[step - 1]
-
-
-def _brute_fold(p, j):
-    """The fold after round j's prover stage, straight from its definition."""
-    def touched(prover, step):
-        cells = getattr(prover.strategy, "cells", None)
-        declared = None if cells is None else cells(step)
-        everything = set(range(prover.space))
-        return everything if declared is None else everything & set(declared)
-
-    def union(prover, steps):
-        return set().union(*(touched(prover, step) for step in steps))
-
-    if not 2 <= j < p.cutoff:
-        return None
-    before = [union(pr, range(1, j)) for pr in p.provers]
-    rest = [union(pr, range(j, p.cutoff)) for pr in p.provers]
-    if not any(touched(pr, j - 1) - later for pr, later in zip(p.provers, rest)):
-        return None
-    dead = [a - b for a, b in zip(before, rest)]
-    return engine._Fold(
-        tuple(tuple(sorted(cells)) for cells in dead),
-        tuple(tuple(sorted(a & b)) for a, b in zip(before, rest)),
-    )
-
-
-@st.composite
-def _scheduled_provers(draw):
-    cutoff = draw(st.integers(2, 10))
-    provers = []
-    for index in range(1, draw(st.integers(1, 3)) + 1):
-        space = draw(st.integers(0, 5))
-        # cells may reach past the tape, and a step may declare the whole tape
-        step_cells = st.one_of(st.none(), st.lists(st.integers(0, space + 2), max_size=4).map(tuple))
-        steps = st.lists(step_cells, min_size=cutoff, max_size=cutoff)
-        strategy = draw(st.one_of(st.just(object()), st.builds(_Cells, steps)))
-        provers.append(ProverSpec(index=index, comm_alphabet=(BLANK,), tape_alphabet=(BLANK,), space=space,
-                                  strategy=strategy))
-    verifier = corpus.build("no_comm").verifier
-    return ProtocolSpec(name="scheduled", verifier=verifier, provers=tuple(provers), a=1.0, b=1.0, cutoff=cutoff)
-
-
-@settings(max_examples=200, deadline=None)
-@given(p=_scheduled_provers())
-def test_the_fold_schedule_matches_its_definition(p):
-    fold_after = engine._fold_schedule(p)
-    for j in range(p.cutoff + 2):
-        assert fold_after(j) == _brute_fold(p, j), j
-
-
-def test_the_fold_schedule_is_built_only_at_a_round_that_can_fold(monkeypatch):
-    # round 1 never folds, nor does the last round, so neither a sweep's
-    # shared round 1 nor a cutoff-2 run builds the schedule; a round that
-    # moves a single configuration does not fold either
-    built, folds = _spy_on_the_folds(monkeypatch)
-    relay = corpus.build("parity_relay")
-    search(relay, "1", cutoff=2)
-    search(corpus.build("no_comm_lift"), "0")
-    next(_rounds(relay, "1"))
-    # derandomization's trials (measured strategies, then reply tables) declare no cells
-    assert relay.cutoff > 3
-    derandomize_provers(relay, "11", (rotation_reply(BLANK, "1"), constant_reply(BLANK)))
-    # nor does a run that moves one configuration per round
-    simulate(relay, "11")
-    assert built == folds == []
-    # round 2 of this run moves four configurations, and they merge into one
-    # class of multiplicity 4
-    four = _four_messages()
-    result = simulate(four, "0")
-    assert result.p_accept == pytest.approx(1.0, abs=1e-12)
-    assert [(r.configurations, r.stored) for r in result.rounds] == [(4, 4), (4, 1), (0, 0)]
-    assert built == [four.cutoff]
-    ((before, after),) = folds
-    assert [len(c.state) for c in before] == [4]
-    assert [(len(c.state), c.multiplicity) for c in after] == [(1, 4)]
 
 
 def _reference_merge(classes, split):
-    """The merge rule spelled out: each history's state and key built in full. `engine._merge` must match it."""
+    """The merge rule spelled out: each history's state and key built in full. `engine._fold_stashes` must match it."""
     merged: dict = {}
     for state, multiplicity, mass in classes:
         histories: dict = {}
@@ -1149,13 +1005,21 @@ def _reference_merge(classes, split):
     return [engine._Class(*entry) for entry in merged.values()]
 
 
-def _splits(fold, stashed):
-    """The splits that `_fold` by `fold` and `_fold_stashes` of the `stashed` slots hand to `_merge`."""
-    splits = []
-    with mock.patch.object(engine, "_merge", lambda classes, split: splits.append(split) or classes):
-        engine._fold([], fold)
-        engine._fold_stashes([], stashed)
-    return splits
+def _mask_split(stashed):
+    """The split of a configuration by the lower tracks of its `stashed` slots: (the lowers, the
+    configuration with upper tracks in their place), or (itself, a fresh object) if one is no track."""
+    def split(config):
+        comm = list(config.comm)
+        lowers = []
+        for slot in stashed:
+            halves = parse_track(comm[slot])
+            if halves is None:
+                return config, object()
+            comm[slot], lower = halves
+            lowers.append(lower)
+        return tuple(lowers), config._replace(comm=tuple(comm))
+
+    return split
 
 
 # two slots, each a cell and a tape of three cells; the alphabets are small,
@@ -1174,35 +1038,76 @@ def _classes_to_merge(draw):
     return draw(st.lists(st.builds(engine._Class, state, st.integers(1, 3), mass), min_size=1, max_size=4))
 
 
-@st.composite
-def _split_by_both_folds(draw):
-    """The splits of a dead-cell fold and a mask merge drawn for `_CONFIGURATION`'s tapes and slots."""
-    roles = draw(st.lists(st.lists(st.sampled_from("dcn"), min_size=3, max_size=3), min_size=2, max_size=2))
-    fold = engine._Fold(*(tuple(tuple(i for i, r in enumerate(tape) if r == role) for tape in roles)
-                          for role in "dc"))
-    stashed = tuple(draw(st.lists(st.sampled_from((0, 1)), unique=True).map(sorted)))
-    return _splits(fold, stashed)
+@settings(max_examples=300, deadline=None)
+@given(classes=_classes_to_merge(), stashed=st.lists(st.sampled_from((0, 1)), unique=True).map(sorted))
+def test_the_merge_matches_its_reference(classes, stashed):
+    got = engine._fold_stashes(classes, tuple(stashed))
+    want = _reference_merge(classes, _mask_split(stashed))
+    assert len(got) == len(want)
+    for new, ref in zip(got, want):
+        assert list(new.state.items()) == list(ref.state.items())
+        assert new.multiplicity == ref.multiplicity
+        assert new.mass == ref.mass
+        if any(ref.state is c.state for c in classes):
+            assert new.state is ref.state
 
 
 @settings(max_examples=300, deadline=None)
-@given(classes=_classes_to_merge(), splits=_split_by_both_folds())
-def test_the_merge_matches_its_reference(classes, splits):
-    for split in splits:
-        got, want = engine._merge(classes, split), _reference_merge(classes, split)
-        assert len(got) == len(want)
-        for new, ref in zip(got, want):
-            assert list(new.state.items()) == list(ref.state.items())
-            assert new.multiplicity == ref.multiplicity
-            assert new.mass == ref.mass
-            if any(ref.state is c.state for c in classes):
-                assert new.state is ref.state
+@given(classes=_classes_to_merge(), stashed=st.lists(st.sampled_from((0, 1)), unique=True).map(sorted))
+def test_a_mask_merge_that_merges_nothing_keeps_its_classes(classes, stashed):
+    # every class the merge returns is one history with a key of its own, so
+    # merging them again merges nothing: each keeps its dict, multiplicity and mass
+    once = engine._fold_stashes(classes, tuple(stashed))
+    again = engine._fold_stashes(once, tuple(stashed))
+    assert len(again) == len(once)
+    for kept, c in zip(again, once):
+        assert kept.state is c.state
+        assert kept.multiplicity == c.multiplicity
+        assert kept.mass == c.mass
+
+
+@pytest.mark.parametrize("x", ["1", "11"])
+def test_the_mask_merge_keeps_one_class_per_round_of_the_reduced_relay(x):
+    # the 16 lower-track histories of every round merge into one class before
+    # the move, so each round stores 16 configurations however many it counts;
+    # with every `stash` hidden, nothing merges and every configuration is stored
+    p = _reduced_parity_relay()
+    merged, whole = simulate(p, x), simulate(_hiding_cells(p), x)
+    counts = [16 ** j for j in range(1, len(x) + 2)] + [0]
+    assert [r.configurations for r in merged.rounds] == [r.configurations for r in whole.rounds] == counts
+    assert [r.stored for r in merged.rounds] == [min(n, 16) for n in counts]
+    assert [r.stored for r in whole.rounds] == counts
+    assert repr((merged.p_accept, merged.p_reject, merged.leftover)) == repr(
+        (whole.p_accept, whole.p_reject, whole.leftover))
+
+
+class _Declaring:
+    """`inner` with a `cells` method that declares no cell at any step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def cells(self, step):
+        return ()
+
+
+def test_the_engine_ignores_a_strategys_cells():
+    # a declaration that no cell is live would have folded every history of a
+    # round into one; the engine no longer reads `cells`, so the run is unchanged
+    for p, x in ((_reduced_parity_relay(), "11"), (_two_rotating_provers(), "0"), (corpus.build("parity_relay"), "11")):
+        declaring = dataclasses.replace(
+            p, provers=tuple(dataclasses.replace(pr, strategy=_Declaring(pr.strategy)) for pr in p.provers))
+        assert repr(simulate(declaring, x)) == repr(simulate(p, x))
 
 
 _SWEPT = {
     "no_comm_lift": ("", "0", "00"),
     "no_comm_reduce": ("", "0", "00"),
     "parity_relay": ("", "1", "11", "111"),
-    # the relay's lift and reduction run long enough for dead cells to fold
+    # the relay's lift and reduction run for several rounds of prover moves
     "parity_relay_lift": ("1", "11", "111"),
     "parity_relay_reduced": ("1", "11", "111"),
 }
@@ -1226,7 +1131,7 @@ def _rotation(alphabet):
 @given(name=st.sampled_from(sorted(_SWEPT)), cutoff=st.integers(2, 4), data=st.data())
 def test_sweep_combinations_agree_with_the_whole_tape_run(name, cutoff, data):
     # each prover plays a default-family member, a rotation, or its honest
-    # strategy; honest provers keep runs of the relay alive long enough to fold
+    # strategy; honest provers keep runs of the relay alive past round 2
     p = _protocol(name)
     families = _default_strategies(name, cutoff)
     provers = tuple(
@@ -1241,14 +1146,33 @@ def test_sweep_combinations_agree_with_the_whole_tape_run(name, cutoff, data):
     _assert_agree(trial, data.draw(st.sampled_from(_SWEPT[name])))
 
 
+class _Scaled:
+    """A strategy whose moves are `inner`'s with every amplitude times `gain`."""
+
+    def __init__(self, inner, gain):
+        self.inner = inner
+        self.gain = gain
+
+    def apply_quantum(self, step, comm, tape):
+        return [(move, amp * self.gain) for move, amp in self.inner.apply_quantum(step, comm, tape)]
+
+
 def test_a_drift_spread_over_merged_histories_is_still_a_run_fault():
-    # four logged messages merge into one class of multiplicity 4; the
-    # prover's second move then inflates every history by 2e-9 in mass,
-    # which is 5e-10 per class but 2e-9 over the run, above ROUND_TOL
-    p = _four_messages(gain=math.sqrt(1 + 2e-9))
+    # the reduced relay merges the 16 histories of round 1 into one class of
+    # multiplicity 16 before the move; prover 1's inner move then inflates
+    # every history by 2e-9 in mass, which is 1.25e-10 for the class but 2e-9
+    # over the round, above ROUND_TOL
+    p = _reduced_parity_relay()
+    first = p.provers[0]
+    wrap = dataclasses.replace(first.strategy, inner=_Scaled(first.strategy.inner, math.sqrt(1 + 2e-9)))
+    p = dataclasses.replace(p, provers=(dataclasses.replace(first, strategy=wrap),) + p.provers[1:])
+    stat, survivors = next(_rounds(p, "1"))
+    (merged,) = engine._fold_stashes(survivors, (0, 1))
+    assert merged.multiplicity == 16
+    assert engine._mass(merged.state, True) * 2e-9 < ROUND_TOL < stat.residual_mass * 2e-9
     for protocol in (p, _hiding_cells(p)):
-        with pytest.raises(RunFault, match="round 3 is not mass-preserving"):
-            simulate(protocol, "0")
+        with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
+            simulate(protocol, "1")
 
 
 @pytest.mark.parametrize("name", ["coinflip_quantum", "coinflip_classical", "no_comm", "no_comm_lift"])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_way_protocols
 from qmipsim import corpus
-from qmipsim.adversary import _Forced
 from qmipsim.engine import simulate
 from qmipsim.errors import (
     AlphabetMismatch,
@@ -23,7 +23,6 @@ from qmipsim.specs import (
     LEFT_END,
     RIGHT_END,
     ClassicalTableStrategy,
-    DerandomizedStrategy,
     EraserStrategy,
     ForeignGuard,
     LoggedReplyStrategy,
@@ -39,7 +38,6 @@ from qmipsim.specs import (
     check_restrictive,
     check_well_formed,
     constant_reply,
-    declared_cells,
     echo_reply,
     fair_coin_violations,
     fixed_width_binary_encoding,
@@ -381,33 +379,18 @@ _RELAY = ClassicalTableStrategy(
         ("1", ("1",)): (BLANK, (BLANK,)),
     },
 )
-_HADAMARD_ON_WORK = UnitaryTableStrategy(work=1, steps={None: {
-    ("a", (BLANK,)): [(("a", (BLANK,)), H), (("b", ("1",)), H)],
-    ("a", ("1",)): [(("a", (BLANK,)), H), (("b", ("1",)), -H)],
-}})
-_PLAIN = (BLANK, "1", "a", "b")
 _RELAYED = (BLANK, "1")
-_TRACKS = make_track_alphabet(_RELAYED, (BLANK, "1", "a"))
-# (strategy, channel symbols it has moves for), for every built-in strategy
-# class that declares cells
-_DECLARING = (
-    (EraserStrategy(), _PLAIN),
-    (_RELAY, _RELAYED),
-    (ClassicalTableStrategy(work=0, rows={(BLANK, ()): (BLANK, ())}), (BLANK,)),
-    (ReversibleWrapStrategy(inner=_RELAY, hist_offset=1), _RELAYED),
-    (ReversibleWrapStrategy(inner=_RELAY, hist_offset=3), _RELAYED),
-    (TrackWrapStrategy(inner=ReversibleWrapStrategy(inner=_RELAY, hist_offset=1), mask_offset=4), _TRACKS),
-    (TrackWrapStrategy(inner=rotation_reply(BLANK, "1"), mask_offset=3), _TRACKS),
-    (TrackWrapStrategy(inner=_RELAY, mask_offset=1), _TRACKS),
-    (_HADAMARD_ON_WORK, ("a",)),
-    (rotation_reply("a", "b", -1), _PLAIN),
-    (echo_reply(), _PLAIN),
-    (constant_reply("1"), _PLAIN),
+_MASKS = (BLANK, "1", "a")
+_TRACKS = make_track_alphabet(_RELAYED, _MASKS)
+# every built-in strategy that declares `stash`: track wraps over several inners
+_STASHING = (
+    TrackWrapStrategy(inner=ReversibleWrapStrategy(inner=_RELAY, hist_offset=1), mask_offset=4),
+    TrackWrapStrategy(inner=rotation_reply(BLANK, "1"), mask_offset=3),
+    TrackWrapStrategy(inner=_RELAY, mask_offset=1),
+    TrackWrapStrategy(inner=EraserStrategy(), mask_offset=4),
 )
-# declared cells are mostly blank, so history cells are often free and the
-# move is defined; undeclared cells get anything
-_DECLARED_SYMBOLS = st.sampled_from((BLANK, BLANK, "1"))
-_NOISE = st.sampled_from((BLANK, "1", "a", "b", "zz"))
+# mostly blank, so stash and history cells are often free and the move is defined
+_TAPE_SYMBOLS = st.sampled_from((BLANK, BLANK, BLANK, "1", "a"))
 
 
 def _move(strategy, step, comm, tape, quantum):
@@ -422,47 +405,33 @@ def _move(strategy, step, comm, tape, quantum):
 
 @settings(max_examples=200)
 @given(
-    pick=st.integers(0, 11),
-    kept=st.lists(_DECLARED_SYMBOLS, min_size=9, max_size=9),
-    noise=st.lists(_NOISE, min_size=9, max_size=9),
-    other_noise=st.lists(_NOISE, min_size=9, max_size=9),
+    upper=st.sampled_from(_RELAYED),
+    lowers=st.lists(st.sampled_from(_MASKS), min_size=2, max_size=2, unique=True),
+    cells=st.lists(_TAPE_SYMBOLS, min_size=9, max_size=9),
+    later=st.sampled_from(_TRACKS),
 )
-def test_moves_never_read_or_write_undeclared_cells(pick, kept, noise, other_noise):
-    # the contract that lets the engine fold dead cells: put anything in the
-    # cells a move does not declare and nothing it returns may change
-    for strategy, channel in _DECLARING:
-        comm = channel[pick % len(channel)]
+def test_a_stashed_lower_track_reaches_only_the_stash_cell(upper, lowers, cells, later):
+    # the `stash` contract the merge by masks relies on: receptions that differ
+    # only in their lower tracks get equal replies and amplitudes and tapes that
+    # differ only at the stash cell, and no later move touches that cell
+    for strategy in _STASHING:
         for step, space, quantum in itertools.product(range(1, 5), (9, 4), (True, False)):
-            declared = {i for i in strategy.cells(step) if i < space}
-            undeclared = [i for i in range(space) if i not in declared]
-            tape = tuple(kept[i] if i in declared else noise[i] for i in range(space))
-            perturbed = tuple(kept[i] if i in declared else other_noise[i] for i in range(space))
-            plain = _move(strategy, step, comm, tape, quantum)
-            noisy = _move(strategy, step, comm, perturbed, quantum)
-            where = (strategy, step, comm, tape, perturbed, quantum)
-            if isinstance(plain, type) or isinstance(noisy, type):
-                assert plain == noisy, where
+            idx = strategy.stash(step)
+            tape = tuple(cells[:space])
+            first, second = (_move(strategy, step, track(upper, lower), tape, quantum) for lower in lowers)
+            where = (strategy, step, upper, lowers, tape, quantum)
+            if isinstance(first, type) or isinstance(second, type):
+                assert first == second, where
                 continue
-            assert len(plain) == len(noisy), where
-            for ((reply, new), amp), ((noisy_reply, noisy_new), noisy_amp) in zip(plain, noisy):
-                assert (reply, amp) == (noisy_reply, noisy_amp), where
-                assert len(new) == len(noisy_new) == space, where
-                assert all(new[i] == noisy_new[i] for i in declared), where
-                assert all(new[i] == tape[i] and noisy_new[i] == perturbed[i] for i in undeclared), where
-
-
-def test_strategies_without_declared_cells_cover_the_whole_tape():
-    class Opaque:
-        def apply_quantum(self, step, comm, tape):
-            return [((comm, tape), 1.0 + 0j)]
-
-    assert declared_cells(DerandomizedStrategy(choices={}), 1) is None
-    assert declared_cells(_Forced(echo_reply(), {}), 1) is None
-    assert declared_cells(Opaque(), 1) is None
-    assert declared_cells(TrackWrapStrategy(inner=Opaque(), mask_offset=2), 1) is None
-    assert declared_cells(TrackWrapStrategy(inner=DerandomizedStrategy(choices={}), mask_offset=2), 1) is None
-    assert declared_cells(TrackWrapStrategy(inner=echo_reply(), mask_offset=2), 3) == (2, 4)
-    assert declared_cells(ReversibleWrapStrategy(inner=_RELAY, hist_offset=1), 2) == (0, 2)
+            assert len(first) == len(second), where
+            for ((reply, new), amp), ((other_reply, other_new), other_amp) in zip(first, second):
+                assert (reply, amp) == (other_reply, other_amp), where
+                assert (new[idx], other_new[idx]) == tuple(lowers), where
+                assert new[:idx] + new[idx + 1:] == other_new[:idx] + other_new[idx + 1:], where
+                for next_step in range(step + 1, 5):
+                    moved = _move(strategy, next_step, later, new, quantum)
+                    if not isinstance(moved, type):
+                        assert all(moved_tape[idx] == new[idx] for (_, moved_tape), _ in moved), where
 
 
 def test_guard_state_naming():
@@ -609,6 +578,17 @@ def test_validate_protocol_rejects_a_one_way_verifier_that_wraps_past_the_right_
     # a one-way machine whose `$` row halts is fine
     halting = {**rows, ("q0", RIGHT_END, ("#",)): (("acc", 1, ("#",), 0.5), ("rej", 1, ("#",), 0.5))}
     validate_protocol(_tiny_protocol(rows=halting))
+
+
+@settings(max_examples=100)
+@given(p=one_way_protocols(), data=st.data())
+def test_a_valid_one_way_protocol_halts_by_the_round_after_its_right_endmarker(p, data):
+    # one pass: the head reads `$` in round |x| + 2, and every `$` row halts
+    validate_protocol(p)
+    x = "".join(data.draw(st.lists(st.sampled_from(p.verifier.input_alphabet), max_size=6)))
+    result = simulate(p, x, cutoff=len(x) + 2)
+    assert result.leftover == 0
+    assert result.p_accept + result.p_reject == pytest.approx(1.0, abs=1e-12)
 
 
 def _corpus_and_transform_outputs():
