@@ -29,7 +29,7 @@ collide on the two-cell tape of "") or when it keeps more than PRUNE_TOL
 with rounds left: the engine's round driver, which stops at that same
 test, resumes it from the shared round 1 and raises the run's own error.
 Round 1, the scorer and every replay are passes of one verifier on one
-input, so the sweep owns one column cache for all of them (`engine._rounds`).
+input, so they read one column cache, the verifier's own (`engine._columns`).
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -44,8 +44,8 @@ the candidate with the smallest aggregate rejection mass can only help the
 provers at each replacement, which gives the dominance guarantee. Each
 candidate reply is scored by resuming the driver from the walk's current
 round. The quantum run, the walk, every candidate's resumed rounds and the
-final deterministic run share one column cache, and their strategies
-declare no `stash`, so no run merges histories.
+final deterministic run read the verifier's one column cache for x, and their
+strategies declare no `stash`, so no run merges histories.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from operator import getitem
 
 from .engine import (
-    Configuration, _Class, _check_round, _mass, _measure, _rounds, _simulate, _verify_and_measure, input_tape,
+    Configuration, _Class, _check_round, _columns, _mass, _measure, _rounds, _verify_and_measure, input_tape, simulate,
 )
 from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
 from .specs import (
@@ -221,12 +221,9 @@ class SearchResult:
     table: list[tuple[tuple[str, ...], float, float]] | None = None
 
 
-def _replay(p: ProtocolSpec, x: str, first, combo, T: int, columns: dict):
-    """(p_acc, p_rej, leftover) of one combination, its rounds 2..T resumed from the shared round 1.
-
-    `columns` is the sweep's column cache for p's verifier on x (see `engine._rounds`).
-    """
-    stats = [first[0]] + [stat for stat, _ in _rounds(_trial(p, combo, T), x, first, columns)]
+def _replay(p: ProtocolSpec, x: str, first, combo, T: int):
+    """(p_acc, p_rej, leftover) of one combination, its rounds 2..T resumed from the shared round 1."""
+    stats = [first[0]] + [stat for stat, _ in _rounds(_trial(p, combo, T), x, first)]
     return sum(s.p_accept for s in stats), sum(s.p_reject for s in stats), stats[-1].residual_mass
 
 
@@ -244,10 +241,10 @@ class _Round2:
     combination's round-2 sources are then one state keyed like the driver's
     configurations, (state, head, replies, tape ids), run through the
     driver's verifier pass (`engine._verify_and_measure`: explicit or guard
-    rows, the two-cell head-move check) and `_check_round`, with `columns`,
-    the column cache that round 1 and every replay of the sweep share, so
-    each column is built once per (state, head, reception). New tapes are
-    interned per slot, so tapes are small integers.
+    rows, the two-cell head-move check) and `_check_round`, reading the
+    verifier's column cache for the tape, as round 1 and every replay of the
+    sweep do, so each column is built once per (state, head, reception).
+    New tapes are interned per slot, so tapes are small integers.
 
     Sources that share their local tuple (one local-state id per slot) form an
     interference group: they receive the same moves. `moves` refuses a
@@ -270,7 +267,7 @@ class _Round2:
     combination, which raises the error itself.
     """
 
-    def __init__(self, p: ProtocolSpec, tape, first: _Class, columns: dict):
+    def __init__(self, p: ProtocolSpec, tape, first: _Class):
         self.verifier = v = p.verifier
         self.tape = tape
         self.quantum = v.is_quantum()
@@ -321,8 +318,7 @@ class _Round2:
                 elif named.setdefault(local[slot], set()) is not None:
                     named[local[slot]].update(sent[slot] for sent in receptions)
             self.groups.append((local, tuple(group), receptions, halted))
-        # the verifier pass's column cache, the sweep's
-        self.columns = columns
+        self.columns = _columns(v, tape)
 
     def _halted(self, group):
         """(mass, p_acc, p_rej) of a group whose members all move to their guard targets."""
@@ -477,13 +473,11 @@ def search(
         sizes = "x".join(str(len(f.strategies)) for f in families)
         raise FamilyTooLarge(f"{sizes} = {total} combinations exceeds the limit of {cap}")
 
-    # shared by every combination; the tapes must already have the sweep strategies' logging cells.
-    # One column cache serves round 1, the scorer and every replay: one verifier, one input
-    columns: dict = {}
-    stat1, classes = first = next(_rounds(_trial(p, (None,) * p.k, T), x, columns=columns))
+    # shared by every combination; the tapes must already have the sweep strategies' logging cells
+    stat1, classes = first = next(_rounds(_trial(p, (None,) * p.k, T), x))
     round2 = None
     if families and T >= 2 and stat1.residual_mass > PRUNE_TOL:
-        round2 = _Round2(p, input_tape(x, p.verifier), classes[0], columns)
+        round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
     # per slot: each strategy's class as a small int, each class's members in
     # family order, and its key (None: replayed)
     keys: list[list[int]] = []
@@ -512,7 +506,7 @@ def search(
     replays = (itertools.product(*(m[c] for m, c in zip(members, ct))) for ct in replayed)
     for chosen in sorted(itertools.chain.from_iterable(replays)):
         combo = tuple(fam.strategies[j] for fam, j in zip(families, chosen))
-        outcomes[chosen] = _replay(p, x, first, combo, T, columns)
+        outcomes[chosen] = _replay(p, x, first, combo, T)
 
     # the later members of a scored class tuple score as its first one, after
     # which the best value only gets better: none of them can be a strict optimum
@@ -660,9 +654,7 @@ def derandomize_provers(
     fixed: list[dict] = [{} for _ in range(p.k)]
     wrapped = [_Forced(s, fixed[i]) for i, s in enumerate(strategies)]
     trial = _trial(p, wrapped, p.cutoff)
-    # every run below is of p's verifier on x, so all of them share one column cache
-    columns: dict = {}
-    quantum_run = _simulate(trial, x, columns)
+    quantum_run = simulate(trial, x)
 
     # provers write only their own slots, so prover i's local states at a step
     # are those of the residual after round `step`; one walk, advanced a round
@@ -670,7 +662,7 @@ def derandomize_provers(
     # scores each candidate from there, after the rejection summed so far
     decisions = 0
     prefix = 0.0
-    for stat, classes in itertools.islice(_rounds(trial, x, columns=columns), p.cutoff - 1):
+    for stat, classes in itertools.islice(_rounds(trial, x), p.cutoff - 1):
         step = stat.index
         prefix += stat.p_reject
         for i in range(p.k):
@@ -687,14 +679,14 @@ def derandomize_provers(
                 best: tuple[float, str] | None = None
                 for tau in candidates:
                     fixed[i][key] = tau
-                    rest = _rounds(trial, x, (stat, classes), columns)
+                    rest = _rounds(trial, x, (stat, classes))
                     rej = sum((later.p_reject for later, _ in rest), prefix)
                     if best is None or rej < best[0] - TIE_TOL:
                         best = (rej, tau)
                 fixed[i][key] = best[1]
 
     out = tuple(DerandomizedStrategy(choices=dict(fixed[i])) for i in range(p.k))
-    det_run = _simulate(_trial(p, out, p.cutoff), x, columns)
+    det_run = simulate(_trial(p, out, p.cutoff), x)
     report = DerandomizeReport(
         quantum_p_accept=quantum_run.p_accept,
         quantum_p_reject=quantum_run.p_reject,

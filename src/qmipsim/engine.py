@@ -2,8 +2,9 @@
 
 A configuration is (verifier state, head position, communication cells,
 prover tapes). The input lives on a circular tape `¢ x $`; the head index is
-taken modulo its length, so a one-way machine that keeps moving right wraps
-around rather than falling off.
+taken modulo its length, so a two-way machine that moves past one endmarker
+comes round to the other. A one-way verifier never wraps: every branch it
+takes on `$` halts (`validate_protocol`).
 
 Each round has three stages: provers transform their cell and private tape
 (from round 2 on), the verifier consumes its cells and moves its head, and a
@@ -33,10 +34,10 @@ through one round at a time. Its run is the protocol's: the verifier's mode
 sets how rounds are measured and the cutoff where they stop. It resumes from
 any pair it yielded (`after`): sweep replays resume from the shared round 1,
 and derandomization scores each candidate reply from the walk's current round.
-Each of those callers owns one cache of the verifier's columns (they depend
-on the verifier and the tape alone) and hands it to every run it makes, so
-a deep sweep of the reduced `parity_relay` on "1" at cutoff 3 builds 197
-columns, not 2,279, and a derandomization of `parity_relay` on "1" 5, not 19.
+A verifier column depends on the verifier and the tape alone, so every pass
+reads the verifier's own cache for the tape (`_columns`), kept across runs:
+a second `simulate` of one protocol on one input builds no column, and a
+sweep's or a derandomization's runs build each of theirs once.
 """
 from __future__ import annotations
 
@@ -267,6 +268,17 @@ def _column(verifier: VerifierSpec, tape: tuple[str, ...], config: Configuration
     return _Column(targets, smallest, *_measure(targets, quantum, verifier.accept, verifier.reject))
 
 
+TAPES_PER_VERIFIER = 64  # the tapes whose columns one verifier keeps, the oldest dropped first
+
+
+def _columns(verifier: VerifierSpec, tape: tuple[str, ...]) -> dict:
+    """`verifier`'s own {(state, head, reception): _Column} for `tape`; a faulting column is never stored."""
+    caches = verifier.column_cache
+    if tape not in caches and len(caches) >= TAPES_PER_VERIFIER:
+        del caches[next(iter(caches))]
+    return caches.setdefault(tape, {})
+
+
 def _verify_and_measure(
     state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...], columns: dict
 ) -> tuple[float, float, float, StateVector]:
@@ -281,8 +293,8 @@ def _verify_and_measure(
     non-halting targets are stored. Every other configuration is summed per
     tape group, which `_measure` prunes and measures; only its live targets
     become configurations. Columns are built from the verifier's rows, once
-    per (state, head, comm), into `columns`, the caller's cache for this
-    verifier and tape.
+    per (state, head, comm), into `columns`, a cache for this verifier and
+    tape: the driver passes the verifier's own (`_columns`).
     """
     quantum = verifier.is_quantum()
     accept, reject = verifier.accept, verifier.reject
@@ -360,7 +372,7 @@ def run_round(
     quantum = p.verifier.is_quantum()
     before = _mass(state, quantum)
     state = _prover_stage(p, state, round_index)
-    after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, {})
+    after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, _columns(p.verifier, tape))
     _check_round(round_index, before, after, p_acc, p_rej, _mass(residual, quantum))
     return p_acc, p_rej, residual
 
@@ -415,7 +427,7 @@ def _fold_stashes(classes: list[_Class], stashed: tuple[int, ...]) -> list[_Clas
 
 
 def _rounds(
-    p: ProtocolSpec, x: str, after: tuple[RoundStat, list[_Class]] | None = None, columns: dict | None = None,
+    p: ProtocolSpec, x: str, after: tuple[RoundStat, list[_Class]] | None = None
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
@@ -427,13 +439,12 @@ def _rounds(
     j+1 is built only when the caller asks for it, from the provers'
     strategies as they are then. `after` resumes from a pair the run yielded,
     round 0 (the initial state) by default; the rounds that follow are the
-    uninterrupted run's. Every verifier pass of the run reads one column
-    cache, `columns` when the caller passes one for p's verifier on x (see
-    the module docstring), else a new one per call.
+    uninterrupted run's. Every verifier pass reads the verifier's column
+    cache for x (`_columns`).
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
-    columns = {} if columns is None else columns
+    columns = _columns(p.verifier, tape)
     stashed = tuple(pr.index - 1 for pr in p.provers if hasattr(pr.strategy, "stash"))
     if after is None:
         after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
@@ -474,14 +485,9 @@ def simulate(p: ProtocolSpec, x: str, cutoff: int | None = None) -> RunResult:
     """Simulate p on x up to the round cutoff; its verifier's mode picks amplitudes or probabilities."""
     if cutoff is not None:
         p = replace(p, cutoff=cutoff)
-    return _simulate(p, x, {})
-
-
-def _simulate(p: ProtocolSpec, x: str, columns: dict) -> RunResult:
-    """`simulate` of p on x at p's cutoff, its verifier passes reading `columns` (see `_rounds`)."""
     if p.cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
-    rounds = [stat for stat, _ in _rounds(p, x, columns=columns)]
+    rounds = [stat for stat, _ in _rounds(p, x)]
     last = rounds[-1]
     halted = last.index if last.residual_mass <= PRUNE_TOL else None
     return RunResult(

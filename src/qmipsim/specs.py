@@ -475,7 +475,9 @@ class VerifierSpec:
     `rows` maps (state, input symbol, received tuple) to its branches
     (state', head move, sent tuple, weight). Missing rows are don't-care
     until a populated configuration needs one. `fallback` optionally covers
-    whole families of receptions by rule.
+    whole families of receptions by rule. `column_cache` keeps the engine's
+    columns per input tape across runs, so `rows` must not change in place once
+    the verifier has run: `dataclasses.replace` builds a changed verifier.
     """
     mode: str
     states: tuple[str, ...]
@@ -486,6 +488,7 @@ class VerifierSpec:
     comm_alphabets: tuple[tuple[str, ...], ...]
     rows: Mapping[RowKey, tuple[Branch, ...]]
     fallback: TrackGuard | ForeignGuard | None = None
+    column_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:

@@ -1,4 +1,4 @@
-"""Hypothesis profiles and shared generators for the test suite.
+"""Hypothesis profiles, shared generators and the column-count fixture for the test suite.
 
 `ci` replays the same examples on every run and has no deadline, so a
 failing property reproduces locally and a loaded runner cannot make one
@@ -6,12 +6,34 @@ flaky:
 
     python -m pytest -q --hypothesis-profile=ci
 """
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from qmipsim import engine
 from qmipsim.specs import LEFT_END, RIGHT_END, ProtocolSpec, VerifierSpec
 
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+
+@pytest.fixture
+def column_builds(monkeypatch):
+    """Every verifier column a run builds, as (state, head, reception), and every row lookup."""
+    built, lookups = [], []
+    column = engine._column
+    lookup = VerifierSpec.lookup
+
+    def building(verifier, tape, config, quantum):
+        built.append(config[:3])
+        return column(verifier, tape, config, quantum)
+
+    def looking(self, q, sigma, comm):
+        lookups.append((q, sigma, comm))
+        return lookup(self, q, sigma, comm)
+
+    monkeypatch.setattr(engine, "_column", building)
+    monkeypatch.setattr(VerifierSpec, "lookup", looking)
+    return built, lookups
 
 
 def _fair_coin_row(draw, targets):

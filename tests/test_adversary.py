@@ -277,8 +277,8 @@ def test_search_reduced_protocol_with_handpicked_probes():
 def replayed_rounds(monkeypatch):
     rounds = []
 
-    def driver(p, x, after=None, columns=None):
-        steps = engine._rounds(p, x, after, columns)
+    def driver(p, x, after=None):
+        steps = engine._rounds(p, x, after)
         index = 0 if after is None else after[0].index
         while True:
             index += 1
@@ -316,32 +316,12 @@ def replayed_combos(monkeypatch):
     replayed = []
     replay = adversary._replay
 
-    def spy(p, x, first, combo, T, columns):
+    def spy(p, x, first, combo, T):
         replayed.append(tuple(s.label for s in combo))
-        return replay(p, x, first, combo, T, columns)
+        return replay(p, x, first, combo, T)
 
     monkeypatch.setattr(adversary, "_replay", spy)
     return replayed
-
-
-@pytest.fixture
-def column_builds(monkeypatch):
-    """Every verifier column a run builds, as (state, head, reception), and every row lookup."""
-    built, lookups = [], []
-    column = engine._column
-    lookup = VerifierSpec.lookup
-
-    def building(verifier, tape, config, quantum):
-        built.append(config[:3])
-        return column(verifier, tape, config, quantum)
-
-    def looking(self, q, sigma, comm):
-        lookups.append((q, sigma, comm))
-        return lookup(self, q, sigma, comm)
-
-    monkeypatch.setattr(engine, "_column", building)
-    monkeypatch.setattr(VerifierSpec, "lookup", looking)
-    return built, lookups
 
 
 def _trial(p, combo):
@@ -548,9 +528,15 @@ def test_deep_sweeps_replay_exactly_the_round_2_survivors(replayed_rounds, repla
 
 
 def test_a_deep_sweep_builds_each_column_once(column_builds, replayed_combos):
-    # round 1, the round-2 scorer and every replay read one column cache
+    # round 1, the round-2 scorer and every replay read the verifier's column
+    # cache; a sweep before it warms the cache of p's verifier, not of its copy
     p = _reduced_parity_relay()
+    search(p, "1", cutoff=3)
+    p = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier))
     built, lookups = column_builds
+    built.clear()
+    lookups.clear()
+    replayed_combos.clear()
     search(p, "1", cutoff=3)
     assert replayed_combos
     assert len(lookups) == len(built) == len(set(built)) > 0
@@ -960,7 +946,7 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
     assert len(result.table) == len(combos)
     leftover = {}
     for combo, (labels, acc, rej) in zip(combos, result.table):
-        want_acc, want_rej, leftover[labels] = adversary._replay(p, x, first, combo, cutoff, {})
+        want_acc, want_rej, leftover[labels] = adversary._replay(p, x, first, combo, cutoff)
         assert labels == tuple(s.label for s in combo)
         assert acc == pytest.approx(want_acc, abs=1e-12), labels
         assert rej == pytest.approx(want_rej, abs=1e-12), labels
@@ -997,7 +983,7 @@ def _round1(p, x):
 
 
 def _round2(p, x):
-    return adversary._Round2(p, input_tape(x, p.verifier), _round1(p, x), {})
+    return adversary._Round2(p, input_tape(x, p.verifier), _round1(p, x))
 
 
 def _applied_moves(round2, slot, strategy):
@@ -1075,7 +1061,7 @@ def test_a_log_write_that_faults_opts_logged_strategies_out():
     written = {
         c._replace(tapes=tuple(("g",) + t[1:] for t in c.tapes)): amp for c, amp in residual.items()
     }
-    round2 = adversary._Round2(p, input_tape("0", p.verifier), engine._Class(written, index, mass), {})
+    round2 = adversary._Round2(p, input_tape("0", p.verifier), engine._Class(written, index, mass))
     assert round2.logged(0) is None
     assert round2.moves(0, constant_reply(BLANK)) is None
 
@@ -1366,10 +1352,16 @@ def test_derandomize_matches_the_staged_reference(name, length, sign):
 @pytest.mark.parametrize("name, x", [("no_comm", "0"), ("no_comm", "00"), ("parity_relay", ""), ("parity_relay", "1")])
 def test_one_derandomization_builds_each_column_once(name, x, column_builds):
     # the quantum run, the walk, every candidate's resumed rounds and the
-    # deterministic run are all of one verifier on one input: one column cache
+    # deterministic run are all of one verifier on one input: one column cache.
+    # The lru-cached protocol's verifier may be warm; its copy starts cold
     p = corpus.build(name)
-    built, lookups = column_builds
     first, second = p.verifier.comm_alphabets
-    _, report = derandomize_provers(p, x, (rotation_reply(first[0], first[1]), constant_reply(second[0])))
+    strategies = (rotation_reply(first[0], first[1]), constant_reply(second[0]))
+    derandomize_provers(p, x, strategies)
+    p = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier))
+    built, lookups = column_builds
+    built.clear()
+    lookups.clear()
+    _, report = derandomize_provers(p, x, strategies)
     assert report.decisions > 0
     assert len(lookups) == len(built) == len(set(built)) > 0

@@ -272,8 +272,12 @@ def test_missing_row_surfaces_as_missing_transition():
     p = ProtocolSpec(
         name="gap", verifier=verifier, provers=(_mute_prover(),), a=1.0, b=1.0, cutoff=3
     )
-    with pytest.raises(MissingTransition):
+    with pytest.raises(MissingTransition) as fault:
         simulate(p, "0")
+    # the lookup raises before a column is stored, so a second run raises alike
+    with pytest.raises(MissingTransition) as again:
+        simulate(p, "0")
+    assert str(again.value) == str(fault.value)
 
 
 def test_mass_drift_is_a_run_fault():
@@ -502,8 +506,13 @@ def test_moves_that_collide_on_the_two_cell_tape_are_a_run_fault():
         {("q0", LEFT_END, (BLANK,)): (("acc", 1, (BLANK,), H), ("acc", -1, (BLANK,), 1j * H))},
         ("q0",),
     )
-    with pytest.raises(RunFault, match=r"state='q0'.*moves \+1 and -1 both land on .*state='acc'"):
+    with pytest.raises(RunFault, match=r"state='q0'.*moves \+1 and -1 both land on .*state='acc'") as fault:
         simulate(_with_eraser(verifier), "")
+    # the column raises before it is stored, so a second run raises alike
+    assert ("q0", 0, (BLANK,)) not in engine._columns(verifier, (LEFT_END, RIGHT_END))
+    with pytest.raises(RunFault) as again:
+        simulate(_with_eraser(verifier), "")
+    assert str(again.value) == str(fault.value)
     # on a longer tape the two moves reach different cells
     assert simulate(_with_eraser(verifier), "0").p_accept == pytest.approx(1.0, abs=1e-12)
 
@@ -789,6 +798,66 @@ def test_fused_round_matches_staged_reference(name, x):
         assert stat.configurations == len(want)
 
 
+# ---------------------------------------------------------------- the verifier's column cache
+
+
+def _cold(p):
+    """p with a copy of its verifier, whose column cache starts empty."""
+    return dataclasses.replace(p, verifier=dataclasses.replace(p.verifier))
+
+
+@pytest.mark.parametrize(
+    "name, x", [("no_comm", "0"), ("coinflip_quantum", "0"), ("parity_relay", "11"), ("parity_relay_reduced", "11")]
+)
+def test_a_second_run_builds_no_column(name, x, column_builds):
+    built, _ = column_builds
+    p = _cold(_protocol(name))
+    first = simulate(p, x)
+    assert built
+    built.clear()
+    second = simulate(p, x)
+    assert built == []
+    assert second == first
+    assert repr(second) == repr(first)
+
+
+def _passing(p):
+    """p with each prover replying BLANK on a tape with a logging cell per step, as a sweep builds them."""
+    provers = tuple(
+        ProverSpec(index=i + 1, comm_alphabet=alphabet, tape_alphabet=alphabet, space=max(1, p.cutoff),
+                   strategy=constant_reply(BLANK))
+        for i, alphabet in enumerate(p.verifier.comm_alphabets)
+    )
+    return dataclasses.replace(p, provers=provers)
+
+
+def test_a_changed_copy_of_a_warm_verifier_raises_the_round_fault():
+    # the original's cache holds the column of the row on "0"; a copy through
+    # `dataclasses.replace` starts with its own, so it reads the scaled row
+    p = _passing(corpus.build("no_comm_reduce"))
+    warm = simulate(p, "0")
+    key = ("c0", "0", (BLANK, BLANK))
+    assert ("c0", 1, (BLANK, BLANK)) in engine._columns(p.verifier, input_tape("0", p.verifier))
+    rows = dict(p.verifier.rows)
+    rows[key] = tuple((q2, d, sent, 1.2 * w) for q2, d, sent, w in rows[key])
+    changed = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, rows=rows))
+    with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
+        simulate(changed, "0")
+    assert simulate(p, "0") == warm
+
+
+def test_a_verifier_keeps_the_columns_of_its_last_tapes():
+    p = _cold(corpus.build("no_comm"))
+    inputs = ["0" * n for n in range(engine.TAPES_PER_VERIFIER + 2)]
+    for x in inputs:
+        simulate(p, x)
+    caches = p.verifier.column_cache
+    assert len(caches) == engine.TAPES_PER_VERIFIER
+    assert input_tape(inputs[-1], p.verifier) in caches
+    assert input_tape(inputs[0], p.verifier) not in caches
+    assert list(caches) == [input_tape(x, p.verifier) for x in inputs[2:]]
+
+
 # ---------------------------------------------------------------- history classes
 
 
@@ -805,7 +874,7 @@ class _Hidden:
         return self.inner.apply_classical(step, comm, tape)
 
 
-def _hiding_cells(p):
+def _hiding_stash(p):
     provers = tuple(dataclasses.replace(pr, strategy=_Hidden(pr.strategy)) for pr in p.provers)
     return dataclasses.replace(p, provers=provers)
 
@@ -819,7 +888,7 @@ def _outcome(p, x):
 
 def _assert_agree(p, x):
     """The run of p merged by masks and the unmerged run (every `stash` hidden) agree, faults included."""
-    folded, whole = _outcome(p, x), _outcome(_hiding_cells(p), x)
+    folded, whole = _outcome(p, x), _outcome(_hiding_stash(p), x)
     if isinstance(folded, type) or isinstance(whole, type):
         assert folded == whole
         return
@@ -853,7 +922,7 @@ def test_resuming_the_driver_yields_the_rest_of_the_run(name, x):
         assert list(_rounds(p, x, after=pair)) == whole[j + 1:], j + 1
 
 
-def test_the_driver_stores_one_folded_class_per_round(monkeypatch):
+def test_the_driver_stores_one_merged_class_per_round(monkeypatch):
     # the reduced relay stashes a mask in a fresh cell every round; the
     # merge by masks before the prover stage keeps 16 histories as one, so
     # the verifier pass sees one configuration and 16 targets per round
@@ -872,7 +941,7 @@ def test_the_driver_stores_one_folded_class_per_round(monkeypatch):
     assert seen == [(1, 16)] * 4 + [(1, 0)]
 
 
-def test_the_prover_stage_moves_one_source_per_folded_round(monkeypatch):
+def test_the_prover_stage_moves_one_source_per_merged_round(monkeypatch):
     # each round the reduced relay's 16 configurations differ only in the
     # masks their receptions carry on the lower track, which both track
     # wraps stash in cells that die in that move: they merge before it
@@ -902,7 +971,7 @@ def _fault_of_a_corrupted_reception(p, x):
     return str(fault.value)
 
 
-def test_a_reception_that_is_no_track_symbol_faults_the_folded_move():
+def test_a_reception_that_is_no_track_symbol_faults_the_merged_move():
     # the corrupted reception cannot be split into its tracks, so it stays
     # out of the merge and the track wrap rejects it as on the unfolded state
     assert _fault_of_a_corrupted_reception(_reduced_parity_relay(), "1") == "track wrap received non-track symbol 'zz'"
@@ -933,7 +1002,7 @@ def test_the_mask_merge_runs_in_the_last_round(monkeypatch):
     assert repr((result.p_accept, result.p_reject)) == repr((0.49999999999999994, 0.49999999999999994))
 
 
-def test_a_track_wrap_over_hidden_cells_still_merges_by_masks():
+def test_a_track_wrap_over_a_hidden_inner_stash_still_merges_by_masks():
     # the stash cell lies past the inner strategy's slice, so the masks merge
     # before every move whatever the inner strategy is
     p = _reduced_parity_relay()
@@ -963,7 +1032,7 @@ def test_the_driver_sums_each_state_once(monkeypatch):
 
 @pytest.mark.parametrize("build, x", [(_lifted_parity_relay, "111")]
                          + [(_reduced_parity_relay, x) for x in ("1", "11", "111")])
-def test_a_round_of_one_configuration_builds_no_fold_schedule_and_folds_nothing(monkeypatch, build, x):
+def test_a_round_of_one_configuration_sums_its_residual_once(monkeypatch, build, x):
     # each round of the relay's lift and reduction moves one configuration
     summed = []
     mass = engine._mass
@@ -1072,7 +1141,7 @@ def test_the_mask_merge_keeps_one_class_per_round_of_the_reduced_relay(x):
     # the move, so each round stores 16 configurations however many it counts;
     # with every `stash` hidden, nothing merges and every configuration is stored
     p = _reduced_parity_relay()
-    merged, whole = simulate(p, x), simulate(_hiding_cells(p), x)
+    merged, whole = simulate(p, x), simulate(_hiding_stash(p), x)
     counts = [16 ** j for j in range(1, len(x) + 2)] + [0]
     assert [r.configurations for r in merged.rounds] == [r.configurations for r in whole.rounds] == counts
     assert [r.stored for r in merged.rounds] == [min(n, 16) for n in counts]
@@ -1170,7 +1239,7 @@ def test_a_drift_spread_over_merged_histories_is_still_a_run_fault():
     (merged,) = engine._fold_stashes(survivors, (0, 1))
     assert merged.multiplicity == 16
     assert engine._mass(merged.state, True) * 2e-9 < ROUND_TOL < stat.residual_mass * 2e-9
-    for protocol in (p, _hiding_cells(p)):
+    for protocol in (p, _hiding_stash(p)):
         with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
             simulate(protocol, "1")
 
