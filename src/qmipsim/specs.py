@@ -536,15 +536,17 @@ def validate_protocol(p: ProtocolSpec) -> None:
     v = p.verifier
     if v.mode not in ALL_MODES:
         raise ValidationError(f"unknown mode {v.mode!r}")
-    if len(v.states) != len(set(v.states)):
-        raise ValidationError("duplicate verifier states")
     state_set = set(v.states)
+    if len(v.states) != len(state_set):
+        dupes = sorted({q for q in v.states if v.states.count(q) > 1})
+        raise ValidationError(f"duplicate verifier states {dupes}")
     if v.initial not in state_set:
         raise ValidationError(f"initial state {v.initial!r} not declared")
-    if not v.accept <= state_set or not v.reject <= state_set:
-        raise ValidationError("accept/reject sets mention undeclared states")
+    undeclared = (v.accept | v.reject) - state_set
+    if undeclared:
+        raise ValidationError(f"accept/reject sets mention undeclared states {sorted(undeclared)}")
     if v.accept & v.reject:
-        raise ValidationError("accept and reject sets overlap")
+        raise ValidationError(f"accept and reject sets overlap in {sorted(v.accept & v.reject)}")
     for sym in v.input_alphabet:
         if sym in (BLANK, LEFT_END, RIGHT_END):
             raise ValidationError(f"input alphabet may not contain {sym!r}")
@@ -562,7 +564,7 @@ def validate_protocol(p: ProtocolSpec) -> None:
         if BLANK not in prover.tape_alphabet:
             raise ValidationError(f"prover {i + 1} tape alphabet lacks {BLANK!r}")
         if prover.space < 0:
-            raise ValidationError("negative prover space")
+            raise ValidationError(f"prover {i + 1} has negative space {prover.space}")
         if v.is_quantum():
             strat = prover.strategy
             if isinstance(strat, ClassicalTableStrategy) and not strat.is_injective():
@@ -570,7 +572,7 @@ def validate_protocol(p: ProtocolSpec) -> None:
                     f"prover {i + 1} table is not injective; wrap it before quantum use"
                 )
     if not (0 < p.a <= 1 and 0 < p.b <= 1):
-        raise ValidationError("thresholds must lie in (0, 1]")
+        raise ValidationError(f"thresholds must lie in (0, 1], got a={p.a} and b={p.b}")
     if p.cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
     bad = row_fault(v)

@@ -39,6 +39,7 @@ from .specs import (
     TrackGuard,
     TrackWrapStrategy,
     VerifierSpec,
+    _orthonormal_violations,
     check_restrictive,
     fair_coin_violations,
     fixed_width_binary_encoding,
@@ -48,7 +49,7 @@ from .specs import (
     sum_targets,
     track,
 )
-from .tolerances import AMPLITUDE_TOL, ORTHO_TOL, PRUNE_TOL, RANK_TOL
+from .tolerances import AMPLITUDE_TOL, PRUNE_TOL, RANK_TOL
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -357,11 +358,10 @@ def complete_unitary(
     orthonormal (NotOrthonormal otherwise). Missing columns are filled by
     Gram-Schmidt from `prefer` candidates first (same format), then from
     standard basis vectors, so an empty partial over matching bases comes
-    back as the identity. Returns a full column map in the same format.
+    back as the identity. Each candidate is orthogonalized twice, which keeps
+    the result unitary to rounding however nearly dependent the candidates
+    are. Returns a full column map in the same format.
     """
-    # the package's only use of numpy; importing it here keeps it off every command's start-up
-    import numpy as np
-
     if len(input_basis) != len(output_basis):
         raise ValidationError("unitary completion needs bases of equal size")
     n = len(input_basis)
@@ -369,62 +369,40 @@ def complete_unitary(
     if len(out_index) != n or len(set(input_basis)) != n:
         raise ValidationError("basis elements must be distinct")
 
-    def as_vector(column: dict) -> np.ndarray:
-        vec = np.zeros(n, dtype=complex)
+    def as_vector(column: dict) -> list[complex]:
+        vec = [0j] * n
         for elem, amp in column.items():
             if elem not in out_index:
                 raise ValidationError(f"column targets unknown basis element {elem!r}")
             vec[out_index[elem]] += amp
         return vec
 
-    matrix = np.zeros((n, n), dtype=complex)
-    have = []
-    for col, elem in enumerate(input_basis):
-        if elem in partial:
-            matrix[:, col] = as_vector(partial[elem])
-            have.append(col)
-    for i, ci in enumerate(have):
-        norm = np.linalg.norm(matrix[:, ci])
-        if abs(norm - 1.0) > ORTHO_TOL:
-            raise NotOrthonormal(f"column for {input_basis[ci]!r} has norm {norm:.12g}")
-        for cj in have[i + 1:]:
-            ip = np.vdot(matrix[:, ci], matrix[:, cj])
-            if abs(ip) > ORTHO_TOL:
-                raise NotOrthonormal(
-                    f"columns for {input_basis[ci]!r} and {input_basis[cj]!r} are not orthogonal"
-                )
+    # keyed by position as well: the shared check orders its keys, which basis elements of
+    # mixed types cannot be
+    given = {(i, elem): as_vector(partial[elem]) for i, elem in enumerate(input_basis) if elem in partial}
+    bad = _orthonormal_violations({key: dict(enumerate(vec)) for key, vec in given.items()}, "column")
+    if bad:
+        raise NotOrthonormal(bad[0])
 
-    candidates: list[np.ndarray] = []
-    if prefer:
-        for elem in input_basis:
-            if elem in prefer:
-                candidates.append(as_vector(prefer[elem]))
-    candidates.extend(np.eye(n, dtype=complex)[:, i] for i in range(n))
-
-    chosen = [matrix[:, c] for c in have]
-    for col, elem in enumerate(input_basis):
-        if elem in partial:
+    preferred = [as_vector(prefer[elem]) for elem in input_basis if elem in (prefer or {})]
+    candidates = iter(preferred + [[complex(i == j) for i in range(n)] for j in range(n)])
+    columns = {elem: vec for (_, elem), vec in given.items()}
+    for elem in input_basis:
+        if elem in columns:
             continue
-        picked = None
-        while candidates:
-            cand = candidates.pop(0)
-            for v in chosen:
-                cand = cand - np.vdot(v, cand) * v
-            nrm = np.linalg.norm(cand)
-            if nrm > max(ORTHO_TOL, RANK_TOL):
-                picked = cand / nrm
+        for cand in candidates:
+            for _ in range(2):
+                for v in columns.values():
+                    ip = sum(a.conjugate() * b for a, b in zip(v, cand))
+                    cand = [b - ip * a for a, b in zip(v, cand)]
+            nrm = math.sqrt(sum(abs(c) ** 2 for c in cand))
+            if nrm > RANK_TOL:
                 break
-        if picked is None:
+        else:
             raise NotOrthonormal("ran out of candidate directions during completion")
-        matrix[:, col] = picked
-        chosen.append(picked)
+        columns[elem] = [c / nrm for c in cand]
 
-    result = {}
-    for col, elem in enumerate(input_basis):
-        column = {
-            output_basis[row]: complex(matrix[row, col])
-            for row in range(n)
-            if abs(matrix[row, col]) > AMPLITUDE_TOL
-        }
-        result[elem] = column
-    return result
+    return {
+        elem: {output_basis[row]: amp for row, amp in enumerate(columns[elem]) if abs(amp) > AMPLITUDE_TOL}
+        for elem in input_basis
+    }

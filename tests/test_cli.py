@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,17 @@ def test_run_cutoff_override(no_comm_file, capsys):
     assert pairs["leftover"] == "1.000000000"
 
 
+def test_run_human_output_says_the_cutoff_was_reached(no_comm_file, capsys):
+    assert main(["run", no_comm_file, "0", "--cutoff", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "protocol no_comm on input '0' (mode 2pfa)",
+        "cutoff reached after 1 rounds; steps counted: 1",
+        "p_rej=0.000000000",
+        "leftover=1.000000000",
+        "p_acc=0.000000000",
+    ]
+
+
 def test_run_rejects_foreign_input_symbols(no_comm_file, capsys):
     assert main(["run", no_comm_file, "7"]) == 3
     assert "error:" in capsys.readouterr().err
@@ -164,7 +176,7 @@ def test_a_weight_that_is_not_a_finite_number_is_exit_2(tmp_path, capsys, name, 
 
 
 def test_importing_the_package_leaves_numpy_out():
-    """Only `complete_unitary` needs numpy, so no command pays for importing it."""
+    """The package has no runtime dependency: numpy is the tests' independent reference alone."""
     code = "import sys, qmipsim, qmipsim.cli; print('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -259,6 +271,20 @@ def test_adversary_search(lift_file, capsys):
     assert float(pairs["combos_per_s"]) > 0
 
 
+def test_adversary_human_summary(lift_file, capsys):
+    assert main(["adversary", lift_file, "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == [
+        "searched 66 strategy combinations (max-accept)",
+        "  prover 1: seq:#",
+        "  prover 2: seq:#",
+        "  prover 3: seq:#",
+        "best combination: p_acc=0.500000000 p_rej=0.500000000 leftover=0.000000000",
+    ]
+    assert re.fullmatch(r"throughput: elapsed_s=\d+\.\d{6} combos_per_s=(\d+\.\d|inf)", lines[5])
+    assert lines[6:] == ["best=0.500000000"]
+
+
 PROVERLESS = """qmip 1
 name = proverless
 mode = 1pfa
@@ -317,6 +343,22 @@ def test_compare_mismatch_is_exit_1(no_comm_file, tmp_path, capsys):
     assert code == 1
     pairs = _machine(capsys)
     assert pairs["match"] == "false"
+
+
+def test_compare_human_lines(no_comm_file, lift_file, tmp_path, capsys):
+    assert main(["compare", no_comm_file, lift_file, "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["no_comm: p_acc=0.500000000000", "no_comm-lift: p_acc=0.500000000000"]
+    assert re.fullmatch(r"difference \d\.\d{3}e-\d+ \(within tolerance 1e-09\)", lines[2])
+    assert len(lines) == 3
+    other = tmp_path / "always.qmip"
+    save_protocol(str(other), corpus.build("always_accept_classical"))
+    assert main(["compare", no_comm_file, str(other), "0"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "no_comm: p_acc=0.500000000000",
+        "always_accept_classical: p_acc=1.000000000000",
+        "difference 5.000e-01 (exceeds tolerance 1e-09)",
+    ]
 
 
 def test_corpus_emits_files(tmp_path, capsys):

@@ -91,6 +91,22 @@ def test_no_comm_honest_value_and_step_count():
     assert result.outcome == "tie"
 
 
+def test_outcome_names_the_likelier_verdict():
+    assert simulate(corpus.build("always_accept_classical"), "0").outcome == "accept"
+    verifier = VerifierSpec(
+        mode="1pfa",
+        states=("q0", "acc", "rej"),
+        initial="q0",
+        accept=frozenset({"acc"}),
+        reject=frozenset({"rej"}),
+        input_alphabet=("0",),
+        comm_alphabets=(),
+        rows={("q0", LEFT_END, ()): (("rej", 1, (), 1.0),)},
+    )
+    rejecting = ProtocolSpec(name="rejecting", verifier=verifier, provers=(), a=1.0, b=1.0, cutoff=1)
+    assert simulate(rejecting, "0").outcome == "reject"
+
+
 def test_parity_relay_accepts_honest_runs():
     # the relay prover always matches the verifier's own parity, so the
     # consistency check passes on every input length

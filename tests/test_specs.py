@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -615,6 +616,41 @@ def test_validate_protocol_rejects_prover_count_mismatch():
     )
     with pytest.raises(ValidationError):
         validate_protocol(broken)
+
+
+def _verifier_with(**changes):
+    return lambda p: dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, **changes))
+
+
+def _prover_with(**changes):
+    return lambda p: dataclasses.replace(p, provers=(dataclasses.replace(p.provers[0], **changes),))
+
+
+def _both_alphabets(comm):
+    return lambda p: _prover_with(comm_alphabet=comm)(_verifier_with(comm_alphabets=(comm,))(p))
+
+
+@pytest.mark.parametrize("breaking, message", [
+    (_verifier_with(mode="3qfa"), "unknown mode '3qfa'"),
+    (_verifier_with(states=("q0", "acc", "rej", "acc", "q0")), "duplicate verifier states ['acc', 'q0']"),
+    (_verifier_with(initial="q9"), "initial state 'q9' not declared"),
+    (_verifier_with(accept=frozenset({"acc", "win"})), "accept/reject sets mention undeclared states ['win']"),
+    (_verifier_with(reject=frozenset({"rej", "lose"})), "accept/reject sets mention undeclared states ['lose']"),
+    (_verifier_with(accept=frozenset({"acc", "rej"})), "accept and reject sets overlap in ['rej']"),
+    (_verifier_with(input_alphabet=("0", RIGHT_END)), "input alphabet may not contain '$'"),
+    (_verifier_with(input_alphabet=(BLANK,)), "input alphabet may not contain '#'"),
+    (_prover_with(index=2), "prover 1 has index 2"),
+    (_prover_with(comm_alphabet=("#", "x")), "prover 1 communication alphabet differs from the verifier's"),
+    (_both_alphabets(("x",)), "prover 1 communication alphabet lacks '#'"),
+    (_prover_with(tape_alphabet=("x",)), "prover 1 tape alphabet lacks '#'"),
+    (_prover_with(space=-1), "prover 1 has negative space -1"),
+    (lambda p: dataclasses.replace(p, a=0.0), "thresholds must lie in (0, 1], got a=0.0 and b=1.0"),
+    (lambda p: dataclasses.replace(p, b=1.5), "thresholds must lie in (0, 1], got a=1.0 and b=1.5"),
+    (lambda p: dataclasses.replace(p, cutoff=0), "cutoff must be at least 1"),
+])
+def test_validate_protocol_names_each_structural_refusal(breaking, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        validate_protocol(breaking(_tiny_protocol()))
 
 
 @pytest.mark.parametrize("count", [1, 3])
