@@ -27,7 +27,8 @@ branches, as rotations do, puts a phase on its move, merges two local
 states, or something faults, such as a verifier column whose head moves
 collide on the two-cell tape of "") or when it keeps more than PRUNE_TOL
 with rounds left: the engine's round driver, which stops at that same
-test, resumes it from the shared round 1 and raises the run's own error.
+test, resumes it from the shared round 1, merges the histories of logged
+strategies by their tapes (their `record`) and raises the run's own error.
 Round 1, the scorer and every replay are passes of one verifier on one
 input, so they read one column cache, the verifier's own (`engine._columns`).
 
@@ -44,8 +45,8 @@ the candidate with the smallest aggregate rejection mass can only help the
 provers at each replacement, which gives the dominance guarantee. Each
 candidate reply is scored by resuming the driver from the walk's current
 round. The quantum run, the walk, every candidate's resumed rounds and the
-final deterministic run read the verifier's one column cache for x, and their
-strategies declare no `stash`, so no run merges histories.
+final deterministic run read the verifier's one column cache for x; their
+strategies read their tapes and declare no `record`, so no run merges histories.
 """
 from __future__ import annotations
 

@@ -14,19 +14,15 @@ the measurement run as one pass grouped by prover tapes
 (`_verify_and_measure`). The residual stays unnormalized; mass still
 unresolved at the cutoff is reported as leftover.
 
-A strategy that declares `stash(step)` writes the lower track of its
-reception, the reduction's one-time-pad mask, into a cell no later move
-touches, and nothing else of its move reads that track (see `specs`). The
-part of the state with one content of those tracks, a history, never
-interferes with another again, and histories whose states agree with
-reception upper tracks in place of receptions evolve identically. So before
-every prover stage the driver keeps them once, as a class with an integer
-multiplicity whose later stages run once and whose masses are weighted by it
-(16 histories per round of the reduced `parity_relay`).
-`RoundStat.configurations` is the sum of multiplicity times residual size,
-exactly the pure state's count; `RoundStat.stored` is the sum of residual
-sizes, what the driver holds. A run where no move stashes is one class of
-multiplicity 1.
+A strategy's `record` (see `specs`) is what its moves store but never read:
+a track wrap's reception lower track, the reduction's one-time-pad mask, or a
+logged reply's tape. A history, the part of the state with one content of the
+records, never meets another again, and histories that agree outside their
+records evolve alike. So before every prover stage the driver keeps them once,
+as a class whose multiplicity weighs its masses (16 histories per round of the
+reduced `parity_relay`). `RoundStat.configurations` is the sum of multiplicity
+times residual size, the pure state's count; `RoundStat.stored` is the sum of
+residual sizes, what the driver holds. A run without records is one class.
 
 `_rounds` is the one round driver: a generator that yields each round as it is
 run, which `simulate` consumes whole and derandomization (`adversary`) steps
@@ -42,6 +38,7 @@ sweep's or a derandomization's runs build each of theirs once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice, product
 from math import prod
 from typing import Callable, Iterator, NamedTuple
@@ -384,38 +381,44 @@ class _Class(NamedTuple):
     mass: float | None
 
 
-def _fold_stashes(classes: list[_Class], stashed: tuple[int, ...]) -> list[_Class]:
-    """Merge histories by the lower tracks that the prover stage will stash in the `stashed` slots.
+@lru_cache(maxsize=4096)
+def _split_receptions(comm: tuple[str, ...], slots: tuple[int, ...]) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """`comm` with the upper tracks of `slots` in their cells, and those lower tracks; None if one is no track."""
+    halves = {slot: parse_track(comm[slot]) for slot in slots}
+    if None in halves.values():
+        return None
+    cells = tuple(halves[slot][0] if slot in halves else cell for slot, cell in enumerate(comm))
+    return cells, tuple(lower for _, lower in halves.values())
 
-    Before the move, each class splits into histories by those tracks. The
-    stash cell is dead from the move on and nothing else of the move reads
-    them (the `stash` contract), so histories whose configurations agree,
-    amplitude for amplitude, with reception upper tracks in place of
-    receptions evolve alike: they merge into one class whose multiplicity is
-    the sum of theirs, the first as its representative. A class of one
-    history keeps its dict and mass. A reception `parse_track` cannot split
-    stays alone, for the move to raise.
+
+def _merge_records(classes: list[_Class], lowered: tuple[int, ...], logged: tuple[int, ...]) -> list[_Class]:
+    """Merge histories by the next move's records: `lowered` slots' reception lower tracks, `logged` slots' tapes.
+
+    No move reads a record and the verifier reads no tape, so histories whose
+    configurations agree, amplitude for amplitude, outside their records merge
+    into one class whose multiplicity is the sum of theirs, the first as its
+    representative. A class of one history keeps its dict and mass. A reception
+    `parse_track` cannot split stays alone, for the move to raise.
     """
     merged: dict = {}
     for state, multiplicity, mass in classes:
         histories: dict = {}
         for config, amp in state.items():
             q, head, comm, tapes = config
-            cells = list(comm)
-            lowers = []
-            for slot in stashed:
-                halves = parse_track(cells[slot])
-                if halves is None:
-                    history, outside = config, object()
-                    break
-                cells[slot], lower = halves
-                lowers.append(lower)
+            split = _split_receptions(comm, lowered)
+            if split is None:
+                history, outside = config, object()
             else:
-                history, outside = tuple(lowers), (q, head, tuple(cells), tapes)
+                cells, history = split
+                if logged:
+                    history = history, tuple([tapes[slot] for slot in logged])
+                    tapes = tuple([None if slot in logged else tape for slot, tape in enumerate(tapes)])
+                outside = q, head, cells, tapes
             histories.setdefault(history, []).append((config, outside, amp))
         whole = len(histories) == 1
         for members in histories.values():
-            key = frozenset([(outside, amp) for _, outside, amp in members])
+            # a history of one configuration is keyed by its one pair, never equal to a frozenset
+            key = members[0][1:] if len(members) == 1 else frozenset([(outside, amp) for _, outside, amp in members])
             entry = merged.get(key)
             if entry is not None:
                 entry[1] += multiplicity
@@ -431,9 +434,9 @@ def _rounds(
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
-    From round 2 on, every round merges by the lower tracks that the slots
-    whose strategy declares `stash` will stash (`_fold_stashes`), found once
-    per call, and runs the prover stage per class; every round runs the
+    From round 2 on, every round with two configurations or more merges by
+    the records that the provers' strategies declare (`_merge_records`), read
+    once per call, and runs the prover stage per class; every round runs the
     verifier pass and its measurement per class. The last round yielded is
     `p.cutoff`'s or the first whose residual mass is at most PRUNE_TOL. Round
     j+1 is built only when the caller asks for it, from the provers'
@@ -445,7 +448,9 @@ def _rounds(
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
     columns = _columns(p.verifier, tape)
-    stashed = tuple(pr.index - 1 for pr in p.provers if hasattr(pr.strategy, "stash"))
+    records = [(pr.index - 1, getattr(pr.strategy, "record", None)) for pr in p.provers]
+    lowered = tuple([slot for slot, record in records if record == "lower"])
+    logged = tuple([slot for slot, record in records if record == "tape"])
     if after is None:
         after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
     stat, survivors = after
@@ -453,17 +458,16 @@ def _rounds(
     for j in range(stat.index + 1, p.cutoff + 1):
         if before <= PRUNE_TOL:
             return
-        # a class keeps its mass from before the prover stage (the mask merge sums
-        # the classes it splits off), and its verifier pass checks both stages against it
-        if stashed and j >= 2:
-            survivors = [c if c.mass is not None else c._replace(mass=_mass(c.state, quantum))
-                         for c in _fold_stashes(survivors, stashed)]
-        classes = [c._replace(state=_prover_stage(p, c.state, j)) for c in survivors]
+        if (lowered or logged) and j >= 2 and (len(survivors) != 1 or len(survivors[0].state) > 1):
+            survivors = _merge_records(survivors, lowered, logged)
+        # a class keeps its mass from before the prover stage (the merge leaves it unknown for
+        # the histories it splits off), and its verifier pass checks both stages against it
+        moved = [(_prover_stage(p, state, j), multiplicity, _mass(state, quantum) if mass is None else mass)
+                 for state, multiplicity, mass in survivors]
         p_acc = p_rej = residual_mass = 0.0
         configurations = stored = 0
         survivors = []
-        for state, multiplicity, mass in classes:
-            mass = _mass(state, quantum) if mass is None else mass
+        for state, multiplicity, mass in moved:
             after_mass, acc, rej, residual = _verify_and_measure(state, p.verifier, tape, columns)
             left = _mass(residual, quantum)
             _check_round(j, mass, after_mass, acc, rej, left)

@@ -117,11 +117,12 @@ def xor_symbols(encoding: Mapping[str, str], a: str, b: str) -> str:
 # step-indexed cell, so the write target is fresh on every reachable state
 # and injectivity comes for free.
 #
-# A strategy that declares `stash(step)` takes on a contract: its move at
-# that step writes the lower track of its reception into that cell, nothing
-# else of the move reads that track, and no later move touches that cell.
-# The engine relies on this to merge histories that differ only in those
-# tracks before every move.
+# A strategy class may declare a `record` that its moves store but never read:
+# "lower", its reception's lower track, stashed in a tape cell no later move
+# reads, or "tape", its whole tape, which moves only append to. The engine
+# merges histories that differ only in records before every move and cannot
+# see a wrong declaration (`check_prover_columns` can), which gives wrong
+# numbers without a fault. A subclass that reads its record sets `record = None`.
 
 Tape = tuple[str, ...]
 QuantumMove = list[tuple[tuple[str, Tape], complex]]
@@ -264,6 +265,7 @@ class TrackWrapStrategy:
     inner: object
     mask_offset: int
     kind: ClassVar[str] = "track-wrap"
+    record: ClassVar[str | None] = "lower"
 
     def __post_init__(self):
         if self.mask_offset < 0:
@@ -275,9 +277,8 @@ class TrackWrapStrategy:
             raise MissingTransition(f"track wrap received non-track symbol {comm!r}")
         upper, lower = parsed
         offset = self.mask_offset
-        idx = self.stash(step)
-        # with the stash cell past the inner cells and blank, every inner move of
-        # `offset` cells is logged by one slice-and-concatenate
+        idx = offset + step - 1
+        # stash cell past the inner cells and blank: one slice-and-concatenate logs each inner move of `offset` cells
         stash = offset <= idx < len(tape) and tape[idx] == BLANK
         out: QuantumMove = []
         for (reply, inner_tape), amp in self.inner.apply_quantum(step, upper, tape[:offset]):
@@ -292,9 +293,6 @@ class TrackWrapStrategy:
         return _single_move(
             self.apply_quantum(step, comm, tape), "track wrap over a branching strategy has no classical form"
         )
-
-    def stash(self, step: int) -> int:
-        return self.mask_offset + step - 1
 
 
 @dataclass(frozen=True)
@@ -334,6 +332,7 @@ class LoggedReplyStrategy:
     label: str
     fn: Callable[[int, str], list[tuple[str, complex]]] = field(compare=False)
     kind: ClassVar[str] = "logged-reply"
+    record: ClassVar[str | None] = "tape"
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         logged = log_reception(tape, step, comm, "strategy", self.label)
@@ -792,13 +791,17 @@ def fair_coin_violations(v: VerifierSpec) -> list[str]:
 
 
 def check_prover_columns(prover: ProverSpec, step: int, tapes: Iterable[Tape]) -> WellFormedReport:
-    """Enumerate a strategy's columns over given tapes and check orthonormality.
+    """Enumerate a strategy's columns over given tapes and check orthonormality and its `record`.
 
-    Basis states outside the strategy's defined domain (MissingTransition)
-    are skipped; the check covers the partial isometry the engine actually
-    uses. Intended for tests and validation at small tape sizes.
+    Basis states outside the strategy's defined domain (MissingTransition) are
+    skipped: the check covers the partial isometry the engine uses. A state must
+    move as the first that differs from it only in a declared record: equal replies
+    and amplitudes, new tapes that differ only where each holds its own lower track.
     """
+    record = getattr(prover.strategy, "record", None)
     vectors: dict[RowKey, dict[tuple, complex]] = {}
+    firsts: dict = {}  # per state without its record: the first such state, its lower track, its moves
+    unlike = []
     for tape in tapes:
         for comm in prover.comm_alphabet:
             try:
@@ -806,5 +809,16 @@ def check_prover_columns(prover: ProverSpec, step: int, tapes: Iterable[Tape]) -
             except MissingTransition:
                 continue
             vectors[(comm, tape)] = sum_targets(moves)  # type: ignore[index]
-    violations = _orthonormal_violations(vectors, "column")
+            upper, mine = (parse_track(comm) or (None, None)) if record == "lower" else (comm, None)
+            if record not in ("lower", "tape") or upper is None:
+                continue
+            rest = (upper, tape if record == "lower" else None)
+            first, lower, alike = firsts.setdefault(rest, ((comm, tape), mine, moves))
+            if len(moves) != len(alike) or not all(
+                reply == other and abs(amp - other_amp) <= AMPLITUDE_TOL
+                and all(a == b or (a, b) == (mine, lower) for a, b in zip(new, old) if mine is not None)
+                for ((reply, new), amp), ((other, old), other_amp) in zip(moves, alike)
+            ):
+                unlike.append(f"column {(comm, tape)} moves unlike {first}, which differs only in its {record} record")
+    violations = _orthonormal_violations(vectors, "column") + unlike
     return WellFormedReport(not violations, violations)

@@ -31,8 +31,10 @@ from qmipsim.specs import (
     LoggedReplyStrategy,
     ProtocolSpec,
     ProverSpec,
+    TrackWrapStrategy,
     UnitaryTableStrategy,
     VerifierSpec,
+    FixedReplies,
     constant_reply,
     echo_reply,
     parse_track,
@@ -878,7 +880,7 @@ def test_a_verifier_keeps_the_columns_of_its_last_tapes():
 
 
 class _Hidden:
-    """A strategy with its `stash` hidden, so the engine merges nothing by its masks."""
+    """A strategy with its `record` hidden, so the engine merges nothing by its records."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -890,7 +892,7 @@ class _Hidden:
         return self.inner.apply_classical(step, comm, tape)
 
 
-def _hiding_stash(p):
+def _hiding_records(p):
     provers = tuple(dataclasses.replace(pr, strategy=_Hidden(pr.strategy)) for pr in p.provers)
     return dataclasses.replace(p, provers=provers)
 
@@ -903,8 +905,8 @@ def _outcome(p, x):
 
 
 def _assert_agree(p, x):
-    """The run of p merged by masks and the unmerged run (every `stash` hidden) agree, faults included."""
-    folded, whole = _outcome(p, x), _outcome(_hiding_stash(p), x)
+    """The run of p merged by records and the unmerged run (every `record` hidden) agree, faults included."""
+    folded, whole = _outcome(p, x), _outcome(_hiding_records(p), x)
     if isinstance(folded, type) or isinstance(whole, type):
         assert folded == whole
         return
@@ -1068,7 +1070,7 @@ def test_a_round_of_one_configuration_sums_its_residual_once(monkeypatch, build,
 
 
 def _reference_merge(classes, split):
-    """The merge rule spelled out: each history's state and key built in full. `engine._fold_stashes` must match it."""
+    """The merge rule spelled out: each history's state and key built in full. `engine._merge_records` must match it."""
     merged: dict = {}
     for state, multiplicity, mass in classes:
         histories: dict = {}
@@ -1090,19 +1092,22 @@ def _reference_merge(classes, split):
     return [engine._Class(*entry) for entry in merged.values()]
 
 
-def _mask_split(stashed):
-    """The split of a configuration by the lower tracks of its `stashed` slots: (the lowers, the
-    configuration with upper tracks in their place), or (itself, a fresh object) if one is no track."""
+def _record_split(lowered, logged):
+    """The split of a configuration by its records, the lower tracks of its `lowered` slots and the
+    tapes of its `logged` slots: (the records, the configuration with upper tracks in place of those
+    receptions and None in place of those tapes), or (itself, a fresh object) if a reception is no track."""
     def split(config):
         comm = list(config.comm)
         lowers = []
-        for slot in stashed:
+        for slot in lowered:
             halves = parse_track(comm[slot])
             if halves is None:
                 return config, object()
             comm[slot], lower = halves
             lowers.append(lower)
-        return tuple(lowers), config._replace(comm=tuple(comm))
+        tapes = [None if slot in logged else tape for slot, tape in enumerate(config.tapes)]
+        records = (tuple(lowers), tuple(config.tapes[slot] for slot in logged))
+        return records, config._replace(comm=tuple(comm), tapes=tuple(tapes))
 
     return split
 
@@ -1113,6 +1118,9 @@ _CELL = st.sampled_from((BLANK, "[a/0]", "[a/1]", "[b/0]", "zz"))
 _TAPE = st.tuples(*[st.sampled_from((BLANK, "0"))] * 3)
 _CONFIGURATION = st.builds(Configuration, st.sampled_from(("q0", "q1")), st.integers(0, 1),
                            st.tuples(_CELL, _CELL), st.tuples(_TAPE, _TAPE))
+# per slot, its record: none, the lower track of its reception, or its tape
+_RECORDS = st.tuples(*[st.sampled_from((None, "lower", "tape"))] * 2).map(
+    lambda records: tuple(tuple(slot for slot, r in enumerate(records) if r == kind) for kind in ("lower", "tape")))
 
 
 @st.composite
@@ -1124,10 +1132,10 @@ def _classes_to_merge(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(classes=_classes_to_merge(), stashed=st.lists(st.sampled_from((0, 1)), unique=True).map(sorted))
-def test_the_merge_matches_its_reference(classes, stashed):
-    got = engine._fold_stashes(classes, tuple(stashed))
-    want = _reference_merge(classes, _mask_split(stashed))
+@given(classes=_classes_to_merge(), records=_RECORDS)
+def test_the_merge_matches_its_reference(classes, records):
+    got = engine._merge_records(classes, *records)
+    want = _reference_merge(classes, _record_split(*records))
     assert len(got) == len(want)
     for new, ref in zip(got, want):
         assert list(new.state.items()) == list(ref.state.items())
@@ -1138,12 +1146,12 @@ def test_the_merge_matches_its_reference(classes, stashed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(classes=_classes_to_merge(), stashed=st.lists(st.sampled_from((0, 1)), unique=True).map(sorted))
-def test_a_mask_merge_that_merges_nothing_keeps_its_classes(classes, stashed):
+@given(classes=_classes_to_merge(), records=_RECORDS)
+def test_a_mask_merge_that_merges_nothing_keeps_its_classes(classes, records):
     # every class the merge returns is one history with a key of its own, so
     # merging them again merges nothing: each keeps its dict, multiplicity and mass
-    once = engine._fold_stashes(classes, tuple(stashed))
-    again = engine._fold_stashes(once, tuple(stashed))
+    once = engine._merge_records(classes, *records)
+    again = engine._merge_records(once, *records)
     assert len(again) == len(once)
     for kept, c in zip(again, once):
         assert kept.state is c.state
@@ -1155,9 +1163,9 @@ def test_a_mask_merge_that_merges_nothing_keeps_its_classes(classes, stashed):
 def test_the_mask_merge_keeps_one_class_per_round_of_the_reduced_relay(x):
     # the 16 lower-track histories of every round merge into one class before
     # the move, so each round stores 16 configurations however many it counts;
-    # with every `stash` hidden, nothing merges and every configuration is stored
+    # with every `record` hidden, nothing merges and every configuration is stored
     p = _reduced_parity_relay()
-    merged, whole = simulate(p, x), simulate(_hiding_stash(p), x)
+    merged, whole = simulate(p, x), simulate(_hiding_records(p), x)
     counts = [16 ** j for j in range(1, len(x) + 2)] + [0]
     assert [r.configurations for r in merged.rounds] == [r.configurations for r in whole.rounds] == counts
     assert [r.stored for r in merged.rounds] == [min(n, 16) for n in counts]
@@ -1165,6 +1173,57 @@ def test_the_mask_merge_keeps_one_class_per_round_of_the_reduced_relay(x):
     assert repr((merged.p_accept, merged.p_reject, merged.leftover)) == repr(
         (whole.p_accept, whole.p_reject, whole.leftover))
 
+
+
+def _user_run():
+    """The reduced relay against const:[1/#] and const:#, each with a cell per step for its log."""
+    p = _reduced_parity_relay()
+    strategies = (constant_reply("[1/#]"), constant_reply(BLANK))
+    provers = tuple(dataclasses.replace(pr, strategy=s, space=p.cutoff) for pr, s in zip(p.provers, strategies))
+    return dataclasses.replace(p, provers=provers)
+
+
+def test_logged_provers_merge_by_their_tapes():
+    # constant replies log each reception in a fresh cell that no move reads:
+    # the 16 logs of a round's class merge into one class before the move, as
+    # the masks of the honest track wraps do, while every mass stays the same
+    p = _user_run()
+    merged, whole = simulate(p, "111"), simulate(_hiding_records(p), "111")
+    counts = [16, 256, 4096, 65536, 0]
+    assert [r.configurations for r in merged.rounds] == [r.configurations for r in whole.rounds] == counts
+    assert [r.stored for r in merged.rounds] == [16, 256, 256, 256, 0]
+    assert [r.stored for r in whole.rounds] == counts
+    masses = [repr([(r.p_accept, r.p_reject, r.residual_mass) for r in run.rounds]) for run in (merged, whole)]
+    assert masses[0] == masses[1]
+    assert repr((merged.p_accept, merged.p_reject, merged.leftover)) == repr((1.0, 0.0, 0.0))
+
+
+def test_the_driver_reads_each_record_once_per_run():
+    reads = []
+
+    class Counted(LoggedReplyStrategy):
+        @property
+        def record(self):
+            reads.append(1)
+            return "tape"
+
+    p = _user_run()
+    counted = Counted("counted", FixedReplies(("[1/#]",)))
+    p = dataclasses.replace(p, provers=(dataclasses.replace(p.provers[0], strategy=counted),) + p.provers[1:])
+    assert repr(simulate(p, "111")) == repr(simulate(_user_run(), "111"))
+    assert reads == [1]
+
+
+@pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
+@pytest.mark.parametrize("x", ["1", "11"])
+def test_sweep_tables_are_those_with_every_record_hidden(monkeypatch, x, objective):
+    # every replay of a default-family combination merges its logged provers'
+    # histories by their tapes; the table is the one of the unmerged replays, bit for bit
+    p = _reduced_parity_relay()
+    merged = search(p, x, objective=objective, cutoff=3, keep_table=True)
+    for cls in (LoggedReplyStrategy, TrackWrapStrategy):
+        monkeypatch.setattr(cls, "record", None)
+    assert repr(search(p, x, objective=objective, cutoff=3, keep_table=True)) == repr(merged)
 
 class _Declaring:
     """`inner` with a `cells` method that declares no cell at any step."""
@@ -1252,10 +1311,10 @@ def test_a_drift_spread_over_merged_histories_is_still_a_run_fault():
     wrap = dataclasses.replace(first.strategy, inner=_Scaled(first.strategy.inner, math.sqrt(1 + 2e-9)))
     p = dataclasses.replace(p, provers=(dataclasses.replace(first, strategy=wrap),) + p.provers[1:])
     stat, survivors = next(_rounds(p, "1"))
-    (merged,) = engine._fold_stashes(survivors, (0, 1))
+    (merged,) = engine._merge_records(survivors, (0, 1), ())
     assert merged.multiplicity == 16
     assert engine._mass(merged.state, True) * 2e-9 < ROUND_TOL < stat.residual_mass * 2e-9
-    for protocol in (p, _hiding_stash(p)):
+    for protocol in (p, _hiding_records(p)):
         with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
             simulate(protocol, "1")
 

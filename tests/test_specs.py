@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import one_way_protocols
 from qmipsim import corpus
-from qmipsim.engine import simulate
+from qmipsim.adversary import track_probe_family
+from qmipsim.amplitudes import apply_sparse_operator
+from qmipsim.engine import Configuration, simulate
 from qmipsim.errors import (
     AlphabetMismatch,
     MissingTransition,
@@ -24,7 +26,9 @@ from qmipsim.specs import (
     LEFT_END,
     RIGHT_END,
     ClassicalTableStrategy,
+    DerandomizedStrategy,
     EraserStrategy,
+    FixedReplies,
     ForeignGuard,
     LoggedReplyStrategy,
     ProtocolSpec,
@@ -43,6 +47,7 @@ from qmipsim.specs import (
     fair_coin_violations,
     fixed_width_binary_encoding,
     guard_state,
+    log_reception,
     make_track_alphabet,
     parse_track,
     restrictive_violations,
@@ -383,7 +388,7 @@ _RELAY = ClassicalTableStrategy(
 _RELAYED = (BLANK, "1")
 _MASKS = (BLANK, "1", "a")
 _TRACKS = make_track_alphabet(_RELAYED, _MASKS)
-# every built-in strategy that declares `stash`: track wraps over several inners
+# track wraps over several inners: their record is the lower track, stashed at `mask_offset + step - 1`
 _STASHING = (
     TrackWrapStrategy(inner=ReversibleWrapStrategy(inner=_RELAY, hist_offset=1), mask_offset=4),
     TrackWrapStrategy(inner=rotation_reply(BLANK, "1"), mask_offset=3),
@@ -412,12 +417,12 @@ def _move(strategy, step, comm, tape, quantum):
     later=st.sampled_from(_TRACKS),
 )
 def test_a_stashed_lower_track_reaches_only_the_stash_cell(upper, lowers, cells, later):
-    # the `stash` contract the merge by masks relies on: receptions that differ
-    # only in their lower tracks get equal replies and amplitudes and tapes that
-    # differ only at the stash cell, and no later move touches that cell
+    # the "lower" record the merge relies on: receptions that differ only in
+    # their lower tracks get equal replies and amplitudes and tapes that differ
+    # only at the stash cell, and no later move touches that cell
     for strategy in _STASHING:
         for step, space, quantum in itertools.product(range(1, 5), (9, 4), (True, False)):
-            idx = strategy.stash(step)
+            idx = strategy.mask_offset + step - 1
             tape = tuple(cells[:space])
             first, second = (_move(strategy, step, track(upper, lower), tape, quantum) for lower in lowers)
             where = (strategy, step, upper, lowers, tape, quantum)
@@ -434,6 +439,142 @@ def test_a_stashed_lower_track_reaches_only_the_stash_cell(upper, lowers, cells,
                     if not isinstance(moved, type):
                         assert all(moved_tape[idx] == new[idx] for (_, moved_tape), _ in moved), where
 
+
+
+# one strategy of every built-in kind, several logged ones among them; a
+# logged reply's receptions are track symbols over (#, 1), as probes expect
+_LOGGED_RECEPTIONS = make_track_alphabet((BLANK, "1"), (BLANK, "1"))
+_EVERY_KIND = _STASHING + track_probe_family(1, _LOGGED_RECEPTIONS).strategies + (
+    rotation_reply(BLANK, "1", -1),
+    LoggedReplyStrategy("seq:1,#", FixedReplies(("1", BLANK))),
+    EraserStrategy(),
+    _RELAY,
+    ReversibleWrapStrategy(inner=_RELAY, hist_offset=1),
+    UnitaryTableStrategy(work=1, steps={None: {(s, (t,)): [((t, (s,)), 1.0 + 0j)] for s in _RELAYED
+                                               for t in _RELAYED}}),
+    DerandomizedStrategy(choices={(1, "1", (BLANK,) * 4): "1"}),
+)
+_RECORDED = tuple(s for s in _EVERY_KIND if getattr(s, "record", None) is not None)
+
+
+def test_only_track_wraps_and_logged_replies_declare_a_record():
+    # the eraser, the tables, their reversible wrap and derandomized replies read their tapes
+    assert {type(s).__name__: getattr(s, "record", None) for s in _EVERY_KIND} == {
+        "TrackWrapStrategy": "lower", "LoggedReplyStrategy": "tape", "EraserStrategy": None,
+        "ClassicalTableStrategy": None, "ReversibleWrapStrategy": None, "UnitaryTableStrategy": None,
+        "DerandomizedStrategy": None,
+    }
+
+
+def _local_states(strategy, step, data):
+    """Two local states that differ only in `strategy`'s record, both reachable before its move at `step`.
+
+    A "lower" record: one tape, receptions with one upper and two lower tracks.
+    A "tape" record: one reception, two logs of earlier receptions ahead of blank cells.
+    """
+    if strategy.record == "lower":
+        upper = data.draw(st.sampled_from(_RELAYED))
+        lowers = data.draw(st.lists(st.sampled_from(_MASKS), min_size=2, max_size=2, unique=True))
+        tape = tuple(data.draw(st.lists(_TAPE_SYMBOLS, min_size=9, max_size=9)))[:data.draw(st.sampled_from((9, 4)))]
+        return [(track(upper, lower), tape) for lower in lowers], lowers
+    comm = data.draw(st.sampled_from(_LOGGED_RECEPTIONS))
+    space = data.draw(st.sampled_from((2, 4)))
+    logs = st.lists(st.sampled_from(_LOGGED_RECEPTIONS), min_size=step - 1, max_size=step - 1)
+    return [(comm, tuple(data.draw(logs) + [BLANK] * space)[:space]) for _ in range(2)], None
+
+
+@settings(max_examples=300)
+@given(strategy=st.sampled_from(_RECORDED), step=st.integers(1, 4), quantum=st.booleans(), data=st.data())
+def test_states_that_differ_only_in_the_record_move_alike(strategy, step, quantum, data):
+    # the record contract the merge relies on: equal replies and amplitudes (or
+    # equal faults), and new tapes that differ only in the record, which for
+    # "lower" is where each new tape holds its own lower track
+    states, lowers = _local_states(strategy, step, data)
+    first, second = (_move(strategy, step, comm, tape, quantum) for comm, tape in states)
+    if isinstance(first, type) or isinstance(second, type):
+        assert first == second
+        return
+    assert [(reply, amp) for (reply, _), amp in first] == [(reply, amp) for (reply, _), amp in second]
+    if lowers is not None:
+        for ((_, new), _), ((_, other), _) in zip(first, second):
+            assert all(a == b or [a, b] == lowers for a, b in zip(new, other))
+            assert new != other
+
+
+@pytest.mark.parametrize("strategy", _RECORDED, ids=lambda s: getattr(s, "label", type(s).__name__))
+def test_check_prover_columns_passes_every_built_in_record(strategy):
+    # a track wrap over the bare relay table is no isometry, so only the record findings are read
+    alphabet = _TRACKS if strategy.record == "lower" else _LOGGED_RECEPTIONS
+    prover = ProverSpec(index=1, comm_alphabet=alphabet, tape_alphabet=alphabet, space=7, strategy=strategy)
+    tapes = list(itertools.product((BLANK, "1"), repeat=7))
+    for step in (1, 2, 3):
+        assert [v for v in check_prover_columns(prover, step, tapes).violations if v.endswith(" record")] == []
+
+
+@dataclasses.dataclass(frozen=True)
+class _TapeReader(LoggedReplyStrategy):
+    """A logged reply that replies with its tape's first cell: the "tape" record it inherits is wrong."""
+
+    def apply_quantum(self, step, comm, tape):
+        return [((tape[0], log_reception(tape, step, comm)), 1.0 + 0j)]
+
+
+@dataclasses.dataclass(frozen=True)
+class _ClearedTapeReader(_TapeReader):
+    record = None
+
+
+@dataclasses.dataclass(frozen=True)
+class _MaskReader(TrackWrapStrategy):
+    """A track wrap that replies with its reception's lower track: the "lower" record it inherits is wrong."""
+
+    def apply_quantum(self, step, comm, tape):
+        mask = parse_track(comm)[1]
+        return [((track(BLANK, mask), new), amp) for (_, new), amp in super().apply_quantum(step, comm, tape)]
+
+
+def test_check_prover_columns_flags_a_record_the_move_reads():
+    reader = ProverSpec(index=1, comm_alphabet=(BLANK, "1"), tape_alphabet=(BLANK, "1"), space=2,
+                        strategy=_TapeReader("reader", None))
+    tapes = [(BLANK, BLANK), ("1", BLANK)]
+    assert check_prover_columns(reader, 2, tapes).violations == [
+        f"column ({comm!r}, ('1', '#')) moves unlike ({comm!r}, ('#', '#')), which differs only in its tape record"
+        for comm in (BLANK, "1")
+    ]
+    assert check_prover_columns(dataclasses.replace(reader, strategy=_ClearedTapeReader("reader", None)), 2, tapes)
+    uppers = ClassicalTableStrategy(work=0, rows={(u, ()): (u, ()) for u in _RELAYED})
+    masks = ProverSpec(index=1, comm_alphabet=_TRACKS, tape_alphabet=_TRACKS, space=2,
+                       strategy=_MaskReader(inner=uppers, mask_offset=0))
+    found = [v for v in check_prover_columns(masks, 1, [(BLANK, BLANK)]).violations if v.endswith(" record")]
+    assert found == [
+        f"column ({track(upper, lower)!r}, ('#', '#')) moves unlike ({track(upper, BLANK)!r}, ('#', '#')), "
+        "which differs only in its lower record"
+        for upper in _RELAYED for lower in ("1", "a")
+    ]
+
+
+def _unitary_without_columns():
+    return UnitaryTableStrategy(work=1, steps={None: {}}).apply_quantum(1, "a", (BLANK,))
+
+
+_CONFIGURATION = Configuration("q0", 0, (BLANK,), ((BLANK,),))
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: fixed_width_binary_encoding(()), ValidationError, "cannot encode an empty alphabet"),
+    (lambda: fixed_width_binary_encoding(("a", "b", "a")), ValidationError, "alphabet has duplicate symbols"),
+    (_unitary_without_columns, MissingTransition, "unitary table step 1 has no column for ('a', ('#',))"),
+    (lambda: restrictive_violations(corpus.build("coinflip_classical").verifier), ValidationError,
+     "restrictive form only applies to quantum verifiers"),
+    (lambda: fair_coin_violations(corpus.build("coinflip_quantum").verifier), ValidationError,
+     "fair-coin form only applies to classical verifiers"),
+    (lambda: apply_sparse_operator(lambda config: None, {_CONFIGURATION: 1.0 + 0j}), MissingTransition,
+     str(_CONFIGURATION)),
+], ids=["empty alphabet", "duplicated alphabet", "missing unitary column", "restrictive on classical",
+        "fair coin on quantum", "no column"])
+def test_each_spec_and_amplitude_refusal_names_what_it_refuses(refused, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        refused()
 
 def test_guard_state_naming():
     assert guard_state("rej", "q0", "0") == "rej[q0|0]"
