@@ -18,11 +18,13 @@ A strategy's `record` (see `specs`) is what its moves store but never read:
 a track wrap's reception lower track, the reduction's one-time-pad mask, or a
 logged reply's tape. A history, the part of the state with one content of the
 records, never meets another again, and histories that agree outside their
-records evolve alike. So before every prover stage the driver keeps them once,
-as a class whose multiplicity weighs its masses (16 histories per round of the
-reduced `parity_relay`). `RoundStat.configurations` is the sum of multiplicity
-times residual size, the pure state's count; `RoundStat.stored` is the sum of
-residual sizes, what the driver holds. A run without records is one class.
+records evolve alike. So the driver keeps them once, as a class whose
+multiplicity weighs its masses (16 histories per round of the reduced
+`parity_relay`): a lone configuration in closed form merges in its pass, on its
+column (`_Column.grouped`), other classes before the prover stage
+(`_merge_records`). `RoundStat.configurations` sums multiplicity times residual
+size, the pure state's count; `RoundStat.stored` sums the pass's residual
+sizes, before the merge. A run without records is one class.
 
 `_rounds` is the one round driver: a generator that yields each round as it is
 run, which `simulate` consumes whole and derandomization (`adversary`) steps
@@ -67,7 +69,7 @@ class Configuration(NamedTuple):
 @dataclass
 class RoundStat:
     """One round's masses and sizes: `configurations` counts the pure state's
-    configurations after the round, `stored` those the driver keeps for them."""
+    configurations after the round, `stored` the verifier pass's residual sizes, before the merge."""
     index: int
     p_accept: float
     p_reject: float
@@ -214,16 +216,30 @@ def _mass(state: StateVector, quantum: bool) -> float:
 
 
 class _Column(NamedTuple):
-    """One verifier column without tapes, and what the closed form needs.
-
-    The totals and live targets are the column's `_measure`.
-    """
+    """One verifier column without tapes and what the closed form needs; its totals
+    and live targets are the column's `_measure`."""
     targets: list  # [((state, head, comm), w)], duplicate targets summed
     smallest: float  # smallest |w|
     total: float
     accept: float
     reject: float
     live: dict  # the non-halting targets
+    merges: dict  # per record slots (lowered, logged): `live` as history classes (`grouped`)
+
+    def closed_form(self, amp: complex, quantum: bool) -> tuple[float, float, float]:
+        """(mass after the stage, accept mass, reject mass) of `amp` alone on its tapes, from the totals."""
+        scale = amp.real * amp.real + amp.imag * amp.imag if quantum else amp.real
+        return scale * self.total, scale * self.accept, scale * self.reject
+
+    def grouped(self, records: tuple[tuple[int, ...], tuple[int, ...]]) -> list:
+        """`live` as history classes by `records`, memoized: [(a representative's [(target, w)], its count)], by
+        `_merge_records` on the live targets weighted by w on placeholder tapes (a configuration's are alike)."""
+        grouped = self.merges.get(records)
+        if grouped is None:
+            probe = {(q, head, sent, (None,) * len(sent)): w for (q, head, sent), w in self.live.items()}
+            grouped = self.merges[records] = [([(config[:3], w) for config, w in c.state.items()], c.multiplicity)
+                                              for c in _merge_records([_Class(probe, 1, None)], *records)]
+        return grouped
 
 
 def _measure(targets, quantum: bool, accept, reject) -> tuple[float, float, float, dict]:
@@ -262,7 +278,7 @@ def _column(verifier: VerifierSpec, tape: tuple[str, ...], config: Configuration
         summed[target] = summed.get(target, 0j) + complex(w)
     targets = list(summed.items())
     smallest = min((abs(w) for _, w in targets), default=0.0)
-    return _Column(targets, smallest, *_measure(targets, quantum, verifier.accept, verifier.reject))
+    return _Column(targets, smallest, *_measure(targets, quantum, verifier.accept, verifier.reject), {})
 
 
 TAPES_PER_VERIFIER = 64  # the tapes whose columns one verifier keeps, the oldest dropped first
@@ -286,12 +302,11 @@ def _verify_and_measure(
     tapes interfere. A configuration alone on its tapes cannot interfere:
     when every target of its column survives the prune (|amp| times the
     column's smallest |w| is at least PRUNE_TOL), its masses are |amp|^2
-    (amp.real when classical) times the column's totals and only its
-    non-halting targets are stored. Every other configuration is summed per
-    tape group, which `_measure` prunes and measures; only its live targets
-    become configurations. Columns are built from the verifier's rows, once
-    per (state, head, comm), into `columns`, a cache for this verifier and
-    tape: the driver passes the verifier's own (`_columns`).
+    (amp.real when classical) times the column's totals (`closed_form`) and
+    only its non-halting targets are stored. Every other configuration is
+    summed per tape group, which `_measure` prunes and measures; only its
+    live targets become configurations. `columns` caches the columns, built
+    once per (state, head, comm), for this verifier and tape (`_columns`).
     """
     quantum = verifier.is_quantum()
     accept, reject = verifier.accept, verifier.reject
@@ -310,10 +325,10 @@ def _verify_and_measure(
         if sharing[tapes] or abs(amp) * column.smallest < PRUNE_TOL:
             shared.setdefault(tapes, []).append((column, amp))
             continue
-        scale = amp.real * amp.real + amp.imag * amp.imag if quantum else amp.real
-        after += scale * column.total
-        p_acc += scale * column.accept
-        p_rej += scale * column.reject
+        kept, acc, rej = column.closed_form(amp, quantum)
+        after += kept
+        p_acc += acc
+        p_rej += rej
         for (q2, head, sent), w in column.live.items():
             residual[Configuration._make((q2, head, sent, tapes))] = amp * w
     for tapes, members in shared.items():
@@ -429,21 +444,39 @@ def _merge_records(classes: list[_Class], lowered: tuple[int, ...], logged: tupl
     return [_Class(*entry) for entry in merged.values()]
 
 
+def _verify_and_merge(state: StateVector, multiplicity: int, verifier: VerifierSpec, tape: tuple[str, ...],
+                      columns: dict, records: tuple, quantum: bool) -> tuple | None:
+    """The verifier pass of a class of one configuration in closed form, else None: (mass after the stage,
+    accept, reject, residual mass and size, the classes it leaves). It builds no residual but leaves its
+    column's classes by `records` (`_Column.grouped`) times its amplitude, multiplicity times count, each
+    with the residual mass if they are one history."""
+    ((config, amp),) = state.items()
+    column = columns.get(config[:3]) or columns.setdefault(config[:3], _column(verifier, tape, config, quantum))
+    if abs(amp) * column.smallest < PRUNE_TOL:
+        return None
+    left = _mass({target: amp * w for target, w in column.live.items()}, quantum)
+    groups = column.grouped(records)
+    classes = [_Class({Configuration._make((*target, config.tapes)): amp * w for target, w in targets},
+                      multiplicity * count, left if (len(groups), count) == (1, 1) else None)
+               for targets, count in groups]
+    return (*column.closed_form(amp, quantum), left, len(column.live), classes)
+
+
 def _rounds(
     p: ProtocolSpec, x: str, after: tuple[RoundStat, list[_Class]] | None = None
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
-    From round 2 on, every round with two configurations or more merges by
-    the records that the provers' strategies declare (`_merge_records`), read
-    once per call, and runs the prover stage per class; every round runs the
-    verifier pass and its measurement per class. The last round yielded is
-    `p.cutoff`'s or the first whose residual mass is at most PRUNE_TOL. Round
-    j+1 is built only when the caller asks for it, from the provers'
-    strategies as they are then. `after` resumes from a pair the run yielded,
-    round 0 (the initial state) by default; the rounds that follow are the
-    uninterrupted run's. Every verifier pass reads the verifier's column
-    cache for x (`_columns`).
+    The records the provers declare are read once per call. From round 2 on, a
+    round with two configurations or more merges by them (`_merge_records`);
+    every round runs the prover stage and the verifier pass per class, and a
+    class of one configuration merges in its pass (`_verify_and_merge`). The
+    last round yielded is `p.cutoff`'s or the first whose residual mass is at
+    most PRUNE_TOL. Round j+1 is built only when the caller asks for it, from
+    the provers' strategies as they are then. `after` resumes from a pair
+    yielded by a run with these records or none, round 0 (the initial state)
+    by default; the rounds that follow are the uninterrupted run's. Every
+    verifier pass reads the verifier's column cache for x (`_columns`).
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
@@ -451,6 +484,7 @@ def _rounds(
     records = [(pr.index - 1, getattr(pr.strategy, "record", None)) for pr in p.provers]
     lowered = tuple([slot for slot, record in records if record == "lower"])
     logged = tuple([slot for slot, record in records if record == "tape"])
+    records = (lowered, logged) if lowered or logged else None
     if after is None:
         after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
     stat, survivors = after
@@ -458,8 +492,8 @@ def _rounds(
     for j in range(stat.index + 1, p.cutoff + 1):
         if before <= PRUNE_TOL:
             return
-        if (lowered or logged) and j >= 2 and (len(survivors) != 1 or len(survivors[0].state) > 1):
-            survivors = _merge_records(survivors, lowered, logged)
+        if records and j >= 2 and (len(survivors) != 1 or len(survivors[0].state) > 1):
+            survivors = _merge_records(survivors, *records)
         # a class keeps its mass from before the prover stage (the merge leaves it unknown for
         # the histories it splits off), and its verifier pass checks both stages against it
         moved = [(_prover_stage(p, state, j), multiplicity, _mass(state, quantum) if mass is None else mass)
@@ -468,16 +502,22 @@ def _rounds(
         configurations = stored = 0
         survivors = []
         for state, multiplicity, mass in moved:
-            after_mass, acc, rej, residual = _verify_and_measure(state, p.verifier, tape, columns)
-            left = _mass(residual, quantum)
+            merged = (_verify_and_merge(state, multiplicity, p.verifier, tape, columns, records, quantum)
+                      if records and len(state) == 1 else None)
+            if merged is None:
+                after_mass, acc, rej, residual = _verify_and_measure(state, p.verifier, tape, columns)
+                left, size = _mass(residual, quantum), len(residual)
+                if residual:
+                    survivors.append(_Class(residual, multiplicity, left))
+            else:
+                after_mass, acc, rej, left, size, classes = merged
+                survivors += classes
             _check_round(j, mass, after_mass, acc, rej, left)
             p_acc += multiplicity * acc
             p_rej += multiplicity * rej
             residual_mass += multiplicity * left
-            configurations += multiplicity * len(residual)
-            stored += len(residual)
-            if residual:
-                survivors.append(_Class(residual, multiplicity, left))
+            configurations += multiplicity * size
+            stored += size
         # each class was checked; the weighted round mass must hold too, so a
         # drift spread thinly over many classes still faults
         _check_round(j, before, p_acc + p_rej + residual_mass, p_acc, p_rej, residual_mass)

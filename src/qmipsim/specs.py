@@ -793,9 +793,9 @@ def fair_coin_violations(v: VerifierSpec) -> list[str]:
 def check_prover_columns(prover: ProverSpec, step: int, tapes: Iterable[Tape]) -> WellFormedReport:
     """Enumerate a strategy's columns over given tapes and check orthonormality and its `record`.
 
-    Basis states outside the strategy's defined domain (MissingTransition) are
-    skipped: the check covers the partial isometry the engine uses. A state must
-    move as the first that differs from it only in a declared record: equal replies
+    Basis states outside the strategy's domain (MissingTransition, or SpaceExceeded on a tape
+    too short for the step) are skipped: the check covers the partial isometry the engine uses.
+    A state must move as the first that differs from it only in a declared record: equal replies
     and amplitudes, new tapes that differ only where each holds its own lower track.
     """
     record = getattr(prover.strategy, "record", None)
@@ -806,7 +806,7 @@ def check_prover_columns(prover: ProverSpec, step: int, tapes: Iterable[Tape]) -
         for comm in prover.comm_alphabet:
             try:
                 moves = prover.strategy.apply_quantum(step, comm, tape)
-            except MissingTransition:
+            except (MissingTransition, SpaceExceeded):
                 continue
             vectors[(comm, tape)] = sum_targets(moves)  # type: ignore[index]
             upper, mine = (parse_track(comm) or (None, None)) if record == "lower" else (comm, None)

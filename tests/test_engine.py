@@ -38,6 +38,7 @@ from qmipsim.specs import (
     constant_reply,
     echo_reply,
     parse_track,
+    track,
     rotation_reply,
 )
 from qmipsim.tolerances import ROUND_TOL
@@ -941,22 +942,23 @@ def test_resuming_the_driver_yields_the_rest_of_the_run(name, x):
 
 
 def test_the_driver_stores_one_merged_class_per_round(monkeypatch):
-    # the reduced relay stashes a mask in a fresh cell every round; the
-    # merge by masks before the prover stage keeps 16 histories as one, so
-    # the verifier pass sees one configuration and 16 targets per round
+    # the reduced relay stashes a mask in a fresh cell every round; its 16
+    # histories merge on the verifier column of the round's one configuration,
+    # so each pass sees one configuration and 16 live targets and leaves one
+    # class of one configuration
     seen = []
-    verify = engine._verify_and_measure
+    verify = engine._verify_and_merge
 
-    def spy(state, verifier, tape, columns):
-        out = verify(state, verifier, tape, columns)
-        seen.append((len(state), len(out[3])))
+    def spy(state, *args):
+        out = verify(state, *args)
+        seen.append((len(state), out[4], [len(c.state) for c in out[5]]))
         return out
 
-    monkeypatch.setattr(engine, "_verify_and_measure", spy)
+    monkeypatch.setattr(engine, "_verify_and_merge", spy)
     rounds = simulate(_reduced_parity_relay(), "111").rounds
     assert [r.configurations for r in rounds] == [16, 256, 4096, 65536, 0]
     assert [r.stored for r in rounds] == [16, 16, 16, 16, 0]
-    assert seen == [(1, 16)] * 4 + [(1, 0)]
+    assert seen == [(1, 16, [1])] * 4 + [(1, 0, [])]
 
 
 def test_the_prover_stage_moves_one_source_per_merged_round(monkeypatch):
@@ -979,13 +981,13 @@ def test_the_prover_stage_moves_one_source_per_merged_round(monkeypatch):
 
 
 def _fault_of_a_corrupted_reception(p, x):
-    """The fault of p's run on x resumed after round 1 with one reception replaced by 'zz'."""
-    stat, (survivor,) = next(_rounds(p, x))
-    state = dict(survivor.state)
+    """The fault of p's run on x resumed from its unmerged round-1 residual with one reception replaced by 'zz'."""
+    stat, _ = next(_rounds(p, x))
+    state = dict(_verify_and_measure(initial_state(p, x), p.verifier, input_tape(x, p.verifier), {})[3])
     victim = list(state)[5]
     state[victim._replace(comm=("zz",) + victim.comm[1:])] = state.pop(victim)
     with pytest.raises(MissingTransition) as fault:
-        list(_rounds(p, x, after=(stat, [survivor._replace(state=state, mass=None)])))
+        list(_rounds(p, x, after=(stat, [engine._Class(state, 1, None)])))
     return str(fault.value)
 
 
@@ -1119,8 +1121,15 @@ _TAPE = st.tuples(*[st.sampled_from((BLANK, "0"))] * 3)
 _CONFIGURATION = st.builds(Configuration, st.sampled_from(("q0", "q1")), st.integers(0, 1),
                            st.tuples(_CELL, _CELL), st.tuples(_TAPE, _TAPE))
 # per slot, its record: none, the lower track of its reception, or its tape
-_RECORDS = st.tuples(*[st.sampled_from((None, "lower", "tape"))] * 2).map(
-    lambda records: tuple(tuple(slot for slot, r in enumerate(records) if r == kind) for kind in ("lower", "tape")))
+_KINDS = st.tuples(*[st.sampled_from((None, "lower", "tape"))] * 2)
+
+
+def _record_slots(kinds):
+    """(the `lower` slots, the `tape` slots) of per-slot record kinds."""
+    return tuple(tuple(slot for slot, r in enumerate(kinds) if r == kind) for kind in ("lower", "tape"))
+
+
+_RECORDS = _KINDS.map(_record_slots)
 
 
 @st.composite
@@ -1157,6 +1166,63 @@ def test_a_mask_merge_that_merges_nothing_keeps_its_classes(classes, records):
         assert kept.state is c.state
         assert kept.multiplicity == c.multiplicity
         assert kept.mass == c.mass
+
+
+class _RecordOnly:
+    """A strategy that only declares its `record`; round 1 precedes every move, so none is asked for."""
+
+    def __init__(self, record):
+        self.record = record
+
+
+@st.composite
+def _one_configuration_rounds(draw):
+    """(a protocol whose provers declare random records, a one-configuration class, its input, whether
+    the class takes the pass's closed form). The verifier sends the class to families of targets that
+    agree but for the lower tracks of their cells, each family at one phase, all at one magnitude but a
+    last weight of 1e-16, if drawn, which sends the class through the pass's prune instead."""
+    head = draw(st.integers(0, 2))
+    config = Configuration("q0", head, draw(st.tuples(_CELL, _CELL)), draw(st.tuples(_TAPE, _TAPE)))
+    families = draw(st.lists(st.tuples(st.sampled_from(("q0", "q1", "acc")), st.integers(-1, 1),
+                                       st.tuples(_CELL, _CELL), st.sampled_from((1.0, -1.0, 1j))),
+                             min_size=1, max_size=3))
+    phases = {}
+    for q2, d, cells, phase in families:
+        for lowers in draw(st.lists(st.tuples(*[st.sampled_from(("0", "1"))] * 2), min_size=2, max_size=3)):
+            halves = [parse_track(cell) for cell in cells]
+            sent = tuple(track(h[0], lower) if h else cell for h, cell, lower in zip(halves, cells, lowers))
+            phases.setdefault((q2, d, sent), phase)
+    kept = len(phases) - (len(phases) > 1 and draw(st.booleans()))
+    row = tuple((*move, phase / math.sqrt(kept) if i < kept else phase * 1e-16)
+                for i, (move, phase) in enumerate(phases.items()))
+    tape = (LEFT_END, "0", RIGHT_END)
+    verifier = VerifierSpec("2qfa", ("q0", "q1", "acc", "rej"), "q0", frozenset({"acc"}), frozenset({"rej"}),
+                            ("0",), ((BLANK,), (BLANK,)), {("q0", tape[head], config.comm): row})
+    provers = tuple(ProverSpec(i + 1, (BLANK,), (BLANK,), 3, _RecordOnly(kind))
+                    for i, kind in enumerate(draw(_KINDS)))
+    amp = draw(st.sampled_from((1.0 + 0j, -0.5j, 0.6 + 0.8j)))
+    cls = engine._Class({config: amp}, draw(st.integers(1, 3)), None)
+    return ProtocolSpec("one", verifier, provers, 1.0, 1.0, 1), cls, "0", kept == len(phases)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_one_configuration_rounds())
+def test_a_one_configuration_class_merges_on_its_column_as_its_residual_would(case):
+    # when the class takes the pass's closed form, the classes round 1 yields are
+    # the merge of its residual by the provers' records, representatives, order,
+    # multiplicities and masses alike; otherwise round 1 yields the residual unmerged
+    p, cls, x, closed = case
+    records = _record_slots(tuple(pr.strategy.record for pr in p.provers))
+    (amp,) = cls.state.values()
+    start = engine.RoundStat(0, 0.0, 0.0, cls.multiplicity * abs(amp) ** 2, 1, 1)
+    stat, got = next(_rounds(p, x, after=(start, [cls])))
+    residual = _verify_and_measure(cls.state, p.verifier, input_tape(x, p.verifier), {})[3]
+    whole = [engine._Class(residual, cls.multiplicity, engine._mass(residual, True))] if residual else []
+    want = _reference_merge(whole, _record_split(*records)) if closed else whole
+    assert [list(c.state.items()) for c in got] == [list(c.state.items()) for c in want]
+    assert [c.multiplicity for c in got] == [c.multiplicity for c in want]
+    assert [repr(c.mass) for c in got] == [repr(c.mass) for c in want]
+    assert stat.stored == len(residual)
 
 
 @pytest.mark.parametrize("x", ["1", "11"])

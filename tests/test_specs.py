@@ -553,6 +553,19 @@ def test_check_prover_columns_flags_a_record_the_move_reads():
     ]
 
 
+def test_check_prover_columns_skips_a_tape_too_short_for_the_step():
+    # step 1 stashes in cell 4, past a 4-cell tape: that tape's states are outside
+    # the domain, and the 7-cell tape is still checked and reported in full
+    short, long = (BLANK,) * 4, (BLANK,) * 7
+    uppers = ClassicalTableStrategy(work=0, rows={(u, ()): (u, ()) for u in _RELAYED})
+    reader = ProverSpec(index=1, comm_alphabet=_TRACKS, tape_alphabet=_TRACKS, space=7,
+                        strategy=_MaskReader(inner=uppers, mask_offset=4))
+    report = check_prover_columns(reader, 1, [short, long])
+    assert report == check_prover_columns(reader, 1, [long])
+    assert report.violations and all(repr(long) in v for v in report.violations)
+    assert check_prover_columns(dataclasses.replace(reader, strategy=_STASHING[0]), 1, [short, long]).ok
+
+
 def _unitary_without_columns():
     return UnitaryTableStrategy(work=1, steps={None: {}}).apply_quantum(1, "a", (BLANK,))
 
