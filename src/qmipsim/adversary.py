@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from operator import getitem
 
 from .engine import (
-    Configuration, _Class, _check_round, _columns, _mass, _measure, _rounds, _verify_and_measure, input_tape, simulate,
+    Configuration, _Class, _check_round, _columns, _measure, _rounds, _verify_and_measure, input_tape, simulate,
 )
 from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
 from .specs import (
@@ -420,8 +420,7 @@ class _Round2:
             for q, _, head, _, amp, _ in group:
                 state[Configuration(q, head, comm, tapes)] = amp
         try:
-            kept, acc, rej, residual = _verify_and_measure(state, self.verifier, self.tape, self.columns)
-            leftover = _mass(residual, self.quantum)
+            kept, acc, rej, leftover, _, _ = _verify_and_measure(state, self.verifier, self.tape, self.columns)
             _check_round(2, self.before, after + kept, p_acc + acc, p_rej + rej, leftover)
         except RunFault:
             return None

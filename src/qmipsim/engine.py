@@ -20,11 +20,11 @@ logged reply's tape. A history, the part of the state with one content of the
 records, never meets another again, and histories that agree outside their
 records evolve alike. So the driver keeps them once, as a class whose
 multiplicity weighs its masses (16 histories per round of the reduced
-`parity_relay`): a lone configuration in closed form merges in its pass, on its
-column (`_Column.grouped`), other classes before the prover stage
-(`_merge_records`). `RoundStat.configurations` sums multiplicity times residual
-size, the pure state's count; `RoundStat.stored` sums the pass's residual
-sizes, before the merge. A run without records is one class.
+`parity_relay`), and the verifier pass that makes them merges them: a lone
+configuration in closed form on its column (`_Column.grouped`), any other
+residual by `_merge_records`. `RoundStat.configurations` sums multiplicity
+times residual size, the pure state's count; `RoundStat.stored` sums the pass's
+residual sizes, before the merge. A run without records is one class.
 
 `_rounds` is the one round driver: a generator that yields each round as it is
 run, which `simulate` consumes whole and derandomization (`adversary`) steps
@@ -226,11 +226,6 @@ class _Column(NamedTuple):
     live: dict  # the non-halting targets
     merges: dict  # per record slots (lowered, logged): `live` as history classes (`grouped`)
 
-    def closed_form(self, amp: complex, quantum: bool) -> tuple[float, float, float]:
-        """(mass after the stage, accept mass, reject mass) of `amp` alone on its tapes, from the totals."""
-        scale = amp.real * amp.real + amp.imag * amp.imag if quantum else amp.real
-        return scale * self.total, scale * self.accept, scale * self.reject
-
     def grouped(self, records: tuple[tuple[int, ...], tuple[int, ...]]) -> list:
         """`live` as history classes by `records`, memoized: [(a representative's [(target, w)], its count)], by
         `_merge_records` on the live targets weighted by w on placeholder tapes (a configuration's are alike)."""
@@ -293,23 +288,26 @@ def _columns(verifier: VerifierSpec, tape: tuple[str, ...]) -> dict:
 
 
 def _verify_and_measure(
-    state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...], columns: dict
-) -> tuple[float, float, float, StateVector]:
-    """Verifier stage and measurement in one pass.
+    state: StateVector, verifier: VerifierSpec, tape: tuple[str, ...], columns: dict,
+    records: tuple[tuple[int, ...], tuple[int, ...]] | None = None, multiplicity: int = 1,
+) -> tuple[float, float, float, float, int, list[_Class]]:
+    """Verifier stage and measurement of a class in one pass, its residual left merged by `records`.
 
-    Returns (mass after the stage, accept mass, reject mass, residual). The
-    verifier never writes a prover tape, so only configurations with equal
-    tapes interfere. A configuration alone on its tapes cannot interfere:
-    when every target of its column survives the prune (|amp| times the
-    column's smallest |w| is at least PRUNE_TOL), its masses are |amp|^2
-    (amp.real when classical) times the column's totals (`closed_form`) and
-    only its non-halting targets are stored. Every other configuration is
-    summed per tape group, which `_measure` prunes and measures; only its
-    live targets become configurations. `columns` caches the columns, built
-    once per (state, head, comm), for this verifier and tape (`_columns`).
+    Returns (mass after the stage, accept mass, reject mass, residual mass,
+    residual size, the residual's classes). The verifier never writes a
+    prover tape, so only configurations with equal tapes interfere. A
+    configuration alone on its tapes cannot interfere: when every target of
+    its column survives the prune (|amp| times the column's smallest |w| is at
+    least PRUNE_TOL), its masses are |amp|^2 (amp.real when classical) times
+    the column's totals and only its non-halting targets are stored; if it is
+    the class's one configuration and the run declares records, it leaves its
+    column's classes (`_Column.grouped`) and builds no residual. Every other
+    configuration is summed per tape group, which `_measure` prunes and
+    measures; only its live targets become configurations, one class of
+    `multiplicity` merged by `records` (`_merge_records`), or none if empty.
+    `columns` caches the columns per (state, head, comm) (`_columns`).
     """
     quantum = verifier.is_quantum()
-    accept, reject = verifier.accept, verifier.reject
     sharing: dict = {}  # per tapes: whether another configuration has them too
     for config in state:
         sharing[config.tapes] = config.tapes in sharing
@@ -325,10 +323,19 @@ def _verify_and_measure(
         if sharing[tapes] or abs(amp) * column.smallest < PRUNE_TOL:
             shared.setdefault(tapes, []).append((column, amp))
             continue
-        kept, acc, rej = column.closed_form(amp, quantum)
-        after += kept
-        p_acc += acc
-        p_rej += rej
+        scale = amp.real * amp.real + amp.imag * amp.imag if quantum else amp.real
+        after += scale * column.total
+        p_acc += scale * column.accept
+        p_rej += scale * column.reject
+        if records and len(state) == 1:
+            # the residual's mass as `_mass` sums it, in live order, without building it
+            live = [amp * w for w in column.live.values()]
+            left = sum([(a * a.conjugate()).real for a in live] if quantum else [a.real for a in live], 0.0)
+            groups = column.grouped(records)
+            return after, p_acc, p_rej, left, len(live), [
+                _Class({Configuration._make((*target, tapes)): amp * w for target, w in targets},
+                       multiplicity * count, left if (len(groups), count) == (1, 1) else None)
+                for targets, count in groups]
         for (q2, head, sent), w in column.live.items():
             residual[Configuration._make((q2, head, sent, tapes))] = amp * w
     for tapes, members in shared.items():
@@ -336,13 +343,17 @@ def _verify_and_measure(
         for column, amp in members:
             for target, w in column.targets:
                 local[target] = local.get(target, 0j) + amp * w
-        kept, acc, rej, live = _measure(local.items(), quantum, accept, reject)
+        kept, acc, rej, live = _measure(local.items(), quantum, verifier.accept, verifier.reject)
         after += kept
         p_acc += acc
         p_rej += rej
         for (q2, head, sent), a in live.items():
             residual[Configuration._make((q2, head, sent, tapes))] = a
-    return after, p_acc, p_rej, residual
+    left = _mass(residual, quantum)
+    classes = [_Class(residual, multiplicity, left)] if residual else []
+    if records and residual:
+        classes = _merge_records(classes, *records)
+    return after, p_acc, p_rej, left, len(residual), classes
 
 
 def _check_round(
@@ -379,14 +390,13 @@ def run_round(
     """One full round of one state, unmerged; returns (accept mass, reject mass, residual).
 
     The verifier's mode says whether masses are squared amplitudes or plain
-    weights. The round driver runs the same two stages per class, after the merge by masks.
+    weights. The round driver runs the same two stages per class and merges in the pass.
     """
-    quantum = p.verifier.is_quantum()
-    before = _mass(state, quantum)
+    before = _mass(state, p.verifier.is_quantum())
     state = _prover_stage(p, state, round_index)
-    after, p_acc, p_rej, residual = _verify_and_measure(state, p.verifier, tape, _columns(p.verifier, tape))
-    _check_round(round_index, before, after, p_acc, p_rej, _mass(residual, quantum))
-    return p_acc, p_rej, residual
+    after, p_acc, p_rej, left, _, classes = _verify_and_measure(state, p.verifier, tape, _columns(p.verifier, tape))
+    _check_round(round_index, before, after, p_acc, p_rej, left)
+    return p_acc, p_rej, classes[0].state if classes else {}
 
 
 class _Class(NamedTuple):
@@ -444,35 +454,16 @@ def _merge_records(classes: list[_Class], lowered: tuple[int, ...], logged: tupl
     return [_Class(*entry) for entry in merged.values()]
 
 
-def _verify_and_merge(state: StateVector, multiplicity: int, verifier: VerifierSpec, tape: tuple[str, ...],
-                      columns: dict, records: tuple, quantum: bool) -> tuple | None:
-    """The verifier pass of a class of one configuration in closed form, else None: (mass after the stage,
-    accept, reject, residual mass and size, the classes it leaves). It builds no residual but leaves its
-    column's classes by `records` (`_Column.grouped`) times its amplitude, multiplicity times count, each
-    with the residual mass if they are one history."""
-    ((config, amp),) = state.items()
-    column = columns.get(config[:3]) or columns.setdefault(config[:3], _column(verifier, tape, config, quantum))
-    if abs(amp) * column.smallest < PRUNE_TOL:
-        return None
-    left = _mass({target: amp * w for target, w in column.live.items()}, quantum)
-    groups = column.grouped(records)
-    classes = [_Class({Configuration._make((*target, config.tapes)): amp * w for target, w in targets},
-                      multiplicity * count, left if (len(groups), count) == (1, 1) else None)
-               for targets, count in groups]
-    return (*column.closed_form(amp, quantum), left, len(column.live), classes)
-
-
 def _rounds(
     p: ProtocolSpec, x: str, after: tuple[RoundStat, list[_Class]] | None = None
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
-    The records the provers declare are read once per call. From round 2 on, a
-    round with two configurations or more merges by them (`_merge_records`);
-    every round runs the prover stage and the verifier pass per class, and a
-    class of one configuration merges in its pass (`_verify_and_merge`). The
-    last round yielded is `p.cutoff`'s or the first whose residual mass is at
-    most PRUNE_TOL. Round j+1 is built only when the caller asks for it, from
+    The records the provers declare are read once per call. Every round runs
+    the prover stage and the verifier pass per class, and the pass leaves the
+    class's residual merged by them (`_verify_and_measure`). The last round
+    yielded is `p.cutoff`'s or the first whose residual mass is at most
+    PRUNE_TOL. Round j+1 is built only when the caller asks for it, from
     the provers' strategies as they are then. `after` resumes from a pair
     yielded by a run with these records or none, round 0 (the initial state)
     by default; the rounds that follow are the uninterrupted run's. Every
@@ -492,27 +483,16 @@ def _rounds(
     for j in range(stat.index + 1, p.cutoff + 1):
         if before <= PRUNE_TOL:
             return
-        if records and j >= 2 and (len(survivors) != 1 or len(survivors[0].state) > 1):
-            survivors = _merge_records(survivors, *records)
-        # a class keeps its mass from before the prover stage (the merge leaves it unknown for
-        # the histories it splits off), and its verifier pass checks both stages against it
-        moved = [(_prover_stage(p, state, j), multiplicity, _mass(state, quantum) if mass is None else mass)
-                 for state, multiplicity, mass in survivors]
         p_acc = p_rej = residual_mass = 0.0
         configurations = stored = 0
-        survivors = []
-        for state, multiplicity, mass in moved:
-            merged = (_verify_and_merge(state, multiplicity, p.verifier, tape, columns, records, quantum)
-                      if records and len(state) == 1 else None)
-            if merged is None:
-                after_mass, acc, rej, residual = _verify_and_measure(state, p.verifier, tape, columns)
-                left, size = _mass(residual, quantum), len(residual)
-                if residual:
-                    survivors.append(_Class(residual, multiplicity, left))
-            else:
-                after_mass, acc, rej, left, size, classes = merged
-                survivors += classes
-            _check_round(j, mass, after_mass, acc, rej, left)
+        last, survivors = survivors, []
+        for state, multiplicity, mass in last:
+            after_mass, acc, rej, left, size, classes = _verify_and_measure(
+                _prover_stage(p, state, j), p.verifier, tape, columns, records, multiplicity)
+            survivors += classes
+            # a class keeps its mass from before the prover stage (the merge leaves it unknown for
+            # the histories it splits off), and its verifier pass checks both stages against it
+            _check_round(j, _mass(state, quantum) if mass is None else mass, after_mass, acc, rej, left)
             p_acc += multiplicity * acc
             p_rej += multiplicity * rej
             residual_mass += multiplicity * left

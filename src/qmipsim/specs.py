@@ -115,7 +115,8 @@ def xor_symbols(encoding: Mapping[str, str], a: str, b: str) -> str:
 # isometry on the basis states it defines; states outside the defined domain
 # raise MissingTransition. Strategies that log history do it at the
 # step-indexed cell, so the write target is fresh on every reachable state
-# and injectivity comes for free.
+# and injectivity comes for free. A classical run moves a strategy by its one
+# quantum move of amplitude 1 (`_classical_move`) and refuses any other.
 #
 # A strategy class may declare a `record` that its moves store but never read:
 # "lower", its reception's lower track, stashed in a tape cell no later move
@@ -128,14 +129,18 @@ Tape = tuple[str, ...]
 QuantumMove = list[tuple[tuple[str, Tape], complex]]
 
 
-def _single_move(moves: QuantumMove, message: str, amplitude: bool = False) -> tuple[str, Tape]:
-    """The one move of a deterministic column; ValidationError(message) otherwise.
+def _classical_move(strategy, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
+    """A strategy's move in a classical run: its one `apply_quantum` move, whose amplitude must be 1.
 
-    With `amplitude`, the move's amplitude must also be 1.
+    Each strategy class binds it as its own `apply_classical`, which the bench tracer patches per class.
     """
-    if len(moves) != 1 or (amplitude and not abs(moves[0][1] - 1) <= AMPLITUDE_TOL):
-        raise ValidationError(message)
-    return moves[0][0]
+    moves = strategy.apply_quantum(step, comm, tape)
+    if len(moves) == 1 and abs(moves[0][1] - 1) <= AMPLITUDE_TOL:
+        return moves[0][0]
+    name = getattr(strategy, "label", strategy.kind)
+    if len(moves) != 1:
+        raise ValidationError(f"strategy {name} branches; no classical form")
+    raise ValidationError(f"strategy {name} moves with amplitude {moves[0][1]!r}, not 1; no classical form")
 
 
 def _write_cell(tape: Tape, idx: int, symbol: str, *who: str) -> Tape:
@@ -178,8 +183,7 @@ class EraserStrategy:
         new_tape = tape[:idx] + (comm,) + tape[idx + 1:]
         return [((reply, new_tape), 1.0 + 0j)]
 
-    def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        return _single_move(self.apply_quantum(step, comm, tape), "eraser has no classical form")
+    apply_classical = _classical_move
 
 
 @dataclass(frozen=True)
@@ -221,12 +225,11 @@ class ClassicalTableStrategy:
             raise MissingTransition(f"prover table has no row for {key}")
         return row
 
-    def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        reply, new_work = self._lookup(comm, tape)
-        return reply, new_work + tape[self.work:]
-
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
-        return [(self.apply_classical(step, comm, tape), 1.0 + 0j)]
+        reply, new_work = self._lookup(comm, tape)
+        return [((reply, new_work + tape[self.work:]), 1.0 + 0j)]
+
+    apply_classical = _classical_move
 
 
 @dataclass(frozen=True)
@@ -253,8 +256,7 @@ class ReversibleWrapStrategy:
             return [((reply, new_work + tape[work:idx] + (comm,) + tape[idx + 1:]), 1.0 + 0j)]
         return [((reply, _write_cell(new_work + tape[work:], idx, comm, "reversible wrap")), 1.0 + 0j)]
 
-    def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        return _single_move(self.apply_quantum(step, comm, tape), "reversible wrap has no classical form")
+    apply_classical = _classical_move
 
 
 @dataclass(frozen=True)
@@ -289,10 +291,7 @@ class TrackWrapStrategy:
             out.append(((track(reply, BLANK), logged), amp))
         return out
 
-    def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        return _single_move(
-            self.apply_quantum(step, comm, tape), "track wrap over a branching strategy has no classical form"
-        )
+    apply_classical = _classical_move
 
 
 @dataclass(frozen=True)
@@ -315,12 +314,7 @@ class UnitaryTableStrategy:
             raise MissingTransition(f"unitary table step {step} has no column for {key}")
         return [((reply, work + tape[self.work:]), amp) for (reply, work), amp in table[key]]
 
-    def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        return _single_move(
-            self.apply_quantum(step, comm, tape),
-            "unitary table is not deterministic; no classical form",
-            amplitude=True,
-        )
+    apply_classical = _classical_move
 
 
 @dataclass(frozen=True)
@@ -338,9 +332,7 @@ class LoggedReplyStrategy:
         logged = log_reception(tape, step, comm, "strategy", self.label)
         return [((reply, logged), amp) for reply, amp in self.fn(step, comm)]
 
-    def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
-        moves = self.apply_quantum(step, comm, tape)
-        return _single_move(moves, f"strategy {self.label} branches; no classical form")
+    apply_classical = _classical_move
 
 
 @dataclass(frozen=True)
@@ -380,16 +372,13 @@ class DerandomizedStrategy:
     choices: Mapping[tuple[int, str, Tape], str]
     kind: ClassVar[str] = "derandomized"
 
-    def apply_classical(self, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
+    def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         key = (step, comm, tape)
         if key not in self.choices:
             raise MissingTransition(f"derandomized strategy has no choice for {key}")
-        logged = log_reception(tape, step, comm, "derandomized strategy")
-        return self.choices[key], logged
+        return [((self.choices[key], log_reception(tape, step, comm, "derandomized strategy")), 1.0 + 0j)]
 
-    def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
-        reply, new_tape = self.apply_classical(step, comm, tape)
-        return [((reply, new_tape), 1.0 + 0j)]
+    apply_classical = _classical_move
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,8 @@ def complete_unitary(
     preferred = [as_vector(prefer[elem]) for elem in input_basis if elem in (prefer or {})]
     candidates = iter(preferred + [[complex(i == j) for i in range(n)] for j in range(n)])
     columns = {elem: vec for (_, elem), vec in given.items()}
+    # a candidate is always left: outside m < n orthonormal columns the n standard basis vectors keep
+    # n - m >= 1 of their squared norm, those passed over at most RANK_TOL^2 each (any n below 1e13)
     for elem in input_basis:
         if elem in columns:
             continue
@@ -398,8 +400,6 @@ def complete_unitary(
             nrm = math.sqrt(sum(abs(c) ** 2 for c in cand))
             if nrm > RANK_TOL:
                 break
-        else:
-            raise NotOrthonormal("ran out of candidate directions during completion")
         columns[elem] = [c / nrm for c in cand]
 
     return {

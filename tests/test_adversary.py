@@ -953,6 +953,31 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
     assert result.best_leftover == pytest.approx(leftover[result.best_labels], abs=1e-12)
 
 
+@pytest.mark.parametrize("x, cutoff", [("1", 3), ("11", 3), ("111", 6)])
+def test_rounds_resumed_from_the_sweeps_round_1_are_the_runs_own(replayed_combos, x, cutoff):
+    # the sweep's shared round 1 declares no records, and the rounds a replay
+    # resumes from it merge the logged tapes in their verifier passes: they are
+    # the combination's own run by repr, stored counts included, for every
+    # combination the sweep replays and a seeded sample of the rest
+    p = dataclasses.replace(_reduced_parity_relay(), cutoff=cutoff)
+    families = default_families(p)
+    search(p, x, families)
+    assert replayed_combos
+    strategies = [{s.label: s for s in f.strategies} for f in families]
+    combos = [tuple(map(dict.__getitem__, strategies, labels)) for labels in replayed_combos]
+    rng = random.Random(f"{x}/{cutoff}")
+    combos += [tuple(rng.choice(f.strategies) for f in families) for _ in range(32)]
+    first = next(engine._rounds(adversary._trial(p, (None,) * p.k, cutoff), x))
+    merged = False
+    for combo in combos:
+        trial = adversary._trial(p, combo, cutoff)
+        steps = list(engine._rounds(trial, x, first))
+        resumed = [first[0]] + [stat for stat, _ in steps]
+        assert repr(resumed) == repr(simulate(trial, x).rounds), [s.label for s in combo]
+        merged = merged or any(c.multiplicity > 1 for _, classes in steps for c in classes)
+    assert merged
+
+
 # ---------------------------------------------------------------- logged replies
 #
 # Every plain LoggedReplyStrategy logs the reception in the same cell, so
@@ -1285,7 +1310,8 @@ def _reference_tree(p, x, strategies, pins, pause=None):
             if pause == (j - 1, i):
                 return state
             state = apply_sparse_operator(measured(i, j - 1), state)
-        _, acc, rej, state = _verify_and_measure(state, p.verifier, tape, {})
+        _, acc, rej, _, _, classes = _verify_and_measure(state, p.verifier, tape, {})
+        state = classes[0].state if classes else {}
         total_acc += acc
         total_rej += rej
         if sum(a.real for a in state.values()) <= PRUNE_TOL:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from functools import lru_cache
 
 import pytest
@@ -185,6 +186,26 @@ def test_a_classical_run_refuses_a_branching_strategy():
     # branches by amplitude
     with pytest.raises(ValidationError, match="branches; no classical form"):
         simulate(_relay_with_prover_1(rotation_reply(BLANK, "1")), "1")
+
+
+@pytest.mark.parametrize("strategy, name, amp", [
+    (LoggedReplyStrategy("half", lambda step, recv: [(BLANK, 0.5)]), "half", 0.5),
+    (LoggedReplyStrategy("flip", lambda step, recv: [(BLANK, -1)]), "flip", -1),
+    (UnitaryTableStrategy(0, {None: {(recv, ()): [((BLANK, ()), -1 + 0j)] for recv in (BLANK, "g")}}),
+     "unitary-table", -1 + 0j),
+])
+def test_a_classical_run_refuses_a_single_move_of_amplitude_other_than_1(strategy, name, amp):
+    # a classical run weighs every prover move 1, so a single move of another
+    # amplitude has no classical form, whichever strategy class makes it
+    p = corpus.build("no_comm")
+    provers = (dataclasses.replace(p.provers[0], strategy=strategy, space=p.cutoff),
+               dataclasses.replace(p.provers[1], strategy=constant_reply(BLANK), space=p.cutoff))
+    message = f"strategy {name} moves with amplitude {amp!r}, not 1; no classical form"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        simulate(dataclasses.replace(p, provers=provers), "0")
+    within = LoggedReplyStrategy("near", lambda step, recv: [(BLANK, 1 + 1e-13)])
+    near = simulate(dataclasses.replace(p, provers=(dataclasses.replace(provers[0], strategy=within), provers[1])), "0")
+    assert (near.p_accept, near.p_reject) == (0.5, 0.5)
 
 
 class _MeasuredCoin:
@@ -412,6 +433,20 @@ def _at(state, head=0):
     return Configuration(state, head, (BLANK,), ((),))
 
 
+def _unpacked(out):
+    """A verifier pass without records as (mass after, accept, reject, residual): the residual is the
+    state of the one class it leaves, of multiplicity 1 and the residual's mass and size, or {} if none."""
+    after, p_acc, p_rej, left, size, classes = out
+    residual = classes[0].state if classes else {}
+    assert [(c.multiplicity, c.mass) for c in classes] == ([(1, left)] if residual else [])
+    assert size == len(residual)
+    return after, p_acc, p_rej, residual
+
+
+def _pass(state, verifier, tape, columns):
+    return _unpacked(_verify_and_measure(state, verifier, tape, columns))
+
+
 def test_verify_and_measure_splits_mass():
     verifier = _two_way(
         {
@@ -421,7 +456,7 @@ def test_verify_and_measure_splits_mass():
         ("qa", "qb"),
     )
     state = {_at("qa"): complex(H), _at("qb"): complex(0, H)}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END), {})
+    after, p_acc, p_rej, residual = _pass(state, verifier, (LEFT_END, RIGHT_END), {})
     assert after == pytest.approx(1.0)
     assert p_acc == pytest.approx(0.5)
     assert p_rej == pytest.approx(0.5)
@@ -437,7 +472,7 @@ def test_verify_and_measure_residual_stays_unnormalized():
         ("qa", "qm", "mid"),
     )
     state = {_at("qa"): 0.5 + 0j, _at("qm"): 0.5 + 0j}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, RIGHT_END), {})
+    after, p_acc, p_rej, residual = _pass(state, verifier, (LEFT_END, RIGHT_END), {})
     assert after == pytest.approx(0.5)
     assert p_acc == pytest.approx(0.25)
     assert p_rej == 0.0
@@ -455,7 +490,7 @@ def test_verify_and_measure_reads_each_head_and_prunes_cancellations():
         ("qm", "mid"),
     )
     state = {_at("qm", 0): 0.6 + 0j, _at("qm", 1): 0.8 + 0j}
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, (LEFT_END, "0", RIGHT_END), {})
+    after, p_acc, p_rej, residual = _pass(state, verifier, (LEFT_END, "0", RIGHT_END), {})
     assert p_acc == pytest.approx(0.64)
     assert after == pytest.approx(0.64)
     assert residual == {}
@@ -591,7 +626,7 @@ def test_tiny_single_member_prunes_like_the_staged_reference():
         Configuration("qm", 0, (BLANK,), (("y",),)): 0.5j,
     }
     assert 1e-13 * 1e-3 < PRUNE_TOL
-    after, p_acc, p_rej, residual = _verify_and_measure(state, verifier, tape, {})
+    after, p_acc, p_rej, residual = _pass(state, verifier, tape, {})
     want_acc, want_rej, want = _reference_round(p, tape, state, 1, True)
     assert set(residual) == set(want)
     assert Configuration("m2", 1, (BLANK,), (("x",),)) not in residual
@@ -643,7 +678,7 @@ def test_pass_matches_the_staged_reference_on_random_2qfa_states(rows, state, ot
     _verify_and_measure(other, verifier, tape, columns)
     out = _verify_and_measure(state, verifier, tape, columns)
     assert repr(out) == repr(_verify_and_measure(state, verifier, tape, {}))
-    after, p_acc, p_rej, residual = out
+    after, p_acc, p_rej, residual = _unpacked(out)
     want_acc, want_rej, want = _reference_round(_with_eraser(verifier), tape, state, 1, True)
     assert p_acc == pytest.approx(want_acc, abs=1e-12)
     assert p_rej == pytest.approx(want_rej, abs=1e-12)
@@ -667,9 +702,9 @@ def test_each_tape_group_keeps_its_own_residual_when_signatures_repeat(rows, sta
     group = [(c, a) for c, a in state.items() if c.tapes == (("x",),)]
     state = {**state, **{c._replace(tapes=(("w",),)): a for c, a in group}}
     state.update({c._replace(tapes=(("v",),)): _flip_zeros(a) for c, a in group})
-    residual = _verify_and_measure(state, verifier, tape, {})[3]
+    residual = _pass(state, verifier, tape, {})[3]
     for tapes in {c.tapes for c in state}:
-        alone = _verify_and_measure({c: a for c, a in state.items() if c.tapes == tapes}, verifier, tape, {})[3]
+        alone = _pass({c: a for c, a in state.items() if c.tapes == tapes}, verifier, tape, {})[3]
         assert repr({c: a for c, a in residual.items() if c.tapes == tapes}) == repr(alone)
 
 
@@ -686,12 +721,12 @@ def test_the_one_time_pad_tape_groups_measure_as_each_group_alone():
         groups.setdefault(config.tapes, {})[config] = amp
     assert len(groups) == 16 and {len(group) for group in groups.values()} == {2}
     assert len({frozenset(c[:3] for c in group) for group in groups.values()}) == 1
-    out = _verify_and_measure(state, p.verifier, tape, {})
+    out = _pass(state, p.verifier, tape, {})
     # the same, bit for bit, as every group measured on its own, masses added in order
     after = p_acc = p_rej = 0.0
     residual: dict = {}
     for group in groups.values():
-        kept, acc, rej, live = _verify_and_measure(group, p.verifier, tape, {})
+        kept, acc, rej, live = _pass(group, p.verifier, tape, {})
         after += kept
         p_acc += acc
         p_rej += rej
@@ -947,14 +982,14 @@ def test_the_driver_stores_one_merged_class_per_round(monkeypatch):
     # so each pass sees one configuration and 16 live targets and leaves one
     # class of one configuration
     seen = []
-    verify = engine._verify_and_merge
+    verify = engine._verify_and_measure
 
     def spy(state, *args):
         out = verify(state, *args)
         seen.append((len(state), out[4], [len(c.state) for c in out[5]]))
         return out
 
-    monkeypatch.setattr(engine, "_verify_and_merge", spy)
+    monkeypatch.setattr(engine, "_verify_and_measure", spy)
     rounds = simulate(_reduced_parity_relay(), "111").rounds
     assert [r.configurations for r in rounds] == [16, 256, 4096, 65536, 0]
     assert [r.stored for r in rounds] == [16, 16, 16, 16, 0]
@@ -983,7 +1018,7 @@ def test_the_prover_stage_moves_one_source_per_merged_round(monkeypatch):
 def _fault_of_a_corrupted_reception(p, x):
     """The fault of p's run on x resumed from its unmerged round-1 residual with one reception replaced by 'zz'."""
     stat, _ = next(_rounds(p, x))
-    state = dict(_verify_and_measure(initial_state(p, x), p.verifier, input_tape(x, p.verifier), {})[3])
+    state = dict(_pass(initial_state(p, x), p.verifier, input_tape(x, p.verifier), {})[3])
     victim = list(state)[5]
     state[victim._replace(comm=("zz",) + victim.comm[1:])] = state.pop(victim)
     with pytest.raises(MissingTransition) as fault:
@@ -1177,10 +1212,10 @@ class _RecordOnly:
 
 @st.composite
 def _one_configuration_rounds(draw):
-    """(a protocol whose provers declare random records, a one-configuration class, its input, whether
-    the class takes the pass's closed form). The verifier sends the class to families of targets that
-    agree but for the lower tracks of their cells, each family at one phase, all at one magnitude but a
-    last weight of 1e-16, if drawn, which sends the class through the pass's prune instead."""
+    """(a protocol whose provers declare random records, a one-configuration class, its input). The
+    verifier sends the class to families of targets that agree but for the lower tracks of their cells,
+    each family at one phase, all at one magnitude but a last weight of 1e-16, if drawn, which sends the
+    class through the pass's prune instead of its closed form."""
     head = draw(st.integers(0, 2))
     config = Configuration("q0", head, draw(st.tuples(_CELL, _CELL)), draw(st.tuples(_TAPE, _TAPE)))
     families = draw(st.lists(st.tuples(st.sampled_from(("q0", "q1", "acc")), st.integers(-1, 1),
@@ -1202,23 +1237,22 @@ def _one_configuration_rounds(draw):
                     for i, kind in enumerate(draw(_KINDS)))
     amp = draw(st.sampled_from((1.0 + 0j, -0.5j, 0.6 + 0.8j)))
     cls = engine._Class({config: amp}, draw(st.integers(1, 3)), None)
-    return ProtocolSpec("one", verifier, provers, 1.0, 1.0, 1), cls, "0", kept == len(phases)
+    return ProtocolSpec("one", verifier, provers, 1.0, 1.0, 1), cls, "0"
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_one_configuration_rounds())
 def test_a_one_configuration_class_merges_on_its_column_as_its_residual_would(case):
-    # when the class takes the pass's closed form, the classes round 1 yields are
-    # the merge of its residual by the provers' records, representatives, order,
-    # multiplicities and masses alike; otherwise round 1 yields the residual unmerged
-    p, cls, x, closed = case
+    # closed form or not, the classes round 1 yields are the merge of its residual
+    # by the provers' records, representatives, order, multiplicities and masses alike
+    p, cls, x = case
     records = _record_slots(tuple(pr.strategy.record for pr in p.provers))
     (amp,) = cls.state.values()
     start = engine.RoundStat(0, 0.0, 0.0, cls.multiplicity * abs(amp) ** 2, 1, 1)
     stat, got = next(_rounds(p, x, after=(start, [cls])))
-    residual = _verify_and_measure(cls.state, p.verifier, input_tape(x, p.verifier), {})[3]
+    residual = _pass(cls.state, p.verifier, input_tape(x, p.verifier), {})[3]
     whole = [engine._Class(residual, cls.multiplicity, engine._mass(residual, True))] if residual else []
-    want = _reference_merge(whole, _record_split(*records)) if closed else whole
+    want = _reference_merge(whole, _record_split(*records))
     assert [list(c.state.items()) for c in got] == [list(c.state.items()) for c in want]
     assert [c.multiplicity for c in got] == [c.multiplicity for c in want]
     assert [repr(c.mass) for c in got] == [repr(c.mass) for c in want]

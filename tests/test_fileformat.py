@@ -513,3 +513,59 @@ def test_parse_rejects_undeclared_guard_states():
     with pytest.raises(SpecFileError) as err:
         parse_protocol(text.replace(states_line, slim, 1))
     assert "fallback" in str(err.value)
+
+
+# each parse refusal: (text to replace in no_comm's file, its replacement, the fault); "{n}" is the
+# line of the replacement's last line, and an empty text to replace stands for the whole file
+_TABLE = "space = 0\nstrategy = table\nwork = 0\nrow = # -> #"
+_PARSE_REFUSALS = [
+    ("", "; a comment\n\n", "empty file; expected 'qmip 1'"),
+    ("initial = q0\n", "", "[verifier] is missing key 'initial'"),
+    ("provers = 2", "provers = two", "header: expected an integer, got 'two'"),
+    ("rule = c0 0 # # ->", "rule = c0 0 # ->", "line {n}: rule head needs state, symbol, and 2 received symbols"),
+    ("-> 1 acc +1 # #", "-> 1 acc +1 #", "line {n}: branch needs weight, state, move, and 2 sent symbols"),
+    ("-> 1 acc +1 # #", "-> 1 acc +2 # #", "line {n}: bad head move '+2'"),
+    ("row = # -> #", "row = # # -> #", "line {n}: row source needs 'symbol' or 'symbol | cells'"),
+    ("row = # -> #", "row = # # | x -> #", "line {n}: row source needs one symbol before '|'"),
+    ("row = # -> #", "row = # | x -> #", "line {n}: row work cells must have length 0"),
+    ("row = # -> #", "row = # -> #\nrow = # -> g", "line {n}: duplicate row for ('#', ())"),
+    (_TABLE, "space = 0\nstrategy = unitary\nwork = 0\nurow = * -> 1 #", "line {n}: urow head needs step and symbol"),
+    (_TABLE, "space = 0\nstrategy = unitary\nwork = 0\nurow = * # | x -> 1 #",
+     "line {n}: urow work cells must have length 0"),
+    (_TABLE, "space = 0\nstrategy = unitary\nwork = 0\nurow = * # -> 1 # | x",
+     "line {n}: urow work cells must have length 0"),
+    (_TABLE, "space = 0\nstrategy = unitary\nwork = 0\nurow = * # -> 1 #\nurow = * # -> 1 #",
+     "line {n}: duplicate urow for ('#', ())"),
+    (_TABLE, "space = 1\nstrategy = choices\nchoice = 1 # -> #", "line {n}: choice head needs 'step symbol | tape'"),
+    (_TABLE, "space = 1\nstrategy = choices\nchoice = 1 # | # # -> #", "line {n}: choice tape must have length 1"),
+    (_TABLE, "space = 1\nstrategy = choices\nchoice = 1 # | # -> # g", "line {n}: choice target must be one symbol"),
+    (_TABLE, "space = 1\nstrategy = choices\nchoice = 1 # | # -> #\nchoice = 1 # | # -> g",
+     "line {n}: duplicate choice for (1, '#', ('#',))"),
+    ("strategy = table", "strategy = oracle", "[prover 1]: unknown strategy 'oracle'"),
+    ("row = # -> #", "row = # -> #\nwrap = masked", "[prover 1]: wrap item 'masked' needs name:offset"),
+    (_TABLE, "space = 0\nstrategy = unitary\nwork = 0\nurow = * # -> 1 #\nwrap = reversible:0",
+     "[prover 1]: reversible wrap needs a plain table inside"),
+    ("row = # -> #", "row = # -> #\nwrap = twisted:0", "[prover 1]: unknown wrap 'twisted'"),
+    ("[prover 2]", "[verifier]", "line {n}: duplicate [verifier] section"),
+    ("[prover 2]", "[prover 1]", "line {n}: duplicate [prover 1] section"),
+    ("[verifier]", "[prover 3]", "missing [verifier] section"),
+    ("comm-2 = #", "comm-2 = #\nfallback = moat\nguard-base-1 = # g\nguard-base-2 = #", "unknown fallback 'moat'"),
+]
+
+
+@pytest.mark.parametrize("old, new, fault", _PARSE_REFUSALS,
+                         ids=[fault.replace("line {n}: ", "") for *_, fault in _PARSE_REFUSALS])
+def test_each_parse_refusal_names_its_fault(old, new, fault):
+    text = serialize_protocol(corpus.build("no_comm"))
+    assert old in text
+    edited = text.replace(old, new, 1) if old else new
+    n = text[:text.index(old)].count("\n") + new.count("\n") + 1
+    with pytest.raises(SpecFileError, match=f"^{re.escape(fault.format(n=n))}$"):
+        parse_protocol(edited)
+
+
+def test_a_choice_tape_that_disagrees_with_the_prover_space_is_not_written():
+    p = corpus.build("no_comm")
+    prover = dataclasses.replace(p.provers[0], space=2, strategy=DerandomizedStrategy(choices={(1, "#", ("#",)): "#"}))
+    with pytest.raises(SpecFileError, match="^choice tape length disagrees with prover space$"):
+        serialize_protocol(dataclasses.replace(p, provers=(prover,) + p.provers[1:]))

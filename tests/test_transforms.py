@@ -751,6 +751,33 @@ def test_complete_unitary_rejects_bad_columns():
         complete_unitary({}, ["a"], ["a", "b"])
 
 
+def _lifted_with_alphabets_of_3():
+    p = corpus.build("no_comm_lift")
+    return dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, comm_alphabets=((BLANK, "g", "h"),) * 3))
+
+
+def _unified_with_a_track_guard():
+    p = unify_alphabets(corpus.build("no_comm_lift"))
+    return dataclasses.replace(p, verifier=_guarded(p.verifier, TrackGuard, p.verifier.fallback.slot_bases))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: unify_alphabets(corpus.build("no_comm_reduce")), ValidationError,
+     "cannot unify a protocol with a track guard"),
+    (lambda: reduce_3qip_to_2qip(_lifted_with_alphabets_of_3()), AlphabetMismatch,
+     "channel alphabet size 3 is not a power of two; run unify_alphabets first"),
+    (lambda: reduce_3qip_to_2qip(_unified_with_a_track_guard()), ValidationError,
+     "cannot reduce a protocol that already has a track guard"),
+    (lambda: complete_unitary({}, ["a", "a"], ["a", "b"]), ValidationError, "basis elements must be distinct"),
+    (lambda: complete_unitary({"a": {"z": 1}}, ["a", "b"], ["a", "b"]), ValidationError,
+     "column targets unknown basis element 'z'"),
+], ids=["unify-track-guard", "reduce-alphabet-size", "reduce-track-guard", "complete-repeated-basis",
+        "complete-unknown-target"])
+def test_each_transform_refusal_names_its_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def _unitarity_error(full, basis):
     m = np.array([[full[c].get(r, 0j) for c in basis] for r in basis], dtype=complex)
     return np.abs(m.conj().T @ m - np.eye(len(basis))).max()
