@@ -4,27 +4,27 @@ Soundness claims quantify over all prover strategies, which no finite run can
 cover. What a desk-scale tool can do is sweep structured families that
 contain every strategy worth trying at these sizes: constant replies, full
 reply sequences, echoes, and mask-track probes. The search caches the round-1
-residual (provers first act in round 2). When every strategy answers each
-local (comm, tape) state of that residual with a single move of weight
-exactly 1, each strategy is applied once per local state and round 2, at
-any cutoff and on any input, is scored from those moves and per-slot guard
-verdicts by the driver's own verifier pass (`engine._verify_and_measure`,
-guard rows and the two-cell head-move check included). Sources that share
-every slot's local state are scored together as one interference group, and a
+residual: provers first act in round 2, and the verifier writes no tape, so
+every prover tape there is still blank. Every built-in strategy is a plain
+`LoggedReplyStrategy`, whose move is its reply `fn(step, received)` plus the
+reception logged on its tape (`specs.log_reception`): on that blank tape the
+new tape is fixed by the reception, whatever the reply, so a slot's reception
+stands for its tape. When every strategy is such a strategy and replies to
+each reception of the residual with weight exactly 1, round 2, at any cutoff
+and on any input, is scored from those replies and per-slot guard verdicts
+by the driver's own verifier pass (`engine._verify_and_measure`, guard rows
+and the two-cell head-move check included). Constants and reply sequences
+are not even asked: their `fn` is `specs.FixedReplies`, data that ignores
+the reception, so their step-1 reply is read off it. Sources that share
+every slot's reception are scored together as one interference group, and a
 group that the guard sends wholly to a halting state adds a triple measured
-once per sweep. A strategy's moves are its class key, with one shared
-token for every move that only ever takes that triple; each prover's
-strategies with equal keys fall in one class, and each class tuple (one
-key per prover) is scored once, for all of its combinations. Every built-in
-strategy is a plain `LoggedReplyStrategy`, whose move is its reply
-`fn(step, received)` plus the reception logged by `specs.log_reception`,
-the same tape whatever the reply: a slot's logged tapes are written once,
-and such a strategy is asked only for its replies. Constants and reply
-sequences are not even asked: their `fn` is `specs.FixedReplies`, data
-that ignores the reception, so their step-1 reply is read off it. A
-combination is replayed when its round 2 cannot be scored (a strategy
-branches, as rotations do, puts a phase on its move, merges two local
-states, or something faults, such as a verifier column whose head moves
+once per sweep. A strategy's replies are its class key, with one shared
+token for every reply that only ever takes that triple; each prover's
+strategies with equal keys fall in one class, and each class tuple (one key
+per prover) is scored once, for all of its combinations. A combination is
+replayed when its round 2 cannot be scored (a strategy of any other type,
+subclasses included, one that branches, as rotations do, or puts a phase on
+its reply, or something faults, such as a verifier column whose head moves
 collide on the two-cell tape of "") or when it keeps more than PRUNE_TOL
 with rounds left: the engine's round driver, which stops at that same
 test, resumes it from the shared round 1, merges the histories of logged
@@ -68,10 +68,10 @@ from .specs import (
     constant_reply,
     echo_reply,
     fixed_width_binary_encoding,
-    log_reception,
     make_track_alphabet,
     parse_track,
     rotation_reply,
+    strategy_label,
     track,
     xor_symbols,
 )
@@ -85,15 +85,6 @@ class StrategyFamily:
     prover_index: int
     label: str
     strategies: tuple
-
-
-def _label(strategy) -> str:
-    """A strategy's name in reports: its `label`, else its `kind`, else its type's name."""
-    for attr in ("label", "kind"):
-        name = getattr(strategy, attr, None)
-        if name is not None:
-            return name
-    return type(strategy).__name__
 
 
 def _sequence_strategy(seq: tuple[str, ...]) -> LoggedReplyStrategy:
@@ -229,38 +220,36 @@ def _replay(p: ProtocolSpec, x: str, first, combo, T: int):
 
 
 class _Round2:
-    """Round 2 of a sweep, scored per interference group from precomputed prover moves.
+    """Round 2 of a sweep, scored per interference group from the provers' step-1 replies.
 
-    A prover writes only its own cell and tape, so when each strategy answers
-    every local (comm, tape) state with a single move of weight 1, a
-    combination's round-2 state follows from what each strategy does to the
-    distinct local states of the shared round-1 residual: amplitudes pass the
-    prover stage unchanged. Those moves are computed once per strategy; a
-    plain `LoggedReplyStrategy` is asked only for its replies, since every
-    such strategy writes the slot's `logged` tapes, built once, and one
-    whose replies are `FixedReplies` is read, not called. A
+    Round 1 runs before any prover moves and the verifier writes no tape, so
+    every prover tape of the shared round-1 residual is blank, with at least
+    one cell (`_trial`): a slot's local state is its reception. A plain
+    `LoggedReplyStrategy` answers it with its reply `fn(1, comm)` and logs it
+    in cell 0, a new tape fixed by the reception and different for each. So
+    when every reply has weight 1, amplitudes pass the prover stage unchanged
+    and a combination's round-2 state follows from its replies alone; a
+    strategy whose `fn` is `FixedReplies` is read, not called. A
     combination's round-2 sources are then one state keyed like the driver's
-    configurations, (state, head, replies, tape ids), run through the
-    driver's verifier pass (`engine._verify_and_measure`: explicit or guard
-    rows, the two-cell head-move check) and `_check_round`, reading the
-    verifier's column cache for the tape, as round 1 and every replay of the
-    sweep do, so each column is built once per (state, head, reception).
-    New tapes are interned per slot, so tapes are small integers.
+    configurations, with each slot's reception id standing for its logged
+    tape, (state, head, replies, local tuple), run through the driver's
+    verifier pass (`engine._verify_and_measure`: explicit or guard rows, the
+    two-cell head-move check) and `_check_round`, reading the verifier's
+    column cache for the tape, as round 1 and every replay of the sweep do,
+    so each column is built once per (state, head, reception).
 
-    Sources that share their local tuple (one local-state id per slot) form an
-    interference group: they receive the same moves. `moves` refuses a
-    strategy that sends two local states to one (reply, new tape), so the
-    guard targets of different groups, which echo the reception and keep the
-    tapes, never meet. When no explicit row of the residual's (state, input
-    symbol) pairs targets a guard-minted state, a guard target meets no row
-    target either. A group whose members all fall to the guard and halt
+    Sources that share their local tuple (one reception id per slot) form an
+    interference group: they receive the same replies. Two groups differ in
+    some slot's reception, so in its logged tape: no target of one group
+    meets a target of another, even where an explicit row aims at a
+    guard-minted state. A group whose members all fall to the guard and halt
     there then adds the same (mass, p_acc, p_rej) to every combination that
     routes it there, so that triple is measured once per sweep. Any other
-    group's sources go through the pass. Since that shortcut reads neither the
-    reply nor the new tape, `moves` returns a class key in which a move
-    that always takes it is a shared token, so equal keys score alike
-    whatever the other slots play; `score` reads one key per slot, and the
-    sweep scores one combination per tuple of distinct keys.
+    group's sources go through the pass. Since that shortcut reads no reply,
+    `moves` returns a class key in which a reply that always takes it is a
+    shared token, so equal keys score alike whatever the other slots play;
+    `score` reads one key per slot, and the sweep scores one combination
+    per tuple of distinct keys.
 
     `first` is the driver's round-1 class, mass included. `score` returns
     None on anything the round driver would fault on (a missing row, a
@@ -277,40 +266,32 @@ class _Round2:
         self.guard = v.fallback
         residual, _, self.before = first
         n = len(tape)
-        self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
-        self.tape_ids: list[dict[tuple, int]] = [{} for _ in range(p.k)]
-        self.logs: dict[int, list[int] | None] = {}
+        self.local_states: list[dict[str, int]] = [{} for _ in range(p.k)]
         guard_targets: dict[tuple[str, str], str | None] = {}
-        # per (comm, tapes), which fixes the local tuple: its members, in residual order
+        # per reception tuple, which fixes the local tuple: its members, in residual order
         members: dict[tuple, list] = {}
-        for (q, head, comm, tapes), amp in residual.items():
+        for (q, head, comm, _), amp in residual.items():
             sigma = tape[head % n]
             name = guard_targets.get((q, sigma), False)
             if name is False:
                 name = guard_targets[q, sigma] = self.guard.target(q, sigma) if self.guard is not None else None
-            members.setdefault((comm, tapes), []).append((q, sigma, head, (head + 1) % n, amp, name))
+            members.setdefault(comm, []).append((q, sigma, head, (head + 1) % n, amp, name))
         row_comms: dict[tuple[str, str], set] = {key: set() for key in guard_targets}
-        minted = set(guard_targets.values()) - {None}
-        apart = True
-        for (q, sigma, comm), row in v.rows.items():
-            comms = row_comms.get((q, sigma))
-            if comms is not None:
-                comms.add(comm)
-                apart = apart and not any(branch[0] in minted for branch in row)
+        for q, sigma, comm in v.rows:
+            if (q, sigma) in row_comms:
+                row_comms[q, sigma].add(comm)
         halting = self.accept | self.reject
         self.groups = []
         # per slot and local id: the cells at that slot of the explicit rows
         # of every group there, or None when one of those groups does not halt
         self.named: list[dict[int, set | None]] = [{} for _ in range(p.k)]
-        for (comm, tapes), group in members.items():
-            # one local-state id per slot, numbered in residual order
-            local = tuple([
-                states.setdefault(state, len(states)) for states, state in zip(self.local_states, zip(comm, tapes))
-            ])
+        for comm, group in members.items():
+            # one reception id per slot, numbered in residual order
+            local = tuple([states.setdefault(sent, len(states)) for states, sent in zip(self.local_states, comm)])
             halted = None
             # the receptions that complete an explicit row of a member
             receptions = frozenset()
-            if apart and all(name in halting for _, _, _, _, _, name in group):
+            if all(name in halting for _, _, _, _, _, name in group):
                 halted = self._halted(group)
                 receptions = frozenset(sent for q, sigma, _, _, _, _ in group for sent in row_comms[q, sigma])
             for slot, named in enumerate(self.named):
@@ -328,75 +309,42 @@ class _Round2:
             out[name, head_next] = out.get((name, head_next), 0j) + amp
         return _measure(out.items(), self.quantum, self.accept, self.reject)[:3]
 
-    def logged(self, slot: int):
-        """Per local state of `slot`, the id of its tape after `log_reception` at step 1.
-
-        Every `LoggedReplyStrategy` writes exactly that tape, so the slot's
-        logs are written and interned once. The local states are distinct
-        (comm, tape) pairs and the log writes comm into a cell that must be
-        blank, so the logged tapes are distinct too: no logged strategy
-        merges two local states, whatever it replies. None when a write
-        faults.
-        """
-        if slot not in self.logs:
-            tape_ids = self.tape_ids[slot]
-            try:
-                tapes = [log_reception(tape, 1, comm) for comm, tape in self.local_states[slot]]
-            except RunFault:
-                tapes = None
-            self.logs[slot] = None if tapes is None else [tape_ids.setdefault(t, len(tape_ids)) for t in tapes]
-        return self.logs[slot]
-
     def moves(self, slot: int, strategy):
-        """`strategy`'s class key at `slot`: per local state, (reply, tape id, guard verdict) or None.
+        """`strategy`'s class key at `slot`: per reception id, (reply, guard verdict) or None.
 
-        A plain `LoggedReplyStrategy` (its exact type: a subclass may move
-        otherwise) is asked only for its reply, `fn(1, comm)`, and takes the
-        slot's `logged` tape ids; when `fn` is exactly `FixedReplies`, its
-        step-1 reply `fn.replies[0]` is every local state's reply, and `fn`
-        is not called. Any other strategy, or a logged one where the logs are
-        None, is applied whole. The key is built in one pass over the local
-        states: reply, tape id, verdict and the shared-token rule.
-        A move becomes the shared token None when the guard rejects it, every
-        group at its local id halts through the guard, and no explicit row of
-        those groups names its reply at `slot`. Every such group then takes
-        `score`'s halted shortcut, which reads neither the reply nor the
-        tape, so equal keys run the same float operations and score alike bit
-        for bit, whatever the other slots play.
-        The whole key is None when the strategy branches, gives its one move
-        a weight other than exactly 1 (a phase), merges two local states, or
-        fails on one; every combination with it is then replayed.
+        Only a plain `LoggedReplyStrategy` (its exact type: a subclass may
+        move otherwise) has a key: it is asked only for its reply,
+        `fn(1, comm)`, and when `fn` is exactly `FixedReplies`, its step-1
+        reply `fn.replies[0]` is every reception's reply, and `fn` is not
+        called. A reply becomes the shared token None when the guard rejects
+        it, every group at its local id halts through the guard, and no
+        explicit row of those groups names it at `slot`. Every such group
+        then takes `score`'s halted shortcut, which reads no reply, so equal
+        keys run the same float operations and score alike bit for bit,
+        whatever the other slots play.
+        The whole key is None for any other strategy, or when `fn` branches,
+        gives its one reply a weight other than exactly 1 (a phase), or
+        fails on a reception; every combination with it is then replayed.
         """
+        if type(strategy) is not LoggedReplyStrategy:
+            return None
         rejects = self.guard.rejects if self.guard is not None else None
-        tape_ids = self.tape_ids[slot]
         named = self.named[slot]
-        logged = self.logged(slot) if type(strategy) is LoggedReplyStrategy else None
-        fn = strategy.fn if logged is not None else None
+        fn = strategy.fn
         fixed = type(fn) is FixedReplies
         key = []
-        seen = set()
         # the replay raises whatever this raises, so any failure just opts out
         try:
-            for local, (comm, tape) in enumerate(self.local_states[slot]):
+            for local, comm in enumerate(self.local_states[slot]):
                 if fixed:
-                    reply, tid = fn.replies[0], logged[local]
-                elif fn is not None:
+                    reply = fn.replies[0]
+                else:
                     (reply, amp), = fn(1, comm)
                     if amp != 1:
                         return None
-                    tid = logged[local]
-                else:
-                    column = strategy.apply_quantum(1, comm, tape)
-                    if len(column) != 1 or column[0][1] != 1:
-                        return None
-                    reply, new_tape = column[0][0]
-                    tid = tape_ids.setdefault(new_tape, len(tape_ids))
-                    if (reply, tid) in seen:
-                        return None
-                    seen.add((reply, tid))
                 verdict = rejects is not None and rejects(slot, reply)
                 shared = verdict and named[local] is not None and reply not in named[local]
-                key.append(None if shared else (reply, tid, verdict))
+                key.append(None if shared else (reply, verdict))
         except Exception:
             return None
         return tuple(key)
@@ -410,7 +358,7 @@ class _Round2:
             # a token is minted only where every group halts through the guard: `halted` is set
             halts = None in entries
             if not halts:
-                comm, tapes, verdicts = zip(*entries)
+                comm, verdicts = zip(*entries)
                 halts = halted is not None and True in verdicts and comm not in receptions
             if halts:
                 after += halted[0]
@@ -418,7 +366,7 @@ class _Round2:
                 p_rej += halted[2]
                 continue
             for q, _, head, _, amp, _ in group:
-                state[Configuration(q, head, comm, tapes)] = amp
+                state[Configuration(q, head, comm, local)] = amp
         try:
             kept, acc, rej, leftover, _, _ = _verify_and_measure(state, self.verifier, self.tape, self.columns)
             _check_round(2, self.before, after + kept, p_acc + acc, p_rej + rej, leftover)
@@ -520,7 +468,7 @@ def search(
         if best is None or (value > best[0] + TIE_TOL if maximize else value < best[0] - TIE_TOL):
             best = (value, chosen, total_acc, total_rej, leftover)
 
-    labels = [[_label(s) for s in fam.strategies] for fam in families]
+    labels = [[strategy_label(s) for s in fam.strategies] for fam in families]
     table: list[tuple[tuple[str, ...], float, float]] | None = None
     if keep_table:
         # (p_acc, p_rej) per scored class tuple and per replayed combination:
@@ -595,7 +543,7 @@ class _Forced:
     def __init__(self, base, fixed: dict):
         self.base = base
         self.fixed = fixed
-        self.label = _label(base) + "+forced"
+        self.label = strategy_label(base) + "+forced"
         self.born: dict[tuple, list] = {}
 
     def apply_quantum(self, step, comm, tape):

@@ -129,6 +129,15 @@ Tape = tuple[str, ...]
 QuantumMove = list[tuple[tuple[str, Tape], complex]]
 
 
+def strategy_label(strategy) -> str:
+    """A strategy's name in reports and refusals: its `label`, else its `kind`, else its type's name."""
+    for attr in ("label", "kind"):
+        name = getattr(strategy, attr, None)
+        if name is not None:
+            return name
+    return type(strategy).__name__
+
+
 def _classical_move(strategy, step: int, comm: str, tape: Tape) -> tuple[str, Tape]:
     """A strategy's move in a classical run: its one `apply_quantum` move, whose amplitude must be 1.
 
@@ -137,7 +146,7 @@ def _classical_move(strategy, step: int, comm: str, tape: Tape) -> tuple[str, Ta
     moves = strategy.apply_quantum(step, comm, tape)
     if len(moves) == 1 and abs(moves[0][1] - 1) <= AMPLITUDE_TOL:
         return moves[0][0]
-    name = getattr(strategy, "label", strategy.kind)
+    name = strategy_label(strategy)
     if len(moves) != 1:
         raise ValidationError(f"strategy {name} branches; no classical form")
     raise ValidationError(f"strategy {name} moves with amplitude {moves[0][1]!r}, not 1; no classical form")
@@ -159,8 +168,8 @@ def log_reception(tape: Tape, step: int, comm: str, *who: str) -> Tape:
     """`tape` with the symbol received at `step` logged in its step-indexed cell, `step - 1`.
 
     The logging rule of `LoggedReplyStrategy` and `DerandomizedStrategy`. The
-    adversary sweep calls it too, once per local state for all logged
-    strategies, since the log does not depend on the reply.
+    adversary sweep does not call it: on the blank tapes round 1 leaves, a
+    logged reply's new tape is fixed by the reception, which stands for it.
     """
     return _write_cell(tape, step - 1, comm, *who)
 

@@ -46,6 +46,7 @@ from .specs import (
     guard_states,
     make_track_alphabet,
     parse_track,
+    strategy_label,
     sum_targets,
     track,
 )
@@ -82,7 +83,7 @@ def make_reversible_prover(prover: ProverSpec, cutoff: int) -> ProverSpec:
     """
     strat = prover.strategy
     if not isinstance(strat, ClassicalTableStrategy):
-        raise NotReversible(f"prover {prover.index} strategy {strat.kind!r} is not a plain table")
+        raise NotReversible(f"prover {prover.index} strategy {strategy_label(strat)!r} is not a plain table")
     if strat.is_injective():
         return prover
     if not strat.injective_per_receive():

@@ -753,8 +753,8 @@ def test_a_row_named_rejected_cell_keeps_its_own_score_in_the_first_slot(replaye
 
 
 class _Relabel:
-    """Replies p to u and z to v and leaves its tape alone: two local states,
-    two replies, one new tape."""
+    """Replies p to u and z to v and leaves its tape alone: two receptions,
+    two replies, one new tape. Not a `LoggedReplyStrategy`, so it is replayed."""
     label = "relabel"
 
     def apply_quantum(self, step, comm, tape):
@@ -779,6 +779,26 @@ def test_a_row_into_a_guard_minted_state_turns_the_shortcut_off(replayed_rounds)
     )
     result = _assert_matches_simulate(p, "0", (StrategyFamily(1, "picks", (_Relabel(),)),))
     assert result.table[0][1:] == pytest.approx(((1 - h) ** 2 / 3, (1 + h) ** 2 / 3))
+    assert replayed_rounds == [1, 2]
+
+
+def test_a_row_into_a_guard_minted_state_misses_another_groups_logged_tape(replayed_rounds):
+    # qa's row on p lands on rejf[qb|¢] at head 1 with (z,), where qb's group
+    # falls to the guard on z; qa logged u and qb logged v, so the two never
+    # meet, and qb's group is scored by the halted shortcut
+    h = 2 ** -0.5
+    rb = specs.guard_state("rejf", "qb", LEFT_END)
+    p = _guarded(
+        first=(("qa", 0, ("u",), h), ("qb", 0, ("v",), h)),
+        rows={("qa", LEFT_END, ("p",)): ((rb, 1, ("z",), 1.0),)},
+        accept={"acc"},
+        reject={rb},
+        minted={rb},
+    )
+    assert [halted for _, _, _, halted in _round2(p, "0").groups] == [None, pytest.approx((0.5, 0.0, 0.5))]
+    relabel = LoggedReplyStrategy("relabel", lambda step, recv: [({"u": "p", "v": "z"}[recv], 1.0 + 0j)])
+    result = _assert_matches_simulate(p, "0", (StrategyFamily(1, "picks", (relabel,)),))
+    assert result.table[0][1:] == pytest.approx((0.0, 1.0))
     assert replayed_rounds == [1]
 
 
@@ -980,10 +1000,11 @@ def test_rounds_resumed_from_the_sweeps_round_1_are_the_runs_own(replayed_combos
 
 # ---------------------------------------------------------------- logged replies
 #
-# Every plain LoggedReplyStrategy logs the reception in the same cell, so
-# `_Round2` writes each slot's logs once and asks such a strategy only for
-# `fn(1, comm)`, or reads `fn.replies[0]` when `fn` is `FixedReplies`. Any
-# other strategy, subclasses included, is applied whole.
+# Round 1 leaves every prover tape blank, and every plain LoggedReplyStrategy
+# logs the reception in cell 0 of it, so `_Round2` lets a slot's reception
+# stand for its tape and asks such a strategy only for `fn(1, comm)`, or
+# reads `fn.replies[0]` when `fn` is `FixedReplies`. Any other strategy,
+# subclasses included, has no key and is replayed.
 
 
 def _picks(index, *symbols):
@@ -1011,13 +1032,13 @@ def _round2(p, x):
     return adversary._Round2(p, input_tape(x, p.verifier), _round1(p, x))
 
 
-def _applied_moves(round2, slot, strategy):
-    """`_Round2.moves` before its shared tokens, rebuilt from `apply_quantum` on each local state,
-    new tapes spelled out."""
+def _applied_moves(round2, slot, strategy, blank):
+    """`_Round2.moves` before its shared tokens, rebuilt from `apply_quantum` on each reception
+    and the blank tape, new tapes spelled out."""
     out = []
-    for comm, tape in round2.local_states[slot]:
+    for comm in round2.local_states[slot]:
         try:
-            column = strategy.apply_quantum(1, comm, tape)
+            column = strategy.apply_quantum(1, comm, blank)
         except Exception:
             return None
         if len(column) != 1 or column[0][1] != 1:
@@ -1032,6 +1053,7 @@ def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
     build, x, make_families = _KEYED[name]
     p = build()
     round2 = _round2(p, x)
+    blank = (BLANK,) * max(1, p.cutoff)
     applied = []
     apply_quantum = LoggedReplyStrategy.apply_quantum
 
@@ -1044,51 +1066,177 @@ def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
     moves = [[round2.moves(slot, s) for s in f.strategies] for slot, f in enumerate(families)]
     assert applied == []
     for slot, f in enumerate(families):
-        tapes = {tid: tape for tape, tid in round2.tape_ids[slot].items()}
+        receptions = list(round2.local_states[slot])
         assert sum(m is not None for m in moves[slot]) >= len(f.strategies) // 2
         for strategy, got in zip(f.strategies, moves[slot]):
-            want = _applied_moves(round2, slot, strategy)
+            want = _applied_moves(round2, slot, strategy, blank)
             assert (got is None) == (want is None), strategy.label
             assert len(got or ()) == len(want or ()), strategy.label
             # a None entry is the shared token: a move the guard rejects at a
             # local id whose groups all halt and whose rows do not name it
             for local, (entry, (reply, new_tape, rej)) in enumerate(zip(got or (), want or ())):
+                assert new_tape == specs.log_reception(blank, 1, receptions[local]), strategy.label
                 named = round2.named[slot][local]
                 token = rej and named is not None and reply not in named
                 if entry is None:
                     assert token, strategy.label
                 else:
-                    cell, tid, verdict = entry
-                    assert (cell, tapes[tid], verdict) == (reply, new_tape, rej), strategy.label
+                    assert entry == (reply, rej), strategy.label
                     assert not token, strategy.label
 
 
 class _Sub(LoggedReplyStrategy):
-    """A plain logged strategy under another type, so `_Round2.moves` applies it whole."""
+    """A plain logged strategy under another type, so `_Round2.moves` gives it no key."""
 
 
 @pytest.mark.parametrize("name", sorted(_KEYED))
-def test_the_logged_fast_path_and_the_applied_path_give_the_same_key(name):
+def test_a_logged_subclass_has_no_key_and_its_sweeps_replay(name, replayed_combos):
     build, x, make_families = _KEYED[name]
     p = build()
     round2 = _round2(p, x)
-    for slot, f in enumerate(make_families(p)):
+    families = make_families(p)
+    for slot, f in enumerate(families):
         keys = [round2.moves(slot, s) for s in f.strategies]
         assert sum(key is not None for key in keys) >= len(keys) // 2
-        for strategy, key in zip(f.strategies, keys):
-            assert round2.moves(slot, _Sub(strategy.label, strategy.fn)) == key, strategy.label
+        for strategy in f.strategies:
+            assert round2.moves(slot, _Sub(strategy.label, strategy.fn)) is None, strategy.label
+    # up to 4 strategies per family, spread over it, as `_Sub` copies: every
+    # combination replays, and the table is the plain strategies' to 1e-12
+    picked = [f.strategies[::-(-len(f.strategies) // 4)] for f in families]
+    plain = tuple(StrategyFamily(f.prover_index, f.label, strategies) for f, strategies in zip(families, picked))
+    subs = tuple(
+        StrategyFamily(f.prover_index, f.label, tuple(_Sub(s.label, s.fn) for s in strategies))
+        for f, strategies in zip(families, picked)
+    )
+    scored = search(p, x, families=plain, keep_table=True)
+    replayed_combos.clear()
+    result = _assert_matches_simulate(p, x, subs)
+    assert replayed_combos == [labels for labels, _, _ in result.table]
+    for (labels, acc, rej), (_, want_acc, want_rej) in zip(result.table, scored.table):
+        assert (acc, rej) == pytest.approx((want_acc, want_rej), abs=1e-12), labels
 
 
-def test_a_log_write_that_faults_opts_logged_strategies_out():
-    p = corpus.build("no_comm_reduce")
-    residual, index, mass = _round1(p, "0")
-    # every tape already holds a symbol in cell 0, where step 1 logs
-    written = {
-        c._replace(tapes=tuple(("g",) + t[1:] for t in c.tapes)): amp for c, amp in residual.items()
-    }
-    round2 = adversary._Round2(p, input_tape("0", p.verifier), engine._Class(written, index, mass))
-    assert round2.logged(0) is None
-    assert round2.moves(0, constant_reply(BLANK)) is None
+# ---------------------------------------------------------------- the blank tapes of round 1
+#
+# `_Round2` lets a reception stand for a logged reply's new tape. That rests
+# on the sweep's round 1 leaving every prover tape blank with a cell to log
+# in, and on two groups' logged tapes never meeting, even where an explicit
+# row aims at a guard-minted state.
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_the_sweeps_round_1_holds_only_blank_tapes_of_at_least_one_cell(cutoff, monkeypatch):
+    cases = [(corpus.build(name), x) for name in sorted(corpus.REGISTRY) for x in corpus.test_inputs(name)]
+    cases += [(_reduced_parity_relay(), x) for x in ("1", "11")]
+    firsts = []
+    rounds = adversary._rounds
+
+    def spy(p, x, after=None):
+        steps = rounds(p, x, after)
+        if after is None:
+            firsts.append(next(steps))
+            yield firsts[-1]
+        yield from steps
+
+    monkeypatch.setattr(adversary, "_rounds", spy)
+    tapes = []
+    for p, x in cases:
+        families = tuple(StrategyFamily(i + 1, "picks", (echo_reply(),)) for i in range(p.k))
+        search(p, x, families=families, cutoff=cutoff)
+        _, classes = firsts.pop()
+        assert not firsts, (p.name, x)
+        for state, _, _ in classes:
+            for config in state:
+                assert len(config.tapes) == p.k, (p.name, x)
+                tapes.extend(config.tapes)
+    assert tapes
+    for tape in tapes:
+        assert len(tape) >= 1 and set(tape) == {BLANK}, tape
+
+
+_REPLIES = ("p", "z", "y")
+
+
+@st.composite
+def _guarded_sweeps(draw):
+    """A `_guarded` protocol on one or two provers, whose explicit rows may aim
+    at guard-minted states, and per prover the logged family: the constants p,
+    z and y and a relabeling of the receptions u and v.
+
+    Each source has its own accept state, and a row into a minted state aims
+    at another group's when there is one, so most protocols keep their mass;
+    the rest fault, and the sweep must raise as the run does."""
+    k = draw(st.integers(1, 2))
+    sources = draw(st.lists(st.sampled_from(("qa", "qb", "qc", "qd")), min_size=1, max_size=4, unique=True))
+    amp = len(sources) ** -0.5
+    receptions = {q: draw(st.tuples(*[st.sampled_from(("u", "v"))] * k)) for q in sources}
+    first = tuple((q, 0, receptions[q], draw(st.sampled_from((amp, -amp)))) for q in sources)
+    # the guard mostly knows a source's reject state, and that state mostly halts
+    guard = {q: specs.guard_state("rejf", q, LEFT_END) for q in sources}
+    minted = {name for name in guard.values() if draw(st.integers(0, 4))} or {guard[sources[0]]}
+    reject = {name for name in minted if draw(st.integers(0, 3))}
+    replies = list(itertools.product(_REPLIES, repeat=k))
+    blank = (BLANK,) * k
+    h = 2 ** -0.5
+    rows = {}
+    for q in sources:
+        apart = sorted(guard[o] for o in sources if receptions[o] != receptions[q] and guard[o] in minted)
+        # the guard passes p alone, so every source has a row for it
+        for comm in [("p",) * k] + draw(st.lists(st.sampled_from(replies[1:]), max_size=3, unique=True)):
+            into = (draw(st.sampled_from(apart or sorted(minted))), 1, draw(st.sampled_from(replies)))
+            accept = (f"acc_{q}", 0, blank)
+            rows[q, LEFT_END, comm] = draw(st.sampled_from((
+                (into + (1.0,),),
+                (accept + (1.0,),),
+                (into + (h,), accept + (draw(st.sampled_from((h, -h))),)),
+            )))
+    p = _guarded(first, rows, {f"acc_{q}" for q in sources}, reject, minted, k)
+    relabel = dict(zip(("u", "v"), draw(st.tuples(st.sampled_from(_REPLIES), st.sampled_from(_REPLIES)))))
+    fn = LoggedReplyStrategy("fn", lambda step, recv: [(relabel[recv], 1.0 + 0j)])
+    family = tuple(constant_reply(sym) for sym in _REPLIES) + (fn,)
+    return p, tuple(StrategyFamily(i + 1, "logged", family) for i in range(k))
+
+
+def test_guarded_sweeps_with_rows_into_minted_states_match_simulate(monkeypatch):
+    # each scored round 2 passes the sources of every group that does not take
+    # the halted shortcut; across the examples, some group takes it
+    sources, shortcuts = [], []
+    score, verify = adversary._Round2.score, adversary._verify_and_measure
+
+    def scoring(self, picks):
+        sources.append(sum(len(group) for _, group, _, _ in self.groups))
+        return score(self, picks)
+
+    def verifying(state, *args):
+        shortcuts.append(len(state) < sources[-1])
+        return verify(state, *args)
+
+    monkeypatch.setattr(adversary._Round2, "score", scoring)
+    monkeypatch.setattr(adversary, "_verify_and_measure", verifying)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_guarded_sweeps())
+    def sweep_matches(case):
+        p, families = case
+        runs = []
+        for combo in itertools.product(*(f.strategies for f in families)):
+            try:
+                runs.append(simulate(_trial(p, combo), "0"))
+            except RunFault as fault:
+                runs.append(fault)
+        faults = [run for run in runs if isinstance(run, RunFault)]
+        try:
+            result = search(p, "0", families=families, keep_table=True)
+        except RunFault as fault:
+            # the first combination that faults, in product order, is replayed and raises
+            assert faults and (type(fault), str(fault)) == (type(faults[0]), str(faults[0]))
+            return
+        assert not faults
+        for run, (labels, acc, rej) in zip(runs, result.table):
+            assert (acc, rej) == pytest.approx((run.p_accept, run.p_reject), abs=1e-12), labels
+
+    sweep_matches()
+    assert any(shortcuts)
 
 
 class _Hedged(LoggedReplyStrategy):
@@ -1131,7 +1279,7 @@ def test_a_logged_strategy_that_branches_is_replayed_even_with_weight_1_moves(re
 
 def test_a_logged_strategy_that_fails_on_one_reception_is_replayed_and_raises(replayed_combos):
     p = corpus.build("no_comm_reduce")
-    comms = [comm for comm, _ in _round2(p, "0").local_states[0]]
+    comms = list(_round2(p, "0").local_states[0])
     assert len(comms) > 1
 
     def picky(step, recv):

@@ -36,6 +36,7 @@ from qmipsim.specs import (
     UnitaryTableStrategy,
     VerifierSpec,
     FixedReplies,
+    _classical_move,
     constant_reply,
     echo_reply,
     parse_track,
@@ -188,11 +189,27 @@ def test_a_classical_run_refuses_a_branching_strategy():
         simulate(_relay_with_prover_1(rotation_reply(BLANK, "1")), "1")
 
 
+class _Nameless:
+    """A strategy with neither a label nor a kind, whose one move has amplitude 0.5."""
+
+    def apply_quantum(self, step, comm, tape):
+        return [((BLANK, tape), 0.5)]
+
+    apply_classical = _classical_move
+
+
+class _LabelOnly(_Nameless):
+    """The same move under a label, still without a kind."""
+    label = "label-only"
+
+
 @pytest.mark.parametrize("strategy, name, amp", [
     (LoggedReplyStrategy("half", lambda step, recv: [(BLANK, 0.5)]), "half", 0.5),
     (LoggedReplyStrategy("flip", lambda step, recv: [(BLANK, -1)]), "flip", -1),
     (UnitaryTableStrategy(0, {None: {(recv, ()): [((BLANK, ()), -1 + 0j)] for recv in (BLANK, "g")}}),
      "unitary-table", -1 + 0j),
+    (_LabelOnly(), "label-only", 0.5),
+    (_Nameless(), "_Nameless", 0.5),
 ])
 def test_a_classical_run_refuses_a_single_move_of_amplitude_other_than_1(strategy, name, amp):
     # a classical run weighs every prover move 1, so a single move of another

@@ -924,6 +924,14 @@ def test_fair_coin_violations():
     assert fair_coin_violations(_tiny_protocol(rows=biased).verifier)
 
 
+def test_check_well_formed_refuses_a_guard_state_that_does_not_reject():
+    v = corpus.build("no_comm_reduce").verifier
+    assert check_well_formed(v)
+    kept = sorted(v.fallback.known_states)[0]
+    report = check_well_formed(dataclasses.replace(v, reject=v.reject - {kept}))
+    assert report.violations == ["guard states must all be rejecting"]
+
+
 @pytest.mark.parametrize("mode, weight", [("1qfa", H), ("1pfa", 0.5)])
 def test_a_nan_weight_is_never_well_formed(mode, weight):
     row = (("acc", 1, ("#",), complex(math.nan)), ("rej", 1, ("#",), complex(weight)))

@@ -112,6 +112,19 @@ def test_make_reversible_rejects_non_table_strategies():
         make_reversible_prover(prover, cutoff=4)
 
 
+def test_make_reversible_names_a_strategy_without_a_kind_by_its_label():
+    class LabelOnly:
+        label = "label-only"
+
+        def apply_quantum(self, step, comm, tape):
+            return [((BLANK, tape), 1.0 + 0j)]
+
+    prover = ProverSpec(index=1, comm_alphabet=("#",), tape_alphabet=("#",), space=1, strategy=LabelOnly())
+    message = "prover 1 strategy 'label-only' is not a plain table"
+    with pytest.raises(NotReversible, match=f"^{re.escape(message)}$"):
+        make_reversible_prover(prover, cutoff=4)
+
+
 def test_make_eraser_checks():
     e = make_eraser(3, ("#", "m"), cutoff=4)
     assert isinstance(e.strategy, EraserStrategy)
