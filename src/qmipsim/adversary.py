@@ -11,24 +11,26 @@ reception logged on its tape (`specs.log_reception`): on that blank tape the
 new tape is fixed by the reception, whatever the reply, so a slot's reception
 stands for its tape. When every strategy is such a strategy and replies to
 each reception of the residual with weight exactly 1, round 2, at any cutoff
-and on any input, is scored from those replies and per-slot guard verdicts
-by the driver's own verifier pass (`engine._verify_and_measure`, guard rows
-and the two-cell head-move check included). Constants and reply sequences
-are not even asked: their `fn` is `specs.FixedReplies`, data that ignores
-the reception, so their step-1 reply is read off it. Sources that share
-every slot's reception are scored together as one interference group, and a
-group that the guard sends wholly to a halting state adds a triple measured
-once per sweep. A strategy's replies are its class key, with one shared
-token for every reply that only ever takes that triple; each prover's
-strategies with equal keys fall in one class, and each class tuple (one key
-per prover) is scored once, for all of its combinations. A combination is
-replayed when its round 2 cannot be scored (a strategy of any other type,
-subclasses included, one that branches, as rotations do, or puts a phase on
-its reply, or something faults, such as a verifier column whose head moves
-collide on the two-cell tape of "") or when it keeps more than PRUNE_TOL
-with rounds left: the engine's round driver, which stops at that same
-test, resumes it from the shared round 1, merges the histories of logged
-strategies by their tapes (their `record`) and raises the run's own error.
+and on any input, is scored from those replies by the driver's own verifier
+pass (`engine._verify_and_measure`, guard rows and the two-cell head-move
+check included). Constants and reply sequences are not even asked: their
+`fn` is `specs.FixedReplies`, data that ignores the reception, so their
+step-1 reply is read off it. Sources that share every slot's reception are
+scored together as one interference group, and a group that the guard sends
+wholly to a halting state adds a triple measured once per sweep. A
+strategy's replies are its class key, with one shared token, None, for a
+reply that the guard rejects at its slot, that no explicit row receives
+there, and whose reception's groups all halt through the guard: that reply
+only ever takes those triples. Each prover's strategies with equal keys fall
+in one class, and each class tuple (one key per prover) is scored once, for
+all of its combinations. A combination is replayed when its round 2 cannot
+be scored (a strategy of any other type, subclasses included, one that
+branches, as rotations do, or puts a phase on its reply, or something
+faults, such as a verifier column whose head moves collide on the two-cell
+tape of "") or when it keeps more than PRUNE_TOL with rounds left: the
+engine's round driver, which stops at that same test, resumes it from the
+shared round 1, merges the histories of logged strategies by their tapes
+(their `record`) and raises the run's own error.
 Round 1, the scorer and every replay are passes of one verifier on one
 input, so they read one column cache, the verifier's own (`engine._columns`).
 
@@ -239,17 +241,13 @@ class _Round2:
     so each column is built once per (state, head, reception).
 
     Sources that share their local tuple (one reception id per slot) form an
-    interference group: they receive the same replies. Two groups differ in
-    some slot's reception, so in its logged tape: no target of one group
-    meets a target of another, even where an explicit row aims at a
-    guard-minted state. A group whose members all fall to the guard and halt
-    there then adds the same (mass, p_acc, p_rej) to every combination that
-    routes it there, so that triple is measured once per sweep. Any other
-    group's sources go through the pass. Since that shortcut reads no reply,
-    `moves` returns a class key in which a reply that always takes it is a
-    shared token, so equal keys score alike whatever the other slots play;
-    `score` reads one key per slot, and the sweep scores one combination
-    per tuple of distinct keys.
+    interference group: they receive the same replies. A group whose members'
+    guard targets all halt keeps its (mass, p_acc, p_rej) there, measured
+    once per sweep. `moves` puts the shared token None in place of a reply
+    exactly where that triple is the group's whole round 2 (see there), and
+    `score`, which reads one key per slot, takes a group's triple exactly
+    when one of its entries is None; every other group's sources go through
+    the pass. The sweep scores one combination per tuple of distinct keys.
 
     `first` is the driver's round-1 class, mass included. `score` returns
     None on anything the round driver would fault on (a missing row, a
@@ -260,76 +258,59 @@ class _Round2:
     def __init__(self, p: ProtocolSpec, tape, first: _Class):
         self.verifier = v = p.verifier
         self.tape = tape
-        self.quantum = v.is_quantum()
-        self.accept = v.accept
-        self.reject = v.reject
         self.guard = v.fallback
         residual, _, self.before = first
         n = len(tape)
         self.local_states: list[dict[str, int]] = [{} for _ in range(p.k)]
-        guard_targets: dict[tuple[str, str], str | None] = {}
         # per reception tuple, which fixes the local tuple: its members, in residual order
         members: dict[tuple, list] = {}
         for (q, head, comm, _), amp in residual.items():
-            sigma = tape[head % n]
-            name = guard_targets.get((q, sigma), False)
-            if name is False:
-                name = guard_targets[q, sigma] = self.guard.target(q, sigma) if self.guard is not None else None
-            members.setdefault(comm, []).append((q, sigma, head, (head + 1) % n, amp, name))
-        row_comms: dict[tuple[str, str], set] = {key: set() for key in guard_targets}
-        for q, sigma, comm in v.rows:
-            if (q, sigma) in row_comms:
-                row_comms[q, sigma].add(comm)
-        halting = self.accept | self.reject
+            name = self.guard.target(q, tape[head % n]) if self.guard is not None else None
+            members.setdefault(comm, []).append((q, head, (head + 1) % n, amp, name))
+        halting = v.accept | v.reject
         self.groups = []
-        # per slot and local id: the cells at that slot of the explicit rows
-        # of every group there, or None when one of those groups does not halt
-        self.named: list[dict[int, set | None]] = [{} for _ in range(p.k)]
         for comm, group in members.items():
             # one reception id per slot, numbered in residual order
             local = tuple([states.setdefault(sent, len(states)) for states, sent in zip(self.local_states, comm)])
             halted = None
-            # the receptions that complete an explicit row of a member
-            receptions = frozenset()
-            if all(name in halting for _, _, _, _, _, name in group):
-                halted = self._halted(group)
-                receptions = frozenset(sent for q, sigma, _, _, _, _ in group for sent in row_comms[q, sigma])
-            for slot, named in enumerate(self.named):
-                if halted is None:
-                    named[local[slot]] = None
-                elif named.setdefault(local[slot], set()) is not None:
-                    named[local[slot]].update(sent[slot] for sent in receptions)
-            self.groups.append((local, tuple(group), receptions, halted))
+            if all(name in halting for *_, name in group):
+                # (mass, p_acc, p_rej) with every member moved to its guard target
+                out: dict[tuple, complex] = {}
+                for _, _, head_next, amp, name in group:
+                    out[name, head_next] = out.get((name, head_next), 0j) + amp
+                halted = _measure(out.items(), v.is_quantum(), v.accept, v.reject)[:3]
+            self.groups.append((local, tuple(group), halted))
+        # per slot: the cells that explicit rows receive there, and the local
+        # ids where some group does not halt through the guard
+        self.row_cells = [{comm[slot] for _, _, comm in v.rows} for slot in range(p.k)]
+        self.live = [{local[slot] for local, _, halted in self.groups if halted is None} for slot in range(p.k)]
         self.columns = _columns(v, tape)
 
-    def _halted(self, group):
-        """(mass, p_acc, p_rej) of a group whose members all move to their guard targets."""
-        out: dict[tuple, complex] = {}
-        for _, _, _, head_next, amp, name in group:
-            out[name, head_next] = out.get((name, head_next), 0j) + amp
-        return _measure(out.items(), self.quantum, self.accept, self.reject)[:3]
-
     def moves(self, slot: int, strategy):
-        """`strategy`'s class key at `slot`: per reception id, (reply, guard verdict) or None.
+        """`strategy`'s class key at `slot`: per reception id, its reply or the shared token None.
 
         Only a plain `LoggedReplyStrategy` (its exact type: a subclass may
         move otherwise) has a key: it is asked only for its reply,
         `fn(1, comm)`, and when `fn` is exactly `FixedReplies`, its step-1
         reply `fn.replies[0]` is every reception's reply, and `fn` is not
-        called. A reply becomes the shared token None when the guard rejects
-        it, every group at its local id halts through the guard, and no
-        explicit row of those groups names it at `slot`. Every such group
-        then takes `score`'s halted shortcut, which reads no reply, so equal
-        keys run the same float operations and score alike bit for bit,
-        whatever the other slots play.
+        called. A reply is None at a reception exactly when the guard
+        rejects it at `slot`, no explicit row of the verifier receives it at
+        `slot`, and every group at that reception halts through the guard.
+        That is exact: `lookup` then finds no row for any reception that
+        holds the reply, and the guard `matches` it, so every member there
+        goes to its guard target with weight 1, and each group's mass is its
+        halted triple, whatever the other slots send. Two groups differ in
+        some slot's logged tape, so no other target meets theirs, even where
+        an explicit row aims at a guard-minted state. Equal keys thus run the
+        same float operations and score alike bit for bit.
         The whole key is None for any other strategy, or when `fn` branches,
-        gives its one reply a weight other than exactly 1 (a phase), or
-        fails on a reception; every combination with it is then replayed.
+        gives its one reply a weight other than exactly 1 (a phase), replies
+        None, or fails on a reception; every combination with it is then
+        replayed.
         """
         if type(strategy) is not LoggedReplyStrategy:
             return None
-        rejects = self.guard.rejects if self.guard is not None else None
-        named = self.named[slot]
+        row_cells, live = self.row_cells[slot], self.live[slot]
         fn = strategy.fn
         fixed = type(fn) is FixedReplies
         key = []
@@ -337,14 +318,15 @@ class _Round2:
         try:
             for local, comm in enumerate(self.local_states[slot]):
                 if fixed:
-                    reply = fn.replies[0]
+                    reply, amp = fn.replies[0], 1
                 else:
                     (reply, amp), = fn(1, comm)
-                    if amp != 1:
-                        return None
-                verdict = rejects is not None and rejects(slot, reply)
-                shared = verdict and named[local] is not None and reply not in named[local]
-                key.append(None if shared else (reply, verdict))
+                # a phase opts out, and so does a reply that would read as the token
+                if amp != 1 or reply is None:
+                    return None
+                # a local id halts only through the guard, so the guard is there
+                shared = local not in live and reply not in row_cells and self.guard.rejects(slot, reply)
+                key.append(None if shared else reply)
         except Exception:
             return None
         return tuple(key)
@@ -353,19 +335,15 @@ class _Round2:
         """(p_acc, p_rej, leftover) of round 2 when each slot plays its key in `picks`."""
         after = p_acc = p_rej = 0.0
         state = {}
-        for local, group, receptions, halted in self.groups:
-            entries = tuple(map(getitem, picks, local))
+        for local, group, halted in self.groups:
+            comm = tuple(map(getitem, picks, local))
             # a token is minted only where every group halts through the guard: `halted` is set
-            halts = None in entries
-            if not halts:
-                comm, verdicts = zip(*entries)
-                halts = halted is not None and True in verdicts and comm not in receptions
-            if halts:
+            if None in comm:
                 after += halted[0]
                 p_acc += halted[1]
                 p_rej += halted[2]
                 continue
-            for q, _, head, _, amp, _ in group:
+            for q, head, _, amp, _ in group:
                 state[Configuration(q, head, comm, local)] = amp
         try:
             kept, acc, rej, leftover, _, _ = _verify_and_measure(state, self.verifier, self.tape, self.columns)

@@ -547,6 +547,8 @@ def validate_protocol(p: ProtocolSpec) -> None:
     for sym in v.input_alphabet:
         if sym in (BLANK, LEFT_END, RIGHT_END):
             raise ValidationError(f"input alphabet may not contain {sym!r}")
+        if len(sym) != 1:  # the input tape holds one character per cell
+            raise ValidationError(f"input symbol {sym!r} is not one character")
     if len(p.provers) != v.k:
         raise ValidationError(f"verifier has {v.k} communication cells but {len(p.provers)} provers")
     if v.fallback is not None and len(v.fallback.slot_bases) != v.k:

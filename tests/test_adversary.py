@@ -542,6 +542,21 @@ def test_a_deep_sweep_builds_each_column_once(column_builds, replayed_combos):
     assert len(lookups) == len(built) == len(set(built)) > 0
 
 
+@pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
+def test_full_sweeps_score_360_class_tuples(objective, score_calls, replayed_combos):
+    # the full C5 sweep scores every class tuple and replays nothing; the
+    # reduced relay at cutoff 3 replays the 73 combinations that keep their
+    # mass past round 2. A scorer that lost its tokens would score more
+    p = corpus.build("no_comm_reduce")
+    for x in ("0", ""):
+        score_calls.clear()
+        assert search(p, x, objective=objective).evaluated == 82944
+        assert (len(score_calls), replayed_combos) == (360, [])
+    score_calls.clear()
+    assert search(_reduced_parity_relay(), "1", objective=objective, cutoff=3).evaluated == 82944
+    assert (len(score_calls), len(replayed_combos)) == (360, 73)
+
+
 def test_branching_strategies_mixed_into_a_family_match_simulate(replayed_rounds):
     p = corpus.build("no_comm_reduce")
     alphabet = p.verifier.comm_alphabets[0]
@@ -715,7 +730,7 @@ def test_a_row_named_rejected_cell_keeps_its_own_score(replayed_rounds, score_ca
     assert [entry[1:] for entry in result.table] == [
         pytest.approx((0.0, 1.0)), pytest.approx((0.5, 0.5)), pytest.approx((0.0, 1.0)),
     ]
-    assert [key[0] and key[0][0] for key in score_calls] == [None, "z"]
+    assert [key[0] for key in score_calls] == [None, "z"]
     assert replayed_rounds == [1]
 
 
@@ -748,7 +763,7 @@ def test_a_row_named_rejected_cell_keeps_its_own_score_in_the_first_slot(replaye
         pytest.approx((0.5, 0.5)), rejected, rejected,
     ] + [rejected] * 3
     # the class tuples ({y, w} or {z}) x (# or {y, w}), each scored once
-    assert [key[0] and key[0][0] for key in score_calls] == ["#", None, "#", None]
+    assert [key[0] for key in score_calls] == ["#", None, "#", None]
     assert replayed_rounds == [1]
 
 
@@ -795,7 +810,7 @@ def test_a_row_into_a_guard_minted_state_misses_another_groups_logged_tape(repla
         reject={rb},
         minted={rb},
     )
-    assert [halted for _, _, _, halted in _round2(p, "0").groups] == [None, pytest.approx((0.5, 0.0, 0.5))]
+    assert [halted for _, _, halted in _round2(p, "0").groups] == [None, pytest.approx((0.5, 0.0, 0.5))]
     relabel = LoggedReplyStrategy("relabel", lambda step, recv: [({"u": "p", "v": "z"}[recv], 1.0 + 0j)])
     result = _assert_matches_simulate(p, "0", (StrategyFamily(1, "picks", (relabel,)),))
     assert result.table[0][1:] == pytest.approx((0.0, 1.0))
@@ -1011,14 +1026,37 @@ def _picks(index, *symbols):
     return StrategyFamily(index, "picks", tuple(constant_reply(sym) for sym in symbols))
 
 
+def _named_elsewhere():
+    """qa receives u and qb receives v, and both fall to the guard and halt
+    on a foreign reply; only qa has an explicit row, on z. So z is received
+    at the slot, though not at v, where qb's group halts through the guard."""
+    h = 2 ** -0.5
+    ra, rb = specs.guard_state("rejf", "qa", LEFT_END), specs.guard_state("rejf", "qb", LEFT_END)
+    return _guarded(
+        first=(("qa", 0, ("u",), h), ("qb", 0, ("v",), h)),
+        rows={("qa", LEFT_END, ("z",)): (("acc", 1, (BLANK,), 1.0),)},
+        accept={"acc"},
+        reject={ra, rb},
+        minted={ra, rb},
+    )
+
+
+def _constants_and_relabel(p):
+    """The constants y, z and w, and a relabeling that replies y to u and z to v."""
+    relabel = LoggedReplyStrategy("relabel", lambda step, recv: [({"u": "y", "v": "z"}[recv], 1.0 + 0j)])
+    return (StrategyFamily(1, "picks", _picks(1, "y", "z", "w").strategies + (relabel,)),)
+
+
 # per case: builder, input, and the families whose keys are checked. The
-# guard cases hold a rejected reply that a halting group's explicit row names
-# (z), so the shared token's `named` clause decides their keys; the relay's
-# sequence family holds 7-reply `FixedReplies`
+# guard cases hold a rejected reply that an explicit row receives (z), so
+# the token's row clause decides their keys: in `named_elsewhere` the row is
+# at another reception than the relabeling's z, which keeps its own class
+# all the same; the relay's sequence family holds 7-reply `FixedReplies`
 _KEYED = {
     **{name: (build, x, default_families) for name, (build, x, _) in _PROBED.items()},
     "split_group": (_split_group, "0", lambda p: (_picks(1, "y", "z", "w"),)),
     "split_pair": (_split_pair, "0", lambda p: (_picks(1, "y", "z", "w"), _picks(2, BLANK, "y", "w"))),
+    "named_elsewhere": (_named_elsewhere, "0", _constants_and_relabel),
     "parity_relay_11": (lambda: corpus.build("parity_relay"), "11", default_families),
 }
 
@@ -1034,7 +1072,7 @@ def _round2(p, x):
 
 def _applied_moves(round2, slot, strategy, blank):
     """`_Round2.moves` before its shared tokens, rebuilt from `apply_quantum` on each reception
-    and the blank tape, new tapes spelled out."""
+    and the blank tape, new tapes spelled out: (reply, new tape) per reception."""
     out = []
     for comm in round2.local_states[slot]:
         try:
@@ -1043,9 +1081,20 @@ def _applied_moves(round2, slot, strategy, blank):
             return None
         if len(column) != 1 or column[0][1] != 1:
             return None
-        (reply, new_tape), _ = column[0]
-        out.append((reply, new_tape, round2.guard is not None and round2.guard.rejects(slot, reply)))
-    return None if len({(cell, tape) for cell, tape, _ in out}) < len(out) else out
+        out.append(column[0][0])
+    return None if len(set(out)) < len(out) else out
+
+
+def _halts_through_the_guard(p, x, slot):
+    """Per reception at `slot` of the sweep's round 1, in residual order:
+    whether the guard target of every source there halts."""
+    tape = input_tape(x, p.verifier)
+    guard, halting = p.verifier.fallback, p.verifier.accept | p.verifier.reject
+    halts = {}
+    for q, head, comm, _ in _round1(p, x)[0]:
+        target = guard.target(q, tape[head % len(tape)]) if guard is not None else None
+        halts[comm[slot]] = halts.get(comm[slot], True) and target in halting
+    return halts
 
 
 @pytest.mark.parametrize("name", sorted(_KEYED))
@@ -1065,24 +1114,24 @@ def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
     families = make_families(p)
     moves = [[round2.moves(slot, s) for s in f.strategies] for slot, f in enumerate(families)]
     assert applied == []
+    guard = p.verifier.fallback
     for slot, f in enumerate(families):
+        halts = _halts_through_the_guard(p, x, slot)
         receptions = list(round2.local_states[slot])
+        assert receptions == list(halts)
+        received = {comm[slot] for _, _, comm in p.verifier.rows}
         assert sum(m is not None for m in moves[slot]) >= len(f.strategies) // 2
         for strategy, got in zip(f.strategies, moves[slot]):
             want = _applied_moves(round2, slot, strategy, blank)
             assert (got is None) == (want is None), strategy.label
             assert len(got or ()) == len(want or ()), strategy.label
-            # a None entry is the shared token: a move the guard rejects at a
-            # local id whose groups all halt and whose rows do not name it
-            for local, (entry, (reply, new_tape, rej)) in enumerate(zip(got or (), want or ())):
-                assert new_tape == specs.log_reception(blank, 1, receptions[local]), strategy.label
-                named = round2.named[slot][local]
-                token = rej and named is not None and reply not in named
-                if entry is None:
-                    assert token, strategy.label
-                else:
-                    assert entry == (reply, rej), strategy.label
-                    assert not token, strategy.label
+            # a None entry is the shared token: a reply the guard rejects, that
+            # no explicit row receives at the slot, at a reception whose groups
+            # all halt through the guard; any other entry is the reply
+            for entry, (reply, new_tape), sent in zip(got or (), want or (), receptions):
+                assert new_tape == specs.log_reception(blank, 1, sent), strategy.label
+                token = guard is not None and guard.rejects(slot, reply) and reply not in received and halts[sent]
+                assert entry == (None if token else reply), strategy.label
 
 
 class _Sub(LoggedReplyStrategy):
@@ -1204,7 +1253,7 @@ def test_guarded_sweeps_with_rows_into_minted_states_match_simulate(monkeypatch)
     score, verify = adversary._Round2.score, adversary._verify_and_measure
 
     def scoring(self, picks):
-        sources.append(sum(len(group) for _, group, _, _ in self.groups))
+        sources.append(sum(len(group) for _, group, _ in self.groups))
         return score(self, picks)
 
     def verifying(state, *args):
@@ -1294,6 +1343,19 @@ def test_a_logged_strategy_that_fails_on_one_reception_is_replayed_and_raises(re
     with pytest.raises(MissingTransition, match=re.escape(f"picky: no reply to {comms[-1]!r}")):
         search(p, "0", families=families)
     assert replayed_combos == [("picky", "echo")]
+
+
+def test_a_logged_reply_of_none_is_replayed_and_raises_the_runs_error(replayed_combos):
+    # None is the shared token in a class key, so a strategy that replies
+    # None has no key; its replay finds no row for the reply, as its run does
+    p = corpus.build("parity_relay")
+    families = (
+        StrategyFamily(1, "picks", (LoggedReplyStrategy("none", lambda step, recv: [(None, 1.0 + 0j)]),)),
+        StrategyFamily(2, "picks", (echo_reply(),)),
+    )
+    with pytest.raises(MissingTransition, match=re.escape("received (None, '#')")):
+        search(p, "11", families=families)
+    assert replayed_combos == [("none", "echo")]
 
 
 # ---------------------------------------------------------------- derandomization

@@ -793,6 +793,7 @@ def _both_alphabets(comm):
     (_verifier_with(accept=frozenset({"acc", "rej"})), "accept and reject sets overlap in ['rej']"),
     (_verifier_with(input_alphabet=("0", RIGHT_END)), "input alphabet may not contain '$'"),
     (_verifier_with(input_alphabet=(BLANK,)), "input alphabet may not contain '#'"),
+    (_verifier_with(input_alphabet=("0", "11")), "input symbol '11' is not one character"),
     (_prover_with(index=2), "prover 1 has index 2"),
     (_prover_with(comm_alphabet=("#", "x")), "prover 1 communication alphabet differs from the verifier's"),
     (_both_alphabets(("x",)), "prover 1 communication alphabet lacks '#'"),
