@@ -3,35 +3,31 @@
 Soundness claims quantify over all prover strategies, which no finite run can
 cover. What a desk-scale tool can do is sweep structured families that
 contain every strategy worth trying at these sizes: constant replies, full
-reply sequences, echoes, and mask-track probes. The search caches the round-1
-residual: provers first act in round 2, and the verifier writes no tape, so
-every prover tape there is still blank. Every built-in strategy is a plain
-`LoggedReplyStrategy`, whose move is its reply `fn(step, received)` plus the
-reception logged on its tape (`specs.log_reception`): on that blank tape the
-new tape is fixed by the reception, whatever the reply, so a slot's reception
-stands for its tape. When every strategy is such a strategy and replies to
-each reception of the residual with weight exactly 1, round 2, at any cutoff
-and on any input, is scored from those replies by the driver's own verifier
-pass (`engine._verify_and_measure`, guard rows and the two-cell head-move
-check included). Constants and reply sequences are not even asked: their
-`fn` is `specs.FixedReplies`, data that ignores the reception, so their
-step-1 reply is read off it. Sources that share every slot's reception are
-scored together as one interference group, and a group that the guard sends
-wholly to a halting state adds a triple measured once per sweep. A
-strategy's replies are its class key, with one shared token, None, for a
-reply that the guard rejects at its slot, that no explicit row receives
-there, and whose reception's groups all halt through the guard: that reply
-only ever takes those triples. Each prover's strategies with equal keys fall
-in one class, and each class tuple (one key per prover) is scored once, for
-all of its combinations. A combination is replayed when its round 2 cannot
-be scored (a strategy of any other type, subclasses included, one that
-branches, as rotations do, or puts a phase on its reply, or something
-faults, such as a verifier column whose head moves collide on the two-cell
-tape of "") or when it keeps more than PRUNE_TOL with rounds left: the
-engine's round driver, which stops at that same test, resumes it from the
-shared round 1, merges the histories of logged strategies by their tapes
-(their `record`) and raises the run's own error.
-Round 1, the scorer and every replay are passes of one verifier on one
+reply sequences, echoes, and mask-track probes. A sweep is one tree of runs
+of the engine's round driver whose nodes carry sets of combinations. Round 1
+precedes any prover move, so it is run once, for all of them. At each later
+round a node splits each prover's strategies into classes by their moves on
+its configurations, and each block of the product of those classes runs the
+round once, with its first combination, into a child node. Every built-in
+strategy is a plain `LoggedReplyStrategy`, whose move is its reply
+`fn(step, received)` plus the reception logged on its tape
+(`specs.log_reception`): the new tape is fixed by the prover's local state
+(cell, tape), whatever the reply, so a strategy's replies per local state
+are its class key. Constants and reply sequences are asked only once per
+round: their `fn` is `specs.FixedReplies`, data that ignores the reception.
+Sources that share every prover's local state form an interference group,
+and a group that the guard sends wholly to a halting state keeps a triple
+measured once per node. A key holds one shared token, None, for a reply
+that the guard rejects at its slot, that no explicit row receives there,
+and whose local state's groups all halt through the guard: that reply only
+ever takes those triples, so a block takes them for the groups where it
+holds the token, and its driver round runs the rest. Any other strategy
+(subclasses included, one that branches, as rotations do, puts a phase on
+its reply, or fails) is a class of its own, and in its blocks no token
+counts. The driver's own checks cover every round, its verifier pass merges
+the histories of logged strategies by their tapes (their `record`), and a
+fault is the run's own error, raised for the first faulting combination.
+Round 1 and every round of the tree are passes of one verifier on one
 input, so they read one column cache, the verifier's own (`engine._columns`).
 
 Derandomization goes the other way: given quantum provers attacking a
@@ -52,13 +48,13 @@ strategies read their tapes and declare no `record`, so no run merges histories.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from operator import getitem
 
-from .engine import (
-    Configuration, _Class, _check_round, _columns, _measure, _rounds, _verify_and_measure, input_tape, simulate,
-)
+from .engine import RoundStat, _Class, _check_round, _measure, _rounds, input_tape, simulate
 from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
 from .specs import (
     BLANK,
@@ -69,13 +65,12 @@ from .specs import (
     ProverSpec,
     constant_reply,
     echo_reply,
-    fixed_width_binary_encoding,
     make_track_alphabet,
     parse_track,
     rotation_reply,
     strategy_label,
+    symbol_xor,
     track,
-    xor_symbols,
 )
 from .tolerances import AMPLITUDE_TOL, BOUND_TOL, PRUNE_TOL, TIE_TOL
 
@@ -143,12 +138,7 @@ def track_probe_family(index: int, track_alphabet: tuple[str, ...]) -> StrategyF
     upper-symbol substitutions that keep the lower track intact.
     """
     base = _track_base(track_alphabet)
-    encoding = fixed_width_binary_encoding(base)
-    # the encoding numbers symbols by position, so lower XOR s is the symbol
-    # at position[lower] ^ position[s]; a position past the base is an unused
-    # code, which `xor_symbols` reports
-    by_code = sorted(encoding, key=encoding.__getitem__)
-    position = {sym: i for i, sym in enumerate(by_code)}
+    xor = symbol_xor(base)
     strategies = [constant_reply(sym) for sym in track_alphabet]
     strategies.append(echo_reply())
     for s in base:
@@ -156,9 +146,7 @@ def track_probe_family(index: int, track_alphabet: tuple[str, ...]) -> StrategyF
             continue
         def shift(step, recv, s=s):
             upper, lower = parse_track(recv)
-            code = position[lower] ^ position[s]
-            shifted = by_code[code] if code < len(by_code) else xor_symbols(encoding, lower, s)
-            return [(track(upper, shifted), 1.0 + 0j)]
+            return [(track(upper, xor(lower, s)), 1.0 + 0j)]
         strategies.append(LoggedReplyStrategy(f"shift:{s}", shift))
     for c in base:
         def substitute(step, recv, c=c):
@@ -215,142 +203,147 @@ class SearchResult:
     table: list[tuple[tuple[str, ...], float, float]] | None = None
 
 
-def _replay(p: ProtocolSpec, x: str, first, combo, T: int):
-    """(p_acc, p_rej, leftover) of one combination, its rounds 2..T resumed from the shared round 1."""
-    stats = [first[0]] + [stat for stat, _ in _rounds(_trial(p, combo, T), x, first)]
-    return sum(s.p_accept for s in stats), sum(s.p_reject for s in stats), stats[-1].residual_mass
+class _Stage:
+    """Round j+1 of a sweep node, per interference group, from its strategies' step-j replies.
 
+    A node is (j, classes, accept and reject sums, residual mass): its
+    classes are the driver's (`engine._Class`), left by its last round. A
+    slot's local state is its (cell, tape), numbered per slot across the
+    classes. A plain `LoggedReplyStrategy` answers it with `fn(j, cell)` and
+    logs the cell in the tape's blank cell j - 1, a new tape fixed by the
+    local state and different for each, whatever the reply. Such a
+    strategy's tape is always its log, in every run that moves it. So
+    sources of one class that share their local tuple, an interference
+    group, receive the same replies and leave on one new tape, which no
+    other group's sources share.
 
-class _Round2:
-    """Round 2 of a sweep, scored per interference group from the provers' step-1 replies.
-
-    Round 1 runs before any prover moves and the verifier writes no tape, so
-    every prover tape of the shared round-1 residual is blank, with at least
-    one cell (`_trial`): a slot's local state is its reception. A plain
-    `LoggedReplyStrategy` answers it with its reply `fn(1, comm)` and logs it
-    in cell 0, a new tape fixed by the reception and different for each. So
-    when every reply has weight 1, amplitudes pass the prover stage unchanged
-    and a combination's round-2 state follows from its replies alone; a
-    strategy whose `fn` is `FixedReplies` is read, not called. A
-    combination's round-2 sources are then one state keyed like the driver's
-    configurations, with each slot's reception id standing for its logged
-    tape, (state, head, replies, local tuple), run through the driver's
-    verifier pass (`engine._verify_and_measure`: explicit or guard rows, the
-    two-cell head-move check) and `_check_round`, reading the verifier's
-    column cache for the tape, as round 1 and every replay of the sweep do,
-    so each column is built once per (state, head, reception).
-
-    Sources that share their local tuple (one reception id per slot) form an
-    interference group: they receive the same replies. A group whose members'
-    guard targets all halt keeps its (mass, p_acc, p_rej) there, measured
-    once per sweep. `moves` puts the shared token None in place of a reply
-    exactly where that triple is the group's whole round 2 (see there), and
-    `score`, which reads one key per slot, takes a group's triple exactly
-    when one of its entries is None; every other group's sources go through
-    the pass. The sweep scores one combination per tuple of distinct keys.
-
-    `first` is the driver's round-1 class, mass included. `score` returns
-    None on anything the round driver would fault on (a missing row, a
-    head-move collision, a mass check); the caller then replays that
-    combination, which raises the error itself.
+    A group whose members' guard targets all halt keeps its (mass, p_acc,
+    p_rej) there. `key` puts the shared token None in place of a reply
+    exactly where that triple is the group's whole round (see there), and
+    `run` takes a group's triple, times its class's multiplicity, exactly
+    when the block's key holds the token at one of its slots. Every other
+    group runs one round of the engine's round driver: a block of
+    combinations with equal keys is one driver round at most.
     """
 
-    def __init__(self, p: ProtocolSpec, tape, first: _Class):
-        self.verifier = v = p.verifier
-        self.tape = tape
-        self.guard = v.fallback
-        residual, _, self.before = first
-        n = len(tape)
-        self.local_states: list[dict[str, int]] = [{} for _ in range(p.k)]
-        # per reception tuple, which fixes the local tuple: its members, in residual order
-        members: dict[tuple, list] = {}
-        for (q, head, comm, _), amp in residual.items():
-            name = self.guard.target(q, tape[head % n]) if self.guard is not None else None
-            members.setdefault(comm, []).append((q, head, (head + 1) % n, amp, name))
-        halting = v.accept | v.reject
+    def __init__(self, p: ProtocolSpec, x: str, families, T: int, node: tuple):
+        self.p, self.x, self.families, self.T, self.node = p, x, families, T, node
+        self.step, classes = node[:2]
+        v, tape = p.verifier, input_tape(x, p.verifier)
+        guard = self.guard = v.fallback
+        n, halting = len(tape), v.accept | v.reject
+        self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
+        # (class index, local tuple, {source: amp}, halted triple or None), in residual order
         self.groups = []
-        for comm, group in members.items():
-            # one reception id per slot, numbered in residual order
-            local = tuple([states.setdefault(sent, len(states)) for states, sent in zip(self.local_states, comm)])
-            halted = None
-            if all(name in halting for *_, name in group):
-                # (mass, p_acc, p_rej) with every member moved to its guard target
-                out: dict[tuple, complex] = {}
-                for _, _, head_next, amp, name in group:
-                    out[name, head_next] = out.get((name, head_next), 0j) + amp
-                halted = _measure(out.items(), v.is_quantum(), v.accept, v.reject)[:3]
-            self.groups.append((local, tuple(group), halted))
+        for c, (state, _, _) in enumerate(classes):
+            members: dict[tuple, dict] = {}
+            for config, amp in state.items():
+                members.setdefault(config[2:], {})[config] = amp
+            for cells, group in members.items():
+                local = tuple([ids.setdefault(pair, len(ids)) for ids, pair in zip(self.local_states, zip(*cells))])
+                # (mass, p_acc, p_rej) with every member moved to its guard target, if each halts there
+                halted, out = None, {}
+                for (q, head, _, _), amp in group.items():
+                    name = guard and guard.target(q, tape[head % n])
+                    if name not in halting:
+                        break
+                    out[name, (head + 1) % n] = out.get((name, (head + 1) % n), 0j) + amp
+                else:
+                    halted = _measure(out.items(), v.is_quantum(), v.accept, v.reject)[:3]
+                self.groups.append((c, local, group, halted))
         # per slot: the cells that explicit rows receive there, and the local
         # ids where some group does not halt through the guard
         self.row_cells = [{comm[slot] for _, _, comm in v.rows} for slot in range(p.k)]
-        self.live = [{local[slot] for local, _, halted in self.groups if halted is None} for slot in range(p.k)]
-        self.columns = _columns(v, tape)
+        self.live = [{local[slot] for _, local, _, halted in self.groups if halted is None} for slot in range(p.k)]
 
-    def moves(self, slot: int, strategy):
-        """`strategy`'s class key at `slot`: per reception id, its reply or the shared token None.
+    def key(self, slot: int, strategy):
+        """`strategy`'s class key at `slot`: per local id, its reply or the shared token None.
 
         Only a plain `LoggedReplyStrategy` (its exact type: a subclass may
-        move otherwise) has a key: it is asked only for its reply,
-        `fn(1, comm)`, and when `fn` is exactly `FixedReplies`, its step-1
-        reply `fn.replies[0]` is every reception's reply, and `fn` is not
-        called. A reply is None at a reception exactly when the guard
-        rejects it at `slot`, no explicit row of the verifier receives it at
-        `slot`, and every group at that reception halts through the guard.
-        That is exact: `lookup` then finds no row for any reception that
-        holds the reply, and the guard `matches` it, so every member there
-        goes to its guard target with weight 1, and each group's mass is its
-        halted triple, whatever the other slots send. Two groups differ in
-        some slot's logged tape, so no other target meets theirs, even where
-        an explicit row aims at a guard-minted state. Equal keys thus run the
-        same float operations and score alike bit for bit.
-        The whole key is None for any other strategy, or when `fn` branches,
-        gives its one reply a weight other than exactly 1 (a phase), replies
-        None, or fails on a reception; every combination with it is then
-        replayed.
+        move otherwise) has a key: it is asked only for its reply, and when
+        `fn` is exactly `FixedReplies`, whose reply is the same at every
+        local state, only once. A reply is None at a local id exactly when
+        the guard rejects it at `slot`, no explicit row of the verifier
+        receives it at `slot`, and every group at that local id halts
+        through the guard. That is exact: `lookup` then finds no row for any
+        reception that holds the reply, and the guard `matches` it, so every
+        member there goes to its guard target with weight 1, and each
+        group's mass is its halted triple, whatever the other slots send.
+        Two groups differ in some slot's logged tape, so no other target
+        meets theirs, even where an explicit row aims at a guard-minted
+        state. Equal keys thus run the same float operations and score alike
+        bit for bit.
+        Any other strategy, or one whose `fn` branches, gives its one reply a
+        weight other than exactly 1 (a phase), replies None, or fails on a
+        local state, opts out: its key is a new object, equal to no other.
         """
         if type(strategy) is not LoggedReplyStrategy:
-            return None
-        row_cells, live = self.row_cells[slot], self.live[slot]
-        fn = strategy.fn
-        fixed = type(fn) is FixedReplies
+            return object()
+        row_cells, live, fn, n = self.row_cells[slot], self.live[slot], strategy.fn, len(self.local_states[slot])
         key = []
-        # the replay raises whatever this raises, so any failure just opts out
+        # its run raises whatever this raises, so any failure just opts out
         try:
-            for local, comm in enumerate(self.local_states[slot]):
-                if fixed:
-                    reply, amp = fn.replies[0], 1
-                else:
-                    (reply, amp), = fn(1, comm)
+            if type(fn) is FixedReplies:
+                (reply, _), = fn(self.step, None)
+                # some local id halts only through the guard, so the guard is there
+                if reply is not None and len(live) < n and reply not in row_cells and self.guard.rejects(slot, reply):
+                    return tuple([reply if local in live else None for local in range(n)])
+                return object() if reply is None else (reply,) * n
+            for local, (cell, _) in enumerate(self.local_states[slot]):
+                (reply, amp), = fn(self.step, cell)
                 # a phase opts out, and so does a reply that would read as the token
                 if amp != 1 or reply is None:
-                    return None
-                # a local id halts only through the guard, so the guard is there
+                    return object()
                 shared = local not in live and reply not in row_cells and self.guard.rejects(slot, reply)
                 key.append(None if shared else reply)
         except Exception:
-            return None
+            return object()
         return tuple(key)
 
-    def score(self, picks):
-        """(p_acc, p_rej, leftover) of round 2 when each slot plays its key in `picks`."""
-        after = p_acc = p_rej = 0.0
-        state = {}
-        for local, group, halted in self.groups:
-            comm = tuple(map(getitem, picks, local))
-            # a token is minted only where every group halts through the guard: `halted` is set
-            if None in comm:
-                after += halted[0]
-                p_acc += halted[1]
-                p_rej += halted[2]
-                continue
-            for q, head, _, amp, _ in group:
-                state[Configuration(q, head, comm, local)] = amp
+    def run(self, tag, picks) -> tuple:
+        """The child node of the block of `tag`'s combinations.
+
+        `picks` is the block's key per slot. The groups where a key holds
+        the token add their halted triples; the others run one round of the
+        driver with the first combination, resumed from the node less those
+        triples, whose checks cover the whole round and whose survivors come
+        back merged by their records. When every group halts, `_check_round`
+        checks the triples alone. A round that faults, or leaves the driver
+        at most PRUNE_TOL, while tokens count runs again with none, so that a
+        fault is the run's own.
+        `picks` is None for a block with an opt-out, whose moves may merge
+        groups: then every group runs through the driver, which stands for
+        each combination of the block. Where their keys hold the token, each
+        one's replies send the same sources to the same guard targets with
+        weight 1 (the guard echoes them, but they all halt), so their masses,
+        merged or not, are the first combination's.
+        """
+        j, classes, acc, rej, mass = self.node
+        after = h_acc = h_rej = 0.0
+        live = classes
+        if picks is not None:
+            states = [{} for _ in classes]
+            for c, local, group, halted in self.groups:
+                if None not in map(getitem, picks, local):
+                    states[c].update(group)
+                    continue
+                multiplicity = classes[c].multiplicity
+                after += multiplicity * halted[0]
+                h_acc += multiplicity * halted[1]
+                h_rej += multiplicity * halted[2]
+            live = [cls if len(state) == len(cls.state) else _Class(state, cls.multiplicity, None)
+                    for state, cls in zip(states, classes) if state]
         try:
-            kept, acc, rej, leftover, _, _ = _verify_and_measure(state, self.verifier, self.tape, self.columns)
-            _check_round(2, self.before, after + kept, p_acc + acc, p_rej + rej, leftover)
-        except RunFault:
-            return None
-        return p_acc + acc, p_rej + rej, leftover
+            if not live:
+                _check_round(j + 1, mass, after, h_acc, h_rej, 0.0)
+                return j + 1, [], acc + h_acc, rej + h_rej, 0.0
+            trial = _trial(self.p, [fam.strategies[m[0]] for fam, m in zip(self.families, tag)], self.T)
+            stat, survivors = next(_rounds(trial, self.x, (RoundStat(j, 0.0, 0.0, mass - after, 0, 0), live)))
+        except (RunFault, StopIteration):
+            if picks is None:
+                raise
+            return self.run(tag, None)
+        return j + 1, survivors, acc + (h_acc + stat.p_accept), rej + (h_rej + stat.p_reject), stat.residual_mass
 
 
 def search(
@@ -364,18 +357,17 @@ def search(
 ) -> SearchResult:
     """Sweep one strategy per prover over the given families.
 
-    The first strict optimum in `itertools.product` order is kept. Round 1
-    precedes any prover move and is computed once. At every cutoff from 2
-    on, each prover's single-move strategies are classed by their
-    `_Round2.moves` key, and round 2 is scored once per class tuple, from
-    the tuple's keys. A tuple's other combinations score bit for bit alike,
-    so the optimum is sought among the first combination of each scored
-    tuple and the replayed ones, in product order. Every combination of a
-    class tuple that cannot be scored, or that keeps more than PRUNE_TOL
-    with rounds left, is replayed, in product order; so is every
-    combination at cutoff 1, after a round 1 that leaves at most PRUNE_TOL,
-    and without provers.
-    `keep_table` expands the class results into one row per combination.
+    The sweep is one tree of runs. Its root is round 1, which precedes any
+    prover move and is run once for every combination. At each later round
+    a node splits each slot's strategies by their `_Stage.key` on its local
+    states, and each block of the product of the splits, combinations that
+    move alike, runs the round once (`_Stage.run`) into a child node. Blocks
+    run in product order of their first combinations, so a fault is the
+    first faulting combination's own. A node that reaches the cutoff or
+    keeps at most PRUNE_TOL is a leaf, and all its combinations score bit
+    for bit alike, so the first strict optimum in `itertools.product` order
+    is sought among the leaves' first combinations. `keep_table` expands
+    each leaf into one row per combination.
     """
     if objective not in ("max-accept", "min-reject"):
         raise ValidationError(f"unknown objective {objective!r}")
@@ -392,70 +384,58 @@ def search(
         if not fam.strategies:
             raise ValidationError(f"family {fam.label!r} for prover {fam.prover_index} has no strategies")
     cap = limit if limit is not None else DEFAULT_FAMILY_LIMIT
-    total = 1
-    for fam in families:
-        total *= len(fam.strategies)
+    total = math.prod(len(fam.strategies) for fam in families)
     if total > cap:
         sizes = "x".join(str(len(f.strategies)) for f in families)
         raise FamilyTooLarge(f"{sizes} = {total} combinations exceeds the limit of {cap}")
 
     # shared by every combination; the tapes must already have the sweep strategies' logging cells
-    stat1, classes = first = next(_rounds(_trial(p, (None,) * p.k, T), x))
-    round2 = None
-    if families and T >= 2 and stat1.residual_mass > PRUNE_TOL:
-        round2 = _Round2(p, input_tape(x, p.verifier), classes[0])
-    # per slot: each strategy's class as a small int, each class's members in
-    # family order, and its key (None: replayed)
-    keys: list[list[int]] = []
-    members: list[list[list[int]]] = []
-    reps: list[list] = []
-    for slot, fam in enumerate(families):
-        ids: dict[tuple | None, int] = {}
-        keys.append([ids.setdefault(round2 and round2.moves(slot, s), len(ids)) for s in fam.strategies])
-        members.append([[] for _ in ids])
-        for j, key in enumerate(keys[-1]):
-            members[-1][key].append(j)
-        reps.append(list(ids))
-
-    # per scored class tuple (one class per slot): (p_acc, p_rej, leftover)
-    scores: dict[tuple, tuple] = {}
-    replayed = []
-    cts = itertools.product(*(range(len(r)) for r in reps))
-    for ct, picks in zip(cts, itertools.product(*reps)):
-        scored = round2.score(picks) if round2 is not None and None not in picks else None
-        if scored is None or (T > 2 and scored[2] > PRUNE_TOL):
-            replayed.append(ct)
+    stat1, classes = next(_rounds(_trial(p, (None,) * p.k, T), x))
+    # a tag holds per slot a tuple of strategy indices; a node is (its last round, its classes,
+    # its accept and reject sums, its residual mass)
+    tag = tuple(tuple(range(len(fam.strategies))) for fam in families)
+    node = (1, classes, stat1.p_accept, stat1.p_reject, stat1.residual_mass)
+    pending = []  # blocks (first combination, tag, stage, picks), least first combination first
+    leaves = []  # (tag, (p_acc, p_rej), leftover), in product order of their first combinations
+    while True:
+        j, classes, acc, rej, mass = node
+        if j == T or mass <= PRUNE_TOL:
+            leaves.append((tag, (acc, rej), mass))
         else:
-            scores[ct] = (stat1.p_accept + scored[0], stat1.p_reject + scored[1], scored[2])
-    # every combination of a replayed class tuple, replayed in product order
-    outcomes = {}
-    replays = (itertools.product(*(m[c] for m, c in zip(members, ct))) for ct in replayed)
-    for chosen in sorted(itertools.chain.from_iterable(replays)):
-        combo = tuple(fam.strategies[j] for fam, j in zip(families, chosen))
-        outcomes[chosen] = _replay(p, x, first, combo, T)
+            stage = _Stage(p, x, families, T, node)
+            splits = []
+            for slot, indices in enumerate(tag):
+                split: dict = {}
+                for i in indices:
+                    split.setdefault(stage.key(slot, families[slot].strategies[i]), []).append(i)
+                splits.append(list(split.items()))
+            for block in itertools.product(*splits):
+                # with an opt-out, no token counts (`_Stage.run`)
+                picks = tuple(key for key, _ in block)
+                picks = picks if all(type(key) is tuple for key in picks) else None
+                heapq.heappush(pending, (tuple(m[0] for _, m in block), tuple(m for _, m in block), stage, picks))
+        if not pending:
+            break
+        _, tag, stage, picks = heapq.heappop(pending)
+        node = stage.run(tag, picks)
 
-    # the later members of a scored class tuple score as its first one, after
-    # which the best value only gets better: none of them can be a strict optimum
-    visit = {tuple(m[c][0] for m, c in zip(members, ct)): result for ct, result in scores.items()}
-    visit.update(outcomes)
     maximize = objective == "max-accept"
     best = None
-    for chosen in sorted(visit):
-        total_acc, total_rej, leftover = visit[chosen]
+    for tag, (total_acc, total_rej), leftover in leaves:
         value = total_acc if maximize else total_rej
         if best is None or (value > best[0] + TIE_TOL if maximize else value < best[0] - TIE_TOL):
-            best = (value, chosen, total_acc, total_rej, leftover)
+            best = (value, tuple(m[0] for m in tag), total_acc, total_rej, leftover)
 
     labels = [[strategy_label(s) for s in fam.strategies] for fam in families]
     table: list[tuple[tuple[str, ...], float, float]] | None = None
     if keep_table:
-        # (p_acc, p_rej) per scored class tuple and per replayed combination:
-        # two dicts, since a class tuple and a combination can be equal tuples
-        scored_pairs = {ct: result[:2] for ct, result in scores.items()}
-        replayed_pairs = {chosen: result[:2] for chosen, result in outcomes.items()}
-        # (labels, strategy indices, class ids) of every combination, in product order
-        rows = zip(*(itertools.product(*column) for column in (labels, [range(len(k)) for k in keys], keys)))
-        table = [(names,) + (scored_pairs.get(ct) or replayed_pairs[chosen]) for names, chosen, ct in rows]
+        # a combination's index in product order: its strategy indices times their slots' strides, summed
+        strides = [math.prod(len(fam.strategies) for fam in families[slot + 1:]) for slot in range(p.k)]
+        pairs = [None] * total
+        for tag, pair, _ in leaves:
+            for index in map(sum, itertools.product(*([i * stride for i in t] for t, stride in zip(tag, strides)))):
+                pairs[index] = pair
+        table = [(names,) + pair for names, pair in zip(itertools.product(*labels), pairs)]
     return SearchResult(
         objective=objective,
         best_value=best[0],

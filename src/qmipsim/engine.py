@@ -30,8 +30,9 @@ residual sizes, before the merge. A run without records is one class.
 run, which `simulate` consumes whole and derandomization (`adversary`) steps
 through one round at a time. Its run is the protocol's: the verifier's mode
 sets how rounds are measured and the cutoff where they stop. It resumes from
-any pair it yielded (`after`): sweep replays resume from the shared round 1,
-and derandomization scores each candidate reply from the walk's current round.
+any pair it yielded (`after`): a sweep runs each block of combinations from
+its node's round, and derandomization scores each candidate reply from the
+walk's current round.
 A verifier column depends on the verifier and the tape alone, so every pass
 reads the verifier's own cache for the tape (`_columns`), kept across runs:
 a second `simulate` of one protocol on one input builds no column, and a
@@ -466,7 +467,9 @@ def _rounds(
     PRUNE_TOL. Round j+1 is built only when the caller asks for it, from
     the provers' strategies as they are then. `after` resumes from a pair
     yielded by a run with these records or none, round 0 (the initial state)
-    by default; the rounds that follow are the uninterrupted run's. Every
+    by default; the rounds that follow are the uninterrupted run's. A pair
+    may keep a part of its classes' configurations, with the residual mass
+    of that part: a sweep resumes so without the groups it measured. Every
     verifier pass reads the verifier's column cache for x (`_columns`).
     """
     quantum = p.verifier.is_quantum()

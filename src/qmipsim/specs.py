@@ -106,6 +106,23 @@ def xor_symbols(encoding: Mapping[str, str], a: str, b: str) -> str:
     )
 
 
+def symbol_xor(alphabet: Sequence[str]) -> Callable[[str, str], str]:
+    """`xor_symbols` on `fixed_width_binary_encoding(alphabet)`, read off the symbols' positions.
+
+    The encoding numbers symbols by position, so a XOR b is the symbol at
+    position[a] ^ position[b]; a position past the alphabet is an unused
+    code, which `xor_symbols` reports.
+    """
+    encoding = fixed_width_binary_encoding(alphabet)
+    by_code = sorted(encoding, key=encoding.__getitem__)
+    position = {sym: i for i, sym in enumerate(by_code)}
+
+    def xor(a: str, b: str) -> str:
+        code = position[a] ^ position[b]
+        return by_code[code] if code < len(by_code) else xor_symbols(encoding, a, b)
+    return xor
+
+
 # ---------------------------------------------------------------------------
 # prover strategies
 #
@@ -168,8 +185,8 @@ def log_reception(tape: Tape, step: int, comm: str, *who: str) -> Tape:
     """`tape` with the symbol received at `step` logged in its step-indexed cell, `step - 1`.
 
     The logging rule of `LoggedReplyStrategy` and `DerandomizedStrategy`. The
-    adversary sweep does not call it: on the blank tapes round 1 leaves, a
-    logged reply's new tape is fixed by the reception, which stands for it.
+    adversary sweep rests on it: a logged reply's new tape is fixed by the
+    prover's cell and tape, whatever the reply.
     """
     return _write_cell(tape, step - 1, comm, *who)
 
@@ -348,8 +365,8 @@ class LoggedReplyStrategy:
 class FixedReplies:
     """A reply function that ignores the received symbol: `replies[step - 1]`
     with weight 1, and the last reply past the end. Since it is data, not a
-    closure, the adversary sweep reads `replies[0]` for every reception at
-    step 1 instead of calling it."""
+    closure, the adversary sweep asks it once per step, not once per
+    reception."""
     replies: tuple[str, ...]
 
     def __call__(self, step: int, recv: str) -> list[tuple[str, complex]]:

@@ -42,12 +42,12 @@ from .specs import (
     _orthonormal_violations,
     check_restrictive,
     fair_coin_violations,
-    fixed_width_binary_encoding,
     guard_states,
     make_track_alphabet,
     parse_track,
     strategy_label,
     sum_targets,
+    symbol_xor,
     track,
 )
 from .tolerances import AMPLITUDE_TOL, PRUNE_TOL, RANK_TOL
@@ -304,12 +304,8 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
         if parse_track(track(sym, BLANK)) != (sym, BLANK):
             raise ValidationError(f"channel symbol {sym!r} cannot ride on a track symbol")
 
-    # the encoding numbers symbols by position, so r XOR record is the symbol
-    # at position[r] ^ position[record]; the size is a power of two, so every
-    # XOR lands in the alphabet (what `xor_symbols` computes on the bit codes)
-    encoding = fixed_width_binary_encoding(gamma)
-    by_code = sorted(encoding, key=encoding.__getitem__)
-    position = {sym: i for i, sym in enumerate(by_code)}
+    # r XOR record on the bit codes; the size is a power of two, so every XOR lands in the alphabet
+    xor = symbol_xor(gamma)
     root = complex(1 / math.sqrt(len(gamma)))
     track_alphabet = make_track_alphabet(gamma, gamma)
 
@@ -323,8 +319,7 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
             continue
         new_key = (q, sigma, (track(comm[0], BLANK), track(comm[1], BLANK)))
         summed = sum_targets(
-            ((q2, d, (track(sent[0], r), track(sent[1], by_code[position[r] ^ position[sent[2]]]))),
-             complex(w) * root)
+            ((q2, d, (track(sent[0], r), track(sent[1], xor(r, sent[2])))), complex(w) * root)
             for q2, d, sent, w in branches
             for r in gamma
         )

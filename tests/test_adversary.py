@@ -1,4 +1,5 @@
 import cmath
+import collections
 import dataclasses
 import functools
 import itertools
@@ -26,16 +27,15 @@ from qmipsim.adversary import (
 from qmipsim.amplitudes import PRUNE_TOL, apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
-    _mass,
     _verify_and_measure,
     input_tape,
-    run_round,
     simulate,
 )
 from qmipsim.errors import AlphabetMismatch, FamilyTooLarge, MissingTransition, RunFault, Unbounded, ValidationError
 from qmipsim.specs import (
     BLANK,
     LEFT_END,
+    RIGHT_END,
     DerandomizedStrategy,
     EraserStrategy,
     ForeignGuard,
@@ -265,63 +265,54 @@ def test_search_reduced_protocol_with_handpicked_probes():
 # ---------------------------------------------------------------- sweep vs simulate
 #
 # Each table entry must equal an ordinary simulation of the protocol with that
-# combination's strategies plugged in, whichever way `search` scored it. The
-# `replayed_rounds` fixture records which rounds `search` runs through the
-# engine's round driver, one entry per round the driver runs for `adversary`,
-# a round that faults included: round 1 once, then rounds 2 on only for
-# combinations whose round 2 it could not score from precomputed moves or
-# that keep mass past round 2 with rounds left.
+# combination's strategies plugged in, whichever block of the sweep's tree ran
+# it. The `blocks` fixture records every block a sweep runs, in order: the
+# round it runs, its combinations as per-slot labels, its key per slot (None
+# where no token counts) and the rounds it runs through the engine's round
+# driver. That is none when every group of the block takes its halted
+# triple, one otherwise, and two when a round faults while the block's keys
+# count and runs again with none; a round that faults counts. Round 1 runs
+# once, before any block.
 
 
 @pytest.fixture
-def replayed_rounds(monkeypatch):
-    rounds = []
+def blocks(monkeypatch):
+    ran, inside = [], []
+    run, rounds = adversary._Stage.run, adversary._rounds
+
+    def running(self, tag, picks):
+        if not inside:
+            labels = tuple(tuple(specs.strategy_label(f.strategies[i]) for i in t) for f, t in zip(self.families, tag))
+            ran.append([self.node[0] + 1, labels, picks, 0])
+        inside.append(tag)
+        try:
+            return run(self, tag, picks)
+        finally:
+            inside.pop()
 
     def driver(p, x, after=None):
-        steps = engine._rounds(p, x, after)
-        index = 0 if after is None else after[0].index
-        while True:
-            index += 1
-            try:
-                item = next(steps, None)
-            except Exception:
-                rounds.append(index)
-                raise
-            if item is None:
-                return
-            rounds.append(item[0].index)
-            yield item
+        if inside:
+            ran[-1][3] += 1
+        return rounds(p, x, after)
 
+    monkeypatch.setattr(adversary._Stage, "run", running)
     monkeypatch.setattr(adversary, "_rounds", driver)
-    return rounds
+    return ran
 
 
-@pytest.fixture
-def score_calls(monkeypatch):
-    """The last slot's class key of every `_Round2.score` call a sweep makes."""
-    calls = []
-    score = adversary._Round2.score
-
-    def counting(self, picks):
-        calls.append(picks[-1])
-        return score(self, picks)
-
-    monkeypatch.setattr(adversary._Round2, "score", counting)
-    return calls
+def _driven(blocks):
+    """(round, driver rounds) of every block, in the order they ran."""
+    return [(j, driven) for j, _, _, driven in blocks]
 
 
-@pytest.fixture
-def replayed_combos(monkeypatch):
-    """The labels of every combination a sweep hands to `_replay`, in order."""
-    replayed = []
-    replay = adversary._replay
+def _first(block):
+    """The labels of a block's first combination, the one its driver round runs."""
+    return tuple(labels[0] for labels in block[1])
 
-    def spy(p, x, first, combo, T):
-        replayed.append(tuple(s.label for s in combo))
-        return replay(p, x, first, combo, T)
 
-    monkeypatch.setattr(adversary, "_replay", spy)
-    return replayed
+def _combos(block):
+    """The labels of every combination of a block, in product order."""
+    return list(itertools.product(*block[1]))
 
 
 def _trial(p, combo):
@@ -384,19 +375,22 @@ def _rejected_unnamed_constants(p):
 
 
 @pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
-def test_track_probe_sweep_matches_simulate(objective, replayed_rounds):
+def test_track_probe_sweep_matches_simulate(objective, blocks):
     p = corpus.build("no_comm_reduce")
     families = _track_probe_sample(p, 2024)
     assert [len(f.strategies) for f in families] == [16, 16]
     result = _assert_matches_simulate(p, "0", families, objective)
     assert len({(acc, rej) for _, acc, rej in result.table}) >= 3
-    assert replayed_rounds == [1]
+    # every combination halts in round 2, whose blocks run one driver round at most
+    assert set(_driven(blocks)) == {(2, 0), (2, 1)}
+    assert len(blocks) < result.evaluated
 
 
-def test_rejected_replies_that_no_row_names_are_scored_once_per_class_tuple(replayed_rounds, score_calls):
+def test_rejected_replies_that_no_row_names_are_scored_once_per_class_tuple(blocks):
     # every such reply sends each group to its halted triple, so they form one
     # class; echo and upper:# move alike on every local state of round 1, so
-    # the six first picks are five classes and `score` runs once for each
+    # the six first picks are five classes, one block each, and every group of
+    # each block takes its halted triple: no block runs a driver round
     p = corpus.build("no_comm_reduce")
     picks = {"const:#", f"const:{track('g', BLANK)}", "echo", "shift:g", "upper:#", "upper:g"}
     first = tuple(s for s in default_families(p)[0].strategies if s.label in picks)
@@ -404,24 +398,26 @@ def test_rejected_replies_that_no_row_names_are_scored_once_per_class_tuple(repl
     assert (len(first), len(tail)) == (6, 8)
     families = (StrategyFamily(1, "picks", first), StrategyFamily(2, "rejected", tail))
     _assert_matches_simulate(p, "0", families)
-    assert len(score_calls) == len(first) - 1
-    assert replayed_rounds == [1]
+    assert _driven(blocks) == [(2, 0)] * (len(first) - 1)
 
 
-def test_classical_sweep_matches_simulate(replayed_rounds):
+def test_classical_sweep_matches_simulate(blocks):
+    # without a guard there is no token: the 6 combinations are 2 blocks of
+    # equal replies, each one driver round
     p = corpus.build("no_comm")
     for x in ("0", "00"):
         result = _assert_matches_simulate(p, x, default_families(p))
         assert result.evaluated == 6
-    assert replayed_rounds == [1, 1]
+    assert _driven(blocks) == [(2, 1)] * 4
 
 
-def test_a_cutoff_1_sweep_replays_every_combination(replayed_combos):
-    # provers first move in round 2, so at cutoff 1 there is no round 2 to score
+def test_a_cutoff_1_sweep_runs_no_round_after_round_1(blocks):
+    # provers first move in round 2, so at cutoff 1 round 1 is every combination's whole run
     p = corpus.build("no_comm")
     result = search(p, "0", cutoff=1, keep_table=True)
     combos = list(itertools.product(*(fam.strategies for fam in default_families(p, 1))))
-    assert result.evaluated == len(result.table) == len(replayed_combos) == 6
+    assert blocks == []
+    assert result.evaluated == len(result.table) == 6
     for combo, (labels, acc, rej) in zip(combos, result.table):
         run = simulate(_trial(p, combo), "0", cutoff=1)
         assert labels == tuple(s.label for s in combo)
@@ -429,21 +425,22 @@ def test_a_cutoff_1_sweep_replays_every_combination(replayed_combos):
     assert result.best_leftover == 1.0
 
 
-def test_classical_sweep_on_the_empty_input_stays_fused(replayed_rounds):
+def test_classical_sweep_on_the_empty_input_stays_fused(blocks):
     # only quantum head moves can collide on the two-cell tape of ""
     p = corpus.build("no_comm")
     _assert_matches_simulate(p, "", default_families(p))
-    assert replayed_rounds == [1]
+    assert _driven(blocks) == [(2, 1)] * 2
 
 
-def test_three_prover_sweep_matches_simulate(replayed_rounds):
+def test_three_prover_sweep_matches_simulate(blocks):
     p = corpus.build("no_comm_lift")
     result = _assert_matches_simulate(p, "0", default_families(p))
     assert result.evaluated == 66
-    assert replayed_rounds == [1]
+    # 2 x 1 x 2 class tuples; the eraser slot's guard-rejected replies share one token
+    assert _driven(blocks) == [(2, 1), (2, 0), (2, 1), (2, 0)]
 
 
-def test_foreign_guard_sweep_matches_simulate(replayed_rounds):
+def test_foreign_guard_sweep_matches_simulate(blocks):
     # the unified lift: three provers on one 16-symbol channel alphabet, with
     # a foreign guard rejecting each slot's symbols outside its own alphabet
     p = transforms.unify_alphabets(corpus.build("no_comm_lift"))
@@ -455,10 +452,11 @@ def test_foreign_guard_sweep_matches_simulate(replayed_rounds):
     result = _assert_matches_simulate(p, "0", families)
     assert result.evaluated == 216
     assert len({(acc, rej) for _, acc, rej in result.table}) >= 2
-    assert replayed_rounds == [1]
+    assert set(_driven(blocks)) == {(2, 0), (2, 1)}
+    assert len(blocks) < result.evaluated
 
 
-def test_mass_drift_raises_the_round_fault(replayed_rounds):
+def test_mass_drift_raises_the_round_fault(blocks):
     class Forgetful:
         """Replies with the blank and leaves its tape alone, merging receptions."""
         label = "forgetful"
@@ -467,22 +465,26 @@ def test_mass_drift_raises_the_round_fault(replayed_rounds):
             return [((BLANK, tape), 1.0 + 0j)]
 
     p = corpus.build("no_comm_reduce")
-    # prover 2's echo keeps the merged receptions apart: replayed, still exact
+    # prover 2's echo keeps the merged receptions apart: the forgetful block runs its driver round, still exact
     families = (
         StrategyFamily(1, "picks", (constant_reply(BLANK), Forgetful())),
         StrategyFamily(2, "picks", (echo_reply(),)),
     )
     _assert_matches_simulate(p, "0", families)
-    assert replayed_rounds == [1, 2]
+    assert [(_first(block), block[2] is None, block[3]) for block in blocks] == [
+        (("const:#", "echo"), False, 1), (("forgetful", "echo"), True, 1),
+    ]
+    blocks.clear()
     families = tuple(StrategyFamily(i + 1, "forgetful", (Forgetful(),)) for i in range(p.k))
     with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
         search(p, "0", families=families)
-    assert replayed_rounds == [1, 2, 1, 2]
+    assert _driven(blocks) == [(2, 1)]
 
 
-def test_a_non_unitary_row_in_round_2_raises_the_round_fault(replayed_rounds):
-    # one explicit row reached in round 2 gains mass; the fused scorer's mass
-    # checks hand that combination to the replay, which raises simulate's fault
+def test_a_non_unitary_row_in_round_2_raises_the_round_fault(blocks):
+    # one explicit row reached in round 2 gains mass; the block's driver round,
+    # which took the halted triples of the other groups, faults, and runs
+    # again with no token, which raises simulate's fault
     p = corpus.build("no_comm_reduce")
     key = ("c0", "0", (BLANK, BLANK))
     rows = dict(p.verifier.rows)
@@ -495,20 +497,20 @@ def test_a_non_unitary_row_in_round_2_raises_the_round_fault(replayed_rounds):
     with pytest.raises(RunFault) as raised:
         search(p, "0", families=families)
     assert str(raised.value) == str(expected.value)
-    assert replayed_rounds == [1, 2]
+    assert _driven(blocks) == [(2, 2)]
 
 
-def test_longer_sweeps_replay_only_round_2_survivors(replayed_rounds):
-    # every combination of the lift halts in round 2, so none is replayed
+def test_longer_sweeps_run_only_round_2_survivors(blocks):
+    # every combination of the lift halts in round 2, so no block runs round 3
     p = corpus.build("no_comm_lift")
     result = _assert_matches_simulate(dataclasses.replace(p, cutoff=3), "0", default_families(p, 3))
     assert result.evaluated == 1010
-    assert replayed_rounds == [1]
+    assert _driven(blocks) == [(2, 1), (2, 0), (2, 1), (2, 0)]
 
 
-def test_deep_sweeps_replay_exactly_the_round_2_survivors(replayed_rounds, replayed_combos):
+def test_deep_sweeps_run_exactly_the_round_2_survivors(blocks):
     # on the reduced relay a few combinations keep their mass past round 2:
-    # those alone run rounds 2 and 3 through the driver
+    # those alone reach round 3, in blocks of one driver round each
     p = dataclasses.replace(_reduced_parity_relay(), cutoff=3)
     picks = {"const:#", f"const:{track('1', BLANK)}", "echo", "shift:1", "upper:#", "upper:1"}
     families = tuple(
@@ -523,12 +525,13 @@ def test_deep_sweeps_replay_exactly_the_round_2_survivors(replayed_rounds, repla
         if simulate(_trial(p, combo), "1", cutoff=2).leftover > PRUNE_TOL
     ]
     assert 0 < len(survivors) < result.evaluated
-    assert replayed_combos == survivors
-    assert replayed_rounds == [1] + [2, 3] * len(survivors)
+    assert sorted(combo for block in blocks if block[0] == 3 for combo in _combos(block)) == sorted(survivors)
+    assert {driven for j, driven in _driven(blocks) if j == 3} == {1}
+    assert len([j for j, _ in _driven(blocks) if j == 3]) < len(survivors)
 
 
-def test_a_deep_sweep_builds_each_column_once(column_builds, replayed_combos):
-    # round 1, the round-2 scorer and every replay read the verifier's column
+def test_a_deep_sweep_builds_each_column_once(column_builds, blocks):
+    # round 1 and every block's driver round read the verifier's column
     # cache; a sweep before it warms the cache of p's verifier, not of its copy
     p = _reduced_parity_relay()
     search(p, "1", cutoff=3)
@@ -536,28 +539,181 @@ def test_a_deep_sweep_builds_each_column_once(column_builds, replayed_combos):
     built, lookups = column_builds
     built.clear()
     lookups.clear()
-    replayed_combos.clear()
+    blocks.clear()
     search(p, "1", cutoff=3)
-    assert replayed_combos
+    assert (3, 1) in _driven(blocks)
     assert len(lookups) == len(built) == len(set(built)) > 0
 
 
 @pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
-def test_full_sweeps_score_360_class_tuples(objective, score_calls, replayed_combos):
-    # the full C5 sweep scores every class tuple and replays nothing; the
-    # reduced relay at cutoff 3 replays the 73 combinations that keep their
-    # mass past round 2. A scorer that lost its tokens would score more
+def test_full_sweeps_score_360_class_tuples(objective, blocks):
+    # the full C5 sweep runs round 2 in 360 blocks, one per class tuple, and
+    # only the 68 with a group that takes no halted triple run a driver round;
+    # the reduced relay at cutoff 3 carries the 73 combinations that keep their
+    # mass past round 2 into round 3. A sweep that lost its tokens would run more
     p = corpus.build("no_comm_reduce")
     for x in ("0", ""):
-        score_calls.clear()
+        blocks.clear()
         assert search(p, x, objective=objective).evaluated == 82944
-        assert (len(score_calls), replayed_combos) == (360, [])
-    score_calls.clear()
+        assert sorted(set(_driven(blocks))) == [(2, 0), (2, 1)]
+        assert (len(blocks), sum(driven for _, driven in _driven(blocks))) == (360, 68)
+    blocks.clear()
     assert search(_reduced_parity_relay(), "1", objective=objective, cutoff=3).evaluated == 82944
-    assert (len(score_calls), len(replayed_combos)) == (360, 73)
+    assert [j for j, _ in _driven(blocks)].count(2) == 360
+    assert sum(len(_combos(block)) for block in blocks if block[0] == 3) == 73
 
 
-def test_branching_strategies_mixed_into_a_family_match_simulate(replayed_rounds):
+def test_parity_relay_sweeps_split_the_reply_sequences_round_by_round(blocks):
+    # the first prover's 7-reply sequences split by their reply at each step,
+    # one block per node and one driver round per block: on 11 the relay halts
+    # by round 4, so 14 driver rounds stand for 258 runs of up to 8 rounds
+    p = corpus.build("parity_relay")
+    result = _assert_matches_simulate(p, "11", default_families(p))
+    assert result.evaluated == 258
+    assert collections.Counter(_driven(blocks)) == {(2, 1): 2, (3, 1): 4, (4, 1): 8}
+    assert sum(len(_combos(block)) for block in blocks if block[0] == 2) == 258
+    for j, labels, _, _ in blocks:
+        # a block of round j holds sequences that agree on their replies up to step j - 1
+        assert len({tuple(label[4:].split(",")[:j - 1]) for label in labels[0] if label.startswith("seq:")}) == 1
+        if j > 2:
+            combos = set(_combos([j, labels]))
+            assert sum(combos <= set(_combos(parent)) for parent in blocks if parent[0] == j - 1) == 1
+
+
+def test_a_rotation_lift_sweep_at_cutoff_4_matches_simulate(blocks):
+    # each rotation branches, so it is a class of its own and its blocks count
+    # no token, while the other provers' sequences keep their classes
+    p = dataclasses.replace(corpus.build("no_comm_lift"), cutoff=4)
+    families = (rotation_family(1, p.verifier.comm_alphabets[0]),) + default_families(p)[1:]
+    result = _assert_matches_simulate(p, "0", families)
+    assert result.evaluated == 4004
+    assert {len(labels[0]) for _, labels, _, _ in blocks} == {1}
+    assert all(picks is None for _, _, picks, _ in blocks)
+    assert len(blocks) < 10
+
+
+def test_a_proverless_sweep_runs_past_round_1(blocks):
+    # a one-way coin on 000 halts half its mass on each 0 and the rest on $:
+    # its one combination, the empty one, is one block per round
+    verifier = VerifierSpec(
+        mode="1pfa",
+        states=("q", "acc", "rej"),
+        initial="q",
+        accept=frozenset({"acc"}),
+        reject=frozenset({"rej"}),
+        input_alphabet=("0",),
+        comm_alphabets=(),
+        rows={
+            ("q", LEFT_END, ()): (("q", 1, (), 1.0),),
+            ("q", "0", ()): (("q", 1, (), 0.5), ("acc", 1, (), 0.5)),
+            ("q", RIGHT_END, ()): (("rej", 1, (), 1.0),),
+        },
+    )
+    p = ProtocolSpec("coin", verifier, (), 1.0, 1.0, 6)
+    specs.validate_protocol(p)
+    result = search(p, "000", keep_table=True)
+    run = simulate(p, "000")
+    assert result.table == [((), run.p_accept, run.p_reject)]
+    assert (result.best_value, result.best_leftover, result.evaluated) == (run.p_accept, run.leftover, 1)
+    assert run.halted_round == 5
+    assert _driven(blocks) == [(2, 1), (3, 1), (4, 1), (5, 1)]
+
+
+@pytest.mark.parametrize("step", [2, 3])
+def test_a_strategy_that_fails_or_replies_none_at_a_later_step_raises_the_runs_error(step, blocks):
+    # the strategy moves as const:# up to `step` and shares its blocks; at
+    # `step` it opts out, and its own block's driver round raises its run's error
+    p = corpus.build("parity_relay")
+
+    def failing(at, recv):
+        if at == step:
+            raise MissingTransition(f"failing: no reply at step {at}")
+        return [(BLANK, 1.0 + 0j)]
+
+    none = LoggedReplyStrategy("none", lambda at, recv: [(None if at == step else BLANK, 1.0 + 0j)])
+    for strategy in (LoggedReplyStrategy("failing", failing), none):
+        with pytest.raises(MissingTransition) as expected:
+            simulate(_trial(p, (strategy, echo_reply())), "11")
+        blocks.clear()
+        families = (StrategyFamily(1, "picks", (constant_reply(BLANK), strategy)), StrategyFamily(2, "echo", (echo_reply(),)))
+        with pytest.raises(MissingTransition) as raised:
+            search(p, "11", families=families)
+        assert str(raised.value) == str(expected.value)
+        assert [block[1] for block in blocks[:step - 1]] == [(("const:#", strategy.label), ("echo",))] * (step - 1)
+        assert blocks[-1][:3] == [step + 1, ((strategy.label,), ("echo",)), None]
+
+
+def test_the_first_combination_that_faults_raises_whatever_its_round(blocks):
+    # `late` fails at step 3 and comes first in product order, `early` fails
+    # at step 2: blocks run in product order of their first combinations, so
+    # the sweep raises late's error, though early's round comes sooner
+    p = corpus.build("parity_relay")
+
+    def failing(label, step):
+        def fn(at, recv):
+            if at == step:
+                raise MissingTransition(f"{label}: no reply at step {at}")
+            return [(BLANK, 1.0 + 0j)]
+        return LoggedReplyStrategy(label, fn)
+
+    families = (StrategyFamily(1, "picks", (failing("late", 3), failing("early", 2))),
+                StrategyFamily(2, "echo", (echo_reply(),)))
+    with pytest.raises(MissingTransition, match="late: no reply at step 3"):
+        search(p, "11", families=families)
+    assert [(block[0], _first(block)) for block in blocks] == [
+        (2, ("late", "echo")), (3, ("late", "echo")), (4, ("late", "echo")),
+    ]
+
+
+class _Forgetful:
+    """Replies with the blank and leaves its tape alone, merging receptions."""
+    label = "forgetful"
+
+    def apply_quantum(self, step, comm, tape):
+        return [((BLANK, tape), 1.0 + 0j)]
+
+
+def test_an_opt_out_that_merges_halting_groups_turns_the_tokens_off(blocks):
+    # qa's two sources receive (u, u) and (u, v); z, which the guard rejects
+    # and no row receives, holds the token at u, where both groups halt through
+    # the guard. The forgetful second prover keeps its blank tape, so its move
+    # merges the two groups and the round gains mass. Their halted triples
+    # would miss that; with the opt-out in the block no token counts, and the
+    # driver raises the run's fault
+    h = 2 ** -0.5
+    ra = specs.guard_state("rejf", "qa", LEFT_END)
+    p = _guarded(first=(("qa", 0, ("u", "u"), h), ("qa", 0, ("u", "v"), h)), rows={}, accept={"acc"},
+                 reject={ra}, minted={ra}, k=2)
+    assert _stage(p, "0").key(0, constant_reply("z")) == (None,)
+    with pytest.raises(RunFault, match="round 2 is not mass-preserving") as expected:
+        simulate(_trial(p, (constant_reply("z"), _Forgetful())), "0")
+    families = (StrategyFamily(1, "picks", (constant_reply("z"),)), StrategyFamily(2, "picks", (_Forgetful(),)))
+    with pytest.raises(RunFault) as raised:
+        search(p, "0", families=families)
+    assert str(raised.value) == str(expected.value)
+    assert [(block[2], block[3]) for block in blocks] == [(None, 1)]
+
+
+def test_a_fixed_reply_is_asked_and_its_token_decided_once_per_strategy(monkeypatch):
+    # the track guard decides each constant's token once, not once per local
+    # state, and its key is the one the per-state rule gives the same replies
+    p = corpus.build("no_comm_reduce")
+    stage = _stage(p, "0")
+    assert len(stage.local_states[0]) == 16
+    constants = [s for s in default_families(p)[0].strategies if s.label.startswith("const:")]
+    calls = []
+    rejects = specs.TrackGuard.rejects
+    monkeypatch.setattr(specs.TrackGuard, "rejects", lambda self, slot, symbol: calls.append(symbol) or rejects(
+        self, slot, symbol))
+    keys = [stage.key(0, s) for s in constants]
+    assert 0 < len(calls) <= len(constants)
+    asked = [stage.key(0, LoggedReplyStrategy(s.label, lambda step, recv, fn=s.fn: fn(step, recv))) for s in constants]
+    assert keys == asked
+    # rejected constants share the token at every local state: one class
+    assert len(set(keys)) < len(keys)
+
+
+def test_branching_strategies_mixed_into_a_family_match_simulate(blocks):
     p = corpus.build("no_comm_reduce")
     alphabet = p.verifier.comm_alphabets[0]
     g = track("g", BLANK)
@@ -573,14 +729,19 @@ def test_branching_strategies_mixed_into_a_family_match_simulate(replayed_rounds
     )
     for objective in ("max-accept", "min-reject"):
         _assert_matches_simulate(p, "0", families, objective)
-    # only the 2 x 3 combinations with a rotation are replayed, per objective
-    assert replayed_rounds == [1] + [2] * 6 + [1] + [2] * 6
+    # each rotation is a class of its own, and only its 3 blocks run with no token, per objective
+    untokened = [block for block in blocks if block[2] is None]
+    assert [_first(block) for block in untokened] == [
+        (r.label, t.label) for r in mixed[1::2] for t in families[1].strategies
+    ] * 2
+    assert {(len(_combos(block)), block[3]) for block in untokened} == {(1, 1)}
+    assert len(blocks) == 2 * 12
 
 
-def test_sweeps_on_the_two_cell_tape_replay_and_raise_the_collision(replayed_rounds):
-    # on "" the moves +1 and -1 of q1's row land on one cell; the scorer reads
-    # the engine's column, which faults there, so const:a is replayed and
-    # raises, while const:# meets a plain row and is scored
+def test_sweeps_on_the_two_cell_tape_raise_the_collision(blocks):
+    # on "" the moves +1 and -1 of q1's row land on one cell; the driver reads
+    # the engine's column, which faults there, so const:a's block raises,
+    # while const:# meets a plain row and its block runs
     h = 2 ** -0.5
     comm = (BLANK, "a")
     verifier = VerifierSpec(
@@ -602,7 +763,8 @@ def test_sweeps_on_the_two_cell_tape_replay_and_raise_the_collision(replayed_rou
     families = (StrategyFamily(1, "picks", (constant_reply(BLANK), constant_reply("a"))),)
     with pytest.raises(RunFault, match=r"moves \+1 and -1 both land on"):
         search(p, "", families=families)
-    assert replayed_rounds == [1, 2]
+    # const:a's round faults while its key counts, and faults again with none
+    assert [(_first(block), block[3]) for block in blocks] == [(("const:#",), 1), (("const:a",), 2)]
 
 
 # no_comm_reduce: the track probes that reach explicit rows; no_comm_lift: a
@@ -620,26 +782,28 @@ _EMPTY_INPUT_FAMILIES = {
 @pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
 @pytest.mark.parametrize("seed", [7, 2024])
 @pytest.mark.parametrize("name", sorted(_EMPTY_INPUT_FAMILIES))
-def test_quantum_sweeps_on_the_empty_input_are_scored(name, seed, objective, replayed_rounds):
+def test_quantum_sweeps_on_the_empty_input_are_scored(name, seed, objective, blocks):
     # the two-cell tape of "" goes through the engine's column like any other
-    # tape: with no row whose head moves collide there, nothing is replayed
+    # tape: with no row whose head moves collide there, no round faults
     p = corpus.build(name)
     result = _assert_matches_simulate(p, "", _EMPTY_INPUT_FAMILIES[name](p, seed), objective)
     assert len({(acc, rej) for _, acc, rej in result.table}) >= 2
-    assert replayed_rounds == [1]
+    assert set(_driven(blocks)) <= {(2, 0), (2, 1)}
+    assert len(blocks) < result.evaluated
 
 
-def test_the_best_leftover_is_a_float_whether_scored_or_replayed(replayed_combos):
+def test_the_best_leftover_is_a_float_with_tokens_or_without(blocks):
     p = corpus.build("no_comm_lift")
     scored = search(p, "0")
-    assert replayed_combos == []
+    assert all(block[2] is not None for block in blocks)
     assert type(scored.best_leftover) is float
     rotations = (rotation_family(1, p.verifier.comm_alphabets[0]),) + tuple(
         StrategyFamily(f.prover_index, f.label, f.strategies[:1]) for f in default_families(p)[1:]
     )
-    replayed = search(p, "0", families=rotations)
-    assert replayed.best_labels in replayed_combos
-    assert type(replayed.best_leftover) is float
+    blocks.clear()
+    untokened = search(p, "0", families=rotations)
+    assert untokened.best_labels in [_first(block) for block in blocks if block[2] is None]
+    assert type(untokened.best_leftover) is float
 
 
 def test_an_empty_family_is_a_validation_error_before_round_1(monkeypatch):
@@ -672,10 +836,11 @@ def test_missing_verifier_row_raises_its_own_error(keep_guard):
 
 # ---------------------------------------------------------------- interference groups
 #
-# Round-1 sources that share every slot's local state form an interference
-# group. A group whose members all fall to the guard and halt there adds one
-# precomputed triple per combination; every other group is scored source by
-# source. These sweeps sit on each edge of that shortcut.
+# Sources that share every slot's local state form an interference group. A
+# group whose members all fall to the guard and halt there adds its triple,
+# measured once per node, to every block whose key holds the token there;
+# every other group runs through the block's driver round. These sweeps sit
+# on each edge of that shortcut.
 
 _BASE = (BLANK, "u", "v", "p")
 
@@ -715,14 +880,15 @@ def _split_group():
     )
 
 
-def test_group_split_between_a_row_and_the_guard_is_scored_per_source(replayed_rounds):
+def test_group_split_between_a_row_and_the_guard_is_scored_per_source(blocks):
     families = (StrategyFamily(1, "picks", (constant_reply("z"), constant_reply("y"))),)
     result = _assert_matches_simulate(_split_group(), "0", families)
     assert [entry[1:] for entry in result.table] == [pytest.approx((0.5, 0.5)), pytest.approx((0.0, 1.0))]
-    assert replayed_rounds == [1]
+    # z, which qa's row receives, runs the group through the driver; y takes its halted triple
+    assert [(block[2], block[3]) for block in blocks] == [((("z",),), 1), (((None,),), 0)]
 
 
-def test_a_row_named_rejected_cell_keeps_its_own_score(replayed_rounds, score_calls):
+def test_a_row_named_rejected_cell_keeps_its_own_score(blocks):
     # y and w halt through the guard alike and share one score; z, which the
     # guard rejects too, completes qa's row and is scored on its own
     families = (StrategyFamily(1, "picks", (constant_reply("y"), constant_reply("z"), constant_reply("w"))),)
@@ -730,8 +896,7 @@ def test_a_row_named_rejected_cell_keeps_its_own_score(replayed_rounds, score_ca
     assert [entry[1:] for entry in result.table] == [
         pytest.approx((0.0, 1.0)), pytest.approx((0.5, 0.5)), pytest.approx((0.0, 1.0)),
     ]
-    assert [key[0] for key in score_calls] == [None, "z"]
-    assert replayed_rounds == [1]
+    assert [(block[2][-1][0], block[3]) for block in blocks] == [(None, 0), ("z", 1)]
 
 
 def _split_pair():
@@ -749,7 +914,7 @@ def _split_pair():
     )
 
 
-def test_a_row_named_rejected_cell_keeps_its_own_score_in_the_first_slot(replayed_rounds, score_calls):
+def test_a_row_named_rejected_cell_keeps_its_own_score_in_the_first_slot(blocks):
     # the first-slot mirror of the test above: y and w halt through the guard
     # alike and share a class in both slots; z, which the guard rejects too,
     # completes qa's row after # and keeps its own class
@@ -762,21 +927,20 @@ def test_a_row_named_rejected_cell_keeps_its_own_score_in_the_first_slot(replaye
     assert [entry[1:] for entry in result.table] == [rejected] * 3 + [
         pytest.approx((0.5, 0.5)), rejected, rejected,
     ] + [rejected] * 3
-    # the class tuples ({y, w} or {z}) x (# or {y, w}), each scored once
-    assert [key[0] for key in score_calls] == ["#", None, "#", None]
-    assert replayed_rounds == [1]
+    # the class tuples ({y, w} or {z}) x (# or {y, w}), one block each
+    assert [(block[2][-1][0], block[3]) for block in blocks] == [("#", 0), (None, 0), ("#", 1), (None, 0)]
 
 
 class _Relabel:
     """Replies p to u and z to v and leaves its tape alone: two receptions,
-    two replies, one new tape. Not a `LoggedReplyStrategy`, so it is replayed."""
+    two replies, one new tape. Not a `LoggedReplyStrategy`, so it opts out."""
     label = "relabel"
 
     def apply_quantum(self, step, comm, tape):
         return [(({"u": "p", "v": "z"}[comm], tape), 1.0 + 0j)]
 
 
-def test_a_row_into_a_guard_minted_state_turns_the_shortcut_off(replayed_rounds):
+def test_a_row_into_a_guard_minted_state_turns_the_shortcut_off(blocks):
     # qb's group falls to the guard and lands on rejf[qb|¢] at head 1 with
     # reception (z,); qa's row sends part of its amplitude to that very
     # configuration, and its other branch interferes with qd's on acc
@@ -794,10 +958,10 @@ def test_a_row_into_a_guard_minted_state_turns_the_shortcut_off(replayed_rounds)
     )
     result = _assert_matches_simulate(p, "0", (StrategyFamily(1, "picks", (_Relabel(),)),))
     assert result.table[0][1:] == pytest.approx(((1 - h) ** 2 / 3, (1 + h) ** 2 / 3))
-    assert replayed_rounds == [1, 2]
+    assert [(block[2], block[3]) for block in blocks] == [(None, 1)]
 
 
-def test_a_row_into_a_guard_minted_state_misses_another_groups_logged_tape(replayed_rounds):
+def test_a_row_into_a_guard_minted_state_misses_another_groups_logged_tape(blocks):
     # qa's row on p lands on rejf[qb|¢] at head 1 with (z,), where qb's group
     # falls to the guard on z; qa logged u and qb logged v, so the two never
     # meet, and qb's group is scored by the halted shortcut
@@ -810,14 +974,15 @@ def test_a_row_into_a_guard_minted_state_misses_another_groups_logged_tape(repla
         reject={rb},
         minted={rb},
     )
-    assert [halted for _, _, halted in _round2(p, "0").groups] == [None, pytest.approx((0.5, 0.0, 0.5))]
+    assert [halted for *_, halted in _stage(p, "0").groups] == [None, pytest.approx((0.5, 0.0, 0.5))]
     relabel = LoggedReplyStrategy("relabel", lambda step, recv: [({"u": "p", "v": "z"}[recv], 1.0 + 0j)])
     result = _assert_matches_simulate(p, "0", (StrategyFamily(1, "picks", (relabel,)),))
     assert result.table[0][1:] == pytest.approx((0.0, 1.0))
-    assert replayed_rounds == [1]
+    # qb's group takes its triple, and qa's runs through the driver
+    assert [(block[2], block[3]) for block in blocks] == [((("p", None),), 1)]
 
 
-def test_a_guard_target_that_does_not_halt_stays_in_the_residual(replayed_rounds):
+def test_a_guard_target_that_does_not_halt_stays_in_the_residual(blocks):
     ra = specs.guard_state("rejf", "qa", LEFT_END)
     p = _guarded(
         first=(("qa", 0, ("u",), 1.0),),
@@ -830,15 +995,15 @@ def test_a_guard_target_that_does_not_halt_stays_in_the_residual(replayed_rounds
     result = _assert_matches_simulate(p, "0", families)
     assert [entry[1:] for entry in result.table] == [(0.0, 0.0), (0.0, 0.0)]
     assert result.best_leftover == pytest.approx(1.0)
-    assert replayed_rounds == [1]
+    assert [(block[2], block[3]) for block in blocks] == [((("z",),), 1), ((("y",),), 1)]
 
 
 def _phased(label, reply, angle):
     return LoggedReplyStrategy(label, lambda step, recv: [(reply(recv), cmath.exp(1j * angle))])
 
 
-def test_single_move_strategies_with_a_phase_match_simulate(replayed_rounds, replayed_combos):
-    # a phased move is never scored: every combination with one is replayed
+def test_single_move_strategies_with_a_phase_match_simulate(blocks):
+    # a phased move opts out: every combination with one runs in a block with no token
     p = corpus.build("no_comm_reduce")
     g = track("g", BLANK)
     families = tuple(
@@ -855,15 +1020,17 @@ def test_single_move_strategies_with_a_phase_match_simulate(replayed_rounds, rep
     assert len({(round(acc, 9), round(rej, 9)) for _, acc, rej in result.table}) >= 3
     phased = [labels for labels, _, _ in result.table if any(l.startswith("phase:") for l in labels)]
     assert len(phased) == 5 * 5 - 2 * 2
-    assert replayed_combos == phased
-    assert replayed_rounds == [1] + [2] * len(phased)
+    untokened = [block for block in blocks if block[2] is None]
+    assert [combo for block in untokened for combo in _combos(block)] == phased
+    assert {block[3] for block in untokened} == {1}
+    # the two constants of the second slot share one block with each phased first pick
+    assert len(untokened) == len(phased) - 3
 
 
-def test_phased_prefixes_are_replayed_and_unphased_ones_score_each_class_tuple_once(
-    replayed_rounds, replayed_combos, score_calls
-):
+def test_phased_prefixes_run_with_no_token_and_unphased_ones_take_their_triples(blocks):
     # the rejected constants form one class, and const:# and echo one class
-    # each, so the two unphased class tuples are scored once each
+    # each, so each first pick is one block; the unphased ones take the
+    # rejected replies' triples, the phased ones run with no token
     p = corpus.build("no_comm_reduce")
     first = (
         constant_reply(BLANK),
@@ -874,16 +1041,18 @@ def test_phased_prefixes_are_replayed_and_unphased_ones_score_each_class_tuple_o
     tail = _rejected_unnamed_constants(p)[:4]
     families = (StrategyFamily(1, "phased", first), StrategyFamily(2, "rejected", tail))
     _assert_matches_simulate(p, "0", families)
-    assert replayed_combos == [(s.label, t.label) for s in first if s.label.startswith("phase:") for t in tail]
-    assert len(score_calls) == 2
-    assert replayed_rounds == [1] + [2] * len(replayed_combos)
+    assert [(block[1], block[2] is None, block[3]) for block in blocks] == [
+        (((s.label,), tuple(t.label for t in tail)), s.label.startswith("phase:"), s.label.startswith("phase:"))
+        for s in first
+    ]
 
 
 @pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
-def test_replays_and_first_members_are_met_in_product_order(objective, replayed_combos):
-    # phase:# is const:# up to a global phase, so the two tie, one replayed
-    # and one scored; echo and upper:# move alike and form one class around
-    # the replayed pick. Of the tied pair, the one first in product order wins
+def test_blocks_with_and_without_tokens_are_met_in_product_order(objective, blocks):
+    # phase:# is const:# up to a global phase, so the two tie, one in blocks
+    # with no token and one with; echo and upper:# move alike and form one
+    # class around the phased pick. Of the tied pair, the one first in product
+    # order wins
     p = corpus.build("no_comm_reduce")
     probes = {s.label: s for s in default_families(p)[0].strategies}
     phased = _phased("phase:#", lambda recv: BLANK, 2.3)
@@ -895,23 +1064,25 @@ def test_replays_and_first_members_are_met_in_product_order(objective, replayed_
         families = (StrategyFamily(1, "picks", first), StrategyFamily(2, "picks", tail))
         result = _assert_matches_simulate(p, "0", families, objective)
         assert result.best_labels == (winner, "const:#")
-    assert replayed_combos == [("phase:#", t.label) for t in tail] * 2
+    untokened = [combo for block in blocks if block[2] is None for combo in _combos(block)]
+    assert untokened == [("phase:#", t.label) for t in tail] * 2
+    assert [_first(block)[0] for block in blocks] == ["echo"] * 3 + ["phase:#"] * 3 + ["const:#"] * 3 + [
+        "echo"] * 3 + ["const:#"] * 3 + ["phase:#"] * 3
 
 
-def test_three_prover_sweeps_score_each_class_tuple_once(replayed_rounds, score_calls):
+def test_three_prover_sweeps_score_each_class_tuple_once(blocks):
     # every prover's strategies are classed: 18,018 combinations of the lift
-    # at cutoff 4 are 2 x 1 x 2 class tuples, all of them scored; the eraser
-    # slot's guard-rejected replies share one token
+    # at cutoff 4 are 2 x 1 x 2 class tuples, one block each, and all of them
+    # halt in round 2; the eraser slot's guard-rejected replies share one token
     p = dataclasses.replace(corpus.build("no_comm_lift"), cutoff=4)
     families = default_families(p)
     result = _assert_matches_simulate(p, "0", families)
     assert result.evaluated == 18018
-    round2 = _round2(p, "0")
-    classes = [len({round2.moves(slot, s) for s in f.strategies})
+    stage = _stage(p, "0")
+    classes = [len({stage.key(slot, s) for s in f.strategies})
                for slot, f in enumerate(families)]
     assert classes == [2, 1, 2]
-    assert len(score_calls) == 2 * 1 * 2
-    assert replayed_rounds == [1]
+    assert [j for j, _ in _driven(blocks)] == [2] * (2 * 1 * 2)
 
 
 def test_strategies_without_label_or_kind_are_named_by_type():
@@ -960,7 +1131,7 @@ _PROBED = {
     cutoff=st.sampled_from((2, 3)),
     data=st.data(),
 )
-def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
+def test_track_probe_sub_sweeps_match_simulate(name, objective, cutoff, data):
     build, x, survivors = _PROBED[name]
     p = dataclasses.replace(build(), cutoff=cutoff)
     families = []
@@ -970,36 +1141,31 @@ def test_track_probe_sub_sweeps_match_the_replay(name, objective, cutoff, data):
         families.append(StrategyFamily(f.prover_index, f.label, tuple(f.strategies[j] for j in picks)))
     families = tuple(families)
     result = search(p, x, families=families, objective=objective, keep_table=True)
-    tape = input_tape(x, p.verifier)
-    quantum = p.verifier.is_quantum()
-    state0 = {Configuration(p.verifier.initial, 0, (BLANK,) * p.k, ((BLANK,) * cutoff,) * p.k): 1.0 + 0j}
-    acc1, rej1, residual1 = run_round(p, tape, state0, 1)
-    mass1 = _mass(residual1, quantum)
-    first = (engine.RoundStat(1, acc1, rej1, mass1, len(residual1), len(residual1)),
-             [engine._Class(residual1, 1, mass1)])
     combos = list(itertools.product(*(f.strategies for f in families)))
     assert len(result.table) == len(combos)
     leftover = {}
     for combo, (labels, acc, rej) in zip(combos, result.table):
-        want_acc, want_rej, leftover[labels] = adversary._replay(p, x, first, combo, cutoff)
+        run = simulate(_trial(p, combo), x)
+        leftover[labels] = run.leftover
         assert labels == tuple(s.label for s in combo)
-        assert acc == pytest.approx(want_acc, abs=1e-12), labels
-        assert rej == pytest.approx(want_rej, abs=1e-12), labels
+        assert acc == pytest.approx(run.p_accept, abs=1e-12), labels
+        assert rej == pytest.approx(run.p_reject, abs=1e-12), labels
     assert result.best_leftover == pytest.approx(leftover[result.best_labels], abs=1e-12)
 
 
 @pytest.mark.parametrize("x, cutoff", [("1", 3), ("11", 3), ("111", 6)])
-def test_rounds_resumed_from_the_sweeps_round_1_are_the_runs_own(replayed_combos, x, cutoff):
-    # the sweep's shared round 1 declares no records, and the rounds a replay
-    # resumes from it merge the logged tapes in their verifier passes: they are
-    # the combination's own run by repr, stored counts included, for every
-    # combination the sweep replays and a seeded sample of the rest
+def test_rounds_resumed_from_the_sweeps_round_1_are_the_runs_own(blocks, x, cutoff):
+    # the sweep's shared round 1 declares no records, and the rounds resumed
+    # from it merge the logged tapes in their verifier passes: they are the
+    # combination's own run by repr, stored counts included, for the first
+    # combination of every block past round 2 and a seeded sample of the rest
     p = dataclasses.replace(_reduced_parity_relay(), cutoff=cutoff)
     families = default_families(p)
     search(p, x, families)
-    assert replayed_combos
+    deep = [_first(block) for block in blocks if block[0] > 2]
+    assert deep
     strategies = [{s.label: s for s in f.strategies} for f in families]
-    combos = [tuple(map(dict.__getitem__, strategies, labels)) for labels in replayed_combos]
+    combos = [tuple(map(dict.__getitem__, strategies, labels)) for labels in deep]
     rng = random.Random(f"{x}/{cutoff}")
     combos += [tuple(rng.choice(f.strategies) for f in families) for _ in range(32)]
     first = next(engine._rounds(adversary._trial(p, (None,) * p.k, cutoff), x))
@@ -1015,11 +1181,11 @@ def test_rounds_resumed_from_the_sweeps_round_1_are_the_runs_own(replayed_combos
 
 # ---------------------------------------------------------------- logged replies
 #
-# Round 1 leaves every prover tape blank, and every plain LoggedReplyStrategy
-# logs the reception in cell 0 of it, so `_Round2` lets a slot's reception
-# stand for its tape and asks such a strategy only for `fn(1, comm)`, or
-# reads `fn.replies[0]` when `fn` is `FixedReplies`. Any other strategy,
-# subclasses included, has no key and is replayed.
+# Every plain LoggedReplyStrategy logs its reception in the step-indexed cell
+# of its tape, so `_Stage` lets a slot's (cell, tape) stand for its new tape
+# and asks such a strategy only for `fn(step, cell)`, or only once when `fn`
+# is `FixedReplies`. Any other strategy, subclasses included, opts out: its
+# key is its own, equal to no other.
 
 
 def _picks(index, *symbols):
@@ -1066,17 +1232,19 @@ def _round1(p, x):
     return next(engine._rounds(adversary._trial(p, (None,) * p.k, p.cutoff), x))[1][0]
 
 
-def _round2(p, x):
-    return adversary._Round2(p, input_tape(x, p.verifier), _round1(p, x))
+def _stage(p, x):
+    """Round 2 of the sweep's root node, the shared round 1."""
+    stat, classes = next(engine._rounds(adversary._trial(p, (None,) * p.k, p.cutoff), x))
+    return adversary._Stage(p, x, None, p.cutoff, (1, classes, stat.p_accept, stat.p_reject, stat.residual_mass))
 
 
-def _applied_moves(round2, slot, strategy, blank):
-    """`_Round2.moves` before its shared tokens, rebuilt from `apply_quantum` on each reception
-    and the blank tape, new tapes spelled out: (reply, new tape) per reception."""
+def _applied_moves(stage, slot, strategy):
+    """`_Stage.key` before its shared tokens, rebuilt from `apply_quantum` on each local
+    state (a reception and its blank tape), new tapes spelled out: (reply, new tape) per local state."""
     out = []
-    for comm in round2.local_states[slot]:
+    for comm, tape in stage.local_states[slot]:
         try:
-            column = strategy.apply_quantum(1, comm, blank)
+            column = strategy.apply_quantum(1, comm, tape)
         except Exception:
             return None
         if len(column) != 1 or column[0][1] != 1:
@@ -1101,7 +1269,7 @@ def _halts_through_the_guard(p, x, slot):
 def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
     build, x, make_families = _KEYED[name]
     p = build()
-    round2 = _round2(p, x)
+    stage = _stage(p, x)
     blank = (BLANK,) * max(1, p.cutoff)
     applied = []
     apply_quantum = LoggedReplyStrategy.apply_quantum
@@ -1112,17 +1280,19 @@ def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
 
     monkeypatch.setattr(LoggedReplyStrategy, "apply_quantum", spy)
     families = make_families(p)
-    moves = [[round2.moves(slot, s) for s in f.strategies] for slot, f in enumerate(families)]
+    keys = [[stage.key(slot, s) for s in f.strategies] for slot, f in enumerate(families)]
     assert applied == []
     guard = p.verifier.fallback
     for slot, f in enumerate(families):
         halts = _halts_through_the_guard(p, x, slot)
-        receptions = list(round2.local_states[slot])
+        receptions = [comm for comm, _ in stage.local_states[slot]]
         assert receptions == list(halts)
+        assert {tape for _, tape in stage.local_states[slot]} == {blank}
         received = {comm[slot] for _, _, comm in p.verifier.rows}
-        assert sum(m is not None for m in moves[slot]) >= len(f.strategies) // 2
-        for strategy, got in zip(f.strategies, moves[slot]):
-            want = _applied_moves(round2, slot, strategy, blank)
+        assert sum(type(key) is tuple for key in keys[slot]) >= len(f.strategies) // 2
+        for strategy, got in zip(f.strategies, keys[slot]):
+            want = _applied_moves(stage, slot, strategy)
+            got = got if type(got) is tuple else None
             assert (got is None) == (want is None), strategy.label
             assert len(got or ()) == len(want or ()), strategy.label
             # a None entry is the shared token: a reply the guard rejects, that
@@ -1135,22 +1305,22 @@ def test_logged_moves_equal_the_applied_moves(name, monkeypatch):
 
 
 class _Sub(LoggedReplyStrategy):
-    """A plain logged strategy under another type, so `_Round2.moves` gives it no key."""
+    """A plain logged strategy under another type, so `_Stage.key` gives it a key of its own."""
 
 
 @pytest.mark.parametrize("name", sorted(_KEYED))
-def test_a_logged_subclass_has_no_key_and_its_sweeps_replay(name, replayed_combos):
+def test_a_logged_subclass_has_a_key_of_its_own_and_runs_apart(name, blocks):
     build, x, make_families = _KEYED[name]
     p = build()
-    round2 = _round2(p, x)
+    stage = _stage(p, x)
     families = make_families(p)
     for slot, f in enumerate(families):
-        keys = [round2.moves(slot, s) for s in f.strategies]
-        assert sum(key is not None for key in keys) >= len(keys) // 2
-        for strategy in f.strategies:
-            assert round2.moves(slot, _Sub(strategy.label, strategy.fn)) is None, strategy.label
+        keys = [stage.key(slot, s) for s in f.strategies]
+        assert sum(type(key) is tuple for key in keys) >= len(keys) // 2
+        subs = [stage.key(slot, _Sub(strategy.label, strategy.fn)) for strategy in f.strategies]
+        assert not any(type(key) is tuple or key in keys + subs[:i] for i, key in enumerate(subs)), f.label
     # up to 4 strategies per family, spread over it, as `_Sub` copies: every
-    # combination replays, and the table is the plain strategies' to 1e-12
+    # combination is a block of its own, and the table is the plain strategies' to 1e-12
     picked = [f.strategies[::-(-len(f.strategies) // 4)] for f in families]
     plain = tuple(StrategyFamily(f.prover_index, f.label, strategies) for f, strategies in zip(families, picked))
     subs = tuple(
@@ -1158,19 +1328,20 @@ def test_a_logged_subclass_has_no_key_and_its_sweeps_replay(name, replayed_combo
         for f, strategies in zip(families, picked)
     )
     scored = search(p, x, families=plain, keep_table=True)
-    replayed_combos.clear()
+    blocks.clear()
     result = _assert_matches_simulate(p, x, subs)
-    assert replayed_combos == [labels for labels, _, _ in result.table]
+    assert [_combos(block) for block in blocks if block[0] == 2] == [[labels] for labels, _, _ in result.table]
+    assert all(block[2] is None for block in blocks)
     for (labels, acc, rej), (_, want_acc, want_rej) in zip(result.table, scored.table):
         assert (acc, rej) == pytest.approx((want_acc, want_rej), abs=1e-12), labels
 
 
 # ---------------------------------------------------------------- the blank tapes of round 1
 #
-# `_Round2` lets a reception stand for a logged reply's new tape. That rests
-# on the sweep's round 1 leaving every prover tape blank with a cell to log
-# in, and on two groups' logged tapes never meeting, even where an explicit
-# row aims at a guard-minted state.
+# `_Stage` lets a slot's (cell, tape) stand for a logged reply's new tape.
+# That rests on the sweep's round 1 leaving every prover tape blank with a
+# cell to log in, and on two groups' logged tapes never meeting, even where an
+# explicit row aims at a guard-minted state.
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
@@ -1247,21 +1418,19 @@ def _guarded_sweeps(draw):
 
 
 def test_guarded_sweeps_with_rows_into_minted_states_match_simulate(monkeypatch):
-    # each scored round 2 passes the sources of every group that does not take
-    # the halted shortcut; across the examples, some group takes it
-    sources, shortcuts = [], []
-    score, verify = adversary._Round2.score, adversary._verify_and_measure
+    # each block's driver round runs the sources of every group that does not
+    # take the halted shortcut; across the examples, some block takes it for
+    # some groups and runs the others
+    shortcuts = []
+    run = adversary._Stage.run
 
-    def scoring(self, picks):
-        sources.append(sum(len(group) for _, group, _ in self.groups))
-        return score(self, picks)
+    def running(self, tag, picks):
+        held = [picks is not None and any(picks[s][i] is None for s, i in enumerate(local))
+                for _, local, _, _ in self.groups]
+        shortcuts.append(any(held) and not all(held))
+        return run(self, tag, picks)
 
-    def verifying(state, *args):
-        shortcuts.append(len(state) < sources[-1])
-        return verify(state, *args)
-
-    monkeypatch.setattr(adversary._Round2, "score", scoring)
-    monkeypatch.setattr(adversary, "_verify_and_measure", verifying)
+    monkeypatch.setattr(adversary._Stage, "run", running)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_guarded_sweeps())
@@ -1277,7 +1446,7 @@ def test_guarded_sweeps_with_rows_into_minted_states_match_simulate(monkeypatch)
         try:
             result = search(p, "0", families=families, keep_table=True)
         except RunFault as fault:
-            # the first combination that faults, in product order, is replayed and raises
+            # the first combination that faults, in product order, raises its own error
             assert faults and (type(fault), str(fault)) == (type(faults[0]), str(faults[0]))
             return
         assert not faults
@@ -1298,7 +1467,7 @@ class _Hedged(LoggedReplyStrategy):
 
 
 @pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
-def test_a_logged_subclass_that_overrides_its_move_is_replayed(objective, replayed_combos):
+def test_a_logged_subclass_that_overrides_its_move_opts_out(objective, blocks):
     p = corpus.build("no_comm_reduce")
     g = track("g", BLANK)
     hedged = _Hedged("hedged:g", lambda step, recv: [(g, 1.0 + 0j)])
@@ -1307,13 +1476,14 @@ def test_a_logged_subclass_that_overrides_its_move_is_replayed(objective, replay
         StrategyFamily(2, "picks", (constant_reply(BLANK), constant_reply(g), echo_reply())),
     )
     result = _assert_matches_simulate(p, "0", families, objective)
-    assert replayed_combos == [("hedged:g", "const:#"), ("hedged:g", f"const:{g}"), ("hedged:g", "echo")]
+    untokened = [combo for block in blocks if block[2] is None for combo in _combos(block)]
+    assert untokened == [("hedged:g", "const:#"), ("hedged:g", f"const:{g}"), ("hedged:g", "echo")]
     plain, branched = result.table[:3], result.table[3:]
     assert [(acc, rej) for _, acc, rej in plain] != [(acc, rej) for _, acc, rej in branched]
 
 
-def test_a_logged_strategy_that_branches_is_replayed_even_with_weight_1_moves(replayed_combos):
-    # two moves of weight 1 each double the mass: only the replay sees both
+def test_a_logged_strategy_that_branches_opts_out_even_with_weight_1_moves(blocks):
+    # two moves of weight 1 each double the mass: only the driver sees both
     p = corpus.build("no_comm_reduce")
     g = track("g", BLANK)
     doubled = LoggedReplyStrategy("doubled", lambda step, recv: [(g, 1.0 + 0j), (BLANK, 1.0 + 0j)])
@@ -1323,12 +1493,14 @@ def test_a_logged_strategy_that_branches_is_replayed_even_with_weight_1_moves(re
     )
     with pytest.raises(RunFault, match="round 2 is not mass-preserving"):
         search(p, "0", families=families)
-    assert replayed_combos == [("doubled", "echo")]
+    assert [(_first(block), block[2] is None, block[3]) for block in blocks] == [
+        ((f"const:{g}", "echo"), False, 1), (("doubled", "echo"), True, 1),
+    ]
 
 
-def test_a_logged_strategy_that_fails_on_one_reception_is_replayed_and_raises(replayed_combos):
+def test_a_logged_strategy_that_fails_on_one_reception_opts_out_and_raises(blocks):
     p = corpus.build("no_comm_reduce")
-    comms = list(_round2(p, "0").local_states[0])
+    comms = [comm for comm, _ in _stage(p, "0").local_states[0]]
     assert len(comms) > 1
 
     def picky(step, recv):
@@ -1342,12 +1514,14 @@ def test_a_logged_strategy_that_fails_on_one_reception_is_replayed_and_raises(re
     )
     with pytest.raises(MissingTransition, match=re.escape(f"picky: no reply to {comms[-1]!r}")):
         search(p, "0", families=families)
-    assert replayed_combos == [("picky", "echo")]
+    assert [(_first(block), block[2] is None, block[3]) for block in blocks] == [
+        (("const:#", "echo"), False, 1), (("picky", "echo"), True, 1),
+    ]
 
 
-def test_a_logged_reply_of_none_is_replayed_and_raises_the_runs_error(replayed_combos):
+def test_a_logged_reply_of_none_opts_out_and_raises_the_runs_error(blocks):
     # None is the shared token in a class key, so a strategy that replies
-    # None has no key; its replay finds no row for the reply, as its run does
+    # None opts out; its driver round finds no row for the reply, as its run does
     p = corpus.build("parity_relay")
     families = (
         StrategyFamily(1, "picks", (LoggedReplyStrategy("none", lambda step, recv: [(None, 1.0 + 0j)]),)),
@@ -1355,7 +1529,7 @@ def test_a_logged_reply_of_none_is_replayed_and_raises_the_runs_error(replayed_c
     )
     with pytest.raises(MissingTransition, match=re.escape("received (None, '#')")):
         search(p, "11", families=families)
-    assert replayed_combos == [("none", "echo")]
+    assert [(block[1], block[2] is None, block[3]) for block in blocks] == [((("none",), ("echo",)), True, 1)]
 
 
 # ---------------------------------------------------------------- derandomization

@@ -52,6 +52,7 @@ from qmipsim.specs import (
     parse_track,
     restrictive_violations,
     rotation_reply,
+    symbol_xor,
     track,
     validate_protocol,
     xor_symbols,
@@ -128,6 +129,24 @@ def test_xor_symbols_needs_power_of_two():
     enc = fixed_width_binary_encoding(("#", "a", "b"))
     with pytest.raises(AlphabetMismatch):
         xor_symbols(enc, "a", "b")
+
+
+# power-of-two sizes, the blank first or not, and two sizes with unused codes
+@pytest.mark.parametrize("alphabet", [("#", "a", "b", "c"), ("c", "#", "b", "a"), ("z", "#"), ("#", "a", "b"),
+                                      ("a", "b", "c", "#", "d")])
+def test_symbol_xor_is_xor_symbols_on_the_fixed_width_encoding(alphabet):
+    enc = fixed_width_binary_encoding(alphabet)
+    xor = symbol_xor(alphabet)
+    for a in alphabet:
+        for b in alphabet:
+            try:
+                want = xor_symbols(enc, a, b)
+            except AlphabetMismatch as expected:
+                with pytest.raises(AlphabetMismatch) as raised:
+                    xor(a, b)
+                assert str(raised.value) == str(expected)
+            else:
+                assert xor(a, b) == want
 
 
 # ---------------------------------------------------------------- strategies
