@@ -235,7 +235,7 @@ class _Stage:
         self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         # (class index, local tuple, {source: amp}, halted triple or None), in residual order
         self.groups = []
-        for c, (state, _, _) in enumerate(classes):
+        for c, (state, _) in enumerate(classes):
             members: dict[tuple, dict] = {}
             for config, amp in state.items():
                 members.setdefault(config[2:], {})[config] = amp
@@ -331,7 +331,7 @@ class _Stage:
                 after += multiplicity * halted[0]
                 h_acc += multiplicity * halted[1]
                 h_rej += multiplicity * halted[2]
-            live = [cls if len(state) == len(cls.state) else _Class(state, cls.multiplicity, None)
+            live = [cls if len(state) == len(cls.state) else _Class(state, cls.multiplicity)
                     for state, cls in zip(states, classes) if state]
         try:
             if not live:
@@ -572,7 +572,7 @@ def derandomize_provers(
         step = stat.index
         prefix += stat.p_reject
         for i in range(p.k):
-            seen = dict.fromkeys((c.comm[i], c.tapes[i]) for state, _, _ in classes for c in state)
+            seen = dict.fromkeys((c.comm[i], c.tapes[i]) for state, _ in classes for c in state)
             for sigma, y in seen:
                 key = (step, sigma, y)
                 candidates = [reply for (reply, _), _ in wrapped[i].apply_quantum(step, sigma, y)]

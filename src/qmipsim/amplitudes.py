@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable, Iterable
 
 from .errors import MissingTransition
-from .tolerances import CONSERVATION_TOL, PRUNE_TOL  # noqa: F401  (old import path of CONSERVATION_TOL)
+from .tolerances import PRUNE_TOL
 
 StateVector = dict[Hashable, complex]
 

@@ -9,10 +9,10 @@ takes on `$` halts (`validate_protocol`).
 Each round has three stages: provers transform their cell and private tape
 (from round 2 on), the verifier consumes its cells and moves its head, and a
 projective measurement splits off the accepting and rejecting mass. The
-provers move together, as one operator pruned once; the verifier stage and
-the measurement run as one pass grouped by prover tapes
-(`_verify_and_measure`). The residual stays unnormalized; mass still
-unresolved at the cutoff is reported as leftover.
+provers move together, as one operator built once per round and pruned
+once; the verifier stage and the measurement run as one pass grouped by
+prover tapes (`_verify_and_measure`). The residual stays unnormalized;
+mass still unresolved at the cutoff is reported as leftover.
 
 A strategy's `record` (see `specs`) is what its moves store but never read:
 a track wrap's reception lower track, the reduction's one-time-pad mask, or a
@@ -234,7 +234,7 @@ class _Column(NamedTuple):
         if grouped is None:
             probe = {(q, head, sent, (None,) * len(sent)): w for (q, head, sent), w in self.live.items()}
             grouped = self.merges[records] = [([(config[:3], w) for config, w in c.state.items()], c.multiplicity)
-                                              for c in _merge_records([_Class(probe, 1, None)], *records)]
+                                              for c in _merge_records(_Class(probe, 1), *records)]
         return grouped
 
 
@@ -332,11 +332,9 @@ def _verify_and_measure(
             # the residual's mass as `_mass` sums it, in live order, without building it
             live = [amp * w for w in column.live.values()]
             left = sum([(a * a.conjugate()).real for a in live] if quantum else [a.real for a in live], 0.0)
-            groups = column.grouped(records)
             return after, p_acc, p_rej, left, len(live), [
-                _Class({Configuration._make((*target, tapes)): amp * w for target, w in targets},
-                       multiplicity * count, left if (len(groups), count) == (1, 1) else None)
-                for targets, count in groups]
+                _Class({Configuration._make((*target, tapes)): amp * w for target, w in targets}, multiplicity * count)
+                for targets, count in column.grouped(records)]
         for (q2, head, sent), w in column.live.items():
             residual[Configuration._make((q2, head, sent, tapes))] = amp * w
     for tapes, members in shared.items():
@@ -350,11 +348,10 @@ def _verify_and_measure(
         p_rej += rej
         for (q2, head, sent), a in live.items():
             residual[Configuration._make((q2, head, sent, tapes))] = a
-    left = _mass(residual, quantum)
-    classes = [_Class(residual, multiplicity, left)] if residual else []
+    classes = [_Class(residual, multiplicity)] if residual else []
     if records and residual:
-        classes = _merge_records(classes, *records)
-    return after, p_acc, p_rej, left, len(residual), classes
+        classes = _merge_records(classes[0], *records)
+    return after, p_acc, p_rej, _mass(residual, quantum), len(residual), classes
 
 
 def _check_round(
@@ -378,33 +375,27 @@ def _check_round(
         raise RunFault(f"measurement at round {round_index} lost probability mass")
 
 
-def _prover_stage(p: ProtocolSpec, state: StateVector, round_index: int) -> StateVector:
-    """The provers' moves of round `round_index` applied to `state`; none in round 1 or without provers."""
-    if round_index < 2 or not p.provers:
-        return state
-    return apply_sparse_operator(prover_operator(p.provers, round_index - 1, p.verifier.is_quantum()), state)
-
-
 def run_round(
     p: ProtocolSpec, tape: tuple[str, ...], state: StateVector, round_index: int
 ) -> tuple[float, float, StateVector]:
     """One full round of one state, unmerged; returns (accept mass, reject mass, residual).
 
     The verifier's mode says whether masses are squared amplitudes or plain
-    weights. The round driver runs the same two stages per class and merges in the pass.
+    weights; the provers move from round 2 on. The round driver runs the same
+    two stages per class and merges in the pass.
     """
     before = _mass(state, p.verifier.is_quantum())
-    state = _prover_stage(p, state, round_index)
+    if round_index >= 2 and p.provers:
+        state = apply_sparse_operator(prover_operator(p.provers, round_index - 1, p.verifier.is_quantum()), state)
     after, p_acc, p_rej, left, _, classes = _verify_and_measure(state, p.verifier, tape, _columns(p.verifier, tape))
     _check_round(round_index, before, after, p_acc, p_rej, left)
     return p_acc, p_rej, classes[0].state if classes else {}
 
 
 class _Class(NamedTuple):
-    """Histories kept once: a representative state, its multiplicity, and its mass if known."""
+    """Histories kept once: a representative state and its multiplicity."""
     state: StateVector
     multiplicity: int
-    mass: float | None
 
 
 @lru_cache(maxsize=4096)
@@ -417,41 +408,39 @@ def _split_receptions(comm: tuple[str, ...], slots: tuple[int, ...]) -> tuple[tu
     return cells, tuple(lower for _, lower in halves.values())
 
 
-def _merge_records(classes: list[_Class], lowered: tuple[int, ...], logged: tuple[int, ...]) -> list[_Class]:
-    """Merge histories by the next move's records: `lowered` slots' reception lower tracks, `logged` slots' tapes.
+def _merge_records(cls: _Class, lowered: tuple[int, ...], logged: tuple[int, ...]) -> list[_Class]:
+    """`cls` merged by the next move's records: `lowered` slots' reception lower tracks, `logged` slots' tapes.
 
     No move reads a record and the verifier reads no tape, so histories whose
     configurations agree, amplitude for amplitude, outside their records merge
     into one class whose multiplicity is the sum of theirs, the first as its
-    representative. A class of one history keeps its dict and mass. A reception
+    representative. A class of one history is returned as it is. A reception
     `parse_track` cannot split stays alone, for the move to raise.
     """
+    histories: dict = {}
+    for config, amp in cls.state.items():
+        q, head, comm, tapes = config
+        split = _split_receptions(comm, lowered)
+        if split is None:
+            history, outside = config, object()
+        else:
+            cells, history = split
+            if logged:
+                history = history, tuple([tapes[slot] for slot in logged])
+                tapes = tuple([None if slot in logged else tape for slot, tape in enumerate(tapes)])
+            outside = q, head, cells, tapes
+        histories.setdefault(history, []).append((config, outside, amp))
+    if len(histories) == 1:
+        return [cls]
     merged: dict = {}
-    for state, multiplicity, mass in classes:
-        histories: dict = {}
-        for config, amp in state.items():
-            q, head, comm, tapes = config
-            split = _split_receptions(comm, lowered)
-            if split is None:
-                history, outside = config, object()
-            else:
-                cells, history = split
-                if logged:
-                    history = history, tuple([tapes[slot] for slot in logged])
-                    tapes = tuple([None if slot in logged else tape for slot, tape in enumerate(tapes)])
-                outside = q, head, cells, tapes
-            histories.setdefault(history, []).append((config, outside, amp))
-        whole = len(histories) == 1
-        for members in histories.values():
-            # a history of one configuration is keyed by its one pair, never equal to a frozenset
-            key = members[0][1:] if len(members) == 1 else frozenset([(outside, amp) for _, outside, amp in members])
-            entry = merged.get(key)
-            if entry is not None:
-                entry[1] += multiplicity
-            elif whole:
-                merged[key] = [state, multiplicity, mass]
-            else:
-                merged[key] = [{config: amp for config, _, amp in members}, multiplicity, None]
+    for members in histories.values():
+        # a history of one configuration is keyed by its one pair, never equal to a frozenset
+        key = members[0][1:] if len(members) == 1 else frozenset([(outside, amp) for _, outside, amp in members])
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [{config: amp for config, _, amp in members}, cls.multiplicity]
+        else:
+            entry[1] += cls.multiplicity
     return [_Class(*entry) for entry in merged.values()]
 
 
@@ -460,17 +449,20 @@ def _rounds(
 ) -> Iterator[tuple[RoundStat, list[_Class]]]:
     """The run of p on x, one round per step: yields its RoundStat and its surviving classes.
 
-    The records the provers declare are read once per call. Every round runs
-    the prover stage and the verifier pass per class, and the pass leaves the
-    class's residual merged by them (`_verify_and_measure`). The last round
-    yielded is `p.cutoff`'s or the first whose residual mass is at most
-    PRUNE_TOL. Round j+1 is built only when the caller asks for it, from
-    the provers' strategies as they are then. `after` resumes from a pair
-    yielded by a run with these records or none, round 0 (the initial state)
-    by default; the rounds that follow are the uninterrupted run's. A pair
-    may keep a part of its classes' configurations, with the residual mass
-    of that part: a sweep resumes so without the groups it measured. Every
-    verifier pass reads the verifier's column cache for x (`_columns`).
+    The records the provers declare are read once per call. From round 2 on,
+    a run with provers builds the round's prover operator once and moves
+    every class with it; each class's verifier pass leaves its residual
+    merged by the records into classes of its own (`_verify_and_measure`),
+    so a round may hold several. A class's checks sum its state before the
+    move (`_mass`). The last round yielded is `p.cutoff`'s or the first
+    whose residual mass is at most PRUNE_TOL. Round j+1 is built only when
+    the caller asks for it, from the provers' strategies as they are then.
+    `after` resumes from a pair yielded by a run with these records or none,
+    round 0 (the initial state) by default; the rounds that follow are the
+    uninterrupted run's. A pair may keep a part of its classes'
+    configurations, with the residual mass of that part: a sweep resumes so
+    without the groups it measured. Every verifier pass reads the verifier's
+    column cache for x (`_columns`).
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)
@@ -480,7 +472,7 @@ def _rounds(
     logged = tuple([slot for slot, record in records if record == "tape"])
     records = (lowered, logged) if lowered or logged else None
     if after is None:
-        after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1, 1.0)]
+        after = RoundStat(0, 0.0, 0.0, 1.0, 1, 1), [_Class(initial_state(p, x), 1)]
     stat, survivors = after
     before = stat.residual_mass
     for j in range(stat.index + 1, p.cutoff + 1):
@@ -488,14 +480,14 @@ def _rounds(
             return
         p_acc = p_rej = residual_mass = 0.0
         configurations = stored = 0
+        move = prover_operator(p.provers, j - 1, quantum) if j >= 2 and p.provers else None
         last, survivors = survivors, []
-        for state, multiplicity, mass in last:
+        for state, multiplicity in last:
             after_mass, acc, rej, left, size, classes = _verify_and_measure(
-                _prover_stage(p, state, j), p.verifier, tape, columns, records, multiplicity)
+                apply_sparse_operator(move, state) if move else state, p.verifier, tape, columns, records, multiplicity)
             survivors += classes
-            # a class keeps its mass from before the prover stage (the merge leaves it unknown for
-            # the histories it splits off), and its verifier pass checks both stages against it
-            _check_round(j, _mass(state, quantum) if mass is None else mass, after_mass, acc, rej, left)
+            # the verifier pass checks both stages against the class's mass before the move
+            _check_round(j, _mass(state, quantum), after_mass, acc, rej, left)
             p_acc += multiplicity * acc
             p_rej += multiplicity * rej
             residual_mass += multiplicity * left

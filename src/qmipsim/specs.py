@@ -369,6 +369,10 @@ class FixedReplies:
     reception."""
     replies: tuple[str, ...]
 
+    def __post_init__(self):
+        if not self.replies:
+            raise ValidationError("FixedReplies needs at least one reply")
+
     def __call__(self, step: int, recv: str) -> list[tuple[str, complex]]:
         return [(self.replies[min(step, len(self.replies)) - 1], 1.0 + 0j)]
 

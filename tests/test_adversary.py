@@ -24,7 +24,7 @@ from qmipsim.adversary import (
     soundness_gap,
     track_probe_family,
 )
-from qmipsim.amplitudes import PRUNE_TOL, apply_sparse_operator
+from qmipsim.amplitudes import apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
     _verify_and_measure,
@@ -48,6 +48,7 @@ from qmipsim.specs import (
     rotation_reply,
     track,
 )
+from qmipsim.tolerances import PRUNE_TOL
 
 
 # ---------------------------------------------------------------- families
@@ -1365,7 +1366,7 @@ def test_the_sweeps_round_1_holds_only_blank_tapes_of_at_least_one_cell(cutoff, 
         search(p, x, families=families, cutoff=cutoff)
         _, classes = firsts.pop()
         assert not firsts, (p.name, x)
-        for state, _, _ in classes:
+        for state, _ in classes:
             for config in state:
                 assert len(config.tapes) == p.k, (p.name, x)
                 tapes.extend(config.tapes)

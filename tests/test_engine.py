@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qmipsim import corpus, engine
 from qmipsim.adversary import default_families, search
-from qmipsim.amplitudes import CONSERVATION_TOL, PRUNE_TOL, apply_sparse_operator
+from qmipsim.amplitudes import apply_sparse_operator
 from qmipsim.engine import (
     Configuration,
     _check_round,
@@ -43,15 +43,15 @@ from qmipsim.specs import (
     track,
     rotation_reply,
 )
-from qmipsim.tolerances import ROUND_TOL
+from qmipsim.tolerances import CONSERVATION_TOL, PRUNE_TOL, ROUND_TOL
 from qmipsim.transforms import lift_2ip_to_3qip, make_eraser, reduce_3qip_to_2qip, unify_alphabets
 
 H = 1 / math.sqrt(2)
 
 
-def _mute_prover():
+def _mute_prover(index=1):
     return ProverSpec(
-        index=1,
+        index=index,
         comm_alphabet=("#",),
         tape_alphabet=("#",),
         space=0,
@@ -273,7 +273,7 @@ _BLANKS = Configuration("q", 1, ("g", "h"), ((BLANK, BLANK), (BLANK, BLANK)))
 def _run_sources(p, x):
     """(step, source) for every configuration that enters a prover stage of p's run on x."""
     return [(stat.index, config) for stat, classes in _rounds(p, x) if stat.index < p.cutoff
-            for state, _, _ in classes for config in state]
+            for state, _ in classes for config in state]
 
 
 @pytest.mark.parametrize("provers, quantum, sources", [
@@ -450,18 +450,19 @@ def _at(state, head=0):
     return Configuration(state, head, (BLANK,), ((),))
 
 
-def _unpacked(out):
+def _unpacked(out, quantum=True):
     """A verifier pass without records as (mass after, accept, reject, residual): the residual is the
-    state of the one class it leaves, of multiplicity 1 and the residual's mass and size, or {} if none."""
+    state of the one class it leaves, of multiplicity 1, or {} if none; the pass reports its mass and size."""
     after, p_acc, p_rej, left, size, classes = out
     residual = classes[0].state if classes else {}
-    assert [(c.multiplicity, c.mass) for c in classes] == ([(1, left)] if residual else [])
+    assert [c.multiplicity for c in classes] == ([1] if residual else [])
+    assert repr(left) == repr(engine._mass(residual, quantum))
     assert size == len(residual)
     return after, p_acc, p_rej, residual
 
 
 def _pass(state, verifier, tape, columns):
-    return _unpacked(_verify_and_measure(state, verifier, tape, columns))
+    return _unpacked(_verify_and_measure(state, verifier, tape, columns), verifier.is_quantum())
 
 
 def test_verify_and_measure_splits_mass():
@@ -732,7 +733,7 @@ def test_the_one_time_pad_tape_groups_measure_as_each_group_alone():
     p = corpus.build("no_comm_reduce")
     tape = input_tape("0", p.verifier)
     residual1 = run_round(p, tape, initial_state(p, "0"), 1)[2]
-    state = engine._prover_stage(p, residual1, 2)
+    state = apply_sparse_operator(prover_operator(p.provers, 1, p.verifier.is_quantum()), residual1)
     groups: dict = {}
     for config, amp in state.items():
         groups.setdefault(config.tapes, {})[config] = amp
@@ -1013,21 +1014,39 @@ def test_the_driver_stores_one_merged_class_per_round(monkeypatch):
     assert seen == [(1, 16, [1])] * 4 + [(1, 0, [])]
 
 
+def _prover_stage_spy(monkeypatch):
+    """(the round of each prover operator the engine builds, (its round, its sources) per apply of one)."""
+    built, moved = [], []
+    build, apply = engine.prover_operator, engine.apply_sparse_operator
+
+    def spy_build(provers, step, quantum):
+        built.append(step + 1)
+        op = build(provers, step, quantum)
+
+        def tagged(config):
+            return op(config)
+
+        tagged.round = step + 1
+        return tagged
+
+    def spy_apply(op, state):
+        if hasattr(op, "round"):
+            moved.append((op.round, len(state)))
+        return apply(op, state)
+
+    monkeypatch.setattr(engine, "prover_operator", spy_build)
+    monkeypatch.setattr(engine, "apply_sparse_operator", spy_apply)
+    return built, moved
+
+
 def test_the_prover_stage_moves_one_source_per_merged_round(monkeypatch):
     # each round the reduced relay's 16 configurations differ only in the
     # masks their receptions carry on the lower track, which both track
     # wraps stash in cells that die in that move: they merge before it
-    sources = []
-    stage = engine._prover_stage
-
-    def spy(p, state, round_index):
-        if round_index >= 2:
-            sources.append(len(state))
-        return stage(p, state, round_index)
-
-    monkeypatch.setattr(engine, "_prover_stage", spy)
+    built, moved = _prover_stage_spy(monkeypatch)
     rounds = simulate(_reduced_parity_relay(), "111").rounds
-    assert sources == [1, 1, 1, 1]
+    assert moved == [(2, 1), (3, 1), (4, 1), (5, 1)]
+    assert built == [2, 3, 4, 5]
     assert [r.configurations for r in rounds] == [16, 256, 4096, 65536, 0]
     assert [r.stored for r in rounds] == [16, 16, 16, 16, 0]
 
@@ -1039,7 +1058,7 @@ def _fault_of_a_corrupted_reception(p, x):
     victim = list(state)[5]
     state[victim._replace(comm=("zz",) + victim.comm[1:])] = state.pop(victim)
     with pytest.raises(MissingTransition) as fault:
-        list(_rounds(p, x, after=(stat, [engine._Class(state, 1, None)])))
+        list(_rounds(p, x, after=(stat, [engine._Class(state, 1)])))
     return str(fault.value)
 
 
@@ -1061,16 +1080,9 @@ def test_the_mask_merge_runs_in_the_last_round(monkeypatch):
     # no_comm_reduce moves its provers only in round 2, its last: the 32
     # configurations of the round-1 residual differ in their masks alone and
     # merge into 2 before the move
-    sources = []
-    stage = engine._prover_stage
-
-    def spy(p, state, round_index):
-        sources.append(len(state))
-        return stage(p, state, round_index)
-
-    monkeypatch.setattr(engine, "_prover_stage", spy)
+    _, moved = _prover_stage_spy(monkeypatch)
     result = simulate(corpus.build("no_comm_reduce"), "0")
-    assert sources == [1, 2]
+    assert moved == [(2, 2)]
     assert repr((result.p_accept, result.p_reject)) == repr((0.49999999999999994, 0.49999999999999994))
 
 
@@ -1119,30 +1131,35 @@ def test_a_round_of_one_configuration_sums_its_residual_once(monkeypatch, build,
     assert result.halted_round == len(x) + 2
     if build is _lifted_parity_relay:
         assert [(r.configurations, r.stored) for r in result.rounds] == [(1, 1)] * 4 + [(0, 0)]
-        # one sum per round, of its residual: no check sums the moved state
-        assert len(summed) == len(result.rounds)
+        # two sums per round: its pass's of its residual, then its check's of the class before
+        # the move, the residual the round before left (or the initial state); no check sums
+        # the moved state
+        assert len(summed) == 2 * len(result.rounds)
+        residuals, checked = summed[0::2], summed[1::2]
+        assert all(state is residual for state, residual in zip(checked[1:], residuals))
 
 
-def _reference_merge(classes, split):
+def _reference_merge(cls, split):
     """The merge rule spelled out: each history's state and key built in full. `engine._merge_records` must match it."""
+    state, multiplicity = cls
+    histories: dict = {}
+    for config, amp in state.items():
+        history, outside = split(config)
+        members = histories.get(history)
+        if members is None:
+            members = histories[history] = ({}, [])
+        members[0][config] = amp
+        members[1].append((outside, amp))
+    if len(histories) == 1:
+        return [cls]
     merged: dict = {}
-    for state, multiplicity, mass in classes:
-        histories: dict = {}
-        for config, amp in state.items():
-            history, outside = split(config)
-            members = histories.get(history)
-            if members is None:
-                members = histories[history] = ({}, [])
-            members[0][config] = amp
-            members[1].append((outside, amp))
-        whole = len(histories) == 1
-        for members, outside in histories.values():
-            key = frozenset(outside)
-            entry = merged.get(key)
-            if entry is None:
-                merged[key] = [state, multiplicity, mass] if whole else [members, multiplicity, None]
-            else:
-                entry[1] += multiplicity
+    for members, outside in histories.values():
+        key = frozenset(outside)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [members, multiplicity]
+        else:
+            entry[1] += multiplicity
     return [engine._Class(*entry) for entry in merged.values()]
 
 
@@ -1185,39 +1202,34 @@ _RECORDS = _KINDS.map(_record_slots)
 
 
 @st.composite
-def _classes_to_merge(draw):
+def _class_to_merge(draw):
     pool = draw(st.lists(_CONFIGURATION, min_size=1, max_size=8, unique=True))
     state = st.dictionaries(st.sampled_from(pool), st.sampled_from((0.5, -0.5, 0.5j, 1.0)), min_size=1, max_size=6)
-    mass = st.one_of(st.none(), st.floats(0.0, 1.0))
-    return draw(st.lists(st.builds(engine._Class, state, st.integers(1, 3), mass), min_size=1, max_size=4))
+    return draw(st.builds(engine._Class, state, st.integers(1, 3)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(classes=_classes_to_merge(), records=_RECORDS)
-def test_the_merge_matches_its_reference(classes, records):
-    got = engine._merge_records(classes, *records)
-    want = _reference_merge(classes, _record_split(*records))
+@given(cls=_class_to_merge(), records=_RECORDS)
+def test_the_merge_matches_its_reference(cls, records):
+    got = engine._merge_records(cls, *records)
+    want = _reference_merge(cls, _record_split(*records))
     assert len(got) == len(want)
     for new, ref in zip(got, want):
         assert list(new.state.items()) == list(ref.state.items())
         assert new.multiplicity == ref.multiplicity
-        assert new.mass == ref.mass
-        if any(ref.state is c.state for c in classes):
+        if ref.state is cls.state:
             assert new.state is ref.state
 
 
 @settings(max_examples=300, deadline=None)
-@given(classes=_classes_to_merge(), records=_RECORDS)
-def test_a_mask_merge_that_merges_nothing_keeps_its_classes(classes, records):
-    # every class the merge returns is one history with a key of its own, so
-    # merging them again merges nothing: each keeps its dict, multiplicity and mass
-    once = engine._merge_records(classes, *records)
-    again = engine._merge_records(once, *records)
-    assert len(again) == len(once)
-    for kept, c in zip(again, once):
+@given(cls=_class_to_merge(), records=_RECORDS)
+def test_a_mask_merge_that_merges_nothing_keeps_its_classes(cls, records):
+    # every class the merge returns is one history, so merging it
+    # again merges nothing: it comes back with its dict and multiplicity
+    for c in engine._merge_records(cls, *records):
+        (kept,) = engine._merge_records(c, *records)
         assert kept.state is c.state
         assert kept.multiplicity == c.multiplicity
-        assert kept.mass == c.mass
 
 
 class _RecordOnly:
@@ -1253,7 +1265,7 @@ def _one_configuration_rounds(draw):
     provers = tuple(ProverSpec(i + 1, (BLANK,), (BLANK,), 3, _RecordOnly(kind))
                     for i, kind in enumerate(draw(_KINDS)))
     amp = draw(st.sampled_from((1.0 + 0j, -0.5j, 0.6 + 0.8j)))
-    cls = engine._Class({config: amp}, draw(st.integers(1, 3)), None)
+    cls = engine._Class({config: amp}, draw(st.integers(1, 3)))
     return ProtocolSpec("one", verifier, provers, 1.0, 1.0, 1), cls, "0"
 
 
@@ -1261,18 +1273,18 @@ def _one_configuration_rounds(draw):
 @given(case=_one_configuration_rounds())
 def test_a_one_configuration_class_merges_on_its_column_as_its_residual_would(case):
     # closed form or not, the classes round 1 yields are the merge of its residual
-    # by the provers' records, representatives, order, multiplicities and masses alike
+    # by the provers' records, representatives, order and multiplicities alike, and
+    # its residual mass is the residual's, summed as the driver's checks sum it
     p, cls, x = case
     records = _record_slots(tuple(pr.strategy.record for pr in p.provers))
     (amp,) = cls.state.values()
     start = engine.RoundStat(0, 0.0, 0.0, cls.multiplicity * abs(amp) ** 2, 1, 1)
     stat, got = next(_rounds(p, x, after=(start, [cls])))
     residual = _pass(cls.state, p.verifier, input_tape(x, p.verifier), {})[3]
-    whole = [engine._Class(residual, cls.multiplicity, engine._mass(residual, True))] if residual else []
-    want = _reference_merge(whole, _record_split(*records))
+    want = _reference_merge(engine._Class(residual, cls.multiplicity), _record_split(*records)) if residual else []
     assert [list(c.state.items()) for c in got] == [list(c.state.items()) for c in want]
     assert [c.multiplicity for c in got] == [c.multiplicity for c in want]
-    assert [repr(c.mass) for c in got] == [repr(c.mass) for c in want]
+    assert repr(stat.residual_mass) == repr(cls.multiplicity * engine._mass(residual, True))
     assert stat.stored == len(residual)
 
 
@@ -1289,6 +1301,40 @@ def test_the_mask_merge_keeps_one_class_per_round_of_the_reduced_relay(x):
     assert [r.stored for r in whole.rounds] == counts
     assert repr((merged.p_accept, merged.p_reject, merged.leftover)) == repr(
         (whole.p_accept, whole.p_reject, whole.leftover))
+
+
+def _late_coin():
+    """A 2pfa that reads past ¢ in q0 and flips its coin at the first 0, beside two mute provers."""
+    one, half, cells = 1.0 + 0j, 0.5 + 0j, (BLANK, BLANK)
+    rows = {
+        ("q0", LEFT_END, cells): (("q0", 1, cells, one),),
+        ("q0", "0", cells): (("c0", 1, cells, half), ("c1", 1, cells, half)),
+        ("c0", "0", cells): (("c0", 1, cells, one),),
+        ("c1", "0", cells): (("c1", 1, cells, one),),
+        ("c0", RIGHT_END, cells): (("acc", 1, cells, one),),
+        ("c1", RIGHT_END, cells): (("rej", 1, cells, one),),
+    }
+    verifier = VerifierSpec("2pfa", ("q0", "c0", "c1", "acc", "rej"), "q0", frozenset({"acc"}),
+                            frozenset({"rej"}), ("0",), ((BLANK,), (BLANK,)), rows)
+    return ProtocolSpec("late_coin", verifier, (_mute_prover(1), _mute_prover(2)), 0.5, 0.5, 8)
+
+
+def test_a_late_coin_keeps_two_classes_per_round_moved_by_one_prover_operator(monkeypatch):
+    # reduced, the coin of round 2 leaves two classes in each of rounds 3-5,
+    # partial merges that store 16 configurations of 1,024 and more; each
+    # round builds its prover operator once and moves every class with it
+    base = _late_coin()
+    p = reduce_3qip_to_2qip(unify_alphabets(lift_2ip_to_3qip(base).protocol)).protocol
+    built, moved = _prover_stage_spy(monkeypatch)
+    rounds = list(_rounds(p, "0000"))
+    assert [len(classes) for _, classes in rounds] == [1, 1, 2, 2, 2, 0]
+    assert [stat.stored for stat, _ in rounds] == [8, 16, 16, 16, 16, 0]
+    assert [stat.configurations for stat, _ in rounds] == [8, 128, 1024, 8192, 65536, 0]
+    assert built == [2, 3, 4, 5, 6]
+    assert [j for j, _ in moved] == [2, 3, 4, 4, 5, 5, 6, 6]
+    result, want = simulate(p, "0000"), simulate(base, "0000")
+    assert result.p_accept == pytest.approx(want.p_accept, abs=1e-12)
+    assert result.p_reject == pytest.approx(want.p_reject, abs=1e-12)
 
 
 
@@ -1428,7 +1474,7 @@ def test_a_drift_spread_over_merged_histories_is_still_a_run_fault():
     wrap = dataclasses.replace(first.strategy, inner=_Scaled(first.strategy.inner, math.sqrt(1 + 2e-9)))
     p = dataclasses.replace(p, provers=(dataclasses.replace(first, strategy=wrap),) + p.provers[1:])
     stat, survivors = next(_rounds(p, "1"))
-    (merged,) = engine._merge_records(survivors, (0, 1), ())
+    (merged,) = survivors
     assert merged.multiplicity == 16
     assert engine._mass(merged.state, True) * 2e-9 < ROUND_TOL < stat.residual_mass * 2e-9
     for protocol in (p, _hiding_records(p)):

@@ -602,8 +602,9 @@ _CONFIGURATION = Configuration("q0", 0, (BLANK,), ((BLANK,),))
      "fair-coin form only applies to classical verifiers"),
     (lambda: apply_sparse_operator(lambda config: None, {_CONFIGURATION: 1.0 + 0j}), MissingTransition,
      str(_CONFIGURATION)),
+    (lambda: FixedReplies(()), ValidationError, "FixedReplies needs at least one reply"),
 ], ids=["empty alphabet", "duplicated alphabet", "missing unitary column", "restrictive on classical",
-        "fair coin on quantum", "no column"])
+        "fair coin on quantum", "no column", "no fixed replies"])
 def test_each_spec_and_amplitude_refusal_names_what_it_refuses(refused, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         refused()
