@@ -1274,7 +1274,7 @@ def _one_configuration_rounds(draw):
 def test_a_one_configuration_class_merges_on_its_column_as_its_residual_would(case):
     # closed form or not, the classes round 1 yields are the merge of its residual
     # by the provers' records, representatives, order and multiplicities alike, and
-    # its residual mass is the residual's, summed as the driver's checks sum it
+    # its residual mass is the residual's, summed as `engine._mass` sums it
     p, cls, x = case
     records = _record_slots(tuple(pr.strategy.record for pr in p.provers))
     (amp,) = cls.state.values()
