@@ -512,11 +512,11 @@ def _strategy_lines(strategy, space: int) -> list[str]:
 
 
 def serialize_protocol(p: ProtocolSpec) -> str:
-    """The file text of p, refusing any symbol, state or name that would not read back as itself."""
+    """The file text of p, refusing any symbol, state, name or mode that would not read back as itself."""
     v = p.verifier
     # per write: transformed protocols repeat one long alphabet on up to six lines
     fields = lru_cache(maxsize=None)(_symbols)
-    out = [FORMAT_HEADER, f"name = {_check_token(p.name, 'name')}", f"mode = {v.mode}",
+    out = [FORMAT_HEADER, f"name = {_check_token(p.name, 'name')}", f"mode = {_check_token(v.mode, 'mode')}",
            f"provers = {p.k}", f"a = {serialize_weight(p.a)}", f"b = {serialize_weight(p.b)}",
            f"cutoff = {p.cutoff}", "", "[verifier]"]
     out.append("states = " + fields(v.states, "state"))

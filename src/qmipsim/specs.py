@@ -71,23 +71,28 @@ def make_track_alphabet(upper: Sequence[str], lower: Sequence[str]) -> tuple[str
     return tuple(track(u, l) for u in upper for l in lower)
 
 
-def fixed_width_binary_encoding(alphabet: Sequence[str]) -> dict[str, str]:
-    """Injective fixed-width bit codes; the blank gets the all-zero string.
+def code_order(alphabet: Sequence[str]) -> tuple[str, ...]:
+    """The alphabet listed by its fixed-width code: the symbol at index i has code i.
 
-    Width is ceil(log2(|alphabet|)) with a floor of one bit. Symbols other
-    than the blank are coded in the alphabet's own order, so the map is
-    deterministic for a fixed alphabet tuple.
+    The blank gets code 0; the other symbols follow in the alphabet's own
+    order, so the table is deterministic for a fixed alphabet tuple.
     """
     n = len(alphabet)
     if n == 0:
         raise ValidationError("cannot encode an empty alphabet")
     if len(set(alphabet)) != n:
         raise ValidationError("alphabet has duplicate symbols")
-    width = max(1, math.ceil(math.log2(max(n, 2))))
-    ordered = list(alphabet)
-    if BLANK in ordered:
-        ordered.remove(BLANK)
-        ordered.insert(0, BLANK)
+    return tuple(sorted(alphabet, key=lambda sym: sym != BLANK))
+
+
+def fixed_width_binary_encoding(alphabet: Sequence[str]) -> dict[str, str]:
+    """Injective fixed-width bit codes, `code_order`'s indices written in binary.
+
+    Width is ceil(log2(|alphabet|)) with a floor of one bit, so the blank
+    gets the all-zero string.
+    """
+    ordered = code_order(alphabet)
+    width = max(1, math.ceil(math.log2(max(len(ordered), 2))))
     return {sym: format(i, f"0{width}b") for i, sym in enumerate(ordered)}
 
 
@@ -107,19 +112,17 @@ def xor_symbols(encoding: Mapping[str, str], a: str, b: str) -> str:
 
 
 def symbol_xor(alphabet: Sequence[str]) -> Callable[[str, str], str]:
-    """`xor_symbols` on `fixed_width_binary_encoding(alphabet)`, read off the symbols' positions.
+    """`xor_symbols` on `fixed_width_binary_encoding(alphabet)`, read off `code_order`.
 
-    The encoding numbers symbols by position, so a XOR b is the symbol at
-    position[a] ^ position[b]; a position past the alphabet is an unused
-    code, which `xor_symbols` reports.
+    a XOR b is the symbol at index code[a] ^ code[b] of the code table; an
+    index past the alphabet is an unused code, which `xor_symbols` reports.
     """
-    encoding = fixed_width_binary_encoding(alphabet)
-    by_code = sorted(encoding, key=encoding.__getitem__)
-    position = {sym: i for i, sym in enumerate(by_code)}
+    by_code = code_order(alphabet)
+    code = {sym: i for i, sym in enumerate(by_code)}
 
     def xor(a: str, b: str) -> str:
-        code = position[a] ^ position[b]
-        return by_code[code] if code < len(by_code) else xor_symbols(encoding, a, b)
+        c = code[a] ^ code[b]
+        return by_code[c] if c < len(by_code) else xor_symbols(fixed_width_binary_encoding(alphabet), a, b)
     return xor
 
 

@@ -41,13 +41,13 @@ from .specs import (
     VerifierSpec,
     _orthonormal_violations,
     check_restrictive,
+    code_order,
     fair_coin_violations,
     guard_states,
     make_track_alphabet,
     parse_track,
     strategy_label,
     sum_targets,
-    symbol_xor,
     track,
 )
 from .tolerances import AMPLITUDE_TOL, PRUNE_TOL, RANK_TOL
@@ -304,10 +304,16 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
         if parse_track(track(sym, BLANK)) != (sym, BLANK):
             raise ValidationError(f"channel symbol {sym!r} cannot ride on a track symbol")
 
-    # r XOR record on the bit codes; the size is a power of two, so every XOR lands in the alphabet
-    xor = symbol_xor(gamma)
-    root = complex(1 / math.sqrt(len(gamma)))
+    # [s/r] is track_alphabet[position[s] * m + position[r]], and r XOR record is the symbol
+    # with code code[r] ^ code[record]; the size is a power of two, so every XOR lands in the alphabet
+    m = len(gamma)
+    root = complex(1 / math.sqrt(m))
     track_alphabet = make_track_alphabet(gamma, gamma)
+    position = {sym: i for i, sym in enumerate(gamma)}
+    by_code = code_order(gamma)
+    code = {sym: i for i, sym in enumerate(by_code)}
+    code_position = [position[sym] for sym in by_code]
+    masks = tuple(enumerate(code[r] for r in gamma))  # (position[r], code[r]) in alphabet order
 
     rows: dict[RowKey, tuple[Branch, ...]] = {}
     provenance: dict[RowKey, RowKey] = {}
@@ -319,9 +325,12 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
             continue
         new_key = (q, sigma, (track(comm[0], BLANK), track(comm[1], BLANK)))
         summed = sum_targets(
-            ((q2, d, (track(sent[0], r), track(sent[1], xor(r, sent[2])))), complex(w) * root)
+            ((q2, d, (track_alphabet[upper_1 + r_at], track_alphabet[upper_2 + code_position[r_code ^ record]])),
+             weight)
             for q2, d, sent, w in branches
-            for r in gamma
+            for upper_1, upper_2, record, weight in [(position[sent[0]] * m, position[sent[1]] * m,
+                                                      code[sent[2]], complex(w) * root)]
+            for r_at, r_code in masks
         )
         rows[new_key] = tuple((q2, d, sent, w) for (q2, d, sent), w in summed.items())
         provenance[new_key] = key

@@ -320,6 +320,15 @@ def test_declared_symbols_that_would_not_read_back_are_refused(name, declare):
         serialize_protocol(declare(corpus.build(name), "a b"))
 
 
+@pytest.mark.parametrize("mode", ["1pfa ", "1pfa\nprovers = 7"])
+def test_mode_that_would_not_read_back_is_refused(mode):
+    # written unchecked, "1pfa " came back as "1pfa", and the newline wrote a
+    # second header line that failed to parse as a duplicate 'provers' key
+    p = corpus.build("no_comm")
+    with pytest.raises(SpecFileError, match=f"^mode {re.escape(repr(mode))} contains whitespace"):
+        serialize_protocol(dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, mode=mode)))
+
+
 @pytest.mark.parametrize("bad", ["a b", "|", ""])
 def test_strategy_cells_and_choice_replies_are_checked(bad):
     p = corpus.build("no_comm")

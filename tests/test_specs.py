@@ -42,6 +42,7 @@ from qmipsim.specs import (
     check_prover_columns,
     check_restrictive,
     check_well_formed,
+    code_order,
     constant_reply,
     echo_reply,
     fair_coin_violations,
@@ -113,6 +114,13 @@ def test_fixed_width_binary_encoding():
     # a two-symbol alphabet still gets one bit
     enc2 = fixed_width_binary_encoding(("#", "z"))
     assert set(enc2.values()) == {"0", "1"}
+
+
+def test_code_order_lists_the_alphabet_by_fixed_width_code():
+    assert code_order(("c", "#", "b", "a")) == ("#", "c", "b", "a")
+    for alphabet in [("#", "a", "b", "c"), ("c", "#", "b", "a"), ("a", "b", "#"), ("z", "y")]:
+        enc = fixed_width_binary_encoding(alphabet)
+        assert code_order(alphabet) == tuple(sorted(enc, key=enc.__getitem__))
 
 
 def test_xor_symbols():

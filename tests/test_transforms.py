@@ -41,6 +41,7 @@ from qmipsim.specs import (
     guard_states,
     parse_track,
     sparse_gram,
+    sum_targets,
     track,
     validate_protocol,
     xor_symbols,
@@ -475,14 +476,36 @@ def test_reduce_masks_expand_each_branch_per_mask():
                 assert parse_track(sym) is not None or sym == BLANK
 
 
-@pytest.mark.parametrize("name", ["no_comm", "parity_relay"])
-def test_reduce_masks_pad_the_record_with_xor(name):
+def _with_gamma(p, order):
+    # the shared channel alphabet reordered; with the blank moved off the
+    # front, the symbols' fixed-width codes are no longer their positions
+    gamma = order(p.verifier.comm_alphabets[0])
+    verifier = dataclasses.replace(p.verifier, comm_alphabets=(gamma,) * p.k)
+    provers = tuple(dataclasses.replace(prover, comm_alphabet=gamma) for prover in p.provers)
+    return dataclasses.replace(p, verifier=verifier, provers=provers)
+
+
+GAMMA_ORDERS = {
+    "blank-first": lambda gamma: gamma,
+    "rotated": lambda gamma: gamma[1:] + gamma[:1],
+    "reversed": lambda gamma: gamma[::-1],
+}
+
+
+def _reduce_inputs():
+    return [(name, order) for name in ("no_comm", "parity_relay") for order in GAMMA_ORDERS]
+
+
+@pytest.mark.parametrize("name, order", _reduce_inputs())
+def test_reduce_masks_pad_the_record_with_xor(name, order):
     # slot 1's lower track carries the mask r, slot 2's carries r XOR the
     # record the lift sent to the eraser, on the fixed-width codes
     lift = lift_2ip_to_3qip(corpus.build(name))
-    unified = unify_alphabets(lift.protocol)
+    unified = _with_gamma(unify_alphabets(lift.protocol), GAMMA_ORDERS[order])
+    gamma = unified.verifier.comm_alphabets[0]
+    assert (gamma[0] == BLANK) == (order == "blank-first")
     out = reduce_3qip_to_2qip(unified)
-    encoding = fixed_width_binary_encoding(unified.verifier.comm_alphabets[0])
+    encoding = fixed_width_binary_encoding(gamma)
     for new_key, old_key in out.row_provenance.items():
         records = {sent[2] for _, _, sent, _ in unified.verifier.rows[old_key]}
         assert records == {lift.log_symbols[lift.row_provenance[old_key]]}
@@ -490,6 +513,37 @@ def test_reduce_masks_pad_the_record_with_xor(name):
         for _, _, sent, _ in out.protocol.verifier.rows[new_key]:
             (_, mask), (_, padded) = parse_track(sent[0]), parse_track(sent[1])
             assert padded == xor_symbols(encoding, mask, record)
+
+
+def _reference_reduced_rows(v):
+    # the reduction's rows built one (branch, mask) at a time from `track`
+    # and `xor_symbols`, masks in alphabet order
+    gamma = v.comm_alphabets[0]
+    encoding = fixed_width_binary_encoding(gamma)
+    root = complex(1 / math.sqrt(len(gamma)))
+    rows = {}
+    for (q, sigma, comm), branches in v.rows.items():
+        if comm[2] != BLANK:
+            continue
+        summed = sum_targets(
+            ((q2, d, (track(sent[0], r), track(sent[1], xor_symbols(encoding, r, sent[2])))), complex(w) * root)
+            for q2, d, sent, w in branches
+            for r in gamma
+        )
+        rows[(q, sigma, (track(comm[0], BLANK), track(comm[1], BLANK)))] = tuple(
+            (q2, d, sent, w) for (q2, d, sent), w in summed.items()
+        )
+    return rows
+
+
+@pytest.mark.parametrize("name, order", _reduce_inputs())
+def test_reduce_rows_match_the_per_mask_reference(name, order):
+    unified = _with_gamma(unify_alphabets(lift_2ip_to_3qip(corpus.build(name)).protocol), GAMMA_ORDERS[order])
+    rows = reduce_3qip_to_2qip(unified).protocol.verifier.rows
+    reference = _reference_reduced_rows(unified.verifier)
+    assert list(rows) == list(reference)
+    for key, branches in rows.items():
+        assert repr(branches) == repr(reference[key])
 
 
 def test_reduce_preserves_row_gram():
