@@ -27,8 +27,8 @@ its reply, or fails) is a class of its own, and in its blocks no token
 counts. The driver's own checks cover every round, its verifier pass merges
 the histories of logged strategies by their tapes (their `record`), and a
 fault is the run's own error, raised for the first faulting combination.
-Round 1 and every round of the tree are passes of one verifier on one
-input, so they read one column cache, the verifier's own (`engine._columns`).
+Every round of the tree, round 1 included, reads the verifier's one column
+cache, keyed by scanned symbol and shared by inputs (`engine._columns`).
 
 Derandomization goes the other way: given quantum provers attacking a
 probabilistic verifier, it distills deterministic provers that reject at
@@ -43,7 +43,7 @@ the candidate with the smallest aggregate rejection mass can only help the
 provers at each replacement, which gives the dominance guarantee. Each
 candidate reply is scored by resuming the driver from the walk's current
 round. The quantum run, the walk, every candidate's resumed rounds and the
-final deterministic run read the verifier's one column cache for x; their
+final deterministic run read the verifier's one column cache; their
 strategies read their tapes and declare no `record`, so no run merges histories.
 """
 from __future__ import annotations

@@ -222,19 +222,22 @@ def cmd_compare(args) -> int:
     _require_well_formed(pb)
     ra = simulate(pa, args.input, args.cutoff)
     rb = simulate(pb, args.input, args.cutoff)
-    diff = abs(ra.p_accept - rb.p_accept)
+    pairs = {"p_acc": (ra.p_accept, rb.p_accept), "p_rej": (ra.p_reject, rb.p_reject),
+             "leftover": (ra.leftover, rb.leftover)}
+    diff = max(abs(a - b) for a, b in pairs.values())
     match = diff <= args.tol
     if args.machine:
         print(f"a={pa.name}")
         print(f"b={pb.name}")
         print(f"input={args.input}")
-        print(f"a.p_acc={ra.p_accept:.12f}")
-        print(f"b.p_acc={rb.p_accept:.12f}")
+        for key, (a, b) in pairs.items():
+            print(f"a.{key}={a:.12f}")
+            print(f"b.{key}={b:.12f}")
         print(f"diff={diff:.3e}")
         print(f"match={'true' if match else 'false'}")
     else:
-        print(f"{pa.name}: p_acc={ra.p_accept:.12f}")
-        print(f"{pb.name}: p_acc={rb.p_accept:.12f}")
+        for side, p in enumerate((pa, pb)):
+            print(f"{p.name}: " + " ".join(f"{key}={pair[side]:.12f}" for key, pair in pairs.items()))
         print(f"difference {diff:.3e} ({'within' if match else 'exceeds'} tolerance {args.tol:g})")
     return 0 if match else 1
 
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--machine", action="store_true", help="key=value output")
     sp.set_defaults(func=cmd_adversary)
 
-    sp = sub.add_parser("compare", help="acceptance probabilities of two protocols on one input")
+    sp = sub.add_parser("compare", help="acceptance, rejection and leftover of two protocols on one input")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("input")
@@ -316,15 +319,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecFileError as exc:
+    except (SpecFileError, ValidationError, RunFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RunFault as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, SpecFileError) else 3 if isinstance(exc, ValidationError) else 4
 
 
 if __name__ == "__main__":

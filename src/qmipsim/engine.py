@@ -33,10 +33,10 @@ sets how rounds are measured and the cutoff where they stop. It resumes from
 any pair it yielded (`after`): a sweep runs each block of combinations from
 its node's round, and derandomization scores each candidate reply from the
 walk's current round.
-A verifier column depends on the verifier and the tape alone, so every pass
-reads the verifier's own cache for the tape (`_columns`), kept across runs:
-a second `simulate` of one protocol on one input builds no column, and a
-sweep's or a derandomization's runs build each of theirs once.
+A verifier column depends on its state, scanned symbol and reception alone;
+its targets hold head moves. So every pass reads the verifier's own cache
+(`_columns`), kept across runs and shared by inputs: the runs, sweeps and
+derandomizations of one verifier build each of its columns once.
 """
 from __future__ import annotations
 
@@ -219,7 +219,7 @@ def _mass(state: StateVector, quantum: bool) -> float:
 class _Column(NamedTuple):
     """One verifier column without tapes and what the closed form needs; its totals
     and live targets are the column's `_measure`."""
-    targets: list  # [((state, head, comm), w)], duplicate targets summed
+    targets: list  # [((state, head move, comm), w)], duplicate targets summed
     smallest: float  # smallest |w|
     total: float
     accept: float
@@ -232,7 +232,7 @@ class _Column(NamedTuple):
         `_merge_records` on the live targets weighted by w on placeholder tapes (a configuration's are alike)."""
         grouped = self.merges.get(records)
         if grouped is None:
-            probe = {(q, head, sent, (None,) * len(sent)): w for (q, head, sent), w in self.live.items()}
+            probe = {(q, d, sent, (None,) * len(sent)): w for (q, d, sent), w in self.live.items()}
             grouped = self.merges[records] = [([(config[:3], w) for config, w in c.state.items()], c.multiplicity)
                                               for c in _merge_records(_Class(probe, 1), *records)]
         return grouped
@@ -262,30 +262,24 @@ def _measure(targets, quantum: bool, accept, reject) -> tuple[float, float, floa
 
 
 def _column(verifier: VerifierSpec, tape: tuple[str, ...], config: Configuration, quantum: bool) -> _Column:
-    """The verifier's column at `config`, built straight from its lookup rows."""
+    """The verifier's column at `config` from its lookup rows, its targets by head move (modulo 2 on the tape of "")."""
     q, head, comm, _ = config
     n = len(tape)
-    branches = verifier.lookup(q, tape[head % n], comm)
+    branches = verifier.lookup(q, tape[head], comm)
     if n == 2 and quantum:
         _check_head_moves(config, branches, n)
     summed: dict = {}
     for q2, d, sent, w in branches:
-        target = (q2, (head + d) % n, sent)
+        target = (q2, d % 2 if n == 2 else d, sent)
         summed[target] = summed.get(target, 0j) + complex(w)
     targets = list(summed.items())
     smallest = min((abs(w) for _, w in targets), default=0.0)
     return _Column(targets, smallest, *_measure(targets, quantum, verifier.accept, verifier.reject), {})
 
 
-TAPES_PER_VERIFIER = 64  # the tapes whose columns one verifier keeps, the oldest dropped first
-
-
 def _columns(verifier: VerifierSpec, tape: tuple[str, ...]) -> dict:
-    """`verifier`'s own {(state, head, reception): _Column} for `tape`; a faulting column is never stored."""
-    caches = verifier.column_cache
-    if tape not in caches and len(caches) >= TAPES_PER_VERIFIER:
-        del caches[next(iter(caches))]
-    return caches.setdefault(tape, {})
+    """`verifier`'s own {(state, scanned symbol, reception): _Column}, another for the tape of ""; no fault is kept."""
+    return verifier.column_cache.setdefault(len(tape) == 2, {})
 
 
 def _verify_and_measure(
@@ -306,9 +300,11 @@ def _verify_and_measure(
     configuration is summed per tape group, which `_measure` prunes and
     measures; only its live targets become configurations, one class of
     `multiplicity` merged by `records` (`_merge_records`), or none if empty.
-    `columns` caches the columns per (state, head, comm) (`_columns`).
+    `columns` caches the columns per (state, scanned symbol, comm) (`_columns`);
+    a stored target's head is the head plus its move, modulo the tape's length.
     """
     quantum = verifier.is_quantum()
+    n = len(tape)
     sharing: dict = {}  # per tapes: whether another configuration has them too
     for config in state:
         sharing[config.tapes] = config.tapes in sharing
@@ -316,13 +312,13 @@ def _verify_and_measure(
     after = p_acc = p_rej = 0.0
     residual: StateVector = {}
     for config, amp in state.items():
-        key = config[:3]
+        q, head, comm, tapes = config
+        key = q, tape[head], comm
         column = columns.get(key)
         if column is None:
             column = columns[key] = _column(verifier, tape, config, quantum)
-        tapes = config.tapes
         if sharing[tapes] or abs(amp) * column.smallest < PRUNE_TOL:
-            shared.setdefault(tapes, []).append((column, amp))
+            shared.setdefault(tapes, []).append((column, head, amp))
             continue
         scale = amp.real * amp.real + amp.imag * amp.imag if quantum else amp.real
         after += scale * column.total
@@ -333,14 +329,16 @@ def _verify_and_measure(
             live = [amp * w for w in column.live.values()]
             left = sum([(a * a.conjugate()).real for a in live] if quantum else [a.real for a in live], 0.0)
             return after, p_acc, p_rej, left, len(live), [
-                _Class({Configuration._make((*target, tapes)): amp * w for target, w in targets}, multiplicity * count)
+                _Class({Configuration._make((q2, (head + d) % n, sent, tapes)): amp * w
+                        for (q2, d, sent), w in targets}, multiplicity * count)
                 for targets, count in column.grouped(records)]
-        for (q2, head, sent), w in column.live.items():
-            residual[Configuration._make((q2, head, sent, tapes))] = amp * w
+        for (q2, d, sent), w in column.live.items():
+            residual[Configuration._make((q2, (head + d) % n, sent, tapes))] = amp * w
     for tapes, members in shared.items():
         local: dict = {}
-        for column, amp in members:
-            for target, w in column.targets:
+        for column, head, amp in members:
+            for (q2, d, sent), w in column.targets:
+                target = q2, (head + d) % n, sent
                 local[target] = local.get(target, 0j) + amp * w
         kept, acc, rej, live = _measure(local.items(), quantum, verifier.accept, verifier.reject)
         after += kept
@@ -462,7 +460,7 @@ def _rounds(
     uninterrupted run's. A pair may keep a part of its classes'
     configurations, with the residual mass of that part: a sweep resumes so
     without the groups it measured. Every verifier pass reads the verifier's
-    column cache for x (`_columns`).
+    column cache (`_columns`).
     """
     quantum = p.verifier.is_quantum()
     tape = input_tape(x, p.verifier)

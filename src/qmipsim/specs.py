@@ -497,8 +497,8 @@ class VerifierSpec:
     (state', head move, sent tuple, weight). Missing rows are don't-care
     until a populated configuration needs one. `fallback` optionally covers
     whole families of receptions by rule. `column_cache` keeps the engine's
-    columns per input tape across runs, so `rows` must not change in place once
-    the verifier has run: `dataclasses.replace` builds a changed verifier.
+    columns per scanned symbol across runs and inputs, so `rows` must not
+    change in place after a run: `dataclasses.replace` builds a changed verifier.
     """
     mode: str
     states: tuple[str, ...]

@@ -46,6 +46,7 @@ from .specs import (
     guard_states,
     make_track_alphabet,
     parse_track,
+    row_fault,
     strategy_label,
     sum_targets,
     track,
@@ -303,6 +304,9 @@ def reduce_3qip_to_2qip(p: ProtocolSpec) -> ReduceOutput:
     for sym in gamma:
         if parse_track(track(sym, BLANK)) != (sym, BLANK):
             raise ValidationError(f"channel symbol {sym!r} cannot ride on a track symbol")
+    bad = row_fault(v)
+    if bad is not None:
+        raise ValidationError(bad[1])
 
     # [s/r] is track_alphabet[position[s] * m + position[r]], and r XOR record is the symbol
     # with code code[r] ^ code[record]; the size is a power of two, so every XOR lands in the alphabet

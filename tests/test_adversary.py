@@ -7,7 +7,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmipsim import adversary, corpus, engine, specs, transforms
@@ -1411,17 +1411,37 @@ def _guarded_sweeps(draw):
                 (accept + (1.0,),),
                 (into + (h,), accept + (draw(st.sampled_from((h, -h))),)),
             )))
-    p = _guarded(first, rows, {f"acc_{q}" for q in sources}, reject, minted, k)
     relabel = dict(zip(("u", "v"), draw(st.tuples(st.sampled_from(_REPLIES), st.sampled_from(_REPLIES)))))
+    return _guarded_sweep(first, rows, reject, minted, relabel, k)
+
+
+def _guarded_sweep(first, rows, reject, minted, relabel, k):
+    """The `_guarded` protocol that sends `first` from q0, each source with its
+    own accept state, and per prover the logged family: the constants p, z
+    and y and `relabel` of the receptions u and v."""
+    p = _guarded(first, rows, {f"acc_{q}" for q, *_ in first}, reject, minted, k)
     fn = LoggedReplyStrategy("fn", lambda step, recv: [(relabel[recv], 1.0 + 0j)])
     family = tuple(constant_reply(sym) for sym in _REPLIES) + (fn,)
     return p, tuple(StrategyFamily(i + 1, "logged", family) for i in range(k))
 
 
+def _partial_shortcut_sweep():
+    """qa and qc receive u and v; on p, qc's row goes to qa's guard state and
+    qa's half to qc's, which alone rejects. A reply that the guard takes from
+    one group and not the other halts that group while the other group runs."""
+    h = 2 ** -0.5
+    ra, rc = specs.guard_state("rejf", "qa", LEFT_END), specs.guard_state("rejf", "qc", LEFT_END)
+    rows = {
+        ("qc", LEFT_END, ("p",)): ((ra, 1, ("y",), 1.0),),
+        ("qa", LEFT_END, ("p",)): ((rc, 1, ("p",), h), ("acc_qa", 0, (BLANK,), -h)),
+    }
+    return _guarded_sweep((("qc", 0, ("v",), -h), ("qa", 0, ("u",), h)), rows, {rc}, {ra, rc}, {"u": "p", "v": "y"}, 1)
+
+
 def test_guarded_sweeps_with_rows_into_minted_states_match_simulate(monkeypatch):
     # each block's driver round runs the sources of every group that does not
     # take the halted shortcut; across the examples, some block takes it for
-    # some groups and runs the others
+    # some groups and runs the others, as the explicit example always does
     shortcuts = []
     run = adversary._Stage.run
 
@@ -1435,6 +1455,7 @@ def test_guarded_sweeps_with_rows_into_minted_states_match_simulate(monkeypatch)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_guarded_sweeps())
+    @example(case=_partial_shortcut_sweep())
     def sweep_matches(case):
         p, families = case
         runs = []

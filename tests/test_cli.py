@@ -348,17 +348,44 @@ def test_compare_mismatch_is_exit_1(no_comm_file, tmp_path, capsys):
 def test_compare_human_lines(no_comm_file, lift_file, tmp_path, capsys):
     assert main(["compare", no_comm_file, lift_file, "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["no_comm: p_acc=0.500000000000", "no_comm-lift: p_acc=0.500000000000"]
+    assert lines[:2] == [
+        "no_comm: p_acc=0.500000000000 p_rej=0.500000000000 leftover=0.000000000000",
+        "no_comm-lift: p_acc=0.500000000000 p_rej=0.500000000000 leftover=0.000000000000",
+    ]
     assert re.fullmatch(r"difference \d\.\d{3}e-\d+ \(within tolerance 1e-09\)", lines[2])
     assert len(lines) == 3
     other = tmp_path / "always.qmip"
     save_protocol(str(other), corpus.build("always_accept_classical"))
     assert main(["compare", no_comm_file, str(other), "0"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "no_comm: p_acc=0.500000000000",
-        "always_accept_classical: p_acc=1.000000000000",
+        "no_comm: p_acc=0.500000000000 p_rej=0.500000000000 leftover=0.000000000000",
+        "always_accept_classical: p_acc=1.000000000000 p_rej=0.000000000000 leftover=0.000000000000",
         "difference 5.000e-01 (exceeds tolerance 1e-09)",
     ]
+
+
+def test_compare_matches_rejection_and_leftover_too(tmp_path, capsys):
+    # a copy of coinflip_classical whose reject branch waits in w until $:
+    # it accepts as often, but at cutoff 2 its rejecting half is still leftover
+    original = tmp_path / "coinflip_classical.qmip"
+    save_protocol(str(original), corpus.build("coinflip_classical"))
+    text = original.read_text().replace("cutoff = 1", "cutoff = 2")
+    text = text.replace("states = q0 acc rej", "states = q0 acc rej w")
+    rule = "rule = q0 ¢ # -> 1/2 acc +1 # , 1/2 rej +1 #"
+    assert rule in text
+    copy = tmp_path / "copy.qmip"
+    copy.write_text(text.replace(rule, "rule = q0 ¢ # -> 1/2 acc +1 # , 1/2 w +1 #\n"
+                                       "rule = w 0 # -> 1 w +1 #\nrule = w $ # -> 1 rej +1 #"))
+    assert main(["validate", str(copy), "--machine"]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(original), str(copy), "0", "--machine"]) == 1
+    pairs = _machine(capsys)
+    assert {key: pairs[key] for key in ("a.p_acc", "b.p_acc", "a.p_rej", "b.p_rej", "a.leftover", "b.leftover")} == {
+        "a.p_acc": "0.500000000000", "b.p_acc": "0.500000000000",
+        "a.p_rej": "0.500000000000", "b.p_rej": "0.000000000000",
+        "a.leftover": "0.000000000000", "b.leftover": "0.500000000000",
+    }
+    assert (pairs["diff"], pairs["match"]) == ("5.000e-01", "false")
 
 
 def test_corpus_emits_files(tmp_path, capsys):

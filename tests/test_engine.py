@@ -581,7 +581,7 @@ def test_moves_that_collide_on_the_two_cell_tape_are_a_run_fault():
     with pytest.raises(RunFault, match=r"state='q0'.*moves \+1 and -1 both land on .*state='acc'") as fault:
         simulate(_with_eraser(verifier), "")
     # the column raises before it is stored, so a second run raises alike
-    assert ("q0", 0, (BLANK,)) not in engine._columns(verifier, (LEFT_END, RIGHT_END))
+    assert ("q0", LEFT_END, (BLANK,)) not in engine._columns(verifier, (LEFT_END, RIGHT_END))
     with pytest.raises(RunFault) as again:
         simulate(_with_eraser(verifier), "")
     assert str(again.value) == str(fault.value)
@@ -603,6 +603,13 @@ def test_classical_moves_on_the_two_cell_tape_add_their_probabilities():
     result = simulate(_with_eraser(verifier), "")
     assert result.p_accept == pytest.approx(0.6, abs=1e-12)
     assert result.p_reject == pytest.approx(0.4, abs=1e-12)
+    # a live target both moves reach is one configuration, held once by the column
+    rows = {
+        ("q0", LEFT_END, (BLANK,)): (("p", 1, (BLANK,), 0.5), ("p", -1, (BLANK,), 0.5)),
+        ("p", RIGHT_END, (BLANK,)): (("acc", 1, (BLANK,), 1.0),),
+    }
+    run = simulate(_with_eraser(dataclasses.replace(_two_way(rows, ("q0", "p")), mode="2pfa")), "")
+    assert (run.p_accept, [stat.configurations for stat in run.rounds]) == (1.0, [1, 0])
 
 
 def test_a_key_error_in_a_prover_move_is_a_missing_transition():
@@ -909,7 +916,7 @@ def test_a_changed_copy_of_a_warm_verifier_raises_the_round_fault():
     p = _passing(corpus.build("no_comm_reduce"))
     warm = simulate(p, "0")
     key = ("c0", "0", (BLANK, BLANK))
-    assert ("c0", 1, (BLANK, BLANK)) in engine._columns(p.verifier, input_tape("0", p.verifier))
+    assert key in engine._columns(p.verifier, input_tape("0", p.verifier))
     rows = dict(p.verifier.rows)
     rows[key] = tuple((q2, d, sent, 1.2 * w) for q2, d, sent, w in rows[key])
     changed = dataclasses.replace(p, verifier=dataclasses.replace(p.verifier, rows=rows))
@@ -918,16 +925,20 @@ def test_a_changed_copy_of_a_warm_verifier_raises_the_round_fault():
     assert simulate(p, "0") == warm
 
 
-def test_a_verifier_keeps_the_columns_of_its_last_tapes():
-    p = _cold(corpus.build("no_comm"))
-    inputs = ["0" * n for n in range(engine.TAPES_PER_VERIFIER + 2)]
-    for x in inputs:
-        simulate(p, x)
-    caches = p.verifier.column_cache
-    assert len(caches) == engine.TAPES_PER_VERIFIER
-    assert input_tape(inputs[-1], p.verifier) in caches
-    assert input_tape(inputs[0], p.verifier) not in caches
-    assert list(caches) == [input_tape(x, p.verifier) for x in inputs[2:]]
+@pytest.mark.parametrize("ascending", [True, False])
+def test_every_input_reads_the_columns_of_one_cache(ascending, column_builds):
+    # a column is keyed by (state, scanned symbol, reception) and holds head
+    # moves, so one verifier's runs on "" through "1111111" build each of
+    # theirs once, 7 in all (43 when each input tape kept its own), in any
+    # order, and each run is the run of a verifier that starts cold
+    built, lookups = column_builds
+    inputs = ["1" * n for n in range(8)][::1 if ascending else -1]
+    fresh = [repr(simulate(_cold(_reduced_parity_relay()), x)) for x in inputs]
+    built.clear()
+    lookups.clear()
+    p = _cold(_reduced_parity_relay())
+    assert [repr(simulate(p, x)) for x in inputs] == fresh
+    assert len(built) == len(lookups) == 7
 
 
 # ---------------------------------------------------------------- history classes

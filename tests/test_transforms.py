@@ -634,6 +634,16 @@ def test_reduce_preconditions():
         reduce_3qip_to_2qip(no_eraser)
 
 
+def test_reduce_refuses_a_row_that_sends_an_undeclared_symbol():
+    # a hand-built protocol need not be validated; the reduction checks its rows first
+    unified = _unified()
+    key, ((q2, d, sent, w), *rest) = next(iter(unified.verifier.rows.items()))
+    rows = {**unified.verifier.rows, key: ((q2, d, ("zz",) + sent[1:], w), *rest)}
+    bad = dataclasses.replace(unified, verifier=dataclasses.replace(unified.verifier, rows=rows))
+    with pytest.raises(ValidationError, match=re.escape("row sends 'zz' outside communication alphabet 1")):
+        reduce_3qip_to_2qip(bad)
+
+
 def test_reduce_rejects_wide_superpositions():
     unified = _unified()
     key, branches = next(iter(unified.verifier.rows.items()))
