@@ -135,7 +135,10 @@ def symbol_xor(alphabet: Sequence[str]) -> Callable[[str, str], str]:
 # isometry on the basis states it defines; states outside the defined domain
 # raise MissingTransition. Strategies that log history do it at the
 # step-indexed cell, so the write target is fresh on every reachable state
-# and injectivity comes for free. A classical run moves a strategy by its one
+# and injectivity comes for free. Every such write, the wraps' history and
+# stash included, is the one rule `_write_cell`: a blank cell past the inner
+# cells, written by one slice-and-concatenate; only the eraser swaps its cell
+# without the blank rule. A classical run moves a strategy by its one
 # quantum move of amplitude 1 (`_classical_move`) and refuses any other.
 #
 # A strategy class may declare a `record` that its moves store but never read:
@@ -172,11 +175,15 @@ def _classical_move(strategy, step: int, comm: str, tape: Tape) -> tuple[str, Ta
     raise ValidationError(f"strategy {name} moves with amplitude {moves[0][1]!r}, not 1; no classical form")
 
 
-def _write_cell(tape: Tape, idx: int, symbol: str, *who: str) -> Tape:
-    """`tape` with `symbol` in blank cell `idx`; a fault names the writer by `who` joined with spaces.
+def _write_cell(tape: Tape, idx: int, symbol: str, *who: str, head: Tape = (), cut: int = 0) -> Tape:
+    """`tape` with its first `cut` cells replaced by `head` and `symbol` in blank cell `idx`: the one blank-cell write.
 
-    A negative `idx` is past the tape's left end, not a cell counted from its right end.
+    A blank cell past the `cut` inner cells takes one slice-and-concatenate. A fault names the writer by `who`
+    joined with spaces. A negative `idx` is past the tape's left end, not a cell counted from its right end.
     """
+    if len(head) == cut and cut <= idx < len(tape) and tape[idx] == BLANK:
+        return head + tape[cut:idx] + (symbol,) + tape[idx + 1:]
+    tape = head + tape[cut:]
     if not 0 <= idx < len(tape):
         raise SpaceExceeded(f"{' '.join(who)}: tape has {len(tape)} cells, step needs cell {idx}")
     if tape[idx] != BLANK:
@@ -266,7 +273,7 @@ class ReversibleWrapStrategy:
     """A classical table made injective by logging each received symbol.
 
     The wrapped map additionally writes the received symbol at history cell
-    hist_offset + step - 1. Replies are identical to the inner table's.
+    hist_offset + step - 1, past the table's work. Replies are identical to the inner table's.
     """
     inner: ClassicalTableStrategy
     hist_offset: int
@@ -275,15 +282,16 @@ class ReversibleWrapStrategy:
     def __post_init__(self):
         if self.hist_offset < 0:
             raise ValidationError(f"reversible wrap needs a history offset of at least 0, got {self.hist_offset}")
+        if self.hist_offset < self.inner.work:
+            raise ValidationError(
+                f"reversible wrap needs a history offset of at least {self.inner.work}, its table's work, "
+                f"got {self.hist_offset}")
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         reply, new_work = self.inner._lookup(comm, tape)
-        work = self.inner.work
         idx = self.hist_offset + step - 1
-        # a found row's work and the tape's first cells are `work` long; past them the log cell is the tape's
-        if work <= idx < len(tape) and tape[idx] == BLANK:
-            return [((reply, new_work + tape[work:idx] + (comm,) + tape[idx + 1:]), 1.0 + 0j)]
-        return [((reply, _write_cell(new_work + tape[work:], idx, comm, "reversible wrap")), 1.0 + 0j)]
+        logged = _write_cell(tape, idx, comm, "reversible wrap", head=new_work, cut=self.inner.work)
+        return [((reply, logged), 1.0 + 0j)]
 
     apply_classical = _classical_move
 
@@ -307,16 +315,10 @@ class TrackWrapStrategy:
         if parsed is None:
             raise MissingTransition(f"track wrap received non-track symbol {comm!r}")
         upper, lower = parsed
-        offset = self.mask_offset
-        idx = offset + step - 1
-        # stash cell past the inner cells and blank: one slice-and-concatenate logs each inner move of `offset` cells
-        stash = offset <= idx < len(tape) and tape[idx] == BLANK
-        out: QuantumMove = []
+        offset, idx = self.mask_offset, self.mask_offset + step - 1
+        out: QuantumMove = []  # a loop: on Python 3.11 a comprehension builds a closure per call
         for (reply, inner_tape), amp in self.inner.apply_quantum(step, upper, tape[:offset]):
-            if stash and len(inner_tape) == offset:
-                logged = inner_tape + tape[offset:idx] + (lower,) + tape[idx + 1:]
-            else:
-                logged = _write_cell(inner_tape + tape[offset:], idx, lower, "track wrap")
+            logged = _write_cell(tape, idx, lower, "track wrap", head=inner_tape, cut=offset)
             out.append(((track(reply, BLANK), logged), amp))
         return out
 
@@ -432,11 +434,14 @@ def guard_states(prefix: str, keys: Iterable[RowKey]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(guard_state(prefix, q, sigma) for q, sigma, _ in keys))
 
 
+@dataclass(frozen=True)
 class _GuardRule:
     """The one guard rule. Slot i accepts its base symbols as an honest prover
     sends them (`sent`, per guard kind); a reception matches when any slot's
     symbol is not accepted, and (q, sigma) goes to the reject state named by
     `guard_state` when the verifier declares it."""
+    slot_bases: tuple[tuple[str, ...], ...]
+    known_states: frozenset[str]
 
     def __post_init__(self):
         object.__setattr__(self, "accepted", tuple(frozenset(map(self.sent, base)) for base in self.slot_bases))
@@ -460,22 +465,16 @@ class _GuardRule:
         return ((name, 1, comm, 1.0 + 0j),)
 
 
-@dataclass(frozen=True)
 class TrackGuard(_GuardRule):
     """Accepts only [sigma/#] with sigma in the slot's base set, as `TrackWrapStrategy` replies."""
-    slot_bases: tuple[tuple[str, ...], ...]
-    known_states: frozenset[str]
     prefix: ClassVar[str] = "rejt"
     kind: ClassVar[str] = "track-guard"
     sent = staticmethod(functools.partial(track, lower=BLANK))
     emit = _GuardRule.emit  # one per class: the bench tracer patches `emit` on each guard class
 
 
-@dataclass(frozen=True)
 class ForeignGuard(_GuardRule):
     """Accepts only the symbols of its slot's original alphabet."""
-    slot_bases: tuple[tuple[str, ...], ...]
-    known_states: frozenset[str]
     prefix: ClassVar[str] = "rejf"
     kind: ClassVar[str] = "foreign-guard"
     sent = staticmethod(lambda symbol: symbol)

@@ -196,15 +196,9 @@ def lift_2ip_to_3qip(p: ProtocolSpec) -> LiftOutput:
         q, sigma, comm = key
         log = log_symbols[key]
         merged = _merge_targets(branches)
-        if len(merged) == 1:
-            (q2, d, sent, _), = merged
-            lifted = ((q2, d, sent + (log,), 1.0 + 0j),)
-        else:
-            lifted = tuple(
-                (q2, d, sent + (log,), complex(SQRT_HALF)) for (q2, d, sent, _) in merged
-            )
+        w = 1.0 + 0j if len(merged) == 1 else complex(SQRT_HALF)
         new_key = (q, sigma, comm + (BLANK,))
-        rows[new_key] = lifted
+        rows[new_key] = tuple((q2, d, sent + (log,), w) for (q2, d, sent, _) in merged)
         provenance[new_key] = key
 
     verifier = _guarded(

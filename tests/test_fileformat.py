@@ -189,6 +189,16 @@ def test_a_signed_wrap_offset_is_refused(stage, wrap, signed):
         parse_protocol(text.replace(f" {wrap}\n", f" {signed}\n"))
 
 
+def test_a_history_offset_inside_the_table_work_is_refused():
+    # reversible:0 over the relay's one work cell once loaded, validated and logged its
+    # step-1 reception into the cell the table reads at step 2
+    text = _relay_text("lifted")
+    assert " reversible:1\n" in text
+    refusal = r"^reversible wrap needs a history offset of at least 1, its table's work, got 0$"
+    with pytest.raises(ValidationError, match=refusal):
+        parse_protocol(text.replace(" reversible:1\n", " reversible:0\n"))
+
+
 def test_a_channel_alphabet_one_symbol_off_parses_as_its_own():
     # the reader splits each distinct alphabet field once; a near-copy is distinct
     p = corpus.build("no_comm_reduce")

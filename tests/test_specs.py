@@ -362,6 +362,19 @@ def test_wrappers_refuse_a_negative_offset():
     wrap = lift_2ip_to_3qip(corpus.parity_relay()).protocol.provers[0].strategy
     with pytest.raises(ValidationError, match="history offset of at least 0, got -1"):
         dataclasses.replace(wrap, hist_offset=-1)
+    # an offset inside the table's work logs step 1 into the cell step 2 reads: the table
+    # replies x, x on receptions a, #, a wrap at offset 0 replied x, y
+    table = ClassicalTableStrategy(work=1, rows={
+        ("a", (BLANK,)): ("x", (BLANK,)), (BLANK, (BLANK,)): ("x", (BLANK,)), (BLANK, ("a",)): ("y", ("a",))})
+    tape = (BLANK,) * 3
+    assert table.apply_classical(2, BLANK, table.apply_classical(1, "a", tape)[1])[0] == "x"
+    wrapped = ReversibleWrapStrategy(inner=table, hist_offset=1)
+    assert wrapped.apply_classical(2, BLANK, wrapped.apply_classical(1, "a", tape)[1]) == ("x", (BLANK, "a", BLANK))
+    refusal = r"^reversible wrap needs a history offset of at least 1, its table's work, got 0$"
+    with pytest.raises(ValidationError, match=refusal):
+        ReversibleWrapStrategy(inner=table, hist_offset=0)
+    with pytest.raises(ValidationError, match=refusal):
+        dataclasses.replace(wrap, hist_offset=0)
 
 
 def test_unitary_table_steps():
