@@ -452,11 +452,9 @@ def _rounds(
     every class with it; each class's verifier pass leaves its residual
     merged by the records into classes of its own (`_verify_and_measure`),
     so a round may hold several. A class's checks sum its state before the
-    move (`_mass`), except a round's one class of multiplicity 1: its state
-    is the residual whose mass the round before summed. The last round
-    yielded is `p.cutoff`'s or the first whose residual mass is at most
-    PRUNE_TOL. Round j+1 is built only when the caller asks for it, from the
-    provers' strategies as they are then.
+    move (`_mass`). The last round yielded is `p.cutoff`'s or the first
+    whose residual mass is at most PRUNE_TOL. Round j+1 is built only when
+    the caller asks for it, from the provers' strategies as they are then.
     `after` resumes from a pair yielded by a run with these records or none,
     round 0 (the initial state) by default; the rounds that follow are the
     uninterrupted run's. A pair may keep a part of its classes'
@@ -487,8 +485,7 @@ def _rounds(
                 apply_sparse_operator(move, state) if move else state, p.verifier, tape, columns, records, multiplicity)
             survivors += classes
             # the verifier pass checks both stages against the class's mass before the move
-            _check_round(j, before if len(last) == 1 == multiplicity else _mass(state, quantum),
-                         after_mass, acc, rej, left)
+            _check_round(j, _mass(state, quantum), after_mass, acc, rej, left)
             p_acc += multiplicity * acc
             p_rej += multiplicity * rej
             residual_mass += multiplicity * left

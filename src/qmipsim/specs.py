@@ -283,15 +283,13 @@ class ReversibleWrapStrategy:
         if self.hist_offset < 0:
             raise ValidationError(f"reversible wrap needs a history offset of at least 0, got {self.hist_offset}")
         if self.hist_offset < self.inner.work:
-            raise ValidationError(
-                f"reversible wrap needs a history offset of at least {self.inner.work}, its table's work, "
-                f"got {self.hist_offset}")
+            raise ValidationError(f"reversible wrap needs a history offset of at least {self.inner.work}, "
+                                  f"its table's work, got {self.hist_offset}")
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
-        reply, new_work = self.inner._lookup(comm, tape)
+        reply, work = self.inner._lookup(comm, tape)
         idx = self.hist_offset + step - 1
-        logged = _write_cell(tape, idx, comm, "reversible wrap", head=new_work, cut=self.inner.work)
-        return [((reply, logged), 1.0 + 0j)]
+        return [((reply, _write_cell(tape, idx, comm, "reversible wrap", head=work, cut=self.inner.work)), 1.0 + 0j)]
 
     apply_classical = _classical_move
 
@@ -465,6 +463,7 @@ class _GuardRule:
         return ((name, 1, comm, 1.0 + 0j),)
 
 
+@dataclass(frozen=True)
 class TrackGuard(_GuardRule):
     """Accepts only [sigma/#] with sigma in the slot's base set, as `TrackWrapStrategy` replies."""
     prefix: ClassVar[str] = "rejt"
@@ -473,6 +472,7 @@ class TrackGuard(_GuardRule):
     emit = _GuardRule.emit  # one per class: the bench tracer patches `emit` on each guard class
 
 
+@dataclass(frozen=True)
 class ForeignGuard(_GuardRule):
     """Accepts only the symbols of its slot's original alphabet."""
     prefix: ClassVar[str] = "rejf"

@@ -1142,9 +1142,12 @@ def test_a_round_of_one_configuration_sums_its_residual_once(monkeypatch, build,
     assert result.halted_round == len(x) + 2
     if build is _lifted_parity_relay:
         assert [(r.configurations, r.stored) for r in result.rounds] == [(1, 1)] * 4 + [(0, 0)]
-        # one sum per round, its pass's of its residual: the check reuses the sum of the round
-        # before (or the initial mass) for the class before the move, and sums no moved state
-        assert len(summed) == len(result.rounds)
+        # two sums per round: its pass's of its residual, then its check's of the class before
+        # the move, the residual the round before left (or the initial state); no check sums
+        # the moved state
+        assert len(summed) == 2 * len(result.rounds)
+        residuals, checked = summed[0::2], summed[1::2]
+        assert all(state is residual for state, residual in zip(checked[1:], residuals))
 
 
 def _reference_merge(cls, split):

@@ -709,6 +709,18 @@ def test_guards_accept_their_bases_as_each_kind_writes_them():
     assert v.lookup("q0", LEFT_END, ("[#/#]",)) == (("rejt[q0|¢]", 1, ("[#/#]",), 1.0 + 0j),)
 
 
+@pytest.mark.parametrize("cls", [TrackGuard, ForeignGuard])
+def test_a_guard_is_frozen(cls):
+    # `accepted` is derived from `slot_bases` once; neither a field nor a derived set can be rebound
+    guard = cls(slot_bases=(("#", "g"),), known_states=frozenset())
+    for name in ("slot_bases", "accepted", "prefix"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(guard, name, ())
+    assert guard == cls(slot_bases=(("#", "g"),), known_states=frozenset())
+    assert guard != (TrackGuard if cls is ForeignGuard else ForeignGuard)(
+        slot_bases=guard.slot_bases, known_states=guard.known_states)
+
+
 # ---------------------------------------------------------------- validation
 
 
