@@ -38,13 +38,16 @@ branches with Born weights (`_Forced`, declared `measured`), and the run
 goes through the engine's round driver like any classical run. Each view
 (step, received symbol, tape) is measured once per derandomization, and the
 runs, the candidate replies and the pins all read that table; a pinned view
-moves by the pinned reply's move with weight 1. Picking, per reachable view,
-the candidate with the smallest aggregate rejection mass can only help the
-provers at each replacement, which gives the dominance guarantee. Each
-candidate reply is scored by resuming the driver from the walk's current
-round. The quantum run, the walk, every candidate's resumed rounds and the
-final deterministic run read the verifier's one column cache; their
-strategies read their tapes and declare no `record`, so no run merges histories.
+moves by the pinned reply's move with weight 1. The distilled tables log
+each reception (`specs.log_reception`), so every measured move must write
+its view's logged tape; a strategy that writes any other is refused.
+Picking, per reachable view, the candidate with the smallest aggregate
+rejection mass can only help the provers at each replacement, which gives
+the dominance guarantee. Each candidate reply is scored by resuming the
+driver from the walk's current round. The quantum run, the walk, every
+candidate's resumed rounds and the final deterministic run read the
+verifier's one column cache; their strategies read their tapes and declare
+no `record`, so no run merges histories.
 """
 from __future__ import annotations
 
@@ -65,6 +68,7 @@ from .specs import (
     ProverSpec,
     constant_reply,
     echo_reply,
+    log_reception,
     make_track_alphabet,
     parse_track,
     rotation_reply,
@@ -487,13 +491,13 @@ class _Forced:
     probabilistic branches, so the strategy is `measured`. Each view (step,
     received, tape) is measured once, into `born`, which the run and
     derandomization's candidates and pins all read: a strategy's moves must
-    depend only on its view. Amplitudes are summed per (reply, tape), so a
-    reply whose amplitudes cancel has no move. The tape per reply must be a
-    single basis tape, which holds for every strategy here (tape updates
-    only log the received symbol); a strategy that entangles its tape with
-    the reply has no deterministic shadow. A pinned view moves by the pinned
-    reply's one move with weight 1. The pinning dict is shared and read
-    live, so choices accumulate in place.
+    depend only on its view. Amplitudes are summed per reply, so a reply
+    whose amplitudes cancel has no move. Every move must write the view's
+    logged tape (`log_reception`), the one tape `DerandomizedStrategy`
+    replays; a move that writes any other tape, such as a work cell or a
+    tape entangled with the reply, is refused as `Unbounded`. A pinned view
+    moves by the pinned reply's one move with weight 1. The pinning dict is
+    shared and read live, so choices accumulate in place.
     """
     kind = "forced"
     measured = True
@@ -508,17 +512,15 @@ class _Forced:
         view = (step, comm, tape)
         moves = self.born.get(view)
         if moves is None:
-            groups: dict[str, dict[tuple, complex]] = {}
+            logged = log_reception(tape, step, comm, "strategy", self.label)
+            amps: dict[str, complex] = {}
             for (reply, new_tape), amp in self.base.apply_quantum(step, comm, tape):
-                tapes = groups.setdefault(reply, {})
-                tapes[new_tape] = tapes.get(new_tape, 0j) + complex(amp)
-            moves = []
-            for reply, tapes in sorted(groups.items()):
-                live = [(t, a) for t, a in tapes.items() if abs(a) > AMPLITUDE_TOL]
-                if len(live) > 1:
-                    raise Unbounded(f"strategy {self.label} entangles its tape with the reply at step {step}")
-                for new_tape, amp in live:
-                    moves.append(((reply, new_tape), (amp * amp.conjugate()).real))
+                if new_tape != logged:
+                    raise Unbounded(f"strategy {self.label} writes {new_tape} at step {step}, "
+                                    f"not its logged tape {logged}")
+                amps[reply] = amps.get(reply, 0j) + complex(amp)
+            moves = [((reply, logged), (a * a.conjugate()).real)
+                     for reply, a in sorted(amps.items()) if abs(a) > AMPLITUDE_TOL]
             self.born[view] = moves
         pinned = self.fixed.get(view)
         if pinned is None:

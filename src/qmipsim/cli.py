@@ -42,9 +42,10 @@ def _rowkey_str(key) -> str:
     return f"{q} {sigma} | " + " ".join(comm)
 
 
-def _write_provenance(path: str, source: ProtocolSpec, out: ProtocolSpec, **maps) -> None:
-    """The provenance JSON of a transform from `source` to `out`, with its row maps."""
-    doc = {"source": source.name, "protocol": out.name, **maps}
+def _write_provenance(path: str, source: ProtocolSpec, out, **maps) -> None:
+    """The provenance JSON of the transform output `out` from `source`: its rows' sources, then `maps`."""
+    rows = {_rowkey_str(k): _rowkey_str(v) for k, v in out.row_provenance.items()}
+    doc = {"source": source.name, "protocol": out.protocol.name, "rows": rows, **maps}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, ensure_ascii=False)
 
@@ -124,11 +125,7 @@ def cmd_lift(args) -> int:
         if out.protocol.provers[i].strategy is not p.provers[i].strategy
     ]
     if args.provenance:
-        _write_provenance(
-            args.provenance, p, out.protocol,
-            rows={_rowkey_str(k): _rowkey_str(v) for k, v in out.row_provenance.items()},
-            log_symbols={_rowkey_str(k): v for k, v in out.log_symbols.items()},
-        )
+        _write_provenance(args.provenance, p, out, log_symbols={_rowkey_str(k): v for k, v in out.log_symbols.items()})
     if args.machine:
         print(f"name={out.protocol.name}")
         print(f"rows={len(out.protocol.verifier.rows)}")
@@ -156,11 +153,7 @@ def cmd_reduce(args) -> int:
         out = reduce_3qip_to_2qip(p)
     save_protocol(args.output, out.protocol)
     if args.provenance:
-        _write_provenance(
-            args.provenance, p, out.protocol,
-            rows={_rowkey_str(k): _rowkey_str(v) for k, v in out.row_provenance.items()},
-            dropped=[_rowkey_str(k) for k in out.dropped_rows],
-        )
+        _write_provenance(args.provenance, p, out, dropped=[_rowkey_str(k) for k in out.dropped_rows])
     alphabet = len(out.protocol.verifier.comm_alphabets[0])
     if args.machine:
         print(f"name={out.protocol.name}")

@@ -155,46 +155,19 @@ def _side(symbol: str, cells) -> str:
     return _check_token(symbol, "symbol") + (" | " + _symbols(cells) if cells else "")
 
 
+# Each wrap's file name, class and offset field. A wrap line lists its wraps innermost first.
+_WRAPS = {"reversible": (ReversibleWrapStrategy, "hist_offset"), "masked": (TrackWrapStrategy, "mask_offset")}
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Lines:
-    """Sectioned key/value lines with positions, strictly validated later."""
-
-    def __init__(self, text: str):
-        header_seen = False
-        self.top: list[tuple[int, str, str]] = []
-        self.sections: list[tuple[int, str, list[tuple[int, str, str]]]] = []
-        current = self.top
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line[0] == ";":
-                continue
-            if not header_seen:
-                if line != FORMAT_HEADER:
-                    raise SpecFileError(f"line {lineno}: expected {FORMAT_HEADER!r}, got {line!r}")
-                header_seen = True
-                continue
-            if line[0] == "[" and line[-1] == "]":
-                name = line[1:-1].strip()
-                current = []
-                self.sections.append((lineno, name, current))
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise SpecFileError(f"line {lineno}: expected key = value, got {line!r}")
-            current.append((lineno, key.strip(), value.strip()))
-        if not header_seen:
-            raise SpecFileError(f"empty file; expected {FORMAT_HEADER!r}")
-
-
 class _Section:
-    def __init__(self, label: str, entries: list[tuple[int, str, str]]):
+    """One section's key/value lines by key, with the keys read so far."""
+
+    def __init__(self, label: str = ""):
         self.label = label
-        self.entries = entries
         self.by_key: dict[str, list[tuple[int, str]]] = {}
-        for lineno, key, value in entries:
-            self.by_key.setdefault(key, []).append((lineno, value))
         self.used: set[str] = set()
 
     def one(self, key: str, required: bool = True) -> str | None:
@@ -213,9 +186,36 @@ class _Section:
         return self.by_key.get(key, [])
 
     def check_no_strays(self) -> None:
-        for lineno, key, _ in self.entries:
+        # keys sit in the order of their first lines, so the first unread key is the earliest
+        for key, hits in self.by_key.items():
             if key not in self.used:
-                raise SpecFileError(f"line {lineno}: unknown key {key!r} in {self.label}")
+                raise SpecFileError(f"line {hits[0][0]}: unknown key {key!r} in {self.label}")
+
+
+def _sections(text: str) -> tuple[_Section, list[tuple[int, str, _Section]]]:
+    """The header section and each [name] section with its line, read in one pass."""
+    top = current = None
+    sections = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == ";":
+            continue
+        if current is None:
+            if line != FORMAT_HEADER:
+                raise SpecFileError(f"line {lineno}: expected {FORMAT_HEADER!r}, got {line!r}")
+            top = current = _Section("header")
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            current = _Section()
+            sections.append((lineno, line[1:-1].strip(), current))
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise SpecFileError(f"line {lineno}: expected key = value, got {line!r}")
+        current.by_key.setdefault(key.strip(), []).append((lineno, value.strip()))
+    if top is None:
+        raise SpecFileError(f"empty file; expected {FORMAT_HEADER!r}")
+    return top, sections
 
 
 def _tokens(value: str) -> tuple[str, ...]:
@@ -238,6 +238,20 @@ def _split_arrow(lineno: int, value: str, what: str) -> tuple[str, str]:
     if not arrow or " -> " in body:
         raise SpecFileError(f"line {lineno}: {what} needs exactly one ' -> '")
     return head, body
+
+
+def _put(table: dict, key, value, lineno: int, what: str) -> None:
+    """table[key] = value, refusing a second `what` line for the same key."""
+    if key in table:
+        raise SpecFileError(f"line {lineno}: duplicate {what} for {key}")
+    table[key] = value
+
+
+def _sized(cells: tuple[str, ...], n: int, lineno: int, what: str) -> tuple[str, ...]:
+    """cells, refusing a `what` whose length is not n."""
+    if len(cells) != n:
+        raise SpecFileError(f"line {lineno}: {what} must have length {n}")
+    return cells
 
 
 def _parse_rule(lineno: int, value: str, k: int):
@@ -296,12 +310,8 @@ def _parse_strategy(sec: _Section, space: int):
             source, target = _split_arrow(lineno, value, "row")
             recv, cells = _split_side(lineno, source, "row source")
             reply, new_cells = _split_side(lineno, target, "row target")
-            if len(cells) != work or len(new_cells) != work:
-                raise SpecFileError(f"line {lineno}: row work cells must have length {work}")
-            key = (recv, cells)
-            if key in rows:
-                raise SpecFileError(f"line {lineno}: duplicate row for {key}")
-            rows[key] = (reply, new_cells)
+            _put(rows, (recv, _sized(cells, work, lineno, "row work cells")),
+                 (reply, _sized(new_cells, work, lineno, "row work cells")), lineno, "row")
         strategy = ClassicalTableStrategy(work=work, rows=rows)
     elif kind == "unitary":
         work = _parse_int(sec.one("work"), sec.label)
@@ -310,20 +320,14 @@ def _parse_strategy(sec: _Section, space: int):
             head, body = _split_arrow(lineno, value, "urow")
             step_tok, recv, cells = _split_stepped(lineno, head, "urow head")
             step = None if step_tok == "*" else _parse_int(step_tok, f"line {lineno}")
-            if len(cells) != work:
-                raise SpecFileError(f"line {lineno}: urow work cells must have length {work}")
+            _sized(cells, work, lineno, "urow work cells")
             moves = []
             for chunk in body.split(" , "):
                 amp_tok, _, rest = chunk.strip().partition(" ")
                 amp = parse_weight(amp_tok, f"line {lineno}: ")
                 reply, new_cells = _split_side(lineno, rest, "urow target")
-                if len(new_cells) != work:
-                    raise SpecFileError(f"line {lineno}: urow work cells must have length {work}")
-                moves.append(((reply, new_cells), amp))
-            table = steps.setdefault(step, {})
-            if (recv, cells) in table:
-                raise SpecFileError(f"line {lineno}: duplicate urow for {(recv, cells)}")
-            table[(recv, cells)] = moves
+                moves.append(((reply, _sized(new_cells, work, lineno, "urow work cells")), amp))
+            _put(steps.setdefault(step, {}), (recv, cells), moves, lineno, "urow")
         strategy = UnitaryTableStrategy(work=work, steps=steps)
     elif kind == "choices":
         choices = {}
@@ -333,43 +337,34 @@ def _parse_strategy(sec: _Section, space: int):
                 raise SpecFileError(f"line {lineno}: choice head needs 'step symbol | tape'")
             step_tok, recv, tape = _split_stepped(lineno, head, "choice head")
             step = _parse_int(step_tok, f"line {lineno}")
-            if len(tape) != space:
-                raise SpecFileError(f"line {lineno}: choice tape must have length {space}")
+            _sized(tape, space, lineno, "choice tape")
             reply = reply.strip()
             if len(reply.split()) != 1:
                 raise SpecFileError(f"line {lineno}: choice target must be one symbol")
-            key = (step, recv, tape)
-            if key in choices:
-                raise SpecFileError(f"line {lineno}: duplicate choice for {key}")
-            choices[key] = reply
+            _put(choices, (step, recv, tape), reply, lineno, "choice")
         strategy = DerandomizedStrategy(choices=choices)
     else:
         raise SpecFileError(f"{sec.label}: unknown strategy {kind!r}")
 
-    wrap = sec.one("wrap", required=False)
-    if wrap:
-        for item in wrap.split():
-            name, _, offset = item.partition(":")
-            if not _INT_RE.match(offset or ""):
-                raise SpecFileError(f"{sec.label}: wrap item {item!r} needs name:offset")
-            if offset[0] in "+-":
-                raise SpecFileError(f"{sec.label}: wrap item {item!r} has a signed offset; write the cell index")
-            if name == "reversible":
-                if not isinstance(strategy, ClassicalTableStrategy):
-                    raise SpecFileError(f"{sec.label}: reversible wrap needs a plain table inside")
-                strategy = ReversibleWrapStrategy(inner=strategy, hist_offset=int(offset))
-            elif name == "masked":
-                strategy = TrackWrapStrategy(inner=strategy, mask_offset=int(offset))
-            else:
-                raise SpecFileError(f"{sec.label}: unknown wrap {name!r}")
+    for item in (sec.one("wrap", required=False) or "").split():
+        name, _, offset = item.partition(":")
+        if not _INT_RE.match(offset):
+            raise SpecFileError(f"{sec.label}: wrap item {item!r} needs name:offset")
+        if offset[0] in "+-":
+            raise SpecFileError(f"{sec.label}: wrap item {item!r} has a signed offset; write the cell index")
+        if name not in _WRAPS:
+            raise SpecFileError(f"{sec.label}: unknown wrap {name!r}")
+        cls, field = _WRAPS[name]
+        if cls is ReversibleWrapStrategy and not isinstance(strategy, ClassicalTableStrategy):
+            raise SpecFileError(f"{sec.label}: {name} wrap needs a plain table inside")
+        strategy = cls(inner=strategy, **{field: int(offset)})
     return strategy
 
 
 def parse_protocol(text: str) -> ProtocolSpec:
-    lines = _Lines(text)
+    top, sections = _sections(text)
     # per parse: transformed protocols repeat one long alphabet field on up to six lines
     tokens = lru_cache(maxsize=None)(_tokens)
-    top = _Section("header", lines.top)
     name = top.one("name")
     mode = top.one("mode")
     k = _parse_int(top.one("provers"), "header")
@@ -382,17 +377,18 @@ def parse_protocol(text: str) -> ProtocolSpec:
 
     verifier_sec = None
     prover_secs: dict[int, _Section] = {}
-    for lineno, secname, entries in lines.sections:
+    for lineno, secname, sec in sections:
         if secname == "verifier":
             if verifier_sec is not None:
                 raise SpecFileError(f"line {lineno}: duplicate [verifier] section")
-            verifier_sec = _Section("[verifier]", entries)
+            sec.label = "[verifier]"
+            verifier_sec = sec
         elif secname.startswith("prover "):
-            idx_tok = secname[len("prover "):]
-            idx = _parse_int(idx_tok, f"line {lineno}")
+            idx = _parse_int(secname[len("prover "):], f"line {lineno}")
             if idx in prover_secs:
                 raise SpecFileError(f"line {lineno}: duplicate [prover {idx}] section")
-            prover_secs[idx] = _Section(f"[prover {idx}]", entries)
+            sec.label = f"[prover {idx}]"
+            prover_secs[idx] = sec
         else:
             raise SpecFileError(f"line {lineno}: unknown section [{secname}]")
     if verifier_sec is None:
@@ -410,10 +406,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
         comm_alphabets.append(tokens(verifier_sec.one(f"comm-{i}")))
     rows = {}
     for lineno, value in verifier_sec.many("rule"):
-        key, branches = _parse_rule(lineno, value, k)
-        if key in rows:
-            raise SpecFileError(f"line {lineno}: duplicate rule for {key}")
-        rows[key] = branches
+        _put(rows, *_parse_rule(lineno, value, k), lineno, "rule")
 
     fallback = None
     fb = verifier_sec.one("fallback", required=False)
@@ -470,12 +463,11 @@ def parse_protocol(text: str) -> ProtocolSpec:
 def _strategy_lines(strategy, space: int) -> list[str]:
     wraps = []
     while True:
-        if isinstance(strategy, TrackWrapStrategy):
-            wraps.append(f"masked:{strategy.mask_offset}")
-            strategy = strategy.inner
-        elif isinstance(strategy, ReversibleWrapStrategy):
-            wraps.append(f"reversible:{strategy.hist_offset}")
-            strategy = strategy.inner
+        for name, (cls, field) in _WRAPS.items():
+            if isinstance(strategy, cls):
+                wraps.append(f"{name}:{getattr(strategy, field)}")
+                strategy = strategy.inner
+                break
         else:
             break
     wraps.reverse()

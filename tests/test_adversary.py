@@ -1643,6 +1643,24 @@ def test_derandomize_refuses_tape_entangling_strategies():
         )
 
 
+def test_the_honest_relay_derandomizes_where_it_writes_only_its_log():
+    # on "" the relay's table writes only blanks, which is the logged tape
+    p = corpus.build("parity_relay")
+    det, report = derandomize_provers(p, "", [prover.strategy for prover in p.provers])
+    assert report.decisions == 2
+    assert report.derandomized_p_reject == report.quantum_p_reject == 0.0
+    assert simulate(adversary._trial(p, det, p.cutoff), "").p_reject == 0.0
+
+
+@pytest.mark.parametrize("x", ["1", "11"])
+def test_derandomize_refuses_moves_that_write_past_the_log(x):
+    # the relay keeps its parity in work cell 0, so at the first ping (step 2) it
+    # writes a tape that is not the log, which the derandomized table would replay
+    p = corpus.build("parity_relay")
+    with pytest.raises(Unbounded, match="at step 2, not its logged tape"):
+        derandomize_provers(p, x, [prover.strategy for prover in p.provers])
+
+
 def test_derandomize_decision_cap():
     p = corpus.build("parity_relay")
     strategies = (rotation_reply(BLANK, "1"), constant_reply(BLANK))

@@ -215,6 +215,8 @@ def test_lift_writes_output_and_provenance(no_comm_file, tmp_path, capsys):
     lifted = load_protocol(str(out_path))
     assert lifted == corpus.build("no_comm_lift")
     prov = json.loads(prov_path.read_text())
+    assert list(prov) == ["source", "protocol", "rows", "log_symbols"]
+    assert (prov["source"], prov["protocol"]) == ("no_comm", "no_comm-lift")
     assert len(prov["rows"]) == 9
     assert len(prov["log_symbols"]) == 9
 
@@ -247,6 +249,10 @@ def test_reduce_auto_unifies(lift_file, tmp_path, capsys):
     reduced = load_protocol(str(out_path))
     assert reduced == corpus.build("no_comm_reduce")
     prov = json.loads(prov_path.read_text())
+    # the source is the automatically unified protocol the reduction read
+    assert list(prov) == ["source", "protocol", "rows", "dropped"]
+    assert (prov["source"], prov["protocol"]) == ("no_comm-lift-unified", "no_comm-lift-reduce")
+    assert len(prov["rows"]) == 9
     assert len(prov["dropped"]) == 0
 
 

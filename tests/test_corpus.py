@@ -5,7 +5,7 @@ import pytest
 from qmipsim import corpus
 from qmipsim.engine import simulate
 
-from qmipsim.fileformat import load_protocol
+from qmipsim.fileformat import load_protocol, serialize_protocol
 from qmipsim.specs import check_well_formed, validate_protocol
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -52,6 +52,8 @@ def test_shipped_snapshot_matches_builders(name):
     path = REPO / "protocols" / f"{name}.qmip"
     assert path.exists(), "regenerate with: qmipsim corpus protocols"
     assert load_protocol(str(path)) == corpus.build(name)
+    # byte for byte: a writer change that still round-trips would pass the check above
+    assert path.read_text(encoding="utf-8") == serialize_protocol(corpus.build(name))
 
 
 def test_emit_writes_requested_names(tmp_path):
