@@ -1,12 +1,13 @@
 """Command line interface.
 
 One protocol file in, one action per process. Exit codes: 0 success,
-1 comparison mismatch, 2 file or syntax problems, 3 validation failures,
-4 faults during a run (missing transitions, blown limits).
+1 comparison mismatch, 2 a file that cannot be read, written or parsed,
+3 validation failures, 4 faults during a run (missing transitions, blown
+limits).
 
 The last stdout line of `run` is always `p_acc=<value>` with nine decimal
-places; `--machine` switches every command to stable key=value lines for
-scripting.
+places; `--machine` switches every command but `corpus` to stable
+key=value lines for scripting.
 """
 from __future__ import annotations
 
@@ -312,9 +313,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, ValidationError, RunFault) as exc:
+    except (SpecFileError, OSError, ValidationError, RunFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, SpecFileError) else 3 if isinstance(exc, ValidationError) else 4
+        return 2 if isinstance(exc, (SpecFileError, OSError)) else 3 if isinstance(exc, ValidationError) else 4
 
 
 if __name__ == "__main__":

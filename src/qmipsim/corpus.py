@@ -36,26 +36,28 @@ def _mute_prover(index: int, comm: tuple[str, ...]) -> ProverSpec:
     return ProverSpec(index=index, comm_alphabet=comm, tape_alphabet=(BLANK,), space=0, strategy=table)
 
 
-def _one_row(name: str, mode: str, branches: tuple, threshold: float) -> ProtocolSpec:
-    """A one-prover machine whose one row, at the left endmarker, halts through `branches`."""
+def _machine(name: str, mode: str, states: tuple[str, ...], symbol: str, rows: dict,
+             provers: tuple[ProverSpec, ...], *, a: float, b: float, cutoff: int) -> ProtocolSpec:
+    """The protocol whose verifier starts in `states[0]`, halts in acc and rej, reads
+    `symbol` and listens on the provers' channel alphabets."""
     verifier = VerifierSpec(
         mode=mode,
-        states=("q0", "acc", "rej"),
-        initial="q0",
+        states=states,
+        initial=states[0],
         accept=frozenset({"acc"}),
         reject=frozenset({"rej"}),
-        input_alphabet=("0",),
-        comm_alphabets=((BLANK,),),
-        rows={("q0", "¢", (BLANK,)): branches},
+        input_alphabet=(symbol,),
+        comm_alphabets=tuple(pr.comm_alphabet for pr in provers),
+        rows=rows,
     )
-    return ProtocolSpec(
-        name=f"{name}_{'classical' if mode.endswith('pfa') else 'quantum'}",
-        verifier=verifier,
-        provers=(_mute_prover(1, (BLANK,)),),
-        a=threshold,
-        b=threshold,
-        cutoff=1,
-    )
+    return ProtocolSpec(name=name, verifier=verifier, provers=provers, a=a, b=b, cutoff=cutoff)
+
+
+def _one_row(name: str, mode: str, branches: tuple, threshold: float) -> ProtocolSpec:
+    """A one-prover machine whose one row, at the left endmarker, halts through `branches`."""
+    return _machine(f"{name}_{'classical' if mode.endswith('pfa') else 'quantum'}", mode, ("q0", "acc", "rej"), "0",
+                    {("q0", "¢", (BLANK,)): branches}, (_mute_prover(1, (BLANK,)),),
+                    a=threshold, b=threshold, cutoff=1)
 
 
 @lru_cache(maxsize=None)
@@ -94,24 +96,8 @@ def no_communication() -> ProtocolSpec:
         rows[("c0", sigma, ("g", BLANK))] = (("rej", 1, (BLANK, BLANK), one),)
         rows[("c1", sigma, (BLANK, BLANK))] = (("rej", 1, (BLANK, BLANK), one),)
         rows[("c1", sigma, ("g", BLANK))] = (("acc", 1, (BLANK, BLANK), one),)
-    verifier = VerifierSpec(
-        mode="2pfa",
-        states=("q0", "c0", "c1", "acc", "rej"),
-        initial="q0",
-        accept=frozenset({"acc"}),
-        reject=frozenset({"rej"}),
-        input_alphabet=("0",),
-        comm_alphabets=((BLANK, "g"), (BLANK,)),
-        rows=rows,
-    )
-    return ProtocolSpec(
-        name="no_comm",
-        verifier=verifier,
-        provers=(_mute_prover(1, (BLANK, "g")), _mute_prover(2, (BLANK,))),
-        a=0.5,
-        b=0.5,
-        cutoff=2,
-    )
+    return _machine("no_comm", "2pfa", ("q0", "c0", "c1", "acc", "rej"), "0", rows,
+                    (_mute_prover(1, (BLANK, "g")), _mute_prover(2, (BLANK,))), a=0.5, b=0.5, cutoff=2)
 
 
 @lru_cache(maxsize=None)
@@ -135,16 +121,6 @@ def parity_relay() -> ProtocolSpec:
     for gamma in (BLANK, "1"):
         rows[("e", "1", (gamma, BLANK))] = (("o", 1, ("1", BLANK), one),)
         rows[("o", "1", (gamma, BLANK))] = (("e", 1, ("1", BLANK), one),)
-    verifier = VerifierSpec(
-        mode="1pfa",
-        states=("e", "o", "acc", "rej"),
-        initial="e",
-        accept=frozenset({"acc"}),
-        reject=frozenset({"rej"}),
-        input_alphabet=("1",),
-        comm_alphabets=((BLANK, "1"), (BLANK,)),
-        rows=rows,
-    )
     relay = ClassicalTableStrategy(
         work=1,
         rows={
@@ -153,21 +129,9 @@ def parity_relay() -> ProtocolSpec:
             ("1", ("1",)): (BLANK, (BLANK,)),
         },
     )
-    prover1 = ProverSpec(
-        index=1,
-        comm_alphabet=(BLANK, "1"),
-        tape_alphabet=(BLANK, "1"),
-        space=1,
-        strategy=relay,
-    )
-    return ProtocolSpec(
-        name="parity_relay",
-        verifier=verifier,
-        provers=(prover1, _mute_prover(2, (BLANK,))),
-        a=1.0,
-        b=0.01,
-        cutoff=8,
-    )
+    prover1 = ProverSpec(index=1, comm_alphabet=(BLANK, "1"), tape_alphabet=(BLANK, "1"), space=1, strategy=relay)
+    return _machine("parity_relay", "1pfa", ("e", "o", "acc", "rej"), "1", rows,
+                    (prover1, _mute_prover(2, (BLANK,))), a=1.0, b=0.01, cutoff=8)
 
 
 @lru_cache(maxsize=None)

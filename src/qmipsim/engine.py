@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from math import prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -56,6 +56,7 @@ from .specs import (
     ProverSpec,
     VerifierSpec,
     parse_track,
+    sum_targets,
 )
 from .tolerances import CONSERVATION_TOL, PRUNE_TOL, ROUND_TOL
 
@@ -137,36 +138,30 @@ def prover_operator(provers: tuple[ProverSpec, ...], step: int, quantum: bool) -
         q, head, comm, tapes = config
         cells = []
         new_tapes = []
-        weights = []
         weight = 1.0
-        slot = 0
-        for cell, tape in zip(comm, tapes):
+        for slot, (cell, tape) in enumerate(zip(comm, tapes)):
             strategy, moves_quantum = by_slot.get(slot, absent)
-            if strategy is None:
-                w = 1.0
-            elif moves_quantum:
+            if moves_quantum:
                 moves = strategy.apply_quantum(step, cell, tape)
                 if len(moves) != 1:
-                    return branched(config, slot, moves, cells, new_tapes, weights)
+                    return branched(config, slot, moves)
                 (cell, tape), w = moves[0]
-            else:
+                weight *= w
+            elif strategy is not None:
                 cell, tape = strategy.apply_classical(step, cell, tape)
-                w = 1.0
             cells.append(cell)
             new_tapes.append(tape)
-            weights.append(w)
-            weight *= w
-            slot += 1
         return [(make((q, head, tuple(cells), tuple(new_tapes))), weight)]
 
-    def branched(config, slot, moves, cells, new_tapes, weights):
+    def branched(config, slot, moves):
         """The op at `config` once `slot` has `moves`, not one: the product of every slot's moves."""
         q, head, comm, tapes = config
-        per_slot = [(((cell, tape), w),) for cell, tape, w in zip(cells, new_tapes, weights)]
-        per_slot.append(moves)
-        for slot, (cell, tape) in islice(enumerate(zip(comm, tapes)), slot + 1, None):
-            strategy, moves_quantum = by_slot.get(slot, absent)
-            if strategy is None:
+        per_slot = []
+        for i, (cell, tape) in enumerate(zip(comm, tapes)):
+            strategy, moves_quantum = by_slot.get(i, absent)
+            if i == slot:
+                per_slot.append(moves)
+            elif strategy is None:
                 per_slot.append((((cell, tape), 1.0),))
             elif moves_quantum:
                 per_slot.append(strategy.apply_quantum(step, cell, tape))
@@ -268,10 +263,7 @@ def _column(verifier: VerifierSpec, tape: tuple[str, ...], config: Configuration
     branches = verifier.lookup(q, tape[head], comm)
     if n == 2 and quantum:
         _check_head_moves(config, branches, n)
-    summed: dict = {}
-    for q2, d, sent, w in branches:
-        target = (q2, d % 2 if n == 2 else d, sent)
-        summed[target] = summed.get(target, 0j) + complex(w)
+    summed = sum_targets(((q2, d % 2 if n == 2 else d, sent), complex(w)) for q2, d, sent, w in branches)
     targets = list(summed.items())
     smallest = min((abs(w) for _, w in targets), default=0.0)
     return _Column(targets, smallest, *_measure(targets, quantum, verifier.accept, verifier.reject), {})

@@ -299,12 +299,19 @@ def _split_stepped(lineno: int, side: str, what: str) -> tuple[str, str, tuple[s
     return (parts[0], *_split_side(lineno, parts[1], what))
 
 
+def _parse_work(sec: _Section) -> int:
+    work = _parse_int(sec.one("work"), sec.label)
+    if work < 0:
+        raise SpecFileError(f"{sec.label}: work must be at least 0, got {work}")
+    return work
+
+
 def _parse_strategy(sec: _Section, space: int):
     kind = sec.one("strategy")
     if kind == "eraser":
         strategy: object = EraserStrategy()
     elif kind == "table":
-        work = _parse_int(sec.one("work"), sec.label)
+        work = _parse_work(sec)
         rows = {}
         for lineno, value in sec.many("row"):
             source, target = _split_arrow(lineno, value, "row")
@@ -314,7 +321,7 @@ def _parse_strategy(sec: _Section, space: int):
                  (reply, _sized(new_cells, work, lineno, "row work cells")), lineno, "row")
         strategy = ClassicalTableStrategy(work=work, rows=rows)
     elif kind == "unitary":
-        work = _parse_int(sec.one("work"), sec.label)
+        work = _parse_work(sec)
         steps: dict[int | None, dict] = {}
         for lineno, value in sec.many("urow"):
             head, body = _split_arrow(lineno, value, "urow")

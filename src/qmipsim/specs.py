@@ -248,11 +248,7 @@ class ClassicalTableStrategy:
 
     def injective_per_receive(self) -> bool:
         """Injectivity of the work-tape map for each fixed received symbol."""
-        for recv in {k[0] for k in self.rows}:
-            images = [v for k, v in self.rows.items() if k[0] == recv]
-            if len(set(images)) != len(images):
-                return False
-        return True
+        return len({(recv, image) for (recv, _), image in self.rows.items()}) == len(self.rows)
 
     def _lookup(self, comm: str, tape: Tape) -> tuple[str, Tape]:
         key = (comm, tape[:self.work])

@@ -125,15 +125,15 @@ def _slot_bases(v: VerifierSpec) -> tuple[tuple[str, ...], ...]:
 def _guarded(v: VerifierSpec, kind, slot_bases, **changes) -> VerifierSpec:
     """`v` with `changes`, rejecting receptions outside `slot_bases` through a
     guard of class `kind` into per-(state, symbol) reject states minted from
-    the output rows. A guard of the same kind on `v` keeps its states; one of
-    another kind is replaced, and its states go unless an output row targets them."""
+    the output rows. The guard knows exactly the states its rows mint, as
+    `parse_protocol` reads a guard back; the old guard's states go unless an
+    output row targets them or the new rows mint them."""
     rows = changes.get("rows", v.rows)
     old = v.fallback.known_states if v.fallback is not None else frozenset()
-    known = old if isinstance(v.fallback, kind) else frozenset()
-    dropped = old - known - {branch[0] for row in rows.values() for branch in row}
     minted = guard_states(kind.prefix, rows)
-    fresh = tuple(s for s in minted if s not in known)
-    guard = kind(slot_bases=slot_bases, known_states=known | frozenset(minted))
+    dropped = old - frozenset(minted) - {branch[0] for row in rows.values() for branch in row}
+    fresh = tuple(s for s in minted if s not in old)
+    guard = kind(slot_bases=slot_bases, known_states=frozenset(minted))
     states = tuple(s for s in v.states if s not in dropped) + fresh
     return replace(v, states=states, reject=(v.reject - dropped) | frozenset(fresh), fallback=guard, **changes)
 

@@ -159,6 +159,18 @@ def test_garbage_file_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["lift", "{src}", "-o", "{d}/missing/x.qmip"], "{d}/missing/x.qmip"),
+    (["lift", "{src}", "-o", "{d}/x.qmip", "--provenance", "{d}/missing/p.json"], "{d}/missing/p.json"),
+    (["corpus", "{src}"], "{src}"),
+], ids=["lift-protocol", "lift-provenance", "corpus-into-a-file"])
+def test_a_file_the_cli_cannot_write_is_exit_2(no_comm_file, tmp_path, capsys, argv, target):
+    paths = {"src": no_comm_file, "d": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and target.format(**paths) in err
+
+
 @pytest.mark.parametrize("name, weight", [("coinflip_classical", "1/2"), ("no_comm_lift", "1/sqrt2")],
                          ids=["coinflip_classical", "no_comm_lift"])
 @pytest.mark.parametrize("token", ["nan", "inf", "1e999", "9" * 400, "9" * 400 + "/7", "1/sqrt" + "9" * 400],

@@ -561,6 +561,8 @@ _PARSE_REFUSALS = [
     (_TABLE, "space = 1\nstrategy = choices\nchoice = 1 # | # -> #\nchoice = 1 # | # -> g",
      "line {n}: duplicate choice for (1, '#', ('#',))"),
     ("strategy = table", "strategy = oracle", "[prover 1]: unknown strategy 'oracle'"),
+    ("work = 0", "work = -1", "[prover 1]: work must be at least 0, got -1"),
+    (_TABLE, "space = 0\nstrategy = unitary\nwork = -1\nurow = * # -> 1 #", "[prover 1]: work must be at least 0, got -1"),
     ("row = # -> #", "row = # -> #\nwrap = masked", "[prover 1]: wrap item 'masked' needs name:offset"),
     (_TABLE, "space = 0\nstrategy = unitary\nwork = 0\nurow = * # -> 1 #\nwrap = reversible:0",
      "[prover 1]: reversible wrap needs a plain table inside"),

@@ -21,6 +21,7 @@ from qmipsim.errors import (
     NotReversible,
     ValidationError,
 )
+from qmipsim.fileformat import parse_protocol, serialize_protocol
 from qmipsim.specs import (
     BLANK,
     LEFT_END,
@@ -734,6 +735,31 @@ def test_guarded_keeps_a_replaced_guard_state_that_a_row_targets():
     # with no row aimed at them, a replaced guard's states go
     dropped = _guarded(v, TrackGuard, ((BLANK,),))
     assert dropped.states == ("q0", "acc", "rej", "rejt[q0|¢]", "rejt[q0|$]")
+
+
+@pytest.mark.parametrize("name", ["no_comm", "parity_relay"])
+def test_every_transform_guard_knows_exactly_the_states_its_rows_mint(name):
+    lifted = lift_2ip_to_3qip(corpus.build(name)).protocol
+    unified = unify_alphabets(lifted)
+    for p in (lifted, unified, reduce_3qip_to_2qip(unified).protocol):
+        guard = p.verifier.fallback
+        assert guard.known_states == frozenset(guard_states(guard.prefix, p.verifier.rows))
+
+
+def test_unify_drops_a_guard_state_no_row_mints_and_round_trips():
+    lifted = corpus.build("no_comm_lift")
+    extra = "rejf[zz|0]"
+    v = lifted.verifier
+    stale = dataclasses.replace(lifted, verifier=dataclasses.replace(
+        v,
+        states=v.states + (extra,),
+        reject=v.reject | {extra},
+        fallback=dataclasses.replace(v.fallback, known_states=v.fallback.known_states | {extra}),
+    ))
+    validate_protocol(stale)
+    unified = unify_alphabets(stale)
+    assert unified == unify_alphabets(lifted)
+    assert parse_protocol(serialize_protocol(unified)) == unified
 
 
 def _renamed_relay_lift(old, new):
