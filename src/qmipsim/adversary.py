@@ -55,7 +55,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import getitem
+from operator import eq, getitem
 
 from .engine import RoundStat, _Class, _check_round, _measure, _rounds, input_tape, simulate
 from .errors import FamilyTooLarge, RunFault, Unbounded, ValidationError
@@ -235,7 +235,7 @@ class _Stage:
         self.step, classes = node[:2]
         v, tape = p.verifier, input_tape(x, p.verifier)
         guard = self.guard = v.fallback
-        n, halting = len(tape), v.accept | v.reject
+        n, halting, quantum = len(tape), v.accept | v.reject, v.is_quantum()
         self.local_states: list[dict[tuple, int]] = [{} for _ in range(p.k)]
         # (class index, local tuple, {source: amp}, halted triple or None), in residual order
         self.groups = []
@@ -251,14 +251,20 @@ class _Stage:
                     name = guard and guard.target(q, tape[head % n])
                     if name not in halting:
                         break
-                    out[name, (head + 1) % n] = out.get((name, (head + 1) % n), 0j) + amp
+                    target = name, (head + 1) % n
+                    out[target] = out.get(target, 0j) + amp
                 else:
-                    halted = _measure(out.items(), v.is_quantum(), v.accept, v.reject)[:3]
+                    halted = _measure(out.items(), quantum, v.accept, v.reject)[:3]
                 self.groups.append((c, local, group, halted))
         # per slot: the cells that explicit rows receive there, and the local
         # ids where some group does not halt through the guard
         self.row_cells = [{comm[slot] for _, _, comm in v.rows} for slot in range(p.k)]
         self.live = [{local[slot] for _, local, _, halted in self.groups if halted is None} for slot in range(p.k)]
+        # per slot, the key that holds the token at every local id: a block that picks it halts
+        # every group through the guard, and all blocks in which every group halts share one
+        # child, kept once the first has run
+        self.tokens = [(None,) * len(ids) for ids in self.local_states]
+        self.halted_child = None
 
     def key(self, slot: int, strategy):
         """`strategy`'s class key at `slot`: per local id, its reply or the shared token None.
@@ -291,14 +297,18 @@ class _Stage:
                 (reply, _), = fn(self.step, None)
                 # some local id halts only through the guard, so the guard is there
                 if reply is not None and len(live) < n and reply not in row_cells and self.guard.rejects(slot, reply):
+                    if not live:
+                        return self.tokens[slot]
                     return tuple([reply if local in live else None for local in range(n)])
                 return object() if reply is None else (reply,) * n
+            # without a guard every local id is live, so `rejects` is never called
+            step, rejects = self.step, self.guard and self.guard.rejects
             for local, (cell, _) in enumerate(self.local_states[slot]):
-                (reply, amp), = fn(self.step, cell)
+                (reply, amp), = fn(step, cell)
                 # a phase opts out, and so does a reply that would read as the token
                 if amp != 1 or reply is None:
                     return object()
-                shared = local not in live and reply not in row_cells and self.guard.rejects(slot, reply)
+                shared = local not in live and reply not in row_cells and rejects(slot, reply)
                 key.append(None if shared else reply)
         except Exception:
             return object()
@@ -312,9 +322,12 @@ class _Stage:
         driver with the first combination, resumed from the node less those
         triples, whose checks cover the whole round and whose survivors come
         back merged by their records. When every group halts, `_check_round`
-        checks the triples alone. A round that faults, or leaves the driver
-        at most PRUNE_TOL, while tokens count runs again with none, so that a
-        fault is the run's own.
+        checks the triples alone, summed in group order, so every such block
+        of the node has the same child: it is kept, and a later block whose
+        key holds the token at every local id of some slot takes it without
+        a pass over the groups. A round that faults, or leaves the driver at
+        most PRUNE_TOL, while tokens count runs again with none, so that a
+        fault is the run's own, and keeps no child.
         `picks` is None for a block with an opt-out, whose moves may merge
         groups: then every group runs through the driver, which stands for
         each combination of the block. Where their keys hold the token, each
@@ -323,6 +336,8 @@ class _Stage:
         merged or not, are the first combination's.
         """
         j, classes, acc, rej, mass = self.node
+        if self.halted_child is not None and picks is not None and any(map(eq, picks, self.tokens)):
+            return self.halted_child
         after = h_acc = h_rej = 0.0
         live = classes
         if picks is not None:
@@ -340,7 +355,8 @@ class _Stage:
         try:
             if not live:
                 _check_round(j + 1, mass, after, h_acc, h_rej, 0.0)
-                return j + 1, [], acc + h_acc, rej + h_rej, 0.0
+                self.halted_child = j + 1, [], acc + h_acc, rej + h_rej, 0.0
+                return self.halted_child
             trial = _trial(self.p, [fam.strategies[m[0]] for fam, m in zip(self.families, tag)], self.T)
             stat, survivors = next(_rounds(trial, self.x, (RoundStat(j, 0.0, 0.0, mass - after, 0, 0), live)))
         except (RunFault, StopIteration):
@@ -430,20 +446,24 @@ def search(
         if best is None or (value > best[0] + TIE_TOL if maximize else value < best[0] - TIE_TOL):
             best = (value, tuple(m[0] for m in tag), total_acc, total_rej, leftover)
 
-    labels = [[strategy_label(s) for s in fam.strategies] for fam in families]
     table: list[tuple[tuple[str, ...], float, float]] | None = None
     if keep_table:
         # a combination's index in product order: its strategy indices times their slots' strides, summed
         strides = [math.prod(len(fam.strategies) for fam in families[slot + 1:]) for slot in range(p.k)]
         pairs = [None] * total
         for tag, pair, _ in leaves:
-            for index in map(sum, itertools.product(*([i * stride for i in t] for t, stride in zip(tag, strides)))):
+            offsets = [0]
+            for t, stride in zip(tag, strides):
+                offsets = [o + i * stride for o in offsets for i in t]
+            for index in offsets:
                 pairs[index] = pair
-        table = [(names,) + pair for names, pair in zip(itertools.product(*labels), pairs)]
+        labels = [[strategy_label(s) for s in fam.strategies] for fam in families]
+        # every index is some leaf's, so no pair is left None (unpacking one would raise)
+        table = [(names, acc, rej) for names, (acc, rej) in zip(itertools.product(*labels), pairs)]
     return SearchResult(
         objective=objective,
         best_value=best[0],
-        best_labels=tuple(labels[slot][j] for slot, j in enumerate(best[1])),
+        best_labels=tuple(strategy_label(fam.strategies[i]) for fam, i in zip(families, best[1])),
         best_p_accept=best[2],
         best_p_reject=best[3],
         best_leftover=best[4],

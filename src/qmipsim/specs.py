@@ -236,6 +236,8 @@ class ClassicalTableStrategy:
     kind: ClassVar[str] = "classical-table"
 
     def __post_init__(self):
+        if self.work < 0:
+            raise ValidationError(f"prover table work must be at least 0, got {self.work}")
         for (recv, cells), (reply, new_cells) in self.rows.items():
             if len(cells) != self.work or len(new_cells) != self.work:
                 raise ValidationError(
@@ -329,6 +331,10 @@ class UnitaryTableStrategy:
     work: int
     steps: Mapping[int | None, Mapping[tuple[str, Tape], QuantumMove]]
     kind: ClassVar[str] = "unitary-table"
+
+    def __post_init__(self):
+        if self.work < 0:
+            raise ValidationError(f"unitary table work must be at least 0, got {self.work}")
 
     def apply_quantum(self, step: int, comm: str, tape: Tape) -> QuantumMove:
         table = self.steps.get(step, self.steps.get(None))

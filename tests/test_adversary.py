@@ -1337,6 +1337,64 @@ def test_a_logged_subclass_has_a_key_of_its_own_and_runs_apart(name, blocks):
         assert (acc, rej) == pytest.approx((want_acc, want_rej), abs=1e-12), labels
 
 
+def test_keys_at_the_c5_root_follow_the_token_rule():
+    # every group of the full C5 sweep's root halts through the guard, so a
+    # rejected reply that no row receives is the token at every local id; a
+    # branching rotation and a subclass opt out, equal to no other key
+    p = corpus.build("no_comm_reduce")
+    stage = _stage(p, "0")
+    guard = p.verifier.fallback
+    for slot, f in enumerate(default_families(p)):
+        halts = _halts_through_the_guard(p, "0", slot)
+        received = {comm[slot] for _, _, comm in p.verifier.rows}
+        opt_outs = (rotation_reply(*p.verifier.comm_alphabets[slot][:2]), _Sub("echo", echo_reply().fn))
+        keys = [stage.key(slot, s) for s in f.strategies + opt_outs]
+        for strategy, key in zip(f.strategies, keys):
+            want = []
+            for cell, _ in stage.local_states[slot]:
+                (reply, _), = strategy.fn(1, cell)
+                token = halts[cell] and reply not in received and guard.rejects(slot, reply)
+                want.append(None if token else reply)
+            assert key == tuple(want), strategy.label
+        assert (None,) * len(stage.local_states[slot]) in keys
+        for key in keys[len(f.strategies):]:
+            assert type(key) is not tuple and [other == key for other in keys].count(True) == 1
+
+
+def test_blocks_that_hold_the_token_at_every_local_id_share_one_child():
+    # slot 0's all-token pick halts every group through the guard, whatever
+    # slot 1 picks: two such blocks of one node get the one child that a
+    # fresh node computes by its pass over the groups
+    p = corpus.build("no_comm_reduce")
+    families = default_families(p)
+    stage = _stage(p, "0")
+    keys = [[stage.key(slot, s) for s in f.strategies] for slot, f in enumerate(families)]
+    token = keys[0].index((None,) * len(stage.local_states[0]))
+    a, b = 0, next(j for j, key in enumerate(keys[1]) if key != keys[1][0])
+    first = stage.run(((token,), (a,)), (keys[0][token], keys[1][a]))
+    second = stage.run(((token,), (b,)), (keys[0][token], keys[1][b]))
+    assert second is first
+    assert second == _stage(p, "0").run(((token,), (b,)), (keys[0][token], keys[1][b]))
+    assert (second[0], second[1], second[4]) == (2, [], 0.0)
+
+
+@pytest.mark.parametrize("objective", ["max-accept", "min-reject"])
+def test_a_sweep_over_shuffled_families_matches_simulate(objective, blocks):
+    # shuffled, a block's strategies sit apart in their family's order, so
+    # the table reads each leaf's combinations from non-contiguous indices
+    p = corpus.build("no_comm_reduce")
+    rng = random.Random(50)
+    families = tuple(
+        StrategyFamily(f.prover_index, f.label, tuple(rng.sample(f.strategies, len(f.strategies))))
+        for f in _track_probe_sample(p, 50)
+    )
+    _assert_matches_simulate(p, "0", families, objective)
+    positions = [{s.label: i for i, s in enumerate(f.strategies)} for f in families]
+    spread = [[positions[slot][label] for label in labels] for _, block, _, _ in blocks
+              for slot, labels in enumerate(block)]
+    assert any(indices != list(range(indices[0], indices[0] + len(indices))) for indices in spread)
+
+
 # ---------------------------------------------------------------- the blank tapes of round 1
 #
 # `_Stage` lets a slot's (cell, tape) stand for a logged reply's new tape.

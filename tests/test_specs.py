@@ -203,6 +203,20 @@ def test_classical_table_rejects_rows_of_the_wrong_work_length():
         ClassicalTableStrategy(work=1, rows={("#", ()): ("#", ("#",))})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ClassicalTableStrategy(work=-1, rows={}), "prover table work must be at least 0, got -1"),
+    # the work count is refused before any row is measured against it
+    (lambda: ClassicalTableStrategy(work=-1, rows={("#", ()): ("#", ())}),
+     "prover table work must be at least 0, got -1"),
+    (lambda: UnitaryTableStrategy(work=-2, steps={}), "unitary table work must be at least 0, got -2"),
+])
+def test_table_strategies_refuse_a_negative_work(build, message):
+    # the file format refuses it as well; built in Python, a prover table of
+    # work -1 validated and then looked its rows up by tape[:-1] at run time
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_classical_table_injectivity_flags():
     injective = ClassicalTableStrategy(work=0, rows={("#", ()): ("a", ()), ("b", ()): ("b", ())})
     assert injective.is_injective()
